@@ -19,7 +19,7 @@ from ..core.config import BionicConfig
 from ..core.system import RunReport
 from ..errors import CrossNodeTransactionError, FrontendError, SubmissionError
 from ..dora.worker import PartitionWorker
-from ..mem.schema import Catalog, IndexKind, TableSchema
+from ..mem.schema import Catalog, TableSchema
 from ..mem.txnblock import BlockLayout, TransactionBlock, TxnStatus
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
@@ -134,15 +134,8 @@ class BionicCluster:
         else:
             targets = [schema.route(key, self.total_workers)]
         for w in targets:
-            worker = self.workers[w]
-            if schema.index_kind == IndexKind.HASH:
-                worker.hash_pipe.bulk_load(key, list(fields), table_id=table_id)
-            elif schema.index_kind == IndexKind.BPTREE:
-                worker.bptree_pipe.bulk_load(key, list(fields),
-                                             table_id=table_id)
-            else:
-                worker.skiplist_pipe.bulk_load(key, list(fields),
-                                               table_id=table_id)
+            self.workers[w].pipeline_for(table_id).bulk_load(
+                key, list(fields), table_id=table_id)
 
     # -- transactions ----------------------------------------------------------
     def new_block(self, proc_id: int, inputs: Sequence[Any],
@@ -251,9 +244,5 @@ class BionicCluster:
         schema = self.schemas.table(table_id)
         w = partition if partition is not None else (
             0 if schema.replicated else schema.route(key, self.total_workers))
-        worker = self.workers[w]
-        if schema.index_kind == IndexKind.HASH:
-            return worker.hash_pipe.lookup_direct(key, table_id=table_id)
-        if schema.index_kind == IndexKind.BPTREE:
-            return worker.bptree_pipe.lookup_direct(key, table_id=table_id)
-        return worker.skiplist_pipe.lookup_direct(key, table_id=table_id)
+        return self.workers[w].pipeline_for(table_id).lookup_direct(
+            key, table_id=table_id)

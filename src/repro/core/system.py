@@ -32,7 +32,7 @@ from ..errors import (
     FrontendError, SimulatedCrash, StuckTransactionError, SubmissionError,
 )
 from ..isa.instructions import Program
-from ..mem.schema import Catalog, IndexKind, TableSchema
+from ..mem.schema import Catalog, TableSchema
 from ..mem.txnblock import BlockLayout, TransactionBlock, TxnStatus
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
@@ -182,15 +182,8 @@ class BionicDB:
         else:
             targets = [schema.route(key, self.config.n_workers)]
         for w in targets:
-            worker = self.workers[w]
-            if schema.index_kind == IndexKind.HASH:
-                worker.hash_pipe.bulk_load(key, list(fields), table_id=table_id)
-            elif schema.index_kind == IndexKind.BPTREE:
-                worker.bptree_pipe.bulk_load(key, list(fields),
-                                             table_id=table_id)
-            else:
-                worker.skiplist_pipe.bulk_load(key, list(fields),
-                                               table_id=table_id)
+            self.workers[w].pipeline_for(table_id).bulk_load(
+                key, list(fields), table_id=table_id)
 
     def load_many(self, rows: Iterable[tuple]) -> int:
         """Bulk-load ``(table_id, key, fields)`` triples (timing-free).
@@ -213,12 +206,7 @@ class BionicDB:
             entry = info.get(table_id)
             if entry is None:
                 schema = self.schemas.table(table_id)
-                if schema.index_kind == IndexKind.HASH:
-                    pipes = [w.hash_pipe for w in self.workers]
-                elif schema.index_kind == IndexKind.BPTREE:
-                    pipes = [w.bptree_pipe for w in self.workers]
-                else:
-                    pipes = [w.skiplist_pipe for w in self.workers]
+                pipes = [w.pipeline_for(table_id) for w in self.workers]
                 entry = (schema, pipes)
                 info[table_id] = entry
             schema, pipes = entry
@@ -533,9 +521,5 @@ class BionicDB:
                                   n_workers=self.config.n_workers)
         w = partition if partition is not None else (
             0 if schema.replicated else schema.route(key, self.config.n_workers))
-        worker = self.workers[w]
-        if schema.index_kind == IndexKind.HASH:
-            return worker.hash_pipe.lookup_direct(key, table_id=table_id)
-        if schema.index_kind == IndexKind.BPTREE:
-            return worker.bptree_pipe.lookup_direct(key, table_id=table_id)
-        return worker.skiplist_pipe.lookup_direct(key, table_id=table_id)
+        return self.workers[w].pipeline_for(table_id).lookup_direct(
+            key, table_id=table_id)

@@ -17,7 +17,6 @@ from typing import Any, Callable, Dict, Optional
 from ..comm.channels import Crossbar, RequestPacket, ResponsePacket
 from ..index.bptree.pipeline import BPTreePipeline, BPTreeTimings
 from ..index.common import DbRequest
-from ..index.hash.compiled import CompiledHashPipeline
 from ..index.hash.pipeline import HashIndexPipeline, HashTimings
 from ..index.skiplist.pipeline import SkiplistPipeline, SkiplistTimings
 from ..mem.schema import Catalog, IndexKind, TableSchema
@@ -65,13 +64,7 @@ class PartitionWorker:
                                  hw_clock, config=softcore_config,
                                  stats=self.stats, on_txn_done=on_txn_done,
                                  tracer=tracer)
-        # the compiled softcore tier brings the compiled (callback
-        # state-machine) hash pipeline with it — cycle-identical to the
-        # interpreted pipeline, far fewer host operations per op
-        hash_cls = (CompiledHashPipeline
-                    if softcore_config is not None and softcore_config.compiled
-                    else HashIndexPipeline)
-        self.hash_pipe = hash_cls(
+        self.hash_pipe = HashIndexPipeline(
             engine, clock, dram, f"w{worker_id}.hash", n_buckets=0,
             stats=self.stats, tracer=tracer, **(hash_kwargs or {}))
         self.skiplist_pipe = SkiplistPipeline(

@@ -199,7 +199,6 @@ class PipelineBase:
             self.trace_category = "bptree"
         else:
             self.trace_category = "skiplist"
-        self.entry = Fifo(engine, name=f"{name}.entry")
         self.tokens = TokenPool(engine, max_in_flight, name=f"{name}.inflight")
         # One read port per coprocessor pipeline: its issue interval is the
         # modelled HC-2 port arbitration cost and the throughput anchor for
@@ -220,8 +219,10 @@ class PipelineBase:
         raise NotImplementedError
 
     def _start_admission(self) -> None:
-        """Spawn the admission process.  The compiled hash pipeline
-        overrides this with a callback state machine (no process)."""
+        """Create the entry queue and spawn the admission process.  The
+        hash pipeline overrides this (and ``submit``) with a callback
+        state machine."""
+        self.entry = Fifo(self.engine, name=f"{self.name}.entry")
         self._admit_proc = self.engine.process(self._admit_loop(),
                                                name=f"{self.name}.admit")
 

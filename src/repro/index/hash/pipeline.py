@@ -18,17 +18,31 @@ Hazards (insert-after-insert, search-after-insert) are prevented by
 pipeline stalls against a BRAM lock table (Figure 6b); setting
 ``hazard_prevention=False`` reproduces the lost-update anomaly of
 Figure 6a — there is a regression test that does exactly that.
+
+Event structure
+---------------
+A stage is a busy flag, a backlog and bound-method callbacks scheduled
+closure-free through ``Engine._schedule_fn``; memory completions arrive
+through ``MemoryPort.read_cb`` / ``write_cb``.  Serving one item costs a
+stage two work items — a same-instant wake-up hop, then the service
+delay — and admission costs two more (receive, token grant).  The hops
+are not decoration: DRAM channel arbitration resolves same-instant
+requests in engine scheduling order, so the *creation order* of work
+items across stages and partitions decides commit timestamps.  The
+``GOLDEN_SMOKE`` fingerprints in :mod:`repro.perf.equivalence` pin that
+order; a change here that moves one of them is a timing change.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import cycle
 from typing import Any, List, Optional
 
 from ...isa.instructions import Opcode
 from ...mem.records import NULL_ADDR, TupleRecord
-from ...sim.sync import Fifo
 from ...txn.cc import DbResult, ResultCode, check_read, check_write
 from ..common import (
     DbRequest, IndexError_, PipelineBase, _sdbm_int8, sdbm_hash,
@@ -36,6 +50,9 @@ from ..common import (
 from .locktable import HazardLockTable
 
 __all__ = ["HashTimings", "HashIndexPipeline"]
+
+#: stage slots; Traverse stage ``k`` is slot ``_TRAVERSE + k``
+_KEYFETCH, _HASH, _INSTALL, _HEADFETCH, _KEYCOMP, _TRAVERSE = range(6)
 
 
 @dataclass(frozen=True)
@@ -90,61 +107,132 @@ class HashIndexPipeline(PipelineBase):
             raise ValueError(f"table {table_id} already registered")
         self._tables[table_id] = (self._dram.heap.alloc(n_buckets), n_buckets)
 
-    # ------------------------------------------------------------------
+    # -- stage plumbing ----------------------------------------------------
     def _build(self) -> None:
-        eng = self.engine
-        self.q_keyfetch = Fifo(eng, name=f"{self.name}.q.keyfetch")
-        self.q_hash = Fifo(eng, name=f"{self.name}.q.hash")
-        self.q_install = Fifo(eng, name=f"{self.name}.q.install")
-        self.q_headfetch = Fifo(eng, name=f"{self.name}.q.headfetch")
-        self.q_keycomp = Fifo(eng, name=f"{self.name}.q.keycomp")
-        self.q_traverse = [Fifo(eng, name=f"{self.name}.q.traverse{i}")
-                           for i in range(self.n_traverse_stages)]
-        self._traverse_rr = cycle(range(self.n_traverse_stages))
-        eng.process(self._stage_keyfetch(), name=f"{self.name}.keyfetch")
-        eng.process(self._stage_hash(), name=f"{self.name}.hash")
-        eng.process(self._stage_install(), name=f"{self.name}.install")
-        eng.process(self._stage_headfetch(), name=f"{self.name}.headfetch")
-        eng.process(self._stage_keycomp(), name=f"{self.name}.keycomp")
-        for i, q in enumerate(self.q_traverse):
-            eng.process(self._stage_traverse(q), name=f"{self.name}.traverse{i}")
+        ns = self.clock.ns
+        t = self.timings
+        n = self.n_traverse_stages
+        self._sched = self.engine._schedule_fn
+        self._body = [self._keyfetch, self._hash, self._install,
+                      self._headfetch, self._keycomp]
+        self._body += [partial(self._traverse, _TRAVERSE + k)
+                       for k in range(n)]
+        self._hop_ns = ns(t.traverse_hop)
+        delays = [ns(t.keyfetch), ns(t.hash), ns(t.install),
+                  ns(t.headfetch), ns(t.keycomp)] + [self._hop_ns] * n
+        # a stage is a busy flag, a backlog and a wake-up that charges the
+        # service delay before running the stage body
+        self._busy = [False] * len(delays)
+        self._backlog = [deque() for _ in delays]
+        self._wake = [partial(self._serve, delay, body)
+                      for delay, body in zip(delays, self._body)]
+        self._traverse_rr = cycle(range(_TRAVERSE, _TRAVERSE + n))
+        # destinations of the Hash stage's bucket-head read
+        self._to_install = partial(self._put, _INSTALL)
+        self._to_headfetch = partial(self._put, _HEADFETCH)
+
+    def _put(self, stage: int, item: Any) -> None:
+        """Hand ``item`` to a stage: wake it if idle, else queue the item
+        behind the one in service."""
+        if self._busy[stage]:
+            self._backlog[stage].append(item)
+        else:
+            self._busy[stage] = True
+            self._sched(self.engine.now, self._wake[stage], item)
+
+    def _serve(self, delay: float, body, item: Any) -> None:
+        self._sched(self.engine.now + delay, body, item)
+
+    def _next(self, stage: int) -> None:
+        """The stage is done with its item: take the next or go idle."""
+        backlog = self._backlog[stage]
+        if backlog:
+            self._sched(self.engine.now, self._wake[stage], backlog.popleft())
+        else:
+            self._busy[stage] = False
+
+    # -- admission (in-flight cap) -------------------------------------------
+    def _start_admission(self) -> None:
+        self._admit_idle = True
+        self._admit_backlog: deque = deque()
+        self._admit_parked: Optional[DbRequest] = None  # waiting for a token
+
+    def submit(self, req: DbRequest) -> None:
+        if self._admit_idle:
+            self._admit_idle = False
+            self._sched(self.engine.now, self._admit, req)
+        else:
+            self._admit_backlog.append(req)
+
+    def _admit(self, req: DbRequest) -> None:
+        if self.tokens.try_acquire():
+            self._sched(self.engine.now, self._admit_grant, req)
+        else:
+            self._admit_parked = req
+
+    def _grant_parked(self) -> None:
+        """A token came free: admit the request parked waiting for one."""
+        if self._admit_parked is not None and self.tokens.try_acquire():
+            req, self._admit_parked = self._admit_parked, None
+            self._sched(self.engine.now, self._admit_grant, req)
+
+    def _admit_grant(self, req: DbRequest) -> None:
+        if self.tracer.enabled:
+            self.tracer.emit(self.trace_category, self.name,
+                             f"enter {req.op.value} txn={req.txn_id}"
+                             + (" (background)" if req.background else ""))
+        self._enter(req)
+        if self._admit_backlog:
+            self._sched(self.engine.now, self._admit,
+                        self._admit_backlog.popleft())
+        else:
+            self._admit_idle = True
 
     def _enter(self, req: DbRequest) -> None:
         if req.op in (Opcode.SCAN, Opcode.RANGE_SCAN):
             raise IndexError_(f"{req.op.value} dispatched to a hash index")
-        self._forward(self.q_keyfetch, req)
+        self._put(_KEYFETCH, req)
+
+    def _done(self, req: DbRequest, result: DbResult) -> None:
+        self.tokens.release()
+        self._grant_parked()
+        self.completed.add()
+        if not result.ok:
+            self.errors.add()
+        if self.tracer.enabled:
+            self.tracer.emit(self.trace_category, self.name,
+                             f"done {req.op.value} txn={req.txn_id} "
+                             f"key={req.key!r} -> {result.code.name}")
+        req.finish(result)
+
+    def set_max_in_flight(self, n: int) -> None:
+        self.tokens.resize(n)
+        self._grant_parked()
 
     # -- stage 1: KeyFetch ------------------------------------------------
-    def _stage_keyfetch(self):
-        t = self.timings
-        while True:
-            req: DbRequest = yield self.q_keyfetch.get()
-            yield self.clock.delay(t.keyfetch)
-            if req.op is Opcode.INSERT and req.payload_addr is not None:
-                # computed key: fetch the field list from its block cell
-                req.key = req.key_value
-                ev = self.read_port.read(req.payload_addr)
-                ev.callbacks.append(self._payload_done(req))
-            elif req.key_value is not None or req.key_addr is None:
-                self._set_key(req, req.key_value)
-                self._forward(self.q_hash, req)
-            else:
-                # Fetch the search key from the transaction block,
-                # designating the Hash stage as the destination.
-                ev = self.read_port.read(req.key_addr)
-                ev.callbacks.append(self._keyfetch_done(req))
+    def _keyfetch(self, req: DbRequest) -> None:
+        if req.op is Opcode.INSERT and req.payload_addr is not None:
+            # computed key: fetch the field list from its block cell
+            req.key = req.key_value
+            self.read_port.read_cb(req.payload_addr, self._payload_done, req)
+        elif req.key_value is not None or req.key_addr is None:
+            self._set_key(req, req.key_value)
+            self._put(_HASH, req)
+        else:
+            # Fetch the search key from the transaction block,
+            # designating the Hash stage as the destination.
+            self.read_port.read_cb(req.key_addr, self._keyfetch_done, req)
+        self._next(_KEYFETCH)
 
-    def _keyfetch_done(self, req: DbRequest):
-        def cb(event) -> None:
-            self._set_key(req, event.value)
-            self._forward(self.q_hash, req)
-        return cb
+    def _keyfetch_done(self, arg: tuple) -> None:
+        req, value = arg
+        self._set_key(req, value)
+        self._put(_HASH, req)
 
-    def _payload_done(self, req: DbRequest):
-        def cb(event) -> None:
-            req.insert_payload = list(event.value or [])
-            self._forward(self.q_hash, req)
-        return cb
+    def _payload_done(self, arg: tuple) -> None:
+        req, value = arg
+        req.insert_payload = list(value or [])
+        self._put(_HASH, req)
 
     def _set_key(self, req: DbRequest, cell: Any) -> None:
         if req.op is Opcode.INSERT:
@@ -167,106 +255,102 @@ class HashIndexPipeline(PipelineBase):
             raise IndexError_(f"{self.name}: unknown table {table_id}") from None
         return base + sdbm_hash(key) % n_buckets
 
-    def _stage_hash(self):
-        t = self.timings
-        while True:
-            req: DbRequest = yield self.q_hash.get()
-            yield self.clock.delay(t.hash)
-            bucket_addr = self.bucket_addr_of(req.key, req.table_id)
-            req._bucket_addr = bucket_addr
-            if self.hazard_prevention:
-                if req.op is Opcode.INSERT:
-                    yield self.locks.acquire_insert(bucket_addr)
-                elif self.locks.locked(bucket_addr):
-                    yield self.locks.wait_clear(bucket_addr)
-            target = self.q_install if req.op is Opcode.INSERT else self.q_headfetch
-            ev = self.read_port.read(bucket_addr)
-            ev.callbacks.append(self._bucket_read_done(req, target))
+    def _hash(self, req: DbRequest) -> None:
+        bucket_addr = self.bucket_addr_of(req.key, req.table_id)
+        req._bucket_addr = bucket_addr
+        if self.hazard_prevention:
+            # a stalled instruction holds the Hash stage (pipeline stall)
+            # until the lock-release firing resumes it
+            if req.op is Opcode.INSERT:
+                ev = self.locks.acquire_insert(bucket_addr)
+                if ev.triggered:
+                    self._sched(self.engine.now, self._hash_issue, req)
+                else:
+                    ev.callbacks.append(lambda _ev: self._hash_issue(req))
+                return
+            if self.locks.locked(bucket_addr):
+                self.locks.wait_clear(bucket_addr).callbacks.append(
+                    lambda _ev: self._hash_issue(req))
+                return
+        self._hash_issue(req)
 
-    def _bucket_read_done(self, req: DbRequest, target: Fifo):
-        def cb(event) -> None:
-            self._forward(target, (req, event.value))
-        return cb
+    def _hash_issue(self, req: DbRequest) -> None:
+        """Read the bucket head, designating Install or HeadFetch."""
+        dest = self._to_install if req.op is Opcode.INSERT else self._to_headfetch
+        self.read_port.read_cb(req._bucket_addr, dest, req)
+        self._next(_HASH)
 
     # -- stage 3a: Install (INSERT path) ------------------------------------
-    def _stage_install(self):
-        t = self.timings
-        while True:
-            req, head_addr = yield self.q_install.get()
-            yield self.clock.delay(t.install)
-            addr = self._dram.heap.alloc()
-            record = TupleRecord(
-                key=req.key,
-                fields=list(req.insert_payload or []),
-                addr=addr,
-                next_addr=head_addr or NULL_ADDR,
-                read_ts=req.ts,
-                write_ts=req.ts,
-                dirty=True,
-            )
-            self.write_port.post_write(addr, record)
-            head_ev = self.write_port.write(req._bucket_addr, addr)
-            head_ev.callbacks.append(self._install_done(req, addr))
-            self.tuple_count += 1
+    def _install(self, item: tuple) -> None:
+        req, head_addr = item
+        addr = self._dram.heap.alloc()
+        record = TupleRecord(
+            key=req.key,
+            fields=list(req.insert_payload or []),
+            addr=addr,
+            next_addr=head_addr or NULL_ADDR,
+            read_ts=req.ts,
+            write_ts=req.ts,
+            dirty=True,
+        )
+        self.write_port.post_write(addr, record)
+        self.write_port.write_cb(req._bucket_addr, addr, self._install_done,
+                                 (req, addr))
+        self.tuple_count += 1
+        self._next(_INSTALL)
 
-    def _install_done(self, req: DbRequest, addr: int):
-        bucket_addr = req._bucket_addr
-
-        def cb(_event) -> None:
-            # The lock may only clear once the new head pointer is
-            # visible in DRAM, otherwise a stalled reader could still
-            # load the stale head.
-            if self.hazard_prevention:
-                self.locks.release_insert(bucket_addr)
-            self._done(req, DbResult(ResultCode.OK, tuple_addr=addr))
-        return cb
+    def _install_done(self, arg: tuple) -> None:
+        (req, addr), _ = arg
+        # The lock may only clear once the new head pointer is visible in
+        # DRAM, otherwise a stalled reader could still load the stale head.
+        if self.hazard_prevention:
+            self.locks.release_insert(req._bucket_addr)
+        self._done(req, DbResult(ResultCode.OK, tuple_addr=addr))
 
     # -- stage 3b: HeadFetch -----------------------------------------------
-    def _stage_headfetch(self):
-        t = self.timings
-        while True:
-            req, head_addr = yield self.q_headfetch.get()
-            yield self.clock.delay(t.headfetch)
-            if not head_addr:
-                self._done(req, DbResult(ResultCode.NOT_FOUND))
-                continue
-            ev = self.read_port.read(head_addr)
-            ev.callbacks.append(self._head_read_done(req, head_addr))
+    def _headfetch(self, item: tuple) -> None:
+        req, head_addr = item
+        if not head_addr:
+            self._done(req, DbResult(ResultCode.NOT_FOUND))
+        else:
+            self.read_port.read_cb(head_addr, self._head_read_done,
+                                   (req, head_addr))
+        self._next(_HEADFETCH)
 
-    def _head_read_done(self, req: DbRequest, addr: int):
-        def cb(event) -> None:
-            self._forward(self.q_keycomp, (req, addr, event.value))
-        return cb
+    def _head_read_done(self, arg: tuple) -> None:
+        (req, addr), record = arg
+        self._put(_KEYCOMP, (req, addr, record))
 
     # -- stage 4: KeyComp -----------------------------------------------------
-    def _stage_keycomp(self):
-        t = self.timings
-        while True:
-            req, addr, record = yield self.q_keycomp.get()
-            yield self.clock.delay(t.keycomp)
-            if record is not None and self._matches(req, record):
-                self._finish_match(req, addr, record)
-            else:
-                self._forward(self.q_traverse[next(self._traverse_rr)],
-                              (req, record))
+    def _keycomp(self, item: tuple) -> None:
+        req, addr, record = item
+        if record is not None and self._matches(req, record):
+            self._finish_match(req, addr, record)
+        else:
+            self._put(next(self._traverse_rr), (req, record))
+        self._next(_KEYCOMP)
 
     # -- stage 5: Traverse ------------------------------------------------------
-    def _stage_traverse(self, queue: Fifo):
-        t = self.timings
-        while True:
-            req, record = yield queue.get()
-            # Follow the hash-conflict chain; unlike other stages this one
-            # has internal memory stalls (dependent pointer chasing).
-            while True:
-                yield self.clock.delay(t.traverse_hop)
-                next_addr = record.next_addr if record is not None else NULL_ADDR
-                if not next_addr:
-                    self._done(req, DbResult(ResultCode.NOT_FOUND))
-                    break
-                record = yield self.read_port.read(next_addr)
-                if record is not None and self._matches(req, record):
-                    self._finish_match(req, next_addr, record)
-                    break
+    def _traverse(self, stage: int, item: tuple) -> None:
+        # Follow the hash-conflict chain; unlike other stages this one
+        # has internal memory stalls (dependent pointer chasing), so it
+        # holds its item across hops.
+        req, record = item
+        next_addr = record.next_addr if record is not None else NULL_ADDR
+        if not next_addr:
+            self._done(req, DbResult(ResultCode.NOT_FOUND))
+            self._next(stage)
+        else:
+            self.read_port.read_cb(next_addr, self._traverse_read,
+                                   (stage, req, next_addr))
+
+    def _traverse_read(self, arg: tuple) -> None:
+        (stage, req, addr), record = arg
+        if record is not None and self._matches(req, record):
+            self._finish_match(req, addr, record)
+            self._next(stage)
+        else:
+            self._serve(self._hop_ns, self._body[stage], (req, record))
 
     # -- terminal behaviour ---------------------------------------------------
     @staticmethod

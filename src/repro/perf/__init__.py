@@ -5,9 +5,9 @@ simulation's crank — engine microbenchmarks, end-to-end simulated-ns
 per host-second — and proves, via the cycle-equivalence checker, that
 the hot-path engine (:mod:`repro.sim.engine`) produces bit-identical
 simulated timing to the pre-overhaul reference implementation kept in
-:mod:`repro.perf.refengine`, and that the compiled execution tier
+:mod:`repro.perf.refengine`, and that the compiled softcore
 (``SoftcoreConfig(compiled=True)``) reproduces the interpreter on
-every fingerprint field except the event count.  Results land in
+every fingerprint field.  Results land in
 ``BENCH_sim.json``; the speedup ratios are machine-independent and are
 what CI regresses against.  ``python -m repro.perf sweep`` farms
 paper-scale points across host processes (:mod:`repro.perf.sweep`).
@@ -15,12 +15,10 @@ See ``docs/performance.md``.
 """
 
 from .equivalence import (
-    COMPILED_KEYS,
     GOLDEN_SMOKE,
     SCENARIOS,
     bptree_scenario,
     bptree_setup,
-    compiled_view,
     equivalence_failures,
     run_equivalence,
     tpcc_scenario,
@@ -34,14 +32,12 @@ from .simspeed import run_simspeed, time_compiled_tier
 from .sweep import POINTS, host_metadata, run_point, run_sweep
 
 __all__ = [
-    "COMPILED_KEYS",
     "GOLDEN_SMOKE",
     "POINTS",
     "SCENARIOS",
     "ReferenceEngine",
     "bptree_scenario",
     "bptree_setup",
-    "compiled_view",
     "equivalence_failures",
     "host_metadata",
     "run_equivalence",

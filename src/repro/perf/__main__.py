@@ -167,8 +167,7 @@ def main(argv=None) -> int:
             print(f"  {failure}", file=sys.stderr)
     else:
         print("repro.perf: cycle-equivalence OK "
-              "(fast == reference == golden; compiled tier matches on "
-              "now_ns/commits/aborts/commit-hash)")
+              "(fast == reference == compiled == golden)")
 
     if args.check:
         with open(args.check, "r", encoding="utf-8") as fh:

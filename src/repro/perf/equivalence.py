@@ -14,13 +14,10 @@ pre-overhaul engine.  This module proves it two ways:
   equivalence is anchored to history, not merely to whatever the
   reference copy happens to compute today.
 
-The **compiled tier** (``SoftcoreConfig(compiled=True)``: generated
-straight-line softcore sections plus the callback state-machine hash
-pipeline) is held to the same goldens on every field except
-``events_fired``: the compiled pipeline provably drops only no-op
-event firings, so the event *count* shrinks while ``now_ns``, commit
-and abort counts and the per-transaction commit-timestamp hash stay
-bit-identical (:data:`COMPILED_KEYS`).
+The **compiled softcore** (``SoftcoreConfig(compiled=True)``: generated
+straight-line sections in place of the interpreter's decode loop) is
+held to the same goldens on every field, ``events_fired`` included: it
+drives the same index pipelines and schedules the same work items.
 
 Scenarios are deterministic: fixed seeds, no wall-clock reads.
 """
@@ -36,9 +33,9 @@ from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
 from .refengine import ReferenceEngine
 
-__all__ = ["GOLDEN_SMOKE", "SCENARIOS", "SETUPS", "COMPILED_KEYS",
+__all__ = ["GOLDEN_SMOKE", "SCENARIOS", "SETUPS",
            "ycsb_setup", "ycsb_scenario", "tpcc_setup", "tpcc_scenario",
-           "bptree_setup", "bptree_scenario", "compiled_view",
+           "bptree_setup", "bptree_scenario",
            "run_equivalence", "equivalence_failures"]
 
 #: fingerprints of the smoke scenarios captured on the pre-overhaul
@@ -46,10 +43,13 @@ __all__ = ["GOLDEN_SMOKE", "SCENARIOS", "SETUPS", "COMPILED_KEYS",
 #: fast path landed — the anchor the live engines are compared against.
 #: bptree_range_smoke was captured later (when the scenario was added)
 #: on the fast engine/ReferenceEngine pair, which the other two anchors
-#: prove equivalent to the pre-overhaul engine.
+#: prove equivalent to the pre-overhaul engine.  The simulated
+#: observables (now_ns, commits, aborts, commit_hash) are those original
+#: captures; events_fired counts host work items and was re-captured for
+#: the callback hash pipeline, which schedules fewer of them.
 GOLDEN_SMOKE = {
     "ycsb_smoke": {
-        "events_fired": 18477,
+        "events_fired": 15384,
         "now_ns": 187368.0,
         "committed": 57,
         "aborted": 3,
@@ -57,7 +57,7 @@ GOLDEN_SMOKE = {
             "e7bc04fef889d3e929575dd860443e08a9e965b7e645238f5709320a1025fc35",
     },
     "tpcc_smoke": {
-        "events_fired": 40334,
+        "events_fired": 33611,
         "now_ns": 530656.0,
         "committed": 24,
         "aborted": 63,
@@ -65,7 +65,7 @@ GOLDEN_SMOKE = {
             "bc978ca2d2c04e903222919cead95159309d178c46a89346555774f06f3118b9",
     },
     "bptree_range_smoke": {
-        "events_fired": 6033,
+        "events_fired": 6019,
         "now_ns": 423312.0,
         "committed": 32,
         "aborted": 0,
@@ -73,11 +73,6 @@ GOLDEN_SMOKE = {
             "a0aa2f667110944e34715ca59cfc44a50f287b2195ac3e4ee2749d9f0cb6ed6f",
     },
 }
-
-#: the fields the compiled tier must reproduce exactly.  events_fired
-#: is deliberately absent: dropped no-op firings shrink the count
-#: without moving any remaining item (see repro.index.hash.compiled).
-COMPILED_KEYS = ("now_ns", "committed", "aborted", "commit_hash")
 
 
 def _digest(commits: list) -> str:
@@ -94,11 +89,6 @@ def _fingerprint(db: BionicDB, report, blocks) -> Dict[str, object]:
         "aborted": report.aborted,
         "commit_hash": _digest(commits),
     }
-
-
-def compiled_view(fingerprint: Dict[str, object]) -> Dict[str, object]:
-    """Restrict a fingerprint to the fields the compiled tier must match."""
-    return {k: fingerprint[k] for k in COMPILED_KEYS}
 
 
 def ycsb_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
@@ -216,7 +206,7 @@ def run_equivalence(scale: int = 1,
 
     Returns, per scenario: the fast-engine and reference-engine
     fingerprints, whether they match each other, whether the compiled
-    execution tier reproduces the fast engine on :data:`COMPILED_KEYS`,
+    softcore reproduces the interpreter's fingerprint,
     and (at scale 1) whether the fast engine matches the checked-in
     golden constants.  ``scenarios`` restricts the run to the named
     subset (unknown names raise ``KeyError``).
@@ -233,7 +223,7 @@ def run_equivalence(scale: int = 1,
             "reference": ref,
             "match": fast == ref,
             "compiled": compiled,
-            "compiled_match": compiled_view(compiled) == compiled_view(fast),
+            "compiled_match": compiled == fast,
         }
         if scale == 1:
             golden = GOLDEN_SMOKE.get(name)
@@ -257,7 +247,6 @@ def equivalence_failures(results: Dict[str, Dict[str, object]]) -> List[str]:
                 f"values — fast={entry['fast']} golden={GOLDEN_SMOKE[name]}")
         if not entry.get("compiled_match", True):
             failures.append(
-                f"{name}: compiled tier diverged from the interpreter on "
-                f"{COMPILED_KEYS} — compiled={entry['compiled']} "
-                f"interpreted={entry['fast']}")
+                f"{name}: compiled tier diverged from the interpreter — "
+                f"compiled={entry['compiled']} interpreted={entry['fast']}")
     return failures

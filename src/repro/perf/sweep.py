@@ -254,8 +254,8 @@ def sweep_main(argv=None) -> int:
         twin = results.get(f"{name}_interp")
         if twin is None:
             continue
-        for key in ("now_ns", "committed", "aborted", "commit_hash",
-                    "throughput_tps"):
+        for key in ("events_fired", "now_ns", "committed", "aborted",
+                    "commit_hash", "throughput_tps"):
             if r[key] != twin[key]:
                 print(f"repro.perf sweep: TIER DIVERGENCE at {name}: "
                       f"{key} {r[key]} != {twin[key]}", file=sys.stderr)

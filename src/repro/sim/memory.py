@@ -198,7 +198,7 @@ class MemoryPort:
         position the event dispatch of :meth:`read` would occupy, so
         timing (and same-instant firing order) is identical — the only
         difference is that no :class:`Event` is allocated.  This is the
-        completion path of the compiled pipeline tier.
+        completion path of the hash index pipeline.
         """
         self._submit(_Request("read", addr, None, None, cb=fn, cb_arg=arg))
 

@@ -150,6 +150,14 @@ class TokenPool:
             self._waiters.append(ev)
         return ev
 
+    def try_acquire(self) -> bool:
+        """Non-blocking acquire; returns False when no token is free."""
+        if self.available <= 0:
+            return False
+        self.available -= 1
+        self.total_acquired += 1
+        return True
+
     def release(self) -> None:
         if self._waiters:
             self.total_acquired += 1

@@ -1,8 +1,8 @@
 """Execution tracing: a waveform-style event log for the simulator.
 
 A :class:`Tracer` collects timestamped events from the components that
-opt in (the softcore's instruction stream, index pipeline stages, the
-communication channels).  Tracing is off by default and costs nothing
+opt in (the softcore's instruction stream and commit/abort decisions,
+index pipeline admissions and completions).  Tracing is off by default and costs nothing
 when disabled; enabled, it is the primary debugging tool for stored
 procedures and pipeline behaviour:
 
@@ -35,8 +35,8 @@ class Tracer:
     """Collects trace events for a chosen set of categories.
 
     Known categories: ``softcore`` (instruction execution, batch
-    phases), ``hash`` / ``skiplist`` (pipeline stage activity), ``comm``
-    (message passing), ``txn`` (commit/abort decisions).
+    phases), ``hash`` / ``skiplist`` / ``bptree`` (requests entering
+    and leaving an index pipeline), ``txn`` (commit/abort decisions).
     """
 
     def __init__(self, categories: Optional[Iterable[str]] = None,

@@ -80,12 +80,17 @@ class SoftcoreConfig:
     #: closes the batch instead of joining it.  None (the default)
     #: keeps grouping decisions — and timing — exactly as before.
     conflict_hints: Optional[Any] = None
-    #: run registered procedures through the compiled execution tier
+    #: run registered procedures through the compiled softcore executor
     #: (:mod:`repro.softcore.compiled`): per-procedure generated Python
-    #: with coalesced cycle charges.  Simulated timing is bit-identical
-    #: to the interpreter (``repro.perf`` enforces it); sections the
-    #: compiler declines fall back to the interpreter automatically.
-    #: Ignored under ``dynamic_scheduling`` and while tracing.
+    #: with coalesced cycle charges.  It selects the softcore executor
+    #: and nothing else — the index pipelines are the same either way —
+    #: and every simulated quantity, ``events_fired`` included, is
+    #: bit-identical to the interpreter (``repro.perf`` enforces it);
+    #: sections the compiler declines fall back to the interpreter
+    #: automatically.  Ignored under ``dynamic_scheduling`` and while
+    #: tracing.  Off by default because compiling a large catalogue
+    #: costs resident memory (TPC-C: +12 % peak RSS, see
+    #: docs/performance.md), which only a long run earns back.
     compiled: bool = False
 
 

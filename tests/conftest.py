@@ -10,8 +10,9 @@ from repro.sim import ClockDomain, DramModel, Engine, Heap, StatsRegistry
 class SimEnv:
     """A bundled engine + FPGA clock + DRAM used across index tests."""
 
-    def __init__(self, latency_cycles: float = 60.0, channels: int = 8):
-        self.engine = Engine()
+    def __init__(self, latency_cycles: float = 60.0, channels: int = 8,
+                 engine=None):
+        self.engine = engine if engine is not None else Engine()
         self.clock = ClockDomain(self.engine, 125.0, name="fpga")
         self.heap = Heap()
         self.stats = StatsRegistry()

@@ -1,12 +1,12 @@
 """Tests for the compiled execution tier and the paper-scale sweep runner.
 
-The tier's contract (see ``repro.softcore.compiled`` and
-``repro.index.hash.compiled``) is enforced here at unit-suite speed:
-bit-identical ``now_ns``/commit/abort/commit-hash against the
-checked-in goldens, a strictly smaller event count (only no-op
-firings are dropped), interpreter fallback whenever tracing is on or
-the specializer declines a section, and a bulk-load fast path whose
-heap image is cell-for-cell identical to per-row loading.
+The tier's contract (see ``repro.softcore.compiled``) is enforced here
+at unit-suite speed: a fingerprint bit-identical to the checked-in
+goldens and to the interpreter on every field, ``events_fired``
+included, whatever index kind the table uses; interpreter fallback
+whenever tracing is on or the specializer declines a section; and a
+bulk-load fast path whose heap image is cell-for-cell identical to
+per-row loading.
 """
 
 import json
@@ -15,13 +15,12 @@ import pytest
 
 from repro.core import BionicConfig, BionicDB
 from repro.isa.builder import ProcedureBuilder
+from repro.mem.schema import IndexKind
 from repro.perf import (
-    COMPILED_KEYS,
     GOLDEN_SMOKE,
     POINTS,
     SCENARIOS,
     bptree_scenario,
-    compiled_view,
     equivalence_failures,
     run_equivalence,
     run_point,
@@ -50,18 +49,14 @@ _SCENARIO_FNS = {
 
 @pytest.mark.parametrize("name", list(GOLDEN_SMOKE))
 def test_compiled_tier_matches_goldens(name):
-    fp = _SCENARIO_FNS[name](None, 1, COMPILED)
-    assert compiled_view(fp) == compiled_view(GOLDEN_SMOKE[name]), name
-    # the compiled hash pipeline drops only no-op firings, so the event
-    # count must shrink (never grow, never stay equal on these mixes)
-    assert fp["events_fired"] < GOLDEN_SMOKE[name]["events_fired"], name
+    assert _SCENARIO_FNS[name](None, 1, COMPILED) == GOLDEN_SMOKE[name], name
 
 
 def test_run_equivalence_includes_compiled_tier():
     results = run_equivalence(scale=1, scenarios=["ycsb_smoke"])
     entry = results["ycsb_smoke"]
     assert entry["compiled_match"]
-    assert compiled_view(entry["compiled"]) == compiled_view(entry["fast"])
+    assert entry["compiled"] == entry["fast"]
 
 
 def test_equivalence_failures_reports_compiled_divergence():
@@ -77,9 +72,10 @@ def test_equivalence_failures_reports_compiled_divergence():
 
 # -- fallback ----------------------------------------------------------------
 
-def _tiny_ycsb(softcore=None, tracer=None):
+def _tiny_ycsb(softcore=None, tracer=None, index_kind=IndexKind.HASH):
     wl = YcsbWorkload(YcsbConfig(records_per_partition=200, n_partitions=2,
-                                 reads_per_txn=2, seed=5))
+                                 reads_per_txn=2, seed=5,
+                                 index_kind=index_kind))
     db = BionicDB(BionicConfig(n_workers=2, tracer=tracer,
                                softcore=softcore or SoftcoreConfig()))
     wl.install(db)
@@ -97,8 +93,16 @@ def test_tracer_forces_interpreter_with_identical_timing():
     # per-instruction trace lines only exist in the interpreter, so
     # their presence proves the fallback actually ran
     assert tracer.events, "tracing under compiled=True emitted no lines"
-    assert compiled_view(traced) == compiled_view(interp)
-    assert compiled_view(compiled) == compiled_view(interp)
+    assert traced == interp
+    assert compiled == interp
+
+
+@pytest.mark.parametrize("index_kind", [IndexKind.HASH, IndexKind.SKIPLIST,
+                                        IndexKind.BPTREE])
+def test_compiled_matches_interpreter_on_every_index_kind(index_kind):
+    _db, interp = _tiny_ycsb(index_kind=index_kind)
+    _db, compiled = _tiny_ycsb(softcore=COMPILED, index_kind=index_kind)
+    assert compiled == interp
 
 
 def test_compiled_tier_caches_per_catalogue():
@@ -186,7 +190,7 @@ def test_run_point_fingerprints_both_tiers_identically(monkeypatch):
     compiled = run_point("tiny_ycsb")
     interp = run_point("tiny_ycsb_interp")
     assert compiled["seed"] == interp["seed"]
-    for key in COMPILED_KEYS:
+    for key in GOLDEN_SMOKE["ycsb_smoke"]:
         assert compiled[key] == interp[key], key
     assert compiled["throughput_tps"] == interp["throughput_tps"]
     assert compiled["host_seconds"] > 0

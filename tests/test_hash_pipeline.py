@@ -288,6 +288,50 @@ class TestThrottling:
         assert t16 < t1 / 3  # index pipelining overlaps probes
 
 
+class TestEngines:
+    """The pipeline schedules only through ``Engine._schedule_fn``, so
+    the reference engine runs it too — to the same completion times."""
+
+    @staticmethod
+    def _completions(engine):
+        env = SimEnv(engine=engine)
+        # 4 buckets and 4 tokens: chains to traverse, inserts contending
+        # for bucket locks, searches stalled behind them, parked admission
+        pipe = make_pipeline(env, n_buckets=4, max_in_flight=4,
+                             hazard_prevention=True)
+        for k in range(16):
+            pipe.bulk_load(k, [k])
+        reqs = []
+        for k in range(8):
+            reqs.append(req(Opcode.SEARCH, key=k, ts=5, txn_id=len(reqs)))
+            reqs.append(req(Opcode.INSERT, key=100 + k, payload=[k], ts=6,
+                            txn_id=len(reqs)))
+            reqs.append(req(Opcode.UPDATE, key=8 + k, ts=7, txn_id=len(reqs)))
+            reqs.append(req(Opcode.SEARCH, key=100 + k, ts=8,
+                            txn_id=len(reqs)))
+        done = {}
+
+        def on_complete(r, result):
+            done[r.txn_id] = (r.op, env.engine.now, result.code)
+
+        for r in reqs:
+            r.on_complete = on_complete
+            pipe.submit(r)
+        env.run()
+        assert len(done) == len(reqs)
+        assert pipe.locks.stalls > 0
+        return done, env.engine.events_fired
+
+    def test_reference_engine_completes_requests_at_the_same_times(self):
+        from repro.perf import ReferenceEngine
+        from repro.sim import Engine
+        fast, fast_events = self._completions(Engine())
+        ref, ref_events = self._completions(ReferenceEngine())
+        for txn_id, completion in fast.items():
+            assert ref[txn_id] == completion, txn_id
+        assert ref_events == fast_events
+
+
 class TestErrors:
     def test_scan_on_hash_rejected(self, env):
         from repro.index.common import IndexError_
@@ -295,10 +339,8 @@ class TestErrors:
         r = req(Opcode.SCAN, key=1)
         r.scan_count = 10
         pipe.submit(r)
-        env.run()
-        assert pipe._admit_proc.triggered  # the admit FSM faulted
-        with pytest.raises(IndexError_):
-            _ = pipe._admit_proc.value
+        with pytest.raises(IndexError_, match="dispatched to a hash index"):
+            env.run()
 
     def test_bad_config_rejected(self, env):
         with pytest.raises(ValueError):

@@ -33,10 +33,12 @@ def test_fast_engine_matches_golden_and_reference():
 
 def test_golden_constants_are_pinned():
     # the checked-in anchors themselves must not drift silently
-    assert GOLDEN_SMOKE["ycsb_smoke"]["events_fired"] == 18477
+    assert GOLDEN_SMOKE["ycsb_smoke"]["events_fired"] == 15384
     assert GOLDEN_SMOKE["ycsb_smoke"]["now_ns"] == 187368.0
-    assert GOLDEN_SMOKE["tpcc_smoke"]["events_fired"] == 40334
+    assert GOLDEN_SMOKE["tpcc_smoke"]["events_fired"] == 33611
     assert GOLDEN_SMOKE["tpcc_smoke"]["now_ns"] == 530656.0
+    assert GOLDEN_SMOKE["bptree_range_smoke"]["events_fired"] == 6019
+    assert GOLDEN_SMOKE["bptree_range_smoke"]["now_ns"] == 423312.0
 
 
 def test_scenarios_are_deterministic_across_runs():
