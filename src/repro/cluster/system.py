@@ -135,7 +135,7 @@ class BionicCluster:
             targets = [schema.route(key, self.total_workers)]
         for w in targets:
             self.workers[w].pipeline_for(table_id).bulk_load(
-                key, list(fields), table_id=table_id)
+                key, fields, table_id=table_id)
 
     # -- transactions ----------------------------------------------------------
     def new_block(self, proc_id: int, inputs: Sequence[Any],

@@ -36,7 +36,7 @@ from ..mem.schema import Catalog, TableSchema
 from ..mem.txnblock import BlockLayout, TransactionBlock, TxnStatus
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
-from ..sim.memory import DramModel, Heap
+from ..sim.memory import DramModel, Heap, collector_quiesced
 from ..sim.power import CpuPowerModel, FpgaPowerModel, PowerReport
 from ..sim.resources import ResourceLedger, per_worker_costs
 from ..sim.stats import StatsRegistry
@@ -182,58 +182,66 @@ class BionicDB:
         else:
             targets = [schema.route(key, self.config.n_workers)]
         for w in targets:
+            # bulk_load takes its own copy of ``fields`` (one per replica)
             self.workers[w].pipeline_for(table_id).bulk_load(
-                key, list(fields), table_id=table_id)
+                key, fields, table_id=table_id)
 
     def load_many(self, rows: Iterable[tuple]) -> int:
         """Bulk-load ``(table_id, key, fields)`` triples (timing-free).
 
-        The fast path behind the workload loaders: schema routing is
-        memoised per table and consecutive rows landing in the same
-        partition's index are handed to the pipeline's batched
-        ``bulk_load_many``.  Rows are installed in iteration order, so
-        heap addresses — and with them DRAM channel assignment and all
-        downstream simulated timing — are identical to calling
-        :meth:`load` once per row; a seed-stability test pins that.
+        The fast path behind the workload loaders.  Consecutive rows of
+        one table bound for one partition form a batch handed to the
+        pipeline's ``bulk_load_many``; schema lookup and routing are
+        resolved once per table, and the cyclic collector is held off
+        until the last row is in
+        (:func:`~repro.sim.memory.collector_quiesced`).  Rows are
+        installed in iteration order and a replicated row is installed
+        in every partition before the next one, so heap addresses — and
+        with them DRAM channel assignment and all downstream simulated
+        timing — are identical to calling :meth:`load` once per row;
+        image tests pin that cell for cell.
         """
         n_workers = self.config.n_workers
-        info: Dict[int, tuple] = {}
         batch: List[tuple] = []
-        cur_pipe = None
-        cur_key = None
+        cur_table = cur_w = schema = route = None
         count = 0
-        for table_id, key, fields in rows:
-            entry = info.get(table_id)
-            if entry is None:
-                schema = self.schemas.table(table_id)
-                pipes = [w.pipeline_for(table_id) for w in self.workers]
-                entry = (schema, pipes)
-                info[table_id] = entry
-            schema, pipes = entry
-            if schema.replicated:
-                # replicated rows interleave one allocation per worker,
-                # exactly as per-row load() does
-                if batch:
-                    cur_pipe.bulk_load_many(batch, table_id=cur_key[1])
-                    batch = []
-                    cur_pipe = None
-                    cur_key = None
-                for pipe in pipes:
-                    pipe.bulk_load(key, list(fields), table_id=table_id)
-            else:
-                w = schema.route(key, n_workers)
-                run = (w, table_id)
-                if run != cur_key:
-                    if batch:
-                        cur_pipe.bulk_load_many(batch, table_id=cur_key[1])
-                        batch = []
-                    cur_key = run
-                    cur_pipe = pipes[w]
+        with collector_quiesced():
+            for table_id, key, fields in rows:
+                if table_id != cur_table:
+                    count += self._load_batch(schema, cur_w, batch)
+                    schema = self.schemas.table(table_id)
+                    cur_table, cur_w = table_id, None
+                    route = None if schema.replicated else schema.partition_fn
+                if route is not None:
+                    w = route(key, n_workers)
+                    if w != cur_w:
+                        count += self._load_batch(schema, cur_w, batch)
+                        cur_w = w
                 batch.append((key, fields))
-            count += 1
-        if batch:
-            cur_pipe.bulk_load_many(batch, table_id=cur_key[1])
+            count += self._load_batch(schema, cur_w, batch)
         return count
+
+    def _load_batch(self, schema: TableSchema, w: Optional[int],
+                    batch: List[tuple]) -> int:
+        """Install and empty one :meth:`load_many` batch: in partition
+        ``w``, or (``w`` None, a replicated table) in every partition."""
+        n_rows = len(batch)
+        if not n_rows:
+            return 0
+        table_id = schema.table_id
+        if w is not None:
+            self.workers[w].pipeline_for(table_id).bulk_load_many(
+                batch, table_id=table_id)
+        else:
+            # a row's replicas take consecutive addresses, one per
+            # worker: only row-at-a-time loading lays that out for
+            # every index kind
+            pipes = [worker.pipeline_for(table_id) for worker in self.workers]
+            for key, fields in batch:
+                for pipe in pipes:
+                    pipe.bulk_load(key, fields, table_id=table_id)
+        batch.clear()
+        return n_rows
 
     # -- transactions ----------------------------------------------------------
     def new_block(self, proc_id: int, inputs: Sequence[Any],

@@ -26,6 +26,7 @@ The hierarchy::
     ├── StaleEpochError             [retryable] submit tagged with an old epoch
     ├── ReplicationStalledError     [retryable] executed but not safely acked
     ├── MigrationError         live-migration misuse or budget violation
+    ├── HeapAddressError       store outside the heap's allocated range
     └── (rebased domain errors: IsaError, SchemaError, SimulationError,
          ExecutionError, RecoveryError, ClusterError)
 
@@ -62,6 +63,7 @@ __all__ = [
     "StaleEpochError",
     "ReplicationStalledError",
     "MigrationError",
+    "HeapAddressError",
 ]
 
 
@@ -190,3 +192,10 @@ class MigrationError(BionicError, RuntimeError):
     """Live partition migration misuse or failure: illegal state
     transition, migrating a partition already in motion, or blowing the
     configured unavailability budget."""
+
+
+class HeapAddressError(BionicError, IndexError):
+    """A store addressed a simulated-DRAM cell the bump allocator never
+    handed out — a wild pointer in a pipeline, loader or test, caught
+    instead of silently materialising a cell.  Details carry the
+    ``addr`` and the allocator's current ``limit``."""

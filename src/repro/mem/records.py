@@ -2,9 +2,11 @@
 
 Each record occupies one heap cell (one modelled 64-byte line holding
 the header fields the pipelines actually touch: key, chain/tower
-pointers, timestamps and flag bits).  Wide payloads are stored in
-separate payload cells addressed via ``payload_addr`` when a workload
-chooses to materialise them (YCSB's 1 KB rows).
+pointers, timestamps and flag bits).
+
+The record classes are slotted: a paper-scale table is 1.2 M of them,
+and a per-instance ``__dict__`` would cost more memory — and one more
+object for the cyclic collector to walk — than the record itself.
 """
 
 from __future__ import annotations
@@ -12,17 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-__all__ = ["TupleRecord", "Tower", "BPTreeNode", "NULL_ADDR",
-           "PAYLOAD_CELL_BYTES"]
+__all__ = ["TupleRecord", "Tower", "BPTreeNode", "NULL_ADDR"]
 
 #: Sentinel for "no pointer" (hash-chain end / tower link end).
 NULL_ADDR = 0
 
-#: One payload cell models one 64-byte line of out-of-line payload.
-PAYLOAD_CELL_BYTES = 64
 
-
-@dataclass
+@dataclass(slots=True)
 class TupleRecord:
     """A hash-index tuple: header line with key, fields and CC metadata."""
 
@@ -34,15 +32,13 @@ class TupleRecord:
     write_ts: int = 0
     dirty: bool = False
     tombstone: bool = False
-    payload_addr: int = NULL_ADDR       # first out-of-line payload cell
-    payload_cells: int = 0
 
     def visible_at(self, ts: int) -> bool:
         """Committed and in the past of ``ts`` (scan/read visibility)."""
         return not self.dirty and not self.tombstone and self.write_ts <= ts
 
 
-@dataclass
+@dataclass(slots=True)
 class Tower:
     """A skiplist tower: tuple data plus next-pointers per level.
 
@@ -72,7 +68,7 @@ class Tower:
         return not self.dirty and not self.tombstone and self.write_ts <= ts
 
 
-@dataclass
+@dataclass(slots=True)
 class BPTreeNode:
     """A B+ tree node: one modelled DRAM line of separators + pointers.
 

@@ -13,8 +13,9 @@ Every point is:
   point's name (CRC-32), never from time or process id, so the
   simulated fingerprint of a point is a constant of the tree;
 * **fingerprinted** — the result records ``now_ns``, commit/abort
-  counts and the commit-timestamp hash next to the host timing, so a
-  sweep doubles as a large-scale determinism check.
+  counts and the commit-timestamp hash next to the host timing and
+  peak resident memory, so a sweep doubles as a large-scale
+  determinism check.
 
 Results merge into ``BENCH_sim.json`` under the ``"sweep"`` key (one
 entry per point, host metadata stamped alongside).  Usage::
@@ -33,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,26 +53,27 @@ def _point_seed(name: str) -> int:
 #: the sweep-point registry.  Parameter dicts are plain JSON-able data
 #: (picklable for the process pool, diffable in BENCH_sim.json).
 POINTS: Dict[str, Dict[str, object]] = {
-    # the paper's YCSB scale: 300 K rows per partition (§5.2); the
-    # compiled tier makes this a single-digit-seconds point
+    # the paper's YCSB scale: 300 K rows per partition (§5.2), with
+    # enough transactions that the run, not the ~3 s load, is most of
+    # the point and the throughput rests on more than a few batches
     "ycsb_paper_300k": {
         "workload": "ycsb",
         "n_workers": 4,
         "records_per_partition": 300_000,
         "reads_per_txn": 16,
-        "n_txns": 240,
+        "n_txns": 5000,
         "compiled": True,
     },
     # same configuration and SEED on the interpreter tier: the pair
     # documents the measured compiled-tier speedup at paper scale and
     # doubles as a paper-scale equivalence check (identical simulated
-    # fingerprint required, modulo events_fired)
+    # fingerprint required)
     "ycsb_paper_300k_interp": {
         "workload": "ycsb",
         "n_workers": 4,
         "records_per_partition": 300_000,
         "reads_per_txn": 16,
-        "n_txns": 240,
+        "n_txns": 5000,
         "compiled": False,
         "seed_name": "ycsb_paper_300k",
     },
@@ -152,6 +155,14 @@ def _run_tpcc(params: Dict, seed: int) -> Dict[str, object]:
 _WORKLOADS = {"ycsb": _run_ycsb, "tpcc": _run_tpcc}
 
 
+def _peak_rss_mb() -> float:
+    """This process's resident high-water mark: the point's own peak
+    when the point has a pool worker to itself, else the largest point
+    the process has run so far."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def run_point(name: str) -> Dict[str, object]:
     """Execute one registered sweep point (this is the pool task —
     module-level so it pickles by qualified name)."""
@@ -160,6 +171,7 @@ def run_point(name: str) -> Dict[str, object]:
     # simulated behaviour, different host cost)
     seed = _point_seed(str(params.get("seed_name", name)))
     result = _WORKLOADS[str(params["workload"])](params, seed)
+    result["peak_rss_mb"] = _peak_rss_mb()
     result["point"] = name
     result["seed"] = seed
     result["params"] = dict(params)
@@ -245,6 +257,7 @@ def sweep_main(argv=None) -> int:
     serial = sum(r["host_seconds"] for r in results.values())
     for name, r in results.items():
         print(f"  sweep {name:<28s} {r['host_seconds']:7.2f}s host   "
+              f"{r['peak_rss_mb']:6.0f} MB   "
               f"{r['throughput_tps']:>12,.0f} tps   "
               f"commits={r['committed']} aborts={r['aborted']}")
 

@@ -2,7 +2,9 @@
 
 from .clock import ClockDomain
 from .engine import AllOf, AnyOf, Engine, Event, Interrupt, Process, SimulationError, Timeout
-from .memory import Bram, DramModel, Heap, MemoryPort, LINE_BYTES
+from .memory import (
+    Bram, DramModel, Heap, MemoryPort, LINE_BYTES, collector_quiesced,
+)
 from .power import CpuPowerModel, FpgaPowerModel, PowerReport
 from .resources import (
     HC2_INFRASTRUCTURE,
@@ -21,6 +23,7 @@ __all__ = [
     "AllOf", "AnyOf", "Engine", "Event", "Interrupt", "Process",
     "SimulationError", "Timeout", "ClockDomain",
     "Bram", "DramModel", "Heap", "MemoryPort", "LINE_BYTES",
+    "collector_quiesced",
     "CpuPowerModel", "FpgaPowerModel", "PowerReport",
     "HC2_INFRASTRUCTURE", "ResourceLedger", "ResourceVector",
     "VIRTEX5_LX330", "per_worker_costs",

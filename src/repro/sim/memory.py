@@ -22,17 +22,48 @@ hazard prevention is disabled.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
+from contextlib import contextmanager
 from heapq import heappush
-from typing import Any, Callable, Deque, Dict, Optional
+from itertools import repeat
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
+from ..errors import HeapAddressError
 from .clock import ClockDomain
 from .engine import Engine, Event
 from .stats import StatsRegistry
 
-__all__ = ["Heap", "DramModel", "MemoryPort", "Bram", "LINE_BYTES"]
+__all__ = ["Heap", "DramModel", "MemoryPort", "Bram", "LINE_BYTES",
+           "collector_quiesced"]
 
 LINE_BYTES = 64  # one heap cell models one 64-byte DRAM line
+
+
+@contextmanager
+def collector_quiesced() -> Iterator[None]:
+    """Hold the cyclic collector off while a bulk loader fills the heap.
+
+    A load allocates millions of container objects and frees none, so
+    every generational pass it triggers re-walks the image loaded so
+    far and finds nothing: at paper scale that was 18 full passes and
+    half the load time.  The collector's prior state is restored on
+    exit.  If it was running, one full collection then moves the image
+    into the oldest generation at once; without it the first young
+    passes after the load would each walk the whole image, inside
+    whatever the caller does next.  (``gc.freeze()`` would skip even
+    that pass, but the frozen image of a database that is later
+    dropped — its core is cyclic — would never be reclaimed.)  Nested
+    uses see the collector already off and do nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+            gc.collect()
 
 
 class Heap:
@@ -42,29 +73,51 @@ class Heap:
     cells.  The heap is shared by all partitions (the FPGA's on-board
     DRAM is one physical address space); isolation between partitions
     is a matter of discipline, exactly as in the hardware.
+
+    Cells live in one ``list`` indexed by address and grown by the
+    allocator (8 bytes per allocated line, occupied or not), so the
+    first ``base`` slots are never handed out.  A cell holding ``None``
+    is unoccupied: reading it, or any address outside the allocated
+    range, yields ``None`` — a wild pointer reads nothing — while a
+    store outside the allocated range is a bug in the caller and
+    raises.
     """
 
     def __init__(self, base: int = 0x1000):
-        self._cells: Dict[int, Any] = {}
-        self._next = base
+        self._base = base
+        self._cells: List[Any] = [None] * base
         self.allocated_cells = 0
 
     def alloc(self, n_cells: int = 1) -> int:
         if n_cells < 1:
             raise ValueError("allocation must be >= 1 cell")
-        addr = self._next
-        self._next += n_cells
+        cells = self._cells
+        addr = len(cells)
+        if n_cells == 1:
+            cells.append(None)
+        else:
+            cells.extend(repeat(None, n_cells))
         self.allocated_cells += n_cells
         return addr
 
     def load(self, addr: int) -> Any:
-        return self._cells.get(addr)
+        cells = self._cells
+        return cells[addr] if 0 <= addr < len(cells) else None
 
     def store(self, addr: int, value: Any) -> None:
-        self._cells[addr] = value
+        cells = self._cells
+        if not self._base <= addr < len(cells):
+            raise HeapAddressError("store outside the allocated range",
+                                   addr=addr, limit=len(cells))
+        cells[addr] = value
 
     def __contains__(self, addr: int) -> bool:
-        return addr in self._cells
+        return self.load(addr) is not None
+
+    def items(self) -> Iterator[Tuple[int, Any]]:
+        """``(addr, cell)`` for every occupied cell, in address order."""
+        return ((addr, cell) for addr, cell in enumerate(self._cells)
+                if cell is not None)
 
     @property
     def bytes_allocated(self) -> int:

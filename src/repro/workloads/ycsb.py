@@ -213,9 +213,10 @@ class YcsbWorkload:
         if not load_data:
             return
         # batched fast path; row order (and so heap addresses) matches
-        # per-row db.load exactly
-        payload = cfg.payload
-        db.load_many((YCSB_TABLE, key, [payload])
+        # per-row db.load exactly.  Every row offers the same one-field
+        # list: the loader stores its own copy per record.
+        fields = [cfg.payload]
+        db.load_many((YCSB_TABLE, key, fields)
                      for key in range(cfg.total_records))
 
     # -- block layouts -----------------------------------------------------------

@@ -9,13 +9,14 @@ bulk-load fast path whose heap image is cell-for-cell identical to
 per-row loading.
 """
 
+import gc
 import json
 
 import pytest
 
 from repro.core import BionicConfig, BionicDB
 from repro.isa.builder import ProcedureBuilder
-from repro.mem.schema import IndexKind
+from repro.mem.schema import IndexKind, SchemaError, TableSchema
 from repro.perf import (
     GOLDEN_SMOKE,
     POINTS,
@@ -33,7 +34,9 @@ from repro.perf.sweep import _merge_into, _point_seed, sweep_main
 from repro.sim.trace import Tracer
 from repro.softcore import SoftcoreConfig
 from repro.softcore.compiled import CompiledTier, compile_procedure
-from repro.workloads import YcsbConfig, YcsbWorkload
+from repro.workloads import (
+    TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload,
+)
 from repro.workloads.ycsb import YCSB_TABLE
 
 COMPILED = SoftcoreConfig(compiled=True)
@@ -135,24 +138,105 @@ def test_specializer_declines_unknown_table():
 
 # -- bulk-load fast path -----------------------------------------------------
 
-def test_load_many_heap_image_matches_per_row_load():
-    cfg = YcsbConfig(records_per_partition=400, n_partitions=2,
-                     reads_per_txn=2, seed=9)
+def _heap_image(db):
+    return db.heap.allocated_cells, [(addr, repr(cell))
+                                     for addr, cell in db.heap.items()]
 
+
+def _per_row(db):
+    """Make ``db.load_many`` the row-at-a-time loop it must agree with."""
+    db.load_many = lambda rows: [db.load(*row) for row in rows]
+    return db
+
+
+def _ycsb_db(index_kind):
     def build(per_row):
-        wl = YcsbWorkload(cfg)
         db = BionicDB(BionicConfig(n_workers=2))
-        wl.install(db, load_data=not per_row)
-        if per_row:
-            for key in range(cfg.total_records):
-                db.load(YCSB_TABLE, key, [cfg.payload])
+        YcsbWorkload(YcsbConfig(records_per_partition=400, n_partitions=2,
+                                reads_per_txn=2, seed=9,
+                                index_kind=index_kind)
+                     ).install(_per_row(db) if per_row else db)
         return db
+    return build
 
-    fast, slow = build(False), build(True)
-    assert fast.heap._next == slow.heap._next
-    assert set(fast.heap._cells) == set(slow.heap._cells)
-    for addr, cell in fast.heap._cells.items():
-        assert repr(cell) == repr(slow.heap._cells[addr]), addr
+
+def _tpcc_db(per_row):
+    # ITEM is replicated: its rows interleave one cell per worker
+    db = BionicDB(BionicConfig(n_workers=2))
+    TpccWorkload(TpccConfig(n_partitions=2, districts_per_warehouse=2,
+                            customers_per_district=20, items=50)
+                 ).install(_per_row(db) if per_row else db)
+    return db
+
+
+def _mixed_db(per_row):
+    """Replicated hash, skiplist and B+ tree tables next to partitioned
+    ones, and table ids that change mid-stream and come back."""
+    db = BionicDB(BionicConfig(n_workers=3))
+    db.define_table(TableSchema(0, "h", IndexKind.HASH, hash_buckets=16))
+    db.define_table(TableSchema(1, "hr", IndexKind.HASH, hash_buckets=16,
+                                replicated=True))
+    db.define_table(TableSchema(2, "sr", IndexKind.SKIPLIST, replicated=True))
+    db.define_table(TableSchema(3, "br", IndexKind.BPTREE, replicated=True))
+    db.define_table(TableSchema(4, "b", IndexKind.BPTREE))
+    rows = [(t, key, [f"{t}.{key}", key])
+            for lo in (0, 60) for t in (1, 0, 3, 2, 4, 1)
+            for key in range(lo + 10 * t, lo + 10 * t + 60)
+            if not (t == 1 and lo == 60)]
+    (_per_row(db) if per_row else db).load_many(iter(rows))
+    return db
+
+
+@pytest.mark.parametrize("build", [
+    _ycsb_db(IndexKind.HASH), _ycsb_db(IndexKind.SKIPLIST),
+    _ycsb_db(IndexKind.BPTREE), _tpcc_db, _mixed_db,
+], ids=["ycsb-hash", "ycsb-skiplist", "ycsb-bptree", "tpcc", "mixed"])
+def test_load_many_heap_image_matches_per_row_load(build):
+    fast_cells, fast = _heap_image(build(per_row=False))
+    slow_cells, slow = _heap_image(build(per_row=True))
+    assert fast_cells == slow_cells
+    assert len(fast) == len(slow)
+    for got, want in zip(fast, slow):
+        assert got == want
+
+
+def _small_ycsb_db():
+    db = BionicDB(BionicConfig(n_workers=2))
+    YcsbWorkload(YcsbConfig(records_per_partition=1000, n_partitions=2,
+                            reads_per_txn=2, seed=9)
+                 ).install(db, load_data=False)
+    return db
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("bad_row", [False, True])
+def test_load_many_leaves_the_collector_as_it_found_it(enabled, bad_row):
+    db = _small_ycsb_db()
+    rows = [(YCSB_TABLE, key, ["v"]) for key in range(50)]
+    if bad_row:
+        rows.insert(25, (999, 0, ["no such table"]))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if bad_row:
+            with pytest.raises(SchemaError):
+                db.load_many(rows)
+        else:
+            assert db.load_many(rows) == 50
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_loaded_row_costs_the_collector_at_most_two_objects():
+    # layout pin: a record and its field list, nothing else tracked
+    # per row (no instance __dict__, no per-row key/bucket container)
+    db = _small_ycsb_db()
+    rows = [(YCSB_TABLE, key, ["v"]) for key in range(2000)]
+    gc.collect()
+    before = len(gc.get_objects())
+    db.load_many(rows)
+    assert len(gc.get_objects()) - before <= 2 * len(rows)
 
 
 # -- sweep runner ------------------------------------------------------------
@@ -194,6 +278,7 @@ def test_run_point_fingerprints_both_tiers_identically(monkeypatch):
         assert compiled[key] == interp[key], key
     assert compiled["throughput_tps"] == interp["throughput_tps"]
     assert compiled["host_seconds"] > 0
+    assert compiled["peak_rss_mb"] > 0
 
 
 def test_run_sweep_rejects_unknown_points():

@@ -367,6 +367,16 @@ class TestErrors:
         assert pipe.lookup_direct(5, table_id=0).fields == ["t0"]
         assert pipe.lookup_direct(5, table_id=1).fields == ["t1"]
 
+    def test_bulk_load_many_takes_any_iterable(self, env):
+        pipe = make_pipeline(env)
+        first = pipe.bulk_load(0, ["v0"])
+        assert pipe.bulk_load_many((k, [f"v{k}"]) for k in range(1, 40)) == 39
+        assert pipe.bulk_load_many(iter(())) == 0
+        # one address per row, in row order, as per-row loading gives
+        assert [pipe.lookup_direct(k).addr for k in range(40)] == list(
+            range(first, first + 40))
+        assert pipe.tuple_count == 40
+
 
 def _noop():
     yield 1e8

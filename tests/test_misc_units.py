@@ -6,7 +6,9 @@ from repro.mem import (
     BlockLayout, Catalog, IndexKind, SchemaError, TableSchema,
     TransactionBlock, TxnStatus,
 )
-from repro.mem.records import NULL_ADDR, Tower, TupleRecord, head_tower
+from repro.mem.records import (
+    NULL_ADDR, BPTreeNode, Tower, TupleRecord, head_tower,
+)
 from repro.sim import (
     ClockDomain, CpuPowerModel, DramModel, Engine, FpgaPowerModel, Heap,
     ResourceLedger, ResourceVector, StatsRegistry, VIRTEX5_LX330,
@@ -85,6 +87,17 @@ class TestRecords:
             Tower(key=1, fields=[], height=3, nexts=[NULL_ADDR])
         t = Tower(key=1, fields=[], height=3)
         assert t.nexts == [NULL_ADDR] * 3
+
+    @pytest.mark.parametrize("record", [
+        TupleRecord(key=1, fields=["v"]),
+        Tower(key=1, fields=[], height=2),
+        BPTreeNode(is_leaf=True),
+    ], ids=lambda record: type(record).__name__)
+    def test_records_are_slotted(self, record):
+        # one heap cell per row at paper scale: no per-instance __dict__
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.scratch = 1
 
     def test_min_key_sorts_below_everything(self):
         head = head_tower(4)

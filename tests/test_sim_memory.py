@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import HeapAddressError
 from repro.sim import Bram, ClockDomain, DramModel, Engine, Heap, LINE_BYTES
 
 
@@ -37,6 +38,45 @@ class TestHeap:
     def test_zero_alloc_rejected(self):
         with pytest.raises(ValueError):
             Heap().alloc(0)
+
+    def test_addresses_start_at_base_and_bump(self):
+        # the address sequence simulated timing was calibrated on
+        # (DRAM channel = address % channels) must never move
+        heap = Heap()
+        assert [heap.alloc(n) for n in (4, 1, 3, 1, 65536, 1)] == [
+            0x1000, 0x1004, 0x1005, 0x1008, 0x1009, 0x11009]
+        assert Heap(base=64).alloc(2) == 64
+
+    def test_load_outside_the_allocated_range_is_none(self):
+        heap = Heap()
+        last = heap.alloc(3) + 2
+        for addr in (-1, 0, 0xFFF, last + 1, 10**9):
+            assert heap.load(addr) is None
+            assert addr not in heap
+
+    def test_contains_means_occupied(self):
+        heap = Heap()
+        addr = heap.alloc(2)
+        assert addr not in heap
+        heap.store(addr, 0)  # a falsy value still occupies the cell
+        assert addr in heap and addr + 1 not in heap
+
+    def test_store_outside_the_allocated_range_raises(self):
+        heap = Heap()
+        last = heap.alloc(3) + 2
+        for addr in (-1, 0, 0xFFF, last + 1):
+            with pytest.raises(HeapAddressError) as err:
+                heap.store(addr, "x")
+            assert err.value.details["addr"] == addr
+        heap.store(last, "x")
+        assert heap.load(last) == "x"
+
+    def test_items_yields_occupied_cells_in_address_order(self):
+        heap = Heap()
+        addr = heap.alloc(5)
+        heap.store(addr + 3, "b")
+        heap.store(addr + 1, "a")
+        assert list(heap.items()) == [(addr + 1, "a"), (addr + 3, "b")]
 
 
 class TestDram:
@@ -100,7 +140,7 @@ class TestDram:
 
     def test_channel_conflict_delays_issue(self):
         eng, clock, heap, dram = make_dram(latency_cycles=10, channels=8)
-        base = 8  # two addresses 8 apart share channel (addr % 8)
+        base = heap.alloc(9)  # two addresses 8 apart share channel (addr % 8)
         heap.store(base, "x")
         heap.store(base + 8, "y")
         port_a = dram.new_port("a")
