@@ -25,16 +25,13 @@ __all__ = ["run_fig9a", "run_fig9b",
 
 def bionicdb_ycsb_tput(n_workers: int, n_txns: int = 240,
                        records_per_partition: int = 5000,
-                       engine_factory: Optional[object] = None,
-                       softcore: Optional[SoftcoreConfig] = None) -> float:
+                       engine_factory: Optional[object] = None) -> float:
     # engine_factory lets repro.perf time this exact configuration on
-    # the pre-overhaul ReferenceEngine; softcore lets it time the
-    # compiled execution tier; simulated results are identical either way
+    # the pre-overhaul ReferenceEngine; simulated results are identical
     cfg = YcsbConfig(records_per_partition=records_per_partition,
                      n_partitions=n_workers)
     db = BionicDB(BionicConfig(n_workers=n_workers,
-                               engine_factory=engine_factory,
-                               softcore=softcore or SoftcoreConfig()))
+                               engine_factory=engine_factory))
     workload = YcsbWorkload(cfg)
     workload.install(db)
     report, _blocks = workload.submit_all(db, workload.make_read_txns(n_txns))

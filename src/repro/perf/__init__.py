@@ -5,9 +5,7 @@ simulation's crank — engine microbenchmarks, end-to-end simulated-ns
 per host-second — and proves, via the cycle-equivalence checker, that
 the hot-path engine (:mod:`repro.sim.engine`) produces bit-identical
 simulated timing to the pre-overhaul reference implementation kept in
-:mod:`repro.perf.refengine`, and that the compiled softcore
-(``SoftcoreConfig(compiled=True)``) reproduces the interpreter on
-every fingerprint field.  Results land in
+:mod:`repro.perf.refengine`.  Results land in
 ``BENCH_sim.json``; the speedup ratios are machine-independent and are
 what CI regresses against.  ``python -m repro.perf sweep`` farms
 paper-scale points across host processes (:mod:`repro.perf.sweep`).
@@ -15,6 +13,7 @@ See ``docs/performance.md``.
 """
 
 from .equivalence import (
+    GOLDEN_INTERPRETER,
     GOLDEN_SMOKE,
     SCENARIOS,
     bptree_scenario,
@@ -28,10 +27,11 @@ from .equivalence import (
 )
 from .microbench import run_microbenchmarks
 from .refengine import ReferenceEngine
-from .simspeed import run_simspeed, time_compiled_tier
+from .simspeed import run_simspeed
 from .sweep import POINTS, host_metadata, run_point, run_sweep
 
 __all__ = [
+    "GOLDEN_INTERPRETER",
     "GOLDEN_SMOKE",
     "POINTS",
     "SCENARIOS",
@@ -45,7 +45,6 @@ __all__ = [
     "run_point",
     "run_simspeed",
     "run_sweep",
-    "time_compiled_tier",
     "tpcc_scenario",
     "tpcc_setup",
     "ycsb_scenario",

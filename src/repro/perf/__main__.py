@@ -14,13 +14,11 @@ Usage::
                                                # (see repro.perf.sweep)
 
 The regression check compares speedup ratios only
-(``speedup_vs_reference`` for the engine overhaul,
-``speedup_vs_interpreted`` for the compiled execution tier): the
-compared configurations run in the same process on the same host, so a
-ratio is machine-independent even though absolute rates are not.
-Equivalence failures (any simulated-timing divergence between the
-engines, between the execution tiers, or from the checked-in golden
-constants) always fail the run.
+(``speedup_vs_reference``): the compared engines run in the same
+process on the same host, so a ratio is machine-independent even though
+absolute rates are not.  Equivalence failures (any simulated-timing
+divergence between the engines or from the checked-in golden constants)
+always fail the run.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ REGRESSION_FLOOR = 0.75
 SCHEMA = "repro.perf/v2"
 
 #: ratio fields covered by the regression gate
-_RATIO_KEYS = ("speedup_vs_reference", "speedup_vs_interpreted")
+_RATIO_KEYS = ("speedup_vs_reference",)
 
 
 def _collect_speedups(results: Dict) -> Dict[str, float]:
@@ -151,13 +149,8 @@ def main(argv=None) -> int:
         extra = (f"{entry['sim_ns_per_host_sec']:,.0f} sim-ns/host-s"
                  if "sim_ns_per_host_sec" in entry else
                  f"{entry['host_seconds']*1e3:.1f} ms")
-        if "speedup_vs_interpreted" in entry:
-            ratio = (f"speedup vs interpreted "
-                     f"{entry['speedup_vs_interpreted']:.2f}x")
-        else:
-            ratio = (f"speedup vs reference "
-                     f"{entry['speedup_vs_reference']:.2f}x")
-        print(f"  speed {name:<18s} {extra:>24s}   {ratio}")
+        print(f"  speed {name:<18s} {extra:>24s}   "
+              f"speedup vs reference {entry['speedup_vs_reference']:.2f}x")
 
     failed = False
     if eq_failures:
@@ -167,7 +160,7 @@ def main(argv=None) -> int:
             print(f"  {failure}", file=sys.stderr)
     else:
         print("repro.perf: cycle-equivalence OK "
-              "(fast == reference == compiled == golden)")
+              "(fast == reference == golden)")
 
     if args.check:
         with open(args.check, "r", encoding="utf-8") as fh:

@@ -14,10 +14,12 @@ pre-overhaul engine.  This module proves it two ways:
   equivalence is anchored to history, not merely to whatever the
   reference copy happens to compute today.
 
-The **compiled softcore** (``SoftcoreConfig(compiled=True)``: generated
-straight-line sections in place of the interpreter's decode loop) is
-held to the same goldens on every field, ``events_fired`` included: it
-drives the same index pipelines and schedules the same work items.
+The softcore once had two executors, an instruction interpreter and
+the generated code of :mod:`repro.softcore.compiled`.  The goldens were
+captured on the interpreter, and :data:`GOLDEN_INTERPRETER` records what
+it did in the two modes only it ran — dynamic scheduling and tracing —
+on the last commit that had it, so the one executor left is held to the
+interpreter's behaviour in all three modes.
 
 Scenarios are deterministic: fixed seeds, no wall-clock reads.
 """
@@ -33,7 +35,7 @@ from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
 from .refengine import ReferenceEngine
 
-__all__ = ["GOLDEN_SMOKE", "SCENARIOS", "SETUPS",
+__all__ = ["GOLDEN_SMOKE", "GOLDEN_INTERPRETER", "SCENARIOS", "SETUPS",
            "ycsb_setup", "ycsb_scenario", "tpcc_setup", "tpcc_scenario",
            "bptree_setup", "bptree_scenario",
            "run_equivalence", "equivalence_failures"]
@@ -74,6 +76,25 @@ GOLDEN_SMOKE = {
     },
 }
 
+#: ``ycsb_smoke`` as the deleted instruction interpreter ran it (commit
+#: 49ab16e): ``dynamic`` is the five-key fingerprint under
+#: ``SoftcoreConfig(dynamic_scheduling=True)``; ``trace_sha256`` is the
+#: SHA-256 of ``Tracer(categories={"softcore", "txn"}).format()`` over
+#: the default-config run (1 648 lines, 3 of them ABORTs), whose own
+#: fingerprint is ``GOLDEN_SMOKE["ycsb_smoke"]``.
+GOLDEN_INTERPRETER = {
+    "dynamic": {
+        "events_fired": 15384,
+        "now_ns": 187448.0,
+        "committed": 57,
+        "aborted": 3,
+        "commit_hash":
+            "128c16d22862df6d22b3f3d284020b3cd98234d533f508aeab8da1d45462da67",
+    },
+    "trace_sha256":
+        "1c56960b30b12a56b3e022feb11f127dc908bc19c57b300aa137c9a933dcc8c4",
+}
+
 
 def _digest(commits: list) -> str:
     return hashlib.sha256(repr(commits).encode("utf-8")).hexdigest()
@@ -92,18 +113,20 @@ def _fingerprint(db: BionicDB, report, blocks) -> Dict[str, object]:
 
 
 def ycsb_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
-               softcore: Optional[SoftcoreConfig] = None):
+               softcore: Optional[SoftcoreConfig] = None, tracer=None):
     """Build the YCSB scenario; returns ``(db, run)`` where ``run()``
     executes the seeded transaction mix and returns its fingerprint.
 
     Split from the run phase so :mod:`repro.perf.simspeed` can time the
     simulation loop separately from timing-free data loading.
-    ``softcore`` selects the execution tier (compiled vs interpreted).
+    ``softcore`` and ``tracer`` select the modes
+    :data:`GOLDEN_INTERPRETER` pins.
     """
     n = 40 * scale
     wl = YcsbWorkload(YcsbConfig(records_per_partition=2000, n_partitions=2,
                                  reads_per_txn=8, seed=7))
     db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory,
+                               tracer=tracer,
                                softcore=softcore or SoftcoreConfig()))
     wl.install(db)
     specs = wl.make_read_txns(n) + wl.make_rmw_txns(n // 2)
@@ -117,21 +140,19 @@ def ycsb_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
 
 def ycsb_scenario(engine_factory: Optional[Callable] = None,
                   scale: int = 1,
-                  softcore: Optional[SoftcoreConfig] = None
-                  ) -> Dict[str, object]:
+                  softcore: Optional[SoftcoreConfig] = None,
+                  tracer=None) -> Dict[str, object]:
     """Seeded YCSB mix (reads + RMWs) on a 2-worker machine."""
-    _db, run = ycsb_setup(engine_factory, scale, softcore)
+    _db, run = ycsb_setup(engine_factory, scale, softcore, tracer)
     return run()
 
 
-def tpcc_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
-               softcore: Optional[SoftcoreConfig] = None):
+def tpcc_setup(engine_factory: Optional[Callable] = None, scale: int = 1):
     """Build the TPC-C scenario; returns ``(db, run)`` (see ycsb_setup)."""
     n = 24 * scale
     wl = TpccWorkload(TpccConfig(n_partitions=2, customers_per_district=40,
                                  items=400, seed=11))
-    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory,
-                               softcore=softcore or SoftcoreConfig()))
+    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory))
     wl.install(db)
     specs = wl.make_mix(n)
 
@@ -143,29 +164,23 @@ def tpcc_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
 
 
 def tpcc_scenario(engine_factory: Optional[Callable] = None,
-                  scale: int = 1,
-                  softcore: Optional[SoftcoreConfig] = None
-                  ) -> Dict[str, object]:
+                  scale: int = 1) -> Dict[str, object]:
     """Seeded TPC-C NewOrder+Payment mix with retry-to-commit."""
-    _db, run = tpcc_setup(engine_factory, scale, softcore)
+    _db, run = tpcc_setup(engine_factory, scale)
     return run()
 
 
-def bptree_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
-                 softcore: Optional[SoftcoreConfig] = None):
+def bptree_setup(engine_factory: Optional[Callable] = None, scale: int = 1):
     """YCSB over a B+ tree index: point reads plus RANGE_SCANs.
 
     Exercises the batched level-wise B+ tree coprocessor and the
-    RANGE_SCAN path end-to-end; under the compiled tier it additionally
-    exercises tier fallback (sections the specializer declines run on
-    the interpreter mid-workload, with identical simulated timing).
+    RANGE_SCAN path end-to-end.
     """
     n = 16 * scale
     wl = YcsbWorkload(YcsbConfig(records_per_partition=1200, n_partitions=2,
                                  reads_per_txn=4, scan_length=24, seed=13,
                                  index_kind=IndexKind.BPTREE))
-    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory,
-                               softcore=softcore or SoftcoreConfig()))
+    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory))
     wl.install(db)
     specs = wl.make_read_txns(n) + wl.make_range_txns(n)
 
@@ -177,11 +192,9 @@ def bptree_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
 
 
 def bptree_scenario(engine_factory: Optional[Callable] = None,
-                    scale: int = 1,
-                    softcore: Optional[SoftcoreConfig] = None
-                    ) -> Dict[str, object]:
+                    scale: int = 1) -> Dict[str, object]:
     """Seeded B+ tree reads + range scans on a 2-worker machine."""
-    _db, run = bptree_setup(engine_factory, scale, softcore)
+    _db, run = bptree_setup(engine_factory, scale)
     return run()
 
 
@@ -205,8 +218,7 @@ def run_equivalence(scale: int = 1,
     """Replay every scenario on both engines and compare fingerprints.
 
     Returns, per scenario: the fast-engine and reference-engine
-    fingerprints, whether they match each other, whether the compiled
-    softcore reproduces the interpreter's fingerprint,
+    fingerprints, whether they match each other,
     and (at scale 1) whether the fast engine matches the checked-in
     golden constants.  ``scenarios`` restricts the run to the named
     subset (unknown names raise ``KeyError``).
@@ -217,13 +229,10 @@ def run_equivalence(scale: int = 1,
         scenario = SCENARIOS[name]
         fast = scenario(None, scale)
         ref = scenario(ReferenceEngine, scale)
-        compiled = scenario(None, scale, SoftcoreConfig(compiled=True))
         entry: Dict[str, object] = {
             "fast": fast,
             "reference": ref,
             "match": fast == ref,
-            "compiled": compiled,
-            "compiled_match": compiled == fast,
         }
         if scale == 1:
             golden = GOLDEN_SMOKE.get(name)
@@ -245,8 +254,4 @@ def equivalence_failures(results: Dict[str, Dict[str, object]]) -> List[str]:
             failures.append(
                 f"{name}: fast engine diverged from checked-in golden "
                 f"values — fast={entry['fast']} golden={GOLDEN_SMOKE[name]}")
-        if not entry.get("compiled_match", True):
-            failures.append(
-                f"{name}: compiled tier diverged from the interpreter — "
-                f"compiled={entry['compiled']} interpreted={entry['fast']}")
     return failures

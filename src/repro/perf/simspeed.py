@@ -27,12 +27,11 @@ import time
 from typing import Callable, Dict, Iterable, Optional
 
 from ..bench.fig09 import bionicdb_ycsb_tput
-from ..softcore import SoftcoreConfig
 from .equivalence import SETUPS as _SETUPS
 from .microbench import quiesced_gc
 from .refengine import ReferenceEngine
 
-__all__ = ["run_simspeed", "time_compiled_tier"]
+__all__ = ["run_simspeed"]
 
 
 def _time_scenario(setup: Callable, engine_factory: Optional[Callable],
@@ -56,16 +55,15 @@ def _time_scenario(setup: Callable, engine_factory: Optional[Callable],
             "events_fired": fingerprint["events_fired"]}
 
 
-def _time_fig09(engine_factory: Optional[Callable], repeats: int,
-                softcore: Optional[SoftcoreConfig] = None) -> Dict[str, float]:
+def _time_fig09(engine_factory: Optional[Callable],
+                repeats: int) -> Dict[str, float]:
     best = None
     tput = None
     for _ in range(max(1, repeats)):
         with quiesced_gc():
             t0 = time.perf_counter()   # det: allow(wall-clock)
             t = bionicdb_ycsb_tput(2, n_txns=60, records_per_partition=2000,
-                                   engine_factory=engine_factory,
-                                   softcore=softcore)
+                                   engine_factory=engine_factory)
             dt = time.perf_counter() - t0   # det: allow(wall-clock)
         if best is None or dt < best:
             best = dt
@@ -76,40 +74,13 @@ def _time_fig09(engine_factory: Optional[Callable], repeats: int,
     return {"host_seconds": best, "throughput_tps": tput}
 
 
-def time_compiled_tier(repeats: int = 3) -> Dict[str, object]:
-    """Time the fig09 smoke whole-call on both execution tiers.
-
-    The compiled tier must produce an identical simulated throughput
-    (its equivalence is enforced field-by-field in repro.perf
-    equivalence); here only the *host* cost ratio is measured.  Timing
-    is best-of-``repeats`` and the whole call is timed — loading
-    included — because that is what a sweep pays per point.
-    """
-    interp = _time_fig09(None, repeats)
-    compiled = _time_fig09(None, repeats,
-                           softcore=SoftcoreConfig(compiled=True))
-    if interp["throughput_tps"] != compiled["throughput_tps"]:
-        raise RuntimeError(
-            f"fig09 smoke: simulated throughput diverged between tiers "
-            f"(interpreted={interp['throughput_tps']} "
-            f"compiled={compiled['throughput_tps']})")
-    return {
-        "repeats": max(1, repeats),
-        "throughput_tps": compiled["throughput_tps"],
-        "host_seconds": compiled["host_seconds"],
-        "interpreted_host_seconds": interp["host_seconds"],
-        "speedup_vs_interpreted":
-            interp["host_seconds"] / compiled["host_seconds"],
-    }
-
-
 def run_simspeed(smoke: bool = False, repeats: int = 3,
                  scenarios: Optional[Iterable[str]] = None
                  ) -> Dict[str, Dict[str, object]]:
     """Time the end-to-end scenarios on both engines.
 
     ``scenarios`` restricts the per-scenario timings to the named
-    subset; the fig09 and compiled-tier entries always run.
+    subset; the fig09 entry always runs.
     """
     scale = 1 if smoke else 4
     names = list(scenarios) if scenarios is not None else list(_SETUPS)
@@ -146,5 +117,4 @@ def run_simspeed(smoke: bool = False, repeats: int = 3,
         "reference_host_seconds": ref["host_seconds"],
         "speedup_vs_reference": ref["host_seconds"] / fast["host_seconds"],
     }
-    out["fig09_compiled_tier"] = time_compiled_tier(repeats)
     return out

@@ -1,7 +1,7 @@
 """Host-parallel sweep runner for paper-scale simulation points.
 
 A paper-scale point (YCSB at 300 K rows per partition, TPC-C with full
-districts) costs whole host-seconds even on the compiled tier, and a
+districts) costs whole host-seconds, and a
 figure is many such points — so the runner farms points across host
 *processes* with :class:`concurrent.futures.ProcessPoolExecutor`.
 Every point is:
@@ -62,20 +62,6 @@ POINTS: Dict[str, Dict[str, object]] = {
         "records_per_partition": 300_000,
         "reads_per_txn": 16,
         "n_txns": 5000,
-        "compiled": True,
-    },
-    # same configuration and SEED on the interpreter tier: the pair
-    # documents the measured compiled-tier speedup at paper scale and
-    # doubles as a paper-scale equivalence check (identical simulated
-    # fingerprint required)
-    "ycsb_paper_300k_interp": {
-        "workload": "ycsb",
-        "n_workers": 4,
-        "records_per_partition": 300_000,
-        "reads_per_txn": 16,
-        "n_txns": 5000,
-        "compiled": False,
-        "seed_name": "ycsb_paper_300k",
     },
     # TPC-C at full scale-factor structure: all 10 districts per
     # warehouse with TPC-C-sized customer/item populations
@@ -86,7 +72,6 @@ POINTS: Dict[str, Dict[str, object]] = {
         "customers_per_district": 3000,
         "items": 100_000,
         "n_txns": 96,
-        "compiled": True,
     },
 }
 
@@ -98,7 +83,6 @@ def _fingerprint(db, report, blocks) -> Dict[str, object]:
 
 def _run_ycsb(params: Dict, seed: int) -> Dict[str, object]:
     from ..core import BionicConfig, BionicDB
-    from ..softcore import SoftcoreConfig
     from ..workloads import YcsbConfig, YcsbWorkload
 
     cfg = YcsbConfig(
@@ -106,9 +90,7 @@ def _run_ycsb(params: Dict, seed: int) -> Dict[str, object]:
         n_partitions=int(params["n_workers"]),
         reads_per_txn=int(params.get("reads_per_txn", 16)),
         seed=seed)
-    db = BionicDB(BionicConfig(
-        n_workers=int(params["n_workers"]),
-        softcore=SoftcoreConfig(compiled=bool(params.get("compiled", True)))))
+    db = BionicDB(BionicConfig(n_workers=int(params["n_workers"])))
     wl = YcsbWorkload(cfg)
     t0 = time.perf_counter()   # det: allow(wall-clock)
     wl.install(db)
@@ -125,7 +107,6 @@ def _run_ycsb(params: Dict, seed: int) -> Dict[str, object]:
 
 def _run_tpcc(params: Dict, seed: int) -> Dict[str, object]:
     from ..core import BionicConfig, BionicDB
-    from ..softcore import SoftcoreConfig
     from ..workloads import TpccConfig, TpccWorkload
 
     cfg = TpccConfig(
@@ -134,9 +115,7 @@ def _run_tpcc(params: Dict, seed: int) -> Dict[str, object]:
         customers_per_district=int(params["customers_per_district"]),
         items=int(params["items"]),
         seed=seed)
-    db = BionicDB(BionicConfig(
-        n_workers=int(params["n_partitions"]),
-        softcore=SoftcoreConfig(compiled=bool(params.get("compiled", True)))))
+    db = BionicDB(BionicConfig(n_workers=int(params["n_partitions"])))
     wl = TpccWorkload(cfg)
     t0 = time.perf_counter()   # det: allow(wall-clock)
     wl.install(db)
@@ -167,9 +146,7 @@ def run_point(name: str) -> Dict[str, object]:
     """Execute one registered sweep point (this is the pool task —
     module-level so it pickles by qualified name)."""
     params = POINTS[name]
-    # seed_name lets tier-comparison twins share one seed (identical
-    # simulated behaviour, different host cost)
-    seed = _point_seed(str(params.get("seed_name", name)))
+    seed = _point_seed(name)
     result = _WORKLOADS[str(params["workload"])](params, seed)
     result["peak_rss_mb"] = _peak_rss_mb()
     result["point"] = name
@@ -243,8 +220,8 @@ def sweep_main(argv=None) -> int:
 
     if args.list:
         for name, params in POINTS.items():
-            seed = _point_seed(str(params.get("seed_name", name)))
-            print(f"{name:<28s} {params['workload']:<5s} seed={seed} "
+            print(f"{name:<28s} {params['workload']:<5s} "
+                  f"seed={_point_seed(name)} "
                   + " ".join(f"{k}={v}" for k, v in params.items()
                              if k != "workload"))
         return 0
@@ -261,28 +238,6 @@ def sweep_main(argv=None) -> int:
               f"{r['throughput_tps']:>12,.0f} tps   "
               f"commits={r['committed']} aborts={r['aborted']}")
 
-    # tier-comparison twins: require identical simulated results and
-    # record the measured compiled-tier speedup on the compiled entry
-    for name, r in results.items():
-        twin = results.get(f"{name}_interp")
-        if twin is None:
-            continue
-        for key in ("events_fired", "now_ns", "committed", "aborted",
-                    "commit_hash", "throughput_tps"):
-            if r[key] != twin[key]:
-                print(f"repro.perf sweep: TIER DIVERGENCE at {name}: "
-                      f"{key} {r[key]} != {twin[key]}", file=sys.stderr)
-                return 1
-        r["speedup_vs_interpreted"] = (twin["host_seconds"]
-                                       / r["host_seconds"])
-        # the load phase is tier-independent and dominates a paper-scale
-        # point, so the run-phase ratio is the tier's own figure
-        r["run_speedup_vs_interpreted"] = (twin["run_host_seconds"]
-                                           / r["run_host_seconds"])
-        print(f"  sweep {name}: compiled tier "
-              f"{r['speedup_vs_interpreted']:.2f}x whole-point, "
-              f"{r['run_speedup_vs_interpreted']:.2f}x on the run phase, "
-              f"vs interpreted (identical simulated fingerprint)")
     print(f"repro.perf sweep: {len(results)} point(s), "
           f"{serial:.2f}s of work in {wall:.2f}s wall "
           f"({serial / wall if wall > 0 else 1:.2f}x parallel)")

@@ -185,15 +185,6 @@ class DramModel:
             return 0.0
         return self.total_accesses * LINE_BYTES / elapsed_ns  # bytes/ns == GB/s
 
-    # -- internal: channel arbitration ------------------------------------
-    def _issue_time(self, addr: int, earliest: float) -> float:
-        # Kept for compatibility; the hot path in MemoryPort._launch
-        # inlines this arithmetic (same semantics, no method call).
-        ch = addr % self.channels
-        t = max(earliest, self._channel_free[ch])
-        self._channel_free[ch] = t + self.channel_interval_ns
-        return t
-
 
 class MemoryPort:
     """One requester's window into DRAM.
@@ -340,9 +331,8 @@ class MemoryPort:
         dram = self.dram
         engine = self.engine
         now = engine.now
-        # inline channel arbitration (DramModel._issue_time) with an
-        # analytic fast-forward: an idle channel issues at `now` without
-        # the max() round-trip
+        # channel arbitration with an analytic fast-forward: an idle
+        # channel issues at `now` without the max() round-trip
         ch = req.addr % dram.channels
         free = dram._channel_free[ch]
         t_issue = free if free > now else now

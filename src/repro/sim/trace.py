@@ -2,9 +2,13 @@
 
 A :class:`Tracer` collects timestamped events from the components that
 opt in (the softcore's instruction stream and commit/abort decisions,
-index pipeline admissions and completions).  Tracing is off by default and costs nothing
-when disabled; enabled, it is the primary debugging tool for stored
-procedures and pipeline behaviour:
+index pipeline admissions and completions).  Tracing is off by default
+and costs nothing when disabled: the softcore's generated code carries
+its per-instruction trace calls only when built under an enabled
+tracer.  Enabled, it observes the same code path at the same simulated
+times — a traced run's fingerprint, event count included, equals the
+untraced one — and is the primary debugging tool for stored procedures
+and pipeline behaviour:
 
     tracer = Tracer(categories={"softcore", "hash"})
     db = BionicDB(BionicConfig(tracer=tracer))

@@ -43,6 +43,10 @@ class Catalogue:
         self.lookup_cycles = lookup_cycles
         self.n_registers = n_registers
         self._procs: Dict[int, ProcedureEntry] = {}
+        #: proc_id -> generated code, filled at first execution by
+        #: :class:`repro.softcore.compiled.CompiledTier` and shared by
+        #: every softcore holding this catalogue
+        self.compiled: Dict[int, tuple] = {}
         self.bram = Bram("catalogue", capacity_bytes=16 * 1024)
 
     def register(self, proc_id: int, program: Program,

@@ -1,111 +1,158 @@
-"""Compiled-procedure execution tier (ROADMAP item 3).
+"""The softcore's instruction executor: generated code, one path.
 
-The interpreter in :mod:`repro.softcore.core` pays a host-side toll on
-every instruction of every transaction: ``_exec_section`` re-fetches
-the instruction, re-checks the tracer, dispatches through a chain of
-``isinstance`` tests in ``_exec_cpu``/``_exec_db`` (allocating a fresh
-generator per instruction for the ``yield from``), resolves operands
-against dataclass fields, and multiplies cycle charges into
-nanoseconds through ``ClockDomain.delay``.  None of that work depends
-on run-time data — a registered procedure's instruction sequence is
-frozen at registration — so this module flattens each section once
-into generated straight-line Python:
+A registered procedure's instruction sequence is frozen at
+registration, so nothing about decoding it depends on run-time data.
+The first time a softcore executes a procedure, each of its three
+sections is translated once into Python:
 
-* operand resolution is specialised at compile time (register indices,
-  immediates, block offsets and field numbers become literals),
+* operand resolution is specialised (register indices, immediates,
+  block offsets and field numbers become literals),
 * cycle charges become precomputed nanosecond float literals,
-* branches become a basic-block dispatch loop over the section's CFG
-  (:func:`repro.analysis.cfg.build_cfg` — the same graphs the WCET
-  pass walks; each compiled procedure carries its
-  :class:`~repro.analysis.wcet.WcetReport` for introspection).
+* work that is the same for every instruction of a kind — the Dispatch
+  step's bookkeeping, the UNDO-logged field write, the commit and abort
+  protocols — stays in :class:`~repro.softcore.core.Softcore` methods
+  the generated code calls.
+
+Compile units
+-------------
+A section is not one function but a table of small generator
+functions, the *units*: one per basic block of the section's CFG
+(:func:`repro.analysis.cfg.build_cfg`), long blocks cut every
+:data:`MAX_UNIT` instructions.  A unit runs its instructions and
+returns the index of the unit to continue at (:data:`EXIT` to leave
+the section); ``Softcore._exec`` is the whole dispatch loop::
+
+    while unit >= 0:
+        unit = yield from units[unit](softcore, ctx)
+
+Small units keep ``builtins.compile`` cheap in peak memory (one 350-
+instruction TPC-C section compiled as a single function costs a 10 MB
+transient the allocator never returns), make a branch a ``return``
+instead of an O(blocks) ``if/elif`` chain, and give dynamic scheduling
+its re-entry points for free.  No source text is retained.
+
+Three things are fixed when a softcore is built and specialise the
+generated code rather than being tested at run time; they are part of
+:attr:`CompiledTier._sig` next to the cycle charges:
+
+* ``tracer.enabled`` — every instruction additionally emits its
+  ``softcore`` trace line (``txn`` COMMIT/ABORT lines come from the
+  protocols themselves), so a traced run executes the same units, in
+  the same firings, as an untraced one;
+* dynamic scheduling — a ``RET`` in transaction logic opens a unit of
+  its own; when its CP register is still pending it records that unit
+  in ``ctx.resume_unit`` and leaves the section, and the scheduler
+  re-enters there, so the ``RET`` is re-counted and re-charged exactly
+  as if the program counter had been stepped back;
+* ``line_buffer`` — whether record reads consult the tuple line buffer.
 
 Equivalence contract
 --------------------
-The generated code preserves the interpreter's **event structure
-one-to-one**: every ``yield`` the interpreter performs (cycle charges,
-DRAM reads, CP-register waits, commit-protocol applies) appears at the
-same place with the same value, and every side effect (posted writes,
-dispatches, register updates) executes inline at the same position
-within the same engine work item.  This is deliberate and load-bearing,
-not an implementation shortcut: simulated DRAM channels are *shared*
-(`DramModel._channel_free`), so two requests issued at the same
-nanosecond by different actors are ordered by engine scheduling order —
-which depends on *when each actor's wake-up was scheduled*.  Collapsing
-several charges into one delay event moves the softcore's wake-ups
-earlier in scheduling order and flips those same-instant races,
-shifting per-transaction commit times by whole issue slots.  Keeping
-the item structure identical makes the compiled tier bit-identical on
-every fingerprint — ``events_fired`` included — while the speedup comes
-from making each resumption cheap.  ``repro.perf`` enforces this
-against the checked-in goldens.
+Every ``yield`` (cycle charges, DRAM reads, CP-register waits,
+commit-protocol applies) appears at a fixed place with a fixed value,
+and every side effect executes inline within the same engine work item;
+``yield from`` delegation adds none.  This is load-bearing: simulated
+DRAM channels are shared, two requests issued at the same nanosecond
+are ordered by engine scheduling order, and that depends on when each
+actor's wake-up was scheduled — so coalescing charges would shift
+commit timestamps.  The fingerprints in :mod:`repro.perf.equivalence`
+(static, dynamic scheduling and trace digest, the latter two captured
+from the instruction interpreter this module replaced) pin it.
 
-Fallback
---------
-``compile_procedure`` *declines* (returns an interpreter fallback)
-rather than guess: mid-section ``COMMIT``/``ABORT`` terminators,
-unresolved branch targets, unknown tables and unexpected operand
-shapes all fall back to ``_exec_section``, per section.  Tracing and
-``dynamic_scheduling`` force the interpreter path wholesale (the trace
-lines and the blocked-RET protocol only exist there).
+Malformed programs that bypassed the static verifier fail where they
+are reached, not at compile time: ``COMMIT`` in transaction logic, a
+branch to a negative index and a DB instruction on an undefined table
+raise; a ``COMMIT``/``ABORT`` that is not its handler's last
+instruction runs its protocol and falls through.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import hashlib
+import re
+from typing import Any, Callable, Dict, List, Tuple
 
-from ..analysis.cfg import EXIT, Cfg, build_cfg
-from ..analysis.wcet import WcetModel, WcetReport, analyze_wcet
-from ..index.common import DbRequest
+from ..analysis.cfg import EXIT, build_cfg
+from ..analysis.wcet import WcetModel, analyze_wcet
+from ..errors import BionicError
 from ..isa.instructions import (
     BRANCH_OPCODES, BlockRef, FieldRef, Gp, Imm, Instruction, Opcode, Section,
 )
-from ..mem.txnblock import TxnStatus, UndoEntry
+from ..mem.schema import SchemaError
 from ..txn.cc import ResultCode
 from .catalogue import ProcedureEntry
 
-__all__ = ["CompiledTier", "CompiledProcedure", "compile_procedure",
-           "CompileDeclined"]
+__all__ = ["CompiledTier", "ExecutionError", "MAX_UNIT"]
+
+#: longest run of instructions compiled into one unit
+MAX_UNIT = 16
 
 
-class CompileDeclined(Exception):
-    """A construct the compiler will not prove equivalent (fallback)."""
+class ExecutionError(BionicError, RuntimeError):
+    """Raised for malformed runtime situations (bad operand, etc.)."""
 
 
-#: generated-source -> code object.  The source text embeds every
-#: specialised quantity (cycle charges, register indices, offsets), so
-#: identical source means identical code; only the ``K`` constant list
-#: lives in the exec namespace.  Re-registering the same workload in a
-#: fresh BionicDB (sweep points, best-of-N timing repeats) then skips
-#: ``builtins.compile`` entirely — the dominant codegen cost.
-_CODE_CACHE: Dict[str, Any] = {}
+#: source digest -> code objects, one per unit.  The source embeds every
+#: specialised quantity, so equal source means equal code (only the
+#: ``K`` constant list lives in the exec namespace); building the same
+#: workload in a fresh BionicDB then skips ``builtins.compile``.  Keyed
+#: by digest so the cache pins no source text.
+_CODE_CACHE: Dict[bytes, Tuple[Any, ...]] = {}
 _CODE_CACHE_CAP = 256
 
 
 def _store_field_fixup(field: int, value):
-    """The STORE-to-field masked-line apply (interpreter ``_store``)."""
+    """The STORE-to-field masked-line apply."""
     def apply(record):
         record.fields[field] = value
     return apply
 
 
-class _Emitter:
-    """Indented-source builder for one generated section function."""
+#: names every unit's globals resolve
+_GLOBALS = {
+    "ExecutionError": ExecutionError,
+    "OK": ResultCode.OK,
+    "NF": ResultCode.NOT_FOUND,
+    "_SF": _store_field_fixup,
+    **{f"OP_{op.name}": op for op in Opcode},
+}
 
-    def __init__(self, prefix: str):
-        self.out: List[str] = []
-        self.prefix = prefix
+#: unit-local aliases, bound at unit entry when the body names them
+_PROLOGUE = (
+    ("port", "sc.port"),
+    ("gp", "sc.gp._regs"),
+    ("gpb", "ctx.gp_base"),
+    ("cpb", "ctx.cp_base"),
+    ("ws", "ctx.working_set"),
+    ("dbase", "ctx.block.data_base"),
+    ("ic", "sc._insts"),
+)
 
-    def body(self, line: str) -> None:
-        self.out.append(self.prefix + line)
+_BRANCH_TAKEN = {
+    Opcode.BE: "ctx.zero",
+    Opcode.BNE: "not ctx.zero",
+    Opcode.BLT: "ctx.neg",
+    Opcode.BLE: "ctx.neg or ctx.zero",
+    Opcode.BGT: "not (ctx.neg or ctx.zero)",
+    Opcode.BGE: "not ctx.neg",
+}
+
+_ALU = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
 
 
 class _SectionCompiler:
-    """Generates one section's specialised generator function."""
+    """Generates one section's unit table: generator functions taking
+    ``(softcore, ctx)`` and returning the next unit's index."""
 
-    def __init__(self, softcore, entry: ProcedureEntry, section: Section):
+    def __init__(self, softcore, entry: ProcedureEntry, section: Section,
+                 trace: bool, dynamic: bool):
         self.sc = softcore
         self.entry = entry
         self.section = section
+        self.logic = section is Section.LOGIC
+        self.trace = trace
+        #: a blocked RET hands the softcore back (transaction logic only)
+        self.ret_yields = dynamic and self.logic
         cfg = softcore.config
         ns = softcore.clock.ns_per_cycle
         self.c_cpu = cfg.cpu_inst_cycles * ns
@@ -113,531 +160,356 @@ class _SectionCompiler:
         self.c_prep = cfg.db_prepare_cycles * ns
         self.c_disp = cfg.db_dispatch_cycles * ns
         self.c_wrfield = cfg.wrfield_cycles * ns
-        self.c_commit_entry = cfg.commit_cycles_per_entry * ns
         self.line_buffer = cfg.line_buffer
+        self.insts: List[Instruction] = entry.program.section(section)
         self.consts: List[Any] = []
-        self.ns_globals: Dict[str, Any] = {
-            "DbRequest": DbRequest,
-            "UndoEntry": UndoEntry,
-            "ExecutionError": _execution_error(),
-            "OK": ResultCode.OK,
-            "NF": ResultCode.NOT_FOUND,
-            "ST_COMMITTED": TxnStatus.COMMITTED,
-            "ST_ABORTED": TxnStatus.ABORTED,
-            "SEC": section,
-            "K": self.consts,
-            "C_CE": self.c_commit_entry,
-            "_SF": _store_field_fixup,
-            "_CF": type(softcore)._commit_fixup,
-            "_RF": type(softcore)._restore_fixup,
-            "_AF": type(softcore)._abort_fixup,
-            "OP_SCAN": Opcode.SCAN,
-            "OP_RANGE_SCAN": Opcode.RANGE_SCAN,
-            "OP_INSERT": Opcode.INSERT,
-        }
+        self.out: List[str] = []
+        self.unit_of: Dict[int, int] = {}
+
+    def body(self, line: str) -> None:
+        self.out.append("    " + line)
 
     # -- operand expressions ---------------------------------------------
     def _const(self, value: Any) -> str:
-        if value is None or type(value) in (int, bool, str, float):
+        if value is None or type(value) in (int, bool, str):
             return repr(value)
         self.consts.append(value)
         return f"K[{len(self.consts) - 1}]"
 
     def _vexpr(self, operand) -> str:
-        """An Imm/Gp value operand (interpreter ``_value``)."""
+        """An Imm/Gp value operand."""
         if isinstance(operand, Imm):
             return self._const(operand.value)
         if isinstance(operand, Gp):
             return f"gp[gpb+{operand.n}]"
-        raise CompileDeclined(f"bad value operand {operand!r}")
+        raise ExecutionError(f"bad value operand {operand!r}")
 
     def _offexpr(self, ref: BlockRef) -> str:
-        """Block-relative offset (interpreter ``_block_addr`` minus base)."""
+        """Block-relative offset of a transaction-block cell."""
         if isinstance(ref.offset, Gp):
             return f"int(gp[gpb+{ref.offset.n}]) + {ref.extra}"
         return repr(int(ref.offset) + ref.extra)
 
-    def _opconst(self, op: Opcode) -> str:
-        name = f"OP_{op.name}"
-        self.ns_globals[name] = op
-        return name
+    def _emit_cell(self, ref: BlockRef, var: str) -> None:
+        """``var`` = the block cell at offset ``_o`` as the Dispatch step
+        sees it: the working-set copy, else DRAM (untimed)."""
+        self.body(f"_o = {self._offexpr(ref)}")
+        self.body(f"{var} = ws[_o] if 0 <= _o < len(ws) "
+                  "else sc.dram.direct_read(dbase + _o)")
+
+    def _goto(self, index: int) -> str:
+        """The statement continuing execution at instruction ``index``."""
+        if index < 0:
+            return (f"raise ExecutionError('branch to instruction {index} "
+                    "outside the section')")
+        if index >= len(self.insts):   # one past the end, or beyond
+            return f"return {EXIT}"
+        return f"return {self.unit_of[index]}"
 
     # -- compilation entry point -----------------------------------------
-    def compile(self):
-        insts = self.entry.program.section(self.section)
-        self._check_section(insts)
-        cfg = build_cfg(self.entry.program, self.section)
-        if cfg.bad_targets:
-            raise CompileDeclined(f"unresolved branch targets: {cfg.bad_targets}")
-        has_branches = any(i.opcode in BRANCH_OPCODES for i in insts)
+    def compile(self) -> Tuple[Callable, ...]:
+        insts = self.insts
+        n = len(insts)
+        leaders = {blk.start
+                   for blk in build_cfg(self.entry.program,
+                                        self.section).blocks}
+        if self.ret_yields:
+            leaders.update(i for i, inst in enumerate(insts)
+                           if inst.opcode in (Opcode.RET, Opcode.RETN))
+        bounds = sorted(leaders | {0, n})
+        starts = [s for lo, hi in zip(bounds, bounds[1:])
+                  for s in range(lo, hi, MAX_UNIT)] or [0]
+        self.unit_of = {start: unit for unit, start in enumerate(starts)}
 
-        fn_name = _fn_name(self.entry.program.name, self.section)
-        header = [
-            f"def {fn_name}(sc, ctx):",
-            "    port = sc.port",
-            "    gp = sc.gp._regs",
-            "    gpb = ctx.gp_base",
-            "    cpb = ctx.cp_base",
-            "    ws = ctx.working_set",
-            "    dbase = ctx.block.data_base",
-            "    ic = sc._insts",
-            "    ctx.section = SEC",
-            "    ctx.pc = 0",
-        ]
-        e = _Emitter(prefix="    ")
-        if not insts:
-            e.body("return")
-            e.body("yield  # unreachable: keeps this a generator")
-        elif not has_branches:
-            for blk in cfg.blocks:
-                self._emit_block(e, cfg, blk, linear=True)
-        else:
-            reachable = cfg.reachable()
-            e.body("bb = 0")
-            e.body("while bb >= 0:")
-            first = True
-            for blk in cfg.blocks:
-                if blk.bid not in reachable:
-                    continue
-                kw = "if" if first else "elif"
-                first = False
-                e.body(f"    {kw} bb == {blk.bid}:")
-                inner = _Emitter(prefix=" " * 12)
-                self._emit_block(inner, cfg, blk, linear=False)
-                e.out.extend(inner.out)
-        src = "\n".join(header + e.out) + "\n"
-        code = _CODE_CACHE.get(src)
-        if code is None:
-            code = compile(src, f"<repro.compiled {self.entry.program.name}"
-                                f".{self.section.value}>", "exec")
+        sources = []
+        for unit, start in enumerate(starts):
+            end = starts[unit + 1] if unit + 1 < len(starts) else n
+            self.out = []
+            for index in range(start, end):
+                self._emit_inst(insts[index], index, unit)
+            self.body(self._goto(end))
+            # a unit is a generator whatever it contains
+            self.body("yield")
+            text = "\n".join(self.out)
+            prologue = [f"    {name} = {init}" for name, init in _PROLOGUE
+                        if re.search(rf"\b{name}\b", text)]
+            sources.append("\n".join(
+                [f"def u{unit}(sc, ctx):"] + prologue + [text, ""]))
+
+        digest = hashlib.sha256("\0".join(sources).encode()).digest()
+        codes = _CODE_CACHE.get(digest)
+        if codes is None:
+            filename = (f"<repro.compiled {self.entry.program.name}"
+                        f".{self.section.value}>")
+            codes = tuple(compile(src, filename, "exec") for src in sources)
             if len(_CODE_CACHE) >= _CODE_CACHE_CAP:
                 # FIFO eviction, same policy as the sdbm memo
                 del _CODE_CACHE[next(iter(_CODE_CACHE))]
-            _CODE_CACHE[src] = code
-        namespace = dict(self.ns_globals)
-        exec(code, namespace)
-        return namespace[fn_name], src
+            _CODE_CACHE[digest] = codes
+        namespace = {"K": self.consts, **_GLOBALS}
+        for code in codes:
+            exec(code, namespace)
+        return tuple(namespace[f"u{unit}"] for unit in range(len(starts)))
 
-    def _check_section(self, insts: List[Instruction]) -> None:
-        for i, inst in enumerate(insts):
-            op = inst.opcode
-            if op is Opcode.COMMIT:
-                if self.section is Section.LOGIC:
-                    raise CompileDeclined("COMMIT inside transaction logic")
-                if i != len(insts) - 1:
-                    raise CompileDeclined("COMMIT is not the section terminator")
-            elif op is Opcode.ABORT and self.section is not Section.LOGIC:
-                if i != len(insts) - 1:
-                    raise CompileDeclined("ABORT is not the section terminator")
-
-    # -- block / instruction emission -------------------------------------
-    def _emit_block(self, e: _Emitter, cfg: Cfg, blk, linear: bool) -> None:
-        n = len(cfg.insts)
-        logic = self.section is Section.LOGIC
-        for i in range(blk.start, blk.end):
-            inst = cfg.insts[i]
-            e.body("ic.value += 1")
-            self._emit_inst(e, cfg, inst, i)
-            if logic:
-                # a DB result delivered during any of this instruction's
-                # waits may have failed the transaction; the abort
-                # handler runs in phase two (interpreter boundary check)
-                e.body("if ctx.failed:")
-                e.body("    return")
-        last = cfg.insts[blk.end - 1]
-        if last.opcode in BRANCH_OPCODES:
-            return  # the branch emission set ``bb``
-        if last.opcode in (Opcode.COMMIT, Opcode.ABORT) and not logic:
-            return  # protocol emission returned
-        if not linear:
-            fall = EXIT if blk.end >= n else cfg.block_at[blk.end]
-            e.body(f"bb = {fall}")
-
-    def _emit_inst(self, e: _Emitter, cfg: Cfg, inst: Instruction,
-                   index: int) -> None:
+    # -- instruction emission ----------------------------------------------
+    def _emit_inst(self, inst: Instruction, index: int, unit: int) -> None:
         op = inst.opcode
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV):
-            self._emit_alu(e, inst)
+        self.body("ic.value += 1")
+        if self.trace:
+            line = f"{self.section.value}[{index}] {inst!r}"
+            self.body(f"sc._trace_inst(ctx, {line!r})")
+        if op in _ALU:
+            self.body(f"yield {self.c_cpu!r}")
+            self.body(f"gp[gpb+{inst.dst.n}] = "
+                      f"{self._vexpr(inst.a)} {_ALU[op]} {self._vexpr(inst.b)}")
+        elif op is Opcode.DIV:  # integer-only operands use floor division
+            self.body(f"yield {self.c_cpu!r}")
+            self.body(f"_a = {self._vexpr(inst.a)}")
+            self.body(f"_b = {self._vexpr(inst.b)}")
+            self.body(f"gp[gpb+{inst.dst.n}] = _a // _b "
+                      "if isinstance(_a, int) and isinstance(_b, int) "
+                      "else _a / _b")
         elif op is Opcode.MOV:
-            e.body(f"yield {self.c_cpu!r}")
-            e.body(f"gp[gpb+{inst.dst.n}] = {self._vexpr(inst.a)}")
+            self.body(f"yield {self.c_cpu!r}")
+            self.body(f"gp[gpb+{inst.dst.n}] = {self._vexpr(inst.a)}")
         elif op is Opcode.CMP:
-            e.body(f"yield {self.c_cpu!r}")
-            e.body(f"_a = {self._vexpr(inst.a)}")
-            e.body(f"_b = {self._vexpr(inst.b)}")
-            e.body("ctx.zero = _a == _b")
-            e.body("ctx.neg = _a < _b")
+            self.body(f"yield {self.c_cpu!r}")
+            self.body(f"_a = {self._vexpr(inst.a)}")
+            self.body(f"_b = {self._vexpr(inst.b)}")
+            self.body("ctx.zero = _a == _b")
+            self.body("ctx.neg = _a < _b")
         elif op is Opcode.NOP:
-            e.body(f"yield {self.c_cpu!r}")
+            self.body(f"yield {self.c_cpu!r}")
         elif op is Opcode.LOAD:
-            self._emit_load(e, inst)
+            self._emit_load(inst)
         elif op is Opcode.STORE:
-            self._emit_store(e, inst)
+            self._emit_store(inst)
         elif op is Opcode.WRFIELD:
-            self._emit_wrfield(e, inst)
+            self._emit_wrfield(inst)
         elif op in BRANCH_OPCODES:
-            self._emit_branch(e, cfg, inst, index)
+            self._emit_branch(inst)
         elif op in (Opcode.RET, Opcode.RETN):
-            self._emit_ret(e, inst)
+            self._emit_ret(inst, unit)
         elif op is Opcode.COMMIT:
-            self._emit_commit(e)
+            self._emit_commit()
         elif op is Opcode.ABORT:
-            self._emit_abort(e)
+            self._emit_abort()
         elif inst.is_db:
-            self._emit_db(e, inst)
-        else:
-            raise CompileDeclined(f"unhandled opcode {op}")
+            self._emit_db(inst)
+        else:  # pragma: no cover
+            raise ExecutionError(f"unhandled opcode {op}")
+        if self.logic and op not in BRANCH_OPCODES:
+            self._emit_failed_check()
 
-    def _emit_alu(self, e: _Emitter, inst: Instruction) -> None:
-        op = inst.opcode
-        a, b = self._vexpr(inst.a), self._vexpr(inst.b)
-        d = inst.dst.n
-        e.body(f"yield {self.c_cpu!r}")
-        if op is Opcode.ADD:
-            e.body(f"gp[gpb+{d}] = {a} + {b}")
-        elif op is Opcode.SUB:
-            e.body(f"gp[gpb+{d}] = {a} - {b}")
-        elif op is Opcode.MUL:
-            e.body(f"gp[gpb+{d}] = {a} * {b}")
-        else:  # DIV: integer-only operands use floor division
-            e.body(f"_a = {a}")
-            e.body(f"_b = {b}")
-            e.body(f"gp[gpb+{d}] = _a // _b "
-                   "if isinstance(_a, int) and isinstance(_b, int) "
-                   "else _a / _b")
+    def _emit_failed_check(self) -> None:
+        """Transaction logic stops at the first instruction boundary
+        after a failure — its own, or a DB result delivered during one
+        of its waits; the abort handler runs in phase two."""
+        self.body("if ctx.failed:")
+        self.body(f"    return {EXIT}")
 
-    def _emit_load(self, e: _Emitter, inst: Instruction) -> None:
+    def _emit_load(self, inst: Instruction) -> None:
         d = inst.dst.n
-        e.body(f"yield {self.c_cpu!r}")
+        self.body(f"yield {self.c_cpu!r}")
         if isinstance(inst.addr, FieldRef):
-            e.body(f"_a = gp[gpb+{inst.addr.base.n}]")
-            self._emit_read_record(e)
-            e.body("if _r is None:")
-            e.body("    raise ExecutionError('LOAD from empty cell %s' % (_a,))")
-            e.body(f"gp[gpb+{d}] = _r.fields[{inst.addr.field}]")
+            self._emit_read_record(inst.addr)
+            self.body("if _r is None:")
+            self.body("    raise ExecutionError("
+                      "'LOAD from empty cell %s' % (_a,))")
+            self.body(f"gp[gpb+{d}] = _r.fields[{inst.addr.field}]")
         elif isinstance(inst.addr, BlockRef):
-            e.body(f"_o = {self._offexpr(inst.addr)}")
-            e.body("if 0 <= _o < len(ws):")
-            e.body(f"    gp[gpb+{d}] = ws[_o]")
-            e.body("else:")
-            e.body(f"    gp[gpb+{d}] = yield port.read(dbase + _o)")
+            self.body(f"_o = {self._offexpr(inst.addr)}")
+            self.body("if 0 <= _o < len(ws):")
+            self.body(f"    gp[gpb+{d}] = ws[_o]")  # working-set hit (BRAM)
+            self.body("else:")
+            self.body(f"    gp[gpb+{d}] = yield port.read(dbase + _o)")
         else:
-            raise CompileDeclined(f"bad LOAD address {inst.addr!r}")
+            raise ExecutionError(f"bad LOAD address {inst.addr!r}")
 
-    def _emit_read_record(self, e: _Emitter) -> None:
-        """``_r = record at address _a`` via the tuple line buffer."""
+    def _emit_read_record(self, ref: FieldRef) -> None:
+        """``_r`` = the record at ``_a``, the address in ``ref``'s base
+        register, via the context's single-entry line buffer: the 64-byte
+        line holds every header field, so consecutive field accesses to
+        the same record cost one read."""
+        self.body(f"_a = gp[gpb+{ref.base.n}]")
+        pre = ""
         if self.line_buffer:
-            e.body("if ctx.line_buf is not None and ctx.line_buf_addr == _a:")
-            e.body("    _r = ctx.line_buf")
-            e.body("else:")
+            self.body("if ctx.line_buf is not None and ctx.line_buf_addr == _a:")
+            self.body("    _r = ctx.line_buf")
+            self.body("else:")
             pre = "    "
-        else:
-            pre = ""
-        e.body(pre + "_r = yield port.read(_a)")
-        e.body(pre + "ctx.line_buf_addr = _a")
-        e.body(pre + "ctx.line_buf = _r")
+        self.body(pre + "_r = yield port.read(_a)")
+        self.body(pre + "ctx.line_buf_addr = _a")
+        self.body(pre + "ctx.line_buf = _r")
 
-    def _emit_store(self, e: _Emitter, inst: Instruction) -> None:
-        e.body(f"yield {self.c_cpu!r}")
+    def _emit_store(self, inst: Instruction) -> None:
+        self.body(f"yield {self.c_cpu!r}")
         if isinstance(inst.addr, FieldRef):
-            e.body(f"_a = gp[gpb+{inst.addr.base.n}]")
-            e.body(f"port.post_apply(_a, _SF({inst.addr.field}, "
-                   f"{self._vexpr(inst.a)}))")
+            self.body(f"port.post_apply(gp[gpb+{inst.addr.base.n}], "
+                      f"_SF({inst.addr.field}, {self._vexpr(inst.a)}))")
         elif isinstance(inst.addr, BlockRef):
-            e.body(f"_o = {self._offexpr(inst.addr)}")
-            e.body(f"_v = {self._vexpr(inst.a)}")
-            e.body("if 0 <= _o < len(ws):")
-            e.body("    ws[_o] = _v")
-            e.body("port.post_write(dbase + _o, _v)")
+            self.body(f"_o = {self._offexpr(inst.addr)}")
+            self.body(f"_v = {self._vexpr(inst.a)}")
+            self.body("if 0 <= _o < len(ws):")
+            self.body("    ws[_o] = _v")
+            self.body("port.post_write(dbase + _o, _v)")
         else:
-            raise CompileDeclined(f"bad STORE address {inst.addr!r}")
+            raise ExecutionError(f"bad STORE address {inst.addr!r}")
 
-    def _emit_wrfield(self, e: _Emitter, inst: Instruction) -> None:
-        ref: FieldRef = inst.addr
-        f = ref.field
-        e.body(f"yield {self.c_cpu!r}")
-        e.body(f"yield {self.c_wrfield!r}")
-        e.body(f"_a = gp[gpb+{ref.base.n}]")
-        e.body(f"_v = {self._vexpr(inst.a)}")
-        self._emit_read_record(e)
-        e.body("if _r is None:")
-        e.body("    raise ExecutionError('WRFIELD on empty cell %s' % (_a,))")
-        e.body(f"_e = UndoEntry(tuple_addr=_a, field={f}, "
-               f"old_value=_r.fields[{f}])")
-        e.body("ctx.undo.append(_e)")
-        e.body("_slot = ctx.block.undo_slot(len(ctx.undo) - 1)")
-        e.body("ctx.block.header.undo_count = len(ctx.undo)")
-        e.body("port.post_write(_slot, _e)")
-        e.body(f"_r.fields[{f}] = _v")
-        e.body("port.post_write(_a, _r)")
+    def _emit_wrfield(self, inst: Instruction) -> None:
+        self.body(f"yield {self.c_cpu!r}")
+        self.body(f"yield {self.c_wrfield!r}")
+        self.body(f"_v = {self._vexpr(inst.a)}")
+        self._emit_read_record(inst.addr)
+        self.body(f"sc._backup_and_write(ctx, _a, _r, {inst.addr.field}, _v)")
 
-    def _emit_branch(self, e: _Emitter, cfg: Cfg, inst: Instruction,
-                     index: int) -> None:
-        n = len(cfg.insts)
-        t = inst.target
-        if not isinstance(t, int) or not 0 <= t <= n:
-            raise CompileDeclined(f"unresolved branch target {t!r}")
-        tb = EXIT if t >= n else cfg.block_at[t]
-        e.body(f"yield {self.c_cpu!r}")
-        op = inst.opcode
-        if op is Opcode.JMP:
-            e.body(f"bb = {tb}")
-            return
-        # conditional: fall through to the next instruction's block
-        fall = EXIT if index + 1 >= n else cfg.block_at[index + 1]
-        cond = {
-            Opcode.BE: "ctx.zero",
-            Opcode.BNE: "not ctx.zero",
-            Opcode.BLT: "ctx.neg",
-            Opcode.BLE: "ctx.neg or ctx.zero",
-            Opcode.BGT: "not (ctx.neg or ctx.zero)",
-            Opcode.BGE: "not ctx.neg",
-        }[op]
-        e.body(f"bb = {tb} if ({cond}) else {fall}")
+    def _emit_branch(self, inst: Instruction) -> None:
+        self.body(f"yield {self.c_cpu!r}")
+        if self.logic:
+            self._emit_failed_check()
+        if inst.opcode is Opcode.JMP:
+            self.body(self._goto(inst.target))
+        else:  # not taken: fall through to the unit's closing goto
+            self.body(f"if {_BRANCH_TAKEN[inst.opcode]}:")
+            self.body("    " + self._goto(inst.target))
 
-    def _emit_ret(self, e: _Emitter, inst: Instruction) -> None:
-        retn = inst.opcode is Opcode.RETN
+    def _emit_ret(self, inst: Instruction, unit: int) -> None:
         d = inst.dst.n
-        e.body(f"yield {self.c_ret!r}")
-        e.body(f"_op, _res = yield sc.cp.wait_valid(cpb + {inst.cp.n})")
-        if retn:
-            e.body("if _res.code is NF:")
-            e.body(f"    gp[gpb+{d}] = 0")
-            e.body("elif _res.code is not OK:")
+        self.body(f"yield {self.c_ret!r}")
+        if self.ret_yields:
+            # dynamic scheduling: hand the softcore to another
+            # transaction instead of stalling; re-entry starts this unit
+            # over, so the RET executes (and is charged) again
+            self.body(f"if not sc.cp.is_valid(cpb + {inst.cp.n}):")
+            self.body(f"    ctx.blocked_on = cpb + {inst.cp.n}")
+            self.body(f"    ctx.resume_unit = {unit}")
+            self.body(f"    return {EXIT}")
+        self.body(f"_op, _res = yield sc.cp.wait_valid(cpb + {inst.cp.n})")
+        if inst.opcode is Opcode.RETN:
+            # null-tolerant collect: absence is data, not an error
+            self.body("if _res.code is NF:")
+            self.body(f"    gp[gpb+{d}] = 0")
+            self.body("elif _res.code is not OK:")
         else:
-            e.body("if _res.code is not OK:")
-        e.body("    ctx.failed = True")
-        e.body("    if ctx.fail_reason is None:")
-        e.body("        ctx.fail_reason = _op.value + ': ' + _res.code.name")
-        if self.section is not Section.LOGIC:
-            e.body("    return")  # interpreter section trap
-        e.body("else:")
-        e.body(f"    gp[gpb+{d}] = (_res.value "
-               "if (_op is OP_SCAN or _op is OP_RANGE_SCAN) "
-               "else _res.tuple_addr)")
+            self.body("if _res.code is not OK:")
+        self.body("    ctx.fail(_op.value + ': ' + _res.code.name)")
+        if not self.logic:
+            self.body(f"    return {EXIT}")  # on to the abort handler
+        self.body("else:")
+        self.body(f"    gp[gpb+{d}] = (_res.value "
+                  "if (_op is OP_SCAN or _op is OP_RANGE_SCAN) "
+                  "else _res.tuple_addr)")
 
-    def _emit_db(self, e: _Emitter, inst: Instruction) -> None:
+    def _emit_db(self, inst: Instruction) -> None:
         op = inst.opcode
+        # Prepare: collect metadata (index type, timestamp, destination)
+        self.body(f"yield {self.c_prep!r}")
         try:
             self.sc.catalogue.schemas.table(inst.table)
-        except Exception as exc:
-            raise CompileDeclined(f"unknown table {inst.table}: {exc}")
-        opn = self._opconst(op)
-        # Prepare: collect metadata (interpreter _exec_db + _resolve_key)
-        e.body(f"yield {self.c_prep!r}")
+        except SchemaError:
+            # submission checks table references; a block that bypassed
+            # it fails when the instruction is reached
+            self.body(f"sc.catalogue.schemas.table({inst.table})")
         key = inst.key
         if isinstance(key, Gp):
-            e.body(f"_kv = gp[gpb+{key.n}]")
+            self.body(f"_rk = gp[gpb+{key.n}]")
+            self.body("_pl = None")
             if op is Opcode.INSERT:
-                e.body("if isinstance(_kv, tuple) and len(_kv) == 2:")
-                e.body("    _kv, _pl = _kv")
-                e.body("else:")
-                e.body("    _pl = None")
-            else:
-                e.body("_pl = None")
-            e.body("_ka = None")
-            e.body("_rk = _kv")
+                self.body("if isinstance(_rk, tuple) and len(_rk) == 2:")
+                self.body("    _rk, _pl = _rk")
+            request = "None, _rk, _pl, _rk"
         elif isinstance(key, BlockRef):
-            e.body(f"_o = {self._offexpr(key)}")
-            e.body("_ka = dbase + _o")
-            e.body("if 0 <= _o < len(ws):")
-            e.body("    _c = ws[_o]")
-            e.body("else:")
-            e.body("    _c = sc.dram.direct_read(_ka)")
+            # the coprocessor's KeyFetch stage will read the cell from
+            # DRAM; the softcore routes using its working-set copy
+            self._emit_cell(key, "_rk")
+            self.body("_ka = dbase + _o")
             if op is Opcode.INSERT:
-                e.body("_rk = _c[0] "
-                       "if isinstance(_c, tuple) and len(_c) == 2 else _c")
-            else:
-                e.body("_rk = _c")
-            e.body("_kv = None")
-            e.body("_pl = None")
+                self.body("if isinstance(_rk, tuple) and len(_rk) == 2:")
+                self.body("    _rk = _rk[0]")
+            request = "_ka, None, None, _rk"
         else:
-            raise CompileDeclined(f"bad key operand {key!r}")
-        e.body(f"_dst = sc.route({inst.table}, _rk)")
+            raise ExecutionError(f"bad key operand {key!r}")
+        self.body(f"_dst = sc.route({inst.table}, _rk)")
         # Dispatch: asynchronous hand-off to the coprocessor / channels
-        e.body(f"yield {self.c_disp!r}")
-        e.body(f"_i = cpb + {inst.cp.n}")
-        e.body(f"sc.cp.mark_pending(_i, {opn})")
-        e.body("sc._cp_owner[_i] = ctx")
-        e.body(f"sc._pending_info[_i] = ({opn}, {inst.table})")
-        e.body(f"_req = DbRequest(op={opn}, table_id={inst.table}, "
-               "ts=ctx.begin_ts, txn_id=ctx.block.txn_id, key_addr=_ka, "
-               "key_value=_kv, insert_payload=_pl, src_worker=sc.worker_id, "
-               "cp_index=_i, route_key=_rk)")
+        self.body(f"yield {self.c_disp!r}")
         if op is Opcode.INSERT and isinstance(inst.b, BlockRef):
-            e.body(f"_req.payload_addr = dbase + {self._offexpr(inst.b)}")
+            request += f", payload_addr=dbase + {self._offexpr(inst.b)}"
         if op in (Opcode.SCAN, Opcode.RANGE_SCAN):
-            e.body(f"_req.scan_count = int({self._vexpr(inst.a)})")
-            e.body(f"_req.scan_out_addr = dbase + {self._offexpr(inst.addr)}")
-            e.body("_req.scan_limit = ctx.block.layout.n_scan")
+            request += (f", scan_count=int({self._vexpr(inst.a)})"
+                        f", scan_out_addr=dbase + {self._offexpr(inst.addr)}"
+                        ", scan_limit=ctx.block.layout.n_scan")
         if op is Opcode.RANGE_SCAN:
-            self._emit_operand_value(e, inst.b, "_hi")
-            e.body("_req.scan_hi = _hi")
-        e.body("ctx.outstanding += 1")
-        e.body("sc._db_insts.value += 1")
-        e.body("if _dst is not None and _dst != sc.worker_id:")
-        e.body("    sc._remote_insts.value += 1")
-        e.body("sc.dispatch(_req, _dst)")
+            if isinstance(inst.b, BlockRef):
+                self._emit_cell(inst.b, "_hi")
+                request += ", scan_hi=_hi"
+            else:
+                request += f", scan_hi={self._vexpr(inst.b)}"
+        self.body(f"sc._dispatch_db(ctx, OP_{op.name}, {inst.table}, "
+                  f"cpb + {inst.cp.n}, _dst, {request})")
 
-    def _emit_operand_value(self, e: _Emitter, operand, var: str) -> None:
-        """Interpreter ``_operand_value``: Imm/Gp or a block cell."""
-        if isinstance(operand, BlockRef):
-            e.body(f"_ho = {self._offexpr(operand)}")
-            e.body("if 0 <= _ho < len(ws):")
-            e.body(f"    {var} = ws[_ho]")
-            e.body("else:")
-            e.body(f"    {var} = sc.dram.direct_read(dbase + _ho)")
+    def _emit_commit(self) -> None:
+        if self.logic:
+            self.body("raise ExecutionError('COMMIT outside a commit handler')")
+            return
+        self.body("if ctx.failed:")
+        self.body(f"    return {EXIT}")  # fall through to the abort handler
+        self.body("yield from sc._commit_protocol(ctx)")
+
+    def _emit_abort(self) -> None:
+        if self.logic:
+            # voluntary abort: cycle-free, LOGIC exits via the failed flag
+            self.body("ctx.fail('voluntary abort')")
         else:
-            e.body(f"{var} = {self._vexpr(operand)}")
-
-    def _emit_commit(self, e: _Emitter) -> None:
-        e.body("if ctx.failed:")
-        e.body("    return  # fall through to the abort handler")
-        e.body("_ts = ctx.begin_ts")
-        e.body("_lev = None")
-        e.body("for _e in ctx.write_set:")
-        e.body("    yield C_CE")
-        e.body("    _lev = port.apply(_e.tuple_addr, _CF(_ts))")
-        e.body("if _lev is not None:")
-        e.body("    yield _lev")
-        e.body("_h = ctx.block.header")
-        e.body("_h.status = ST_COMMITTED")
-        e.body("_h.commit_ts = _ts")
-        e.body("port.post_write(ctx.block.base, _h)")
-        e.body("sc._committed.add()")
-        e.body("return")
-
-    def _emit_abort(self, e: _Emitter) -> None:
-        if self.section is Section.LOGIC:
-            # voluntary abort: LOGIC exits via the failed flag, cycle-free
-            e.body("ctx.failed = True")
-            e.body("if ctx.fail_reason is None:")
-            e.body("    ctx.fail_reason = 'voluntary abort'")
-            return  # the post-instruction failed check returns
-        e.body("_lev = None")
-        e.body("for _e in reversed(ctx.undo):")
-        e.body("    yield C_CE")
-        e.body("    _lev = port.apply(_e.tuple_addr, _RF(_e))")
-        e.body("for _w in ctx.write_set:")
-        e.body("    yield C_CE")
-        e.body("    _lev = port.apply(_w.tuple_addr, _AF(_w.op is OP_INSERT))")
-        e.body("if _lev is not None:")
-        e.body("    yield _lev")
-        e.body("_h = ctx.block.header")
-        e.body("_h.status = ST_ABORTED")
-        e.body("_h.abort_reason = ctx.fail_reason")
-        e.body("port.post_write(ctx.block.base, _h)")
-        e.body("sc._aborted.add()")
-        e.body("return")
-
-
-def _execution_error():
-    from .core import ExecutionError
-    return ExecutionError
-
-
-def _fn_name(program_name: str, section: Section) -> str:
-    safe = "".join(c if c.isalnum() else "_" for c in program_name)
-    return f"_compiled_{safe}_{section.value}"
-
-
-class CompiledProcedure:
-    """The compiled sections (or interpreter fallbacks) of one procedure."""
-
-    __slots__ = ("entry", "sections", "sources", "declined", "wcet")
-
-    def __init__(self, entry: ProcedureEntry,
-                 sections: Dict[Section, Optional[Callable]],
-                 sources: Dict[Section, str],
-                 declined: Dict[Section, str],
-                 wcet: Optional[WcetReport]):
-        self.entry = entry
-        self.sections = sections
-        self.sources = sources
-        self.declined = declined
-        self.wcet = wcet
-
-    @property
-    def fully_compiled(self) -> bool:
-        return not self.declined
-
-
-def compile_procedure(softcore, entry: ProcedureEntry) -> CompiledProcedure:
-    """Compile every section of ``entry``; declined sections fall back."""
-    sections: Dict[Section, Optional[Callable]] = {}
-    sources: Dict[Section, str] = {}
-    declined: Dict[Section, str] = {}
-    for section in Section:
-        try:
-            fn, src = _SectionCompiler(softcore, entry, section).compile()
-            sections[section] = fn
-            sources[section] = src
-        except CompileDeclined as exc:
-            sections[section] = None
-            declined[section] = str(exc)
-    try:
-        model = WcetModel.from_config(
-            softcore.config,
-            dram_latency_cycles=softcore.dram.latency_ns
-            / softcore.clock.ns_per_cycle,
-            fpga_mhz=1000.0 / softcore.clock.ns_per_cycle)
-        wcet = analyze_wcet(entry.program, model=model)
-    except Exception:  # pragma: no cover - analysis never gates execution
-        wcet = None
-    return CompiledProcedure(entry, sections, sources, declined, wcet)
+            self.body("yield from sc._abort_protocol(ctx)")
 
 
 class CompiledTier:
-    """Compiled-procedure cache, shared through the catalogue.
+    """Generated-code cache, shared through the catalogue.
 
-    Generated functions take ``(softcore, ctx)`` and bind no per-core
-    state, and every worker of a machine shares one catalogue and one
-    timing config — so the cache hangs off the catalogue and all
-    softcores reuse one compilation.  The catalogue allows
-    re-registration, so entries are validated by identity (replacing a
-    procedure invalidates its compiled form); a timing signature guards
-    the off-design case of softcores with different configs sharing a
-    catalogue."""
+    Units take ``(softcore, ctx)`` and bind no per-core state, and every
+    worker of a machine shares one catalogue, one timing config and one
+    tracer — so the cache hangs off the catalogue and all softcores
+    reuse one compilation.  The catalogue allows re-registration, so
+    entries are validated by identity (replacing a procedure invalidates
+    its compiled form); the signature guards the off-design case of
+    softcores with different configs sharing a catalogue.  Compilation
+    is lazy — at a procedure's first execution — so registering a large
+    catalogue costs no set-up time for procedures never run."""
 
     def __init__(self, softcore):
         self.softcore = softcore
         cfg = softcore.config
+        self._trace = bool(softcore.tracer.enabled)
+        self._dynamic = cfg.dynamic_scheduling and cfg.interleaving
         self._sig = (cfg.cpu_inst_cycles, cfg.ret_cycles,
                      cfg.db_prepare_cycles, cfg.db_dispatch_cycles,
-                     cfg.wrfield_cycles, cfg.commit_cycles_per_entry,
-                     cfg.line_buffer, softcore.clock.ns_per_cycle)
-        cat = softcore.catalogue
-        cache = getattr(cat, "_compiled_procs", None)
-        if cache is None:
-            cache = cat._compiled_procs = {}
-        self._cache: Dict[int, tuple] = cache
+                     cfg.wrfield_cycles, cfg.line_buffer,
+                     softcore.clock.ns_per_cycle, self._trace, self._dynamic)
+        self._cache: Dict[int, tuple] = softcore.catalogue.compiled
 
-    def section_fn(self, entry: ProcedureEntry,
-                   section: Section) -> Optional[Callable]:
+    def units(self, entry: ProcedureEntry,
+              section: Section) -> Tuple[Callable, ...]:
         hit = self._cache.get(entry.proc_id)
         if hit is None or hit[0] is not entry or hit[1] != self._sig:
-            cp = compile_procedure(self.softcore, entry)
-            self._cache[entry.proc_id] = (entry, self._sig, cp)
-        else:
-            cp = hit[2]
-        return cp.sections.get(section)
-
-    def compiled(self, entry: ProcedureEntry) -> CompiledProcedure:
-        """The (cached) compiled form of ``entry`` — tests/introspection."""
-        self.section_fn(entry, Section.LOGIC)
-        return self._cache[entry.proc_id][2]
+            hit = (entry, self._sig, {
+                s: _SectionCompiler(self.softcore, entry, s,
+                                    self._trace, self._dynamic).compile()
+                for s in Section})
+            self._cache[entry.proc_id] = hit
+        return hit[2][section]
 
     def report(self) -> List[dict]:
-        """Per-procedure summary (docs / debugging)."""
-        out = []
-        for proc_id, (_entry, _sig, cp) in sorted(self._cache.items()):
-            out.append({
-                "proc_id": proc_id,
-                "program": cp.entry.program.name,
-                "compiled_sections": [s.value for s, f in cp.sections.items()
-                                      if f is not None],
-                "declined": {s.value: why for s, why in cp.declined.items()},
-                "wcet_cycles": (round(cp.wcet.total_cycles, 3)
-                                if cp.wcet is not None else None),
-            })
-        return out
+        """Per-procedure summary of what has been compiled so far, with
+        the static cycle bound of each (docs / debugging)."""
+        sc = self.softcore
+        model = WcetModel.from_config(
+            sc.config,
+            dram_latency_cycles=sc.dram.latency_ns / sc.clock.ns_per_cycle,
+            fpga_mhz=1000.0 / sc.clock.ns_per_cycle)
+        return [{
+            "proc_id": proc_id,
+            "program": entry.program.name,
+            "units": {s.value: len(units) for s, units in sections.items()},
+            "wcet_cycles": round(
+                analyze_wcet(entry.program, model=model).total_cycles, 3),
+        } for proc_id, (entry, _sig, sections) in sorted(self._cache.items())]

@@ -2,17 +2,17 @@
 
 Contexts live in a BRAM context table; saving/restoring one during a
 transaction switch takes 10 cycles (§4.5).  A context records the
-program counter, the transaction block base address, the renamed
-register ranges, the write set collected from DB results and the UNDO
+transaction block base address, the renamed register ranges, the
+condition flags, the write set collected from DB results and the UNDO
 log mirror used by the abort handler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
-from ..isa.instructions import Opcode, Section
+from ..isa.instructions import Opcode
 from ..mem.txnblock import TransactionBlock, UndoEntry
 from ..sim.engine import Event
 from .catalogue import ProcedureEntry
@@ -34,17 +34,16 @@ class TxnContext:
     begin_ts: int
     gp_base: int
     cp_base: int
-    # interpreter state
-    pc: int = 0
-    section: Section = Section.LOGIC
+    # condition flags (CMP -> conditional branches)
     zero: bool = False
     neg: bool = False
     failed: bool = False
     fail_reason: Optional[str] = None
-    finished_logic: bool = False
     # dynamic scheduling (§4.5 future work): CP register whose pending
-    # result blocked this transaction's logic, or None
+    # result blocked this transaction's logic, or None, and the compile
+    # unit (the blocked RET's) at which the logic section is re-entered
     blocked_on: Optional[int] = None
+    resume_unit: int = 0
     # working-set buffer: transaction-block inputs staged into BRAM at
     # ingestion (Figure 2 shows this buffer inside the softcore)
     working_set: List[Any] = field(default_factory=list)
@@ -62,8 +61,12 @@ class TxnContext:
     def txn_id(self) -> int:
         return self.block.txn_id
 
-    def note_dispatch(self) -> None:
-        self.outstanding += 1
+    def fail(self, reason: str) -> None:
+        """Mark the transaction for its abort handler; the first reason
+        is the one reported."""
+        self.failed = True
+        if self.fail_reason is None:
+            self.fail_reason = reason
 
     def note_result(self) -> None:
         self.outstanding -= 1

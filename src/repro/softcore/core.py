@@ -27,10 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..errors import BionicError
-from ..isa.instructions import (
-    BlockRef, Cp, FieldRef, Gp, Imm, Instruction, Opcode, Program, Section,
-)
+from ..isa.instructions import Opcode, Section
 from ..mem.txnblock import TransactionBlock, TxnStatus, UndoEntry
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
@@ -41,6 +38,7 @@ from ..txn.cc import DbResult, ResultCode, abort_write, commit_record
 from ..txn.timestamps import HardwareClock
 from ..index.common import DbRequest
 from .catalogue import Catalogue
+from .compiled import CompiledTier, ExecutionError
 from .context import TxnContext, WriteSetEntry
 from .registers import CpRegisterFile, RegisterFile
 
@@ -49,12 +47,15 @@ __all__ = ["SoftcoreConfig", "Softcore", "ExecutionError"]
 _WRITE_OPS = (Opcode.INSERT, Opcode.UPDATE, Opcode.REMOVE)
 
 
-class ExecutionError(BionicError, RuntimeError):
-    """Raised for malformed runtime situations (bad operand, etc.)."""
-
-
 @dataclass
 class SoftcoreConfig:
+    """Cycle charges and scheduling policy of one softcore.
+
+    Nothing here selects how instructions are executed: every procedure
+    runs as generated code (:mod:`repro.softcore.compiled`), which the
+    charges, ``line_buffer`` and ``dynamic_scheduling`` specialise.
+    """
+
     cpu_inst_cycles: float = 5.0
     db_prepare_cycles: float = 1.0
     db_dispatch_cycles: float = 1.0
@@ -80,18 +81,6 @@ class SoftcoreConfig:
     #: closes the batch instead of joining it.  None (the default)
     #: keeps grouping decisions — and timing — exactly as before.
     conflict_hints: Optional[Any] = None
-    #: run registered procedures through the compiled softcore executor
-    #: (:mod:`repro.softcore.compiled`): per-procedure generated Python
-    #: with coalesced cycle charges.  It selects the softcore executor
-    #: and nothing else — the index pipelines are the same either way —
-    #: and every simulated quantity, ``events_fired`` included, is
-    #: bit-identical to the interpreter (``repro.perf`` enforces it);
-    #: sections the compiler declines fall back to the interpreter
-    #: automatically.  Ignored under ``dynamic_scheduling`` and while
-    #: tracing.  Off by default because compiling a large catalogue
-    #: costs resident memory (TPC-C: +12 % peak RSS, see
-    #: docs/performance.md), which only a long run earns back.
-    compiled: bool = False
 
 
 class Softcore:
@@ -147,10 +136,7 @@ class Softcore:
         self._db_insts = self.stats.counter(f"{pre}.db_instructions")
         self._remote_insts = self.stats.counter(f"{pre}.remote_db_instructions")
 
-        self._compiled = None
-        if self.config.compiled and not self.config.dynamic_scheduling:
-            from .compiled import CompiledTier
-            self._compiled = CompiledTier(self)
+        self._code = CompiledTier(self)
 
         self._proc = engine.process(self._run(), name=f"w{worker_id}.softcore")
 
@@ -175,9 +161,7 @@ class Softcore:
         tolerated = (result.code is ResultCode.NOT_FOUND and
                      (cp_global - ctx.cp_base) in ctx.entry.tolerant_cps)
         if not result.ok and not tolerated:
-            ctx.failed = True
-            if ctx.fail_reason is None:
-                ctx.fail_reason = f"{op.value}: {result.code.name}"
+            ctx.fail(f"{op.value}: {result.code.name}")
         ctx.note_result()
 
     # -- main loop -----------------------------------------------------------
@@ -197,9 +181,9 @@ class Softcore:
                 yield self.clock.delay(cfg.context_switch_cycles)
                 yield ctx.wait_drained(self.engine)
                 if not ctx.failed:
-                    yield from self._section_gen(ctx, Section.COMMIT)
+                    yield from self._exec(ctx, Section.COMMIT)
                 if ctx.failed:
-                    yield from self._section_gen(ctx, Section.ABORT)
+                    yield from self._exec(ctx, Section.ABORT)
                 self._release(ctx)
             self._batches.add()
 
@@ -244,8 +228,7 @@ class Softcore:
             if ctx is None:
                 break
             yield from self._ingest(ctx)
-            yield from self._section_gen(ctx, Section.LOGIC)
-            ctx.finished_logic = True
+            yield from self._exec(ctx, Section.LOGIC)
             yield self.clock.delay(cfg.context_switch_cycles)
             if not cfg.interleaving:
                 break
@@ -272,7 +255,7 @@ class Softcore:
         yield self.clock.delay(cfg.catalogue_cycles)
         first = self._admit(block, batch, bases)
         yield from self._ingest(first)
-        ready.append((first, False))
+        ready.append(first)
 
         while ready or blocked:
             if not ready:
@@ -285,30 +268,30 @@ class Softcore:
                         ctx = self._admit(nxt, batch, bases)
                         if ctx is not None:
                             yield from self._ingest(ctx)
-                            ready.append((ctx, False))
+                            ready.append(ctx)
                             continue
                 woken = yield wake.get()
                 blocked -= 1
-                ready.append((woken, True))
+                ready.append(woken)
                 continue
-            ctx, resume = ready.popleft()
+            ctx = ready.popleft()
             yield self.clock.delay(cfg.context_switch_cycles)
-            yield from self._exec_section(ctx, Section.LOGIC, resume=resume)
+            # a transaction woken from a blocked RET re-enters at that
+            # RET's unit, a new one at unit 0
+            yield from self._exec(ctx, Section.LOGIC, ctx.resume_unit)
             if ctx.blocked_on is not None:
                 cp_idx, ctx.blocked_on = ctx.blocked_on, None
                 blocked += 1
                 ev = self.cp.wait_valid(cp_idx)
                 ev.callbacks.append(lambda _e, c=ctx: wake.put(c))
-            else:
-                ctx.finished_logic = True
-                if self._pending_block is None:
-                    ok, nxt = self.input_queue.try_get()
-                    if ok:
-                        yield self.clock.delay(cfg.catalogue_cycles)
-                        ctx2 = self._admit(nxt, batch, bases)
-                        if ctx2 is not None:
-                            yield from self._ingest(ctx2)
-                            ready.append((ctx2, False))
+            elif self._pending_block is None:
+                ok, nxt = self.input_queue.try_get()
+                if ok:
+                    yield self.clock.delay(cfg.catalogue_cycles)
+                    ctx2 = self._admit(nxt, batch, bases)
+                    if ctx2 is not None:
+                        yield from self._ingest(ctx2)
+                        ready.append(ctx2)
         return batch
 
     def _ingest(self, ctx: TxnContext):
@@ -330,296 +313,59 @@ class Softcore:
         if self.on_txn_done is not None:
             self.on_txn_done(ctx.block)
 
-    # -- execution tiers -----------------------------------------------------
-    def _section_gen(self, ctx: TxnContext, section: Section):
-        """The generator executing ``section``: the compiled tier's
-        specialised function when available, else the interpreter.
-        Returns (rather than is) a generator so the interpreter path
-        pays no extra frame; tracing forces the interpreter because
-        per-instruction trace lines only exist there."""
-        tier = self._compiled
-        if tier is not None and not self.tracer.enabled:
-            fn = tier.section_fn(ctx.entry, section)
-            if fn is not None:
-                return fn(self, ctx)
-        return self._exec_section(ctx, section)
+    # -- instruction execution ------------------------------------------------
+    def _exec(self, ctx: TxnContext, section: Section, unit: int = 0):
+        """Run ``section`` of the context's procedure from compile unit
+        ``unit``: the dispatch loop over the generated unit table
+        (:mod:`repro.softcore.compiled`)."""
+        units = self._code.units(ctx.entry, section)
+        while unit >= 0:
+            unit = yield from units[unit](self, ctx)
 
-    # -- interpreter --------------------------------------------------------
-    def _exec_section(self, ctx: TxnContext, section: Section,
-                      resume: bool = False):
-        ctx.section = section
-        if not resume:
-            ctx.pc = 0
-        insts = ctx.entry.program.section(section)
-        while ctx.pc < len(insts):
-            inst = insts[ctx.pc]
-            ctx.pc += 1
-            self._insts.value += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "softcore", f"w{self.worker_id}",
-                    f"txn={ctx.txn_id} {section.value}[{ctx.pc - 1}] {inst!r}")
-            if inst.is_db:
-                yield from self._exec_db(ctx, inst)
-            else:
-                trap = yield from self._exec_cpu(ctx, inst)
-                if trap:
-                    return
-            if ctx.failed and section is Section.LOGIC:
-                return  # exception: the abort handler runs in phase two
+    # .. shared by every generated unit ........................................
+    def _trace_inst(self, ctx: TxnContext, what: str) -> None:
+        self.tracer.emit("softcore", f"w{self.worker_id}",
+                         f"txn={ctx.txn_id} {what}")
 
-    # .. DB instructions ..................................................
-    def _exec_db(self, ctx: TxnContext, inst: Instruction):
-        cfg = self.config
-        # Prepare: collect metadata (index type, timestamp, destination)
-        yield self.clock.delay(cfg.db_prepare_cycles)
-        schema = self.catalogue.schemas.table(inst.table)
-        key_addr, key_value, route_key, payload = self._resolve_key(ctx, inst)
-        dst = self.route(inst.table, route_key)
-        # Dispatch: asynchronous hand-off to the coprocessor / channels
-        yield self.clock.delay(cfg.db_dispatch_cycles)
-        cp_global = ctx.cp_base + inst.cp.n
-        self.cp.mark_pending(cp_global, inst.opcode)
+    def _dispatch_db(self, ctx: TxnContext, op: Opcode, table_id: int,
+                     cp_global: int, dst: Optional[int], key_addr, key_value,
+                     payload, route_key, **fields) -> None:
+        """The Dispatch step of a DB instruction: mark the CP register
+        pending and hand the request, asynchronously, to the local
+        coprocessor or the on-chip channels.  ``fields`` are the
+        opcode-specific :class:`DbRequest` fields (payload cell, scan
+        bounds)."""
+        self.cp.mark_pending(cp_global, op)
         self._cp_owner[cp_global] = ctx
-        self._pending_info[cp_global] = (inst.opcode, inst.table)
-        req = DbRequest(op=inst.opcode, table_id=inst.table, ts=ctx.begin_ts,
-                        txn_id=ctx.txn_id, key_addr=key_addr,
-                        key_value=key_value, insert_payload=payload,
-                        src_worker=self.worker_id, cp_index=cp_global,
-                        route_key=route_key)
-        if inst.opcode is Opcode.INSERT and isinstance(inst.b, BlockRef):
-            req.payload_addr = self._block_addr(ctx, inst.b)
-        if inst.opcode in (Opcode.SCAN, Opcode.RANGE_SCAN):
-            req.scan_count = int(self._value(ctx, inst.a))
-            req.scan_out_addr = self._block_addr(ctx, inst.addr)
-            req.scan_limit = ctx.block.layout.n_scan
-        if inst.opcode is Opcode.RANGE_SCAN:
-            req.scan_hi = self._operand_value(ctx, inst.b)
-        ctx.note_dispatch()
+        self._pending_info[cp_global] = (op, table_id)
+        ctx.outstanding += 1
         self._db_insts.value += 1
         if dst is not None and dst != self.worker_id:
             self._remote_insts.value += 1
-        self.dispatch(req, dst)
+        self.dispatch(
+            DbRequest(op=op, table_id=table_id, ts=ctx.begin_ts,
+                      txn_id=ctx.txn_id, key_addr=key_addr,
+                      key_value=key_value, insert_payload=payload,
+                      src_worker=self.worker_id, cp_index=cp_global,
+                      route_key=route_key, **fields),
+            dst)
 
-    def _resolve_key(self, ctx: TxnContext, inst: Instruction):
-        """Returns (key_addr, key_value, routing_key, insert_payload)."""
-        key = inst.key
-        payload = None
-        if isinstance(key, Gp):
-            value = self.gp.read(ctx.gp_base + key.n)
-            if inst.opcode is Opcode.INSERT and isinstance(value, tuple) \
-                    and len(value) == 2:
-                value, payload = value
-                return None, value, value, payload
-            return None, value, value, None
-        # BlockRef: the coprocessor's KeyFetch stage will read the cell
-        # from DRAM; the softcore routes using its working-set copy.
-        addr = self._block_addr(ctx, key)
-        offset = addr - ctx.block.data_base
-        if 0 <= offset < len(ctx.working_set):
-            cell = ctx.working_set[offset]
-        else:
-            cell = self.dram.direct_read(addr)
-        route_key = cell
-        if inst.opcode is Opcode.INSERT and isinstance(cell, tuple) \
-                and len(cell) == 2:
-            route_key = cell[0]
-        return addr, None, route_key, None
-
-    def _operand_value(self, ctx: TxnContext, operand):
-        """Resolve an Imm/Gp/BlockRef operand to its value (the
-        RANGE_SCAN high key; block cells read via the working set)."""
-        if isinstance(operand, BlockRef):
-            addr = self._block_addr(ctx, operand)
-            offset = addr - ctx.block.data_base
-            if 0 <= offset < len(ctx.working_set):
-                return ctx.working_set[offset]
-            return self.dram.direct_read(addr)
-        return self._value(ctx, operand)
-
-    # .. CPU instructions ...................................................
-    def _exec_cpu(self, ctx: TxnContext, inst: Instruction):
-        """Executes one CPU instruction; returns True on a section trap."""
-        cfg = self.config
-        op = inst.opcode
-        if op in (Opcode.RET, Opcode.RETN):
-            yield self.clock.delay(cfg.ret_cycles)
-            cp_global = ctx.cp_base + inst.cp.n
-            if (cfg.dynamic_scheduling and cfg.interleaving
-                    and ctx.section is Section.LOGIC
-                    and not self.cp.is_valid(cp_global)):
-                # dynamic scheduling: yield the softcore to another
-                # transaction instead of stalling; the RET re-executes
-                # on resume.
-                ctx.pc -= 1
-                ctx.blocked_on = cp_global
-                return True
-            db_op, result = yield self.cp.wait_valid(cp_global)
-            if (op is Opcode.RETN
-                    and result.code is ResultCode.NOT_FOUND):
-                # null-tolerant collect: absence is data, not an error
-                self.gp.write(ctx.gp_base + inst.dst.n, 0)
-                return False
-            if result.code is not ResultCode.OK:
-                ctx.failed = True
-                if ctx.fail_reason is None:
-                    ctx.fail_reason = f"{db_op.value}: {result.code.name}"
-                return ctx.section is not Section.LOGIC
-            value = (result.value
-                     if db_op in (Opcode.SCAN, Opcode.RANGE_SCAN)
-                     else result.tuple_addr)
-            self.gp.write(ctx.gp_base + inst.dst.n, value)
-            return False
-
-        if op is Opcode.COMMIT:
-            if ctx.section is Section.LOGIC:
-                raise ExecutionError("COMMIT outside a commit handler")
-            if ctx.failed:
-                return True  # fall through to the abort handler
-            yield from self._commit_protocol(ctx)
-            return False
-
-        if op is Opcode.ABORT:
-            if ctx.section is Section.LOGIC:
-                ctx.failed = True
-                if ctx.fail_reason is None:
-                    ctx.fail_reason = "voluntary abort"
-                return False  # LOGIC exits via the failed flag
-            yield from self._abort_protocol(ctx)
-            return False
-
-        yield self.clock.delay(cfg.cpu_inst_cycles)
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV):
-            a = self._value(ctx, inst.a)
-            b = self._value(ctx, inst.b)
-            if op is Opcode.ADD:
-                out = a + b
-            elif op is Opcode.SUB:
-                out = a - b
-            elif op is Opcode.MUL:
-                out = a * b
-            else:
-                out = a // b if isinstance(a, int) and isinstance(b, int) else a / b
-            self.gp.write(ctx.gp_base + inst.dst.n, out)
-        elif op is Opcode.MOV:
-            self.gp.write(ctx.gp_base + inst.dst.n, self._value(ctx, inst.a))
-        elif op is Opcode.CMP:
-            a = self._value(ctx, inst.a)
-            b = self._value(ctx, inst.b)
-            ctx.zero = a == b
-            ctx.neg = a < b
-        elif op is Opcode.LOAD:
-            value = yield from self._load(ctx, inst.addr)
-            self.gp.write(ctx.gp_base + inst.dst.n, value)
-        elif op is Opcode.STORE:
-            yield from self._store(ctx, inst.addr, self._value(ctx, inst.a))
-        elif op is Opcode.WRFIELD:
-            yield from self._wrfield(ctx, inst)
-        elif op is Opcode.JMP:
-            ctx.pc = inst.target
-        elif op is Opcode.BE:
-            if ctx.zero:
-                ctx.pc = inst.target
-        elif op is Opcode.BNE:
-            if not ctx.zero:
-                ctx.pc = inst.target
-        elif op is Opcode.BLT:
-            if ctx.neg:
-                ctx.pc = inst.target
-        elif op is Opcode.BLE:
-            if ctx.neg or ctx.zero:
-                ctx.pc = inst.target
-        elif op is Opcode.BGT:
-            if not (ctx.neg or ctx.zero):
-                ctx.pc = inst.target
-        elif op is Opcode.BGE:
-            if not ctx.neg:
-                ctx.pc = inst.target
-        elif op is Opcode.NOP:
-            pass
-        else:  # pragma: no cover
-            raise ExecutionError(f"unhandled opcode {op}")
-        return False
-
-    # .. memory helpers ....................................................
-    def _read_record(self, ctx: TxnContext, addr: int):
-        """Fetch a tuple header line, via the context's single-entry
-        line buffer: the 64-byte line holds every header field, so
-        consecutive field accesses to the same record cost one read."""
-        if (self.config.line_buffer and ctx.line_buf is not None
-                and ctx.line_buf_addr == addr):
-            return ctx.line_buf
-        record = yield self.port.read(addr)
-        ctx.line_buf_addr = addr
-        ctx.line_buf = record
-        return record
-
-    def _load(self, ctx: TxnContext, ref):
-        if isinstance(ref, FieldRef):
-            addr = self.gp.read(ctx.gp_base + ref.base.n)
-            record = yield from self._read_record(ctx, addr)
-            if record is None:
-                raise ExecutionError(f"LOAD from empty cell {addr}")
-            return record.fields[ref.field]
-        addr = self._block_addr(ctx, ref)
-        offset = addr - ctx.block.data_base
-        if 0 <= offset < len(ctx.working_set):
-            return ctx.working_set[offset]  # working-set buffer hit (BRAM)
-        value = yield self.port.read(addr)
-        return value
-
-    def _store(self, ctx: TxnContext, ref, value):
-        if isinstance(ref, FieldRef):
-            addr = self.gp.read(ctx.gp_base + ref.base.n)
-            field = ref.field
-
-            def apply(record):
-                record.fields[field] = value
-            self.port.post_apply(addr, apply)
-        else:
-            addr = self._block_addr(ctx, ref)
-            offset = addr - ctx.block.data_base
-            if 0 <= offset < len(ctx.working_set):
-                ctx.working_set[offset] = value
-            self.port.post_write(addr, value)
-        return
-        yield  # pragma: no cover - keeps this a generator
-
-    def _wrfield(self, ctx: TxnContext, inst: Instruction):
-        """Backup-and-write: UNDO-log the old field value, then update
-        the tuple in place (§4.7 UPDATE semantics)."""
-        cfg = self.config
-        yield self.clock.delay(cfg.wrfield_cycles)
-        ref: FieldRef = inst.addr
-        addr = self.gp.read(ctx.gp_base + ref.base.n)
-        value = self._value(ctx, inst.a)
-        record = yield from self._read_record(ctx, addr)
+    def _backup_and_write(self, ctx: TxnContext, addr: int, record,
+                          field: int, value) -> None:
+        """WRFIELD: UNDO-log the old field value, then update the tuple
+        in place (§4.7 UPDATE semantics)."""
         if record is None:
             raise ExecutionError(f"WRFIELD on empty cell {addr}")
-        entry = UndoEntry(tuple_addr=addr, field=ref.field,
-                          old_value=record.fields[ref.field])
+        entry = UndoEntry(tuple_addr=addr, field=field,
+                          old_value=record.fields[field])
         ctx.undo.append(entry)
-        slot = ctx.block.undo_slot(len(ctx.undo) - 1)
         ctx.block.header.undo_count = len(ctx.undo)
-        self.port.post_write(slot, entry)
+        self.port.post_write(ctx.block.undo_slot(len(ctx.undo) - 1), entry)
         # apply in place: the tuple is dirty-locked by this transaction's
         # UPDATE, so no other reader can legally observe the window; the
         # posted write accounts for the masked-line store.
-        record.fields[ref.field] = value
+        record.fields[field] = value
         self.port.post_write(addr, record)
-
-    def _block_addr(self, ctx: TxnContext, ref: BlockRef) -> int:
-        offset = ref.offset
-        if isinstance(offset, Gp):
-            offset = self.gp.read(ctx.gp_base + offset.n)
-        return ctx.block.data_base + int(offset) + ref.extra
-
-    def _value(self, ctx: TxnContext, operand) -> Any:
-        if isinstance(operand, Imm):
-            return operand.value
-        if isinstance(operand, Gp):
-            return self.gp.read(ctx.gp_base + operand.n)
-        raise ExecutionError(f"bad value operand {operand!r}")
 
     # .. commit / abort protocols (§4.7) .....................................
     def _commit_protocol(self, ctx: TxnContext):

@@ -1,139 +1,141 @@
-"""Tests for the compiled execution tier and the paper-scale sweep runner.
+"""Tests for the softcore's generated-code executor, the bulk loader
+and the paper-scale sweep runner.
 
-The tier's contract (see ``repro.softcore.compiled``) is enforced here
-at unit-suite speed: a fingerprint bit-identical to the checked-in
-goldens and to the interpreter on every field, ``events_fired``
-included, whatever index kind the table uses; interpreter fallback
-whenever tracing is on or the specializer declines a section; and a
-bulk-load fast path whose heap image is cell-for-cell identical to
-per-row loading.
+The executor's contract (see ``repro.softcore.compiled``) is enforced
+here at unit-suite speed: fingerprints bit-identical to values captured
+from the instruction interpreter it replaced — static on every index
+kind, under dynamic scheduling, and as a trace digest — one compilation
+per catalogue, and malformed programs failing where the interpreter
+failed; and a bulk-load fast path whose heap image is cell-for-cell
+identical to per-row loading.
 """
 
 import gc
+import hashlib
 import json
 
 import pytest
 
 from repro.core import BionicConfig, BionicDB
 from repro.isa.builder import ProcedureBuilder
+from repro.isa.instructions import Gp, Section
 from repro.mem.schema import IndexKind, SchemaError, TableSchema
 from repro.perf import (
+    GOLDEN_INTERPRETER,
     GOLDEN_SMOKE,
     POINTS,
     SCENARIOS,
-    bptree_scenario,
-    equivalence_failures,
-    run_equivalence,
     run_point,
     run_sweep,
-    tpcc_scenario,
     ycsb_scenario,
 )
 from repro.perf.__main__ import main
+from repro.perf.equivalence import _fingerprint
 from repro.perf.sweep import _merge_into, _point_seed, sweep_main
 from repro.sim.trace import Tracer
 from repro.softcore import SoftcoreConfig
-from repro.softcore.compiled import CompiledTier, compile_procedure
 from repro.workloads import (
     TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload,
 )
-from repro.workloads.ycsb import YCSB_TABLE
+from repro.workloads.ycsb import PROC_READ_BASE, YCSB_TABLE
 
-COMPILED = SoftcoreConfig(compiled=True)
 
-_SCENARIO_FNS = {
-    "ycsb_smoke": ycsb_scenario,
-    "tpcc_smoke": tpcc_scenario,
-    "bptree_range_smoke": bptree_scenario,
+# -- the interpreter's behaviour, kept as data -------------------------------
+
+def test_dynamic_scheduling_matches_the_interpreter():
+    got = ycsb_scenario(softcore=SoftcoreConfig(dynamic_scheduling=True))
+    assert got == GOLDEN_INTERPRETER["dynamic"]
+
+
+def test_traced_run_matches_the_interpreter_line_for_line():
+    tracer = Tracer(categories={"softcore", "txn"})
+    traced = ycsb_scenario(tracer=tracer)
+    assert not tracer.dropped
+    digest = hashlib.sha256(tracer.format().encode()).hexdigest()
+    assert digest == GOLDEN_INTERPRETER["trace_sha256"]
+    # observing the run changes neither its timing nor its event count
+    assert traced == GOLDEN_SMOKE["ycsb_smoke"]
+
+
+#: _tiny_ycsb() per index kind, captured on the interpreter
+GOLDEN_TINY = {
+    IndexKind.HASH: (674, 13192.0,
+                     "e59bf3befe55ca6a7c449b312c3e063c"
+                     "924a916dfb044f053ea0d639046bdc69"),
+    IndexKind.SKIPLIST: (1949, 49408.0,
+                         "02889bd28dbb8739bc1b998cc1cc2770"
+                         "599ec69b26d5679c9f80011b688fe5e3"),
+    IndexKind.BPTREE: (841, 18712.0,
+                       "534d797ac722565fb47ecb8bcaa79df8"
+                       "f57b7d4ba4a5b029895d01705f796ffa"),
 }
 
 
-# -- compiled tier vs the checked-in goldens ---------------------------------
-
-@pytest.mark.parametrize("name", list(GOLDEN_SMOKE))
-def test_compiled_tier_matches_goldens(name):
-    assert _SCENARIO_FNS[name](None, 1, COMPILED) == GOLDEN_SMOKE[name], name
-
-
-def test_run_equivalence_includes_compiled_tier():
-    results = run_equivalence(scale=1, scenarios=["ycsb_smoke"])
-    entry = results["ycsb_smoke"]
-    assert entry["compiled_match"]
-    assert entry["compiled"] == entry["fast"]
-
-
-def test_equivalence_failures_reports_compiled_divergence():
-    results = run_equivalence(scale=1, scenarios=["ycsb_smoke"])
-    broken = dict(results)
-    entry = dict(broken["ycsb_smoke"])
-    entry["compiled_match"] = False
-    broken["ycsb_smoke"] = entry
-    messages = equivalence_failures(broken)
-    assert len(messages) == 1
-    assert "compiled tier" in messages[0]
-
-
-# -- fallback ----------------------------------------------------------------
-
-def _tiny_ycsb(softcore=None, tracer=None, index_kind=IndexKind.HASH):
+def _tiny_ycsb(index_kind=IndexKind.HASH):
     wl = YcsbWorkload(YcsbConfig(records_per_partition=200, n_partitions=2,
                                  reads_per_txn=2, seed=5,
                                  index_kind=index_kind))
-    db = BionicDB(BionicConfig(n_workers=2, tracer=tracer,
-                               softcore=softcore or SoftcoreConfig()))
+    db = BionicDB(BionicConfig(n_workers=2))
     wl.install(db)
     specs = wl.make_read_txns(6) + wl.make_rmw_txns(3)
     report, blocks = wl.submit_all(db, specs)
-    from repro.perf.equivalence import _fingerprint
     return db, _fingerprint(db, report, blocks)
 
 
-def test_tracer_forces_interpreter_with_identical_timing():
-    _db, interp = _tiny_ycsb()
-    _db, compiled = _tiny_ycsb(softcore=COMPILED)
-    tracer = Tracer(categories={"softcore"})
-    _db, traced = _tiny_ycsb(softcore=COMPILED, tracer=tracer)
-    # per-instruction trace lines only exist in the interpreter, so
-    # their presence proves the fallback actually ran
-    assert tracer.events, "tracing under compiled=True emitted no lines"
-    assert traced == interp
-    assert compiled == interp
+@pytest.mark.parametrize("index_kind", list(GOLDEN_TINY))
+def test_fingerprint_on_every_index_kind(index_kind):
+    _db, got = _tiny_ycsb(index_kind)
+    events, now_ns, commit_hash = GOLDEN_TINY[index_kind]
+    assert got == {"events_fired": events, "now_ns": now_ns, "committed": 9,
+                   "aborted": 0, "commit_hash": commit_hash}
 
 
-@pytest.mark.parametrize("index_kind", [IndexKind.HASH, IndexKind.SKIPLIST,
-                                        IndexKind.BPTREE])
-def test_compiled_matches_interpreter_on_every_index_kind(index_kind):
-    _db, interp = _tiny_ycsb(index_kind=index_kind)
-    _db, compiled = _tiny_ycsb(softcore=COMPILED, index_kind=index_kind)
-    assert compiled == interp
+# -- one compilation per catalogue -------------------------------------------
+
+def test_generated_code_is_shared_through_the_catalogue():
+    db, _fp = _tiny_ycsb()
+    tiers = [w.softcore._code for w in db.workers]
+    assert tiers[0]._cache is tiers[1]._cache is db.catalogue.compiled
+    entry = db.catalogue.lookup(PROC_READ_BASE + 2)
+    units = tiers[0].units(entry, Section.LOGIC)
+    # compiled once by whichever worker ran it first, visible to all
+    assert tiers[1].units(entry, Section.LOGIC) is units
+    assert [r["program"] for r in tiers[0].report()] == [
+        db.catalogue.lookup(p).program.name for p in sorted(db.catalogue.compiled)]
 
 
-def test_compiled_tier_caches_per_catalogue():
-    db = BionicDB(BionicConfig(n_workers=2, softcore=COMPILED))
-    wl = YcsbWorkload(YcsbConfig(records_per_partition=100, n_partitions=2,
-                                 reads_per_txn=2, seed=3))
-    wl.install(db)
-    tiers = [w.softcore._compiled for w in db.workers]
-    assert all(isinstance(t, CompiledTier) for t in tiers)
-    from repro.workloads.ycsb import PROC_READ_BASE
-    cp = tiers[0].compiled(db.catalogue.lookup(PROC_READ_BASE + 2))
-    assert cp.fully_compiled, cp.declined
-    # every worker shares the catalogue-level cache: compiling on one
-    # softcore makes the form visible to all
-    assert tiers[0]._cache is tiers[1]._cache
+def test_reregistration_invalidates_generated_code():
+    db = BionicDB(BionicConfig(n_workers=1))
+    db.define_table(TableSchema(0, "kv", IndexKind.HASH, hash_buckets=16))
+
+    def run(value):
+        b = ProcedureBuilder("const")
+        b.mov(0, value)
+        b.store(Gp(0), b.at(0))
+        db.register_procedure(1, b.build())
+        block = db.new_block(1, [None], worker=0)
+        db.submit(block, 0)
+        db.run()
+        return block.input_cell(0)
+
+    assert run(1) == 1
+    assert run(2) == 2      # the replaced procedure's code, not a stale hit
 
 
-def test_specializer_declines_unknown_table():
-    db = BionicDB(BionicConfig(n_workers=1, softcore=COMPILED))
+def test_unknown_table_fails_when_the_instruction_is_reached():
+    db = BionicDB(BionicConfig(n_workers=1))
     b = ProcedureBuilder("touches_missing_table")
     b.search(cp=0, table=999, key=b.at(0))
     b.commit_handler()
     b.commit()
     db.register_procedure(7, b.build(), verify=False)
-    sc = db.workers[0].softcore
-    cp = compile_procedure(sc, db.catalogue.lookup(7))
-    assert not cp.fully_compiled
-    assert any("unknown table" in why for why in cp.declined.values())
+    # db.submit() would refuse the block; go past the admission check
+    db.workers[0].softcore.submit(db.new_block(7, [1], worker=0))
+    with pytest.raises(SchemaError, match="unknown table id 999"):
+        db.run()
+    # the Prepare step was charged before the lookup failed
+    assert db.stats.counter("worker0.instructions").value == 1
+    assert db.stats.counter("worker0.db_instructions").value == 0
 
 
 # -- bulk-load fast path -----------------------------------------------------
@@ -244,12 +246,11 @@ def test_loaded_row_costs_the_collector_at_most_two_objects():
 TINY_POINTS = {
     "tiny_ycsb": {
         "workload": "ycsb", "n_workers": 2, "records_per_partition": 200,
-        "reads_per_txn": 2, "n_txns": 8, "compiled": True,
+        "reads_per_txn": 2, "n_txns": 8,
     },
-    "tiny_ycsb_interp": {
+    "tiny_ycsb_b": {
         "workload": "ycsb", "n_workers": 2, "records_per_partition": 200,
-        "reads_per_txn": 2, "n_txns": 8, "compiled": False,
-        "seed_name": "tiny_ycsb",
+        "reads_per_txn": 2, "n_txns": 8,
     },
 }
 
@@ -265,20 +266,17 @@ def test_point_seed_is_stable():
     assert 0 <= _point_seed("anything") < 1_000_000
 
 
-def test_registry_twins_share_a_seed():
-    assert POINTS["ycsb_paper_300k_interp"]["seed_name"] == "ycsb_paper_300k"
-
-
-def test_run_point_fingerprints_both_tiers_identically(monkeypatch):
+def test_run_point_is_seeded_by_name_and_fingerprinted(monkeypatch):
     _install_tiny_points(monkeypatch)
-    compiled = run_point("tiny_ycsb")
-    interp = run_point("tiny_ycsb_interp")
-    assert compiled["seed"] == interp["seed"]
+    first = run_point("tiny_ycsb")
+    again = run_point("tiny_ycsb")
+    other = run_point("tiny_ycsb_b")
+    assert first["seed"] == again["seed"] != other["seed"]
     for key in GOLDEN_SMOKE["ycsb_smoke"]:
-        assert compiled[key] == interp[key], key
-    assert compiled["throughput_tps"] == interp["throughput_tps"]
-    assert compiled["host_seconds"] > 0
-    assert compiled["peak_rss_mb"] > 0
+        assert first[key] == again[key], key
+    assert first["commit_hash"] != other["commit_hash"]
+    assert first["host_seconds"] > 0
+    assert first["peak_rss_mb"] > 0
 
 
 def test_run_sweep_rejects_unknown_points():
@@ -288,8 +286,8 @@ def test_run_sweep_rejects_unknown_points():
 
 def test_run_sweep_serial_keeps_registry_order(monkeypatch):
     _install_tiny_points(monkeypatch)
-    results = run_sweep(["tiny_ycsb_interp", "tiny_ycsb"], jobs=1)
-    assert list(results) == ["tiny_ycsb_interp", "tiny_ycsb"]
+    results = run_sweep(["tiny_ycsb_b", "tiny_ycsb"], jobs=1)
+    assert list(results) == ["tiny_ycsb_b", "tiny_ycsb"]
     assert results["tiny_ycsb"]["point"] == "tiny_ycsb"
 
 
@@ -315,18 +313,16 @@ def test_sweep_main_list_exits_clean(capsys):
         assert name in printed
 
 
-def test_sweep_main_records_tier_speedups(monkeypatch, tmp_path, capsys):
+def test_sweep_main_merges_points(monkeypatch, tmp_path, capsys):
     _install_tiny_points(monkeypatch)
     out = tmp_path / "bench.json"
     # jobs=1: the monkeypatched registry does not exist in pool workers
-    rc = sweep_main(["--points", "tiny_ycsb,tiny_ycsb_interp",
+    rc = sweep_main(["--points", "tiny_ycsb,tiny_ycsb_b",
                      "--jobs", "1", "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
-    entry = data["sweep"]["tiny_ycsb"]
-    assert entry["speedup_vs_interpreted"] > 0
-    assert entry["run_speedup_vs_interpreted"] > 0
-    assert entry["commit_hash"] == data["sweep"]["tiny_ycsb_interp"]["commit_hash"]
+    assert set(data["sweep"]) == {"tiny_ycsb", "tiny_ycsb_b"}
+    assert data["sweep"]["tiny_ycsb"]["throughput_tps"] > 0
 
 
 # -- CLI filters -------------------------------------------------------------

@@ -17,7 +17,8 @@ from repro.perf import (
     tpcc_scenario,
     ycsb_scenario,
 )
-from repro.perf.__main__ import check_regressions, main
+from repro.perf import __main__ as perf_main
+from repro.perf.__main__ import REGRESSION_FLOOR, check_regressions, main
 from repro.sim import Engine
 
 
@@ -115,9 +116,6 @@ def test_check_regressions_flags_missing_key():
 
 @pytest.mark.slow
 def test_cli_smoke_writes_bench_json(tmp_path):
-    # best-of-2 per sample: a single-sample speedup ratio is one CPU
-    # hiccup away from tripping the 25% self-check floor when the
-    # suite has been loading the machine for minutes
     out = tmp_path / "bench.json"
     assert main(["--smoke", "--out", str(out), "--repeats", "2"]) == 0
     results = json.loads(out.read_text())
@@ -127,6 +125,35 @@ def test_cli_smoke_writes_bench_json(tmp_path):
         assert section in results
     assert results["microbench"]["events"]["speedup_vs_reference"] > 0
     assert "fig09_ycsb_smoke" in results["simspeed"]
-    # the written file must be usable as its own regression baseline
-    assert main(["--smoke", "--out", str(tmp_path / "second.json"),
-                 "--repeats", "2", "--check", str(out)]) == 0
+
+
+def test_cli_check_gates_on_the_ratio_floor(tmp_path, monkeypatch, capsys):
+    # fixed measurements: two live millisecond timings compared through
+    # the 25% floor are one CPU hiccup away from a false alarm
+    measured = {
+        "microbench": {"events": {"rate_per_sec": 1e6,
+                                  "speedup_vs_reference": 2.0}},
+        "simspeed": {"ycsb_smoke": {"host_seconds": 0.1,
+                                    "speedup_vs_reference": 1.5}},
+    }
+    monkeypatch.setattr(perf_main, "run_equivalence", lambda **_kw: {})
+    monkeypatch.setattr(perf_main, "run_microbenchmarks",
+                        lambda **_kw: measured["microbench"])
+    monkeypatch.setattr(perf_main, "run_simspeed",
+                        lambda **_kw: measured["simspeed"])
+
+    def check(baseline):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        return main(["--out", str(tmp_path / "out.json"),
+                     "--check", str(path)])
+
+    # a result is usable as its own baseline
+    assert check(measured) == 0
+    capsys.readouterr()
+    # one ratio just under the floor fails the run and is named
+    ratio = 2.0 / REGRESSION_FLOOR * 1.01
+    assert check(_results(events=ratio, ycsb=1.5)) == 1
+    err = capsys.readouterr().err
+    assert "microbench.events.speedup_vs_reference" in err
+    assert "simspeed" not in err

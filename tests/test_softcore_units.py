@@ -150,6 +150,106 @@ class TestMemoryAccess:
         assert block.input_cell(1) == 99
 
 
+class TestSectionShapes:
+    """Section shapes at the edge of what a compile unit can hold.
+    Expected (status, abort reason, block cells 0-1, instructions
+    counted, end time in ns) were captured on the instruction
+    interpreter before it was deleted; they hold with and without
+    dynamic scheduling except where a second row says otherwise."""
+
+    def _empty(b):
+        pass
+
+    def _lone_abort(b):
+        b.abort()                 # a unit with no cycle charge at all
+
+    def _lone_nop(b):
+        b.nop()
+
+    def _jump_to_section_end(b):
+        b.mov(0, 1)
+        b.store(Gp(0), b.at(0))
+        b.jmp("end")
+        b.mov(0, 2)
+        b.store(Gp(0), b.at(0))
+        b.label("end")
+
+    def _taken_branch_to_section_end(b):
+        b.cmp(1, 1)
+        b.be("end")
+        b.mov(0, 2)
+        b.store(Gp(0), b.at(0))
+        b.label("end")
+
+    def _commit_is_not_last(b):
+        b.commit_handler()
+        b.commit()                # runs the protocol, then falls through
+        b.mov(0, 7)
+        b.store(Gp(0), b.at(0))
+
+    def _abort_is_not_last(b):
+        b.abort()
+        b.abort_handler()
+        b.abort()
+        b.mov(0, 7)
+        b.store(Gp(0), b.at(0))
+
+    def _retn_miss_in_commit(b):
+        b.search(cp=0, table=0, key=b.at(0))
+        b.mov(0, 9)
+        b.commit_handler()
+        b.retn(0, 0)              # absence is data: r0 = 0
+        b.store(Gp(0), b.at(1))
+        b.commit()
+
+    def _retn_miss_in_logic(b):
+        b.search(cp=0, table=0, key=b.at(0))
+        b.retn(3, 0)
+        b.store(Gp(3), b.at(1))
+
+    def _ret_miss_in_logic(b):
+        b.search(cp=0, table=0, key=b.at(0))
+        b.ret(3, 0)               # fails the transaction, logic stops
+        b.mov(0, 5)
+        b.store(Gp(0), b.at(1))
+
+    COMMITTED, ABORTED = TxnStatus.COMMITTED, TxnStatus.ABORTED
+    MISS = "SEARCH: NOT_FOUND"
+
+    @pytest.mark.parametrize("build,dynamic,status,reason,cells,insts,now", [
+        (_empty, False, COMMITTED, None, [404, 5], 1, 1592.0),
+        (_lone_abort, False, ABORTED, "voluntary abort", [404, 5], 2, 1592.0),
+        (_lone_abort, True, ABORTED, "voluntary abort", [404, 5], 2, 1592.0),
+        (_lone_nop, False, COMMITTED, None, [404, 5], 2, 1632.0),
+        (_jump_to_section_end, False, COMMITTED, None, [1, 5], 4, 1712.0),
+        (_taken_branch_to_section_end, False, COMMITTED, None, [404, 5], 3,
+         1672.0),
+        (_commit_is_not_last, False, COMMITTED, None, [7, 5], 3, 1672.0),
+        (_abort_is_not_last, False, ABORTED, "voluntary abort", [7, 5], 4,
+         1672.0),
+        (_retn_miss_in_commit, False, COMMITTED, None, [404, 0], 5, 3024.0),
+        (_retn_miss_in_logic, False, COMMITTED, None, [404, 0], 4, 3136.0),
+        # dynamic scheduling: the blocked RETN/RET is counted twice
+        (_retn_miss_in_logic, True, COMMITTED, None, [404, 0], 5, 3256.0),
+        (_ret_miss_in_logic, False, ABORTED, MISS, [404, 5], 3, 3096.0),
+        (_ret_miss_in_logic, True, ABORTED, MISS, [404, 5], 4, 3216.0),
+    ])
+    def test_shapes(self, build, dynamic, status, reason, cells, insts, now):
+        db = make_db(dynamic_scheduling=dynamic)
+        db.load(0, 5, ["x", "y"])
+        b = ProcedureBuilder(build.__name__)
+        build(b)
+        db.register_procedure(9, b.build(), verify=False)
+        block = db.new_block(9, [404, 5], worker=0)   # key 404 is absent
+        db.submit(block, 0)
+        db.run()
+        assert block.header.status is status
+        assert block.header.abort_reason == reason
+        assert [block.input_cell(0), block.input_cell(1)] == cells
+        assert db.stats.counter("worker0.instructions").value == insts
+        assert db.engine.now == now
+
+
 class TestErrors:
     def test_commit_in_logic_is_rejected(self):
         from repro.errors import VerificationError
