@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..baseline import SiloTpcc, SiloYcsb
 from ..core import BionicConfig, BionicDB
@@ -24,14 +24,10 @@ __all__ = ["run_fig9a", "run_fig9b",
 
 
 def bionicdb_ycsb_tput(n_workers: int, n_txns: int = 240,
-                       records_per_partition: int = 5000,
-                       engine_factory: Optional[object] = None) -> float:
-    # engine_factory lets repro.perf time this exact configuration on
-    # the pre-overhaul ReferenceEngine; simulated results are identical
+                       records_per_partition: int = 5000) -> float:
     cfg = YcsbConfig(records_per_partition=records_per_partition,
                      n_partitions=n_workers)
-    db = BionicDB(BionicConfig(n_workers=n_workers,
-                               engine_factory=engine_factory))
+    db = BionicDB(BionicConfig(n_workers=n_workers))
     workload = YcsbWorkload(cfg)
     workload.install(db)
     report, _blocks = workload.submit_all(db, workload.make_read_txns(n_txns))

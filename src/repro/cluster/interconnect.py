@@ -251,7 +251,7 @@ class HierarchicalInterconnect:
             depart = max(now, self._lane_free.get(lane, 0.0))
             self._lane_free[lane] = depart + self.issue_interval_ns
             arrive = depart + self.intra_hop_ns
-        self.engine.call_at(arrive, lambda: queue.put(packet))
+        self.engine.call_fn_at(arrive, queue.try_put, packet)
 
     # -- latency figures ---------------------------------------------------------
     @property

@@ -113,7 +113,7 @@ class Crossbar:
         self._lane_free[lane] = depart + self.issue_interval_ns
         arrive = depart + self.hop_ns
         self._sent.add()
-        self.engine.call_at(arrive, lambda: queue.put(packet))
+        self.engine.call_fn_at(arrive, queue.try_put, packet)
 
     # -- latency figures (Table 3) -------------------------------------------
     @property

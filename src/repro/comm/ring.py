@@ -84,7 +84,7 @@ class RingInterconnect:
             seg = (seg + 1) % self.n_workers
         self._sent.add()
         self._hops.add(hops)
-        self.engine.call_at(t, lambda: queue.put(packet))
+        self.engine.call_fn_at(t, queue.try_put, packet)
 
     # -- latency figures -------------------------------------------------------
     @property

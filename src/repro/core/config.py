@@ -150,12 +150,6 @@ class BionicConfig:
     # execution tracing (repro.sim.trace.Tracer); None = disabled
     tracer: Optional[object] = None
 
-    # alternate event-loop factory (callable returning an Engine-shaped
-    # object); None = the stock repro.sim.engine.Engine.  Used by the
-    # repro.perf cycle-equivalence checker to run the same workload on
-    # the pre-overhaul ReferenceEngine.
-    engine_factory: Optional[object] = None
-
     def __post_init__(self):
         if self.n_workers < 1:
             raise ConfigError("n_workers must be >= 1",

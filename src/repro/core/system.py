@@ -89,8 +89,7 @@ class BionicDB:
     def __init__(self, config: Optional[BionicConfig] = None):
         self.config = config or BionicConfig()
         cfg = self.config
-        self.engine = (cfg.engine_factory() if cfg.engine_factory is not None
-                       else Engine())
+        self.engine = Engine()
         self.clock = ClockDomain(self.engine, cfg.fpga_mhz, name="fpga")
         self.heap = Heap()
         self.stats = StatsRegistry()

@@ -161,12 +161,12 @@ class Nic:
                 and len(self.rx) >= cfg.rx_queue_depth):
             self._dropped.add()
             return False
-        self.rx.put(request)
+        self.rx.try_put(request)
         self._delivered.add()
         if duplicate:
             # the second copy competes for ring space like any packet
             if (cfg.rx_queue_depth is None
                     or len(self.rx) < cfg.rx_queue_depth):
-                self.rx.put(request)
+                self.rx.try_put(request)
                 self._fault_duplicated.add()
         return True

@@ -121,7 +121,7 @@ class DispatchScheduler:
         request.seq = self._seq
         dq.append(request)
         self.backlog += 1
-        lane.signal.put(None)
+        lane.signal.try_put(None)
 
     # -- selection ----------------------------------------------------------
     def _select(self, lane: _Lane):

@@ -10,7 +10,7 @@ the initiating worker's CP register — directly for foreground
 (remote) ones.
 
 The paper's Figure 10/11 sweeps cap "the maximum number of in-flight
-DB requests over the index coprocessor"; :class:`IndexCoprocessor`
+DB requests over the index coprocessor"; :class:`PipelineBase`
 implements that cap with a token pool acquired at pipeline entry and
 released by terminal stages.
 """
@@ -18,6 +18,7 @@ released by terminal stages.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -169,10 +170,19 @@ class DbRequest:
 
 
 class PipelineBase:
-    """Common scaffolding: entry queue, in-flight token pool, ports.
+    """Common scaffolding: admission under the in-flight cap, ports.
 
-    Subclasses build their stage graph in ``_build()`` and must call
-    ``self._done(req, result)`` from terminal stages.
+    Subclasses build their stage graph in ``_build()``, take an admitted
+    request in ``_enter(req)`` and must call ``self._done(req, result)``
+    from terminal stages.
+
+    Admission costs no work item: a request submitted while a token is
+    free and nobody is queued enters its first stage inside the caller's
+    firing; otherwise it queues, and each ``_done`` admits the oldest
+    queued request with the token it just returned.  ``_enter`` therefore
+    runs on the submitter's stack (a softcore generator, a background
+    unit): a callback pipeline raises mis-dispatch errors from its first
+    stage body instead, so they come out of ``Engine.run()``.
     """
 
     def __init__(
@@ -200,6 +210,8 @@ class PipelineBase:
         else:
             self.trace_category = "skiplist"
         self.tokens = TokenPool(engine, max_in_flight, name=f"{name}.inflight")
+        #: requests waiting for an in-flight token, oldest first
+        self._waiting: deque = deque()
         # One read port per coprocessor pipeline: its issue interval is the
         # modelled HC-2 port arbitration cost and the throughput anchor for
         # Figure 10 (see DESIGN.md §5).
@@ -212,27 +224,22 @@ class PipelineBase:
         self.completed = self.stats.counter(f"{name}.completed")
         self.errors = self.stats.counter(f"{name}.errors")
         self._build()
-        self._start_admission()
 
     # -- subclass hooks -------------------------------------------------
     def _build(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def _start_admission(self) -> None:
-        """Create the entry queue and spawn the admission process.  The
-        hash pipeline overrides this (and ``submit``) with a callback
-        state machine."""
-        self.entry = Fifo(self.engine, name=f"{self.name}.entry")
-        self._admit_proc = self.engine.process(self._admit_loop(),
-                                               name=f"{self.name}.admit")
 
     def _enter(self, req: DbRequest) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     # -- public ----------------------------------------------------------
     def submit(self, req: DbRequest) -> None:
-        """Queue a request; the softcore never blocks on dispatch."""
-        self.entry.put(req)
+        """Admit a request, or queue it for a token; the softcore never
+        blocks on dispatch."""
+        if not self._waiting and self.tokens.try_acquire():
+            self._grant(req)
+        else:
+            self._waiting.append(req)
 
     def bulk_load_many(self, rows, ts: int = 0, table_id: int = 0) -> int:
         """Bulk-load ``(key, fields)`` pairs (timing-free host path).
@@ -249,17 +256,20 @@ class PipelineBase:
 
     def set_max_in_flight(self, n: int) -> None:
         self.tokens.resize(n)
+        self._grant_waiting()
 
     # -- shared plumbing ----------------------------------------------------
-    def _admit_loop(self):
-        while True:
-            req = yield self.entry.get()
-            yield self.tokens.acquire()
-            if self.tracer.enabled:
-                self.tracer.emit(self.trace_category, self.name,
-                                 f"enter {req.op.value} txn={req.txn_id}"
-                                 + (" (background)" if req.background else ""))
-            self._enter(req)
+    def _grant(self, req: DbRequest) -> None:
+        if self.tracer.enabled:
+            self.tracer.emit(self.trace_category, self.name,
+                             f"enter {req.op.value} txn={req.txn_id}"
+                             + (" (background)" if req.background else ""))
+        self._enter(req)
+
+    def _grant_waiting(self) -> None:
+        waiting = self._waiting
+        while waiting and self.tokens.try_acquire():
+            self._grant(waiting.popleft())
 
     def _done(self, req: DbRequest, result: DbResult) -> None:
         self.tokens.release()
@@ -270,8 +280,10 @@ class PipelineBase:
             self.tracer.emit(self.trace_category, self.name,
                              f"done {req.op.value} txn={req.txn_id} "
                              f"key={req.key!r} -> {result.code.name}")
+        if self._waiting:
+            self._grant_waiting()
         req.finish(result)
 
     def _forward(self, queue: Fifo, item: Any) -> None:
         """Unbounded inter-stage handoff (fire and forget)."""
-        queue.put(item)
+        queue.try_put(item)

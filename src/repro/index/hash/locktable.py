@@ -11,7 +11,7 @@ insert-after-insert and the search-after-insert hazards.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List
+from typing import Deque, Dict, List, Optional
 
 from ...sim.engine import Engine, Event
 from ...sim.memory import Bram
@@ -41,16 +41,17 @@ class HazardLockTable:
         entry = self._entries.get(bucket_addr)
         return entry is not None and entry.holders > 0
 
-    def acquire_insert(self, bucket_addr: int) -> Event:
-        """INSERT path: exclusive per-bucket lock, FIFO among inserts."""
-        ev = Event(self.engine)
+    def acquire_insert(self, bucket_addr: int) -> Optional[Event]:
+        """INSERT path: exclusive per-bucket lock, FIFO among inserts.
+        Returns None when the lock is granted on the spot, else the
+        event that fires when it is handed over."""
         entry = self._entries.setdefault(bucket_addr, _Entry())
         if entry.holders == 0:
             entry.holders = 1
-            ev.succeed(None)
-        else:
-            self.stalls += 1
-            entry.insert_waiters.append(ev)
+            return None
+        self.stalls += 1
+        ev = Event(self.engine)
+        entry.insert_waiters.append(ev)
         return ev
 
     def release_insert(self, bucket_addr: int) -> None:

@@ -21,16 +21,27 @@ Figure 6a — there is a regression test that does exactly that.
 
 Event structure
 ---------------
-A stage is a busy flag, a backlog and bound-method callbacks scheduled
-closure-free through ``Engine._schedule_fn``; memory completions arrive
-through ``MemoryPort.read_cb`` / ``write_cb``.  Serving one item costs a
-stage two work items — a same-instant wake-up hop, then the service
-delay — and admission costs two more (receive, token grant).  The hops
-are not decoration: DRAM channel arbitration resolves same-instant
-requests in engine scheduling order, so the *creation order* of work
-items across stages and partitions decides commit timestamps.  The
-``GOLDEN_SMOKE`` fingerprints in :mod:`repro.perf.equivalence` pin that
-order; a change here that moves one of them is a timing change.
+A stage is a busy flag, a backlog and a service delay (the input
+register / can-accept idiom): handing an item to an idle stage
+schedules the stage *body* at ``now + delay`` and marks the stage busy;
+a busy stage queues the item, and when the body finishes it schedules
+the oldest queued item the same way or goes idle.  Bodies are bound
+methods scheduled closure-free through ``Engine._schedule_fn``; memory
+completions call the next stage's hand-off inside the completion firing
+(``MemoryPort.read_cb`` / ``write_cb``), and admission is a plain call
+(:class:`~repro.index.common.PipelineBase`).  So serving an item costs
+one work item per stage plus one per DRAM access — nothing fires that
+does no simulated work.
+
+An earlier version kept a same-instant wake-up hop per stage and two
+admission hops, on the theory that DRAM channel arbitration (same-
+instant requests are served in engine firing order) made the creation
+order of work items decide commit timestamps.  Removing them was
+measured instead: every ``GOLDEN_SMOKE`` observable is unchanged and
+the repo benchmark's simulated metrics move by well under 1 %
+(docs/performance.md).  What *is* pinned is what the simulation
+computes — completion times and result codes — not how many firings it
+takes; ``events_fired`` is held as a ceiling only.
 """
 
 from __future__ import annotations
@@ -117,100 +128,44 @@ class HashIndexPipeline(PipelineBase):
                       self._headfetch, self._keycomp]
         self._body += [partial(self._traverse, _TRAVERSE + k)
                        for k in range(n)]
-        self._hop_ns = ns(t.traverse_hop)
-        delays = [ns(t.keyfetch), ns(t.hash), ns(t.install),
-                  ns(t.headfetch), ns(t.keycomp)] + [self._hop_ns] * n
-        # a stage is a busy flag, a backlog and a wake-up that charges the
-        # service delay before running the stage body
-        self._busy = [False] * len(delays)
-        self._backlog = [deque() for _ in delays]
-        self._wake = [partial(self._serve, delay, body)
-                      for delay, body in zip(delays, self._body)]
+        # a stage is a busy flag, a backlog and the service delay charged
+        # before its body runs
+        self._delay = [ns(t.keyfetch), ns(t.hash), ns(t.install),
+                       ns(t.headfetch), ns(t.keycomp)
+                       ] + [ns(t.traverse_hop)] * n
+        self._busy = [False] * len(self._delay)
+        self._backlog = [deque() for _ in self._delay]
         self._traverse_rr = cycle(range(_TRAVERSE, _TRAVERSE + n))
         # destinations of the Hash stage's bucket-head read
         self._to_install = partial(self._put, _INSTALL)
         self._to_headfetch = partial(self._put, _HEADFETCH)
 
     def _put(self, stage: int, item: Any) -> None:
-        """Hand ``item`` to a stage: wake it if idle, else queue the item
-        behind the one in service."""
+        """Hand ``item`` to a stage: an idle stage starts serving it, a
+        busy one queues it behind the item in service."""
         if self._busy[stage]:
             self._backlog[stage].append(item)
         else:
             self._busy[stage] = True
-            self._sched(self.engine.now, self._wake[stage], item)
-
-    def _serve(self, delay: float, body, item: Any) -> None:
-        self._sched(self.engine.now + delay, body, item)
+            self._sched(self.engine.now + self._delay[stage],
+                        self._body[stage], item)
 
     def _next(self, stage: int) -> None:
         """The stage is done with its item: take the next or go idle."""
         backlog = self._backlog[stage]
         if backlog:
-            self._sched(self.engine.now, self._wake[stage], backlog.popleft())
+            self._sched(self.engine.now + self._delay[stage],
+                        self._body[stage], backlog.popleft())
         else:
             self._busy[stage] = False
 
-    # -- admission (in-flight cap) -------------------------------------------
-    def _start_admission(self) -> None:
-        self._admit_idle = True
-        self._admit_backlog: deque = deque()
-        self._admit_parked: Optional[DbRequest] = None  # waiting for a token
-
-    def submit(self, req: DbRequest) -> None:
-        if self._admit_idle:
-            self._admit_idle = False
-            self._sched(self.engine.now, self._admit, req)
-        else:
-            self._admit_backlog.append(req)
-
-    def _admit(self, req: DbRequest) -> None:
-        if self.tokens.try_acquire():
-            self._sched(self.engine.now, self._admit_grant, req)
-        else:
-            self._admit_parked = req
-
-    def _grant_parked(self) -> None:
-        """A token came free: admit the request parked waiting for one."""
-        if self._admit_parked is not None and self.tokens.try_acquire():
-            req, self._admit_parked = self._admit_parked, None
-            self._sched(self.engine.now, self._admit_grant, req)
-
-    def _admit_grant(self, req: DbRequest) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(self.trace_category, self.name,
-                             f"enter {req.op.value} txn={req.txn_id}"
-                             + (" (background)" if req.background else ""))
-        self._enter(req)
-        if self._admit_backlog:
-            self._sched(self.engine.now, self._admit,
-                        self._admit_backlog.popleft())
-        else:
-            self._admit_idle = True
-
     def _enter(self, req: DbRequest) -> None:
-        if req.op in (Opcode.SCAN, Opcode.RANGE_SCAN):
-            raise IndexError_(f"{req.op.value} dispatched to a hash index")
         self._put(_KEYFETCH, req)
-
-    def _done(self, req: DbRequest, result: DbResult) -> None:
-        self.tokens.release()
-        self._grant_parked()
-        self.completed.add()
-        if not result.ok:
-            self.errors.add()
-        if self.tracer.enabled:
-            self.tracer.emit(self.trace_category, self.name,
-                             f"done {req.op.value} txn={req.txn_id} "
-                             f"key={req.key!r} -> {result.code.name}")
-        req.finish(result)
-
-    def set_max_in_flight(self, n: int) -> None:
-        self.tokens.resize(n)
-        self._grant_parked()
 
     # -- stage 1: KeyFetch ------------------------------------------------
     def _keyfetch(self, req: DbRequest) -> None:
+        if req.op in (Opcode.SCAN, Opcode.RANGE_SCAN):
+            raise IndexError_(f"{req.op.value} dispatched to a hash index")
         if req.op is Opcode.INSERT and req.payload_addr is not None:
             # computed key: fetch the field list from its block cell
             req.key = req.key_value
@@ -263,12 +218,10 @@ class HashIndexPipeline(PipelineBase):
             # until the lock-release firing resumes it
             if req.op is Opcode.INSERT:
                 ev = self.locks.acquire_insert(bucket_addr)
-                if ev.triggered:
-                    self._sched(self.engine.now, self._hash_issue, req)
-                else:
+                if ev is not None:
                     ev.callbacks.append(lambda _ev: self._hash_issue(req))
-                return
-            if self.locks.locked(bucket_addr):
+                    return
+            elif self.locks.locked(bucket_addr):
                 self.locks.wait_clear(bucket_addr).callbacks.append(
                     lambda _ev: self._hash_issue(req))
                 return
@@ -350,7 +303,9 @@ class HashIndexPipeline(PipelineBase):
             self._finish_match(req, addr, record)
             self._next(stage)
         else:
-            self._serve(self._hop_ns, self._body[stage], (req, record))
+            # next hop of the chain: the stage keeps its item
+            self._sched(self.engine.now + self._delay[stage],
+                        self._body[stage], (req, record))
 
     # -- terminal behaviour ---------------------------------------------------
     @staticmethod

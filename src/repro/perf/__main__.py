@@ -8,17 +8,17 @@ Usage::
     python -m repro.perf --scenario ycsb_smoke # restrict to named scenarios
     python -m repro.perf --out results.json    # alternate output path
     python -m repro.perf --smoke --check BENCH_sim.json
-                                               # fail on >25% regression of any
-                                               # speedup ratio
+                                               # also fail if a fingerprint
+                                               # left the baseline file's
     python -m repro.perf sweep ...             # paper-scale parallel sweep
                                                # (see repro.perf.sweep)
 
-The regression check compares speedup ratios only
-(``speedup_vs_reference``): the compared engines run in the same
-process on the same host, so a ratio is machine-independent even though
-absolute rates are not.  Equivalence failures (any simulated-timing
-divergence between the engines or from the checked-in golden constants)
-always fail the run.
+A divergence of any simulated observable from the checked-in golden
+constants — or an event count above its ceiling — always fails the run.
+``--check`` additionally holds the run to the fingerprints recorded in
+a baseline file, i.e. it fails when ``BENCH_sim.json`` and the tree
+have drifted apart.  Rates are absolute, machine-dependent and gate
+nothing.
 """
 
 from __future__ import annotations
@@ -28,45 +28,28 @@ import json
 import sys
 from typing import Dict
 
-from .equivalence import SCENARIOS, equivalence_failures, run_equivalence
+from .equivalence import (
+    SCENARIOS, agrees, equivalence_failures, run_equivalence,
+)
 from .microbench import run_microbenchmarks
 from .simspeed import run_simspeed
 from .sweep import host_metadata, sweep_main
 
-#: a ratio may degrade to this fraction of its baseline before CI fails
-REGRESSION_FLOOR = 0.75
-
-SCHEMA = "repro.perf/v2"
-
-#: ratio fields covered by the regression gate
-_RATIO_KEYS = ("speedup_vs_reference",)
-
-
-def _collect_speedups(results: Dict) -> Dict[str, float]:
-    out = {}
-    for section in ("microbench", "simspeed"):
-        for name, entry in results.get(section, {}).items():
-            for key in _RATIO_KEYS:
-                ratio = entry.get(key)
-                if ratio is not None:
-                    out[f"{section}.{name}.{key}"] = ratio
-    return out
+SCHEMA = "repro.perf/v3"
 
 
 def check_regressions(results: Dict, baseline: Dict) -> list:
-    """Compare speedup ratios against a baseline file's; list failures."""
+    """Hold the run's fingerprints to a baseline file's: observables
+    equal, ``events_fired`` no higher.  Returns the failures."""
     failures = []
-    current = _collect_speedups(results)
-    reference = _collect_speedups(baseline)
-    for key, base_ratio in reference.items():
-        now_ratio = current.get(key)
-        if now_ratio is None:
-            failures.append(f"{key}: present in baseline but not measured")
-            continue
-        if now_ratio < base_ratio * REGRESSION_FLOOR:
-            failures.append(
-                f"{key}: speedup ratio {now_ratio:.2f} regressed "
-                f">25% from baseline {base_ratio:.2f}")
+    current = results.get("equivalence", {})
+    for name, entry in baseline.get("equivalence", {}).items():
+        got = current.get(name)
+        if got is None:
+            failures.append(f"{name}: present in baseline but not measured")
+        elif not agrees(got["fast"], entry["fast"]):
+            failures.append(f"{name}: fingerprint left the baseline — "
+                            f"got={got['fast']} baseline={entry['fast']}")
     return failures
 
 
@@ -78,14 +61,15 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="simulator host-performance bench + cycle-equivalence "
+        description="simulator host-performance bench + equivalence check "
                     "(use the 'sweep' subcommand for paper-scale points)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized run (smaller scenarios, same checks)")
     parser.add_argument("--out", default="BENCH_sim.json",
                         help="output path (default: BENCH_sim.json)")
     parser.add_argument("--check", metavar="BASELINE",
-                        help="baseline BENCH_sim.json to regress against")
+                        help="baseline BENCH_sim.json whose fingerprints the "
+                             "run must agree with")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per bench (best-of, default 3)")
     parser.add_argument("--scenario", action="append", default=None,
@@ -108,7 +92,7 @@ def main(argv=None) -> int:
             parser.error(f"unknown scenario(s) {unknown}; "
                          f"choose from {list(SCENARIOS)}")
 
-    print("repro.perf: cycle-equivalence ...", flush=True)
+    print("repro.perf: equivalence ...", flush=True)
     equivalence = run_equivalence(scale=1, scenarios=scenarios)
     eq_failures = equivalence_failures(equivalence)
 
@@ -127,7 +111,11 @@ def main(argv=None) -> int:
         "microbench": micro,
         "simspeed": speed,
     }
+    baseline = None
     if args.check:
+        # read before writing: --out may name the same file
+        with open(args.check, "r", encoding="utf-8") as fh:
+            baseline = json.load(fh)
         # keep an existing sweep section when overwriting the baseline
         try:
             with open(args.out, "r", encoding="utf-8") as fh:
@@ -143,36 +131,32 @@ def main(argv=None) -> int:
     print(f"repro.perf: wrote {args.out}")
 
     for name, entry in micro.items():
-        print(f"  micro {name:<18s} {entry['rate_per_sec']:>12,.0f}/s   "
-              f"speedup vs reference {entry['speedup_vs_reference']:.2f}x")
+        print(f"  micro {name:<18s} {entry['rate_per_sec']:>12,.0f}/s")
     for name, entry in speed.items():
         extra = (f"{entry['sim_ns_per_host_sec']:,.0f} sim-ns/host-s"
                  if "sim_ns_per_host_sec" in entry else
                  f"{entry['host_seconds']*1e3:.1f} ms")
-        print(f"  speed {name:<18s} {extra:>24s}   "
-              f"speedup vs reference {entry['speedup_vs_reference']:.2f}x")
+        print(f"  speed {name:<18s} {extra:>24s}")
 
     failed = False
     if eq_failures:
         failed = True
-        print("repro.perf: CYCLE-EQUIVALENCE FAILURES:", file=sys.stderr)
+        print("repro.perf: EQUIVALENCE FAILURES:", file=sys.stderr)
         for failure in eq_failures:
             print(f"  {failure}", file=sys.stderr)
     else:
-        print("repro.perf: cycle-equivalence OK "
-              "(fast == reference == golden)")
+        print("repro.perf: equivalence OK (observables == golden, "
+              "events_fired <= ceiling)")
 
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
+    if baseline is not None:
         reg_failures = check_regressions(results, baseline)
         if reg_failures:
             failed = True
-            print("repro.perf: PERFORMANCE REGRESSIONS:", file=sys.stderr)
+            print("repro.perf: BASELINE MISMATCH:", file=sys.stderr)
             for failure in reg_failures:
                 print(f"  {failure}", file=sys.stderr)
         else:
-            print(f"repro.perf: no regression vs {args.check}")
+            print(f"repro.perf: fingerprints agree with {args.check}")
 
     return 1 if failed else 0
 

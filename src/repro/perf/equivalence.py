@@ -1,18 +1,20 @@
-"""Cycle-equivalence: the hot-path overhaul must not move a single event.
+"""Equivalence: a change to the simulator's host cost must not move what
+it simulates.
 
-The contract of the :mod:`repro.sim.engine` rewrite is that it changes
-*host* cost only — every simulated quantity is bit-identical to the
-pre-overhaul engine.  This module proves it two ways:
+What is pinned is the set of *simulated observables* of a seeded
+scenario — ``Engine.now`` at the end, commit and abort counts, and a
+hash over every per-transaction completion timestamp
+(:data:`OBSERVABLES`).  The values checked in below
+(:data:`GOLDEN_SMOKE`) were captured on the heap-only event loop the
+first perf PR replaced and have not been edited since, so equivalence
+is anchored to history rather than to whatever the tree computes today.
 
-* **Live comparison** — replay a seeded scenario on the production
-  :class:`~repro.sim.engine.Engine` and on the preserved
-  :class:`~repro.perf.refengine.ReferenceEngine` and require identical
-  ``events_fired``, ``Engine.now``, commit/abort counts and a hash over
-  every per-transaction commit timestamp.
-* **Golden constants** — the same fingerprints captured from the
-  pre-overhaul engine are checked in below (:data:`GOLDEN_SMOKE`), so
-  equivalence is anchored to history, not merely to whatever the
-  reference copy happens to compute today.
+``events_fired`` is *not* an observable: it counts host work items, and
+two event graphs that compute the same simulation may differ in how
+many firings they need (docs/performance.md measures that they do).  It
+is kept next to the observables as a **ceiling** — a run may fire fewer
+events than the captured count, never more — so same-instant hops that
+do no simulated work cannot creep back in unnoticed.
 
 The softcore once had two executors, an instruction interpreter and
 the generated code of :mod:`repro.softcore.compiled`.  The goldens were
@@ -27,31 +29,34 @@ Scenarios are deterministic: fixed seeds, no wall-clock reads.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core import BionicConfig, BionicDB
 from ..mem.schema import IndexKind
 from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .refengine import ReferenceEngine
 
-__all__ = ["GOLDEN_SMOKE", "GOLDEN_INTERPRETER", "SCENARIOS", "SETUPS",
+
+__all__ = ["GOLDEN_SMOKE", "GOLDEN_INTERPRETER", "OBSERVABLES", "SCENARIOS",
+           "SETUPS", "agrees",
            "ycsb_setup", "ycsb_scenario", "tpcc_setup", "tpcc_scenario",
            "bptree_setup", "bptree_scenario",
            "run_equivalence", "equivalence_failures"]
 
-#: fingerprints of the smoke scenarios captured on the pre-overhaul
-#: engine (the heap-only event loop the perf PR replaced), before any
-#: fast path landed — the anchor the live engines are compared against.
-#: bptree_range_smoke was captured later (when the scenario was added)
-#: on the fast engine/ReferenceEngine pair, which the other two anchors
-#: prove equivalent to the pre-overhaul engine.  The simulated
-#: observables (now_ns, commits, aborts, commit_hash) are those original
-#: captures; events_fired counts host work items and was re-captured for
-#: the callback hash pipeline, which schedules fewer of them.
+#: the fingerprint keys that must equal their golden values
+OBSERVABLES: Tuple[str, ...] = ("now_ns", "committed", "aborted",
+                                "commit_hash")
+
+#: fingerprints of the smoke scenarios.  The observables were captured
+#: on the pre-overhaul engine (the heap-only event loop the perf PR
+#: replaced), before any fast path landed; bptree_range_smoke was
+#: captured when the scenario was added, on an engine the other two
+#: anchors prove equivalent.  ``events_fired`` is the ceiling: the
+#: count the current event graph needs, re-captured whenever a change
+#: lowers it.
 GOLDEN_SMOKE = {
     "ycsb_smoke": {
-        "events_fired": 15384,
+        "events_fired": 8981,
         "now_ns": 187368.0,
         "committed": 57,
         "aborted": 3,
@@ -59,7 +64,7 @@ GOLDEN_SMOKE = {
             "e7bc04fef889d3e929575dd860443e08a9e965b7e645238f5709320a1025fc35",
     },
     "tpcc_smoke": {
-        "events_fired": 33611,
+        "events_fired": 19855,
         "now_ns": 530656.0,
         "committed": 24,
         "aborted": 63,
@@ -67,7 +72,7 @@ GOLDEN_SMOKE = {
             "bc978ca2d2c04e903222919cead95159309d178c46a89346555774f06f3118b9",
     },
     "bptree_range_smoke": {
-        "events_fired": 6019,
+        "events_fired": 4292,
         "now_ns": 423312.0,
         "committed": 32,
         "aborted": 0,
@@ -77,14 +82,15 @@ GOLDEN_SMOKE = {
 }
 
 #: ``ycsb_smoke`` as the deleted instruction interpreter ran it (commit
-#: 49ab16e): ``dynamic`` is the five-key fingerprint under
-#: ``SoftcoreConfig(dynamic_scheduling=True)``; ``trace_sha256`` is the
+#: 49ab16e): ``dynamic`` is the fingerprint under
+#: ``SoftcoreConfig(dynamic_scheduling=True)`` (``events_fired`` a
+#: ceiling, as in :data:`GOLDEN_SMOKE`); ``trace_sha256`` is the
 #: SHA-256 of ``Tracer(categories={"softcore", "txn"}).format()`` over
 #: the default-config run (1 648 lines, 3 of them ABORTs), whose own
 #: fingerprint is ``GOLDEN_SMOKE["ycsb_smoke"]``.
 GOLDEN_INTERPRETER = {
     "dynamic": {
-        "events_fired": 15384,
+        "events_fired": 8981,
         "now_ns": 187448.0,
         "committed": 57,
         "aborted": 3,
@@ -112,8 +118,14 @@ def _fingerprint(db: BionicDB, report, blocks) -> Dict[str, object]:
     }
 
 
-def ycsb_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
-               softcore: Optional[SoftcoreConfig] = None, tracer=None):
+def agrees(got: Dict[str, object], golden: Dict[str, object]) -> bool:
+    """Every observable equal, and no more firings than the ceiling."""
+    return (all(got[key] == golden[key] for key in OBSERVABLES)
+            and got["events_fired"] <= golden["events_fired"])
+
+
+def ycsb_setup(scale: int = 1, softcore: Optional[SoftcoreConfig] = None,
+               tracer=None):
     """Build the YCSB scenario; returns ``(db, run)`` where ``run()``
     executes the seeded transaction mix and returns its fingerprint.
 
@@ -125,8 +137,7 @@ def ycsb_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
     n = 40 * scale
     wl = YcsbWorkload(YcsbConfig(records_per_partition=2000, n_partitions=2,
                                  reads_per_txn=8, seed=7))
-    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory,
-                               tracer=tracer,
+    db = BionicDB(BionicConfig(n_workers=2, tracer=tracer,
                                softcore=softcore or SoftcoreConfig()))
     wl.install(db)
     specs = wl.make_read_txns(n) + wl.make_rmw_txns(n // 2)
@@ -138,21 +149,20 @@ def ycsb_setup(engine_factory: Optional[Callable] = None, scale: int = 1,
     return db, run
 
 
-def ycsb_scenario(engine_factory: Optional[Callable] = None,
-                  scale: int = 1,
+def ycsb_scenario(scale: int = 1,
                   softcore: Optional[SoftcoreConfig] = None,
                   tracer=None) -> Dict[str, object]:
     """Seeded YCSB mix (reads + RMWs) on a 2-worker machine."""
-    _db, run = ycsb_setup(engine_factory, scale, softcore, tracer)
+    _db, run = ycsb_setup(scale, softcore, tracer)
     return run()
 
 
-def tpcc_setup(engine_factory: Optional[Callable] = None, scale: int = 1):
+def tpcc_setup(scale: int = 1):
     """Build the TPC-C scenario; returns ``(db, run)`` (see ycsb_setup)."""
     n = 24 * scale
     wl = TpccWorkload(TpccConfig(n_partitions=2, customers_per_district=40,
                                  items=400, seed=11))
-    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory))
+    db = BionicDB(BionicConfig(n_workers=2))
     wl.install(db)
     specs = wl.make_mix(n)
 
@@ -163,14 +173,13 @@ def tpcc_setup(engine_factory: Optional[Callable] = None, scale: int = 1):
     return db, run
 
 
-def tpcc_scenario(engine_factory: Optional[Callable] = None,
-                  scale: int = 1) -> Dict[str, object]:
+def tpcc_scenario(scale: int = 1) -> Dict[str, object]:
     """Seeded TPC-C NewOrder+Payment mix with retry-to-commit."""
-    _db, run = tpcc_setup(engine_factory, scale)
+    _db, run = tpcc_setup(scale)
     return run()
 
 
-def bptree_setup(engine_factory: Optional[Callable] = None, scale: int = 1):
+def bptree_setup(scale: int = 1):
     """YCSB over a B+ tree index: point reads plus RANGE_SCANs.
 
     Exercises the batched level-wise B+ tree coprocessor and the
@@ -180,7 +189,7 @@ def bptree_setup(engine_factory: Optional[Callable] = None, scale: int = 1):
     wl = YcsbWorkload(YcsbConfig(records_per_partition=1200, n_partitions=2,
                                  reads_per_txn=4, scan_length=24, seed=13,
                                  index_kind=IndexKind.BPTREE))
-    db = BionicDB(BionicConfig(n_workers=2, engine_factory=engine_factory))
+    db = BionicDB(BionicConfig(n_workers=2))
     wl.install(db)
     specs = wl.make_read_txns(n) + wl.make_range_txns(n)
 
@@ -191,10 +200,9 @@ def bptree_setup(engine_factory: Optional[Callable] = None, scale: int = 1):
     return db, run
 
 
-def bptree_scenario(engine_factory: Optional[Callable] = None,
-                    scale: int = 1) -> Dict[str, object]:
+def bptree_scenario(scale: int = 1) -> Dict[str, object]:
     """Seeded B+ tree reads + range scans on a 2-worker machine."""
-    _db, run = bptree_setup(engine_factory, scale)
+    _db, run = bptree_setup(scale)
     return run()
 
 
@@ -215,43 +223,27 @@ SETUPS: Dict[str, Callable] = {
 def run_equivalence(scale: int = 1,
                     scenarios: Optional[Iterable[str]] = None
                     ) -> Dict[str, Dict[str, object]]:
-    """Replay every scenario on both engines and compare fingerprints.
+    """Replay every scenario and compare it with its golden fingerprint.
 
-    Returns, per scenario: the fast-engine and reference-engine
-    fingerprints, whether they match each other,
-    and (at scale 1) whether the fast engine matches the checked-in
-    golden constants.  ``scenarios`` restricts the run to the named
-    subset (unknown names raise ``KeyError``).
+    Returns, per scenario, the fingerprint (``fast``) and — at scale 1,
+    the scale the goldens were captured at — whether it agrees with the
+    checked-in constants (:func:`agrees`).  ``scenarios`` restricts the
+    run to the named subset (unknown names raise ``KeyError``).
     """
     names = list(scenarios) if scenarios is not None else list(SCENARIOS)
     out: Dict[str, Dict[str, object]] = {}
     for name in names:
-        scenario = SCENARIOS[name]
-        fast = scenario(None, scale)
-        ref = scenario(ReferenceEngine, scale)
-        entry: Dict[str, object] = {
-            "fast": fast,
-            "reference": ref,
-            "match": fast == ref,
-        }
-        if scale == 1:
-            golden = GOLDEN_SMOKE.get(name)
-            if golden is not None:
-                entry["golden_match"] = fast == golden
+        entry: Dict[str, object] = {"fast": SCENARIOS[name](scale)}
+        if scale == 1 and name in GOLDEN_SMOKE:
+            entry["golden_match"] = agrees(entry["fast"], GOLDEN_SMOKE[name])
         out[name] = entry
     return out
 
 
 def equivalence_failures(results: Dict[str, Dict[str, object]]) -> List[str]:
     """Human-readable mismatch descriptions; empty list means equivalent."""
-    failures: List[str] = []
-    for name, entry in results.items():
-        if not entry["match"]:
-            failures.append(
-                f"{name}: fast engine diverged from reference engine — "
-                f"fast={entry['fast']} reference={entry['reference']}")
-        if not entry.get("golden_match", True):
-            failures.append(
-                f"{name}: fast engine diverged from checked-in golden "
-                f"values — fast={entry['fast']} golden={GOLDEN_SMOKE[name]}")
-    return failures
+    return [f"{name}: diverged from the checked-in golden values "
+            f"(observables must be equal, events_fired no higher) — "
+            f"got={entry['fast']} golden={GOLDEN_SMOKE[name]}"
+            for name, entry in results.items()
+            if not entry.get("golden_match", True)]

@@ -1,9 +1,7 @@
 """Engine microbenchmarks: host throughput of the simulation primitives.
 
-Three hot paths, each timed on the production engine and on the
-preserved pre-overhaul :class:`~repro.perf.refengine.ReferenceEngine`
-so the reported ``speedup_vs_reference`` is machine-independent (both
-engines run in the same process on the same host):
+Three hot paths, reported as absolute rates (meaningful next to the
+host metadata stamped into the same file, not across machines):
 
 * ``events`` — bare event-loop turnaround: processes yielding numeric
   delays (events fired per host-second).
@@ -20,9 +18,7 @@ Timed regions run with the garbage collector quiesced
 (:func:`quiesced_gc`, the same discipline as :mod:`timeit`): a cyclic
 collection triggered by heap state accumulated *outside* the bench —
 a long pytest session, a prior CLI invocation — would otherwise land
-inside one engine's timing window and not the other's, and at
-``--repeats 1`` a single such pause is enough to flip a
-``speedup_vs_reference`` ratio.
+inside the timing window.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from ..sim.clock import ClockDomain
 from ..sim.memory import DramModel, Heap
 from ..sim.sync import Fifo
 from ..sim.engine import Engine
-from .refengine import ReferenceEngine
 
 __all__ = ["run_microbenchmarks", "quiesced_gc"]
 
@@ -63,8 +58,8 @@ def _best_of(repeats: int, fn: Callable[[], Dict[str, float]]) -> Dict[str, floa
     return best
 
 
-def _bench_events(engine_factory: Callable, n_yields: int) -> Dict[str, float]:
-    eng = engine_factory()
+def _bench_events(n_yields: int) -> Dict[str, float]:
+    eng = Engine()
 
     def ticker(n):
         for _ in range(n):
@@ -80,8 +75,8 @@ def _bench_events(engine_factory: Callable, n_yields: int) -> Dict[str, float]:
             "rate": eng.events_fired / dt}
 
 
-def _bench_port(engine_factory: Callable, n_reads: int) -> Dict[str, float]:
-    eng = engine_factory()
+def _bench_port(n_reads: int) -> Dict[str, float]:
+    eng = Engine()
     clock = ClockDomain(eng, 125.0, name="bench")
     heap = Heap()
     dram = DramModel(eng, clock, heap)
@@ -101,8 +96,8 @@ def _bench_port(engine_factory: Callable, n_reads: int) -> Dict[str, float]:
             "rate": n_reads / dt}
 
 
-def _bench_channel(engine_factory: Callable, n_msgs: int) -> Dict[str, float]:
-    eng = engine_factory()
+def _bench_channel(n_msgs: int) -> Dict[str, float]:
+    eng = Engine()
     fifo = Fifo(eng, capacity=16, name="bench")
 
     def producer(n):
@@ -125,7 +120,7 @@ def _bench_channel(engine_factory: Callable, n_msgs: int) -> Dict[str, float]:
 
 def run_microbenchmarks(smoke: bool = False,
                         repeats: int = 3) -> Dict[str, Dict[str, object]]:
-    """Time each primitive on both engines; report rates and speedups."""
+    """Time each primitive; report its rate and firing count."""
     sizes = {
         "events": 50_000 if smoke else 200_000,
         "port_roundtrips": 5_000 if smoke else 20_000,
@@ -139,18 +134,10 @@ def run_microbenchmarks(smoke: bool = False,
     out: Dict[str, Dict[str, object]] = {}
     for name, bench in benches.items():
         n = sizes[name]
-        fast = _best_of(repeats, lambda: bench(Engine, n))
-        ref = _best_of(repeats, lambda: bench(ReferenceEngine, n))
-        if fast["events"] != ref["events"] and name == "events":
-            # the ticker is pure engine; any event-count drift is a bug
-            raise RuntimeError(
-                f"microbench {name}: events_fired diverged "
-                f"(fast={fast['events']} reference={ref['events']})")
+        best = _best_of(repeats, lambda: bench(n))
         out[name] = {
             "n": n,
-            "rate_per_sec": fast["rate"],
-            "reference_rate_per_sec": ref["rate"],
-            "speedup_vs_reference": fast["rate"] / ref["rate"],
-            "events_fired": fast["events"],
+            "rate_per_sec": best["rate"],
+            "events_fired": best["events"],
         }
     return out

@@ -15,10 +15,9 @@ Hot-path layout
 ---------------
 The engine executes tens of thousands of host operations per simulated
 microsecond, so the scheduling core is written for throughput while
-keeping the *simulated* timing bit-identical to the straightforward
-heap-of-events implementation it replaced
-(:mod:`repro.perf.refengine` keeps that implementation alive as the
-cycle-equivalence oracle):
+firing work in exactly the ``(when, seq)`` order a single
+sequence-numbered heap would (``tests/test_properties_sync.py`` holds
+it to that order on random schedules):
 
 * Work items are ``(when, seq, fn, arg)`` tuples; firing one is a
   single call ``fn(arg)``.  Full :class:`Event` objects only exist
@@ -31,8 +30,9 @@ cycle-equivalence oracle):
   of round-tripping through the heap.  Heap entries carrying the same
   timestamp always predate (in sequence order) anything on the deque —
   they were pushed before the clock reached that instant, and same-time
-  scheduling never touches the heap — so the run loop's merge preserves
-  the exact global FIFO order the sequence-numbered heap produced.
+  scheduling never touches the heap — so an instant is "every heap
+  entry stamped T in sequence order, then the deque until it is empty",
+  which is how :meth:`Engine.run` walks it.
 * Value-less :class:`Timeout` objects are pooled: once fired, a bare
   timeout is inert (its value is ``None`` forever), so the engine
   recycles it for the next ``timeout()`` call.  Hold on to a fired
@@ -129,6 +129,16 @@ class Event:
         self._value = value
         self.engine._dispatch(self)
         return self
+
+    def succeed_now(self, value: Any = None) -> None:
+        """Trigger and run the callbacks inside the caller's own firing
+        instead of queueing a dispatch — for a caller that *is* the
+        work item delivering the value (a memory completion)."""
+        if self.triggered:
+            raise SimulationError("event already triggered")
+        self._value = value
+        self._scheduled = True
+        self.engine._fire(self)
 
     def fail(self, exc: BaseException) -> "Event":
         if self.triggered:
@@ -388,8 +398,7 @@ class Engine:
     ready-deque holds items due at the *current* time in FIFO (sequence)
     order; heap entries stamped with the current time always carry lower
     sequence numbers than anything on the deque (see module docstring),
-    so the merge in :meth:`run` reproduces the heap-only firing order
-    exactly.
+    so :meth:`run` reproduces the heap-only firing order exactly.
     """
 
     def __init__(self) -> None:
@@ -481,14 +490,39 @@ class Engine:
         heap = self._heap
         ready = self._ready
         heappop = heapq.heappop
-        unbounded = until is None
-        unwatched = max_events is None
         # events_fired is kept in a local inside the loop (one attribute
         # store per firing is measurable at paper scale); callbacks never
         # read it mid-run — the only consumer, _maybe_crash, gets a
         # synced value, and the finally republishes it on every exit.
         base = self.events_fired
         try:
+            if (until is None and max_events is None
+                    and self.crash_at_fired is None):
+                # Run to idle with nothing to watch for but halt(): an
+                # instant is every heap entry stamped T in sequence
+                # order, then the deque until it is empty (nothing ever
+                # pushes a heap entry stamped ``now``).  A crash point
+                # must be armed before run(), not from a callback.
+                popleft = ready.popleft
+                now = self.now
+                while True:
+                    while heap and heap[0][0] <= now:
+                        _when, _seq, fn, arg = heappop(heap)
+                        fired += 1
+                        fn(arg)
+                        if self._halted:
+                            return now
+                    while ready:
+                        _seq, fn, arg = popleft()
+                        fired += 1
+                        fn(arg)
+                        if self._halted:
+                            return now
+                    if not heap:
+                        return now
+                    now = self.now = heap[0][0]
+            unbounded = until is None
+            unwatched = max_events is None
             while not self._halted:
                 if ready:
                     # Same-time heap entries (lower seq) fire before the deque.

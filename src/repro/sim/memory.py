@@ -155,6 +155,10 @@ class DramModel:
         self.engine = engine
         self.clock = clock
         self.heap = heap
+        if latency_cycles <= 0:
+            # ports push completions straight onto the engine's heap,
+            # which must never receive an item stamped ``now``
+            raise ValueError("latency_cycles must be > 0")
         self.latency_ns = clock.ns(latency_cycles)
         self.channels = channels
         self.channel_interval_ns = clock.ns(channel_issue_interval_cycles)
@@ -208,15 +212,10 @@ class MemoryPort:
         self._next_issue = 0.0
         self._pending: Deque[_Request] = deque()
         self.issued = 0
-        # bound once: the closure-free completion path hands these to
-        # Engine.call_fn_at instead of allocating a lambda per request
+        # bound once: completions and deferred launches are pushed as
+        # closure-free (when, seq, fn, arg) work items
         self._launch_cb = self._launch
         self._complete_cb = self._complete
-        # the stock engine's work-item layout is known, so the hot path
-        # pushes (when, seq, fn, arg) items directly; any other
-        # Engine-shaped loop (e.g. the perf ReferenceEngine) goes
-        # through its _schedule_fn
-        self._stock_engine = type(self.engine) is Engine
 
     # -- public operations -------------------------------------------------
     def read(self, addr: int) -> Event:
@@ -238,9 +237,8 @@ class MemoryPort:
     def read_cb(self, addr: int, fn: Callable, arg: Any) -> None:
         """Read with a closure-free completion callback.
 
-        ``fn((arg, value))`` is scheduled at the exact ready-deque
-        position the event dispatch of :meth:`read` would occupy, so
-        timing (and same-instant firing order) is identical — the only
+        ``fn((arg, value))`` is called inside the completion firing, at
+        the instant the event of :meth:`read` would fire — the only
         difference is that no :class:`Event` is allocated.  This is the
         completion path of the hash index pipeline.
         """
@@ -273,50 +271,13 @@ class MemoryPort:
         if self._outstanding >= self.max_outstanding:
             self._pending.append(req)
             return
-        # fused issue + launch fast path: an idle port whose issue slot
-        # is free arbitrates the channel and schedules completion in one
-        # step (identical work items to _issue/_launch, no call chain)
         self._outstanding += 1
         self.issued += 1
         engine = self.engine
         now = engine.now
         nxt = self._next_issue
         if nxt <= now:
-            self._next_issue = now + self.issue_interval_ns
-            dram = self.dram
-            ch = req.addr % dram.channels
-            free = dram._channel_free[ch]
-            t_issue = free if free > now else now
-            dram._channel_free[ch] = t_issue + dram.channel_interval_ns
-            if req.kind == "read":
-                dram._reads.value += 1
-            else:
-                dram._writes.value += 1
-            if self._stock_engine:
-                seq = engine._seq = engine._seq + 1
-                heappush(engine._heap, (t_issue + dram.latency_ns, seq,
-                                        self._complete_cb, req))
-            else:
-                engine._schedule_fn(t_issue + dram.latency_ns,
-                                    self._complete_cb, req)
-        else:
-            # wait for the port's issue slot, then arbitrate the channel
-            # *at that instant* — reserving channel slots early would let
-            # one backlogged port starve other requesters of idle slots.
-            self._next_issue = nxt + self.issue_interval_ns
-            if self._stock_engine:
-                seq = engine._seq = engine._seq + 1
-                heappush(engine._heap, (nxt, seq, self._launch_cb, req))
-            else:
-                engine._schedule_fn(nxt, self._launch_cb, req)
-
-    def _issue(self, req: _Request) -> None:
-        self._outstanding += 1
-        self.issued += 1
-        now = self.engine.now
-        nxt = self._next_issue
-        if nxt <= now:
-            # idle-port fast-forward: the issue slot is free right now
+            # the issue slot is free right now
             self._next_issue = now + self.issue_interval_ns
             self._launch(req)
         else:
@@ -324,15 +285,15 @@ class MemoryPort:
             # *at that instant* — reserving channel slots early would let
             # one backlogged port starve other requesters of idle slots.
             self._next_issue = nxt + self.issue_interval_ns
-            # nxt > now here, so skip call_fn_at's past-check
-            self.engine._schedule_fn(nxt, self._launch_cb, req)
+            seq = engine._seq = engine._seq + 1
+            heappush(engine._heap, (nxt, seq, self._launch_cb, req))
 
     def _launch(self, req: _Request) -> None:
         dram = self.dram
         engine = self.engine
         now = engine.now
-        # channel arbitration with an analytic fast-forward: an idle
-        # channel issues at `now` without the max() round-trip
+        # channel arbitration: same-instant requests to one channel are
+        # served in the order their launches fire
         ch = req.addr % dram.channels
         free = dram._channel_free[ch]
         t_issue = free if free > now else now
@@ -341,15 +302,11 @@ class MemoryPort:
             dram._reads.value += 1
         else:
             dram._writes.value += 1
-        # t_issue >= now and latency > 0, so the completion always lands
-        # on the heap — the same work item _schedule_fn would push
-        if self._stock_engine:
-            seq = engine._seq = engine._seq + 1
-            heappush(engine._heap, (t_issue + dram.latency_ns, seq,
-                                    self._complete_cb, req))
-        else:
-            engine._schedule_fn(t_issue + dram.latency_ns,
-                                self._complete_cb, req)
+        # latency > 0, so the completion is never stamped ``now`` and
+        # goes straight onto the heap
+        seq = engine._seq = engine._seq + 1
+        heappush(engine._heap, (t_issue + dram.latency_ns, seq,
+                                self._complete_cb, req))
 
     def _complete(self, req: _Request) -> None:
         heap = self.dram.heap
@@ -363,18 +320,13 @@ class MemoryPort:
             value = None
         self._outstanding -= 1
         if self._pending:
-            self._issue(self._pending.popleft())
-        event = req.event
-        if event is not None:
-            event.succeed(value)
-        elif req.cb is not None:
-            # same ready-deque slot the succeed() dispatch would take
-            engine = self.engine
-            if self._stock_engine:
-                seq = engine._seq = engine._seq + 1
-                engine._ready.append((seq, req.cb, (req.cb_arg, value)))
-            else:
-                engine._schedule_fn(engine.now, req.cb, (req.cb_arg, value))
+            self._submit(self._pending.popleft())
+        # hand the value over inside this firing: the completion *is*
+        # the delivery, no relay item on the ready-deque
+        if req.cb is not None:
+            req.cb((req.cb_arg, value))
+        elif req.event is not None:
+            req.event.succeed_now(value)
 
 
 class Bram:

@@ -37,8 +37,8 @@ generated code rather than being tested at run time; they are part of
 
 * ``tracer.enabled`` — every instruction additionally emits its
   ``softcore`` trace line (``txn`` COMMIT/ABORT lines come from the
-  protocols themselves), so a traced run executes the same units, in
-  the same firings, as an untraced one;
+  protocols themselves), so a traced run executes the same units as an
+  untraced one;
 * dynamic scheduling — a ``RET`` in transaction logic opens a unit of
   its own; when its CP register is still pending it records that unit
   in ``ctx.resume_unit`` and leaves the section, and the scheduler
@@ -48,16 +48,25 @@ generated code rather than being tested at run time; they are part of
 
 Equivalence contract
 --------------------
-Every ``yield`` (cycle charges, DRAM reads, CP-register waits,
-commit-protocol applies) appears at a fixed place with a fixed value,
-and every side effect executes inline within the same engine work item;
-``yield from`` delegation adds none.  This is load-bearing: simulated
-DRAM channels are shared, two requests issued at the same nanosecond
-are ordered by engine scheduling order, and that depends on when each
-actor's wake-up was scheduled — so coalescing charges would shift
-commit timestamps.  The fingerprints in :mod:`repro.perf.equivalence`
-(static, dynamic scheduling and trace digest, the latter two captured
-from the instruction interpreter this module replaced) pin it.
+What the generated code must reproduce is what the procedure *does in
+simulated time*: every cycle charge, DRAM read, CP-register wait and
+commit-protocol apply happens at the simulated instant it always did,
+and every side effect executes at its instruction's place in program
+order.  The observables in :mod:`repro.perf.equivalence` (static,
+dynamic scheduling and trace digest, the latter two captured from the
+instruction interpreter this module replaced) pin that.
+
+How many engine work items it takes is not part of the contract.  An
+earlier version of this docstring argued that it had to be — shared
+DRAM channels serve same-instant requests in engine firing order, so
+coalescing two waits would shift commit timestamps — and that was
+measured to be false for the coalescings made here: Prepare and
+Dispatch are one ``yield`` (the softcore only reads its own registers
+and working set between them), and a ``RET`` whose CP register is
+already valid reads it without waiting, with every pinned observable
+unchanged (docs/performance.md).  A boundary at which the softcore
+issues something other actors can see (a DRAM request, a dispatch, a
+trace line's timestamp) must stay its own ``yield``.
 
 Malformed programs that bypassed the static verifier fail where they
 are reached, not at compile time: ``COMMIT`` in transaction logic, a
@@ -376,15 +385,23 @@ class _SectionCompiler:
     def _emit_ret(self, inst: Instruction, unit: int) -> None:
         d = inst.dst.n
         self.body(f"yield {self.c_ret!r}")
+        self.body(f"_s = sc.cp._slot(cpb + {inst.cp.n})")
         if self.ret_yields:
             # dynamic scheduling: hand the softcore to another
             # transaction instead of stalling; re-entry starts this unit
             # over, so the RET executes (and is charged) again
-            self.body(f"if not sc.cp.is_valid(cpb + {inst.cp.n}):")
+            self.body("if not _s.valid:")
             self.body(f"    ctx.blocked_on = cpb + {inst.cp.n}")
             self.body(f"    ctx.resume_unit = {unit}")
             self.body(f"    return {EXIT}")
-        self.body(f"_op, _res = yield sc.cp.wait_valid(cpb + {inst.cp.n})")
+            self.body("_op, _res = _s.op, _s.result")
+        else:
+            # a result that is already there is read, not waited for
+            self.body("if _s.valid:")
+            self.body("    _op, _res = _s.op, _s.result")
+            self.body("else:")
+            self.body("    _op, _res = yield sc.cp.wait_valid("
+                      f"cpb + {inst.cp.n})")
         if inst.opcode is Opcode.RETN:
             # null-tolerant collect: absence is data, not an error
             self.body("if _res.code is NF:")
@@ -402,8 +419,11 @@ class _SectionCompiler:
 
     def _emit_db(self, inst: Instruction) -> None:
         op = inst.opcode
-        # Prepare: collect metadata (index type, timestamp, destination)
-        self.body(f"yield {self.c_prep!r}")
+        # Prepare (collect metadata: index type, timestamp, destination)
+        # and Dispatch (asynchronous hand-off to the coprocessor or the
+        # channels) are charged as one wait: between them the softcore
+        # only reads its own registers and working set
+        self.body(f"yield {self.c_prep + self.c_disp!r}")
         try:
             self.sc.catalogue.schemas.table(inst.table)
         except SchemaError:
@@ -430,8 +450,6 @@ class _SectionCompiler:
         else:
             raise ExecutionError(f"bad key operand {key!r}")
         self.body(f"_dst = sc.route({inst.table}, _rk)")
-        # Dispatch: asynchronous hand-off to the coprocessor / channels
-        self.body(f"yield {self.c_disp!r}")
         if op is Opcode.INSERT and isinstance(inst.b, BlockRef):
             request += f", payload_addr=dbase + {self._offexpr(inst.b)}"
         if op in (Opcode.SCAN, Opcode.RANGE_SCAN):

@@ -147,7 +147,7 @@ class Softcore:
     # -- client interface --------------------------------------------------
     def submit(self, block: TransactionBlock) -> None:
         block.header.status = TxnStatus.PENDING
-        self.input_queue.put(block)
+        self.input_queue.try_put(block)
 
     # -- result delivery (local coprocessor or remote response path) --------
     def deliver(self, cp_global: int, result: DbResult) -> None:
@@ -179,7 +179,8 @@ class Softcore:
             # ---- phase 2: commit/abort handlers in serial order -------------
             for ctx in batch:
                 yield self.clock.delay(cfg.context_switch_cycles)
-                yield ctx.wait_drained(self.engine)
+                if ctx.outstanding:
+                    yield ctx.wait_drained(self.engine)
                 if not ctx.failed:
                     yield from self._exec(ctx, Section.COMMIT)
                 if ctx.failed:
@@ -283,7 +284,7 @@ class Softcore:
                 cp_idx, ctx.blocked_on = ctx.blocked_on, None
                 blocked += 1
                 ev = self.cp.wait_valid(cp_idx)
-                ev.callbacks.append(lambda _e, c=ctx: wake.put(c))
+                ev.callbacks.append(lambda _e, c=ctx: wake.try_put(c))
             elif self._pending_block is None:
                 ok, nxt = self.input_queue.try_get()
                 if ok:

@@ -524,8 +524,9 @@ class TestIsaRangeScan:
         s = req(Opcode.RANGE_SCAN, key=0)
         s.scan_hi = 10
         s.scan_count = 10
+        pipe.submit(s)
         with pytest.raises(IndexError_):
-            pipe._enter(s)
+            env.run()
 
 
 class TestSystemIntegration:

@@ -2,10 +2,10 @@
 and the paper-scale sweep runner.
 
 The executor's contract (see ``repro.softcore.compiled``) is enforced
-here at unit-suite speed: fingerprints bit-identical to values captured
-from the instruction interpreter it replaced — static on every index
-kind, under dynamic scheduling, and as a trace digest — one compilation
-per catalogue, and malformed programs failing where the interpreter
+here at unit-suite speed: simulated observables equal to values captured
+from the instruction interpreter it replaced (event counts no higher) —
+static on every index kind, under dynamic scheduling, and as a trace
+digest — one compilation per catalogue, and malformed programs failing where the interpreter
 failed; and a bulk-load fast path whose heap image is cell-for-cell
 identical to per-row loading.
 """
@@ -23,8 +23,10 @@ from repro.mem.schema import IndexKind, SchemaError, TableSchema
 from repro.perf import (
     GOLDEN_INTERPRETER,
     GOLDEN_SMOKE,
+    OBSERVABLES,
     POINTS,
     SCENARIOS,
+    agrees,
     run_point,
     run_sweep,
     ycsb_scenario,
@@ -44,7 +46,7 @@ from repro.workloads.ycsb import PROC_READ_BASE, YCSB_TABLE
 
 def test_dynamic_scheduling_matches_the_interpreter():
     got = ycsb_scenario(softcore=SoftcoreConfig(dynamic_scheduling=True))
-    assert got == GOLDEN_INTERPRETER["dynamic"]
+    assert agrees(got, GOLDEN_INTERPRETER["dynamic"]), got
 
 
 def test_traced_run_matches_the_interpreter_line_for_line():
@@ -53,21 +55,32 @@ def test_traced_run_matches_the_interpreter_line_for_line():
     assert not tracer.dropped
     digest = hashlib.sha256(tracer.format().encode()).hexdigest()
     assert digest == GOLDEN_INTERPRETER["trace_sha256"]
-    # observing the run changes neither its timing nor its event count
-    assert traced == GOLDEN_SMOKE["ycsb_smoke"]
+    # observing the run changes nothing it simulates
+    assert agrees(traced, GOLDEN_SMOKE["ycsb_smoke"]), traced
+    untraced = ycsb_scenario()
+    assert [traced[key] for key in OBSERVABLES] == [
+        untraced[key] for key in OBSERVABLES]
 
 
-#: _tiny_ycsb() per index kind, captured on the interpreter
+#: _tiny_ycsb() per index kind: (events_fired ceiling, now_ns,
+#: commit_hash).  The hash entry's observables are the interpreter's.
+#: The skiplist and B+ tree entries were re-captured once, when memory
+#: completions began resuming their waiter inside the completion firing
+#: (no relay item): a process woken by a completion now issues its next
+#: read ahead of other work queued for the same instant, which re-breaks
+#: same-instant DRAM channel ties — skiplist now_ns 49408 -> 49480
+#: (+0.15 %), B+ tree now_ns unchanged, two of nine completion times
+#: +8 ns.
 GOLDEN_TINY = {
-    IndexKind.HASH: (674, 13192.0,
+    IndexKind.HASH: (416, 13192.0,
                      "e59bf3befe55ca6a7c449b312c3e063c"
                      "924a916dfb044f053ea0d639046bdc69"),
-    IndexKind.SKIPLIST: (1949, 49408.0,
-                         "02889bd28dbb8739bc1b998cc1cc2770"
-                         "599ec69b26d5679c9f80011b688fe5e3"),
-    IndexKind.BPTREE: (841, 18712.0,
-                       "534d797ac722565fb47ecb8bcaa79df8"
-                       "f57b7d4ba4a5b029895d01705f796ffa"),
+    IndexKind.SKIPLIST: (1328, 49480.0,
+                         "6dce08b5f379555c1d66d3a82b4f7b6e"
+                         "9364b6efe65ea0240ce168398d216d56"),
+    IndexKind.BPTREE: (549, 18712.0,
+                       "d91cdf4122080216e4fd54c22332fd1c"
+                       "91968414ce728f4f4d99b729cdc9fb0a"),
 }
 
 
@@ -86,8 +99,9 @@ def _tiny_ycsb(index_kind=IndexKind.HASH):
 def test_fingerprint_on_every_index_kind(index_kind):
     _db, got = _tiny_ycsb(index_kind)
     events, now_ns, commit_hash = GOLDEN_TINY[index_kind]
-    assert got == {"events_fired": events, "now_ns": now_ns, "committed": 9,
-                   "aborted": 0, "commit_hash": commit_hash}
+    assert agrees(got, {"events_fired": events, "now_ns": now_ns,
+                        "committed": 9, "aborted": 0,
+                        "commit_hash": commit_hash}), got
 
 
 # -- one compilation per catalogue -------------------------------------------
@@ -272,7 +286,7 @@ def test_run_point_is_seeded_by_name_and_fingerprinted(monkeypatch):
     again = run_point("tiny_ycsb")
     other = run_point("tiny_ycsb_b")
     assert first["seed"] == again["seed"] != other["seed"]
-    for key in GOLDEN_SMOKE["ycsb_smoke"]:
+    for key in OBSERVABLES:
         assert first[key] == again[key], key
     assert first["commit_hash"] != other["commit_hash"]
     assert first["host_seconds"] > 0

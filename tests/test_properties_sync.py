@@ -1,5 +1,8 @@
 """Property-based tests for DES primitives and the assembler."""
 
+import heapq
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,76 @@ from repro.sim import Engine, Fifo, TokenPool
 
 relaxed = settings(max_examples=30, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
+
+
+#: a schedule: item i is (parent, delay) — fired ``delay`` after its
+#: parent fires (after t=0 for a root), scheduled from inside the
+#: parent's callback; zero delays make same-instant rescheduling common
+schedules = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(min_value=0)),
+              st.sampled_from([0, 0, 0, 1, 1, 2, 5])),
+    min_size=1, max_size=60,
+).map(lambda items: [(None if parent is None or i == 0 else parent % i, delay)
+                     for i, (parent, delay) in enumerate(items)])
+
+
+def _children(schedule):
+    kids = {i: [] for i in range(len(schedule))}
+    for i, (parent, _delay) in enumerate(schedule):
+        if parent is not None:
+            kids[parent].append(i)
+    return kids
+
+
+def _when_seq_order(schedule):
+    """The oracle: one heap keyed ``(when, seq)``, nothing else."""
+    kids = _children(schedule)
+    heap, seq, fired = [], 0, []
+    for i, (parent, delay) in enumerate(schedule):
+        if parent is None:
+            seq += 1
+            heapq.heappush(heap, (delay, seq, i))
+    while heap:
+        when, _seq, i = heapq.heappop(heap)
+        fired.append((when, i))
+        for kid in kids[i]:
+            seq += 1
+            heapq.heappush(heap, (when + schedule[kid][1], seq, kid))
+    return fired
+
+
+class TestEngineOrderProperties:
+    """``Engine`` fires work in ``(when, seq)`` order whichever of its
+    loops runs — the property the reference engine used to witness."""
+
+    @pytest.mark.parametrize("mode", ["to_idle", "watched", "until_steps",
+                                      "halting"])
+    @given(schedule=schedules, halt_every=st.integers(min_value=1, max_value=7))
+    @relaxed
+    def test_firing_order_is_when_seq_order(self, mode, schedule, halt_every):
+        eng = Engine()
+        kids = _children(schedule)
+        fired = []
+
+        def fire(i):
+            fired.append((eng.now, i))
+            for kid in kids[i]:
+                eng.call_fn_at(eng.now + schedule[kid][1], fire, kid)
+            if mode == "halting" and len(fired) % halt_every == 0:
+                eng.halt()
+
+        for i, (parent, delay) in enumerate(schedule):
+            if parent is None:
+                eng.call_fn_at(delay, fire, i)
+        if mode == "watched":
+            eng.run(max_events=10**9)
+        elif mode == "until_steps":
+            for until in range(0, 400, 3):
+                eng.run(until=until)
+        while not eng.idle:
+            eng.run()
+        assert fired == _when_seq_order(schedule)
+        assert eng.events_fired == len(schedule)
 
 
 class TestFifoProperties:

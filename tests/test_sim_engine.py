@@ -440,3 +440,87 @@ def test_same_time_heap_and_ready_interleave_in_seq_order():
     eng.process(early())
     eng.run()
     assert order == ["first", "heap", "chained"]
+
+
+# -- run(): the run-to-idle loop and the watched loop agree ------------------
+
+def _ticker(eng, log, name, period, n):
+    for _ in range(n):
+        yield period
+        log.append((eng.now, name))
+
+
+def test_run_to_idle_publishes_events_fired():
+    eng = Engine()
+    eng.process(_ticker(eng, [], "a", 1, 10))
+    eng.run()
+    # the kick, ten wake-ups and the process's own completion event
+    assert eng.events_fired == 12
+    assert eng.idle
+
+
+def test_halt_stops_run_after_the_current_firing_and_resumes_in_order():
+    # three heap entries stamped t=5, each queueing same-instant work:
+    # halting inside the first must leave the other two *ahead* of the
+    # deque when the run resumes
+    def scenario(halt):
+        eng = Engine()
+        order = []
+
+        def at_five(tag):
+            order.append(tag)
+            eng.call_fn_at(eng.now, order.append, tag + "-chained")
+            if halt and tag == "h0":
+                eng.halt()
+
+        for i in range(3):
+            eng.call_fn_at(5, at_five, f"h{i}")
+        eng.call_fn_at(6, order.append, "later")
+        eng.run()
+        stopped_at = (eng.now, list(order), eng.events_fired)
+        eng.run()
+        return stopped_at, order
+
+    (now, seen, fired), resumed = scenario(halt=True)
+    assert (now, seen, fired) == (5, ["h0"], 1)
+    _, straight = scenario(halt=False)
+    assert resumed == straight == ["h0", "h1", "h2", "h0-chained",
+                                   "h1-chained", "h2-chained", "later"]
+
+
+def test_run_max_events_is_a_raising_watchdog():
+    eng = Engine()
+    log = []
+    eng.process(_ticker(eng, log, "a", 1, 1000))
+    with pytest.raises(SimulationError, match="watchdog"):
+        eng.run(max_events=25)
+    assert eng.events_fired == 25
+    eng.run()                            # the rest is still queued
+    assert len(log) == 1000
+
+
+def test_crash_at_fired_raises_at_the_exact_count():
+    from repro.errors import SimulatedCrash
+    eng = Engine()
+    log = []
+    eng.process(_ticker(eng, log, "a", 1, 100))
+    eng.crash_at_fired = 40
+    with pytest.raises(SimulatedCrash):
+        eng.run()
+    assert eng.events_fired == 40
+    assert eng.crash_at_fired is None    # a machine crashes once
+    eng.run()
+    assert len(log) == 100
+
+
+def test_watched_and_unwatched_runs_fire_in_the_same_order():
+    def run(**kw):
+        eng = Engine()
+        log = []
+        eng.process(_ticker(eng, log, "a", 2, 30))
+        eng.process(_ticker(eng, log, "b", 3, 20))
+        eng.process(_ticker(eng, log, "c", 6, 10))
+        eng.run(**kw)
+        return log, eng.now, eng.events_fired
+
+    assert run() == run(max_events=10**9) == run(until=60)
