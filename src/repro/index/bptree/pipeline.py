@@ -140,6 +140,8 @@ class _Wave:
 class BPTreePipeline(PipelineBase):
     """One partition's batched level-wise B+ tree coprocessor."""
 
+    trace_category = "bptree"
+
     def __init__(self, engine, clock, dram, name: str,
                  fanout: int = 15,
                  n_stages: int = 4,
@@ -177,6 +179,10 @@ class BPTreePipeline(PipelineBase):
         self.tuple_count = 0
         self.node_fetches = self.stats.counter(f"{name}.node_fetches")
         self.waves_formed = self.stats.counter(f"{name}.waves")
+        # host loader: rows installed, and rows that descended from the
+        # root (the rest appended to the previous row's leaf)
+        self.load_rows = self.stats.counter(f"{name}.load.rows")
+        self.load_descents = self.stats.counter(f"{name}.load.descents")
         if create_default_table:
             # single-table convenience (used heavily by unit tests)
             self.add_table(0)
@@ -589,23 +595,58 @@ class BPTreePipeline(PipelineBase):
 
     def bulk_load(self, key: Any, fields: List[Any], ts: int = 0,
                   table_id: int = 0) -> int:
+        """Install one committed row; returns its record's address."""
+        return self._load_rows(((key, fields),), ts, table_id)[1]
+
+    def bulk_load_many(self, rows, ts: int = 0, table_id: int = 0) -> int:
+        """Bulk-load ``(key, fields)`` pairs in iteration order
+        (timing-free host path); returns the number installed."""
+        return self._load_rows(rows, ts, table_id)[0]
+
+    def _load_rows(self, rows, ts: int, table_id: int) -> Tuple[int, int]:
+        """The one host insert: install ``rows``, return ``(count,
+        address of the last record)``.
+
+        The previous row's ``(path, leaf_addr, leaf)`` is kept while
+        that leaf is the rightmost one (a leaf that splits gains a right
+        sibling, so this also means no split moved the path): a larger
+        key can only belong there, at its end, so the descent and the
+        duplicate check are skipped.  Any other key descends from the
+        root.  Allocations and splits happen in per-row order, so the
+        heap image does not depend on how rows are batched.
+        """
         heap = self._dram.heap
         state = self._table_state(table_id)
-        path, leaf_addr, leaf = self._host_find_leaf(state, key)
-        i = bisect_left(leaf.keys, key)
-        if i < len(leaf.keys) and leaf.keys[i] == key:
-            record = heap.load(leaf.children[i])
-            if record is not None and not (record.tombstone
-                                           and not record.dirty):
-                raise ValueError(f"duplicate key in bulk load: {key!r}")
-            leaf.keys.pop(i)
-            leaf.children.pop(i)
-        addr = heap.alloc()
-        heap.store(addr, TupleRecord(key=key, fields=list(fields), addr=addr,
-                                     read_ts=ts, write_ts=ts, dirty=False))
-        self._apply_insert(state, path, leaf_addr, leaf, key, addr)
-        self.tuple_count += 1
-        return addr
+        leaf = None
+        addr = NULL_ADDR
+        n = descents = 0
+        try:
+            for key, fields in rows:
+                if leaf is None or not (leaf.keys[-1] < key):
+                    path, leaf_addr, leaf = self._host_find_leaf(state, key)
+                    descents += 1
+                    i = bisect_left(leaf.keys, key)
+                    if i < len(leaf.keys) and leaf.keys[i] == key:
+                        record = heap.load(leaf.children[i])
+                        if record is not None and not (record.tombstone
+                                                       and not record.dirty):
+                            raise ValueError(
+                                f"duplicate key in bulk load: {key!r}")
+                        leaf.keys.pop(i)
+                        leaf.children.pop(i)
+                addr = heap.alloc()
+                heap.store(addr, TupleRecord(key=key, fields=list(fields),
+                                             addr=addr, read_ts=ts,
+                                             write_ts=ts, dirty=False))
+                self._apply_insert(state, path, leaf_addr, leaf, key, addr)
+                if leaf.next_leaf:
+                    leaf = None     # it split, or never was the rightmost
+                n += 1
+        finally:
+            self.tuple_count += n
+            self.load_rows.add(n)
+            self.load_descents.add(descents)
+        return n, addr
 
     def lookup_direct(self, key: Any, table_id: int = 0) \
             -> Optional[TupleRecord]:

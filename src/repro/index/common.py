@@ -172,9 +172,9 @@ class DbRequest:
 class PipelineBase:
     """Common scaffolding: admission under the in-flight cap, ports.
 
-    Subclasses build their stage graph in ``_build()``, take an admitted
-    request in ``_enter(req)`` and must call ``self._done(req, result)``
-    from terminal stages.
+    Subclasses set ``trace_category``, build their stage graph in
+    ``_build()``, take an admitted request in ``_enter(req)`` and must
+    call ``self._done(req, result)`` from terminal stages.
 
     Admission costs no work item: a request submitted while a token is
     free and nobody is queued enters its first stage inside the caller's
@@ -184,6 +184,9 @@ class PipelineBase:
     unit): a callback pipeline raises mis-dispatch errors from its first
     stage body instead, so they come out of ``Engine.run()``.
     """
+
+    #: the tracer category this pipeline's events are filed under
+    trace_category: str
 
     def __init__(
         self,
@@ -203,12 +206,6 @@ class PipelineBase:
         self.name = name
         self.stats = stats or StatsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if "hash" in name:
-            self.trace_category = "hash"
-        elif "bptree" in name:
-            self.trace_category = "bptree"
-        else:
-            self.trace_category = "skiplist"
         self.tokens = TokenPool(engine, max_in_flight, name=f"{name}.inflight")
         #: requests waiting for an in-flight token, oldest first
         self._waiting: deque = deque()
@@ -240,19 +237,6 @@ class PipelineBase:
             self._grant(req)
         else:
             self._waiting.append(req)
-
-    def bulk_load_many(self, rows, ts: int = 0, table_id: int = 0) -> int:
-        """Bulk-load ``(key, fields)`` pairs (timing-free host path).
-
-        The generic form just loops ``bulk_load``; index pipelines with
-        a hot loader override it.  Rows are installed in iteration
-        order — heap addresses (and therefore DRAM channel assignment)
-        are identical to per-row loading."""
-        n = 0
-        for key, fields in rows:
-            self.bulk_load(key, fields, ts=ts, table_id=table_id)
-            n += 1
-        return n
 
     def set_max_in_flight(self, n: int) -> None:
         self.tokens.resize(n)

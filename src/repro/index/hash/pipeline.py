@@ -81,6 +81,8 @@ class HashTimings:
 class HashIndexPipeline(PipelineBase):
     """One partition's hash index coprocessor."""
 
+    trace_category = "hash"
+
     def __init__(self, engine, clock, dram, name: str, n_buckets: int = 0,
                  timings: Optional[HashTimings] = None,
                  n_traverse_stages: int = 1,

@@ -81,6 +81,8 @@ def compute_level_ranges(max_height: int, n_stages: int) -> List[Tuple[int, int]
 class SkiplistPipeline(PipelineBase):
     """One partition's skiplist index coprocessor."""
 
+    trace_category = "skiplist"
+
     def __init__(self, engine, clock, dram, name: str,
                  max_height: int = 20,
                  n_stages: int = 8,
@@ -111,6 +113,10 @@ class SkiplistPipeline(PipelineBase):
                          stats=stats, tracer=tracer)
         self.locks = SkiplistLockTable(engine, name=f"{name}.locks")
         self.tower_count = 0
+        # host loader: rows installed, and rows whose search restarted
+        # at the head (the rest walked on from the previous row's tower)
+        self.load_rows = self.stats.counter(f"{name}.load.rows")
+        self.load_descents = self.stats.counter(f"{name}.load.descents")
         if create_default_table:
             # single-table convenience (used heavily by unit tests)
             self.add_table(0)
@@ -344,34 +350,84 @@ class SkiplistPipeline(PipelineBase):
     # -- host-side helpers (timing-free) -----------------------------------
     def bulk_load(self, key: Any, fields: List[Any], ts: int = 0,
                   table_id: int = 0) -> int:
+        """Install one committed row; returns its tower's address."""
+        return self._load_rows(((key, fields),), ts, table_id)[1]
+
+    def bulk_load_many(self, rows, ts: int = 0, table_id: int = 0) -> int:
+        """Bulk-load ``(key, fields)`` pairs in iteration order
+        (timing-free host path); returns the number installed."""
+        return self._load_rows(rows, ts, table_id)[0]
+
+    def _load_rows(self, rows, ts: int, table_id: int) -> Tuple[int, int]:
+        """The one splice: install ``rows``, return ``(count, address of
+        the last tower)``.
+
+        ``finger[l]`` is the level-``l`` predecessor of the row just
+        installed (that row's own tower below its height).  While keys
+        ascend, the next row's predecessors lie at or right of the
+        fingers, so the search climbs from the new tower's top level to
+        the first level whose finger is already the predecessor — on an
+        ascending run that is where it starts — and walks down from
+        there; any other key restarts at the head.  Height draws,
+        duplicate checks and allocations happen in per-row order, so the
+        heap image does not depend on how rows are batched.
+        """
         heap = self._dram.heap
-        height = self._draw_height()
-        update: List[Tower] = []
-        cur = heap.load(self.head_addr_of(table_id))
-        for level in range(self.max_height - 1, -1, -1):
-            while True:
-                nxt_addr = cur.nexts[level] if level < cur.height else NULL_ADDR
-                if not nxt_addr:
-                    break
-                nxt = heap.load(nxt_addr)
-                if not (nxt.key < key):
-                    break
-                cur = nxt
-            if level < height:
-                update.append(cur)
-        update.reverse()  # index by level
-        succ0 = update[0].nexts[0]
-        if succ0 and heap.load(succ0).key == key:
-            raise ValueError(f"duplicate key in bulk load: {key!r}")
-        addr = heap.alloc()
-        tower = Tower(key=key, fields=list(fields), height=height,
-                      nexts=[update[l].nexts[l] for l in range(height)],
-                      addr=addr, read_ts=ts, write_ts=ts, dirty=False)
-        heap.store(addr, tower)
-        for level in range(height):
-            update[level].nexts[level] = addr
-        self.tower_count += 1
-        return addr
+        load = heap.load
+        head = load(self.head_addr_of(table_id))
+        top_level = self.max_height - 1
+        finger: List[Tower] = []
+        last_key = None
+        addr = NULL_ADDR
+        n = descents = 0
+        try:
+            for key, fields in rows:
+                height = self._draw_height()
+                if finger and last_key < key:
+                    top = height - 1
+                    while top < top_level:
+                        nxt_addr = finger[top].nexts[top]
+                        if not nxt_addr or not (load(nxt_addr).key < key):
+                            break
+                        top += 1
+                else:
+                    finger = [head] * self.max_height
+                    top = top_level
+                    descents += 1
+                # a tower reached by walking right lies beyond every
+                # lower finger; until then the lower finger is further on
+                moved = False
+                for level in range(top, -1, -1):
+                    if not moved:
+                        cur = finger[level]
+                    while True:
+                        nxt_addr = cur.nexts[level]
+                        if not nxt_addr:
+                            break
+                        nxt = load(nxt_addr)
+                        if not (nxt.key < key):
+                            break
+                        cur = nxt
+                        moved = True
+                    finger[level] = cur
+                succ0 = cur.nexts[0]
+                if succ0 and load(succ0).key == key:
+                    raise ValueError(f"duplicate key in bulk load: {key!r}")
+                addr = heap.alloc()
+                tower = Tower(key=key, fields=list(fields), height=height,
+                              nexts=[finger[l].nexts[l] for l in range(height)],
+                              addr=addr, read_ts=ts, write_ts=ts, dirty=False)
+                heap.store(addr, tower)
+                for level in range(height):
+                    finger[level].nexts[level] = addr
+                    finger[level] = tower
+                last_key = key
+                n += 1
+        finally:
+            self.tower_count += n
+            self.load_rows.add(n)
+            self.load_descents.add(descents)
+        return n, addr
 
     def lookup_direct(self, key: Any, table_id: int = 0) -> Optional[Tower]:
         heap = self._dram.heap

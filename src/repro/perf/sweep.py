@@ -63,6 +63,16 @@ POINTS: Dict[str, Dict[str, object]] = {
         "reads_per_txn": 16,
         "n_txns": 5000,
     },
+    # Figure 11c at the same table size: YCSB-E's 50-row scans over a
+    # skiplist of 4 x 300 K towers (a ~6 s load, a ~1 s run)
+    "skiplist_paper_300k": {
+        "workload": "ycsb",
+        "n_workers": 4,
+        "records_per_partition": 300_000,
+        "index_kind": "skiplist",
+        "op": "scan",
+        "n_txns": 1000,
+    },
     # TPC-C at full scale-factor structure: all 10 districts per
     # warehouse with TPC-C-sized customer/item populations
     "tpcc_full_districts": {
@@ -83,19 +93,23 @@ def _fingerprint(db, report, blocks) -> Dict[str, object]:
 
 def _run_ycsb(params: Dict, seed: int) -> Dict[str, object]:
     from ..core import BionicConfig, BionicDB
+    from ..mem.schema import IndexKind
     from ..workloads import YcsbConfig, YcsbWorkload
 
     cfg = YcsbConfig(
         records_per_partition=int(params["records_per_partition"]),
         n_partitions=int(params["n_workers"]),
         reads_per_txn=int(params.get("reads_per_txn", 16)),
+        index_kind=str(params.get("index_kind", IndexKind.HASH)),
         seed=seed)
     db = BionicDB(BionicConfig(n_workers=int(params["n_workers"])))
     wl = YcsbWorkload(cfg)
+    make_txns = {"read": wl.make_read_txns,
+                 "scan": wl.make_scan_txns}[str(params.get("op", "read"))]
     t0 = time.perf_counter()   # det: allow(wall-clock)
     wl.install(db)
     t_loaded = time.perf_counter()   # det: allow(wall-clock)
-    report, blocks = wl.submit_all(db, wl.make_read_txns(int(params["n_txns"])))
+    report, blocks = wl.submit_all(db, make_txns(int(params["n_txns"])))
     t_done = time.perf_counter()   # det: allow(wall-clock)
     out = _fingerprint(db, report, blocks)
     out["throughput_tps"] = report.throughput_tps

@@ -39,3 +39,10 @@ def collect_results(requests):
     for r in requests:
         r.on_complete = on_complete
     return results
+
+
+def heap_image(heap):
+    """Every occupied cell, in address order, in a comparable form —
+    what two load paths must agree on cell for cell."""
+    return heap.allocated_cells, [(addr, repr(cell))
+                                  for addr, cell in heap.items()]

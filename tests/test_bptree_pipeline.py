@@ -158,6 +158,19 @@ class TestBulkLoadAndDirect:
         assert pipe.lookup_direct(4) is None
         pipe.invariant_check()
 
+    def test_ascending_batch_descends_once_per_leaf_split(self, env):
+        pipe = make_pipeline(env, fanout=15)
+        assert pipe.bulk_load_many((k, [k]) for k in range(400)) == 400
+        assert pipe.load_rows.value == 400
+        # a full leaf splits 8 / 8, so the rightmost one refills — and
+        # drops the remembered path — every eighth row
+        ascending = pipe.load_descents.value
+        assert 0 < ascending <= 400 // 8
+        pipe.bulk_load_many((k, [k]) for k in range(500, 400, -1))
+        assert pipe.load_descents.value == ascending + 100
+        assert pipe.tuple_count == 500
+        pipe.invariant_check()
+
     def test_bulk_load_many_invariants(self, env):
         pipe = make_pipeline(env, fanout=4)
         keys = list(range(200))

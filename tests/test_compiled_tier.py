@@ -13,6 +13,7 @@ identical to per-row loading.
 import gc
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -40,6 +41,8 @@ from repro.workloads import (
     TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload,
 )
 from repro.workloads.ycsb import PROC_READ_BASE, YCSB_TABLE
+
+from conftest import heap_image
 
 
 # -- the interpreter's behaviour, kept as data -------------------------------
@@ -155,8 +158,7 @@ def test_unknown_table_fails_when_the_instruction_is_reached():
 # -- bulk-load fast path -----------------------------------------------------
 
 def _heap_image(db):
-    return db.heap.allocated_cells, [(addr, repr(cell))
-                                     for addr, cell in db.heap.items()]
+    return heap_image(db.heap)
 
 
 def _per_row(db):
@@ -203,10 +205,52 @@ def _mixed_db(per_row):
     return db
 
 
+ORDERED = {"skiplist": IndexKind.SKIPLIST, "bptree": IndexKind.BPTREE}
+
+
+def _ordered_db(index_kind, *batches, bury=()):
+    """One partition, one ordered table, one ``load_many`` per batch, so
+    each batch reaches the pipeline's loader whole.  Keys in ``bury``
+    become committed tombstones once the first batch is in."""
+    def build(per_row):
+        db = BionicDB(BionicConfig(n_workers=1))
+        db.define_table(TableSchema(0, "t", index_kind))
+        if per_row:
+            _per_row(db)
+        for n, batch in enumerate(batches):
+            db.load_many([(0, key, [key]) for key in batch])
+            if n == 0:
+                for key in bury:
+                    db.workers[0].pipeline_for(0).lookup_direct(
+                        key).tombstone = True
+        return db
+    return build
+
+
+#: key streams the ascending YCSB load never produces; what a loader
+#: that carries state from one row to the next could get wrong
+STREAMS = {
+    "descending": (range(300, 0, -1),),
+    "shuffled": (random.Random(5).sample(range(1000), 300),),
+    # four ascending runs in one batch, each threading the earlier ones
+    "sawtooth": ([key for lane in range(4) for key in range(lane, 400, 4)],),
+    # a second batch whose keys fall between those already loaded:
+    # one per gap, then one per seventy gaps
+    "interleaved": (range(0, 600, 2), range(1, 600, 2)),
+    "sparse": (range(0, 3000, 3), range(1, 3000, 210)),
+}
+
+
 @pytest.mark.parametrize("build", [
     _ycsb_db(IndexKind.HASH), _ycsb_db(IndexKind.SKIPLIST),
     _ycsb_db(IndexKind.BPTREE), _tpcc_db, _mixed_db,
-], ids=["ycsb-hash", "ycsb-skiplist", "ycsb-bptree", "tpcc", "mixed"])
+    *(_ordered_db(index_kind, *batches)
+      for index_kind in ORDERED.values() for batches in STREAMS.values()),
+    _ordered_db(IndexKind.BPTREE, range(0, 200, 2),
+                sorted([*range(51, 150, 2), 60, 98, 120]), bury=(60, 98, 120)),
+], ids=["ycsb-hash", "ycsb-skiplist", "ycsb-bptree", "tpcc", "mixed",
+        *(f"{kind}-{stream}" for kind in ORDERED for stream in STREAMS),
+        "bptree-tombstones"])
 def test_load_many_heap_image_matches_per_row_load(build):
     fast_cells, fast = _heap_image(build(per_row=False))
     slow_cells, slow = _heap_image(build(per_row=True))
@@ -214,6 +258,22 @@ def test_load_many_heap_image_matches_per_row_load(build):
     assert len(fast) == len(slow)
     for got, want in zip(fast, slow):
         assert got == want
+
+
+@pytest.mark.parametrize("index_kind", ORDERED.values(), ids=ORDERED)
+def test_duplicate_mid_batch_stops_where_per_row_load_stops(index_kind):
+    keys = [*range(100), 50, *range(100, 150)]
+    outcomes = []
+    for per_row in (False, True):
+        db = _ordered_db(index_kind)(per_row)
+        with pytest.raises(ValueError, match="duplicate key in bulk load: 50"):
+            db.load_many([(0, key, [key]) for key in keys])
+        pipe = db.workers[0].pipeline_for(0)
+        installed = (pipe.tower_count if index_kind == IndexKind.SKIPLIST
+                     else pipe.tuple_count)
+        assert installed == 100
+        outcomes.append(_heap_image(db))
+    assert outcomes[0] == outcomes[1]
 
 
 def _small_ycsb_db():
@@ -291,6 +351,23 @@ def test_run_point_is_seeded_by_name_and_fingerprinted(monkeypatch):
     assert first["commit_hash"] != other["commit_hash"]
     assert first["host_seconds"] > 0
     assert first["peak_rss_mb"] > 0
+
+
+def test_run_point_honours_index_kind_and_op(monkeypatch):
+    monkeypatch.setitem(POINTS, "tiny_scan", {
+        "workload": "ycsb", "n_workers": 2, "records_per_partition": 200,
+        "index_kind": "skiplist", "op": "scan", "n_txns": 8})
+    got = run_point("tiny_scan")
+    db = BionicDB(BionicConfig(n_workers=2))
+    workload = YcsbWorkload(YcsbConfig(
+        records_per_partition=200, n_partitions=2,
+        index_kind=IndexKind.SKIPLIST, seed=_point_seed("tiny_scan")))
+    workload.install(db)
+    report, blocks = workload.submit_all(db, workload.make_scan_txns(8))
+    want = _fingerprint(db, report, blocks)
+    assert got["committed"] == 8
+    for key in OBSERVABLES:
+        assert got[key] == want[key], key
 
 
 def test_run_sweep_rejects_unknown_points():

@@ -9,6 +9,7 @@ from repro.index.common import DbRequest
 from repro.index.hash.pipeline import HashIndexPipeline
 from repro.index.skiplist.pipeline import SkiplistPipeline
 from repro.isa import Opcode
+from repro.sim import Tracer
 
 from conftest import SimEnv
 
@@ -104,3 +105,20 @@ def test_grow_admits_the_waiting_requests_at_once(kind):
     assert h.pipe.tokens.in_use == 10 and not h.pipe._waiting
     h.env.run()
     assert len(h.done) == 10
+
+
+@pytest.mark.parametrize("cls, kwargs, category", [
+    (HashIndexPipeline, {"n_buckets": 64}, "hash"),
+    (SkiplistPipeline, {}, "skiplist"),
+    (BPTreePipeline, {}, "bptree"),
+])
+def test_trace_category_is_the_pipeline_kind_whatever_its_name(
+        cls, kwargs, category):
+    env, tracer = SimEnv(), Tracer()
+    pipe = cls(env.engine, env.clock, env.dram, "index0", tracer=tracer,
+               **kwargs)
+    pipe.bulk_load(1, ["v"])
+    pipe.submit(DbRequest(op=Opcode.SEARCH, table_id=0, ts=1, txn_id=1,
+                          key_value=1))
+    env.run()
+    assert {e.category for e in tracer.events} == {category}

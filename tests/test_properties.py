@@ -3,7 +3,10 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.baseline import BPlusTree, SoftwareSkiplist
+from repro.index.bptree.pipeline import BPTreePipeline
 from repro.index.common import DbRequest, sdbm_hash
 from repro.index.hash.pipeline import HashIndexPipeline
 from repro.index.skiplist.pipeline import SkiplistPipeline
@@ -11,7 +14,7 @@ from repro.isa import Opcode
 from repro.txn import HardwareClock, ResultCode, check_read, check_write
 from repro.mem.records import TupleRecord
 
-from conftest import SimEnv, collect_results
+from conftest import SimEnv, collect_results, heap_image
 
 keys = st.integers(min_value=-2**40, max_value=2**40)
 small_key_lists = st.lists(keys, min_size=1, max_size=40, unique=True)
@@ -190,3 +193,24 @@ class TestPipelineProperties:
         env.run()
         pipe.invariant_check()
         assert [k for k, _f in pipe.items_direct()] == sorted(ks)
+
+    @pytest.mark.parametrize("pipeline", [SkiplistPipeline, BPTreePipeline])
+    @given(st.permutations(range(48)),
+           st.lists(st.integers(0, 48), max_size=6))
+    @relaxed
+    def test_batched_load_image_equals_per_row_load(self, pipeline, ks, cuts):
+        # any key order, cut into any batches (empty ones included)
+        bounds = [0, *sorted(cuts), len(ks)]
+        images = []
+        for batched in (True, False):
+            env = SimEnv()
+            pipe = pipeline(env.engine, env.clock, env.dram, "p")
+            if batched:
+                for lo, hi in zip(bounds, bounds[1:]):
+                    pipe.bulk_load_many((k, [k]) for k in ks[lo:hi])
+            else:
+                for k in ks:
+                    pipe.bulk_load(k, [k])
+            pipe.invariant_check()
+            images.append(heap_image(env.heap))
+        assert images[0] == images[1]

@@ -59,6 +59,21 @@ class TestBulkLoadAndDirect:
         assert pipe.lookup_direct(4) is None
         pipe.invariant_check()
 
+    def test_ascending_batch_searches_from_the_head_once(self, env):
+        # the sorted-run assumption, counted: every row after the first
+        # starts from the tower before it
+        pipe = make_pipeline(env)
+        assert pipe.bulk_load_many((k, [k]) for k in range(400)) == 400
+        assert pipe.load_rows.value == 400
+        assert pipe.load_descents.value <= 1
+        # a descending batch gets no help; one row is a batch of one
+        pipe.bulk_load_many((k, [k]) for k in range(500, 400, -1))
+        pipe.bulk_load(1000, ["v"])
+        assert pipe.load_rows.value == 501
+        assert pipe.load_descents.value == 102
+        assert pipe.tower_count == 501
+        pipe.invariant_check()
+
     def test_bulk_load_many_invariants(self, env):
         pipe = make_pipeline(env)
         for k in range(199):
