@@ -64,7 +64,8 @@ class BionicCluster:
 
         # one DRAM per chip — shared nothing
         self.drams: List[DramModel] = [
-            DramModel(self.engine, self.clock, Heap(),
+            DramModel(self.engine, self.clock,
+                      Heap(stats=self.stats),
                       latency_cycles=cfg.dram_latency_cycles,
                       channels=cfg.dram_channels, stats=self.stats)
             for _ in range(n_nodes)

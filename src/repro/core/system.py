@@ -35,8 +35,8 @@ from ..isa.instructions import Program
 from ..mem.schema import Catalog, TableSchema
 from ..mem.txnblock import BlockLayout, TransactionBlock, TxnStatus
 from ..sim.clock import ClockDomain
-from ..sim.engine import Engine
-from ..sim.memory import DramModel, Heap, collector_quiesced
+from ..sim.engine import Engine, collector_quiesced
+from ..sim.memory import DramModel, Heap
 from ..sim.power import CpuPowerModel, FpgaPowerModel, PowerReport
 from ..sim.resources import ResourceLedger, per_worker_costs
 from ..sim.stats import StatsRegistry
@@ -91,8 +91,8 @@ class BionicDB:
         cfg = self.config
         self.engine = Engine()
         self.clock = ClockDomain(self.engine, cfg.fpga_mhz, name="fpga")
-        self.heap = Heap()
         self.stats = StatsRegistry()
+        self.heap = Heap(stats=self.stats)
         self.dram = DramModel(self.engine, self.clock, self.heap,
                               latency_cycles=cfg.dram_latency_cycles,
                               channels=cfg.dram_channels, stats=self.stats)
@@ -193,18 +193,21 @@ class BionicDB:
         pipeline's ``bulk_load_many``; schema lookup and routing are
         resolved once per table, and the cyclic collector is held off
         until the last row is in
-        (:func:`~repro.sim.memory.collector_quiesced`).  Rows are
+        (:func:`~repro.sim.engine.collector_quiesced`).  Rows are
         installed in iteration order and a replicated row is installed
         in every partition before the next one, so heap addresses — and
         with them DRAM channel assignment and all downstream simulated
         timing — are identical to calling :meth:`load` once per row;
-        image tests pin that cell for cell.
+        image tests pin that cell for cell.  A row's ``fields`` are
+        copied when its batch is installed, not when it is yielded: a
+        generator may offer one sequence for every row, but must not
+        rewrite it between rows.
         """
         n_workers = self.config.n_workers
         batch: List[tuple] = []
         cur_table = cur_w = schema = route = None
         count = 0
-        with collector_quiesced():
+        with collector_quiesced(collect_on_exit=True):
             for table_id, key, fields in rows:
                 if table_id != cur_table:
                     count += self._load_batch(schema, cur_w, batch)

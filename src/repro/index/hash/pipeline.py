@@ -54,6 +54,7 @@ from typing import Any, List, Optional
 
 from ...isa.instructions import Opcode
 from ...mem.records import NULL_ADDR, TupleRecord
+from ...sim.memory import ColdRows
 from ...txn.cc import DbResult, ResultCode, check_read, check_write
 from ..common import (
     DbRequest, IndexError_, PipelineBase, _sdbm_int8, sdbm_hash,
@@ -352,34 +353,58 @@ class HashIndexPipeline(PipelineBase):
     def bulk_load_many(self, rows, ts: int = 0, table_id: int = 0) -> int:
         """Batched :meth:`bulk_load`: identical rows, chains and heap
         addresses, with the per-row dispatch (schema lookup, allocator
-        call, byte-serial hash) hoisted or specialised away.  This is
-        what makes paper-scale loading (300 K rows/partition) a matter
-        of seconds rather than minutes."""
+        call, byte-serial hash) hoisted or specialised away — and no
+        record built.  The batch is laid out as the columns of one
+        :class:`~repro.sim.memory.ColdRows`; the heap builds a row's
+        record the first time its cell is read.  This is what makes
+        paper-scale loading (300 K rows/partition) a matter of seconds
+        and megabytes rather than minutes and gigabytes.
+
+        A batch that raises midway (a row that is not a ``(key,
+        fields)`` pair, ``fields`` not iterable) leaves the rows before
+        it installed, reachable and counted, as a per-row loop would.
+        """
         heap = self._dram.heap
         try:
             base, n_buckets = self._tables[table_id]
         except KeyError:
             raise IndexError_(f"{self.name}: unknown table {table_id}") from None
-        rows = list(rows)
-        n = len(rows)
-        if not n:
+        if not hasattr(rows, "__len__"):
+            rows = list(rows)
+        if not rows:
             return 0
         # The one place outside Heap that indexes its cell list: every
-        # address written below is in the batch's one allocation or is
-        # a bucket of this table, and the three load()/store() calls a
-        # row would otherwise make measured +0.2 us on a 1.2 us row.
+        # address read or written below is a bucket of this table, and
+        # the load()/store() calls a row would otherwise make measured
+        # +0.2 us on a 1.2 us row.
         cells = heap._cells
         int8_max = 1 << 63
-        for addr, (key, fields) in enumerate(rows, heap.alloc(n)):
-            if type(key) is int and 0 <= key < int8_max:
-                bucket = base + _sdbm_int8(key) % n_buckets
-            else:
-                bucket = base + sdbm_hash(key) % n_buckets
-            cells[addr] = TupleRecord(key, list(fields), addr,
-                                      cells[bucket] or NULL_ADDR, ts, ts)
-            cells[bucket] = addr
-        self.tuple_count += n
-        return n
+        cold = ColdRows(TupleRecord, heap.alloc(len(rows)), ts)
+        add_key, add_next, add_snapshot = (
+            cold.keys.append, cold.nexts.append, cold.fields.append)
+        ints_only = True
+        # whatever can raise in a row comes before its first append, so
+        # the columns stay equally long and the finally places exactly
+        # the rows whose buckets were linked
+        try:
+            for addr, (key, fields) in enumerate(rows, cold.base):
+                if type(key) is int and 0 <= key < int8_max:
+                    bucket = base + _sdbm_int8(key) % n_buckets
+                else:
+                    bucket = base + sdbm_hash(key) % n_buckets
+                    if ints_only:
+                        ints_only = False
+                        cold.keys = cold.keys.tolist()
+                        add_key = cold.keys.append
+                snapshot = tuple(fields)
+                add_key(key)
+                add_next(cells[bucket] or NULL_ADDR)
+                add_snapshot(snapshot)
+                cells[bucket] = addr
+        finally:
+            heap.place_cold(cold)
+            self.tuple_count += len(cold)
+        return len(cold)
 
     def lookup_direct(self, key: Any, table_id: int = 0) -> Optional[TupleRecord]:
         """Timing-free probe used by tests and recovery verification."""

@@ -1,10 +1,11 @@
 """Discrete-event simulation substrate for the BionicDB reproduction."""
 
 from .clock import ClockDomain
-from .engine import AllOf, AnyOf, Engine, Event, Interrupt, Process, SimulationError, Timeout
-from .memory import (
-    Bram, DramModel, Heap, MemoryPort, LINE_BYTES, collector_quiesced,
+from .engine import (
+    AllOf, AnyOf, Engine, Event, Interrupt, Process, SimulationError, Timeout,
+    collector_quiesced,
 )
+from .memory import Bram, DramModel, Heap, MemoryPort, LINE_BYTES
 from .power import CpuPowerModel, FpgaPowerModel, PowerReport
 from .resources import (
     HC2_INFRASTRUCTURE,

@@ -22,9 +22,8 @@ hazard prevention is disabled.
 
 from __future__ import annotations
 
-import gc
+from array import array
 from collections import deque
-from contextlib import contextmanager
 from heapq import heappush
 from itertools import repeat
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
@@ -34,36 +33,54 @@ from .clock import ClockDomain
 from .engine import Engine, Event
 from .stats import StatsRegistry
 
-__all__ = ["Heap", "DramModel", "MemoryPort", "Bram", "LINE_BYTES",
-           "collector_quiesced"]
+__all__ = ["Heap", "DramModel", "MemoryPort", "Bram", "LINE_BYTES"]
 
 LINE_BYTES = 64  # one heap cell models one 64-byte DRAM line
 
 
-@contextmanager
-def collector_quiesced() -> Iterator[None]:
-    """Hold the cyclic collector off while a bulk loader fills the heap.
+class ColdRows:
+    """One bulk-loaded batch of hash rows, held as columns until read.
 
-    A load allocates millions of container objects and frees none, so
-    every generational pass it triggers re-walks the image loaded so
-    far and finds nothing: at paper scale that was 18 full passes and
-    half the load time.  The collector's prior state is restored on
-    exit.  If it was running, one full collection then moves the image
-    into the oldest generation at once; without it the first young
-    passes after the load would each walk the whole image, inside
-    whatever the caller does next.  (``gc.freeze()`` would skip even
-    that pass, but the frozen image of a database that is later
-    dropped — its core is cyclic — would never be reclaimed.)  Nested
-    uses see the collector already off and do nothing.
+    A paper-scale table is 1.2 M rows of which a run reads a fraction,
+    so the hash loader does not build a record per row.  It fills one
+    of these per batch — row ``i`` lives at heap address ``base + i`` —
+    and points every cell of the batch at it (:meth:`Heap.place_cold`);
+    :meth:`Heap.load` swaps a cell's pointer for the row's record the
+    first time the cell is read, and only those two ever see a cold
+    cell.  Per row that is four machine words and no object the cyclic
+    collector tracks, against a record, its field list and two boxed
+    integers.
+
+    ``keys`` is an ``array('q')`` while every key is an ``int`` in
+    [0, 2**63) and a plain list from the first one that is not;
+    ``nexts`` is each row's hash-chain pointer; ``fields`` holds
+    ``tuple(fields)`` of each row as it was offered — a snapshot, so a
+    caller may reuse or mutate its list afterwards, and the very tuple
+    when a tuple was offered, so a loader that offers one tuple for
+    every row (YCSB's one payload) stores it once; every row was loaded
+    at ``ts``.  ``make`` is the record constructor, handed in because
+    record layouts live in :mod:`repro.mem`, which imports this module.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-            gc.collect()
+
+    __slots__ = ("make", "base", "ts", "keys", "nexts", "fields")
+
+    def __init__(self, make: Callable, base: int, ts: int):
+        self.make = make
+        self.base = base
+        self.ts = ts
+        self.keys: Any = array("q")
+        self.nexts = array("q")
+        self.fields: List[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self.fields)
+
+    def record(self, addr: int) -> Any:
+        """Build the committed record of the row at ``addr``."""
+        i = addr - self.base
+        ts = self.ts
+        return self.make(self.keys[i], list(self.fields[i]), addr,
+                         self.nexts[i], ts, ts)
 
 
 class Heap:
@@ -81,12 +98,22 @@ class Heap:
     range, yields ``None`` — a wild pointer reads nothing — while a
     store outside the allocated range is a bug in the caller and
     raises.
+
+    A cell may also be *cold*: one row of a :class:`ColdRows` batch
+    whose record has not been built yet.  :meth:`load` builds it on
+    first touch and keeps it, so every reader gets an ordinary record
+    and a cold cell is never handed out; ``heap.rows_cold`` and
+    ``heap.rows_inflated`` count the rows placed and the rows built.
     """
 
-    def __init__(self, base: int = 0x1000):
+    def __init__(self, base: int = 0x1000,
+                 stats: Optional[StatsRegistry] = None):
         self._base = base
         self._cells: List[Any] = [None] * base
         self.allocated_cells = 0
+        stats = stats or StatsRegistry()
+        self._rows_cold = stats.counter("heap.rows_cold")
+        self._rows_inflated = stats.counter("heap.rows_inflated")
 
     def alloc(self, n_cells: int = 1) -> int:
         if n_cells < 1:
@@ -102,7 +129,20 @@ class Heap:
 
     def load(self, addr: int) -> Any:
         cells = self._cells
-        return cells[addr] if 0 <= addr < len(cells) else None
+        if not 0 <= addr < len(cells):
+            return None
+        cell = cells[addr]
+        if cell.__class__ is ColdRows:
+            cell = cells[addr] = cell.record(addr)
+            self._rows_inflated.value += 1
+        return cell
+
+    def place_cold(self, rows: ColdRows) -> None:
+        """Point the cells of ``rows`` (allocated by the caller, one
+        per row from ``rows.base``) at their batch."""
+        n = len(rows)
+        self._cells[rows.base:rows.base + n] = [rows] * n
+        self._rows_cold.value += n
 
     def store(self, addr: int, value: Any) -> None:
         cells = self._cells
@@ -116,7 +156,8 @@ class Heap:
 
     def items(self) -> Iterator[Tuple[int, Any]]:
         """``(addr, cell)`` for every occupied cell, in address order."""
-        return ((addr, cell) for addr, cell in enumerate(self._cells)
+        load = self.load
+        return ((addr, load(addr)) for addr, cell in enumerate(self._cells)
                 if cell is not None)
 
     @property

@@ -214,8 +214,9 @@ class YcsbWorkload:
             return
         # batched fast path; row order (and so heap addresses) matches
         # per-row db.load exactly.  Every row offers the same one-field
-        # list: the loader stores its own copy per record.
-        fields = [cfg.payload]
+        # tuple: immutable, so a loader may keep it, and the hash loader
+        # keeps just this one until a row is read.
+        fields = (cfg.payload,)
         db.load_many((YCSB_TABLE, key, fields)
                      for key in range(cfg.total_records))
 

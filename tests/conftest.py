@@ -14,8 +14,8 @@ class SimEnv:
                  engine=None):
         self.engine = engine if engine is not None else Engine()
         self.clock = ClockDomain(self.engine, 125.0, name="fpga")
-        self.heap = Heap()
         self.stats = StatsRegistry()
+        self.heap = Heap(stats=self.stats)
         self.dram = DramModel(self.engine, self.clock, self.heap,
                               latency_cycles=latency_cycles, channels=channels,
                               stats=self.stats)

@@ -1,0 +1,263 @@
+"""Cold rows: the hash loader lays a batch out as columns and the heap
+builds a row's record the first time its cell is read.
+
+Whatever touches a bulk-loaded row first — a pipeline stage, a host
+probe, maintenance, a checkpoint — must see the record the eager
+per-row loader would have stored.  (The cell-for-cell image property is
+``test_cold_hash_load_image_equals_per_row_load`` in
+``test_properties.py``.)
+"""
+
+import pytest
+
+from repro.core import BionicConfig, BionicDB
+from repro.host import RecoveryManager, take_checkpoint
+from repro.index.common import DbRequest
+from repro.index.hash.pipeline import HashIndexPipeline
+from repro.isa import Gp, Opcode, ProcedureBuilder
+from repro.mem import TableSchema, TxnStatus
+from repro.mem.records import TupleRecord
+from repro.sim.memory import ColdRows
+from repro.txn import ResultCode
+
+from conftest import collect_results, heap_image
+
+
+def make_pipeline(env, n_buckets=64):
+    return HashIndexPipeline(env.engine, env.clock, env.dram, "hash0",
+                             n_buckets=n_buckets, stats=env.stats)
+
+
+def counter(env_or_db, name):
+    return env_or_db.stats.counter(name).value
+
+
+def run_op(env, pipe, op, key, ts=5):
+    req = DbRequest(op=op, table_id=0, ts=ts, txn_id=1, key_value=key)
+    results = collect_results([req])
+    pipe.submit(req)
+    env.run()
+    (_req, result), = results
+    return result
+
+
+# -- what was offered is what is read back ----------------------------------
+
+def test_a_shared_list_mutated_after_the_load_reads_back_as_offered(env):
+    pipe = make_pipeline(env)
+    shared = ["offered", 1]
+    pipe.bulk_load_many([(key, shared) for key in range(10)])
+    shared[0] = "mutated"
+    shared.append("grown")
+    for key in range(10):
+        assert pipe.lookup_direct(key).fields == ["offered", 1]
+    # and each row got its own list, as from the eager loader
+    pipe.lookup_direct(3).fields[0] = "mine"
+    assert pipe.lookup_direct(4).fields == ["offered", 1]
+
+
+def test_a_generator_reusing_one_buffer_gives_each_row_its_own_copy():
+    # what YcsbWorkload.install did before it offered a tuple
+    db = BionicDB(BionicConfig(n_workers=2))
+    db.define_table(TableSchema(0, "kv", hash_buckets=32))
+    buffer = ["payload", 0]
+    assert db.load_many((0, key, buffer) for key in range(30)) == 30
+    buffer[0] = "reused for something else"
+    db.lookup(0, 11).fields[1] = 11
+    assert db.lookup(0, 11).fields == ["payload", 11]
+    assert all(db.lookup(0, key).fields == ["payload", 0]
+               for key in range(30) if key != 11)
+
+
+def test_one_offered_tuple_is_stored_once_and_copied_per_record(env):
+    # layout pin: YCSB offers one payload tuple for every row
+    pipe = make_pipeline(env)
+    payload = ("v",)
+    pipe.bulk_load_many([(key, payload) for key in range(10)])
+    (cold,) = {id(cell): cell for cell in env.heap._cells
+               if isinstance(cell, ColdRows)}.values()
+    assert all(snapshot is payload for snapshot in cold.fields)
+    first, second = pipe.lookup_direct(1), pipe.lookup_direct(2)
+    assert first.fields == second.fields == ["v"]
+    assert first.fields is not second.fields
+
+
+def test_key_column_falls_back_to_a_list_mid_batch(env):
+    pipe = make_pipeline(env)
+    keys = [1, 2, 2**63 - 1, -7, 3, "s", (4, "t"), 2**63, 5]
+    pipe.bulk_load_many([(key, [repr(key)]) for key in keys])
+    for key in keys:
+        record = pipe.lookup_direct(key)
+        assert record.key == key and type(record.key) is type(key)
+        assert record.fields == [repr(key)]
+
+
+# -- first touch, whoever touches first -------------------------------------
+
+def test_first_read_builds_the_record_and_keeps_it(env):
+    pipe = make_pipeline(env)
+    pipe.bulk_load_many([(key, [key]) for key in range(5)], ts=9)
+    addr = env.heap.load(pipe.bucket_addr_of(3))
+    record = env.heap.load(addr)
+    assert record == TupleRecord(3, [3], addr, record.next_addr, 9, 9)
+    assert not record.dirty and not record.tombstone
+    assert env.heap.load(addr) is record
+    assert env.dram.direct_read(addr) is record
+    assert counter(env, "heap.rows_inflated") == 1
+
+
+def test_store_over_a_never_read_cell_replaces_it(env):
+    pipe = make_pipeline(env)
+    pipe.bulk_load_many([(key, [key]) for key in range(5)])
+    addr = env.heap.load(pipe.bucket_addr_of(2))
+    replacement = TupleRecord(2, ["new"], addr)
+    env.heap.store(addr, replacement)
+    assert env.heap.load(addr) is replacement
+    assert counter(env, "heap.rows_inflated") == 0
+    assert pipe.lookup_direct(4).fields == [4]
+
+
+def test_host_probes_walk_cold_chains(env):
+    pipe = make_pipeline(env, n_buckets=2)
+    pipe.bulk_load_many([(key, [f"v{key}"]) for key in range(20)])
+    chains = {pipe.bucket_addr_of(key): pipe.chain_length(key)
+              for key in range(20)}
+    assert len(chains) == 2 and sum(chains.values()) == 20
+    assert sorted(pipe.items_direct()) == sorted(
+        (key, [f"v{key}"], 0) for key in range(20))
+    assert all(pipe.lookup_direct(key).fields == [f"v{key}"]
+               for key in range(20))
+    assert pipe.lookup_direct(99) is None
+
+
+def test_heap_items_hands_out_records_never_cold_cells(env):
+    pipe = make_pipeline(env)
+    pipe.bulk_load_many([(key, [key]) for key in range(8)])
+    cells = [cell for _addr, cell in env.heap.items()]
+    assert sum(isinstance(cell, TupleRecord) for cell in cells) == 8
+    assert not any(isinstance(cell, ColdRows) for cell in cells)
+
+
+@pytest.mark.parametrize("op", [Opcode.UPDATE, Opcode.REMOVE])
+def test_write_ops_through_the_pipeline_on_a_never_read_row(env, op):
+    pipe = make_pipeline(env, n_buckets=4)
+    pipe.bulk_load_many([(key, [f"v{key}"]) for key in range(12)])
+    result = run_op(env, pipe, op, 7)
+    assert result.code is ResultCode.OK
+    record = env.heap.load(result.tuple_addr)
+    assert record.key == 7 and record.fields == ["v7"] and record.dirty
+    assert record.tombstone is (op is Opcode.REMOVE)
+    # a second writer meets the dirty bit on the record in the cell
+    assert run_op(env, pipe, op, 7, ts=6).code is ResultCode.CC_REJECT
+    assert run_op(env, pipe, Opcode.SEARCH, 3, ts=6).value == "v3"
+
+
+def test_wrfield_then_abort_restores_a_never_read_row():
+    db = BionicDB(BionicConfig(n_workers=1))
+    db.define_table(TableSchema(0, "kv", hash_buckets=8))
+    b = ProcedureBuilder("upd-then-fail")
+    b.update(cp=0, table=0, key=b.at(0))
+    b.search(cp=1, table=0, key=b.at(2))   # missing key -> abort
+    b.commit_handler()
+    b.ret(0, 0)
+    b.load(1, b.at(1))
+    b.wrfield(0, 0, Gp(1))
+    b.ret(2, 1)
+    b.commit()
+    db.register_procedure(4, b.build())
+    db.load_many((0, key, ["keep-me", key]) for key in range(40))
+    block = db.new_block(4, [7, "clobbered", 999], worker=0)
+    db.submit(block)
+    db.run()
+    assert block.header.status is TxnStatus.ABORTED
+    record = db.lookup(0, 7)
+    assert record.fields == ["keep-me", 7]
+    assert not record.dirty
+
+
+def test_checkpoint_and_recovery_of_a_cold_database():
+    def build(per_row):
+        db = BionicDB(BionicConfig(n_workers=2))
+        db.define_table(TableSchema(0, "kv", hash_buckets=16))
+        rows = [(0, key, [f"v{key}", key]) for key in range(100)]
+        if per_row:
+            for row in rows:
+                db.load(*row)
+        else:
+            db.load_many(rows)
+        return db
+
+    cold, eager = build(per_row=False), build(per_row=True)
+    checkpoint = take_checkpoint(cold)
+    assert checkpoint.rows == take_checkpoint(eager).rows
+    assert heap_image(cold.heap) == heap_image(eager.heap)
+    recovered = BionicDB(BionicConfig(n_workers=2))
+    recovered.define_table(TableSchema(0, "kv", hash_buckets=16))
+    assert RecoveryManager(recovered).restore_checkpoint(checkpoint) == 100
+    assert take_checkpoint(recovered).rows.keys() == checkpoint.rows.keys()
+    for key in range(100):
+        assert recovered.lookup(0, key).fields == [f"v{key}", key]
+
+
+# -- observability ------------------------------------------------------------
+
+def test_a_read_only_burst_inflates_exactly_the_rows_it_visits(env):
+    pipe = make_pipeline(env, n_buckets=8)
+    keys = list(range(200))
+    pipe.bulk_load_many([(key, [key]) for key in keys])
+    assert counter(env, "heap.rows_cold") == 200
+    assert counter(env, "heap.rows_inflated") == 0
+    # a chain runs newest first: reading a key visits every later-
+    # loaded key of its bucket, then the key itself
+    chains = {}
+    for key in keys:
+        chains.setdefault(pipe.bucket_addr_of(key), []).insert(0, key)
+    wanted = [5, 17, 17, 60, 123, 5]
+    visited = set()
+    for key in wanted:
+        chain = chains[pipe.bucket_addr_of(key)]
+        visited.update(chain[:chain.index(key) + 1])
+    assert len(visited) > len(set(wanted))      # chain neighbours count
+    requests = [DbRequest(op=Opcode.SEARCH, table_id=0, ts=3, txn_id=i,
+                          key_value=key) for i, key in enumerate(wanted)]
+    results = collect_results(requests)
+    for request in requests:
+        pipe.submit(request)
+    env.run()
+    assert all(result.code is ResultCode.OK for _req, result in results)
+    assert counter(env, "heap.rows_inflated") == len(visited)
+    assert counter(env, "heap.rows_cold") == 200
+
+
+def test_database_counters_cover_every_partition():
+    db = BionicDB(BionicConfig(n_workers=2))
+    db.define_table(TableSchema(0, "kv", hash_buckets=64))
+    db.define_table(TableSchema(1, "rep", hash_buckets=64, replicated=True))
+    db.load_many([(0, key, [key]) for key in range(50)])
+    db.load_many([(1, key, [key]) for key in range(5)])   # row by row: hot
+    db.load(0, 1000, ["hot"])
+    assert db.stats.snapshot()["heap.rows_cold"] == 50
+    assert db.lookup(0, 7).fields == [7]
+    assert db.stats.snapshot()["heap.rows_inflated"] >= 1
+
+
+# -- a batch that raises midway -----------------------------------------------
+
+@pytest.mark.parametrize("bad_row", [5, (5,), (5, None)],
+                         ids=["not-a-pair", "short", "fields-not-iterable"])
+def test_a_batch_that_raises_midway_counts_what_it_installed(env, bad_row):
+    pipe = make_pipeline(env, n_buckets=2)
+    pipe.bulk_load_many([(key, [key]) for key in range(100, 104)])
+    rows = [(0, ["a"]), (1, ["b"]), (2, ["c"]), bad_row, (4, ["e"])]
+    with pytest.raises((TypeError, ValueError)):
+        pipe.bulk_load_many(rows)
+    assert pipe.tuple_count == 4 + 3
+    assert counter(env, "heap.rows_cold") == 4 + 3
+    # the rows before the bad one are in, the rows loaded earlier are
+    # still reachable through the same buckets, the rest never arrived
+    assert [pipe.lookup_direct(key).fields for key in (0, 1, 2)] == [
+        ["a"], ["b"], ["c"]]
+    assert all(pipe.lookup_direct(key).fields == [key]
+               for key in range(100, 104))
+    assert pipe.lookup_direct(4) is None
+    assert sum(1 for _row in pipe.items_direct()) == 7

@@ -214,3 +214,43 @@ class TestPipelineProperties:
             pipe.invariant_check()
             images.append(heap_image(env.heap))
         assert images[0] == images[1]
+
+    #: every kind of key the hash loader tells apart: ints its key
+    #: column holds as machine words, ints it cannot (negative, beyond
+    #: int64), and keys that are not ints at all
+    hash_keys = st.one_of(
+        st.integers(0, 2**63 - 1), st.integers(2**63, 2**70),
+        st.integers(-2**70, -1), st.text(max_size=3),
+        st.tuples(st.integers(0, 9), st.text(max_size=2)))
+    hash_fields = st.lists(
+        st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=2)),
+        max_size=3)
+
+    @given(st.lists(st.tuples(hash_keys, hash_fields), max_size=40),
+           st.lists(st.tuples(st.integers(0, 40), st.booleans()),
+                    max_size=6),
+           st.sampled_from([1, 3, 64]))
+    @relaxed
+    def test_cold_hash_load_image_equals_per_row_load(self, rows, cuts,
+                                                      n_buckets):
+        # any rows (repeated keys and ragged field lists included), cut
+        # into chunks that go through load_many or the one-row loader
+        # in any interleaving; few buckets make the chains long
+        cuts = sorted(cuts)
+        bounds = [0, *(cut for cut, _batched in cuts), len(rows)]
+        batched = [True, *(b for _cut, b in cuts)]
+        images = []
+        for cold in (True, False):
+            env = SimEnv()
+            pipe = HashIndexPipeline(env.engine, env.clock, env.dram, "h",
+                                     n_buckets=n_buckets)
+            for lo, hi, whole in zip(bounds, bounds[1:], batched):
+                chunk = rows[lo:hi]
+                if cold and whole:
+                    assert pipe.bulk_load_many(chunk) == len(chunk)
+                else:
+                    for key, fields in chunk:
+                        pipe.bulk_load(key, fields)
+            assert pipe.tuple_count == len(rows)
+            images.append(heap_image(env.heap))
+        assert images[0] == images[1]
