@@ -44,8 +44,7 @@ def _conflicted_search_tput(n_traverse: int, n_buckets: int = 256,
     dram = DramModel(engine, clock, Heap(), latency_cycles=85.0)
     pipe = HashIndexPipeline(engine, clock, dram, "h", n_buckets=n_buckets,
                              n_traverse_stages=n_traverse, max_in_flight=16)
-    for k in range(n_keys):
-        pipe.bulk_load(k, [k])
+    pipe.bulk_load_many(range(n_keys), [(k,) for k in range(n_keys)])
     rng = random.Random(3)
     throttle = TokenPool(engine, 16)
     done = {"n": 0}
@@ -217,8 +216,7 @@ def run_dynamic_scheduling(n_txns: int = 120) -> FigureReport:
                                     hash_buckets=4096,
                                     partition_fn=lambda k, n: k % n))
         db.register_procedure(1, _chain_proc(4))
-        for k in range(2000):
-            db.load(0, k, [k])
+        db.load_many(columns=[(0, range(2000), [(k,) for k in range(2000)])])
         blocks, homes = [], []
         for t in range(n_txns):
             home = t % 4

@@ -50,8 +50,7 @@ def kv_throughput(op: str, total_in_flight: int, n_ops: int = 2000,
     rng = random.Random(11)
     if op == "search":
         for pipe in pipes:
-            for k in range(n_keys):
-                pipe.bulk_load(k, ["v"])
+            pipe.bulk_load_many(range(n_keys), [("v",)] * n_keys)
     # pre-populate input cells (the bulk transaction block)
     cells = []
     for i in range(n_ops):

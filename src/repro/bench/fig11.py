@@ -54,7 +54,7 @@ def skiplist_kv_throughput(op: str, total_in_flight: int, n_ops: int = 600,
     rng = random.Random(13)
     if op != "insert":
         for pipe in pipes:
-            pipe.bulk_load_many((k, ["v"]) for k in range(n_keys))
+            pipe.bulk_load_many(range(n_keys), [("v",)] * n_keys)
     throttle = TokenPool(engine, total_in_flight, name="client")
     done = {"n": 0}
 

@@ -80,7 +80,7 @@ def index_kv_throughput(kind: str, op: str, total_in_flight: int,
     rng = random.Random(13)
     if op != "insert":
         for pipe in pipes:
-            pipe.bulk_load_many((k, ["v"]) for k in range(n_keys))
+            pipe.bulk_load_many(range(n_keys), [("v",)] * n_keys)
     throttle = TokenPool(engine, total_in_flight, name="client")
     done = {"n": 0}
 
@@ -147,7 +147,7 @@ def range_scan_sweep_point(kind: str, span: int, n_ops: int = 120,
                         total_in_flight)
     golden = BPlusTree()
     for pipe in pipes:
-        pipe.bulk_load_many((k, [k]) for k in range(n_keys))
+        pipe.bulk_load_many(range(n_keys), [(k,) for k in range(n_keys)])
     for k in range(n_keys):
         golden.insert(k, k)
     rng = random.Random(29)

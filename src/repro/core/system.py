@@ -23,8 +23,11 @@ Typical use::
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from itertools import chain, compress, count, islice, repeat
+from operator import lt, ne
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..comm.channels import Crossbar
 from ..dora.worker import PartitionWorker
@@ -32,7 +35,7 @@ from ..errors import (
     FrontendError, SimulatedCrash, StuckTransactionError, SubmissionError,
 )
 from ..isa.instructions import Program
-from ..mem.schema import Catalog, TableSchema
+from ..mem.schema import Catalog, SchemaError, TableSchema
 from ..mem.txnblock import BlockLayout, TransactionBlock, TxnStatus
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine, collector_quiesced
@@ -45,6 +48,37 @@ from ..txn.timestamps import HardwareClock
 from .config import BionicConfig
 
 __all__ = ["BionicDB", "RunReport"]
+
+#: keys routed per partition run, after its first, to check a
+#: ``range_partitioned`` declaration (:meth:`BionicDB._range_runs`)
+_RANGE_SAMPLES = 7
+
+
+def _table_runs(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """``(table_id, keys, fields)`` columns from ``(table_id, key,
+    fields)`` triples: one per run of consecutive rows of one table."""
+    cur_table = None
+    keys: List[Any] = []
+    fields: List[Any] = []
+    for table_id, key, row_fields in rows:
+        if table_id != cur_table:
+            if keys:
+                yield cur_table, keys, fields
+            cur_table, keys, fields = table_id, [], []
+        keys.append(key)
+        fields.append(row_fields)
+    if keys:
+        yield cur_table, keys, fields
+
+
+def _ascending(keys) -> bool:
+    """Strictly ascending, decided without a Python-level loop."""
+    if type(keys) is range:
+        return keys.step > 0
+    try:
+        return all(map(lt, keys, islice(keys, 1, None)))
+    except TypeError:       # keys that do not order are not a sorted run
+        return False
 
 
 @dataclass
@@ -93,6 +127,11 @@ class BionicDB:
         self.clock = ClockDomain(self.engine, cfg.fpga_mhz, name="fpga")
         self.stats = StatsRegistry()
         self.heap = Heap(stats=self.stats)
+        #: what load_many did (zero simulated cost): rows installed,
+        #: bulk_load_many batches handed out, partition_fn calls made
+        self._load_rows = self.stats.counter("core.load.rows")
+        self._load_batches = self.stats.counter("core.load.batches")
+        self._load_route_calls = self.stats.counter("core.load.route_calls")
         self.dram = DramModel(self.engine, self.clock, self.heap,
                               latency_cycles=cfg.dram_latency_cycles,
                               channels=cfg.dram_channels, stats=self.stats)
@@ -170,10 +209,7 @@ class BionicDB:
         explicit ``partition``).
         """
         schema = self.schemas.table(table_id)
-        if partition is not None and not 0 <= partition < self.config.n_workers:
-            raise SubmissionError("load partition out of range",
-                                  partition=partition,
-                                  n_workers=self.config.n_workers)
+        self._check_partition(partition)
         if schema.replicated:
             targets: Iterable[int] = range(self.config.n_workers)
         elif partition is not None:
@@ -185,65 +221,133 @@ class BionicDB:
             self.workers[w].pipeline_for(table_id).bulk_load(
                 key, fields, table_id=table_id)
 
-    def load_many(self, rows: Iterable[tuple]) -> int:
-        """Bulk-load ``(table_id, key, fields)`` triples (timing-free).
+    def _check_partition(self, partition: Optional[int]) -> None:
+        if partition is not None and not 0 <= partition < self.config.n_workers:
+            raise SubmissionError("load partition out of range",
+                                  partition=partition,
+                                  n_workers=self.config.n_workers)
 
-        The fast path behind the workload loaders.  Consecutive rows of
-        one table bound for one partition form a batch handed to the
-        pipeline's ``bulk_load_many``; schema lookup and routing are
-        resolved once per table, and the cyclic collector is held off
-        until the last row is in
+    def load_many(self, rows: Iterable[tuple] = (), *,
+                  columns: Iterable[tuple] = (),
+                  partition: Optional[int] = None) -> int:
+        """Bulk-load rows (timing-free); returns the number loaded.
+
+        The one bulk entry, behind every workload loader.  ``columns``
+        yields ``(table_id, keys, fields)``: ``keys`` any sized,
+        sliceable sequence (``range``, ``list``, ``array``) and
+        ``fields`` a sequence as long, one field sequence per row.
+        ``rows`` yields ``(table_id, key, fields)`` triples; each run
+        of one table's rows is gathered into such a column first.
+
+        A column is cut into runs of rows bound for one partition and
+        each run is handed, as columns, to the pipeline's
+        ``bulk_load_many``.  A table that declares ``range_partitioned``
+        and offers strictly ascending keys is cut by bisecting its
+        ``partition_fn`` (:meth:`_range_runs`); any other routes every
+        key and is cut where the home changes; ``partition`` names the
+        home outright, as in :meth:`load`.  The cyclic collector is
+        held off until the last row is in
         (:func:`~repro.sim.engine.collector_quiesced`).  Rows are
-        installed in iteration order and a replicated row is installed
-        in every partition before the next one, so heap addresses — and
-        with them DRAM channel assignment and all downstream simulated
-        timing — are identical to calling :meth:`load` once per row;
-        image tests pin that cell for cell.  A row's ``fields`` are
-        copied when its batch is installed, not when it is yielded: a
-        generator may offer one sequence for every row, but must not
-        rewrite it between rows.
+        installed in the order offered and a replicated row is
+        installed in every partition before the next one, so heap
+        addresses — and with them DRAM channel assignment and all
+        downstream simulated timing — are identical to calling
+        :meth:`load` once per row; image tests pin that cell for cell.
+        A row's ``fields`` are copied when its run is installed, not
+        when it is offered: one sequence may stand for every row
+        (``[fields] * n``), but a generator must not rewrite a
+        ``fields`` object between rows.
         """
-        n_workers = self.config.n_workers
-        batch: List[tuple] = []
-        cur_table = cur_w = schema = route = None
-        count = 0
+        self._check_partition(partition)
         with collector_quiesced(collect_on_exit=True):
-            for table_id, key, fields in rows:
-                if table_id != cur_table:
-                    count += self._load_batch(schema, cur_w, batch)
-                    schema = self.schemas.table(table_id)
-                    cur_table, cur_w = table_id, None
-                    route = None if schema.replicated else schema.partition_fn
-                if route is not None:
-                    w = route(key, n_workers)
-                    if w != cur_w:
-                        count += self._load_batch(schema, cur_w, batch)
-                        cur_w = w
-                batch.append((key, fields))
-            count += self._load_batch(schema, cur_w, batch)
-        return count
+            # (a sum over a generator: no column outlives its turn, so a
+            # lazily built one is gone before the closing collection)
+            return sum(self._load_column(table_id, keys, fields, partition)
+                       for table_id, keys, fields
+                       in chain(_table_runs(rows), columns))
 
-    def _load_batch(self, schema: TableSchema, w: Optional[int],
-                    batch: List[tuple]) -> int:
-        """Install and empty one :meth:`load_many` batch: in partition
-        ``w``, or (``w`` None, a replicated table) in every partition."""
-        n_rows = len(batch)
+    def _load_column(self, table_id: int, keys, fields,
+                     partition: Optional[int]) -> int:
+        """Install one table's key and field columns, run by run."""
+        schema = self.schemas.table(table_id)
+        n_rows = len(keys)
+        if len(fields) != n_rows:
+            raise SubmissionError("load_many columns differ in length",
+                                  table_id=table_id, keys=n_rows,
+                                  fields=len(fields))
         if not n_rows:
             return 0
-        table_id = schema.table_id
-        if w is not None:
-            self.workers[w].pipeline_for(table_id).bulk_load_many(
-                batch, table_id=table_id)
-        else:
+        if schema.replicated:
             # a row's replicas take consecutive addresses, one per
             # worker: only row-at-a-time loading lays that out for
             # every index kind
             pipes = [worker.pipeline_for(table_id) for worker in self.workers]
-            for key, fields in batch:
+            for key, row_fields in zip(keys, fields):
                 for pipe in pipes:
-                    pipe.bulk_load(key, fields, table_id=table_id)
-        batch.clear()
+                    pipe.bulk_load(key, row_fields, table_id=table_id)
+            runs = []
+        elif partition is not None:
+            runs = [(0, n_rows, partition)]
+        elif schema.range_partitioned and _ascending(keys):
+            runs = self._range_runs(schema, keys)
+        else:
+            homes = list(map(schema.partition_fn, keys,
+                             repeat(self.config.n_workers)))
+            self._load_route_calls.value += n_rows
+            changes = compress(count(1),
+                               map(ne, homes, islice(homes, 1, None)))
+            edges = [0, *changes, n_rows]
+            runs = [(lo, hi, homes[lo]) for lo, hi in zip(edges, edges[1:])]
+        for lo, hi, home in runs:
+            self.workers[home].pipeline_for(table_id).bulk_load_many(
+                keys[lo:hi], fields[lo:hi], table_id=table_id)
+        self._load_rows.value += n_rows
+        self._load_batches.value += len(runs)
         return n_rows
+
+    def _range_runs(self, schema: TableSchema, keys) -> List[tuple]:
+        """Cut strictly ascending ``keys`` of a ``range_partitioned``
+        table into ``(lo, hi, home)`` partition runs by bisecting
+        ``partition_fn``: O(partitions x log rows) routing calls where
+        routing every key makes one per row.
+
+        The declaration is then sampled, not proved: each run is routed
+        at both ends and at evenly spaced keys between them, and a key
+        that routes elsewhere raises :class:`SchemaError` before
+        anything of the column is installed.  A ``partition_fn`` that
+        misroutes a stretch shorter than the sampling step can still
+        slip through; only routing every key, which is what an
+        undeclared table gets, is exact.
+        """
+        n_workers = self.config.n_workers
+        partition_fn = schema.partition_fn
+        calls = 0
+
+        def home_of(key):
+            nonlocal calls
+            calls += 1
+            return partition_fn(key, n_workers)
+
+        n_rows = len(keys)
+        last_home = home_of(keys[-1])
+        runs = []
+        lo = 0
+        while lo < n_rows:
+            home = home_of(keys[lo])
+            hi = n_rows if home == last_home else bisect_right(
+                keys, home, lo + 1, n_rows, key=home_of)
+            for step in range(1, _RANGE_SAMPLES + 1):
+                key = keys[lo + (hi - 1 - lo) * step // _RANGE_SAMPLES]
+                sampled = home_of(key)
+                if sampled != home:
+                    raise SchemaError(
+                        f"table {schema.name!r} declares range_partitioned "
+                        f"but key {key!r} routes to partition {sampled} "
+                        f"inside a run of partition {home}")
+            runs.append((lo, hi, home))
+            lo = hi
+        self._load_route_calls.value += calls
+        return runs
 
     # -- transactions ----------------------------------------------------------
     def new_block(self, proc_id: int, inputs: Sequence[Any],

@@ -17,7 +17,7 @@ from ..core.system import BionicDB
 from ..errors import BionicError, CorruptionError, StuckTransactionError
 from ..mem.schema import IndexKind
 from ..mem.txnblock import BlockLayout, TxnStatus
-from ..sim.engine import SimulationError
+from ..sim.engine import SimulationError, collector_quiesced
 from .command_log import CommandLog, LogRecord
 from .durable import read_frames, write_frames
 
@@ -143,23 +143,27 @@ class RecoveryManager:
         partitions it is taking over (replicated tables, stored as a
         single partition-0 copy, are always restored)."""
         n = 0
-        for (table_id, partition), items in ckpt.rows.items():
-            try:
-                schema = self.db.schemas.table(table_id)
-            except Exception as exc:
-                raise RecoveryError(
-                    f"checkpoint references table {table_id} which the "
-                    f"target database does not define: {exc}",
-                    table_id=table_id) from exc
-            if (partitions is not None and partition not in partitions
-                    and not schema.replicated):
-                continue
-            for key, fields, _write_ts in items:
-                if schema.replicated:
-                    self.db.load(table_id, key, fields)
-                else:
-                    self.db.load(table_id, key, fields, partition=partition)
-                n += 1
+        # one closing collection for the restore, not one per item list
+        with collector_quiesced(collect_on_exit=True):
+            for (table_id, partition), items in ckpt.rows.items():
+                try:
+                    schema = self.db.schemas.table(table_id)
+                except Exception as exc:
+                    raise RecoveryError(
+                        f"checkpoint references table {table_id} which the "
+                        f"target database does not define: {exc}",
+                        table_id=table_id) from exc
+                if (partitions is not None and partition not in partitions
+                        and not schema.replicated):
+                    continue
+                # the image holds one item list per (table, partition):
+                # its key and field columns go in as one run, homed
+                # outright (a replicated table, kept as one copy, goes to
+                # every partition)
+                n += self.db.load_many(
+                    columns=[(table_id, [item[0] for item in items],
+                              [item[1] for item in items])],
+                    partition=None if schema.replicated else partition)
         return n
 
     def replay(self, log: CommandLog, after_ts: int = 0,

@@ -598,10 +598,12 @@ class BPTreePipeline(PipelineBase):
         """Install one committed row; returns its record's address."""
         return self._load_rows(((key, fields),), ts, table_id)[1]
 
-    def bulk_load_many(self, rows, ts: int = 0, table_id: int = 0) -> int:
-        """Bulk-load ``(key, fields)`` pairs in iteration order
-        (timing-free host path); returns the number installed."""
-        return self._load_rows(rows, ts, table_id)[0]
+    def bulk_load_many(self, keys, fields, ts: int = 0,
+                       table_id: int = 0) -> int:
+        """Bulk-load a key column and its parallel field column in
+        order (timing-free host path); returns the number installed."""
+        return self._load_rows(zip(keys, fields, strict=True),
+                               ts, table_id)[0]
 
     def _load_rows(self, rows, ts: int, table_id: int) -> Tuple[int, int]:
         """The one host insert: install ``rows``, return ``(count,

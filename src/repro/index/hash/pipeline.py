@@ -46,6 +46,7 @@ takes; ``events_fired`` is held as a ceiling only.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -57,7 +58,8 @@ from ...mem.records import NULL_ADDR, TupleRecord
 from ...sim.memory import ColdRows
 from ...txn.cc import DbResult, ResultCode, check_read, check_write
 from ..common import (
-    DbRequest, IndexError_, PipelineBase, _sdbm_int8, sdbm_hash,
+    _MASK64, _P1, _P2, _P3, _P4, _P5, _P6, _P7,
+    DbRequest, IndexError_, PipelineBase, sdbm_hash,
 )
 from .locktable import HazardLockTable
 
@@ -350,61 +352,87 @@ class HashIndexPipeline(PipelineBase):
         self.tuple_count += 1
         return addr
 
-    def bulk_load_many(self, rows, ts: int = 0, table_id: int = 0) -> int:
-        """Batched :meth:`bulk_load`: identical rows, chains and heap
-        addresses, with the per-row dispatch (schema lookup, allocator
-        call, byte-serial hash) hoisted or specialised away — and no
-        record built.  The batch is laid out as the columns of one
+    def bulk_load_many(self, keys, fields, ts: int = 0,
+                       table_id: int = 0) -> int:
+        """Batched :meth:`bulk_load` of a key column and its parallel
+        field column: identical rows, chains and heap addresses, with
+        the per-row dispatch (schema lookup, allocator call, byte-serial
+        hash) hoisted or specialised away — and no record built.  The
+        batch is laid out as the columns of one
         :class:`~repro.sim.memory.ColdRows`; the heap builds a row's
         record the first time its cell is read.  This is what makes
         paper-scale loading (300 K rows/partition) a matter of seconds
         and megabytes rather than minutes and gigabytes.
 
-        A batch that raises midway (a row that is not a ``(key,
-        fields)`` pair, ``fields`` not iterable) leaves the rows before
-        it installed, reachable and counted, as a per-row loop would.
+        A ``fields`` entry that is not iterable stops the batch there:
+        the rows before it are installed, reachable and counted, as a
+        per-row loop would leave them, and the error is raised.
         """
         heap = self._dram.heap
         try:
             base, n_buckets = self._tables[table_id]
         except KeyError:
             raise IndexError_(f"{self.name}: unknown table {table_id}") from None
-        if not hasattr(rows, "__len__"):
-            rows = list(rows)
-        if not rows:
+        n_rows = len(keys)
+        if len(fields) != n_rows:
+            raise ValueError(f"{self.name}: {n_rows} keys offered with "
+                             f"{len(fields)} field rows")
+        if not n_rows:
             return 0
-        # The one place outside Heap that indexes its cell list: every
-        # address read or written below is a bucket of this table, and
-        # the load()/store() calls a row would otherwise make measured
-        # +0.2 us on a 1.2 us row.
-        cells = heap._cells
-        int8_max = 1 << 63
-        cold = ColdRows(TupleRecord, heap.alloc(len(rows)), ts)
-        add_key, add_next, add_snapshot = (
-            cold.keys.append, cold.nexts.append, cold.fields.append)
-        ints_only = True
-        # whatever can raise in a row comes before its first append, so
-        # the columns stay equally long and the finally places exactly
-        # the rows whose buckets were linked
+        cold = ColdRows(TupleRecord, heap.alloc(n_rows), ts)
         try:
-            for addr, (key, fields) in enumerate(rows, cold.base):
-                if type(key) is int and 0 <= key < int8_max:
-                    bucket = base + _sdbm_int8(key) % n_buckets
-                else:
-                    bucket = base + sdbm_hash(key) % n_buckets
-                    if ints_only:
-                        ints_only = False
-                        cold.keys = cold.keys.tolist()
-                        add_key = cold.keys.append
-                snapshot = tuple(fields)
-                add_key(key)
-                add_next(cells[bucket] or NULL_ADDR)
-                add_snapshot(snapshot)
-                cells[bucket] = addr
+            # a snapshot per row; a tuple offered for many rows is kept once
+            cold.fields.extend(map(tuple, fields))
         finally:
+            # short of n_rows only on the way out with an error: the
+            # rows whose fields were taken go in all the same
+            if len(cold) < n_rows:
+                keys = keys[:len(cold)]
+            # The one place outside Heap that indexes its cell list:
+            # every address read or written below is a bucket of this
+            # table, and the load()/store() calls a row would otherwise
+            # make measured +0.2 us on a 1.2 us row.
+            cells = heap._cells
+            add_next = cold.nexts.append
+            # machine words when every key is exactly int (True is not 1
+            # on the wire; a range holds nothing else) in [0, 2**63)
+            words = None
+            if type(keys) is range or set(map(type, keys)) == {int}:
+                try:
+                    words = array("q", keys)
+                except OverflowError:
+                    pass
+            if words and min(words) >= 0:
+                cold.keys = words
+                # _sdbm_int8 with the terms of the upper seven key bytes
+                # carried from row to row while those bytes do not
+                # change: right in any key order, and one multiply
+                # instead of seven for 255 rows in 256 of an ascending run
+                upper, carried = -1, 0
+                for addr, key in enumerate(cold.keys, cold.base):
+                    if key >> 8 != upper:
+                        upper = key >> 8
+                        carried = ((upper & 0xFF) * _P6
+                                   + (upper >> 8 & 0xFF) * _P5
+                                   + (upper >> 16 & 0xFF) * _P4
+                                   + (upper >> 24 & 0xFF) * _P3
+                                   + (upper >> 32 & 0xFF) * _P2
+                                   + (upper >> 40 & 0xFF) * _P1
+                                   + (upper >> 48))
+                    h = carried + (key & 0xFF) * _P7 & _MASK64
+                    h ^= h >> 33
+                    bucket = base + (h ^ h >> 17) % n_buckets
+                    add_next(cells[bucket] or NULL_ADDR)
+                    cells[bucket] = addr
+            else:
+                cold.keys = list(keys)
+                for addr, key in enumerate(cold.keys, cold.base):
+                    bucket = base + sdbm_hash(key) % n_buckets
+                    add_next(cells[bucket] or NULL_ADDR)
+                    cells[bucket] = addr
             heap.place_cold(cold)
             self.tuple_count += len(cold)
-        return len(cold)
+        return n_rows
 
     def lookup_direct(self, key: Any, table_id: int = 0) -> Optional[TupleRecord]:
         """Timing-free probe used by tests and recovery verification."""

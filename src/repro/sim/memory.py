@@ -51,8 +51,8 @@ class ColdRows:
     collector tracks, against a record, its field list and two boxed
     integers.
 
-    ``keys`` is an ``array('q')`` while every key is an ``int`` in
-    [0, 2**63) and a plain list from the first one that is not;
+    ``keys`` is an ``array('q')`` when every key of the batch is an
+    ``int`` in [0, 2**63) and a plain list when one is not;
     ``nexts`` is each row's hash-chain pointer; ``fields`` holds
     ``tuple(fields)`` of each row as it was offered — a snapshot, so a
     caller may reuse or mutate its list afterwards, and the very tuple

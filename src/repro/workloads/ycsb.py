@@ -212,13 +212,18 @@ class YcsbWorkload:
                 self.range_procedure(cfg.scan_length, self.range_layout()))
         if not load_data:
             return
-        # batched fast path; row order (and so heap addresses) matches
-        # per-row db.load exactly.  Every row offers the same one-field
-        # tuple: immutable, so a loader may keep it, and the hash loader
-        # keeps just this one until a row is read.
-        fields = (cfg.payload,)
-        db.load_many((YCSB_TABLE, key, fields)
-                     for key in range(cfg.total_records))
+        # the whole table as two columns; row order (and so heap
+        # addresses) matches per-row db.load exactly.  Every row offers
+        # the same one-field tuple: immutable, so a loader may keep it,
+        # and the hash loader keeps just this one until a row is read.
+        total = cfg.total_records
+
+        def table():
+            # built when load_many asks and dropped with its last row:
+            # the closing collection has no million-slot list to walk
+            yield YCSB_TABLE, range(total), [(cfg.payload,)] * total
+
+        db.load_many(columns=table())
 
     # -- block layouts -----------------------------------------------------------
     def read_layout(self, n_reads: Optional[int] = None) -> BlockLayout:

@@ -46,3 +46,20 @@ def heap_image(heap):
     what two load paths must agree on cell for cell."""
     return heap.allocated_cells, [(addr, repr(cell))
                                   for addr, cell in heap.items()]
+
+
+def per_row(db):
+    """Make ``db.load_many`` the row-at-a-time ``db.load`` loop its heap
+    image must agree with, for rows and for columns."""
+    def load_many(rows=(), *, columns=(), partition=None):
+        n = 0
+        for table_id, key, fields in rows:
+            db.load(table_id, key, fields, partition=partition)
+            n += 1
+        for table_id, keys, column in columns:
+            for key, fields in zip(keys, column, strict=True):
+                db.load(table_id, key, fields, partition=partition)
+                n += 1
+        return n
+    db.load_many = load_many
+    return db

@@ -160,13 +160,14 @@ class TestBulkLoadAndDirect:
 
     def test_ascending_batch_descends_once_per_leaf_split(self, env):
         pipe = make_pipeline(env, fanout=15)
-        assert pipe.bulk_load_many((k, [k]) for k in range(400)) == 400
+        assert pipe.bulk_load_many(range(400), [[k] for k in range(400)]) == 400
         assert pipe.load_rows.value == 400
         # a full leaf splits 8 / 8, so the rightmost one refills — and
         # drops the remembered path — every eighth row
         ascending = pipe.load_descents.value
         assert 0 < ascending <= 400 // 8
-        pipe.bulk_load_many((k, [k]) for k in range(500, 400, -1))
+        pipe.bulk_load_many(range(500, 400, -1),
+                            [[k] for k in range(500, 400, -1)])
         assert pipe.load_descents.value == ascending + 100
         assert pipe.tuple_count == 500
         pipe.invariant_check()

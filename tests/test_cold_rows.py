@@ -46,7 +46,7 @@ def run_op(env, pipe, op, key, ts=5):
 def test_a_shared_list_mutated_after_the_load_reads_back_as_offered(env):
     pipe = make_pipeline(env)
     shared = ["offered", 1]
-    pipe.bulk_load_many([(key, shared) for key in range(10)])
+    pipe.bulk_load_many(range(10), [shared] * 10)
     shared[0] = "mutated"
     shared.append("grown")
     for key in range(10):
@@ -73,7 +73,7 @@ def test_one_offered_tuple_is_stored_once_and_copied_per_record(env):
     # layout pin: YCSB offers one payload tuple for every row
     pipe = make_pipeline(env)
     payload = ("v",)
-    pipe.bulk_load_many([(key, payload) for key in range(10)])
+    pipe.bulk_load_many(range(10), [payload] * 10)
     (cold,) = {id(cell): cell for cell in env.heap._cells
                if isinstance(cell, ColdRows)}.values()
     assert all(snapshot is payload for snapshot in cold.fields)
@@ -85,7 +85,7 @@ def test_one_offered_tuple_is_stored_once_and_copied_per_record(env):
 def test_key_column_falls_back_to_a_list_mid_batch(env):
     pipe = make_pipeline(env)
     keys = [1, 2, 2**63 - 1, -7, 3, "s", (4, "t"), 2**63, 5]
-    pipe.bulk_load_many([(key, [repr(key)]) for key in keys])
+    pipe.bulk_load_many(keys, [[repr(key)] for key in keys])
     for key in keys:
         record = pipe.lookup_direct(key)
         assert record.key == key and type(record.key) is type(key)
@@ -96,7 +96,7 @@ def test_key_column_falls_back_to_a_list_mid_batch(env):
 
 def test_first_read_builds_the_record_and_keeps_it(env):
     pipe = make_pipeline(env)
-    pipe.bulk_load_many([(key, [key]) for key in range(5)], ts=9)
+    pipe.bulk_load_many(range(5), [[key] for key in range(5)], ts=9)
     addr = env.heap.load(pipe.bucket_addr_of(3))
     record = env.heap.load(addr)
     assert record == TupleRecord(3, [3], addr, record.next_addr, 9, 9)
@@ -108,7 +108,7 @@ def test_first_read_builds_the_record_and_keeps_it(env):
 
 def test_store_over_a_never_read_cell_replaces_it(env):
     pipe = make_pipeline(env)
-    pipe.bulk_load_many([(key, [key]) for key in range(5)])
+    pipe.bulk_load_many(range(5), [[key] for key in range(5)])
     addr = env.heap.load(pipe.bucket_addr_of(2))
     replacement = TupleRecord(2, ["new"], addr)
     env.heap.store(addr, replacement)
@@ -119,7 +119,7 @@ def test_store_over_a_never_read_cell_replaces_it(env):
 
 def test_host_probes_walk_cold_chains(env):
     pipe = make_pipeline(env, n_buckets=2)
-    pipe.bulk_load_many([(key, [f"v{key}"]) for key in range(20)])
+    pipe.bulk_load_many(range(20), [[f"v{key}"] for key in range(20)])
     chains = {pipe.bucket_addr_of(key): pipe.chain_length(key)
               for key in range(20)}
     assert len(chains) == 2 and sum(chains.values()) == 20
@@ -132,7 +132,7 @@ def test_host_probes_walk_cold_chains(env):
 
 def test_heap_items_hands_out_records_never_cold_cells(env):
     pipe = make_pipeline(env)
-    pipe.bulk_load_many([(key, [key]) for key in range(8)])
+    pipe.bulk_load_many(range(8), [[key] for key in range(8)])
     cells = [cell for _addr, cell in env.heap.items()]
     assert sum(isinstance(cell, TupleRecord) for cell in cells) == 8
     assert not any(isinstance(cell, ColdRows) for cell in cells)
@@ -141,7 +141,7 @@ def test_heap_items_hands_out_records_never_cold_cells(env):
 @pytest.mark.parametrize("op", [Opcode.UPDATE, Opcode.REMOVE])
 def test_write_ops_through_the_pipeline_on_a_never_read_row(env, op):
     pipe = make_pipeline(env, n_buckets=4)
-    pipe.bulk_load_many([(key, [f"v{key}"]) for key in range(12)])
+    pipe.bulk_load_many(range(12), [[f"v{key}"] for key in range(12)])
     result = run_op(env, pipe, op, 7)
     assert result.code is ResultCode.OK
     record = env.heap.load(result.tuple_addr)
@@ -204,7 +204,7 @@ def test_checkpoint_and_recovery_of_a_cold_database():
 def test_a_read_only_burst_inflates_exactly_the_rows_it_visits(env):
     pipe = make_pipeline(env, n_buckets=8)
     keys = list(range(200))
-    pipe.bulk_load_many([(key, [key]) for key in keys])
+    pipe.bulk_load_many(keys, [[key] for key in keys])
     assert counter(env, "heap.rows_cold") == 200
     assert counter(env, "heap.rows_inflated") == 0
     # a chain runs newest first: reading a key visits every later-
@@ -243,14 +243,13 @@ def test_database_counters_cover_every_partition():
 
 # -- a batch that raises midway -----------------------------------------------
 
-@pytest.mark.parametrize("bad_row", [5, (5,), (5, None)],
-                         ids=["not-a-pair", "short", "fields-not-iterable"])
-def test_a_batch_that_raises_midway_counts_what_it_installed(env, bad_row):
+@pytest.mark.parametrize("bad_fields", [None, (1 // 0 for _ in "x")],
+                         ids=["fields-not-iterable", "fields-raise-when-read"])
+def test_a_batch_that_raises_midway_counts_what_it_installed(env, bad_fields):
     pipe = make_pipeline(env, n_buckets=2)
-    pipe.bulk_load_many([(key, [key]) for key in range(100, 104)])
-    rows = [(0, ["a"]), (1, ["b"]), (2, ["c"]), bad_row, (4, ["e"])]
-    with pytest.raises((TypeError, ValueError)):
-        pipe.bulk_load_many(rows)
+    pipe.bulk_load_many(range(100, 104), [[key] for key in range(100, 104)])
+    with pytest.raises((TypeError, ZeroDivisionError)):
+        pipe.bulk_load_many(range(5), [["a"], ["b"], ["c"], bad_fields, ["e"]])
     assert pipe.tuple_count == 4 + 3
     assert counter(env, "heap.rows_cold") == 4 + 3
     # the rows before the bad one are in, the rows loaded earlier are

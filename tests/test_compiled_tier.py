@@ -42,7 +42,7 @@ from repro.workloads import (
 )
 from repro.workloads.ycsb import PROC_READ_BASE, YCSB_TABLE
 
-from conftest import heap_image
+from conftest import heap_image, per_row as _per_row
 
 
 # -- the interpreter's behaviour, kept as data -------------------------------
@@ -159,12 +159,6 @@ def test_unknown_table_fails_when_the_instruction_is_reached():
 
 def _heap_image(db):
     return heap_image(db.heap)
-
-
-def _per_row(db):
-    """Make ``db.load_many`` the row-at-a-time loop it must agree with."""
-    db.load_many = lambda rows: [db.load(*row) for row in rows]
-    return db
 
 
 def _ycsb_db(index_kind):

@@ -1,5 +1,7 @@
 """Unit tests for the hash index pipeline (§4.4.1)."""
 
+from array import array
+
 import pytest
 
 from repro.index.common import DbRequest, sdbm_hash
@@ -405,11 +407,17 @@ class TestErrors:
         assert pipe.lookup_direct(5, table_id=0).fields == ["t0"]
         assert pipe.lookup_direct(5, table_id=1).fields == ["t1"]
 
-    def test_bulk_load_many_takes_any_iterable(self, env):
+    def test_bulk_load_many_takes_any_sized_sequence(self, env):
         pipe = make_pipeline(env)
         first = pipe.bulk_load(0, ["v0"])
-        assert pipe.bulk_load_many((k, [f"v{k}"]) for k in range(1, 40)) == 39
-        assert pipe.bulk_load_many(iter(())) == 0
+        fields = [[f"v{k}"] for k in range(40)]
+        assert pipe.bulk_load_many(range(1, 20), fields[1:20]) == 19
+        assert pipe.bulk_load_many(list(range(20, 30)), fields[20:30]) == 10
+        assert pipe.bulk_load_many(array("q", range(30, 40)),
+                                   tuple(fields[30:])) == 10
+        assert pipe.bulk_load_many((), []) == 0
+        with pytest.raises(ValueError):
+            pipe.bulk_load_many(range(40, 50), fields[:9])
         # one address per row, in row order, as per-row loading gives
         assert [pipe.lookup_direct(k).addr for k in range(40)] == list(
             range(first, first + 40))

@@ -207,7 +207,7 @@ class TestPipelineProperties:
             pipe = pipeline(env.engine, env.clock, env.dram, "p")
             if batched:
                 for lo, hi in zip(bounds, bounds[1:]):
-                    pipe.bulk_load_many((k, [k]) for k in ks[lo:hi])
+                    pipe.bulk_load_many(ks[lo:hi], [[k] for k in ks[lo:hi]])
             else:
                 for k in ks:
                     pipe.bulk_load(k, [k])
@@ -247,7 +247,8 @@ class TestPipelineProperties:
             for lo, hi, whole in zip(bounds, bounds[1:], batched):
                 chunk = rows[lo:hi]
                 if cold and whole:
-                    assert pipe.bulk_load_many(chunk) == len(chunk)
+                    keys, fields = zip(*chunk) if chunk else ((), ())
+                    assert pipe.bulk_load_many(keys, fields) == len(chunk)
                 else:
                     for key, fields in chunk:
                         pipe.bulk_load(key, fields)

@@ -63,11 +63,12 @@ class TestBulkLoadAndDirect:
         # the sorted-run assumption, counted: every row after the first
         # starts from the tower before it
         pipe = make_pipeline(env)
-        assert pipe.bulk_load_many((k, [k]) for k in range(400)) == 400
+        assert pipe.bulk_load_many(range(400), [[k] for k in range(400)]) == 400
         assert pipe.load_rows.value == 400
         assert pipe.load_descents.value <= 1
         # a descending batch gets no help; one row is a batch of one
-        pipe.bulk_load_many((k, [k]) for k in range(500, 400, -1))
+        pipe.bulk_load_many(range(500, 400, -1),
+                            [[k] for k in range(500, 400, -1)])
         pipe.bulk_load(1000, ["v"])
         assert pipe.load_rows.value == 501
         assert pipe.load_descents.value == 102
