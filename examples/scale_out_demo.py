@@ -8,10 +8,9 @@ Three scaling moves the paper sketches, demonstrated end to end:
 Run:  python examples/scale_out_demo.py
 """
 
-from repro.cluster import BionicCluster
 from repro.core import BionicConfig, BionicDB
 from repro.isa import Gp, ProcedureBuilder
-from repro.mem import IndexKind, TableSchema
+from repro.mem import IndexKind, TableSchema, TxnStatus
 from repro.workloads import YcsbConfig, YcsbWorkload
 
 
@@ -45,29 +44,33 @@ def main() -> None:
     print("the ring trades latency for O(n) wiring — the §4.6 argument\n")
 
     # ---- 3: a two-chip shared-nothing cluster --------------------------
+    # the same machine class, two nodes: each chip has its own DRAM and
+    # fabric, and inter-node links join them
     per = 1000
-    cluster = BionicCluster(n_nodes=2, config=BionicConfig(n_workers=4))
-    cluster.define_table(TableSchema(
+    db = BionicDB(BionicConfig(n_workers=4), n_nodes=2)
+    db.define_table(TableSchema(
         0, "kv", index_kind=IndexKind.HASH, hash_buckets=4096,
         partition_fn=lambda k, n: min(k // per, n - 1)))
-    cluster.register_procedure(0, read_proc())
-    for p in range(cluster.total_workers):
+    db.register_procedure(0, read_proc())
+    for p in range(db.total_workers):
         for k in range(100):
-            cluster.load(0, p * per + k, [f"v{p}.{k}"])
+            db.load(0, p * per + k, [f"v{p}.{k}"])
 
-    print(f"cluster: {cluster.n_nodes} chips x "
-          f"{cluster.workers_per_node} workers, shared-nothing DRAM")
+    print(f"cluster: {db.n_nodes} chips x "
+          f"{db.config.n_workers} workers, shared-nothing DRAM")
 
     # same-node remote read vs cross-node remote read
     for key, label in ((1050, "same-chip remote read "),
                        (6050, "cross-chip remote read")):
-        block = cluster.new_block(0, [key], worker=0)
-        t0 = cluster.engine.now
-        cluster.submit(block)
-        cluster.run()
+        block = db.new_block(0, [key], worker=0)
+        t0 = db.engine.now
+        db.submit(block)
+        db.run()
+        assert block.header.status is TxnStatus.COMMITTED
         print(f"  {label}: {block.header.status.value}, "
-              f"{(cluster.engine.now - t0) / 1000:.2f} us")
-    inter = cluster.stats.counter("comm.internode_messages").value
+              f"{(db.engine.now - t0) / 1000:.2f} us")
+    inter = db.stats.counter("comm.internode_messages").value
+    assert inter == 2       # the cross-chip request and its response
     print(f"  inter-node messages exchanged: {inter}")
     print("keeping partitions on-chip is worth microseconds per access —")
     print("exactly why the paper wants the channels 'diversified' carefully")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
-from ..cluster import BionicCluster
 from ..core import BionicConfig, BionicDB
 from ..index.common import DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
@@ -291,23 +290,22 @@ def run_cluster_scale_out(n_txns_per_part: int = 40) -> FigureReport:
 
     def run(n_nodes: int) -> float:
         per = 1000
-        cluster = BionicCluster(n_nodes=n_nodes,
-                                config=BionicConfig(n_workers=4))
-        total = 4 * n_nodes
-        cluster.define_table(TableSchema(
+        db = BionicDB(BionicConfig(n_workers=4), n_nodes=n_nodes)
+        total = db.total_workers
+        db.define_table(TableSchema(
             0, "kv", index_kind=IndexKind.HASH, hash_buckets=4096,
             partition_fn=lambda k, n: min(k // per, n - 1)))
-        cluster.register_procedure(0, read_proc())
-        for p in range(total):
-            for k in range(200):
-                cluster.load(0, p * per + k, [k])
+        db.register_procedure(0, read_proc())
+        db.load_many(columns=(
+            (0, range(p * per, p * per + 200), [[k] for k in range(200)])
+            for p in range(total)))
         blocks, homes = [], []
         for t in range(n_txns_per_part * total):
             p = t % total
-            blocks.append(cluster.new_block(
+            blocks.append(db.new_block(
                 0, [p * per + (t * 7) % 200], worker=p))
             homes.append(p)
-        rep = cluster.run_all(blocks, workers=homes)
+        rep = db.run_all(blocks, workers=homes)
         return rep.throughput_tps
 
     report.xs = ["1 chip (4 workers)", "2 chips (8 workers)"]

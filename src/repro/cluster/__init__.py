@@ -1,22 +1,22 @@
 """Multi-node BionicDB: shared-nothing scale-out (§4.6 future work).
 
-``BionicCluster`` is the single-engine data plane (inter-node reads
-over the hierarchical interconnect); the HA control plane —
-membership, epoch-fenced ownership, failover, live migration — lives
-in :mod:`repro.cluster.ha` / :mod:`repro.cluster.membership` /
+The multi-node machine itself is ``repro.core.BionicDB(config,
+n_nodes=k)`` — one engine, ``k`` chips; this package holds what joins
+the chips (:mod:`repro.cluster.interconnect`: per-chip fabrics under
+inter-node links, read-only across nodes) and the HA control plane —
+membership, epoch-fenced ownership, failover, live migration — in
+:mod:`repro.cluster.ha` / :mod:`repro.cluster.membership` /
 :mod:`repro.cluster.migration`.
 """
 
 from .interconnect import ClusterError, HierarchicalInterconnect, NodeLinks
 from .membership import MembershipService, MembershipView
 from .migration import MigrationRecord, MigrationState
-from .system import BionicCluster
 
 __all__ = [
     "ClusterError", "HierarchicalInterconnect", "NodeLinks",
     "MembershipService", "MembershipView",
     "MigrationRecord", "MigrationState",
-    "BionicCluster",
     "HACluster", "HAResult", "ReplicationStream", "PartitionState",
 ]
 

@@ -38,7 +38,6 @@ The safety contract, enforced with typed errors and an audit trail:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -49,7 +48,7 @@ from ..errors import (
     StaleEpochError,
 )
 from ..host.command_log import CommandLog, LogRecord
-from ..host.recovery import RecoveryManager, take_checkpoint
+from ..host.recovery import RecoveryManager, partition_hashes
 from ..mem.txnblock import TxnStatus
 from ..sim.stats import StatsRegistry
 from .interconnect import NodeLinks
@@ -541,22 +540,14 @@ class HACluster:
     # -- state inspection ----------------------------------------------------
     def partition_hashes(self) -> Dict[str, str]:
         """Per-partition content hashes read from each partition's
-        *current owner* — the cluster-level analogue of
-        :func:`repro.faults.drill.partition_hashes`."""
+        *current owner* — :func:`repro.host.recovery.partition_hashes`
+        per owner, over the partitions it owns."""
         by_owner: Dict[int, Set[int]] = {}
         for p, st in self.parts.items():
             by_owner.setdefault(st.owner, set()).add(p)
         out: Dict[str, str] = {}
         for owner, pset in by_owner.items():
-            ckpt = take_checkpoint(self.nodes[owner])
-            for (table, part), items in sorted(ckpt.rows.items()):
-                if part not in pset:
-                    continue
-                digest = hashlib.sha256()
-                for key, fields, _write_ts in sorted(
-                        items, key=lambda r: repr(r[0])):
-                    digest.update(repr((key, list(fields))).encode())
-                out[f"t{table}.p{part}"] = digest.hexdigest()
+            out.update(partition_hashes(self.nodes[owner], pset))
         return out
 
     def ownership_map(self) -> Dict[int, Tuple[int, int]]:

@@ -7,9 +7,9 @@ diversified with additional connectivities for inter-node
 communication."
 
 This interconnect presents the familiar crossbar interface over global
-worker ids: messages between workers on the same chip take the on-chip
-hop (3 cycles); messages crossing chips take an inter-node link
-(microseconds, serialised per directed node pair).
+worker ids: messages between workers on the same chip take that chip's
+own fabric (crossbar or ring); messages crossing chips take an
+inter-node link (microseconds, serialised per directed node pair).
 
 The inter-node portion is factored into :class:`NodeLinks`, a pure
 time-arithmetic model of the node-to-node lanes (serialisation,
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Sequence
 
-from ..comm.channels import CommLink, RequestPacket, ResponsePacket
+from ..comm.channels import CommLink, Crossbar, RequestPacket, ResponsePacket
 from ..errors import BionicError
 from ..isa.instructions import Opcode
 from ..sim.clock import ClockDomain
@@ -168,34 +168,46 @@ class NodeLinks:
 
 
 class HierarchicalInterconnect:
+    """Per-chip fabrics joined by :class:`NodeLinks`, under the fabric
+    interface (``link`` / ``send_request`` / ``send_response``) over
+    global worker ids.
+
+    ``node_of[w]`` is worker ``w``'s node; ``fabrics[n]`` is node
+    ``n``'s on-chip fabric (a :class:`~repro.comm.Crossbar` or
+    :class:`~repro.comm.RingInterconnect` over that node's workers, in
+    global-id order) and carries its same-node traffic — a default
+    crossbar per node when not given.
+    """
+
     def __init__(self, engine: Engine, clock: ClockDomain,
                  node_of: Sequence[int],
-                 intra_hop_cycles: float = 3.0,
+                 fabrics: Optional[Sequence] = None,
                  inter_latency_ns: float = 1500.0,
                  inter_issue_ns: float = 50.0,
                  stats: Optional[StatsRegistry] = None,
                  faults=None,
                  stall_max_ns: float = 50_000.0):
         self.engine = engine
-        self.clock = clock
         self.node_of = list(node_of)
         self.n_workers = len(self.node_of)
-        self.intra_hop_ns = clock.ns(intra_hop_cycles)
         self.inter_latency_ns = inter_latency_ns
-        self.inter_issue_ns = inter_issue_ns
-        self.issue_interval_ns = clock.ns(1.0)
-        self.links = [CommLink(engine, w) for w in range(self.n_workers)]
-        self._lane_free: Dict[tuple, float] = {}
         self.stats = stats or StatsRegistry()
-        #: optional repro.faults.FaultPlan; inter-node messages can be
-        #: lost (interconnect.drop), stalled (interconnect.stall, by up
-        #: to ``stall_max_ns`` drawn from the plan's RNG) or cut off by
-        #: a drawn-duration link partition (interconnect.partition)
-        self.faults = faults
-        self.stall_max_ns = stall_max_ns
         n_nodes = (max(self.node_of) + 1) if self.node_of else 1
-        #: the shared inter-node lane model; the HA control plane rides
-        #: the same instance so faults starve both planes consistently
+        #: worker -> its station id on its own chip's fabric
+        self._station = []
+        sizes = [0] * n_nodes
+        for node in self.node_of:
+            self._station.append(sizes[node])
+            sizes[node] += 1
+        self.fabrics = list(fabrics) if fabrics is not None else [
+            Crossbar(engine, clock, size, stats=self.stats) for size in sizes]
+        self.links = [self.fabrics[node].links[station]
+                      for node, station in zip(self.node_of, self._station)]
+        #: the shared inter-node lane model (and its optional
+        #: repro.faults.FaultPlan: inter-node messages can be lost,
+        #: stalled by up to ``stall_max_ns`` or cut off by a link
+        #: partition); the HA control plane rides the same instance so
+        #: faults starve both planes consistently
         self.node_links = NodeLinks(
             n_nodes, inter_latency_ns=inter_latency_ns,
             inter_issue_ns=inter_issue_ns, faults=faults, stats=self.stats,
@@ -238,29 +250,26 @@ class HierarchicalInterconnect:
             raise ValueError(f"destination worker {dst} out of range")
 
     def _send(self, src: int, dst: int, kind: str, queue: Fifo, packet) -> None:
-        now = self.engine.now
+        src_node, dst_node = self.node_of[src], self.node_of[dst]
+        if src_node == dst_node:
+            self.fabrics[src_node].send(kind, self._station[src],
+                                        self._station[dst], queue, packet)
+            return
         self._sent.add()
-        if self.crosses_nodes(src, dst):
-            self._inter.add()
-            arrive = self.node_links.delivery(
-                self.node_of[src], self.node_of[dst], now, kind=kind)
-            if arrive is None:
-                return
-        else:
-            lane = (kind, src, dst)
-            depart = max(now, self._lane_free.get(lane, 0.0))
-            self._lane_free[lane] = depart + self.issue_interval_ns
-            arrive = depart + self.intra_hop_ns
-        self.engine.call_fn_at(arrive, queue.try_put, packet)
+        self._inter.add()
+        arrive = self.node_links.delivery(src_node, dst_node,
+                                          self.engine.now, kind=kind)
+        if arrive is not None:
+            self.engine.call_fn_at(arrive, queue.try_put, packet)
 
     # -- latency figures ---------------------------------------------------------
     @property
     def primitive_latency_ns(self) -> float:
-        return self.intra_hop_ns
+        return self.fabrics[0].primitive_latency_ns
 
     @property
     def roundtrip_latency_ns(self) -> float:
-        return 2 * self.intra_hop_ns
+        return self.fabrics[0].roundtrip_latency_ns
 
     @property
     def internode_roundtrip_ns(self) -> float:

@@ -95,19 +95,24 @@ class Crossbar:
     # -- sending ------------------------------------------------------------
     def send_request(self, packet: RequestPacket) -> None:
         self._check_dst(packet.dst_worker)
-        self._send(("req", packet.src_worker, packet.dst_worker),
-                   self.links[packet.dst_worker].requests, packet)
+        self.send("req", packet.src_worker, packet.dst_worker,
+                  self.links[packet.dst_worker].requests, packet)
 
     def send_response(self, packet: ResponsePacket) -> None:
         self._check_dst(packet.dst_worker)
-        self._send(("rsp", packet.src_worker, packet.dst_worker),
-                   self.links[packet.dst_worker].responses, packet)
+        self.send("rsp", packet.src_worker, packet.dst_worker,
+                  self.links[packet.dst_worker].responses, packet)
 
     def _check_dst(self, dst: int) -> None:
         if not 0 <= dst < self.n_workers:
             raise ValueError(f"destination worker {dst} out of range")
 
-    def _send(self, lane: tuple, queue: Fifo, packet) -> None:
+    def send(self, kind: str, src: int, dst: int, queue: Fifo,
+             packet) -> None:
+        """Put ``packet`` on ``queue`` after the fabric's delay from
+        station ``src`` to ``dst`` (the call a multi-node interconnect
+        makes for same-node traffic, with chip-local station ids)."""
+        lane = (kind, src, dst)
         now = self.engine.now
         depart = max(now, self._lane_free.get(lane, 0.0))
         self._lane_free[lane] = depart + self.issue_interval_ns

@@ -59,19 +59,22 @@ class RingInterconnect:
     # -- sending ------------------------------------------------------------
     def send_request(self, packet: RequestPacket) -> None:
         self._check_dst(packet.dst_worker)
-        self._send(packet.src_worker, packet.dst_worker,
-                   self.links[packet.dst_worker].requests, packet)
+        self.send("req", packet.src_worker, packet.dst_worker,
+                  self.links[packet.dst_worker].requests, packet)
 
     def send_response(self, packet: ResponsePacket) -> None:
         self._check_dst(packet.dst_worker)
-        self._send(packet.src_worker, packet.dst_worker,
-                   self.links[packet.dst_worker].responses, packet)
+        self.send("rsp", packet.src_worker, packet.dst_worker,
+                  self.links[packet.dst_worker].responses, packet)
 
     def _check_dst(self, dst: int) -> None:
         if not 0 <= dst < self.n_workers:
             raise ValueError(f"destination worker {dst} out of range")
 
-    def _send(self, src: int, dst: int, queue: Fifo, packet) -> None:
+    def send(self, kind: str, src: int, dst: int, queue: Fifo,
+             packet) -> None:
+        """As :meth:`Crossbar.send`; requests and responses share the
+        ring's segments, so ``kind`` picks no lane."""
         now = self.engine.now
         hops = self.hops_between(src, dst)
         # serialise on each segment the message crosses, in order

@@ -138,9 +138,6 @@ class BionicConfig:
     # "ultrascale_plus" (the §7 scale-up target)
     device: str = "virtex5"
 
-    # cluster high availability (heartbeats, failover, migration)
-    ha: HAConfig = field(default_factory=HAConfig)
-
     # softcore
     softcore: SoftcoreConfig = field(default_factory=SoftcoreConfig)
 

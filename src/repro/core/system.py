@@ -6,6 +6,15 @@ link) over shared FPGA-side DRAM, a crossbar of on-chip channels, a
 hardware timestamp clock, an FPGA resource ledger (Table 4) and a
 power model (§5.8).
 
+``BionicDB(config, n_nodes=k)`` is the §4.6/§7 scale-out of the same
+machine: ``k`` such chips in a shared-nothing cluster, each with its
+own DRAM and on-chip fabric, partitions spread over ``k * n_workers``
+global worker ids.  Same-node traffic takes the chip's fabric;
+cross-node traffic takes microsecond-class inter-node links and may
+only *read* (SEARCH) — a remote write would need a distributed commit
+protocol the paper does not design, so it raises
+:class:`~repro.cluster.interconnect.ClusterError` (DESIGN.md §6).
+
 Typical use::
 
     from repro.core import BionicDB, BionicConfig
@@ -32,7 +41,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 from ..comm.channels import Crossbar
 from ..dora.worker import PartitionWorker
 from ..errors import (
-    FrontendError, SimulatedCrash, StuckTransactionError, SubmissionError,
+    ConfigError, CrossNodeTransactionError, FrontendError, SimulatedCrash,
+    StuckTransactionError, SubmissionError,
 )
 from ..isa.instructions import Program
 from ..mem.schema import Catalog, SchemaError, TableSchema
@@ -118,23 +128,38 @@ class RunReport:
 
 
 class BionicDB:
-    """The simulated BionicDB machine."""
+    """The simulated BionicDB machine: ``n_nodes`` chips of
+    ``config.n_workers`` partition workers each (one chip by default)."""
 
-    def __init__(self, config: Optional[BionicConfig] = None):
+    def __init__(self, config: Optional[BionicConfig] = None,
+                 n_nodes: int = 1, inter_latency_ns: float = 1500.0,
+                 faults=None):
+        """``inter_latency_ns`` is the one-way inter-node link latency;
+        ``faults`` an optional :class:`repro.faults.FaultPlan` armed on
+        those links.  Neither matters to a one-node machine."""
+        if n_nodes < 1:
+            raise ConfigError("n_nodes must be >= 1", n_nodes=n_nodes)
         self.config = config or BionicConfig()
         cfg = self.config
+        self.n_nodes = n_nodes
+        self.total_workers = n_nodes * cfg.n_workers
         self.engine = Engine()
         self.clock = ClockDomain(self.engine, cfg.fpga_mhz, name="fpga")
         self.stats = StatsRegistry()
-        self.heap = Heap(stats=self.stats)
         #: what load_many did (zero simulated cost): rows installed,
         #: bulk_load_many batches handed out, partition_fn calls made
         self._load_rows = self.stats.counter("core.load.rows")
         self._load_batches = self.stats.counter("core.load.batches")
         self._load_route_calls = self.stats.counter("core.load.route_calls")
-        self.dram = DramModel(self.engine, self.clock, self.heap,
-                              latency_cycles=cfg.dram_latency_cycles,
-                              channels=cfg.dram_channels, stats=self.stats)
+        #: one heap and DRAM per chip — shared nothing
+        self.drams: List[DramModel] = [
+            DramModel(self.engine, self.clock, Heap(stats=self.stats),
+                      latency_cycles=cfg.dram_latency_cycles,
+                      channels=cfg.dram_channels, stats=self.stats)
+            for _ in range(n_nodes)]
+        #: the one-node spelling: node 0's DRAM and heap
+        self.dram = self.drams[0]
+        self.heap = self.dram.heap
         self.hw_clock = HardwareClock()
         self.schemas = Catalog()
         self.catalogue = Catalogue(self.schemas,
@@ -142,20 +167,22 @@ class BionicDB:
         from ..sim.trace import NULL_TRACER
         self.tracer = cfg.tracer if cfg.tracer is not None else NULL_TRACER
         self.tracer.bind_clock(self.clock)
-        if cfg.comm_topology == "ring":
-            from ..comm.ring import RingInterconnect
-            self.crossbar = RingInterconnect(
-                self.engine, self.clock, cfg.n_workers,
-                hop_cycles=cfg.ring_hop_cycles, stats=self.stats)
+        if n_nodes == 1:
+            self.crossbar = self._chip_fabric()
         else:
-            self.crossbar = Crossbar(self.engine, self.clock, cfg.n_workers,
-                                     hop_cycles=cfg.comm_hop_cycles,
-                                     stats=self.stats)
+            from ..cluster.interconnect import HierarchicalInterconnect
+            self.crossbar = HierarchicalInterconnect(
+                self.engine, self.clock,
+                [self.node_of(w) for w in range(self.total_workers)],
+                fabrics=[self._chip_fabric() for _ in range(n_nodes)],
+                inter_latency_ns=inter_latency_ns, stats=self.stats,
+                faults=faults)
         self._done_count = 0
         self.workers: List[PartitionWorker] = [
             PartitionWorker(
-                self.engine, self.clock, self.dram, w, cfg.n_workers,
-                self.catalogue, self.hw_clock, self.crossbar,
+                self.engine, self.clock, self.drams[self.node_of(w)], w,
+                self.total_workers, self.catalogue, self.hw_clock,
+                self.crossbar,
                 softcore_config=cfg.softcore,
                 hash_kwargs=cfg.hash_kwargs(),
                 skiplist_kwargs=cfg.skiplist_kwargs(),
@@ -164,7 +191,7 @@ class BionicDB:
                 on_txn_done=self._on_txn_done,
                 tracer=self.tracer,
             )
-            for w in range(cfg.n_workers)
+            for w in range(self.total_workers)
         ]
         self._txn_counter = 0
         #: txn_id -> block, from submit() until the done callback; used
@@ -173,10 +200,48 @@ class BionicDB:
         #: proc ids whose table references were validated against the
         #: current schema catalog (reset when a table is defined)
         self._table_checked: set = set()
+        #: lazily built static footprint summaries (footprint_index)
+        self._footprints = None
         #: completion hooks (the front-end's attach point, diagnostics)
         self._done_callbacks: List = []
         #: the attached repro.frontend.FrontEnd, if any
         self.frontend = None
+
+    def _chip_fabric(self):
+        """One chip's on-chip fabric, as ``comm_topology`` names it."""
+        cfg = self.config
+        if cfg.comm_topology == "ring":
+            from ..comm.ring import RingInterconnect
+            return RingInterconnect(
+                self.engine, self.clock, cfg.n_workers,
+                hop_cycles=cfg.ring_hop_cycles, stats=self.stats)
+        return Crossbar(self.engine, self.clock, cfg.n_workers,
+                        hop_cycles=cfg.comm_hop_cycles, stats=self.stats)
+
+    # -- topology ------------------------------------------------------------
+    def node_of(self, worker: int) -> int:
+        return worker // self.config.n_workers
+
+    def ownership_map(self) -> Dict[int, tuple]:
+        """partition -> (owner node, epoch); static here (no failover —
+        that is :class:`repro.cluster.ha.HACluster`), but the same shape
+        the front-end router consults before re-homing a cross-node
+        submit."""
+        return {w: (self.node_of(w), 0) for w in range(self.total_workers)}
+
+    def footprint_index(self):
+        """Lazily built static footprint summaries over the registered
+        procedures (:class:`repro.analysis.footprint.FootprintIndex`) —
+        what the front-end router consults to classify a submit as
+        single-node *before* it can bounce off
+        :class:`CrossNodeTransactionError`.  Summaries are cached per
+        proc_id; re-registering procedures invalidates the cache."""
+        if self._footprints is None:
+            from ..analysis.footprint import FootprintIndex
+            self._footprints = FootprintIndex(
+                self.catalogue, self.schemas, self.total_workers,
+                node_of=self.node_of)
+        return self._footprints
 
     # -- schema & procedures ------------------------------------------------
     def define_table(self, schema: TableSchema) -> TableSchema:
@@ -198,6 +263,7 @@ class BionicDB:
         """
         self.catalogue.register(proc_id, program, verify=verify)
         self._table_checked.discard(proc_id)
+        self._footprints = None
 
     # -- loading -------------------------------------------------------------
     def load(self, table_id: int, key: Any, fields: Sequence[Any],
@@ -211,21 +277,21 @@ class BionicDB:
         schema = self.schemas.table(table_id)
         self._check_partition(partition)
         if schema.replicated:
-            targets: Iterable[int] = range(self.config.n_workers)
+            targets: Iterable[int] = range(self.total_workers)
         elif partition is not None:
             targets = [partition]
         else:
-            targets = [schema.route(key, self.config.n_workers)]
+            targets = [schema.route(key, self.total_workers)]
         for w in targets:
             # bulk_load takes its own copy of ``fields`` (one per replica)
             self.workers[w].pipeline_for(table_id).bulk_load(
                 key, fields, table_id=table_id)
 
     def _check_partition(self, partition: Optional[int]) -> None:
-        if partition is not None and not 0 <= partition < self.config.n_workers:
+        if partition is not None and not 0 <= partition < self.total_workers:
             raise SubmissionError("load partition out of range",
                                   partition=partition,
-                                  n_workers=self.config.n_workers)
+                                  n_workers=self.total_workers)
 
     def load_many(self, rows: Iterable[tuple] = (), *,
                   columns: Iterable[tuple] = (),
@@ -292,7 +358,7 @@ class BionicDB:
             runs = self._range_runs(schema, keys)
         else:
             homes = list(map(schema.partition_fn, keys,
-                             repeat(self.config.n_workers)))
+                             repeat(self.total_workers)))
             self._load_route_calls.value += n_rows
             changes = compress(count(1),
                                map(ne, homes, islice(homes, 1, None)))
@@ -319,7 +385,7 @@ class BionicDB:
         slip through; only routing every key, which is what an
         undeclared table gets, is exact.
         """
-        n_workers = self.config.n_workers
+        n_workers = self.total_workers
         partition_fn = schema.partition_fn
         calls = 0
 
@@ -353,11 +419,13 @@ class BionicDB:
     def new_block(self, proc_id: int, inputs: Sequence[Any],
                   layout: Optional[BlockLayout] = None,
                   worker: Optional[int] = None) -> TransactionBlock:
-        """Allocate a transaction block in DRAM and fill its inputs."""
-        if worker is not None and not 0 <= worker < self.config.n_workers:
+        """Allocate a transaction block in its home worker's node DRAM
+        and fill its inputs."""
+        home = worker if worker is not None else 0
+        if not 0 <= home < self.total_workers:
             raise SubmissionError("home worker out of range",
                                   worker=worker,
-                                  n_workers=self.config.n_workers)
+                                  n_workers=self.total_workers)
         self._txn_counter += 1
         layout = layout or self.config.block_layout
         if len(inputs) > layout.n_inputs:
@@ -366,18 +434,30 @@ class BionicDB:
                                  n_scratch=layout.n_scratch,
                                  n_undo=layout.n_undo,
                                  n_scan=layout.n_scan)
-        block = TransactionBlock(self.dram, txn_id=self._txn_counter,
+        block = TransactionBlock(self.drams[self.node_of(home)],
+                                 txn_id=self._txn_counter,
                                  proc_id=proc_id, layout=layout)
         block.set_inputs(list(inputs))
-        block.home_worker = worker if worker is not None else 0
+        block.home_worker = home
         return block
 
     def submit(self, block: TransactionBlock,
                worker: Optional[int] = None) -> None:
-        w = worker if worker is not None else getattr(block, "home_worker", 0)
-        if not 0 <= w < self.config.n_workers:
+        home = block.home_worker
+        w = worker if worker is not None else home
+        if not 0 <= w < self.total_workers:
             raise SubmissionError("submit worker out of range",
-                                  worker=w, n_workers=self.config.n_workers)
+                                  worker=w, n_workers=self.total_workers)
+        if self.n_nodes > 1 and self.node_of(w) != self.node_of(home):
+            # shared nothing: the block lives in its home node's DRAM; a
+            # worker on another node would read a different heap
+            # entirely.  Typed so a router can re-plan (re-home, split,
+            # or queue for the owning node) instead of string-matching.
+            raise CrossNodeTransactionError(
+                "block is homed on another node's DRAM; create it with "
+                "new_block(..., worker=<target>) so the data is local",
+                worker=w, home_worker=home, worker_node=self.node_of(w),
+                home_nodes={self.node_of(home)}, partitions={w, home})
         entry = self.catalogue.lookup(block.proc_id)  # raises if unknown
         self._check_tables(block.proc_id, entry)
         block.submitted_at_ns = self.engine.now
@@ -486,10 +566,10 @@ class BionicDB:
         the next time the engine advances, and :meth:`run` surfaces it
         through the health check — a dead partition never masquerades
         as a quiet run."""
-        if not 0 <= worker < self.config.n_workers:
+        if not 0 <= worker < self.total_workers:
             raise SubmissionError("crash_worker out of range",
                                   worker=worker,
-                                  n_workers=self.config.n_workers)
+                                  n_workers=self.total_workers)
         proc = self.workers[worker].softcore._proc
         proc.kill(SimulatedCrash("injected worker crash",
                                  site="worker.crash", worker=worker))
@@ -567,11 +647,11 @@ class BionicDB:
 
     def _committed_total(self) -> int:
         return sum(self.stats.counter(f"worker{w}.committed").value
-                   for w in range(self.config.n_workers))
+                   for w in range(self.total_workers))
 
     def _aborted_total(self) -> int:
         return sum(self.stats.counter(f"worker{w}.aborted").value
-                   for w in range(self.config.n_workers))
+                   for w in range(self.total_workers))
 
     # -- knobs used by benchmark sweeps -----------------------------------------
     def set_total_in_flight(self, n: int) -> None:
@@ -579,13 +659,13 @@ class BionicDB:
         (the Figure 10/11 x-axis)."""
         if n < 1:
             raise ValueError("in-flight budget must be >= 1")
-        w = self.config.n_workers
-        base, extra = divmod(n, w)
+        base, extra = divmod(n, self.total_workers)
         for i, worker in enumerate(self.workers):
             worker.set_max_in_flight(max(1, base + (1 if i < extra else 0)))
 
     # -- resource & power accounting (Table 4, §5.8) -------------------------------
     def resource_ledger(self) -> ResourceLedger:
+        """One chip's ledger; every node of the machine is that chip."""
         from ..sim.resources import DEVICES
         costs = per_worker_costs()
         cfg = self.config
@@ -629,11 +709,11 @@ class BionicDB:
                partition: Optional[int] = None):
         """Timing-free read of a committed-or-not row (host debugging)."""
         schema = self.schemas.table(table_id)
-        if partition is not None and not 0 <= partition < self.config.n_workers:
+        if partition is not None and not 0 <= partition < self.total_workers:
             raise SubmissionError("lookup partition out of range",
                                   partition=partition,
-                                  n_workers=self.config.n_workers)
+                                  n_workers=self.total_workers)
         w = partition if partition is not None else (
-            0 if schema.replicated else schema.route(key, self.config.n_workers))
+            0 if schema.replicated else schema.route(key, self.total_workers))
         return self.workers[w].pipeline_for(table_id).lookup_direct(
             key, table_id=table_id)

@@ -2,8 +2,8 @@
 
 The serving stack the paper defers ("ideally, remote clients should
 submit transaction blocks through network cards", §5.1): all traffic
-can now enter a BionicDB or BionicCluster through a simulated link
-with admission control, multi-tenant fair queuing, deadline
+can now enter a BionicDB (of one node or many) through a simulated
+link with admission control, multi-tenant fair queuing, deadline
 scheduling and SLO observability.  See ``docs/frontend.md``.
 """
 

@@ -10,10 +10,10 @@
                                                      ▼
                               BionicDB.submit ──► softcore batch former
 
-Attach one FrontEnd to a :class:`~repro.core.system.BionicDB` or
-:class:`~repro.cluster.system.BionicCluster`, create sessions, then
-``run()``: the same discrete-event engine advances clients, the link,
-the pump, the dispatchers and the chip on one timeline, and a
+Attach one FrontEnd to a :class:`~repro.core.system.BionicDB` (of one
+node or many), create sessions, then ``run()``: the same
+discrete-event engine advances clients, the link, the pump, the
+dispatchers and the chip on one timeline, and a
 :class:`~repro.frontend.slo.FrontendReport` summarises the outcome.
 
 Every generated request ends in exactly one terminal state —
@@ -72,7 +72,7 @@ class FrontendConfig:
 
 
 class FrontEnd:
-    """The network front-end for one BionicDB (or cluster)."""
+    """The network front-end for one BionicDB machine."""
 
     def __init__(self, db, config: Optional[FrontendConfig] = None,
                  faults=None):
@@ -81,7 +81,6 @@ class FrontEnd:
         self.engine = db.engine
         #: optional repro.faults.FaultPlan threaded into the NIC
         self.faults = faults
-        n_workers = getattr(db, "total_workers", None) or db.config.n_workers
         self.nic = Nic(self.engine, self.config.nic, stats=db.stats,
                        name="frontend.nic", faults=faults)
         self._dup_discarded = db.stats.counter("frontend.dup_discarded")
@@ -89,7 +88,7 @@ class FrontEnd:
                                              self.config.admission,
                                              stats=db.stats)
         self.scheduler = DispatchScheduler(
-            self.engine, n_workers, self.config.scheduler,
+            self.engine, db.total_workers, self.config.scheduler,
             submit=self._submit, on_timeout=self._timeout, stats=db.stats)
         self.router = (RequestRouter(self)
                        if self.config.resilience.enabled else None)
@@ -258,14 +257,7 @@ class FrontEnd:
         """Advance the whole machine, then summarise the serving path."""
         if not self._attached:
             raise FrontendError("front-end is detached from its system")
-        run_kwargs = {"until": until}
-        if max_events is not None:
-            run_kwargs["max_events"] = max_events
-        try:
-            self.db.run(**run_kwargs)
-        except TypeError:
-            # BionicCluster.run has no max_events watchdog parameter
-            self.db.run(until=until)
+        self.db.run(until=until, max_events=max_events)
         self._check_processes()
         drained = self.engine.idle
         if drained:

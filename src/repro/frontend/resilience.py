@@ -376,7 +376,7 @@ class ResilienceConfig:
     #: home lane instead of failing the request
     rehome: bool = True
     #: consult the static footprint summaries
-    #: (:meth:`repro.cluster.system.BionicCluster.footprint_index`) at
+    #: (:meth:`repro.core.system.BionicDB.footprint_index`) at
     #: admission and move a home-anchored request onto its block's home
     #: node *before* submit — the CrossNodeTransactionError bounce the
     #: rehome path would otherwise pay never happens

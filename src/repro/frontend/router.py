@@ -64,14 +64,11 @@ class RequestRouter:
         self.replayed = 0
         self.planned = 0
         self.breaker_fast_fails = 0
-        # static pre-classification (repro.analysis.footprint): built
-        # from the db's procedure catalogue when the backend exposes
-        # one and the config opts in; None keeps planning dynamic-only
-        self._footprints = None
-        if self.config.static_planning:
-            index = getattr(frontend.db, "footprint_index", None)
-            if index is not None:
-                self._footprints = index()
+        # static pre-classification (repro.analysis.footprint) over the
+        # db's procedure catalogue when the config opts in; None keeps
+        # planning dynamic-only
+        self._footprints = (frontend.db.footprint_index()
+                            if self.config.static_planning else None)
 
     # -- admission-side gate (runs in the pump, before the bucket) ----------
     def gate(self, req, now_ns: float) -> Optional[str]:
@@ -106,8 +103,8 @@ class RequestRouter:
         target = getattr(block, "home_worker", None)
         if target is None or target == req.home:
             return
-        node_of = getattr(self.frontend.db, "node_of", None)
-        if node_of is None or node_of(req.home) == node_of(target):
+        node_of = self.frontend.db.node_of
+        if node_of(req.home) == node_of(target):
             return
         route = self._footprints.classify(block.proc_id, target)
         if route is not None and route.single_node:
@@ -123,11 +120,8 @@ class RequestRouter:
         target = getattr(req.block, "home_worker", None)
         if target is None or target == req.home:
             return False
-        owner_map = getattr(self.frontend.db, "ownership_map", None)
-        if owner_map is not None:
-            owner, _epoch = owner_map().get(target, (None, None))
-            if owner is None:
-                return False
+        if target not in self.frontend.db.ownership_map():
+            return False
         req.home = target
         self.rehomed += 1
         self.frontend.scheduler.enqueue(req)

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.system import BionicDB
-from ..mem.records import NULL_ADDR
-from ..mem.schema import IndexKind
 
 __all__ = ["CompactionStats", "compact"]
 
@@ -35,79 +33,14 @@ class CompactionStats:
                 + self.bptree_tombstones_removed)
 
 
-def _compact_hash_table(heap, base: int, n_buckets: int) -> int:
-    removed = 0
-    for b in range(n_buckets):
-        bucket_addr = base + b
-        # unlink committed tombstones from the chain head first
-        while True:
-            head = heap.load(bucket_addr)
-            if not head:
-                break
-            record = heap.load(head)
-            if record is None:
-                break
-            if record.tombstone and not record.dirty:
-                heap.store(bucket_addr, record.next_addr or NULL_ADDR)
-                removed += 1
-            else:
-                break
-        # then from the middle of the chain
-        addr = heap.load(bucket_addr)
-        while addr:
-            record = heap.load(addr)
-            if record is None:
-                break
-            nxt = record.next_addr
-            while nxt:
-                nrec = heap.load(nxt)
-                if nrec is None:
-                    break
-                if nrec.tombstone and not nrec.dirty:
-                    record.next_addr = nrec.next_addr or NULL_ADDR
-                    removed += 1
-                    nxt = record.next_addr
-                else:
-                    break
-            addr = record.next_addr
-    return removed
-
-
-def _compact_skiplist(heap, head_addr: int, max_height: int) -> int:
-    removed = set()
-    for level in range(max_height - 1, -1, -1):
-        node = heap.load(head_addr)
-        node_addr = head_addr
-        while True:
-            nxt_addr = node.nexts[level] if level < node.height else NULL_ADDR
-            if not nxt_addr:
-                break
-            nxt = heap.load(nxt_addr)
-            if nxt.tombstone and not nxt.dirty:
-                node.nexts[level] = (nxt.nexts[level]
-                                     if level < nxt.height else NULL_ADDR)
-                removed.add(nxt_addr)
-            else:
-                node_addr, node = nxt_addr, nxt
-    return len(removed)
-
-
 def compact(db: BionicDB) -> CompactionStats:
     """Physically unlink committed tombstones in every partition."""
     stats = CompactionStats()
-    heap = db.heap
     for schema in db.schemas:
-        for worker in db.workers:
-            if schema.index_kind == IndexKind.HASH:
-                pipe = worker.hash_pipe
-                base, n_buckets = pipe._tables[schema.table_id]
-                stats.hash_tombstones_removed += _compact_hash_table(
-                    heap, base, n_buckets)
-            elif schema.index_kind == IndexKind.BPTREE:
-                stats.bptree_tombstones_removed += (
-                    worker.bptree_pipe.compact_direct(schema.table_id))
-            else:
-                pipe = worker.skiplist_pipe
-                stats.skiplist_tombstones_removed += _compact_skiplist(
-                    heap, pipe.head_addr_of(schema.table_id), pipe.max_height)
+        removed = sum(
+            worker.pipeline_for(schema.table_id).compact_direct(schema.table_id)
+            for worker in db.workers)
+        # (index_kind is the field's prefix: hash / skiplist / bptree)
+        field = f"{schema.index_kind}_tombstones_removed"
+        setattr(stats, field, getattr(stats, field) + removed)
     return stats

@@ -8,20 +8,21 @@ resume transaction processing.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.system import BionicDB
 from ..errors import BionicError, CorruptionError, StuckTransactionError
-from ..mem.schema import IndexKind
 from ..mem.txnblock import BlockLayout, TxnStatus
 from ..sim.engine import SimulationError, collector_quiesced
 from .command_log import CommandLog, LogRecord
 from .durable import read_frames, write_frames
 
-__all__ = ["Checkpoint", "take_checkpoint", "RecoveryManager", "RecoveryError"]
+__all__ = ["Checkpoint", "take_checkpoint", "partition_hashes",
+           "RecoveryManager", "RecoveryError"]
 
 #: magic for the framed on-disk checkpoint format
 CKPT_MAGIC = b"BDBC"
@@ -118,14 +119,30 @@ def take_checkpoint(db: BionicDB) -> Checkpoint:
         for w, worker in enumerate(db.workers):
             if schema.replicated and w > 0:
                 continue  # one copy is enough; restore re-replicates
-            if schema.index_kind == IndexKind.HASH:
-                items = list(worker.hash_pipe.items_direct(schema.table_id))
-            elif schema.index_kind == IndexKind.BPTREE:
-                items = list(worker.bptree_pipe.checkpoint_rows(schema.table_id))
-            else:
-                items = list(worker.skiplist_pipe.checkpoint_rows(schema.table_id))
-            ckpt.rows[(schema.table_id, w)] = items
+            pipe = worker.pipeline_for(schema.table_id)
+            ckpt.rows[(schema.table_id, w)] = list(
+                pipe.checkpoint_rows(schema.table_id))
     return ckpt
+
+
+def partition_hashes(db: BionicDB,
+                     partitions: Optional[Set[int]] = None) -> Dict[str, str]:
+    """Per-(table, partition) content hash over committed rows, for
+    every partition or only those in ``partitions``.
+
+    Hashes keys and fields only: write timestamps are regenerated by
+    replay (the hardware clock restarts past the checkpoint) and so are
+    not part of logical state equivalence.
+    """
+    out: Dict[str, str] = {}
+    for (table, part), items in sorted(take_checkpoint(db).rows.items()):
+        if partitions is not None and part not in partitions:
+            continue
+        digest = hashlib.sha256()
+        for key, fields, _write_ts in sorted(items, key=lambda r: repr(r[0])):
+            digest.update(repr((key, list(fields))).encode())
+        out[f"t{table}.p{part}"] = digest.hexdigest()
+    return out
 
 
 class RecoveryManager:

@@ -447,7 +447,7 @@ class HashIndexPipeline(PipelineBase):
             addr = record.next_addr
         return None
 
-    def items_direct(self, table_id: int = 0):
+    def checkpoint_rows(self, table_id: int = 0):
         """Yield (key, fields, write_ts) for every live committed tuple
         (checkpointing helper; timing-free)."""
         heap = self._dram.heap
@@ -465,6 +465,47 @@ class HashIndexPipeline(PipelineBase):
                     if not record.tombstone and not record.dirty:
                         yield record.key, list(record.fields), record.write_ts
                 addr = record.next_addr
+
+    def compact_direct(self, table_id: int = 0) -> int:
+        """Quiescent maintenance: unlink committed tombstones from every
+        bucket chain.  Returns the number of entries removed."""
+        heap = self._dram.heap
+        base, n_buckets = self._tables[table_id]
+        removed = 0
+        for b in range(n_buckets):
+            bucket_addr = base + b
+            # unlink committed tombstones from the chain head first
+            while True:
+                head = heap.load(bucket_addr)
+                if not head:
+                    break
+                record = heap.load(head)
+                if record is None:
+                    break
+                if record.tombstone and not record.dirty:
+                    heap.store(bucket_addr, record.next_addr or NULL_ADDR)
+                    removed += 1
+                else:
+                    break
+            # then from the middle of the chain
+            addr = heap.load(bucket_addr)
+            while addr:
+                record = heap.load(addr)
+                if record is None:
+                    break
+                nxt = record.next_addr
+                while nxt:
+                    nrec = heap.load(nxt)
+                    if nrec is None:
+                        break
+                    if nrec.tombstone and not nrec.dirty:
+                        record.next_addr = nrec.next_addr or NULL_ADDR
+                        removed += 1
+                        nxt = record.next_addr
+                    else:
+                        break
+                addr = record.next_addr
+        return removed
 
     def chain_length(self, key: Any, table_id: int = 0) -> int:
         heap = self._dram.heap

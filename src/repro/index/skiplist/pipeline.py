@@ -475,6 +475,27 @@ class SkiplistPipeline(PipelineBase):
                 yield tower.key, list(tower.fields), tower.write_ts
             addr = tower.nexts[0]
 
+    def compact_direct(self, table_id: int = 0) -> int:
+        """Quiescent maintenance: unlink committed-tombstone towers at
+        every level.  Returns the number of towers removed."""
+        heap = self._dram.heap
+        head_addr = self.head_addr_of(table_id)
+        removed = set()
+        for level in range(self.max_height - 1, -1, -1):
+            node = heap.load(head_addr)
+            while True:
+                nxt_addr = node.nexts[level] if level < node.height else NULL_ADDR
+                if not nxt_addr:
+                    break
+                nxt = heap.load(nxt_addr)
+                if nxt.tombstone and not nxt.dirty:
+                    node.nexts[level] = (nxt.nexts[level]
+                                         if level < nxt.height else NULL_ADDR)
+                    removed.add(nxt_addr)
+                else:
+                    node = nxt
+        return len(removed)
+
     def invariant_check(self, table_id: int = 0) -> None:
         """Assert skiplist structural invariants (used by property tests):
         sorted bottom level; every level-l list is a subsequence of

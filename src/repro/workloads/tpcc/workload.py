@@ -45,7 +45,7 @@ class TpccWorkload:
         """``load_data=False`` installs schema and procedures only —
         the recovery path, where data comes from a checkpoint image."""
         cfg = self.config
-        if db.config.n_workers != cfg.n_partitions:
+        if db.total_workers != cfg.n_partitions:
             raise ValueError("workload partitions must match db workers")
         for schema in S.tpcc_schemas(cfg):
             db.define_table(schema)

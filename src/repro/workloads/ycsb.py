@@ -197,7 +197,7 @@ class YcsbWorkload:
         ``load_data=False`` installs schema and procedures only — the
         recovery path, where data comes from a checkpoint image."""
         cfg = self.config
-        if db.config.n_workers != cfg.n_partitions:
+        if db.total_workers != cfg.n_partitions:
             raise ValueError("workload partitions must match db workers")
         db.define_table(self.schema())
         sizes = sorted(set(procedures) or {cfg.reads_per_txn})

@@ -214,7 +214,6 @@ class TestPublicApi:
         import repro
         assert repro.__version__
         from repro.core import BionicConfig, BionicDB, RunReport  # noqa
-        from repro.cluster import BionicCluster  # noqa
         from repro.baseline import SiloEngine, SiloTpcc, SiloYcsb  # noqa
         from repro.host import (  # noqa
             CommandLog, DurableClient, OpenLoopClient, RecoveryManager,

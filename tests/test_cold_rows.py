@@ -123,7 +123,7 @@ def test_host_probes_walk_cold_chains(env):
     chains = {pipe.bucket_addr_of(key): pipe.chain_length(key)
               for key in range(20)}
     assert len(chains) == 2 and sum(chains.values()) == 20
-    assert sorted(pipe.items_direct()) == sorted(
+    assert sorted(pipe.checkpoint_rows()) == sorted(
         (key, [f"v{key}"], 0) for key in range(20))
     assert all(pipe.lookup_direct(key).fields == [f"v{key}"]
                for key in range(20))
@@ -259,4 +259,4 @@ def test_a_batch_that_raises_midway_counts_what_it_installed(env, bad_fields):
     assert all(pipe.lookup_direct(key).fields == [key]
                for key in range(100, 104))
     assert pipe.lookup_direct(4) is None
-    assert sum(1 for _row in pipe.items_direct()) == 7
+    assert sum(1 for _row in pipe.checkpoint_rows()) == 7

@@ -11,7 +11,6 @@ import pickle
 import pytest
 
 from repro.core import BionicConfig, BionicDB
-from repro.cluster import BionicCluster
 from repro.errors import (
     CorruptionError, FaultError, SimulatedCrash, StuckTransactionError,
 )
@@ -443,8 +442,7 @@ def _range_partition(per_part):
 
 
 def _make_cluster(plan):
-    cluster = BionicCluster(n_nodes=2, config=BionicConfig(n_workers=1),
-                            faults=plan)
+    cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2, faults=plan)
     cluster.define_table(TableSchema(0, "kv", index_kind=IndexKind.HASH,
                                      partition_fn=_range_partition(1000)))
     b = ProcedureBuilder("read")
@@ -464,7 +462,11 @@ class TestInterconnectFaults:
         cluster = _make_cluster(plan)
         block = cluster.new_block(0, [1500, None], worker=0)
         cluster.submit(block)
-        cluster.run()       # drains: the lost message never arrives
+        # drains: the lost message never arrives, and the stranded
+        # transaction surfaces instead of passing for a quiet run
+        with pytest.raises(StuckTransactionError) as exc_info:
+            cluster.run()
+        assert block.txn_id in exc_info.value.details["stuck"]
         assert cluster.stats.counter("comm.fault_lost").value == 1
         assert block.header.status is not TxnStatus.COMMITTED
 

@@ -11,7 +11,6 @@ for every combination of rate limit, queue bound and deadline.
 import pytest
 
 from repro.core import BionicConfig, BionicDB
-from repro.cluster import BionicCluster
 from repro.errors import ConfigError, FrontendError, StuckTransactionError
 from repro.frontend import (
     AdmissionConfig, FrontEnd, FrontendConfig, NicConfig, SchedulerConfig,
@@ -409,7 +408,7 @@ class TestAttachment:
         assert block.header.status is TxnStatus.COMMITTED
 
     def test_cluster_frontend(self):
-        cluster = BionicCluster(n_nodes=2, config=BionicConfig(n_workers=1))
+        cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
         _install_kv(cluster)
         fe = FrontEnd(cluster, FrontendConfig.passthrough())
         fe.session(make_factory(cluster, n_workers=cluster.total_workers),
@@ -418,6 +417,31 @@ class TestAttachment:
         rep = fe.run()
         fe.detach()
         assert rep.committed == 30 and rep.conserved
+
+    def test_watchdog_reaches_a_multi_node_machine(self):
+        from repro.sim.engine import SimulationError
+        cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
+        _install_kv(cluster)
+        fe = FrontEnd(cluster, FrontendConfig.passthrough())
+        fe.session(make_factory(cluster, n_workers=cluster.total_workers),
+                   SessionConfig(name="clu", arrival="open",
+                                 rate_tps=500_000.0, n_requests=30))
+        with pytest.raises(SimulationError):
+            fe.run(max_events=50)
+
+    def test_type_error_from_the_drain_is_not_retried(self):
+        db = make_db()
+        fe = FrontEnd(db, FrontendConfig.passthrough())
+        calls = []
+
+        def run(**kwargs):
+            calls.append(kwargs)
+            raise TypeError("raised by a callback mid-drain")
+
+        db.run = run
+        with pytest.raises(TypeError, match="mid-drain"):
+            fe.run()
+        assert calls == [{"until": None, "max_events": None}]
 
 
 class TestPercentileHistogram:

@@ -173,6 +173,6 @@ class TestCheckpointRecovery:
             mgr.restore_checkpoint(ckpt)
             mgr.replay(client.log)
             return sorted((k, tuple(f), ts) for k, f, ts in
-                          fresh.workers[0].hash_pipe.items_direct(0))
+                          fresh.workers[0].hash_pipe.checkpoint_rows(0))
 
         assert rebuild() == rebuild()

@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-from repro.cluster import BionicCluster
 from repro.core import BionicConfig, BionicDB
 from repro.errors import (
     ConfigError, CrossNodeTransactionError, FrontendError,
@@ -350,7 +349,7 @@ class TestFrontendResilience:
                 or req.reason in ("brownout-shed", "parked-past-budget")
 
     def test_rehome_replans_cross_node_submits(self):
-        cluster = BionicCluster(n_nodes=2, config=BionicConfig(n_workers=1))
+        cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
         _install_kv(cluster)
         fe = FrontEnd(cluster, FrontendConfig(
             resilience=ResilienceConfig(enabled=True)))
@@ -370,7 +369,7 @@ class TestFrontendResilience:
         assert rep.rehomed == 30
 
     def test_cross_node_submit_without_router_still_raises(self):
-        cluster = BionicCluster(n_nodes=2, config=BionicConfig(n_workers=1))
+        cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
         _install_kv(cluster)
         fe = FrontEnd(cluster, FrontendConfig())     # resilience off
 

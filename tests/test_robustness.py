@@ -260,9 +260,7 @@ class TestAdmissionGuards:
             db.run_all(blocks, workers=[0, 0])
 
     def test_cluster_submit_guards(self):
-        from repro.cluster.system import BionicCluster
-        cluster = BionicCluster(n_nodes=2,
-                                config=BionicConfig(n_workers=1))
+        cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
         cluster.define_table(TableSchema(0, "kv", hash_buckets=256,
                                          partition_fn=lambda k, n: 0))
         cluster.register_procedure(1, good_program())

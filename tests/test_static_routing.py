@@ -20,7 +20,6 @@ import pytest
 
 from repro.analysis.conflict import BatchConflictHints, build_conflict_matrix
 from repro.analysis.footprint import analyze_footprint
-from repro.cluster import BionicCluster
 from repro.core import BionicConfig, BionicDB
 from repro.errors import FrontendError
 from repro.frontend import (
@@ -77,7 +76,7 @@ class _StubIndex:
 
 class TestStaticPlanning:
     def _run(self, static_planning):
-        cluster = BionicCluster(n_nodes=2, config=BionicConfig(n_workers=1))
+        cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
         _install_kv(cluster)
         fe = FrontEnd(cluster, FrontendConfig(
             resilience=ResilienceConfig(enabled=True,
