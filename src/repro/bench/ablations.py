@@ -21,10 +21,10 @@ from ..index.common import DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
 from ..isa import Gp, Opcode, ProcedureBuilder
 from ..mem import IndexKind, TableSchema
-from ..sim import ClockDomain, DramModel, Engine, Heap, TokenPool
+from ..sim import ClockDomain, DramModel, Engine, Heap
 from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .report import FigureReport
+from .report import FigureReport, drive_closed_loop
 
 __all__ = [
     "run_traverse_stage_sweep", "run_hazard_prevention_cost",
@@ -45,23 +45,14 @@ def _conflicted_search_tput(n_traverse: int, n_buckets: int = 256,
                              n_traverse_stages=n_traverse, max_in_flight=16)
     pipe.bulk_load_many(range(n_keys), [(k,) for k in range(n_keys)])
     rng = random.Random(3)
-    throttle = TokenPool(engine, 16)
-    done = {"n": 0}
 
-    def on_complete(_r, _res):
-        throttle.release()
-        done["n"] += 1
+    def submit_one(i, on_complete):
+        pipe.submit(DbRequest(op=Opcode.SEARCH, table_id=0, ts=1, txn_id=i,
+                              key_value=rng.randrange(n_keys),
+                              on_complete=on_complete))
 
-    def client():
-        for i in range(n_ops):
-            yield throttle.acquire()
-            pipe.submit(DbRequest(op=Opcode.SEARCH, table_id=0, ts=1,
-                                  txn_id=i, key_value=rng.randrange(n_keys),
-                                  on_complete=on_complete))
-
-    engine.process(client())
-    engine.run()
-    return done["n"] / (engine.now * 1e-9)
+    drive_closed_loop(engine, n_ops, 16, submit_one)
+    return n_ops / (engine.now * 1e-9)
 
 
 def run_traverse_stage_sweep(stages: Sequence[int] = (1, 2, 4),
@@ -100,24 +91,15 @@ def run_hazard_prevention_cost(n_ops: int = 800) -> FigureReport:
         pipe = HashIndexPipeline(engine, clock, dram, "h", n_buckets=64,
                                  hazard_prevention=prevention,
                                  max_in_flight=16)
-        throttle = TokenPool(engine, 16)
-        done = {"n": 0}
 
-        def on_complete(_r, _res):
-            throttle.release()
-            done["n"] += 1
+        def submit_one(i, on_complete):
+            req = DbRequest(op=Opcode.INSERT, table_id=0, ts=1, txn_id=i,
+                            key_value=i, on_complete=on_complete)
+            req.insert_payload = [i]
+            pipe.submit(req)
 
-        def client():
-            for i in range(n_ops):
-                yield throttle.acquire()
-                req = DbRequest(op=Opcode.INSERT, table_id=0, ts=1, txn_id=i,
-                                key_value=i, on_complete=on_complete)
-                req.insert_payload = [i]
-                pipe.submit(req)
-
-        engine.process(client())
-        engine.run()
-        return done["n"] / (engine.now * 1e-9)
+        drive_closed_loop(engine, n_ops, 16, submit_one)
+        return n_ops / (engine.now * 1e-9)
 
     report.xs = ["prevention on", "prevention off (UNSAFE)"]
     series = report.new_series("Insert")

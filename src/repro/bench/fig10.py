@@ -18,10 +18,10 @@ from ..core import BionicConfig, BionicDB
 from ..index.common import DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
 from ..isa import Opcode
-from ..sim import ClockDomain, DramModel, Engine, Heap, StatsRegistry, TokenPool
+from ..sim import ClockDomain, DramModel, Engine, Heap, StatsRegistry
 from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .report import FigureReport
+from .report import FigureReport, drive_closed_loop
 
 __all__ = ["run_fig10a", "run_fig10b", "run_fig10c", "run_fig10d",
            "kv_throughput", "DEFAULT_INFLIGHT_AXIS"]
@@ -60,24 +60,14 @@ def kv_throughput(op: str, total_in_flight: int, n_ops: int = 2000,
         else:
             dram.direct_write(addr, rng.randrange(n_keys))
         cells.append(addr)
-    throttle = TokenPool(engine, total_in_flight, name="client")
-    done = {"n": 0}
 
-    def on_complete(_req, _result):
-        throttle.release()
-        done["n"] += 1
+    def submit_one(i, on_complete):
+        req = DbRequest(op=Opcode.INSERT if op == "insert" else Opcode.SEARCH,
+                        table_id=0, ts=1, txn_id=i, key_addr=cells[i],
+                        on_complete=on_complete)
+        pipes[i % n_workers].submit(req)
 
-    def client():
-        for i, addr in enumerate(cells):
-            yield throttle.acquire()
-            req = DbRequest(op=Opcode.INSERT if op == "insert" else Opcode.SEARCH,
-                            table_id=0, ts=1, txn_id=i, key_addr=addr,
-                            on_complete=on_complete)
-            pipes[i % n_workers].submit(req)
-
-    engine.process(client())
-    engine.run()
-    assert done["n"] == n_ops
+    drive_closed_loop(engine, n_ops, total_in_flight, submit_one)
     return n_ops / (engine.now * 1e-9)
 
 

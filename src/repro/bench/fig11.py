@@ -22,9 +22,9 @@ from ..index.common import DbRequest
 from ..index.skiplist.pipeline import SkiplistPipeline
 from ..isa import Opcode
 from ..mem import IndexKind
-from ..sim import ClockDomain, DramModel, Engine, Heap, TokenPool
+from ..sim import ClockDomain, DramModel, Engine, Heap
 from ..workloads import YcsbConfig, YcsbWorkload
-from .report import FigureReport
+from .report import FigureReport, drive_closed_loop
 
 __all__ = ["run_fig11a", "run_fig11b", "run_fig11c", "run_fig11d",
            "skiplist_kv_throughput", "scanner_count_sweep",
@@ -55,37 +55,27 @@ def skiplist_kv_throughput(op: str, total_in_flight: int, n_ops: int = 600,
     if op != "insert":
         for pipe in pipes:
             pipe.bulk_load_many(range(n_keys), [("v",)] * n_keys)
-    throttle = TokenPool(engine, total_in_flight, name="client")
-    done = {"n": 0}
 
-    def on_complete(_req, _result):
-        throttle.release()
-        done["n"] += 1
+    def submit_one(i, on_complete):
+        if op == "insert":
+            # sequential loading, round-robin across partitions
+            req = DbRequest(op=Opcode.INSERT, table_id=0, ts=1, txn_id=i,
+                            key_value=n_keys + i, on_complete=on_complete)
+            req.insert_payload = ["v"]
+        elif op == "search":
+            req = DbRequest(op=Opcode.SEARCH, table_id=0, ts=1, txn_id=i,
+                            key_value=rng.randrange(n_keys),
+                            on_complete=on_complete)
+        else:  # scan
+            start = rng.randrange(max(1, n_keys - scan_len))
+            req = DbRequest(op=Opcode.SCAN, table_id=0, ts=1, txn_id=i,
+                            key_value=start, on_complete=on_complete)
+            req.scan_count = scan_len
+            req.scan_limit = scan_len + 8
+            req.scan_out_addr = dram.heap.alloc(scan_len + 8)
+        pipes[i % n_workers].submit(req)
 
-    def client():
-        for i in range(n_ops):
-            yield throttle.acquire()
-            if op == "insert":
-                # sequential loading, round-robin across partitions
-                req = DbRequest(op=Opcode.INSERT, table_id=0, ts=1, txn_id=i,
-                                key_value=n_keys + i, on_complete=on_complete)
-                req.insert_payload = ["v"]
-            elif op == "search":
-                req = DbRequest(op=Opcode.SEARCH, table_id=0, ts=1, txn_id=i,
-                                key_value=rng.randrange(n_keys),
-                                on_complete=on_complete)
-            else:  # scan
-                start = rng.randrange(max(1, n_keys - scan_len))
-                req = DbRequest(op=Opcode.SCAN, table_id=0, ts=1, txn_id=i,
-                                key_value=start, on_complete=on_complete)
-                req.scan_count = scan_len
-                req.scan_limit = scan_len + 8
-                req.scan_out_addr = dram.heap.alloc(scan_len + 8)
-            pipes[i % n_workers].submit(req)
-
-    engine.process(client())
-    engine.run()
-    assert done["n"] == n_ops
+    drive_closed_loop(engine, n_ops, total_in_flight, submit_one)
     return n_ops / (engine.now * 1e-9)
 
 

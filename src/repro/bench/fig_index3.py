@@ -27,8 +27,8 @@ from ..index.common import DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
 from ..index.skiplist.pipeline import SkiplistPipeline
 from ..isa import Opcode
-from ..sim import ClockDomain, DramModel, Engine, Heap, TokenPool
-from .report import FigureReport
+from ..sim import ClockDomain, DramModel, Engine, Heap
+from .report import FigureReport, drive_closed_loop
 
 __all__ = ["run_index3_point", "run_index3_scan", "index_kv_throughput",
            "range_scan_sweep_point", "DEFAULT_INFLIGHT_AXIS",
@@ -81,29 +81,19 @@ def index_kv_throughput(kind: str, op: str, total_in_flight: int,
     if op != "insert":
         for pipe in pipes:
             pipe.bulk_load_many(range(n_keys), [("v",)] * n_keys)
-    throttle = TokenPool(engine, total_in_flight, name="client")
-    done = {"n": 0}
 
-    def on_complete(_req, _result):
-        throttle.release()
-        done["n"] += 1
+    def submit_one(i, on_complete):
+        if op == "insert":
+            req = DbRequest(op=Opcode.INSERT, table_id=0, ts=1, txn_id=i,
+                            key_value=n_keys + i, on_complete=on_complete)
+            req.insert_payload = ["v"]
+        else:
+            req = DbRequest(op=Opcode.SEARCH, table_id=0, ts=1, txn_id=i,
+                            key_value=rng.randrange(n_keys),
+                            on_complete=on_complete)
+        pipes[i % n_workers].submit(req)
 
-    def client():
-        for i in range(n_ops):
-            yield throttle.acquire()
-            if op == "insert":
-                req = DbRequest(op=Opcode.INSERT, table_id=0, ts=1, txn_id=i,
-                                key_value=n_keys + i, on_complete=on_complete)
-                req.insert_payload = ["v"]
-            else:
-                req = DbRequest(op=Opcode.SEARCH, table_id=0, ts=1, txn_id=i,
-                                key_value=rng.randrange(n_keys),
-                                on_complete=on_complete)
-            pipes[i % n_workers].submit(req)
-
-    engine.process(client())
-    engine.run()
-    assert done["n"] == n_ops
+    drive_closed_loop(engine, n_ops, total_in_flight, submit_one)
     return n_ops / (engine.now * 1e-9)
 
 
@@ -151,28 +141,18 @@ def range_scan_sweep_point(kind: str, span: int, n_ops: int = 120,
     for k in range(n_keys):
         golden.insert(k, k)
     rng = random.Random(29)
-    throttle = TokenPool(engine, total_in_flight, name="client")
-    done: List = []
 
-    def on_complete(req, result):
-        throttle.release()
-        done.append((req, result))
+    def submit_one(i, on_complete):
+        lo = rng.randrange(max(1, n_keys - span))
+        req = DbRequest(op=Opcode.RANGE_SCAN, table_id=0, ts=1, txn_id=i,
+                        key_value=lo, on_complete=on_complete)
+        req.scan_hi = lo + span - 1
+        req.scan_count = span
+        req.scan_limit = span + 8
+        req.scan_out_addr = heap.alloc(span + 8)
+        pipes[i % n_workers].submit(req)
 
-    def client():
-        for i in range(n_ops):
-            yield throttle.acquire()
-            lo = rng.randrange(max(1, n_keys - span))
-            req = DbRequest(op=Opcode.RANGE_SCAN, table_id=0, ts=1, txn_id=i,
-                            key_value=lo, on_complete=on_complete)
-            req.scan_hi = lo + span - 1
-            req.scan_count = span
-            req.scan_limit = span + 8
-            req.scan_out_addr = heap.alloc(span + 8)
-            pipes[i % n_workers].submit(req)
-
-    engine.process(client())
-    engine.run()
-    assert len(done) == n_ops
+    done = drive_closed_loop(engine, n_ops, total_in_flight, submit_one)
     mismatches = 0
     for req, result in done:
         expect = golden.scan_range(req.key, req.scan_hi, limit=req.scan_count)

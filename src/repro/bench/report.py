@@ -9,9 +9,36 @@ states them, so EXPERIMENTS.md can be regenerated from bench output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-__all__ = ["Series", "FigureReport", "format_quantity"]
+from ..sim import Engine, TokenPool
+
+__all__ = ["Series", "FigureReport", "format_quantity", "drive_closed_loop"]
+
+
+def drive_closed_loop(engine: Engine, n_ops: int, total_in_flight: int,
+                      submit_one: Callable) -> List[tuple]:
+    """The §5.5 closed-loop index client: at most ``total_in_flight``
+    requests outstanding.  ``submit_one(i, on_complete)`` builds and
+    submits request ``i`` once its token is held (so RNG draws happen in
+    issue order); runs the engine dry and returns the ``(request,
+    result)`` completions in completion order."""
+    throttle = TokenPool(engine, total_in_flight, name="client")
+    done: List[tuple] = []
+
+    def on_complete(req, result):
+        throttle.release()
+        done.append((req, result))
+
+    def client():
+        for i in range(n_ops):
+            yield throttle.acquire()
+            submit_one(i, on_complete)
+
+    engine.process(client())
+    engine.run()
+    assert len(done) == n_ops
+    return done
 
 
 def format_quantity(value: float, unit: str) -> str:

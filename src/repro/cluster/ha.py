@@ -33,7 +33,9 @@ The safety contract, enforced with typed errors and an audit trail:
   execution ever happened.
 * **Retries never double-execute** — :meth:`HACluster.reconcile`
   consults the authoritative log before a client re-submits, the
-  contract :class:`ReplicationStalledError` documents.
+  contract :class:`ReplicationStalledError` documents; the drills hold
+  it to that by reading every partition's log for a transaction
+  committed twice, not by asking ``reconcile`` again.
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
-"""Deterministic fault injection and crash-recovery drills.
+"""Deterministic fault injection and the drill harness.
 
 ``repro.faults`` makes failure a first-class, *tested* behaviour of the
 reproduction: a seeded :class:`FaultPlan` decides when torn writes,
 bit flips, packet loss, link stalls, link partitions, node deaths and
-machine crashes happen; the :class:`RecoveryDrill` harness proves the
-§4.8 checkpoint + command-log recovery path actually recovers — every
-acknowledged transaction survives, and the recovered state matches an
-uninterrupted golden run — and the :class:`ClusterDrill` harness proves
-the same contract across nodes: failover, epoch fencing, and live
-migration under seeded incidents.
+machine crashes happen, and one :class:`Drill` harness
+(:mod:`repro.faults.drill`) holds the system to it in three suites of
+seeded incidents — ``single`` (§4.8 checkpoint + command-log recovery:
+every acknowledged transaction survives and the recovered state matches
+an uninterrupted golden run), ``cluster`` (failover, epoch fencing,
+live migration, exactly-once across nodes) and ``overload`` (retry
+storms, migration under load, flash crowds, slow-client storms).
 
-Run both drill sweeps from the command line::
+Sweep every suite from the command line::
 
     python -m repro.faults.drill --seeds 200
 """
@@ -21,27 +22,19 @@ from .plan import (
     NIC_CORRUPT, NIC_DROP, NIC_DUPLICATE, NODE_DEATH, SITES,
     STALE_EPOCH_SUBMIT, TORN_APPEND, Trigger, WORKER_CRASH,
 )
-_DRILL_NAMES = ("DrillConfig", "DrillResult", "RecoveryDrill", "run_sweep")
-_CLUSTER_DRILL_NAMES = ("ClusterDrillConfig", "ClusterDrillResult",
-                        "ClusterDrill", "run_cluster_sweep")
-_OVERLOAD_DRILL_NAMES = ("OverloadDrillConfig", "OverloadDrillResult",
-                         "OverloadDrill", "run_overload_sweep")
+_DRILL_NAMES = ("SUITES", "DrillConfig", "DrillResult", "Drill",
+                "DrillFailure", "draw_flavor", "run_sweep")
 
 
 def __getattr__(name):
     # lazy: `python -m repro.faults.drill` must not import the drill
     # module twice (runpy), and plain fault injection must not pay for
-    # the workload imports the drills pull in
+    # the workload, cluster and front-end imports the drills pull in
     if name in _DRILL_NAMES:
         from . import drill
         return getattr(drill, name)
-    if name in _CLUSTER_DRILL_NAMES:
-        from . import cluster_drill
-        return getattr(cluster_drill, name)
-    if name in _OVERLOAD_DRILL_NAMES:
-        from . import overload_drill
-        return getattr(overload_drill, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "FaultPlan", "Trigger", "SITES",
@@ -51,9 +44,5 @@ __all__ = [
     "LINK_DROP", "LINK_STALL", "LINK_PARTITION",
     "HEARTBEAT_LOSS", "NODE_DEATH", "STALE_EPOCH_SUBMIT",
     "MACHINE_CRASH", "WORKER_CRASH",
-    "DrillConfig", "DrillResult", "RecoveryDrill", "run_sweep",
-    "ClusterDrillConfig", "ClusterDrillResult", "ClusterDrill",
-    "run_cluster_sweep",
-    "OverloadDrillConfig", "OverloadDrillResult", "OverloadDrill",
-    "run_overload_sweep",
+    *_DRILL_NAMES,
 ]

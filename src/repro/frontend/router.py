@@ -18,8 +18,10 @@ Two faces over the same :mod:`repro.frontend.resilience` primitives:
   windows, and fails fast through the same breaker/budget machinery
   so a failover cannot snowball into a retry storm.
 
-Both are exercised by ``repro.faults.overload_drill`` (``python -m
-repro.faults.drill --suite overload``).
+Both are exercised by ``repro.faults.drill``: the first by the
+front-end flavours of ``--suite overload``, the second — the only
+client the cluster-backed drills have — by every flavour of ``--suite
+cluster`` and the other two of ``--suite overload``.
 """
 
 from __future__ import annotations

@@ -33,10 +33,6 @@ it to that order on random schedules):
   scheduling never touches the heap — so an instant is "every heap
   entry stamped T in sequence order, then the deque until it is empty",
   which is how :meth:`Engine.run` walks it.
-* Value-less :class:`Timeout` objects are pooled: once fired, a bare
-  timeout is inert (its value is ``None`` forever), so the engine
-  recycles it for the next ``timeout()`` call.  Hold on to a fired
-  value-less timeout only to ignore it.
 * A process that yields a plain number never materialises a Timeout at
   all: the resumption is scheduled as a callback guarded by a per-wait
   epoch (the epoch is also the O(1) interrupt tombstone).
@@ -126,9 +122,6 @@ def _invoke(fn: Callable[[], None]) -> None:
 #: marker for a process waiting on an anonymous numeric delay (no Event)
 _DELAY = object()
 
-#: upper bound on the value-less Timeout free list
-_TIMEOUT_POOL_CAP = 128
-
 
 class Event:
     """A one-shot occurrence that processes can wait on.
@@ -139,9 +132,6 @@ class Event:
     """
 
     __slots__ = ("engine", "callbacks", "_value", "_exc", "triggered", "_scheduled")
-
-    #: class-level default; only pooled Timeouts override it
-    _pooled = False
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -195,24 +185,15 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires automatically ``delay`` time units from now.
+    """An event that fires automatically ``delay`` time units from now."""
 
-    Value-less timeouts (``value is None``) are recycled through the
-    engine's free list after they fire: a fired bare timeout is inert,
-    so the object may be reused as a *new* pending timeout by a later
-    ``engine.timeout()`` call.  Do not cache a fired value-less timeout
-    and expect its flags to stay frozen; timeouts carrying a value are
-    never pooled.
-    """
-
-    __slots__ = ("_pooled",)
+    __slots__ = ()
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         super().__init__(engine)
         self._value = value
-        self._pooled = value is None
         engine._schedule_at(engine.now + delay, self)
 
 
@@ -449,7 +430,6 @@ class Engine:
         self._heap: list = []
         self._seq = 0
         self._ready: deque = deque()
-        self._timeout_pool: list = []
         #: lifetime count of fired events (watchdog bookkeeping)
         self.events_fired: int = 0
         #: crash hook: when set, the run loop raises
@@ -464,18 +444,6 @@ class Engine:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        if value is None:
-            pool = self._timeout_pool
-            if pool:
-                if delay < 0:
-                    raise ValueError(f"negative delay: {delay}")
-                t = pool.pop()
-                t.callbacks = []
-                t._value = None
-                t._exc = None
-                t.triggered = False
-                self._schedule_at(self.now + delay, t)
-                return t
         return Timeout(self, delay, value)
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -613,56 +581,9 @@ class Engine:
         return self.now
 
     def halt(self) -> None:
-        """Stop the current :meth:`run` (or :meth:`run_until_done`) loop
-        after the firing event's callbacks finish; pending events stay
-        queued for the next run."""
+        """Stop the current :meth:`run` loop after the firing event's
+        callbacks finish; pending events stay queued for the next run."""
         self._halted = True
-
-    def run_until_done(self, done: Event, limit: float = float("inf"),
-                       max_events: Optional[int] = None) -> float:
-        """Run until ``done`` triggers; raise if the queues drain first.
-
-        Honours the same controls as :meth:`run`: :meth:`halt` stops the
-        loop at the current time (returning with ``done`` possibly still
-        pending) and ``max_events`` is the runaway-process watchdog.
-        """
-        fired = 0
-        self._halted = False
-        heap = self._heap
-        ready = self._ready
-        heappop = heapq.heappop
-        while not done.triggered:
-            if self._halted:
-                return self.now
-            if ready:
-                if heap and heap[0][0] <= self.now and heap[0][1] < ready[0][0]:
-                    from_heap = True
-                    when = heap[0][0]
-                else:
-                    from_heap = False
-                    when = self.now
-            elif heap:
-                from_heap = True
-                when = heap[0][0]
-            else:
-                raise SimulationError("deadlock: event heap drained before done")
-            if when > limit:
-                raise SimulationError(f"time limit {limit} exceeded")
-            if max_events is not None and fired >= max_events:
-                raise SimulationError(
-                    f"watchdog: {fired} events fired before done triggered "
-                    f"— runaway process?", now_ns=self.now,
-                    pending=len(heap) + len(ready))
-            if from_heap:
-                when, _seq, fn, arg = heappop(heap)
-                self.now = when
-            else:
-                _seq, fn, arg = ready.popleft()
-            fired += 1
-            self.events_fired += 1
-            fn(arg)
-            self._maybe_crash()
-        return self.now
 
     def _maybe_crash(self) -> None:
         if (self.crash_at_fired is not None
@@ -714,8 +635,3 @@ class Engine:
             else:
                 for cb in callbacks:
                     cb(event)
-        if event._pooled and event._exc is None:
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_CAP:
-                event._scheduled = False
-                pool.append(event)

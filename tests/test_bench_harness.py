@@ -65,3 +65,51 @@ class TestCli:
         assert main(["table3", "-o", str(out_file)]) == 0
         assert "Table 3" in capsys.readouterr().out
         assert "Table 3" in out_file.read_text()
+
+
+class TestClosedLoopDriver:
+    """Every direct-to-pipeline figure runs on ``drive_closed_loop``;
+    these are the values each hand-written client loop produced, held
+    bit-equal (requests are still built after the token is acquired, so
+    RNG draws and event order did not move)."""
+
+    def test_completions_come_back_in_completion_order(self):
+        from repro.bench.report import drive_closed_loop
+        from repro.sim import Engine
+        engine = Engine()
+        in_flight = []
+
+        def submit_one(i, on_complete):
+            in_flight.append(i)
+            assert len(in_flight) <= 2
+            delay = 30 if i == 0 else 10
+
+            def finish():
+                in_flight.remove(i)
+                on_complete(i, engine.now)
+            engine.call_after(delay, finish)
+
+        done = drive_closed_loop(engine, 4, 2, submit_one)
+        assert [req for req, _t in done] == [1, 2, 0, 3]
+        assert [t for _req, t in done] == [10, 20, 30, 30]
+
+    def test_figure_points_are_bit_equal(self):
+        from repro.bench.ablations import (
+            _conflicted_search_tput, run_hazard_prevention_cost,
+        )
+        from repro.bench.fig10 import kv_throughput
+        from repro.bench.fig11 import skiplist_kv_throughput
+        from repro.bench.fig_index3 import (
+            index_kv_throughput, range_scan_sweep_point,
+        )
+        assert kv_throughput("search", 16, 400) == 5535872.453498671
+        assert kv_throughput("insert", 8, 400) == 3213780.6916056043
+        assert skiplist_kv_throughput("scan", 8, 120) == 43090.32306251543
+        assert skiplist_kv_throughput("insert", 4, 120) == 680333.8171262699
+        assert index_kv_throughput("bptree", "search", 16, 200) == \
+            2615883.6454954483
+        assert range_scan_sweep_point("bptree", 20, n_ops=60) == \
+            (101153.14586283633, 0)
+        assert _conflicted_search_tput(2, n_ops=200) == 313185.0923896023
+        assert run_hazard_prevention_cost(200).series[0].ys == \
+            [2032189.8878231181, 2199542.495161006]

@@ -329,19 +329,10 @@ class TestEpochOwnershipProof:
         return analyze_partitions(YcsbWorkload.rmw_procedure(2))
 
 
-@pytest.mark.drill_cluster
+@pytest.mark.drill
 class TestClusterDrillSweep:
     def test_sweep_is_green(self):
-        from repro.faults import run_cluster_sweep
-        results = run_cluster_sweep(range(6))
+        from repro.faults import run_sweep
+        results = run_sweep("cluster", range(6))
         assert all(r.ok for r in results), [r.summary() for r in results
                                             if not r.ok]
-
-    def test_drill_exercises_failover_and_fencing(self):
-        from repro.faults import ClusterDrill, ClusterDrillConfig
-        seen = set()
-        for seed in range(10):
-            r = ClusterDrill(ClusterDrillConfig(seed=seed, n_txns=10)).run()
-            assert r.ok, r.summary()
-            seen.add(r.flavor)
-        assert len(seen) >= 3

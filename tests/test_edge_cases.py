@@ -65,24 +65,6 @@ class TestEngineCorners:
         proc.interrupt("late")  # must not raise
         eng.run()
 
-    def test_run_until_done_returns_at_completion(self):
-        eng = Engine()
-
-        def worker():
-            yield 42
-            return "done"
-
-        proc = eng.process(worker())
-
-        def background():
-            while True:
-                yield 10
-
-        eng.process(background())
-        now = eng.run_until_done(proc, limit=1000)
-        assert now == 42
-        assert proc.value == "done"
-
 
 class TestMemoryPortCorners:
     def test_apply_event_fires_after_mutation(self):

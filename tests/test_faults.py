@@ -15,9 +15,9 @@ from repro.errors import (
     CorruptionError, FaultError, SimulatedCrash, StuckTransactionError,
 )
 from repro.faults import (
-    APPEND_BIT_FLIP, CRASH_AFTER_RENAME, CRASH_BEFORE_RENAME, DrillConfig,
-    FaultPlan, LINK_DROP, LINK_STALL, NIC_CORRUPT, NIC_DROP, NIC_DUPLICATE,
-    RecoveryDrill, TORN_APPEND, Trigger,
+    APPEND_BIT_FLIP, CRASH_AFTER_RENAME, CRASH_BEFORE_RENAME, Drill,
+    DrillConfig, FaultPlan, LINK_DROP, LINK_STALL, NIC_CORRUPT, NIC_DROP,
+    NIC_DUPLICATE, SUITES, TORN_APPEND, Trigger,
 )
 from repro.frontend import FrontEnd, FrontendConfig, SessionConfig
 from repro.host import CommandLog, DurableClient, take_checkpoint
@@ -539,29 +539,141 @@ class TestZeroOverheadWhenDisabled:
 class TestRecoveryDrill:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):
-            RecoveryDrill(DrillConfig(workload="nope"))
+            Drill(DrillConfig("single", workload="nope"))
 
     @pytest.mark.parametrize("workload", ["ycsb", "tpcc"])
     def test_end_to_end_round_trip(self, workload):
         """One full drill per workload: crash, salvage, replay,
         re-execute the tail, match the golden run exactly."""
-        result = RecoveryDrill(DrillConfig(
-            workload=workload, seed=1, n_txns=10)).run()
+        result = Drill(DrillConfig(
+            "single", workload=workload, seed=1, n_txns=10)).run()
         assert result.ok, result.failure
-        assert result.crashed          # seed 1 picks a crashing flavour
-        assert result.salvaged >= result.acked
+        assert result.counts["crashed"]    # seed 1 picks a crashing flavour
+        assert result.counts["salvaged"] >= result.counts["acked"]
 
     def test_drill_is_deterministic(self):
-        cfg = DrillConfig(workload="ycsb", seed=5, n_txns=8)
-        a = RecoveryDrill(cfg).run()
-        b = RecoveryDrill(cfg).run()
-        assert (a.flavor, a.crash_txn, a.acked, a.salvaged, a.fault_log) == \
-            (b.flavor, b.crash_txn, b.acked, b.salvaged, b.fault_log)
+        for suite in SUITES:
+            cfg = DrillConfig(suite, seed=5, n_txns=8)
+            a = Drill(cfg).run()
+            b = Drill(cfg).run()
+            assert a.ok, a.summary()
+            assert (a.flavor, a.counts, a.fault_log) == \
+                (b.flavor, b.counts, b.fault_log)
 
     @pytest.mark.drill
     def test_drill_sweep_smoke(self):
         from repro.faults import run_sweep
-        results = run_sweep(range(12), workload="mixed", n_txns=12)
+        results = run_sweep("single", range(12), workload="mixed", n_txns=12)
         assert all(r.ok for r in results), \
             [r.summary() for r in results if not r.ok]
-        assert any(r.crashed for r in results)
+        assert any(r.counts["crashed"] for r in results)
+
+
+@pytest.mark.drill
+class TestDrillHarness:
+    def test_config_is_checked_against_the_suite(self):
+        with pytest.raises(ValueError, match="suite"):
+            Drill(DrillConfig("nope"))
+        with pytest.raises(ValueError, match="only runs YCSB"):
+            Drill(DrillConfig("cluster", workload="tpcc"))
+        with pytest.raises(ValueError, match="no flavour"):
+            Drill(DrillConfig("cluster", flavor="flash_crowd"))
+        with pytest.raises(ValueError, match="two transactions"):
+            Drill(DrillConfig("overload", n_txns=1))
+
+    def test_cli_says_what_it_does(self, capsys):
+        from repro.faults.drill import main
+        for argv in (["--suite", "cluster", "--workload", "tpcc"],
+                     ["--workload", "ycsb"], ["--txns", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        # --txns reaches every suite, not only the single one
+        assert main(["--suite", "overload", "--seeds", "2", "--txns", "12",
+                     "-v"]) == 0
+        out = capsys.readouterr().out
+        assert "offered=12" in out
+        assert "overload: 2 drills, 2 ok, 0 failed" in out
+
+    @pytest.mark.parametrize("suite,flavor", [
+        (suite, flavor) for suite, rows in SUITES.items()
+        for flavor, _weight in rows])
+    def test_every_flavor_smoke(self, suite, flavor):
+        result = Drill(DrillConfig(suite, seed=2, flavor=flavor)).run()
+        assert result.ok, result.summary()
+        assert result.flavor == flavor
+
+    def test_seeds_draw_what_they_always_drew(self):
+        """Seeds 0-24 of each suite: the flavour histogram and the
+        headline tally, pinned — the plan's RNG is consumed in a fixed
+        order, so a seed names one incident forever."""
+        from collections import Counter
+        from repro.faults import run_sweep
+        drawn = {suite: run_sweep(suite, range(25)) for suite in SUITES}
+        assert all(r.ok for rs in drawn.values() for r in rs)
+        hist = {suite: dict(Counter(r.flavor for r in rs))
+                for suite, rs in drawn.items()}
+        assert hist == {
+            "single": dict(bit_flip=5, ckpt_after_rename=2,
+                           ckpt_before_rename=2, clean_stop=3, machine=7,
+                           none=3, torn_append=3),
+            "cluster": dict(clean=3, false_positive=5, hb_loss_storm=2,
+                            link_partition=3, migration_dst_death=2,
+                            migration_live=2, migration_src_death=2,
+                            node_death=3, stale_epoch=3),
+            "overload": dict(flash_crowd=6, migration_under_load=6,
+                             retry_storm_failover=8, slow_client_storm=5),
+        }
+        assert sum(r.counts["crashed"] for r in drawn["single"]) == 22
+        assert sum(r.counts["failovers"] for r in drawn["cluster"]) == 18
+
+
+@pytest.mark.drill
+class TestDrillHasTeeth:
+    """Break what a suite guards and the suite must say so."""
+
+    def test_lost_finalize_is_a_durability_violation(self, monkeypatch):
+        monkeypatch.setattr(CommandLog, "finalize", lambda self, block: None)
+        for seed in range(4):
+            result = Drill(DrillConfig("single", seed=seed, n_txns=8)).run()
+            assert not result.ok
+            assert "durability violated" in result.failure
+
+    @staticmethod
+    def _cluster_failures():
+        from repro.faults import run_sweep
+        return [r.failure for r in run_sweep("cluster", range(25))
+                if not r.ok]
+
+    def test_reexecuting_without_reconcile_is_a_double_execution(
+            self, monkeypatch):
+        from repro.cluster.ha import HACluster
+        monkeypatch.setattr(HACluster, "reconcile", lambda self, tag: None)
+        assert any("double execution" in f for f in self._cluster_failures())
+
+    def test_forgetting_a_stalled_txn_is_a_double_execution(
+            self, monkeypatch):
+        from repro.frontend import ClusterRetryRouter
+
+        class Forgetful(set):
+            def add(self, tag):
+                pass
+
+        init = ClusterRetryRouter.__init__
+
+        def forgetful_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self.stalled = Forgetful()
+
+        monkeypatch.setattr(ClusterRetryRouter, "__init__", forgetful_init)
+        assert any("double execution" in f for f in self._cluster_failures())
+
+    @pytest.mark.parametrize("flavor", ["flash_crowd", "slow_client_storm"])
+    def test_unbudgeted_retries_break_class_amplification(
+            self, monkeypatch, flavor):
+        from repro.frontend import RetryBudget
+        monkeypatch.setattr(RetryBudget, "try_spend",
+                            lambda self, *args, **kwargs: True)
+        result = Drill(DrillConfig("overload", seed=2, flavor=flavor)).run()
+        assert not result.ok
+        assert "retry amplification broke its budget" in result.failure

@@ -507,22 +507,22 @@ class TestClusterRetryRouter:
 
 # -- drill smoke -------------------------------------------------------------
 
-@pytest.mark.overload
+@pytest.mark.drill
 @pytest.mark.parametrize("flavor", [
     "retry_storm_failover", "migration_under_load",
     "flash_crowd", "slow_client_storm",
 ])
 def test_overload_drill_flavor_smoke(flavor):
-    from repro.faults import OverloadDrill, OverloadDrillConfig
-    result = OverloadDrill(OverloadDrillConfig(seed=2, flavor=flavor)).run()
+    from repro.faults import Drill, DrillConfig
+    result = Drill(DrillConfig("overload", seed=2, flavor=flavor)).run()
     assert result.ok, result.summary()
     assert result.flavor == flavor
 
 
-@pytest.mark.overload
+@pytest.mark.drill
 def test_overload_sweep_small():
-    from repro.faults.overload_drill import run_overload_sweep
-    results = run_overload_sweep(range(6))
+    from repro.faults import run_sweep
+    results = run_sweep("overload", range(6))
     assert all(r.ok for r in results), [r.summary() for r in results
                                         if not r.ok]
     # the weighted flavour draw must exercise more than one shape

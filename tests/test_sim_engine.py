@@ -185,18 +185,6 @@ def test_run_until_limit_stops_early():
     assert eng.now == 35
 
 
-def test_run_until_done_detects_deadlock():
-    eng = Engine()
-    never = eng.event()
-
-    def proc():
-        yield never
-
-    done = eng.process(proc())
-    with pytest.raises(SimulationError, match="deadlock"):
-        eng.run_until_done(done)
-
-
 def test_interrupt_wakes_sleeping_process():
     eng = Engine()
     log = []
@@ -268,54 +256,6 @@ def test_nested_processes_compose():
 
 # -- hot-path overhaul regressions -------------------------------------------
 
-def test_run_until_done_honors_halt():
-    eng = Engine()
-    done = Event(eng)
-
-    def stopper():
-        yield 10
-        eng.halt()
-
-    def never_finishes():
-        yield 1_000_000
-        done.succeed()
-
-    eng.process(stopper())
-    eng.process(never_finishes())
-    t = eng.run_until_done(done)
-    assert t == 10
-    assert not done.triggered
-
-
-def test_run_until_done_honors_max_events():
-    # same semantics as run(): max_events is a raising watchdog
-    eng = Engine()
-    done = Event(eng)
-
-    def ticker():
-        while True:
-            yield 1
-
-    eng.process(ticker())
-    with pytest.raises(SimulationError, match="watchdog"):
-        eng.run_until_done(done, max_events=25)
-    assert eng.events_fired == 25
-    assert not done.triggered
-
-
-def test_run_until_done_time_limit_message():
-    eng = Engine()
-    done = Event(eng)
-
-    def ticker():
-        while True:
-            yield 1
-
-    eng.process(ticker())
-    with pytest.raises(SimulationError, match="time limit"):
-        eng.run_until_done(done, limit=50)
-
-
 def test_interrupt_while_waiting_on_event_no_double_resume():
     # The interrupted process must not also be resumed when the original
     # event later fires (the O(1) tombstone replaces callbacks.remove).
@@ -386,32 +326,6 @@ def test_any_of_detaches_loser_callbacks():
     assert got == [(winner, "w")]
     # the AnyOf must have removed itself from the losing event
     assert loser.callbacks == []
-
-
-def test_timeout_pool_recycles_plain_timeouts():
-    eng = Engine()
-
-    def sleeper():
-        yield 5
-        yield 5
-
-    eng.process(sleeper())
-    eng.run()
-    first = eng.timeout(3)
-    eng.run()
-    second = eng.timeout(7)
-    # a fired value-less Timeout is recycled for the next request
-    assert second is first
-    assert second.triggered is False
-
-
-def test_timeout_with_value_not_recycled():
-    eng = Engine()
-    valued = eng.timeout(2, value="payload")
-    eng.run()
-    assert valued.value == "payload"
-    fresh = eng.timeout(2)
-    assert fresh is not valued
 
 
 def test_same_time_heap_and_ready_interleave_in_seq_order():
