@@ -1,7 +1,7 @@
 """Ablations of DESIGN.md's called-out design choices."""
 
 from repro.bench import (
-    run_batch_cap_sweep, run_hazard_prevention_cost, run_line_buffer_ablation,
+    run_hazard_prevention_cost, run_line_buffer_ablation,
     run_traverse_stage_sweep,
 )
 
@@ -25,9 +25,3 @@ def test_line_buffer_pays_off_on_tpcc(benchmark):
     report = run_once(benchmark, run_line_buffer_ablation, n_txns=150)
     on, off = report.series[0].ys
     assert on > off * 1.2
-
-
-def test_batch_caps_degrade_under_hot_rows(benchmark):
-    report = run_once(benchmark, run_batch_cap_sweep, n_txns=120)
-    ys = report.series[0].ys
-    assert ys[0] > ys[-1]        # serial beats unbounded batching on TPC-C

@@ -20,7 +20,6 @@ def test_fig12a_ycsb_footprints(benchmark):
 def test_fig12b_tpcc(benchmark):
     report = run_once(benchmark, run_fig12b, n_txns=150)
     inter, serial = report.series
-    # paper: no noticeable benefit from interleaving on TPC-C; in our
-    # reproduction hot-row aborts make it a net loss
+    # paper: "no noticeable difference" on NewOrder and on Payment
     for i_y, s_y in zip(inter.ys, serial.ys):
-        assert i_y < s_y * 1.25
+        assert s_y * 0.85 < i_y < s_y * 1.15

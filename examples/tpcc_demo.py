@@ -59,9 +59,9 @@ def main() -> None:
     report2, _ = workload2.submit_all(db2, workload2.make_mix(300))
     print(f"\nwith transaction interleaving: "
           f"{report2.throughput_tps / 1e3:.1f} kTps "
-          f"({report2.aborted} hot-row aborts)")
-    print("heavy data dependency + the warehouse hot row mean interleaving "
-          "cannot help TPC-C (Figure 12b)")
+          f"({report2.aborted} aborts)")
+    print("heavy data dependency + batches closed at the warehouse hot row "
+          "mean interleaving cannot help TPC-C (Figure 12b)")
 
 
 if __name__ == "__main__":

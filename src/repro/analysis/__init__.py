@@ -25,8 +25,7 @@ homed.  This package proves those properties (or produces findings)
   RANGE_SCAN → key intervals) and the deployment-joined
   single-partition/single-node/cross-node routing verdicts.
 * :mod:`.conflict` — pairwise static conflict matrix over the shipped
-  registry (commute / may-conflict / must-serialize) plus the batch
-  former's co-batching hints.
+  registry (commute / may-conflict / must-serialize).
 * :mod:`.wcet` — worst-case cycle bound per procedure, charging the
   timing model's stage costs over the longest flow-graph path with
   bounded loops.
@@ -58,9 +57,7 @@ from .footprint import (
     Access, FootprintIndex, FootprintSummary, KeyBound, StaticRoute,
     analyze_footprint,
 )
-from .conflict import (
-    BatchConflictHints, ConflictMatrix, build_conflict_matrix,
-)
+from .conflict import ConflictMatrix, build_conflict_matrix
 from .wcet import WcetModel, WcetReport, analyze_wcet
 
 __all__ = [
@@ -75,6 +72,6 @@ __all__ = [
     "static_mlp", "EpochOwnershipReport", "check_epoch_ownership",
     "KeyBound", "Access", "FootprintSummary", "StaticRoute",
     "analyze_footprint", "FootprintIndex",
-    "ConflictMatrix", "build_conflict_matrix", "BatchConflictHints",
+    "ConflictMatrix", "build_conflict_matrix",
     "WcetModel", "WcetReport", "analyze_wcet",
 ]

@@ -9,9 +9,9 @@ approximating it:
 ``must-serialize``
     the overlap is certain for every instance pair — e.g. two constant
     keys that are equal, or a constant point inside a constant range.
-    The §4.5 batch former must not co-batch these: the second
-    transaction's read would be ordered behind the first one's write in
-    every interleaving, so batching them only grows the abort window.
+    Batching such a pair only grows the abort window: the second
+    transaction's access is ordered behind the first one's write in
+    every interleaving.
 ``may-conflict``
     the overlap depends on runtime inputs (anchored or opaque keys, or
     a range with a symbolic bound).  Timestamp ordering (§4.6) already
@@ -23,8 +23,10 @@ approximating it:
 
 The matrix is symmetric and includes the self-pairs (a procedure
 conflicting with another instance of itself — the common case for
-hot-key workloads).  :class:`BatchConflictHints` adapts a matrix to the
-proc-id keyed lookup the batch former consults.
+hot-key workloads).  It is a report only: the §4.5 batch former
+compares the keys themselves (``Softcore._admit``) — an input cell the
+matrix can only call ``may-conflict`` is a plain value by the time a
+block is admitted.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .footprint import Access, FootprintSummary
 
 __all__ = [
     "MUST_SERIALIZE", "MAY_CONFLICT", "COMMUTE",
-    "ConflictMatrix", "build_conflict_matrix", "BatchConflictHints",
+    "ConflictMatrix", "build_conflict_matrix",
 ]
 
 MUST_SERIALIZE = "must-serialize"
@@ -137,29 +139,3 @@ def build_conflict_matrix(
             matrix.verdicts[tuple(sorted((name_a, name_b)))] = \
                 _pair_verdict(a, b)
     return matrix
-
-
-class BatchConflictHints:
-    """Proc-id keyed must-serialize lookup for the §4.5 batch former.
-
-    The batch former closes the current batch instead of admitting a
-    transaction whose procedure must-serializes against one already in
-    the batch — the pair would commit in serial order anyway, and
-    co-batching it only delays the first commit and widens the window
-    in which the second can fail validation."""
-
-    def __init__(self, matrix: ConflictMatrix,
-                 proc_names: Dict[int, str]):
-        self._blocked: set = set()
-        for pid_a, name_a in proc_names.items():
-            for pid_b, name_b in proc_names.items():
-                try:
-                    verdict = matrix.verdict(name_a, name_b)
-                except KeyError:
-                    continue        # procedure not in the matrix: no hint
-                if verdict == MUST_SERIALIZE:
-                    self._blocked.add((pid_a, pid_b))
-
-    def blocks(self, pid_a: int, pid_b: int) -> bool:
-        """True when the pair must not share a batch."""
-        return (pid_a, pid_b) in self._blocked

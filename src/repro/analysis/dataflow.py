@@ -76,11 +76,14 @@ class FlowGraph:
         self.cfgs = cfgs
         self.nodes: List[Node] = []
         self._id: Dict[Node, int] = {}
+        #: node id -> instruction (the solvers ask once per visit)
+        self._insts: List[Instruction] = []
         for section in Section:
-            for i in range(len(program.section(section))):
+            for i, inst in enumerate(program.section(section)):
                 node = Node(section, i)
                 self._id[node] = len(self.nodes)
                 self.nodes.append(node)
+                self._insts.append(inst)
         n = len(self.nodes)
         self.succs: List[List[int]] = [[] for _ in range(n)]
         self.preds: List[List[int]] = [[] for _ in range(n)]
@@ -134,8 +137,7 @@ class FlowGraph:
         return self._id[node]
 
     def inst(self, nid: int) -> Instruction:
-        node = self.nodes[nid]
-        return self.program.section(node.section)[node.index]
+        return self._insts[nid]
 
     @property
     def entries(self) -> List[int]:

@@ -24,13 +24,13 @@ from .fig_latency_load import (  # noqa: E402
 __all__ += ["measure_latency_load", "run_latency_load"]
 
 from .ablations import (  # noqa: E402
-    run_batch_cap_sweep, run_cluster_scale_out, run_dynamic_scheduling,
+    run_cluster_scale_out, run_dynamic_scheduling,
     run_full_tpcc_mix, run_hazard_prevention_cost, run_latency_curve,
     run_line_buffer_ablation, run_scale_up, run_traverse_stage_sweep,
 )
 
 __all__ += [
-    "run_batch_cap_sweep", "run_cluster_scale_out", "run_dynamic_scheduling",
+    "run_cluster_scale_out", "run_dynamic_scheduling",
     "run_hazard_prevention_cost", "run_line_buffer_ablation", "run_scale_up",
     "run_traverse_stage_sweep", "run_latency_curve", "run_full_tpcc_mix",
 ]

@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import (
-    run_batch_cap_sweep, run_cluster_scale_out, run_dynamic_scheduling,
+    run_cluster_scale_out, run_dynamic_scheduling,
     run_full_tpcc_mix, run_latency_curve,
     run_fig9a, run_fig9b, run_fig10a, run_fig10b, run_fig10c, run_fig10d,
     run_fig11a, run_fig11b, run_fig11c, run_fig11d, run_fig12a, run_fig12b,
@@ -54,7 +54,6 @@ EXPERIMENTS = {
                         {"n_ops": 400}),
     "ablation-linebuf": (run_line_buffer_ablation, {"n_txns": 200},
                          {"n_txns": 100}),
-    "ablation-batch": (run_batch_cap_sweep, {"n_txns": 200}, {"n_txns": 100}),
     "ext-dynamic": (run_dynamic_scheduling, {"n_txns": 120}, {"n_txns": 80}),
     "ext-scaleup": (run_scale_up, {"txns_per_worker": 30},
                     {"txns_per_worker": 15}),

@@ -5,7 +5,6 @@ These exercise the design choices DESIGN.md calls out:
 * multiple Traverse stages under heavy hash conflict (§4.4.1);
 * the cost of hazard prevention on contended inserts (§4.4.1);
 * the softcore's tuple line buffer (our documented modeling addition);
-* batch-size caps under TPC-C's hot rows (§4.5 / Figure 12b);
 * dynamic transaction scheduling (§4.5 future work);
 * crossbar-vs-ring scale-up on a datacenter-grade device (§4.6/§7);
 * shared-nothing scale-out over two chips (§4.6/§7).
@@ -28,7 +27,7 @@ from .report import FigureReport, drive_closed_loop
 
 __all__ = [
     "run_traverse_stage_sweep", "run_hazard_prevention_cost",
-    "run_line_buffer_ablation", "run_batch_cap_sweep",
+    "run_line_buffer_ablation",
     "run_dynamic_scheduling", "run_scale_up", "run_cluster_scale_out",
     "run_latency_curve", "run_full_tpcc_mix",
 ]
@@ -121,7 +120,7 @@ def run_line_buffer_ablation(n_txns: int = 200) -> FigureReport:
 
     def tput(enabled: bool) -> float:
         db = BionicDB(BionicConfig(softcore=SoftcoreConfig(
-            interleaving=False, line_buffer=enabled)))
+            line_buffer=enabled)))
         workload = TpccWorkload(TpccConfig(items=2000,
                                            customers_per_district=100))
         workload.install(db)
@@ -133,34 +132,6 @@ def run_line_buffer_ablation(n_txns: int = 200) -> FigureReport:
     series = report.new_series("Payment")
     series.add(tput(True))
     series.add(tput(False))
-    return report
-
-
-# -- batch caps on TPC-C ------------------------------------------------------
-def run_batch_cap_sweep(caps: Sequence = (1, 2, 4, 8, None),
-                        n_txns: int = 200) -> FigureReport:
-    report = FigureReport(
-        "Ablation: batch-size cap",
-        "TPC-C mix under interleaving with bounded batches",
-        x_label="max batch", unit="kTps",
-        paper_expectations={
-            "§4.7 + §5.6": "bigger batches widen the dirty window on the "
-                           "warehouse hot row -> more blind rejections",
-        })
-    report.xs = ["serial" if c == 1 else (c or "unbounded") for c in caps]
-    tput = report.new_series("mix")
-    abort_counts = []
-    for cap in caps:
-        db = BionicDB(BionicConfig(softcore=SoftcoreConfig(
-            interleaving=(cap != 1), max_batch=cap)))
-        workload = TpccWorkload(TpccConfig(items=2000,
-                                           customers_per_district=100))
-        workload.install(db)
-        rep, _ = workload.submit_all(db, workload.make_mix(n_txns))
-        tput.add(rep.throughput_tps)
-        abort_counts.append(rep.aborted)
-    report.note("aborts/retries per cap: " + ", ".join(
-        f"{x}={a}" for x, a in zip(report.xs, abort_counts)))
     return report
 
 
@@ -357,13 +328,13 @@ def run_full_tpcc_mix(n_txns: int = 200) -> FigureReport:
     (dynamic loops, RETN probes, per-district data dependencies)."""
     report = FigureReport(
         "Extension: full TPC-C mix",
-        "Five-transaction TPC-C on BionicDB (serial softcore)",
+        "Five-transaction TPC-C on BionicDB",
         x_label="mix", unit="kTps",
         paper_expectations={
             "paper scope": "NewOrder+Payment 50:50 only; the full mix "
                            "is an extension",
         })
-    db = BionicDB(BionicConfig(softcore=SoftcoreConfig(interleaving=False)))
+    db = BionicDB(BionicConfig())
     workload = TpccWorkload(TpccConfig(items=2000, customers_per_district=100))
     workload.install(db)
     report.xs = ["NewOrder+Payment (paper)", "full 5-txn mix"]

@@ -14,7 +14,6 @@ from typing import List, Sequence
 
 from ..baseline import SiloTpcc, SiloYcsb
 from ..core import BionicConfig, BionicDB
-from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
 from .report import FigureReport
 
@@ -73,10 +72,9 @@ def bionicdb_tpcc_tput(n_workers: int, n_txns: int = 240,
                        customers_per_district: int = 100) -> float:
     cfg = TpccConfig(n_partitions=n_workers, items=items,
                      customers_per_district=customers_per_district)
-    # TPC-C executes almost in serial on BionicDB (§5.4): heavy data
-    # dependency plus the warehouse hot row make batching fruitless.
-    db = BionicDB(BionicConfig(n_workers=n_workers,
-                               softcore=SoftcoreConfig(interleaving=False)))
+    # TPC-C executes almost in serial on BionicDB (§5.4): the batch
+    # former closes a batch at the warehouse and district hot rows.
+    db = BionicDB(BionicConfig(n_workers=n_workers))
     workload = TpccWorkload(cfg)
     workload.install(db)
     report, _ = workload.submit_all(db, workload.make_mix(n_txns))

@@ -19,7 +19,6 @@ from ..index.common import DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
 from ..isa import Opcode
 from ..sim import ClockDomain, DramModel, Engine, Heap, StatsRegistry
-from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
 from .report import FigureReport, drive_closed_loop
 
@@ -119,7 +118,7 @@ def run_fig10b(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
 def _tpcc_tput_at(total_in_flight: int, n_txns: int,
                   neworder_fraction: float) -> float:
     cfg = TpccConfig(items=2000, customers_per_district=100)
-    db = BionicDB(BionicConfig(softcore=SoftcoreConfig(interleaving=False)))
+    db = BionicDB(BionicConfig())
     workload = TpccWorkload(cfg)
     workload.install(db)
     db.set_total_in_flight(total_in_flight)

@@ -273,8 +273,10 @@ class Program:
     finalized: bool = False
 
     def section(self, which: Section) -> List[Instruction]:
-        return {Section.LOGIC: self.logic, Section.COMMIT: self.commit,
-                Section.ABORT: self.abort}[which]
+        # the analyses call this once per visited instruction
+        if which is Section.LOGIC:
+            return self.logic
+        return self.commit if which is Section.COMMIT else self.abort
 
     def finalize(self) -> "Program":
         """Validate instructions and resolve labels to indices."""

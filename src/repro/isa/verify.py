@@ -150,20 +150,22 @@ def _anchored(severity: str, code: str, message: str, section: Section,
 
 
 def verify_program(program: Program, n_registers: int = 256,
-                   schemas=None, n_workers: Optional[int] = None
-                   ) -> VerificationReport:
+                   schemas=None, n_workers: Optional[int] = None,
+                   graph=None) -> VerificationReport:
     """Statically verify ``program``; finalises it first if needed.
 
     ``schemas`` is an optional :class:`repro.mem.schema.Catalog`; when
     given, DB-instruction table references are checked against it and
     the partition-provenance warnings are enabled (``n_workers``
     additionally lets pinned keys name their concrete partition).
+    ``graph`` is the program's flow graph
+    (:func:`repro.analysis.dataflow.program_flow`) when the caller
+    already has it.
     """
     # Imported lazily: repro.analysis is a client of this module's
     # Finding API, and importing it at module scope would make the
     # package import order load-bearing.
-    from ..analysis.cfg import build_all_cfgs
-    from ..analysis.dataflow import FlowGraph
+    from ..analysis.dataflow import program_flow
     from ..analysis.liveness import dead_gp_writes, uncollected_cps
     from ..analysis.protocol import check_commit_protocol
     from ..analysis.provenance import analyze_partitions
@@ -184,7 +186,8 @@ def verify_program(program: Program, n_registers: int = 256,
                     f"has {n_registers}"))
 
     # ---- CFG construction: structural checks --------------------------
-    cfgs = build_all_cfgs(program)
+    graph = graph or program_flow(program)
+    cfgs = graph.cfgs
     for section, cfg in cfgs.items():
         for index, target in cfg.bad_targets:
             add(_anchored("error", "branch-out-of-range",
@@ -233,8 +236,6 @@ def verify_program(program: Program, n_registers: int = 256,
                               section, i, insts))
 
     # ---- dataflow proofs ----------------------------------------------
-    graph = FlowGraph(program, cfgs)
-
     protocol = check_commit_protocol(program, graph)
     for node in protocol.unwritten_rets:
         insts = program.section(node.section)

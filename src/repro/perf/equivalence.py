@@ -4,10 +4,19 @@ it simulates.
 What is pinned is the set of *simulated observables* of a seeded
 scenario — ``Engine.now`` at the end, commit and abort counts, and a
 hash over every per-transaction completion timestamp
-(:data:`OBSERVABLES`).  The values checked in below
-(:data:`GOLDEN_SMOKE`) were captured on the heap-only event loop the
-first perf PR replaced and have not been edited since, so equivalence
-is anchored to history rather than to whatever the tree computes today.
+(:data:`OBSERVABLES`), checked in below as :data:`GOLDEN_SMOKE`.
+
+``bptree_range_smoke`` has never been edited.  ``ycsb_smoke`` and
+``tpcc_smoke`` were captured on the heap-only event loop the first perf
+PR replaced and stood unedited until the §4.5 batch former began
+comparing keys: both streams hold transactions of one worker that write
+a row another one of its batch touches (20 RMW transactions over 2 000
+rows; TPC-C's warehouse and district rows), and those now run in
+consecutive batches instead of one of them aborting — 57 commits and 3
+aborts became 60 and 0, 63 retried aborts became none — so the two
+entries were re-captured once, with that change.  What keeps them
+anchored to history is ``tests/test_batch_former.py``: a stream with no
+such pair fires the events and draws the timestamps it did before.
 
 ``events_fired`` is *not* an observable: it counts host work items, and
 two event graphs that compute the same simulation may differ in how
@@ -17,11 +26,11 @@ events than the captured count, never more — so same-instant hops that
 do no simulated work cannot creep back in unnoticed.
 
 The softcore once had two executors, an instruction interpreter and
-the generated code of :mod:`repro.softcore.compiled`.  The goldens were
-captured on the interpreter, and :data:`GOLDEN_INTERPRETER` records what
-it did in the two modes only it ran — dynamic scheduling and tracing —
-on the last commit that had it, so the one executor left is held to the
-interpreter's behaviour in all three modes.
+the generated code of :mod:`repro.softcore.compiled`, and
+:data:`GOLDEN_INTERPRETER` pins the two modes only the interpreter ran
+— dynamic scheduling and tracing — over ``ycsb_smoke``.  Its values
+were the interpreter's until the re-capture above and are the generated
+code's since (same stream, same reason).
 
 Scenarios are deterministic: fixed seeds, no wall-clock reads.
 """
@@ -47,29 +56,25 @@ __all__ = ["GOLDEN_SMOKE", "GOLDEN_INTERPRETER", "OBSERVABLES", "SCENARIOS",
 OBSERVABLES: Tuple[str, ...] = ("now_ns", "committed", "aborted",
                                 "commit_hash")
 
-#: fingerprints of the smoke scenarios.  The observables were captured
-#: on the pre-overhaul engine (the heap-only event loop the perf PR
-#: replaced), before any fast path landed; bptree_range_smoke was
-#: captured when the scenario was added, on an engine the other two
-#: anchors prove equivalent.  ``events_fired`` is the ceiling: the
-#: count the current event graph needs, re-captured whenever a change
-#: lowers it.
+#: fingerprints of the smoke scenarios (history in the module
+#: docstring).  ``events_fired`` is the ceiling: the count the current
+#: event graph needs, re-captured whenever a change lowers it.
 GOLDEN_SMOKE = {
     "ycsb_smoke": {
-        "events_fired": 8981,
-        "now_ns": 187368.0,
-        "committed": 57,
-        "aborted": 3,
+        "events_fired": 9221,
+        "now_ns": 235344.0,
+        "committed": 60,
+        "aborted": 0,
         "commit_hash":
-            "e7bc04fef889d3e929575dd860443e08a9e965b7e645238f5709320a1025fc35",
+            "37be1a001ab4f808a5b4efd81f756b46a8a730dd57909b5dacc86d90b4214a7a",
     },
     "tpcc_smoke": {
-        "events_fired": 19855,
-        "now_ns": 530656.0,
+        "events_fired": 9871,
+        "now_ns": 308504.0,
         "committed": 24,
-        "aborted": 63,
+        "aborted": 0,
         "commit_hash":
-            "bc978ca2d2c04e903222919cead95159309d178c46a89346555774f06f3118b9",
+            "5b38b2e8550362714ef140ec36b68c5dff5e326b7ba58eadf5d54052e70bd566",
     },
     "bptree_range_smoke": {
         "events_fired": 4292,
@@ -81,24 +86,24 @@ GOLDEN_SMOKE = {
     },
 }
 
-#: ``ycsb_smoke`` as the deleted instruction interpreter ran it (commit
-#: 49ab16e): ``dynamic`` is the fingerprint under
+#: ``ycsb_smoke`` in the two modes the deleted instruction interpreter
+#: alone ran: ``dynamic`` is the fingerprint under
 #: ``SoftcoreConfig(dynamic_scheduling=True)`` (``events_fired`` a
 #: ceiling, as in :data:`GOLDEN_SMOKE`); ``trace_sha256`` is the
 #: SHA-256 of ``Tracer(categories={"softcore", "txn"}).format()`` over
-#: the default-config run (1 648 lines, 3 of them ABORTs), whose own
-#: fingerprint is ``GOLDEN_SMOKE["ycsb_smoke"]``.
+#: the default-config run (1 720 lines, none of them an ABORT), whose
+#: own fingerprint is ``GOLDEN_SMOKE["ycsb_smoke"]``.
 GOLDEN_INTERPRETER = {
     "dynamic": {
-        "events_fired": 8981,
-        "now_ns": 187448.0,
-        "committed": 57,
-        "aborted": 3,
+        "events_fired": 9221,
+        "now_ns": 235664.0,
+        "committed": 60,
+        "aborted": 0,
         "commit_hash":
-            "128c16d22862df6d22b3f3d284020b3cd98234d533f508aeab8da1d45462da67",
+            "6e843355f287a99b587445b4647e886f22bd4cbc91170b04e3ca4fbc97efe915",
     },
     "trace_sha256":
-        "1c56960b30b12a56b3e022feb11f127dc908bc19c57b300aa137c9a933dcc8c4",
+        "b7eaa2b4a48d3ed3d88ea984de5a8bc0d20b4fcde7e10d72d77402fe33b1653a",
 }
 
 

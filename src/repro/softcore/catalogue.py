@@ -9,15 +9,27 @@ reconfiguration — BionicDB accommodates workload changes quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
+from ..analysis.dataflow import program_flow
+from ..analysis.footprint import analyze_footprint
 from ..errors import ProcedureNotFoundError
-from ..isa.instructions import Opcode, Program, Section
+from ..isa.instructions import BlockRef, Gp, Opcode, Program, Section
 from ..isa.verify import verify_program
 from ..mem.schema import Catalog
 from ..sim.memory import Bram
 
-__all__ = ["ProcedureEntry", "Catalogue"]
+__all__ = ["KeySource", "ProcedureEntry", "Catalogue"]
+
+
+class KeySource(NamedTuple):
+    """Where one DB instruction's key is before the logic runs."""
+    table: int
+    #: input cell holding the key, or None for a compile-time constant
+    cell: Optional[int]
+    const: Optional[int]
+    #: an INSERT's cell is ``(key, payload)``: the key is its first half
+    paired: bool
 
 
 @dataclass(frozen=True)
@@ -32,6 +44,10 @@ class ProcedureEntry:
     #: table ids the program's DB instructions reference; checked
     #: against the schema catalog at submission time
     tables_used: frozenset = frozenset()
+    #: the DB accesses whose key is known at admission, reads and
+    #: writes apart: what the §4.5 batch former compares
+    key_reads: Tuple[KeySource, ...] = ()
+    key_writes: Tuple[KeySource, ...] = ()
 
 
 class Catalogue:
@@ -63,9 +79,10 @@ class Catalogue:
         """
         if not program.finalized:
             program.finalize()
+        graph = program_flow(program)
         if verify:
-            verify_program(program,
-                           n_registers=self.n_registers).raise_if_errors()
+            verify_program(program, n_registers=self.n_registers,
+                           graph=graph).raise_if_errors()
         tolerant = frozenset(
             inst.cp.n
             for section in Section
@@ -76,6 +93,20 @@ class Catalogue:
             for section in Section
             for inst in program.section(section)
             if inst.is_db and inst.table is not None)
+        # keys the logic does not compute: a direct input cell, or a
+        # register the footprint pass proves constant
+        reads, writes = [], []
+        for access in analyze_footprint(program, graph=graph).accesses:
+            inst = program.section(access.node.section)[access.node.index]
+            key = inst.key
+            if isinstance(key, BlockRef) and not isinstance(key.offset, Gp):
+                source = KeySource(access.table, key.offset + key.extra, None,
+                                   inst.opcode is Opcode.INSERT)
+            elif access.key.kind == "const":
+                source = KeySource(access.table, None, access.key.const, False)
+            else:
+                continue
+            (writes if access.mode == "write" else reads).append(source)
         entry = ProcedureEntry(
             proc_id=proc_id,
             program=program,
@@ -83,6 +114,8 @@ class Catalogue:
             cp_needed=max(1, program.cp_needed),
             tolerant_cps=tolerant,
             tables_used=tables,
+            key_reads=tuple(reads),
+            key_writes=tuple(writes),
         )
         # replacement is allowed: clients may change an existing txn type
         self._procs[proc_id] = entry

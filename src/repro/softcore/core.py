@@ -25,7 +25,7 @@ without a DRAM round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..isa.instructions import Opcode, Section
 from ..mem.txnblock import TransactionBlock, TxnStatus, UndoEntry
@@ -68,19 +68,59 @@ class SoftcoreConfig:
     #: §4.5 'future work': switch transactions whenever a RET blocks,
     #: instead of only at end-of-logic (helps data-dependent workloads)
     dynamic_scheduling: bool = False
-    max_batch: Optional[int] = None
     n_registers: int = 256
     #: single-entry tuple line buffer: one 64-byte header line holds all
     #: the fields a procedure touches, so consecutive LOAD/WRFIELD to
     #: the same record cost one DRAM read (ablation knob)
     line_buffer: bool = True
-    #: optional static conflict hints for §4.5 batch forming
-    #: (:class:`repro.analysis.conflict.BatchConflictHints` or anything
-    #: exposing ``blocks(proc_id_a, proc_id_b) -> bool``): a transaction
-    #: whose procedure must-serialize against one already in the batch
-    #: closes the batch instead of joining it.  None (the default)
-    #: keeps grouping decisions — and timing — exactly as before.
-    conflict_hints: Optional[Any] = None
+
+
+def _keys(block: TransactionBlock, sources) -> set:
+    """The ``(table, key)`` pairs ``sources`` name in ``block``, read
+    from its cells in place.  A cell that holds no plain key (a list, a
+    tuple, nothing) names none: that access stays unseen."""
+    pairs = set()
+    for table, cell, key, paired in sources:
+        if cell is not None:
+            key = block.input_cell(cell)
+            if paired and type(key) is tuple and len(key) == 2:
+                key = key[0]
+        if isinstance(key, (int, str)):
+            pairs.add((table, key))
+    return pairs
+
+
+class _Batch(list):
+    """One §4.5 batch: its contexts in admission order, the register
+    ranges handed out so far and the ``(table, key)`` pairs its members
+    read and write, as far as their input cells say."""
+
+    def __init__(self):
+        super().__init__()
+        self.gp_base = self.cp_base = 0
+        self.reads: set = set()
+        self.writes: set = set()
+        #: members whose reads are in ``reads``; the rest joined while
+        #: nothing wrote and are looked at when something first does
+        self.resolved = 0
+
+    def collides(self, block: TransactionBlock, entry) -> bool:
+        """Whether ``block`` and a member touch one key with a write
+        among the two; if not, its keys are added to the batch's."""
+        if not entry.key_writes and not self.writes:
+            return False    # read-only among readers: no key is looked at
+        for ctx in self[self.resolved:]:
+            self.reads |= _keys(ctx.block, ctx.entry.key_reads)
+        self.resolved = len(self)
+        writes = _keys(block, entry.key_writes)
+        reads = _keys(block, entry.key_reads)
+        if (not writes.isdisjoint(self.reads)
+                or not self.writes.isdisjoint(writes | reads)):
+            return True
+        self.writes |= writes
+        self.reads |= reads
+        self.resolved += 1
+        return False
 
 
 class Softcore:
@@ -132,6 +172,10 @@ class Softcore:
         self._committed = self.stats.counter(f"{pre}.committed")
         self._aborted = self.stats.counter(f"{pre}.aborted")
         self._batches = self.stats.counter(f"{pre}.batches")
+        self._closed_conflict = self.stats.counter(
+            f"{pre}.batches_closed.conflict")
+        self._closed_capacity = self.stats.counter(
+            f"{pre}.batches_closed.capacity")
         self._insts = self.stats.counter(f"{pre}.instructions")
         self._db_insts = self.stats.counter(f"{pre}.db_instructions")
         self._remote_insts = self.stats.counter(f"{pre}.remote_db_instructions")
@@ -188,28 +232,34 @@ class Softcore:
                 self._release(ctx)
             self._batches.add()
 
-    def _admit(self, block: TransactionBlock, batch: List[TxnContext],
-               bases: List[int]) -> Optional[TxnContext]:
+    def _admit(self, block: TransactionBlock,
+               batch: _Batch) -> Optional[TxnContext]:
         """Try to add ``block`` to the current batch (§4.5 transaction
-        grouping): allocate an exclusive register range or fail, closing
-        the batch (the block is kept for the next one)."""
-        cfg = self.config
+        grouping): it needs an exclusive register range, and its keys
+        must not meet the batch's with a write on either side — such a
+        pair commits in serial order anyway, and run in one batch the
+        later one is only rejected (§4.7) and retried.  Otherwise the
+        batch is closed and the block kept for the next one.  Only keys
+        sitting in input cells (or constant) are compared; a computed
+        key, or one held by another worker's batch, is still caught by
+        the coprocessor's visibility check."""
+        n_registers = self.config.n_registers
         entry = self.catalogue.lookup(block.proc_id)
-        gp_base, cp_base = bases
-        over_cap = (gp_base + entry.gp_needed > cfg.n_registers or
-                    cp_base + entry.cp_needed > cfg.n_registers)
-        over_batch = (cfg.max_batch is not None and len(batch) >= cfg.max_batch)
-        over_conflict = (cfg.conflict_hints is not None and any(
-            cfg.conflict_hints.blocks(ctx.block.proc_id, block.proc_id)
-            for ctx in batch))
-        if batch and (over_cap or over_batch or over_conflict):
+        closed = None
+        if batch and (batch.gp_base + entry.gp_needed > n_registers or
+                      batch.cp_base + entry.cp_needed > n_registers):
+            closed = self._closed_capacity
+        elif batch.collides(block, entry):      # never an empty batch
+            closed = self._closed_conflict
+        if closed is not None:
+            closed.add()
             self._pending_block = block
             return None
         ctx = TxnContext(block=block, entry=entry,
                          begin_ts=self.hw_clock.next_ts(),
-                         gp_base=gp_base, cp_base=cp_base)
-        bases[0] += entry.gp_needed
-        bases[1] += entry.cp_needed
+                         gp_base=batch.gp_base, cp_base=batch.cp_base)
+        batch.gp_base += entry.gp_needed
+        batch.cp_base += entry.cp_needed
         self.gp.clear_range(ctx.gp_base, entry.gp_needed)
         self.cp.clear_range(ctx.cp_base, entry.cp_needed)
         block.header.begin_ts = ctx.begin_ts
@@ -221,11 +271,10 @@ class Softcore:
         """Phase one as the paper implements it: run each transaction's
         logic to the end, switch, and never revisit until phase two."""
         cfg = self.config
-        batch: List[TxnContext] = []
-        bases = [0, 0]
+        batch = _Batch()
         while True:
             yield self.clock.delay(cfg.catalogue_cycles)
-            ctx = self._admit(block, batch, bases)
+            ctx = self._admit(block, batch)
             if ctx is None:
                 break
             yield from self._ingest(ctx)
@@ -247,14 +296,13 @@ class Softcore:
         register is written back."""
         from collections import deque
         cfg = self.config
-        batch: List[TxnContext] = []
-        bases = [0, 0]
+        batch = _Batch()
         ready = deque()
         wake: Fifo = Fifo(self.engine)
         blocked = 0
 
         yield self.clock.delay(cfg.catalogue_cycles)
-        first = self._admit(block, batch, bases)
+        first = self._admit(block, batch)
         yield from self._ingest(first)
         ready.append(first)
 
@@ -266,7 +314,7 @@ class Softcore:
                     ok, nxt = self.input_queue.try_get()
                     if ok:
                         yield self.clock.delay(cfg.catalogue_cycles)
-                        ctx = self._admit(nxt, batch, bases)
+                        ctx = self._admit(nxt, batch)
                         if ctx is not None:
                             yield from self._ingest(ctx)
                             ready.append(ctx)
@@ -289,7 +337,7 @@ class Softcore:
                 ok, nxt = self.input_queue.try_get()
                 if ok:
                     yield self.clock.delay(cfg.catalogue_cycles)
-                    ctx2 = self._admit(nxt, batch, bases)
+                    ctx2 = self._admit(nxt, batch)
                     if ctx2 is not None:
                         yield from self._ingest(ctx2)
                         ready.append(ctx2)
@@ -412,6 +460,9 @@ class Softcore:
         ctx.block.header.abort_reason = ctx.fail_reason
         self.port.post_write(ctx.block.base, ctx.block.header)
         self._aborted.add()
+        # "UPDATE: CC_REJECT" counts as worker{w}.aborted.UPDATE.CC_REJECT
+        cause = ".".join((ctx.fail_reason or "unknown").replace(":", "").split())
+        self.stats.counter(f"{self._aborted.name}.{cause}").add()
         if self.tracer.enabled:
             self.tracer.emit("txn", f"w{self.worker_id}",
                              f"txn={ctx.txn_id} ABORT ({ctx.fail_reason})")

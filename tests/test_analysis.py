@@ -14,8 +14,7 @@ from repro.analysis import (
     uncollected_cps,
 )
 from repro.analysis.conflict import (
-    COMMUTE, MAY_CONFLICT, MUST_SERIALIZE, BatchConflictHints,
-    build_conflict_matrix,
+    COMMUTE, MAY_CONFLICT, MUST_SERIALIZE, build_conflict_matrix,
 )
 from repro.analysis.dataflow import cp_defs
 from repro.analysis.footprint import (
@@ -938,13 +937,6 @@ class TestConflict:
         m = self._matrix(const_writer(7, table=0), const_writer(7, table=1),
                          cat=cat)
         assert m.verdict("a", "b") == COMMUTE
-
-    def test_batch_hints_block_must_serialize_pairs(self):
-        m = self._matrix(const_writer(7), const_reader(9))
-        hints = BatchConflictHints(m, {1: "a", 2: "b", 3: "ghost"})
-        assert hints.blocks(1, 1)                   # a self-serializes
-        assert not hints.blocks(1, 2) and not hints.blocks(2, 1)
-        assert not hints.blocks(1, 3)               # ghost: no verdict
 
     def test_matrix_json_round_trips(self):
         m = self._matrix(const_writer(7), const_writer(7))

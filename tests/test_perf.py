@@ -37,10 +37,10 @@ def test_engine_matches_golden():
 def test_golden_constants_are_pinned():
     # the checked-in observables themselves must not drift silently
     # (events_fired is a ceiling, re-captured whenever it falls)
-    assert GOLDEN_SMOKE["ycsb_smoke"]["now_ns"] == 187368.0
-    assert GOLDEN_SMOKE["ycsb_smoke"]["commit_hash"].startswith("e7bc04fe")
-    assert GOLDEN_SMOKE["tpcc_smoke"]["now_ns"] == 530656.0
-    assert GOLDEN_SMOKE["tpcc_smoke"]["commit_hash"].startswith("bc978ca2")
+    assert GOLDEN_SMOKE["ycsb_smoke"]["now_ns"] == 235344.0
+    assert GOLDEN_SMOKE["ycsb_smoke"]["commit_hash"].startswith("37be1a00")
+    assert GOLDEN_SMOKE["tpcc_smoke"]["now_ns"] == 308504.0
+    assert GOLDEN_SMOKE["tpcc_smoke"]["commit_hash"].startswith("5b38b2e8")
     assert GOLDEN_SMOKE["bptree_range_smoke"]["now_ns"] == 423312.0
     assert GOLDEN_SMOKE["bptree_range_smoke"]["commit_hash"].startswith(
         "a0aa2f66")

@@ -410,17 +410,7 @@ class TestBatching:
         report = db.run_all(blocks, workers=[0] * 7)
         assert report.committed == 7
         assert db.stats.counter("worker0.batches").value >= 3
-
-    def test_max_batch_cap(self):
-        db = make_db(max_batch=2)
-        b = ProcedureBuilder("small")
-        b.search(cp=0, table=0, key=b.at(0))
-        b.commit_handler()
-        b.ret(0, 0)
-        b.commit()
-        db.register_procedure(6, b.build())
-        db.load(0, 1, ["v"])
-        blocks = [db.new_block(6, [1], worker=0) for _ in range(6)]
-        report = db.run_all(blocks, workers=[0] * 6)
-        assert report.committed == 6
-        assert db.stats.counter("worker0.batches").value >= 3
+        # every hand-over was for registers: nothing here writes
+        assert db.stats.counter(
+            "worker0.batches_closed.capacity").value >= 2
+        assert db.stats.counter("worker0.batches_closed.conflict").value == 0

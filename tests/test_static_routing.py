@@ -10,15 +10,15 @@ Three contracts from the footprint/conflict passes:
   whose footprint pins partitions owned by a different node than its
   home before the first submit attempt.
 * **Conflict-aware batching.** The §4.5 batch former never co-batches
-  a must-serialize pair when hints are wired, and is bit-identical to
-  the stock former when they are absent.
+  a must-serialize pair: it closes the batch at the second writer of a
+  key instead of letting it be rejected and retried.
 """
 
 from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.conflict import BatchConflictHints, build_conflict_matrix
+from repro.analysis.conflict import MUST_SERIALIZE, build_conflict_matrix
 from repro.analysis.footprint import analyze_footprint
 from repro.core import BionicConfig, BionicDB
 from repro.errors import FrontendError
@@ -28,7 +28,6 @@ from repro.frontend import (
 )
 from repro.isa import Gp, ProcedureBuilder
 from repro.mem import Catalog, TableSchema
-from repro.softcore import SoftcoreConfig
 
 N_KEYS = 64
 
@@ -176,16 +175,15 @@ class TestClusterPreclassification:
 
 
 # ---------------------------------------------------------------------------
-# conflict-aware batch forming (§4.5 + conflict-matrix hints)
+# conflict-aware batch forming (§4.5: keys compared at admission)
 # ---------------------------------------------------------------------------
 
 class TestConflictAwareBatching:
     HOT_PID = 1
     N_TXNS = 6
 
-    def _hot_writer_db(self, hints):
-        db = BionicDB(BionicConfig(
-            n_workers=1, softcore=SoftcoreConfig(conflict_hints=hints)))
+    def _hot_writer_db(self):
+        db = BionicDB(BionicConfig(n_workers=1))
         db.define_table(TableSchema(0, "kv", hash_buckets=64,
                                     partition_fn=lambda k, n: 0))
         b = ProcedureBuilder("hot")
@@ -199,39 +197,17 @@ class TestConflictAwareBatching:
         db.load(0, 7, [0])
         return db
 
-    def _hot_hints(self):
-        def pinned(b):
-            b.mov(0, 7)
-            b.update(cp=0, table=0, key=Gp(0))
-
-        matrix = build_conflict_matrix([("hot", _summary_of(pinned))])
-        hints = BatchConflictHints(matrix, {self.HOT_PID: "hot"})
-        assert hints.blocks(self.HOT_PID, self.HOT_PID)
-        return hints
-
-    def _run(self, db):
+    def test_must_serialize_pairs_never_share_a_batch(self):
+        db = self._hot_writer_db()
         blocks = [db.new_block(self.HOT_PID, [0], worker=0)
                   for _ in range(self.N_TXNS)]
         report = db.run_all(blocks, workers=[0] * self.N_TXNS)
-        return report, db.stats.counter("worker0.batches").value
-
-    def test_must_serialize_pairs_never_share_a_batch(self):
-        report, batches = self._run(self._hot_writer_db(self._hot_hints()))
-        assert report.committed == self.N_TXNS
-        assert batches == self.N_TXNS           # one transaction per batch
-
-    def test_no_hints_co_batches_and_aborts_the_conflicts(self):
-        report, batches = self._run(self._hot_writer_db(None))
-        assert batches < self.N_TXNS            # stock former co-batches
-        # ... and the co-batched write-write conflicts abort: the
-        # must-serialize hint is what buys back the lost commits
-        assert report.committed < self.N_TXNS
-        assert report.committed + report.aborted == self.N_TXNS
-
-    def test_neutral_hints_are_behaviour_identical(self):
-        base, batches_off = self._run(self._hot_writer_db(None))
-        neutral = BatchConflictHints(build_conflict_matrix([]), {})
-        report, batches_on = self._run(self._hot_writer_db(neutral))
-        assert batches_on == batches_off
-        assert (report.committed, report.aborted) == \
-            (base.committed, base.aborted)
+        assert (report.committed, report.aborted) == (self.N_TXNS, 0)
+        counter = db.stats.counter
+        assert counter("worker0.batches").value == self.N_TXNS
+        assert counter("worker0.batches_closed.conflict").value == \
+            self.N_TXNS - 1
+        # the analysis and the former agree on why
+        matrix = build_conflict_matrix([("hot", analyze_footprint(
+            db.catalogue.lookup(self.HOT_PID).program))])
+        assert matrix.verdict("hot", "hot") == MUST_SERIALIZE

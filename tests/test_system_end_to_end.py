@@ -191,25 +191,51 @@ class TestMultisite:
 
 class TestAbortPaths:
     def test_update_conflict_aborts_and_rolls_back(self):
-        """Two same-batch updates of one tuple: the second hits the dirty
-        bit (blind rejection) and must roll back without damage."""
+        """Two workers update one tuple at once — a pair no batch former
+        sees: the later arrival hits the dirty bit (blind rejection)
+        and must roll back without damage."""
+        db = make_db(n_workers=2)
+        db.register_procedure(1, update_proc())
+        db.load(0, 5, ["orig"])
+        local = db.new_block(1, [5, "local"], worker=0)
+        remote = db.new_block(1, [5, "remote"], worker=1)
+        db.submit(local)
+        db.submit(remote)
+        db.run()
+        assert local.header.status is TxnStatus.COMMITTED
+        assert remote.header.status is TxnStatus.ABORTED
+        assert remote.header.abort_reason == "UPDATE: CC_REJECT"
+        assert db.stats.counter("worker1.aborted.UPDATE.CC_REJECT").value == 1
+        rec = db.lookup(0, 5)
+        assert rec.fields == ["local"] and not rec.dirty
+
+    def test_same_worker_update_conflict_is_ordered_not_aborted(self):
         db = make_db(n_workers=1)
         db.register_procedure(1, update_proc())
         db.load(0, 5, ["orig"])
-        b1 = db.new_block(1, [5, "first"], worker=0)
-        b2 = db.new_block(1, [5, "second"], worker=0)
-        db.submit(b1)
-        db.submit(b2)
-        db.run()
-        statuses = {b1.header.status, b2.header.status}
-        assert TxnStatus.COMMITTED in statuses
-        rec = db.lookup(0, 5)
-        assert not rec.dirty
-        if b2.header.status is TxnStatus.ABORTED:
-            assert rec.fields == ["first"]
-        else:
-            # b2 ran after b1 committed within a later batch
-            assert rec.fields == ["second"]
+        blocks = [db.new_block(1, [5, value], worker=0)
+                  for value in ("first", "second")]
+        report = db.run_all(blocks)
+        assert (report.committed, report.aborted) == (2, 0)
+        assert db.lookup(0, 5).fields == ["second"]
+
+    def test_retried_latency_counts_from_the_first_submission(self):
+        """run_to_commit resubmits the loser of a cross-worker conflict;
+        its latency is the whole wait, not its last attempt."""
+        db = make_db(n_workers=2)
+        db.register_procedure(1, update_proc())
+        db.load(0, 5, ["orig"])
+        blocks = [db.new_block(1, [5, "local"], worker=0),
+                  db.new_block(1, [5, "remote"], worker=1)]
+        start = db.engine.now
+        report = db.run_to_commit(blocks)
+        assert (report.committed, report.aborted) == (2, 1)   # two rounds
+        assert report.latencies_ns == [b.done_at_ns - start for b in blocks]
+        retried = blocks[1]
+        assert retried.submitted_at_ns > blocks[0].done_at_ns   # round two
+        assert report.latencies_ns[1] > \
+            retried.done_at_ns - retried.submitted_at_ns
+        assert db.lookup(0, 5).fields == ["remote"]
 
     def test_aborted_insert_is_invisible(self):
         from repro.isa import Opcode, Instruction

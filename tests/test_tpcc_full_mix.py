@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import BionicConfig, BionicDB
 from repro.mem import TxnStatus
-from repro.softcore import SoftcoreConfig
 from repro.workloads import TpccConfig, TpccWorkload
 from repro.workloads.tpcc import PROC_DELIVERY, PROC_ORDERSTATUS
 from repro.workloads.tpcc import schema as S
@@ -15,8 +14,7 @@ from repro.workloads.ycsb import TxnSpec
 
 @pytest.fixture()
 def env():
-    db = BionicDB(BionicConfig(
-        n_workers=2, softcore=SoftcoreConfig(interleaving=False)))
+    db = BionicDB(BionicConfig(n_workers=2))
     workload = TpccWorkload(TpccConfig(n_partitions=2, items=200,
                                        customers_per_district=20))
     workload.install(db)
@@ -135,12 +133,41 @@ class TestFullMix:
             assert wh.fields[2] == d_sum
 
     def test_full_mix_with_interleaving_and_retries(self, env):
-        _db, _workload = env
-        db = BionicDB(BionicConfig(
-            n_workers=2, softcore=SoftcoreConfig(interleaving=True,
-                                                 max_batch=2)))
-        workload = TpccWorkload(TpccConfig(n_partitions=2, items=200,
-                                           customers_per_district=20))
-        workload.install(db)
+        """Delivery computes its keys, so the batch former cannot keep
+        it apart from a NewOrder of the same district: that pair still
+        aborts, is counted by cause, and commits on a retry."""
+        db, workload = env
         report, _ = workload.submit_all(db, workload.make_full_mix(60))
-        assert report.committed == 60
+        assert report.committed == 60 and report.aborted > 0
+        causes = {name: count
+                  for name, count in db.stats.by_prefix("worker").items()
+                  if ".aborted." in name}
+        assert sum(causes.values()) == report.aborted
+        assert all(name.endswith(".CC_REJECT") for name in causes)
+
+    def test_every_abort_of_the_mix_needs_another_worker(self):
+        """A contended NewOrder/Payment mix — three customers a
+        district, half the transactions reaching into another warehouse
+        — still aborts, but only where two workers meet: every cause
+        counted is a coprocessor rejection, and each worker's share of
+        the same stream, alone on a fresh machine, aborts nothing."""
+        workload = TpccWorkload(TpccConfig(
+            items=50, customers_per_district=3, seed=1,
+            remote_payment_fraction=0.5, remote_neworder_fraction=0.5))
+
+        def run(specs):
+            db = BionicDB(BionicConfig())
+            workload.install(db)
+            report, _ = workload.submit_all(db, specs, retry=False)
+            causes = {name.split(".aborted.")[1]: count
+                      for name, count in db.stats.by_prefix("worker").items()
+                      if ".aborted." in name and count}
+            return report, causes
+
+        specs = workload.make_mix(300)
+        report, causes = run(specs)
+        assert report.aborted > 0
+        assert set(causes) == {"UPDATE.CC_REJECT"}
+        for home in range(4):
+            alone, causes = run([s for s in specs if s.home == home])
+            assert (alone.aborted, causes) == (0, {}), home
