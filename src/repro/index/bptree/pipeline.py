@@ -39,15 +39,18 @@ CC is identical to the other indexes: leaf entries point at
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, List, Optional, Tuple
 
 from ...isa.instructions import Opcode
 from ...mem.records import NULL_ADDR, BPTreeNode, TupleRecord
+from ...sim.memory import ColdRows
 from ...sim.sync import Fifo
 from ...txn.cc import DbResult, ResultCode, check_read, check_write
-from ..common import DbRequest, IndexError_, PipelineBase
+from ..common import DbRequest, IndexError_, PipelineBase, key_column
 
 __all__ = ["BPTreeTimings", "BPTreePipeline", "compute_level_ranges"]
 
@@ -485,10 +488,16 @@ class BPTreePipeline(PipelineBase):
         any node overflows.  Pure structural mutation over the heap —
         callers charge timing and port traffic.  Returns
         ``(writes, n_splits)`` with every touched ``(addr, node)``."""
-        heap = self._dram.heap
         i = bisect_left(leaf.keys, key)
         leaf.keys.insert(i, key)
         leaf.children.insert(i, rec_addr)
+        return self._split_upward(state, path, leaf_addr, leaf)
+
+    def _split_upward(self, state: _TableState, path: List[int],
+                      leaf_addr: int, leaf: BPTreeNode):
+        """Split the leaf, then its ancestors, while one overflows;
+        returns ``(writes, n_splits)`` as :meth:`_apply_insert` does."""
+        heap = self._dram.heap
         writes: List[Tuple[int, BPTreeNode]] = [(leaf_addr, leaf)]
         n_splits = 0
         ancestors = list(path)
@@ -596,35 +605,54 @@ class BPTreePipeline(PipelineBase):
     def bulk_load(self, key: Any, fields: List[Any], ts: int = 0,
                   table_id: int = 0) -> int:
         """Install one committed row; returns its record's address."""
-        return self._load_rows(((key, fields),), ts, table_id)[1]
+        return self._load_rows((key,), (fields,), ts, table_id)[1]
 
     def bulk_load_many(self, keys, fields, ts: int = 0,
                        table_id: int = 0) -> int:
         """Bulk-load a key column and its parallel field column in
         order (timing-free host path); returns the number installed."""
-        return self._load_rows(zip(keys, fields, strict=True),
-                               ts, table_id)[0]
+        return self._load_rows(keys, fields, ts, table_id)[0]
 
-    def _load_rows(self, rows, ts: int, table_id: int) -> Tuple[int, int]:
-        """The one host insert: install ``rows``, return ``(count,
-        address of the last record)``.
+    def _load_rows(self, keys, fields, ts: int,
+                   table_id: int) -> Tuple[int, int]:
+        """The one host insert: install the rows of two parallel
+        columns, return ``(count, address of the last record)``.
 
-        The previous row's ``(path, leaf_addr, leaf)`` is kept while
-        that leaf is the rightmost one (a leaf that splits gains a right
-        sibling, so this also means no split moved the path): a larger
-        key can only belong there, at its end, so the descent and the
-        duplicate check are skipped.  Any other key descends from the
-        root.  Allocations and splits happen in per-row order, so the
-        heap image does not depend on how rows are batched.
+        Leaves and inner nodes are built as rows arrive; the records
+        are not.  Each row's record cell is allocated pointing at one
+        :class:`~repro.sim.memory.ColdRows` per batch, whose ``ranks``
+        column maps the cell back to its row (record cells sit between
+        the nodes splits allocate), and the heap builds the record on
+        first touch.  The previous row's ``(path, leaf_addr, leaf)`` is
+        kept while that leaf is the rightmost one: a larger key can only
+        belong at its end, so the descent and the duplicate check are
+        skipped.  When that leaf splits alone its new right half is the
+        rightmost leaf under the same path; a split that reaches an
+        inner node, or any other key, descends from the root.
+        Allocations and splits happen in per-row order, so the heap
+        image does not depend on how rows are batched.  A ``fields``
+        entry that is not iterable stops the batch there, with the rows
+        before it installed and counted.
         """
+        n_rows = len(keys)
+        if len(fields) != n_rows:
+            raise ValueError(f"{self.name}: {n_rows} keys offered with "
+                             f"{len(fields)} field rows")
         heap = self._dram.heap
         state = self._table_state(table_id)
+        batch = ColdRows(TupleRecord.from_bptree_batch, NULL_ADDR, ts)
+        batch.keys = key_column(keys)
+        ranks = batch.ranks = array("I")
+        add_fields = batch.fields.append
+        alloc_cold = heap.alloc_cold
+        fanout = self.fanout
         leaf = None
         addr = NULL_ADDR
         n = descents = 0
         try:
-            for key, fields in rows:
-                if leaf is None or not (leaf.keys[-1] < key):
+            for key, row_fields in zip(batch.keys, fields):
+                at_end = leaf is not None and leaf.keys[-1] < key
+                if not at_end:
                     path, leaf_addr, leaf = self._host_find_leaf(state, key)
                     descents += 1
                     i = bisect_left(leaf.keys, key)
@@ -636,15 +664,34 @@ class BPTreePipeline(PipelineBase):
                                 f"duplicate key in bulk load: {key!r}")
                         leaf.keys.pop(i)
                         leaf.children.pop(i)
-                addr = heap.alloc()
-                heap.store(addr, TupleRecord(key=key, fields=list(fields),
-                                             addr=addr, read_ts=ts,
-                                             write_ts=ts, dirty=False))
-                self._apply_insert(state, path, leaf_addr, leaf, key, addr)
-                if leaf.next_leaf:
-                    leaf = None     # it split, or never was the rightmost
+                add_fields(tuple(row_fields))
+                addr = alloc_cold(batch)
+                if not n:
+                    batch.base = addr
+                ranks.append(n)
+                # (the cells a split takes hold no row: ``ranks`` skips them)
+                if not at_end:
+                    cells = heap.allocated_cells
+                    self._apply_insert(state, path, leaf_addr, leaf, key, addr)
+                    ranks.extend(repeat(0, heap.allocated_cells - cells))
+                    if leaf.next_leaf:
+                        leaf = None     # it split, or is not the rightmost
+                else:
+                    leaf.keys.append(key)
+                    leaf.children.append(addr)
+                    if len(leaf.keys) > fanout:
+                        cells = heap.allocated_cells
+                        _writes, n_splits = self._split_upward(
+                            state, path, leaf_addr, leaf)
+                        ranks.extend(repeat(0, heap.allocated_cells - cells))
+                        if n_splits == 1:
+                            leaf_addr = leaf.next_leaf
+                            leaf = heap.load(leaf_addr)
+                        else:
+                            leaf = None
                 n += 1
         finally:
+            del batch.keys[n:]
             self.tuple_count += n
             self.load_rows.add(n)
             self.load_descents.add(descents)

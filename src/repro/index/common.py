@@ -18,6 +18,7 @@ released by terminal stages.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -32,7 +33,7 @@ from ..sim.trace import NULL_TRACER
 from ..txn.cc import DbResult, ResultCode
 
 __all__ = ["DbRequest", "PipelineBase", "sdbm_hash", "clear_hash_cache",
-           "IndexError_"]
+           "key_column", "IndexError_"]
 
 _request_ids = itertools.count(1)
 
@@ -125,6 +126,22 @@ def sdbm_hash(key: Any) -> int:
 def clear_hash_cache() -> None:
     """Drop the sdbm memo (tests; long key-diverse host processes)."""
     _hash_cache.clear()
+
+
+def key_column(keys) -> Any:
+    """The key column a bulk loader stores for a batch: ``array('q')``,
+    one machine word per row, when every key is exactly an ``int`` in
+    [0, 2**63) (``True`` is not ``1`` on the wire; a ``range`` holds
+    nothing else), else a list — a copy either way."""
+    if type(keys) is range or set(map(type, keys)) == {int}:
+        try:
+            words = array("q", keys)
+        except OverflowError:
+            pass
+        else:
+            if min(words, default=0) >= 0:
+                return words
+    return list(keys)
 
 
 @dataclass

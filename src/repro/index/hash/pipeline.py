@@ -59,7 +59,7 @@ from ...sim.memory import ColdRows
 from ...txn.cc import DbResult, ResultCode, check_read, check_write
 from ..common import (
     _MASK64, _P1, _P2, _P3, _P4, _P5, _P6, _P7,
-    DbRequest, IndexError_, PipelineBase, sdbm_hash,
+    DbRequest, IndexError_, PipelineBase, key_column, sdbm_hash,
 )
 from .locktable import HazardLockTable
 
@@ -379,7 +379,8 @@ class HashIndexPipeline(PipelineBase):
                              f"{len(fields)} field rows")
         if not n_rows:
             return 0
-        cold = ColdRows(TupleRecord, heap.alloc(n_rows), ts)
+        cold = ColdRows(TupleRecord.from_hash_batch, heap.alloc(n_rows), ts)
+        cold.nexts = array("q")
         try:
             # a snapshot per row; a tuple offered for many rows is kept once
             cold.fields.extend(map(tuple, fields))
@@ -394,16 +395,8 @@ class HashIndexPipeline(PipelineBase):
             # make measured +0.2 us on a 1.2 us row.
             cells = heap._cells
             add_next = cold.nexts.append
-            # machine words when every key is exactly int (True is not 1
-            # on the wire; a range holds nothing else) in [0, 2**63)
-            words = None
-            if type(keys) is range or set(map(type, keys)) == {int}:
-                try:
-                    words = array("q", keys)
-                except OverflowError:
-                    pass
-            if words and min(words) >= 0:
-                cold.keys = words
+            cold.keys = key_column(keys)
+            if type(cold.keys) is array:
                 # _sdbm_int8 with the terms of the upper seven key bytes
                 # carried from row to row while those bytes do not
                 # change: right in any key order, and one multiply
@@ -425,7 +418,6 @@ class HashIndexPipeline(PipelineBase):
                     add_next(cells[bucket] or NULL_ADDR)
                     cells[bucket] = addr
             else:
-                cold.keys = list(keys)
                 for addr, key in enumerate(cold.keys, cold.base):
                     bucket = base + sdbm_hash(key) % n_buckets
                     add_next(cells[bucket] or NULL_ADDR)

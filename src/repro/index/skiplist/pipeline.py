@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import cycle, repeat
 from typing import Any, List, Optional, Tuple
 
 from ...isa.instructions import Opcode
 from ...mem.records import NULL_ADDR, Tower, head_tower
+from ...sim.memory import ColdRows
 from ...sim.sync import Fifo
 from ...txn.cc import DbResult, ResultCode, check_read, check_write
-from ..common import DbRequest, IndexError_, PipelineBase
+from ..common import DbRequest, IndexError_, PipelineBase, key_column
 from .locktable import SkiplistLockTable
 
 __all__ = ["SkiplistTimings", "SkiplistPipeline", "compute_level_ranges"]
@@ -95,6 +96,9 @@ class SkiplistPipeline(PipelineBase):
                  height_seed: int = 0xB10,
                  create_default_table: bool = True,
                  stats=None, tracer=None):
+        if max_height > 255:
+            # a loaded run keeps its tower heights as bytes
+            raise ValueError("max_height must be <= 255")
         self.max_height = max_height
         self.n_stages = n_stages
         self.n_scanners = n_scanners
@@ -113,8 +117,8 @@ class SkiplistPipeline(PipelineBase):
                          stats=stats, tracer=tracer)
         self.locks = SkiplistLockTable(engine, name=f"{name}.locks")
         self.tower_count = 0
-        # host loader: rows installed, and rows whose search restarted
-        # at the head (the rest walked on from the previous row's tower)
+        # host loader: rows installed, and searches from the head (one
+        # per run: the rest of a run links without one)
         self.load_rows = self.stats.counter(f"{name}.load.rows")
         self.load_descents = self.stats.counter(f"{name}.load.descents")
         if create_default_table:
@@ -351,57 +355,48 @@ class SkiplistPipeline(PipelineBase):
     def bulk_load(self, key: Any, fields: List[Any], ts: int = 0,
                   table_id: int = 0) -> int:
         """Install one committed row; returns its tower's address."""
-        return self._load_rows(((key, fields),), ts, table_id)[1]
+        return self._load_rows((key,), (fields,), ts, table_id)[1]
 
     def bulk_load_many(self, keys, fields, ts: int = 0,
                        table_id: int = 0) -> int:
         """Bulk-load a key column and its parallel field column in
         order (timing-free host path); returns the number installed."""
-        return self._load_rows(zip(keys, fields, strict=True),
-                               ts, table_id)[0]
+        return self._load_rows(keys, fields, ts, table_id)[0]
 
-    def _load_rows(self, rows, ts: int, table_id: int) -> Tuple[int, int]:
-        """The one splice: install ``rows``, return ``(count, address of
-        the last tower)``.
+    def _load_rows(self, keys, fields, ts: int,
+                   table_id: int) -> Tuple[int, int]:
+        """The one splice: install the rows of two parallel columns,
+        return ``(count, address of the last tower)``.
 
-        ``finger[l]`` is the level-``l`` predecessor of the row just
-        installed (that row's own tower below its height).  While keys
-        ascend, the next row's predecessors lie at or right of the
-        fingers, so the search climbs from the new tower's top level to
-        the first level whose finger is already the predecessor — on an
-        ascending run that is where it starts — and walks down from
-        there; any other key restarts at the head.  Height draws,
-        duplicate checks and allocations happen in per-row order, so the
-        heap image does not depend on how rows are batched.
+        Rows go in as cold runs (:meth:`_splice_run`): a run is a
+        stretch of ascending keys that all sort below the level-0
+        successor of the first one's predecessor, so no tower already
+        placed lies between two of its rows and the run links without
+        reading or building any of its towers.  The one search per run
+        — a *descent* from the head, reading placed cells through
+        ``Heap.load`` like any other reader — finds the predecessors of
+        its first key.  Height draws, duplicate checks and allocations
+        happen in per-row order, so the heap image does not depend on
+        how rows are batched.  A ``fields`` entry that is not iterable
+        stops the batch there, with the rows before it installed and
+        counted.
         """
-        heap = self._dram.heap
-        load = heap.load
+        n_rows = len(keys)
+        if len(fields) != n_rows:
+            raise ValueError(f"{self.name}: {n_rows} keys offered with "
+                             f"{len(fields)} field rows")
+        load = self._dram.heap.load
         head = load(self.head_addr_of(table_id))
-        top_level = self.max_height - 1
-        finger: List[Tower] = []
-        last_key = None
         addr = NULL_ADDR
-        n = descents = 0
+        i = n = descents = 0
         try:
-            for key, fields in rows:
-                height = self._draw_height()
-                if finger and last_key < key:
-                    top = height - 1
-                    while top < top_level:
-                        nxt_addr = finger[top].nexts[top]
-                        if not nxt_addr or not (load(nxt_addr).key < key):
-                            break
-                        top += 1
-                else:
-                    finger = [head] * self.max_height
-                    top = top_level
-                    descents += 1
-                # a tower reached by walking right lies beyond every
-                # lower finger; until then the lower finger is further on
-                moved = False
-                for level in range(top, -1, -1):
-                    if not moved:
-                        cur = finger[level]
+            while i < n_rows:
+                key = keys[i]
+                descents += 1
+                # finger[l]: the level-l predecessor of ``key``
+                finger = [head] * self.max_height
+                cur = head
+                for level in range(self.max_height - 1, -1, -1):
                     while True:
                         nxt_addr = cur.nexts[level]
                         if not nxt_addr:
@@ -410,26 +405,66 @@ class SkiplistPipeline(PipelineBase):
                         if not (nxt.key < key):
                             break
                         cur = nxt
-                        moved = True
                     finger[level] = cur
-                succ0 = cur.nexts[0]
-                if succ0 and load(succ0).key == key:
-                    raise ValueError(f"duplicate key in bulk load: {key!r}")
-                addr = heap.alloc()
-                tower = Tower(key=key, fields=list(fields), height=height,
-                              nexts=[finger[l].nexts[l] for l in range(height)],
-                              addr=addr, read_ts=ts, write_ts=ts, dirty=False)
-                heap.store(addr, tower)
-                for level in range(height):
-                    finger[level].nexts[level] = addr
-                    finger[level] = tower
+                bound = None
+                if cur.nexts[0]:
+                    bound = load(cur.nexts[0]).key
+                    if bound == key:
+                        raise ValueError(f"duplicate key in bulk load: {key!r}")
+                # the run: ascending keys, every one below ``bound``
+                j = i + 1
                 last_key = key
-                n += 1
+                while j < n_rows:
+                    next_key = keys[j]
+                    if not (last_key < next_key) or (
+                            bound is not None and not (next_key < bound)):
+                        break
+                    last_key = next_key
+                    j += 1
+                run = ColdRows(Tower.from_run, NULL_ADDR, ts)
+                try:
+                    run.fields.extend(map(tuple, fields[i:j]))
+                finally:
+                    if run.fields:
+                        addr = self._splice_run(run, keys[i:i + len(run)],
+                                                finger)
+                        n += len(run)
+                i = j
         finally:
             self.tower_count += n
             self.load_rows.add(n)
             self.load_descents.add(descents)
         return n, addr
+
+    def _splice_run(self, run: ColdRows, keys, finger: List[Tower]) -> int:
+        """Lay out and link one run of ``keys`` (ascending, nothing
+        placed between them) after the predecessors ``finger``; return
+        the address of its last row.
+
+        One ``heap.alloc`` places the run: the addresses row-by-row
+        loading hands out.  The level-``l`` successor of a row is the
+        next row of the run taller than ``l`` — all
+        :meth:`Tower.from_run` needs is the height column — and the
+        run's last row at level ``l`` takes over ``finger[l]``'s old
+        successor (``run.tails[l]``), while ``finger[l]`` now points at
+        the run's first row at that level.
+        """
+        heap = self._dram.heap
+        n = len(keys)
+        run.keys = key_column(keys)
+        run.base = base = heap.alloc(n)
+        run.heights = heights = bytearray(n)
+        draw = self._draw_height
+        firsts: List[int] = []          # the first row of each level
+        for row in range(n):
+            height = heights[row] = draw()
+            if height > len(firsts):
+                firsts += repeat(row, height - len(firsts))
+        run.tails = [finger[level].nexts[level] for level in range(len(firsts))]
+        for level, first in enumerate(firsts):
+            finger[level].nexts[level] = base + first
+        heap.place_cold(run)
+        return base + n - 1
 
     def lookup_direct(self, key: Any, table_id: int = 0) -> Optional[Tower]:
         heap = self._dram.heap

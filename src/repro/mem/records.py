@@ -6,13 +6,19 @@ pointers, timestamps and flag bits).
 
 The record classes are slotted: a paper-scale table is 1.2 M of them,
 and a per-instance ``__dict__`` would cost more memory — and one more
-object for the cyclic collector to walk — than the record itself.
+object for the cyclic collector to walk — than the record itself.  A
+bulk-loaded row is not even that until it is read: the loaders lay
+rows out as the columns of a :class:`~repro.sim.memory.ColdRows`, and
+the ``from_*`` constructors below are what the heap calls to build a
+row's record from them on first touch.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from functools import lru_cache
+from typing import Any, Callable, List, Optional
 
 __all__ = ["TupleRecord", "Tower", "BPTreeNode", "NULL_ADDR"]
 
@@ -36,6 +42,24 @@ class TupleRecord:
     def visible_at(self, ts: int) -> bool:
         """Committed and in the past of ``ts`` (scan/read visibility)."""
         return not self.dirty and not self.tombstone and self.write_ts <= ts
+
+    @classmethod
+    def from_hash_batch(cls, rows, addr: int) -> "TupleRecord":
+        """The record of ``addr`` in a cold hash batch: row
+        ``addr - base``, chained to ``rows.nexts`` of that row."""
+        i = addr - rows.base
+        ts = rows.ts
+        return cls(rows.keys[i], list(rows.fields[i]), addr, rows.nexts[i],
+                   ts, ts)
+
+    @classmethod
+    def from_bptree_batch(cls, rows, addr: int) -> "TupleRecord":
+        """The record of ``addr`` in a cold B+ tree batch, whose rows sit
+        between split nodes: row ``rows.ranks[addr - base]``."""
+        i = rows.ranks[addr - rows.base]
+        ts = rows.ts
+        return cls(rows.keys[i], list(rows.fields[i]), addr, NULL_ADDR,
+                   ts, ts)
 
 
 @dataclass(slots=True)
@@ -67,6 +91,30 @@ class Tower:
     def visible_at(self, ts: int) -> bool:
         return not self.dirty and not self.tombstone and self.write_ts <= ts
 
+    @classmethod
+    def from_run(cls, rows, addr: int) -> "Tower":
+        """The tower of ``addr`` in a cold skiplist run (row ``addr -
+        base``): its level-``l`` successor is the next row of the run
+        taller than ``l`` or, past the last one, ``rows.tails[l]``."""
+        base = rows.base
+        i = addr - base
+        heights = rows.heights
+        height = heights[i]
+        end = len(heights)
+        nexts: List[int] = []
+        j = i + 1
+        for level in range(height):
+            if j < end and heights[j] <= level:
+                taller = _next_taller(level)(heights, j)
+                j = taller.start() if taller else end
+            if j == end:
+                nexts += rows.tails[level:height]
+                break
+            nexts.append(base + j)
+        ts = rows.ts
+        return cls(rows.keys[i], list(rows.fields[i]), height, nexts, addr,
+                   ts, ts)
+
 
 @dataclass(slots=True)
 class BPTreeNode:
@@ -92,6 +140,14 @@ class BPTreeNode:
                 raise ValueError("leaf needs one record address per key")
         elif self.children and len(self.children) != len(self.keys) + 1:
             raise ValueError("inner node needs len(keys)+1 children")
+
+
+@lru_cache(maxsize=256)    # one per level; heights are bytes
+def _next_taller(level: int) -> Callable:
+    """``search(heights, pos)`` for the first tower height above
+    ``level`` at or after ``pos``: a scan in C, because the successor of
+    a tall tower can be most of a 300 K-row run away."""
+    return re.compile(b"[" + re.escape(bytes([level + 1])) + b"-\xff]").search
 
 
 def head_tower(height: int) -> Tower:

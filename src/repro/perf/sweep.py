@@ -1,7 +1,7 @@
 """Host-parallel sweep runner for paper-scale simulation points.
 
-A paper-scale point (YCSB at 300 K rows per partition, TPC-C with full
-districts) costs whole host-seconds, and a
+A paper-scale point (YCSB at 300 K rows per partition on any index
+kind, TPC-C with full districts) costs whole host-seconds, and a
 figure is many such points — so the runner farms points across host
 *processes* with :class:`concurrent.futures.ProcessPoolExecutor`.
 Every point is:
@@ -64,13 +64,22 @@ POINTS: Dict[str, Dict[str, object]] = {
         "n_txns": 5000,
     },
     # Figure 11c at the same table size: YCSB-E's 50-row scans over a
-    # skiplist of 4 x 300 K towers (a ~6 s load, a ~1 s run)
+    # skiplist of 4 x 300 K towers (a ~1 s load, a ~0.5 s run)
     "skiplist_paper_300k": {
         "workload": "ycsb",
         "n_workers": 4,
         "records_per_partition": 300_000,
         "index_kind": "skiplist",
         "op": "scan",
+        "n_txns": 1000,
+    },
+    # its B+ tree twin: 50-row RANGE_SCANs over 4 x 300 K leaf entries
+    "bptree_paper_300k": {
+        "workload": "ycsb",
+        "n_workers": 4,
+        "records_per_partition": 300_000,
+        "index_kind": "bptree",
+        "op": "range",
         "n_txns": 1000,
     },
     # TPC-C at full scale-factor structure: all 10 districts per
@@ -105,7 +114,8 @@ def _run_ycsb(params: Dict, seed: int) -> Dict[str, object]:
     db = BionicDB(BionicConfig(n_workers=int(params["n_workers"])))
     wl = YcsbWorkload(cfg)
     make_txns = {"read": wl.make_read_txns,
-                 "scan": wl.make_scan_txns}[str(params.get("op", "read"))]
+                 "scan": wl.make_scan_txns,
+                 "range": wl.make_range_txns}[str(params.get("op", "read"))]
     t0 = time.perf_counter()   # det: allow(wall-clock)
     wl.install(db)
     t_loaded = time.perf_counter()   # det: allow(wall-clock)

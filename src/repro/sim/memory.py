@@ -39,48 +39,51 @@ LINE_BYTES = 64  # one heap cell models one 64-byte DRAM line
 
 
 class ColdRows:
-    """One bulk-loaded batch of hash rows, held as columns until read.
+    """One bulk-loaded batch of rows, held as columns until read.
 
     A paper-scale table is 1.2 M rows of which a run reads a fraction,
-    so the hash loader does not build a record per row.  It fills one
-    of these per batch — row ``i`` lives at heap address ``base + i`` —
-    and points every cell of the batch at it (:meth:`Heap.place_cold`);
+    so no index loader builds a record per row.  Each lays a batch out
+    as the columns of one of these and points the batch's cells at it;
     :meth:`Heap.load` swaps a cell's pointer for the row's record the
-    first time the cell is read, and only those two ever see a cold
-    cell.  Per row that is four machine words and no object the cyclic
-    collector tracks, against a record, its field list and two boxed
+    first time the cell is read, and only :class:`Heap` ever sees a cold
+    cell.  Per row that is a few machine words and no object the cyclic
+    collector tracks, against a record, its field list and its boxed
     integers.
 
-    ``keys`` is an ``array('q')`` when every key of the batch is an
-    ``int`` in [0, 2**63) and a plain list when one is not;
-    ``nexts`` is each row's hash-chain pointer; ``fields`` holds
-    ``tuple(fields)`` of each row as it was offered — a snapshot, so a
-    caller may reuse or mutate its list afterwards, and the very tuple
-    when a tuple was offered, so a loader that offers one tuple for
-    every row (YCSB's one payload) stores it once; every row was loaded
-    at ``ts``.  ``make`` is the record constructor, handed in because
-    record layouts live in :mod:`repro.mem`, which imports this module.
+    Every kind fills ``keys`` — an ``array('q')`` when every key of the
+    batch is an ``int`` in [0, 2**63), a plain list when one is not —
+    and ``fields``, ``tuple(fields)`` of each row as it was offered: a
+    snapshot, so a caller may reuse or mutate its list afterwards, and
+    the very tuple when a tuple was offered, so a loader that offers one
+    tuple for every row (YCSB's one payload) stores it once.  Every row
+    was loaded at ``ts``.  The other columns belong to one index kind:
+
+    * hash — row ``i`` at ``base + i``; ``nexts``, its chain pointer;
+    * skiplist — one ascending run, row ``i`` at ``base + i``;
+      ``heights``, a ``bytearray`` of tower heights, and ``tails``, the
+      level-``l`` successor of the run's last row that reaches ``l``;
+    * B+ tree — the loader allocates row cells from ``base`` on, between
+      the nodes its splits add; ``ranks[addr - base]`` is the row at
+      ``addr`` (a node's entry is unused).
+
+    ``inflate(rows, addr)`` builds the record at ``addr`` from those
+    columns: each kind hands in its constructor, because record layouts
+    live in :mod:`repro.mem`, which imports this module.
     """
 
-    __slots__ = ("make", "base", "ts", "keys", "nexts", "fields")
+    __slots__ = ("inflate", "base", "ts", "keys", "fields",
+                 "nexts", "heights", "tails", "ranks")
 
-    def __init__(self, make: Callable, base: int, ts: int):
-        self.make = make
+    def __init__(self, inflate: Callable, base: int, ts: int):
+        self.inflate = inflate
         self.base = base
         self.ts = ts
         self.keys: Any = array("q")
-        self.nexts = array("q")
         self.fields: List[tuple] = []
+        self.nexts = self.heights = self.tails = self.ranks = None
 
     def __len__(self) -> int:
         return len(self.fields)
-
-    def record(self, addr: int) -> Any:
-        """Build the committed record of the row at ``addr``."""
-        i = addr - self.base
-        ts = self.ts
-        return self.make(self.keys[i], list(self.fields[i]), addr,
-                         self.nexts[i], ts, ts)
 
 
 class Heap:
@@ -102,8 +105,10 @@ class Heap:
     A cell may also be *cold*: one row of a :class:`ColdRows` batch
     whose record has not been built yet.  :meth:`load` builds it on
     first touch and keeps it, so every reader gets an ordinary record
-    and a cold cell is never handed out; ``heap.rows_cold`` and
-    ``heap.rows_inflated`` count the rows placed and the rows built.
+    and a cold cell is never handed out.  The counters ``rows_cold`` and
+    ``rows_inflated`` (``heap.rows_cold`` / ``heap.rows_inflated`` in the
+    stats registry) count the rows placed and the rows built; since a
+    cell is built once, the second never exceeds the first.
     """
 
     def __init__(self, base: int = 0x1000,
@@ -112,8 +117,8 @@ class Heap:
         self._cells: List[Any] = [None] * base
         self.allocated_cells = 0
         stats = stats or StatsRegistry()
-        self._rows_cold = stats.counter("heap.rows_cold")
-        self._rows_inflated = stats.counter("heap.rows_inflated")
+        self.rows_cold = stats.counter("heap.rows_cold")
+        self.rows_inflated = stats.counter("heap.rows_inflated")
 
     def alloc(self, n_cells: int = 1) -> int:
         if n_cells < 1:
@@ -133,8 +138,8 @@ class Heap:
             return None
         cell = cells[addr]
         if cell.__class__ is ColdRows:
-            cell = cells[addr] = cell.record(addr)
-            self._rows_inflated.value += 1
+            cell = cells[addr] = cell.inflate(cell, addr)
+            self.rows_inflated.value += 1
         return cell
 
     def place_cold(self, rows: ColdRows) -> None:
@@ -142,7 +147,17 @@ class Heap:
         per row from ``rows.base``) at their batch."""
         n = len(rows)
         self._cells[rows.base:rows.base + n] = [rows] * n
-        self._rows_cold.value += n
+        self.rows_cold.value += n
+
+    def alloc_cold(self, rows: ColdRows) -> int:
+        """Allocate one cell, holding a row of ``rows`` whose columns
+        already describe it, and return its address."""
+        cells = self._cells
+        addr = len(cells)
+        cells.append(rows)
+        self.allocated_cells += 1
+        self.rows_cold.value += 1
+        return addr
 
     def store(self, addr: int, value: Any) -> None:
         cells = self._cells

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import ClockDomain, DramModel, Engine, Heap, StatsRegistry
+from repro.sim.memory import ColdRows
 
 
 class SimEnv:
@@ -43,9 +44,15 @@ def collect_results(requests):
 
 def heap_image(heap):
     """Every occupied cell, in address order, in a comparable form —
-    what two load paths must agree on cell for cell."""
-    return heap.allocated_cells, [(addr, repr(cell))
-                                  for addr, cell in heap.items()]
+    what two load paths must agree on cell for cell.
+
+    Reading every cell builds every cold row, so the image also checks
+    the cold-row invariants: no cell is handed out cold, and no row was
+    built more often than rows were laid out cold."""
+    cells = list(heap.items())
+    assert not any(cell.__class__ is ColdRows for _addr, cell in cells)
+    assert heap.rows_inflated.value <= heap.rows_cold.value
+    return heap.allocated_cells, [(addr, repr(cell)) for addr, cell in cells]
 
 
 def per_row(db):

@@ -215,6 +215,46 @@ class TestPipelineProperties:
             images.append(heap_image(env.heap))
         assert images[0] == images[1]
 
+    @pytest.mark.parametrize("pipeline", [SkiplistPipeline, BPTreePipeline])
+    @given(st.permutations(range(0, 96, 2)),
+           st.lists(st.tuples(st.integers(0, 48), st.booleans(),
+                              st.one_of(st.none(), st.integers(0, 47))),
+                    max_size=6))
+    @relaxed
+    def test_cold_ordered_load_image_equals_per_row_load(self, pipeline, ks,
+                                                         cuts):
+        # any permutation cut into chunks that go through bulk_load_many
+        # or the one-row loader in any interleaving, with a pipeline
+        # INSERT of an odd key (never loaded; a repeat is a duplicate)
+        # before a chunk: later runs splice around hot, dirty towers and
+        # leaf entries, and the INSERT draws its height between batches
+        cuts = sorted(cuts, key=lambda cut: cut[0])
+        bounds = [0, *(cut for cut, _batched, _insert in cuts), len(ks)]
+        batched = [True, *(whole for _cut, whole, _insert in cuts)]
+        inserts = [None, *(insert for _cut, _whole, insert in cuts)]
+        images = []
+        for cold in (True, False):
+            env = SimEnv()
+            pipe = pipeline(env.engine, env.clock, env.dram, "p")
+            for lo, hi, whole, insert in zip(bounds, bounds[1:], batched,
+                                             inserts):
+                if insert is not None:
+                    key = 2 * insert + 1
+                    pipe.submit(DbRequest(op=Opcode.INSERT, table_id=0, ts=1,
+                                          txn_id=key, key_value=key,
+                                          insert_payload=[key]))
+                    env.run()
+                chunk = ks[lo:hi]
+                if cold and whole:
+                    assert pipe.bulk_load_many(
+                        chunk, [[k] for k in chunk]) == len(chunk)
+                else:
+                    for k in chunk:
+                        pipe.bulk_load(k, [k])
+            pipe.invariant_check()
+            images.append(heap_image(env.heap))
+        assert images[0] == images[1]
+
     #: every kind of key the hash loader tells apart: ints its key
     #: column holds as machine words, ints it cannot (negative, beyond
     #: int64), and keys that are not ints at all
