@@ -17,13 +17,14 @@ homed.  This package proves those properties (or produces findings)
   chains; dead-write and uncollected-CP clients.
 * :mod:`.protocol` — the §4.7 commit-protocol proof: must/may
   pending-CP analyses and WRFIELD write-intent provenance.
-* :mod:`.provenance` — §4.4 partition-ownership analysis: key-origin
-  abstract interpretation, per-dispatch partition classification, and
-  the static MLP estimate.
-* :mod:`.footprint` — per-procedure partition/key footprint summaries
-  (constant keys → exact partitions, anchored keys → home partition,
-  RANGE_SCAN → key intervals) and the deployment-joined
-  single-partition/single-node/cross-node routing verdicts.
+* :mod:`.provenance` — the §4.4 key-origin lattice and the static MLP
+  estimate.
+* :mod:`.footprint` — the key-provenance pass: per-procedure
+  partition/key footprints (constant keys → exact partitions, anchored
+  keys → home partition, RANGE_SCAN → key intervals), computed once at
+  registration, the layout and deployment joins (single-partition /
+  single-node / cross-node routing verdicts) and the epoch-fenced
+  ownership check.
 * :mod:`.conflict` — pairwise static conflict matrix over the shipped
   registry (commute / may-conflict / must-serialize).
 * :mod:`.wcet` — worst-case cycle bound per procedure, charging the
@@ -49,13 +50,10 @@ from .protocol import (
     CommitProtocolReport, PendingCpResult, WriteProvenance,
     check_commit_protocol, pending_cps, write_provenance,
 )
-from .provenance import (
-    DispatchInfo, EpochOwnershipReport, KeyOrigin, PartitionSummary,
-    analyze_partitions, check_epoch_ownership, static_mlp,
-)
+from .provenance import KeyOrigin, static_mlp
 from .footprint import (
-    Access, FootprintIndex, FootprintSummary, KeyBound, StaticRoute,
-    analyze_footprint,
+    Access, EpochOwnershipReport, FootprintSummary, KeyBound, StaticRoute,
+    analyze_footprint, check_epoch_ownership,
 )
 from .conflict import ConflictMatrix, build_conflict_matrix
 from .wcet import WcetModel, WcetReport, analyze_wcet
@@ -68,10 +66,10 @@ __all__ = [
     "uncollected_cps",
     "PendingCpResult", "WriteProvenance", "CommitProtocolReport",
     "pending_cps", "write_provenance", "check_commit_protocol",
-    "KeyOrigin", "DispatchInfo", "PartitionSummary", "analyze_partitions",
-    "static_mlp", "EpochOwnershipReport", "check_epoch_ownership",
+    "KeyOrigin", "static_mlp", "EpochOwnershipReport",
+    "check_epoch_ownership",
     "KeyBound", "Access", "FootprintSummary", "StaticRoute",
-    "analyze_footprint", "FootprintIndex",
+    "analyze_footprint",
     "ConflictMatrix", "build_conflict_matrix",
     "WcetModel", "WcetReport", "analyze_wcet",
 ]

@@ -8,15 +8,17 @@
     python -m repro.analysis gate [--json FILE] [--baseline FILE]
                                   [--write-baseline]
 
-``report`` prints the CFG, per-block liveness, partition summary,
-footprint/conflict/WCET passes and verifier findings for one stored
+``report`` prints the CFG, per-block liveness, the footprint,
+conflict and WCET passes and verifier findings for one stored
 procedure (see :mod:`repro.analysis.registry` for the accepted names);
 ``--json`` emits the machine-readable document instead.  ``lint`` is a
 shorthand for :mod:`repro.analysis.lint`.
 
 ``gate`` is the CI entry point: it sweeps every registry procedure
-through all passes, fails (exit 1) on any verifier finding or when a
-procedure's footprint class regresses against the checked-in baseline
+through all passes (the footprint pass once per procedure; the
+verifier, the WCET bound and the conflict matrix share its summary),
+fails (exit 1) on any verifier finding or when a procedure's
+footprint class regresses against the checked-in baseline
 (``ANALYSIS_gate.json`` — e.g. home-anchored → unbounded means a
 formerly statically-routable procedure would start bouncing off
 remote nodes), and can write the JSON report for artifact upload.
@@ -38,6 +40,7 @@ BASELINE = "ANALYSIS_gate.json"
 
 def _run_gate(args) -> int:
     from .conflict import build_conflict_matrix
+    from .dataflow import program_flow
     from .footprint import CLASS_RANK, analyze_footprint
     from .registry import all_procedures
     from .wcet import analyze_wcet
@@ -48,21 +51,23 @@ def _run_gate(args) -> int:
     doc = {"procedures": {}, "conflicts": None}
     summaries = []
     for name, program, catalog in procedures:
-        footprint = analyze_footprint(program, schemas=catalog,
-                                      n_workers=args.workers)
-        wcet = analyze_wcet(program)
+        graph = program_flow(program)
+        footprint = analyze_footprint(program, graph=graph)
+        laid_out = footprint.with_layout(catalog, args.workers)
+        wcet = analyze_wcet(program, graph=graph, footprint=footprint)
         verify = verify_program(program, schemas=catalog,
-                                n_workers=args.workers)
-        summaries.append((name, footprint))
+                                n_workers=args.workers, graph=graph,
+                                footprint=footprint)
+        summaries.append((name, laid_out))
         doc["procedures"][name] = {
-            "class": footprint.kind_class,
-            "footprint": footprint.to_json(),
+            "class": laid_out.kind_class,
+            "footprint": laid_out.to_json(),
             "wcet": wcet.to_json(),
             "verifier_findings": [str(f) for f in verify.findings],
         }
         for f in verify.findings:
             failures.append(f"{name}: verifier: {f}")
-        print(f"{name:<20} {footprint.kind_class:<14} "
+        print(f"{name:<20} {laid_out.kind_class:<14} "
               f"wcet={wcet.total_cycles:>7.0f}cy  "
               f"mlp={wcet.static_mlp}  "
               f"findings={len(verify.findings)}")

@@ -1,12 +1,10 @@
-"""Per-procedure partition/key footprint summaries (router planning input).
+"""Per-procedure partition/key footprints: the one key-provenance pass.
 
-:mod:`.provenance` classifies each DB dispatch in isolation; this pass
-widens those per-dispatch :class:`~repro.analysis.provenance.KeyOrigin`
-facts into a *procedure-level* summary a router can consult **before**
-submit:
+:func:`analyze_footprint` abstract-interprets a procedure's registers
+over the :class:`~repro.analysis.provenance.KeyOrigin` lattice and
+records, for every DB dispatch, where its key comes from:
 
-* constant keys fold to exact keys — and, with a schema catalog and a
-  worker count, to exact partitions;
+* constant keys fold to exact keys;
 * parameter-derived keys stay symbolic (anchored to the block input
   cells that produce them), which under the §4.4 contract means "the
   block's home partition";
@@ -17,8 +15,18 @@ submit:
   report.
 
 Every access is split into the **read set** (SEARCH/SCAN/RANGE_SCAN)
-and the **write set** (INSERT/UPDATE/REMOVE), and the summary collapses
-to one of four layout-independent classes:
+and the **write set** (INSERT/UPDATE/REMOVE).  ``Catalogue.register``
+runs the pass once per procedure and keeps the summary on
+``ProcedureEntry.footprint``: the batch former's key sources, the
+routers, the verifier and the gate all read that one summary.
+
+The stored summary is **layout-free** — tables may be defined after a
+procedure is registered.  Each access is ``home`` (anchored key),
+``pinned`` (constant key) or ``opaque`` (no anchor).
+:meth:`FootprintSummary.with_layout` joins it with the schemas and
+worker count of the moment: an access to a replicated table becomes
+``local``, and a pinned key names its partition.  Over that view the
+summary collapses to one of four classes:
 
 ``home-anchored``
     every partitioned-table key is anchored to block inputs (or the
@@ -36,22 +44,22 @@ to one of four layout-independent classes:
     bounded statically and the router must keep the dynamic
     bounce-then-re-home path.
 
-:meth:`FootprintSummary.classify` then joins a summary with a concrete
-deployment (home worker, worker count, node map) into a
-:class:`StaticRoute` verdict — ``single-partition`` / ``single-node`` /
-``cross-node`` / ``unbounded`` — which is what
-:class:`repro.frontend.router.RequestRouter` consults to re-plan
-misrouted lanes *before* the submit, and what the CI analysis gate
-diffs against its checked-in baseline.
+:meth:`FootprintSummary.classify` then joins a laid-out summary with a
+deployment (home partition, node map) into a :class:`StaticRoute`
+verdict — ``single-partition`` / ``single-node`` / ``cross-node`` /
+``unbounded`` — which is what :class:`repro.frontend.router.RequestRouter`
+consults to re-plan misrouted lanes *before* the submit, and
+:func:`check_epoch_ownership` joins it with a cluster's epoch-fenced
+ownership map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from ..isa.instructions import BlockRef, Instruction, Opcode, Program
-from ..mem.schema import Catalog
+from ..mem.schema import Catalog, SchemaError, TableSchema
 from .dataflow import FlowGraph, Node, program_flow, solve_forward
 from .provenance import (
     KeyOrigin, _ENTRY, _key_origin, _operand_origin, _transfer, static_mlp,
@@ -59,7 +67,8 @@ from .provenance import (
 
 __all__ = [
     "KeyBound", "Access", "FootprintSummary", "StaticRoute",
-    "analyze_footprint", "FootprintIndex",
+    "analyze_footprint", "table_schema",
+    "EpochOwnershipReport", "check_epoch_ownership",
     "CLASS_HOME", "CLASS_PINNED", "CLASS_MIXED", "CLASS_UNBOUNDED",
     "CLASS_RANK",
     "ROUTE_SINGLE_PARTITION", "ROUTE_SINGLE_NODE", "ROUTE_CROSS_NODE",
@@ -82,6 +91,18 @@ ROUTE_SINGLE_PARTITION = "single-partition"
 ROUTE_SINGLE_NODE = "single-node"
 ROUTE_CROSS_NODE = "cross-node"
 ROUTE_UNBOUNDED = "unbounded"
+
+
+def table_schema(schemas: Optional[Catalog],
+                 table_id: int) -> Optional[TableSchema]:
+    """``table_id``'s schema, or ``None`` when there is no catalog or
+    it does not (yet) define the table."""
+    if schemas is None:
+        return None
+    try:
+        return schemas.table(table_id)
+    except SchemaError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -109,6 +130,10 @@ class KeyBound:
         return "?"
 
 
+#: a key bound's kind -> the access kind it gives a partitioned table
+_ACCESS_KIND = {"const": "pinned", "cells": "home", "opaque": "opaque"}
+
+
 @dataclass(frozen=True)
 class Access:
     """One DB dispatch in a procedure's footprint."""
@@ -117,7 +142,9 @@ class Access:
     opcode: Opcode
     table: int
     mode: str                       # "read" | "write"
-    kind: str                       # "local" | "home" | "pinned" | "opaque"
+    #: "home" | "pinned" | "opaque"; "local" once a layout makes the
+    #: table replicated
+    kind: str
     key: KeyBound
     #: RANGE_SCAN upper bound ([key, hi] is the scanned key interval;
     #: routing still follows ``key`` — the scanner walks the local
@@ -125,7 +152,7 @@ class Access:
     hi: Optional[KeyBound] = None
     #: SCAN/RANGE_SCAN row count when it is a compile-time constant
     count: Optional[int] = None
-    #: pinned keys with a schema + worker count: the exact partition
+    #: pinned keys, once a layout is applied: the exact partition
     partition: Optional[int] = None
 
     @property
@@ -175,8 +202,6 @@ class FootprintSummary:
     program_name: str
     accesses: List[Access] = field(default_factory=list)
     static_mlp: int = 0
-    #: worker count the pinned partitions were computed against
-    n_workers: Optional[int] = None
 
     # -- views ---------------------------------------------------------------
     @property
@@ -202,7 +227,7 @@ class FootprintSummary:
 
     @property
     def kind_class(self) -> str:
-        """The layout-independent summary class (CLASS_* constant)."""
+        """The summary class (CLASS_* constant) of this view."""
         kinds = {a.kind for a in self.accesses}
         if "opaque" in kinds:
             return CLASS_UNBOUNDED
@@ -210,12 +235,33 @@ class FootprintSummary:
             return CLASS_PINNED if "home" not in kinds else CLASS_MIXED
         return CLASS_HOME
 
+    # -- layout join ---------------------------------------------------------
+    def with_layout(self, schemas: Optional[Catalog],
+                    n_workers: Optional[int]) -> "FootprintSummary":
+        """This footprint against the tables as defined now: accesses
+        to replicated tables are ``local`` (every partition holds a
+        copy), and with a worker count a pinned key names its
+        partition.  Tables the catalog does not define stay as they
+        are."""
+        accesses = []
+        for a in self.accesses:
+            schema = table_schema(schemas, a.table)
+            if schema is not None and schema.replicated:
+                a = replace(a, kind="local")
+            elif schema is not None and a.kind == "pinned" and n_workers:
+                a = replace(a, partition=schema.route(a.key.const,
+                                                      n_workers))
+            accesses.append(a)
+        return FootprintSummary(self.program_name, accesses,
+                                self.static_mlp)
+
     # -- deployment join -----------------------------------------------------
     def classify(self, home: int,
                  node_of: Optional[Callable[[int], int]] = None
                  ) -> StaticRoute:
-        """Join the footprint with a concrete layout: which partitions
-        (and nodes) can a block homed on partition ``home`` touch?"""
+        """Join a laid-out footprint (:meth:`with_layout`) with a
+        deployment: which partitions (and nodes) can a block homed on
+        partition ``home`` touch?"""
         if self.kind_class == CLASS_UNBOUNDED:
             return StaticRoute(ROUTE_UNBOUNDED)
         partitions: Set[int] = {home}
@@ -223,7 +269,7 @@ class FootprintSummary:
             if a.kind == "pinned":
                 if a.partition is None:
                     # pinned but the partition could not be computed
-                    # (no worker count): cannot bound the node set
+                    # (no schema or worker count): cannot bound the nodes
                     return StaticRoute(ROUTE_UNBOUNDED)
                 partitions.add(a.partition)
         if len(partitions) == 1:
@@ -273,15 +319,8 @@ class FootprintSummary:
         }
 
 
-def _access(inst: Instruction, state: Dict, schemas: Optional[Catalog],
-            n_workers: Optional[int], node: Node) -> Access:
+def _access(inst: Instruction, state: Dict, node: Node) -> Access:
     mode = "write" if inst.opcode in _WRITE_OPS else "read"
-    schema = None
-    if schemas is not None:
-        try:
-            schema = schemas.table(inst.table)
-        except Exception:
-            schema = None           # unknown table: reported by the verifier
     key = KeyBound.of(_key_origin(state, inst.key))
     hi = None
     count = None
@@ -291,31 +330,21 @@ def _access(inst: Instruction, state: Dict, schemas: Optional[Catalog],
                   else _operand_origin(state, b))
         hi = KeyBound.of(origin)
     if inst.opcode in (Opcode.SCAN, Opcode.RANGE_SCAN):
-        count_origin = _operand_origin(state, inst.a)
-        count = count_origin.const
-    if schema is not None and schema.replicated:
-        return Access(node, inst.opcode, inst.table, mode, "local", key,
-                      hi=hi, count=count)
-    if key.kind == "const":
-        partition = (schema.route(key.const, n_workers)
-                     if schema is not None and n_workers else None)
-        return Access(node, inst.opcode, inst.table, mode, "pinned", key,
-                      hi=hi, count=count, partition=partition)
-    if key.kind == "cells":
-        return Access(node, inst.opcode, inst.table, mode, "home", key,
-                      hi=hi, count=count)
-    return Access(node, inst.opcode, inst.table, mode, "opaque", key,
-                  hi=hi, count=count)
+        count = _operand_origin(state, inst.a).const
+    return Access(node, inst.opcode, inst.table, mode,
+                  _ACCESS_KIND[key.kind], key, hi=hi, count=count)
 
 
 def analyze_footprint(program: Program,
-                      schemas: Optional[Catalog] = None,
-                      n_workers: Optional[int] = None,
                       graph: Optional[FlowGraph] = None
                       ) -> FootprintSummary:
-    """Run the widened provenance interpretation over ``program``."""
+    """Run the key-provenance interpretation over ``program``."""
     graph = graph or program_flow(program)
 
+    # States are dicts (missing register = entry value); the lattice
+    # bottom for unvisited predecessors is None, NOT the empty dict —
+    # an empty dict is a real state meaning "every register still holds
+    # its entry value" and must taint what it joins with.
     def join(a, b):
         if a is None:
             return b
@@ -329,48 +358,107 @@ def analyze_footprint(program: Program,
 
     ins, _ = solve_forward(graph, entry_state={}, bottom=None,
                            transfer=transfer, join=join)
-    summary = FootprintSummary(program_name=program.name,
-                               n_workers=n_workers)
+    summary = FootprintSummary(program_name=program.name)
     for nid in range(len(graph)):
         inst = graph.inst(nid)
         if inst.is_db:
             summary.accesses.append(
-                _access(inst, ins[nid] or {}, schemas, n_workers,
-                        graph.nodes[nid]))
+                _access(inst, ins[nid] or {}, graph.nodes[nid]))
     summary.static_mlp = static_mlp(program, graph)
     return summary
 
 
-class FootprintIndex:
-    """Lazy proc-id -> :class:`FootprintSummary` cache over a catalogue.
+# -- epoch-fenced ownership (cluster HA) -------------------------------------
 
-    The routers key their lookups by ``block.proc_id``; the summaries
-    are computed once per procedure from the registered program text and
-    the live schema catalog, so consulting the index on the serving
-    path costs a dict hit."""
+@dataclass(frozen=True)
+class EpochOwnershipReport:
+    """The verdict of :func:`check_epoch_ownership` for one submission.
 
-    def __init__(self, catalogue, schemas: Catalog, n_workers: int,
-                 node_of: Optional[Callable[[int], int]] = None):
-        self.catalogue = catalogue
-        self.schemas = schemas
-        self.n_workers = n_workers
-        self.node_of = node_of or (lambda _w: 0)
-        self._summaries: Dict[int, Optional[FootprintSummary]] = {}
+    ``violations`` are provable wrongs (submitting would execute on a
+    node that does not own the partition at the claimed epoch);
+    ``unprovable`` lists the accesses the static analysis cannot
+    bound, which the runtime fence (:class:`~repro.errors.StaleEpochError`
+    and the cross-partition reject) must catch instead.
+    """
 
-    def summary(self, proc_id: int) -> Optional[FootprintSummary]:
-        if proc_id not in self._summaries:
-            try:
-                entry = self.catalogue.lookup(proc_id)
-            except Exception:
-                self._summaries[proc_id] = None
-            else:
-                self._summaries[proc_id] = analyze_footprint(
-                    entry.program, schemas=self.schemas,
-                    n_workers=self.n_workers)
-        return self._summaries[proc_id]
+    program_name: str
+    home_partition: int
+    home_node: int
+    epoch: int
+    violations: tuple = ()
+    unprovable: tuple = ()
 
-    def classify(self, proc_id: int, home: int) -> Optional[StaticRoute]:
-        summary = self.summary(proc_id)
-        if summary is None:
-            return None
-        return summary.classify(home, node_of=self.node_of)
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def format(self) -> str:
+        head = (f"epoch-ownership check for {self.program_name}: "
+                f"partition {self.home_partition} @ node {self.home_node} "
+                f"epoch {self.epoch} — "
+                f"{'OK' if self.ok else 'VIOLATIONS'}")
+        lines = [head]
+        lines.extend(f"  violation: {v}" for v in self.violations)
+        lines.extend(f"  unprovable: {a.opcode.value} t{a.table} "
+                     f"({a.kind})" for a in self.unprovable)
+        return "\n".join(lines)
+
+
+def check_epoch_ownership(summary: FootprintSummary, ownership,
+                          home_partition: int,
+                          claimed_epoch: Optional[int] = None
+                          ) -> EpochOwnershipReport:
+    """Prove a submission stays inside its home node's ownership.
+
+    ``summary`` is a footprint with its layout applied
+    (:meth:`FootprintSummary.with_layout`): it bounds which
+    *partitions* a procedure touches.  Under cluster HA a partition's
+    location is no longer static — it is whatever the epoch-fenced
+    ownership map says *now*.  This check joins the two: every
+    partition the procedure provably reaches must be owned by the home
+    partition's owner at the claimed epoch.
+
+    ``ownership`` is duck-typed: either a mapping
+    ``partition -> (owner_node, epoch)`` (what
+    :meth:`~repro.cluster.ha.HACluster.ownership_map` returns) or an
+    object exposing ``ownership_map()``.  ``claimed_epoch`` is the
+    epoch the client's routing cache holds; ``None`` trusts the map
+    (a fresh lookup).
+    """
+    if not hasattr(ownership, "get"):
+        ownership = ownership.ownership_map()
+    try:
+        home_node, current_epoch = ownership[home_partition]
+    except KeyError:
+        raise KeyError(f"home partition {home_partition} is not in the "
+                       f"ownership map ({sorted(ownership)})") from None
+    epoch = claimed_epoch if claimed_epoch is not None else current_epoch
+    violations: List[str] = []
+    unprovable: List[Access] = []
+    if epoch != current_epoch:
+        violations.append(
+            f"claimed epoch {epoch} is stale: partition {home_partition} "
+            f"is at epoch {current_epoch} (ownership moved)")
+    for a in summary.accesses:
+        if a.kind in ("local", "home"):
+            # replicated tables are copied on every node; anchored keys
+            # route to the home partition by the §4.4 contract, which
+            # the home check above covers
+            continue
+        if a.kind == "pinned" and a.partition is not None:
+            owner_epoch = ownership.get(a.partition)
+            if owner_epoch is None:
+                violations.append(
+                    f"pinned key {a.key.const} routes to partition "
+                    f"{a.partition}, which no node owns")
+            elif owner_epoch[0] != home_node:
+                violations.append(
+                    f"pinned key {a.key.const} routes to partition "
+                    f"{a.partition} owned by node {owner_epoch[0]}, but "
+                    f"the block is homed on node {home_node}")
+            continue
+        unprovable.append(a)
+    return EpochOwnershipReport(
+        program_name=summary.program_name, home_partition=home_partition,
+        home_node=home_node, epoch=epoch,
+        violations=tuple(violations), unprovable=tuple(unprovable))

@@ -1,10 +1,11 @@
-"""Partition-ownership analysis: key provenance + static MLP (§4.4).
+"""The key-provenance lattice (§4.4) and the static MLP estimate.
 
 DORA-style partitioning makes the *key operand* of every DB
 instruction a routing decision: the worker compares the key's home
 partition against its own id and either executes locally or sends the
 request over the on-chip message path (§4.4).  Which partition a key
-can reach is decided by where the key *comes from*, so the analysis
+can reach is decided by where the key *comes from*, so the footprint
+pass (:func:`repro.analysis.footprint.analyze_footprint`)
 abstract-interprets GP registers over a small provenance lattice::
 
     KeyOrigin(const, cells, opaque)
@@ -16,46 +17,26 @@ abstract-interprets GP registers over a small provenance lattice::
 * ``opaque`` — the value additionally depends on runtime-only data
   (tuple fields, DB results, register-indirect block cells).
 
-Classification per DB instruction:
+This module holds the lattice and its transfer function; the pass and
+the summary it produces live in :mod:`.footprint`.
 
-``local``
-    replicated table — every partition holds a copy, the dispatch
-    never leaves the worker.
-``input``
-    the key is a block cell (``@k``) or derived from one: the home
-    partition is chosen by whoever built the block, which is exactly
-    the §4.4 contract.  ``anchors`` names the cells.
-``pinned``
-    the key is a compile-time constant: the dispatch routes to one
-    fixed partition *regardless of the block's home worker* — the
-    procedure is mis-homed everywhere else and silently relies on the
-    message path (or deadlocks a crossbar-less deployment).  With a
-    schema catalog and worker count the exact partition is computed.
-``untracked``
-    the key depends only on runtime data with no input anchor; the
-    analysis cannot bound the partitions it reaches.
-
-The same pass computes the **static MLP estimate**: the maximum number
-of in-flight DB dispatches along any path (dispatch +1, RET/RETN −1,
-max-join at merges) — the intra-transaction index parallelism the
-paper's Figure 9 measures, and a direct occupancy bound for the index
-coprocessor pipelines.
+:func:`static_mlp` is the maximum number of in-flight DB dispatches
+along any path (dispatch +1, RET/RETN −1, max-join at merges) — the
+intra-transaction index parallelism the paper's Figure 9 measures, and
+a direct occupancy bound for the index coprocessor pipelines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional
 
 from ..isa.instructions import (
     BlockRef, Gp, Imm, Instruction, Opcode, Program, Section,
 )
-from ..mem.schema import Catalog
-from .dataflow import FlowGraph, Node, program_flow, solve_forward
+from .dataflow import FlowGraph, program_flow, solve_forward
 
-__all__ = ["KeyOrigin", "DispatchInfo", "PartitionSummary",
-           "analyze_partitions", "static_mlp",
-           "EpochOwnershipReport", "check_epoch_ownership"]
+__all__ = ["KeyOrigin", "static_mlp"]
 
 
 @dataclass(frozen=True)
@@ -167,136 +148,6 @@ def _transfer(inst: Instruction, state: Dict) -> Dict:
     return state
 
 
-@dataclass(frozen=True)
-class DispatchInfo:
-    """The partition classification of one DB instruction."""
-
-    node: Node
-    opcode: Opcode
-    table: int
-    kind: str                      # "local" | "input" | "pinned" | "untracked"
-    anchors: FrozenSet[int] = frozenset()
-    #: for pinned keys: the constant key value
-    const_key: Optional[int] = None
-    #: for pinned keys with a schema + worker count: the home partition
-    partition: Optional[int] = None
-
-
-@dataclass
-class PartitionSummary:
-    """Per-procedure partition-ownership and occupancy summary."""
-
-    program_name: str
-    dispatches: List[DispatchInfo] = field(default_factory=list)
-    static_mlp: int = 0
-
-    @property
-    def pinned(self) -> List[DispatchInfo]:
-        return [d for d in self.dispatches if d.kind == "pinned"]
-
-    @property
-    def untracked(self) -> List[DispatchInfo]:
-        return [d for d in self.dispatches if d.kind == "untracked"]
-
-    @property
-    def anchor_cells(self) -> FrozenSet[int]:
-        """All input cells that feed partitioned-table keys."""
-        out: FrozenSet[int] = frozenset()
-        for d in self.dispatches:
-            if d.kind == "input":
-                out |= d.anchors
-        return out
-
-    def by_table(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for d in self.dispatches:
-            counts[d.table] = counts.get(d.table, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def format(self) -> str:
-        lines = [f"partition summary for {self.program_name}:"
-                 f"  {len(self.dispatches)} DB instructions,"
-                 f" static MLP {self.static_mlp}"]
-        for d in self.dispatches:
-            extra = ""
-            if d.kind == "input":
-                extra = f"  anchors=@{sorted(d.anchors)}"
-            elif d.kind == "pinned":
-                extra = f"  key={d.const_key}"
-                if d.partition is not None:
-                    extra += f" -> partition {d.partition}"
-            lines.append(f"  {d.node!r:>12}  {d.opcode.value:<7} "
-                         f"t{d.table}  {d.kind}{extra}")
-        return "\n".join(lines)
-
-
-def _classify(inst: Instruction, state: Dict[int, KeyOrigin],
-              schemas: Optional[Catalog], n_workers: Optional[int],
-              node: Node) -> DispatchInfo:
-    table = inst.table
-    schema = None
-    if schemas is not None:
-        try:
-            schema = schemas.table(table)
-        except Exception:
-            schema = None           # unknown table: reported elsewhere
-    if schema is not None and schema.replicated:
-        return DispatchInfo(node=node, opcode=inst.opcode, table=table,
-                            kind="local")
-
-    origin = _key_origin(state, inst.key)
-
-    if origin.const is not None:
-        partition = None
-        if schema is not None and n_workers:
-            partition = schema.route(origin.const, n_workers)
-        return DispatchInfo(node=node, opcode=inst.opcode, table=table,
-                            kind="pinned", const_key=origin.const,
-                            partition=partition)
-    if origin.cells:
-        return DispatchInfo(node=node, opcode=inst.opcode, table=table,
-                            kind="input", anchors=origin.cells)
-    return DispatchInfo(node=node, opcode=inst.opcode, table=table,
-                        kind="untracked")
-
-
-def analyze_partitions(program: Program,
-                       schemas: Optional[Catalog] = None,
-                       n_workers: Optional[int] = None,
-                       graph: Optional[FlowGraph] = None
-                       ) -> PartitionSummary:
-    """Run the provenance abstract interpretation over ``program``."""
-    graph = graph or program_flow(program)
-
-    # States are dicts (missing register = entry value); the lattice
-    # bottom for unvisited predecessors is None, NOT the empty dict —
-    # an empty dict is a real state meaning "every register still holds
-    # its entry value" and must taint what it joins with.
-    def join(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return {reg: a.get(reg, _ENTRY).join(b.get(reg, _ENTRY))
-                for reg in sorted(set(a) | set(b), key=repr)}
-
-    def transfer(inst, state):
-        return None if state is None else _transfer(inst, state)
-
-    ins, _ = solve_forward(graph, entry_state={}, bottom=None,
-                           transfer=transfer, join=join)
-
-    summary = PartitionSummary(program_name=program.name)
-    for nid in range(len(graph)):
-        inst = graph.inst(nid)
-        if inst.is_db:
-            summary.dispatches.append(
-                _classify(inst, ins[nid] or {}, schemas, n_workers,
-                          graph.nodes[nid]))
-    summary.static_mlp = static_mlp(program, graph)
-    return summary
-
-
 def static_mlp(program: Program, graph: Optional[FlowGraph] = None) -> int:
     """Max in-flight DB dispatches along any path (max-join dataflow)."""
     graph = graph or program_flow(program)
@@ -314,99 +165,3 @@ def static_mlp(program: Program, graph: Optional[FlowGraph] = None) -> int:
     ins, outs = solve_forward(graph, entry_state=0, bottom=0,
                               transfer=transfer, join=max)
     return max(outs, default=0)
-
-
-# -- epoch-fenced ownership (cluster HA) -------------------------------------
-
-@dataclass(frozen=True)
-class EpochOwnershipReport:
-    """The verdict of :func:`check_epoch_ownership` for one submission.
-
-    ``violations`` are provable wrongs (submitting would execute on a
-    node that does not own the partition at the claimed epoch);
-    ``unprovable`` lists the dispatches the static analysis cannot
-    bound, which the runtime fence (:class:`~repro.errors.StaleEpochError`
-    and the cross-partition reject) must catch instead.
-    """
-
-    program_name: str
-    home_partition: int
-    home_node: int
-    epoch: int
-    violations: tuple = ()
-    unprovable: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def format(self) -> str:
-        head = (f"epoch-ownership check for {self.program_name}: "
-                f"partition {self.home_partition} @ node {self.home_node} "
-                f"epoch {self.epoch} — "
-                f"{'OK' if self.ok else 'VIOLATIONS'}")
-        lines = [head]
-        lines.extend(f"  violation: {v}" for v in self.violations)
-        lines.extend(f"  unprovable: {d.opcode.value} t{d.table} "
-                     f"({d.kind})" for d in self.unprovable)
-        return "\n".join(lines)
-
-
-def check_epoch_ownership(summary: PartitionSummary, ownership,
-                          home_partition: int,
-                          claimed_epoch: Optional[int] = None
-                          ) -> EpochOwnershipReport:
-    """Prove a submission stays inside its home node's ownership.
-
-    The single-node proof (:func:`analyze_partitions`) bounds which
-    *partitions* a procedure touches; under cluster HA a partition's
-    location is no longer static — it is whatever the epoch-fenced
-    ownership map says *now*.  This check joins the two: every
-    partition the procedure provably reaches must be owned by the home
-    partition's owner at the claimed epoch.
-
-    ``ownership`` is duck-typed: either a mapping
-    ``partition -> (owner_node, epoch)`` (what
-    :meth:`~repro.cluster.ha.HACluster.ownership_map` returns) or an
-    object exposing ``ownership_map()``.  ``claimed_epoch`` is the
-    epoch the client's routing cache holds; ``None`` trusts the map
-    (a fresh lookup).
-    """
-    if not hasattr(ownership, "get"):
-        ownership = ownership.ownership_map()
-    try:
-        home_node, current_epoch = ownership[home_partition]
-    except KeyError:
-        raise KeyError(f"home partition {home_partition} is not in the "
-                       f"ownership map ({sorted(ownership)})") from None
-    epoch = claimed_epoch if claimed_epoch is not None else current_epoch
-    violations: List[str] = []
-    unprovable: List[DispatchInfo] = []
-    if epoch != current_epoch:
-        violations.append(
-            f"claimed epoch {epoch} is stale: partition {home_partition} "
-            f"is at epoch {current_epoch} (ownership moved)")
-    for d in summary.dispatches:
-        if d.kind == "local":
-            continue                    # replicated table: every node copies
-        if d.kind == "pinned" and d.partition is not None:
-            owner_epoch = ownership.get(d.partition)
-            if owner_epoch is None:
-                violations.append(
-                    f"pinned key {d.const_key} routes to partition "
-                    f"{d.partition}, which no node owns")
-            elif owner_epoch[0] != home_node:
-                violations.append(
-                    f"pinned key {d.const_key} routes to partition "
-                    f"{d.partition} owned by node {owner_epoch[0]}, but "
-                    f"the block is homed on node {home_node}")
-            continue
-        if d.kind == "input":
-            # the §4.4 contract: input-anchored keys route to the home
-            # partition by construction — covered by the home check
-            continue
-        unprovable.append(d)
-    return EpochOwnershipReport(
-        program_name=summary.program_name, home_partition=home_partition,
-        home_node=home_node, epoch=epoch,
-        violations=tuple(violations), unprovable=tuple(unprovable))

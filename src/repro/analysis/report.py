@@ -1,11 +1,12 @@
 """Human-readable analysis report for one stored procedure.
 
 Backs ``python -m repro.analysis report <proc>``: per-section CFG with
-dominators, per-block GP/CP liveness at block boundaries, the partition
-summary (key provenance, static MLP), the footprint summary and routing
-class, the self-conflict verdict, the WCET bound, the commit-protocol
-verdict, and the verifier findings — everything an operator wants to
-see before a procedure is allowed near the softcore.
+dominators, per-block GP/CP liveness at block boundaries, the footprint
+summary (key provenance, routing class, static MLP), the self-conflict
+verdict, the WCET bound, the commit-protocol verdict, and the verifier
+findings — everything an operator wants to see before a procedure is
+allowed near the softcore.  The footprint pass runs once; the verifier
+and the WCET pass reuse its summary.
 
 :func:`report_json` returns the same facts as a stable machine-readable
 document (the ``--json`` flag and the CI analysis gate consume it).
@@ -25,7 +26,6 @@ from .dataflow import FlowGraph, Node
 from .footprint import analyze_footprint
 from .liveness import live_cp, live_gp
 from .protocol import check_commit_protocol
-from .provenance import analyze_partitions
 from .wcet import analyze_wcet
 
 __all__ = ["render_report", "report_json"]
@@ -70,20 +70,15 @@ def render_report(program: Program, schemas: Optional[Catalog] = None,
             lines.append(f"    live-out  gp={_regs('r', gp.live_out[tail])} "
                          f"cp={_regs('c', cp.live_out[tail])}")
 
+    footprint = analyze_footprint(program, graph=graph)
+    laid_out = footprint.with_layout(schemas, n_workers)
     lines.append("")
-    summary = analyze_partitions(program, schemas=schemas,
-                                 n_workers=n_workers, graph=graph)
-    lines.append(summary.format())
-
-    footprint = analyze_footprint(program, schemas=schemas,
-                                  n_workers=n_workers, graph=graph)
-    lines.append("")
-    lines.append(footprint.format())
-    matrix = build_conflict_matrix([(program.name, footprint)])
+    lines.append(laid_out.format())
+    matrix = build_conflict_matrix([(program.name, laid_out)])
     lines.append(f"self-conflict: "
                  f"{matrix.verdict(program.name, program.name)}")
 
-    wcet = analyze_wcet(program, graph=graph)
+    wcet = analyze_wcet(program, graph=graph, footprint=footprint)
     lines.append("")
     lines.append(wcet.format())
 
@@ -94,7 +89,8 @@ def render_report(program: Program, schemas: Optional[Catalog] = None,
                     "write intent-protected"
                     if protocol.proven else "NOT PROVEN"))
 
-    report = verify_program(program, schemas=schemas, n_workers=n_workers)
+    report = verify_program(program, schemas=schemas, n_workers=n_workers,
+                            graph=graph, footprint=footprint)
     lines.append("")
     if report.findings:
         lines.append(f"verifier: {len(report.errors)} error(s), "
@@ -112,28 +108,20 @@ def report_json(program: Program, schemas: Optional[Catalog] = None,
         program.finalize()
     cfgs = build_all_cfgs(program)
     graph = FlowGraph(program, cfgs)
-    summary = analyze_partitions(program, schemas=schemas,
-                                 n_workers=n_workers, graph=graph)
-    footprint = analyze_footprint(program, schemas=schemas,
-                                  n_workers=n_workers, graph=graph)
-    matrix = build_conflict_matrix([(program.name, footprint)])
-    wcet = analyze_wcet(program, graph=graph)
+    footprint = analyze_footprint(program, graph=graph)
+    laid_out = footprint.with_layout(schemas, n_workers)
+    matrix = build_conflict_matrix([(program.name, laid_out)])
+    wcet = analyze_wcet(program, graph=graph, footprint=footprint)
     protocol = check_commit_protocol(program, graph)
-    verify = verify_program(program, schemas=schemas, n_workers=n_workers)
+    verify = verify_program(program, schemas=schemas, n_workers=n_workers,
+                            graph=graph, footprint=footprint)
     return {
         "program": program.name,
         "sections": {
             section.value: len(cfgs[section].insts) for section in Section
         },
-        "static_mlp": summary.static_mlp,
-        "partition_summary": {
-            "dispatches": [{
-                "at": repr(d.node), "op": d.opcode.value, "table": d.table,
-                "kind": d.kind, "anchors": sorted(d.anchors),
-                "const_key": d.const_key, "partition": d.partition,
-            } for d in summary.dispatches],
-        },
-        "footprint": footprint.to_json(),
+        "static_mlp": footprint.static_mlp,
+        "footprint": laid_out.to_json(),
         "self_conflict": matrix.verdict(program.name, program.name),
         "wcet": wcet.to_json(),
         "commit_protocol_proven": protocol.proven,

@@ -213,12 +213,15 @@ def analyze_wcet(program: Program,
                  config=None,
                  model: Optional[WcetModel] = None,
                  loop_bound: int = 16,
-                 graph: Optional[FlowGraph] = None) -> WcetReport:
+                 graph: Optional[FlowGraph] = None,
+                 footprint=None) -> WcetReport:
     """Longest-path cycle bound over the stitched flow graph.
 
     ``config`` is an optional :class:`~repro.core.config.BionicConfig`
     whose softcore/DRAM/clock parameters seed the model; an explicit
-    ``model`` wins over both.
+    ``model`` wins over both.  ``footprint`` is the procedure's
+    :class:`~repro.analysis.footprint.FootprintSummary` when the caller
+    already has it: the report's static MLP is read from it.
     """
     if model is None:
         if config is not None:
@@ -282,5 +285,7 @@ def analyze_wcet(program: Program,
     return WcetReport(
         program_name=program.name, cycles=cycles,
         overhead_cycles=overhead, has_loops=has_loops,
-        loop_bound=loop_bound, static_mlp=static_mlp(program, graph),
+        loop_bound=loop_bound,
+        static_mlp=(footprint.static_mlp if footprint is not None
+                    else static_mlp(program, graph)),
         n_insts=n, n_writes=n_writes, ns_per_cycle=model.ns_per_cycle)

@@ -274,7 +274,7 @@ def run_latency_curve(loads=(0.2, 0.4, 0.6, 0.8, 0.95),
     """Extension: the latency-vs-load hockey stick the paper's
     closed-loop (pre-populated input queue) methodology hides.  Loads
     are fractions of the saturated YCSB-C throughput."""
-    from ..host.open_loop import OpenLoopClient
+    from ..frontend import FrontEnd, FrontendConfig, SessionConfig
 
     report = FigureReport(
         "Extension: latency under load",
@@ -303,7 +303,6 @@ def run_latency_curve(loads=(0.2, 0.4, 0.6, 0.8, 0.95),
     for frac in loads:
         db, workload = fresh()
         specs = workload.make_read_txns(n_txns)
-        client = OpenLoopClient(db, seed=5)
 
         def make_txn(i, _specs=specs, _w=workload, _db=db):
             spec = _specs[i]
@@ -312,9 +311,16 @@ def run_latency_curve(loads=(0.2, 0.4, 0.6, 0.8, 0.95),
                                   worker=spec.home)
             return block, spec.home
 
-        result = client.run(make_txn, n_txns, offered_tps=frac * saturated)
-        p99.add(result.percentile_ns(99) / 1000.0)
-        mean.add(result.mean_latency_ns / 1000.0)
+        # open-loop Poisson arrivals through a pass-through front-end:
+        # blocks reach their home workers at their arrival instants
+        frontend = FrontEnd(db, FrontendConfig.passthrough())
+        session = frontend.session(make_txn, SessionConfig(
+            name="open-loop", rate_tps=frac * saturated,
+            n_requests=n_txns, seed=5))
+        frontend.run()
+        latencies = session.stats.latencies_ns
+        p99.add(session.stats.percentile_ns(99) / 1000.0)
+        mean.add(sum(latencies) / len(latencies) / 1000.0)
     report.note(f"saturated closed-loop throughput: {saturated/1e3:.1f} kTps")
     return report
 

@@ -200,8 +200,6 @@ class BionicDB:
         #: proc ids whose table references were validated against the
         #: current schema catalog (reset when a table is defined)
         self._table_checked: set = set()
-        #: lazily built static footprint summaries (footprint_index)
-        self._footprints = None
         #: completion hooks (the front-end's attach point, diagnostics)
         self._done_callbacks: List = []
         #: the attached repro.frontend.FrontEnd, if any
@@ -229,20 +227,6 @@ class BionicDB:
         submit."""
         return {w: (self.node_of(w), 0) for w in range(self.total_workers)}
 
-    def footprint_index(self):
-        """Lazily built static footprint summaries over the registered
-        procedures (:class:`repro.analysis.footprint.FootprintIndex`) —
-        what the front-end router consults to classify a submit as
-        single-node *before* it can bounce off
-        :class:`CrossNodeTransactionError`.  Summaries are cached per
-        proc_id; re-registering procedures invalidates the cache."""
-        if self._footprints is None:
-            from ..analysis.footprint import FootprintIndex
-            self._footprints = FootprintIndex(
-                self.catalogue, self.schemas, self.total_workers,
-                node_of=self.node_of)
-        return self._footprints
-
     # -- schema & procedures ------------------------------------------------
     def define_table(self, schema: TableSchema) -> TableSchema:
         self.schemas.add(schema)
@@ -263,7 +247,6 @@ class BionicDB:
         """
         self.catalogue.register(proc_id, program, verify=verify)
         self._table_checked.discard(proc_id)
-        self._footprints = None
 
     # -- loading -------------------------------------------------------------
     def load(self, table_id: int, key: Any, fields: Sequence[Any],

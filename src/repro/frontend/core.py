@@ -61,7 +61,7 @@ class FrontendConfig:
         """A transparent front-end: infinite link, no admission, no
         dispatch window — requests reach the workers at their arrival
         instants, preserving the historical direct-submit behaviour
-        (used by the open-loop client for API compatibility)."""
+        (what a plain open-loop Poisson client needs)."""
         return FrontendConfig(
             nic=NicConfig(bandwidth_gbps=None, propagation_ns=0.0,
                           rx_queue_depth=None, rx_process_ns=0.0),
@@ -187,7 +187,6 @@ class FrontEnd:
                 if reason is not None:
                     self._finish(req, "rejected", reason)
                     continue
-                self.router.plan(req)
             reason = self.admission.check(self.scheduler.backlog)
             if reason is not None:
                 self._finish(req, "rejected", reason)
@@ -298,7 +297,6 @@ class FrontEnd:
             report.rehomed = router.rehomed
             report.parked = router.parked
             report.replayed = router.replayed
-            report.planned = router.planned
         return report
 
     # -- lifecycle -----------------------------------------------------------

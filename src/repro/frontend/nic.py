@@ -34,8 +34,7 @@ __all__ = ["NicConfig", "Nic"]
 @dataclass
 class NicConfig:
     #: shared-link bandwidth; ``None`` models an infinitely fast link
-    #: (no serialisation delay) — the pass-through used to preserve the
-    #: historical open-loop client behaviour
+    #: (no serialisation delay) — what the pass-through front-end uses
     bandwidth_gbps: Optional[float] = 40.0
     #: one-way per-packet latency (wire + PHY + DMA), ns
     propagation_ns: float = 500.0

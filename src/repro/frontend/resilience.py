@@ -375,12 +375,6 @@ class ResilienceConfig:
     #: re-plan CrossNodeTransactionError submits onto the block's true
     #: home lane instead of failing the request
     rehome: bool = True
-    #: consult the static footprint summaries
-    #: (:meth:`repro.core.system.BionicDB.footprint_index`) at
-    #: admission and move a home-anchored request onto its block's home
-    #: node *before* submit — the CrossNodeTransactionError bounce the
-    #: rehome path would otherwise pay never happens
-    static_planning: bool = False
     #: hold requests bounced by a retryable cluster error and replay
     #: them when the partition heals, instead of failing to the client
     park: bool = True

@@ -64,13 +64,7 @@ class RequestRouter:
         self.rehomed = 0
         self.parked = 0
         self.replayed = 0
-        self.planned = 0
         self.breaker_fast_fails = 0
-        # static pre-classification (repro.analysis.footprint) over the
-        # db's procedure catalogue when the config opts in; None keeps
-        # planning dynamic-only
-        self._footprints = (frontend.db.footprint_index()
-                            if self.config.static_planning else None)
 
     # -- admission-side gate (runs in the pump, before the bucket) ----------
     def gate(self, req, now_ns: float) -> Optional[str]:
@@ -90,29 +84,6 @@ class RequestRouter:
         return None
 
     # -- submit-side planning ------------------------------------------------
-    def plan(self, req) -> None:
-        """Statically pre-classify the request before it is enqueued:
-        when the block's procedure footprint proves it home-anchored
-        (single-node) and the chosen lane is on a *different* node,
-        move the request onto the block's home lane now — the
-        ``CrossNodeTransactionError`` bounce that :meth:`rehome` would
-        later re-plan from never happens.  Same-node lanes are left
-        alone (the on-chip channels serve those), as are procedures the
-        analysis cannot bound (the dynamic bounce path still works)."""
-        if self._footprints is None:
-            return
-        block = getattr(req, "block", None)
-        target = getattr(block, "home_worker", None)
-        if target is None or target == req.home:
-            return
-        node_of = self.frontend.db.node_of
-        if node_of(req.home) == node_of(target):
-            return
-        route = self._footprints.classify(block.proc_id, target)
-        if route is not None and route.single_node:
-            req.home = target
-            self.planned += 1
-
     def rehome(self, req, exc) -> bool:
         """A ``CrossNodeTransactionError``: the block lives in another
         node's DRAM.  Re-plan onto the block's true home lane instead
@@ -244,21 +215,19 @@ class ClusterRetryRouter:
       re-own, and re-routes anything the cluster ``deferred``.
     * **Order is preserved.** Per-partition FIFO: a transaction never
       overtakes an earlier one bound for the same partition.
-    * **Footprints pre-classify.** With a
-      :class:`repro.analysis.footprint.FootprintIndex`, every routed
-      spec is classified single-partition / single-node / cross-node
-      *before* the first submit; a procedure whose pinned partitions
-      are owned by a different node than its home is rejected with a
-      typed error at :meth:`route` time — zero submit attempts, where
-      the dynamic path would bounce and burn retry budget.
+    * **Footprints pre-classify.** Every routed spec is classified
+      single-partition / single-node / cross-node *before* the first
+      submit, from the footprint its procedure was registered with on
+      the home partition's owner (every node registers the same
+      procedures); a procedure whose pinned partitions are owned by a
+      different node than its home is rejected with a typed error at
+      :meth:`route` time — zero submit attempts, where the dynamic path
+      would bounce and burn retry budget.
     """
 
-    def __init__(self, cluster, config: Optional[ClusterRouterConfig] = None,
-                 footprints=None):
+    def __init__(self, cluster, config: Optional[ClusterRouterConfig] = None):
         self.cluster = cluster
         self.config = config or ClusterRouterConfig()
-        #: optional FootprintIndex-alike exposing ``summary(proc_id)``
-        self.footprints = footprints
         self.budget = RetryBudget(self.config.budget)
         self.breakers = BreakerBank(self.config.breaker)
         self.epochs: Dict[int, int] = {
@@ -278,7 +247,7 @@ class ClusterRetryRouter:
         self.breaker_fast_fails = 0
         self.queued_total = 0
         self.planned_rejects = 0
-        #: tag -> static routing verdict (when footprints are wired)
+        #: tag -> static routing verdict
         self.static_routes: Dict[Any, str] = {}
         #: verdict -> count over everything routed
         self.static_counts: Dict[str, int] = {}
@@ -287,8 +256,8 @@ class ClusterRetryRouter:
     def route(self, tag: Any, spec, layout) -> None:
         """Accept one transaction for delivery; submits immediately
         unless earlier work for the same partition is still pending.
-        With footprints wired, a statically cross-node spec is rejected
-        here — before any submit attempt."""
+        A statically cross-node spec is rejected here — before any
+        submit attempt."""
         if tag in self.specs:
             raise FrontendError("tag already routed", tag=tag)
         self._preclassify(tag, spec)
@@ -349,15 +318,13 @@ class ClusterRetryRouter:
     def _preclassify(self, tag: Any, spec) -> None:
         """Join the spec's procedure footprint with the current
         ownership map; reject statically cross-node work up front."""
-        if self.footprints is None:
-            return
-        summary = self.footprints.summary(spec.proc_id)
-        if summary is None:
-            return
+        cluster = self.cluster
+        db = cluster.nodes[cluster.owner_of(spec.home)]
+        footprint = db.catalogue.lookup(spec.proc_id).footprint
         owners = {p: owner for p, (owner, _epoch)
-                  in self.cluster.ownership_map().items()}
-        route = summary.classify(spec.home,
-                                 node_of=lambda p: owners.get(p, -1))
+                  in cluster.ownership_map().items()}
+        route = footprint.with_layout(db.schemas, db.total_workers) \
+            .classify(spec.home, node_of=lambda p: owners.get(p, -1))
         self.static_routes[tag] = route.verdict
         self.static_counts[route.verdict] = \
             self.static_counts.get(route.verdict, 0) + 1

@@ -8,8 +8,7 @@ for shed requests, and per-session accounting
 (:class:`~repro.frontend.slo.SessionStats`).
 
 Blocks are created lazily at their arrival instants — exactly as a
-network client would deliver them — via the session's ``factory``,
-which has the same shape the open-loop client has always used:
+network client would deliver them — via the session's
 ``factory(i) -> (TransactionBlock, home_worker)``.
 """
 

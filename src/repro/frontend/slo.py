@@ -49,7 +49,7 @@ class SessionStats:
     latency: PercentileHistogram = field(
         default_factory=lambda: PercentileHistogram("latency_ns"))
     #: exact latency samples (committed requests), for small-run exact
-    #: percentiles and the open-loop client's historical report shape
+    #: percentiles
     latencies_ns: List[float] = field(default_factory=list)
 
     def record(self, req) -> None:
@@ -112,10 +112,6 @@ class FrontendReport:
     #: requests parked on a retryable cluster error / replayed after
     parked: int = 0
     replayed: int = 0
-    #: requests moved to their home node by static footprint planning
-    #: *before* submit (the bounce the rehome path re-plans from never
-    #: happened)
-    planned: int = 0
 
     # -- totals -------------------------------------------------------------
     def _sum(self, attr: str) -> int:
@@ -213,12 +209,11 @@ class FrontendReport:
             f"   admission shed {self.admission_shed}   "
             f"dispatched {self.dispatched}")
         if self.breaker_transitions or self.retry_budget or self.rehomed \
-                or self.parked or self.brownout_shed or self.planned:
+                or self.parked or self.brownout_shed:
             lines.append(
                 f"  breakers {self.breaker_transitions}  "
                 f"retry-budget {self.retry_budget}  "
                 f"brownout-shed {self.brownout_shed}  "
-                f"planned {self.planned}  "
                 f"rehomed {self.rehomed}  parked {self.parked}  "
                 f"replayed {self.replayed}")
             for cls, row in self.by_class().items():

@@ -4,12 +4,10 @@ from .client import DurableClient
 from .command_log import CommandLog, LogRecord
 from .durable import FrameAppender
 from .maintenance import CompactionStats, compact
-from .open_loop import OpenLoopClient, OpenLoopReport
 from .recovery import Checkpoint, RecoveryError, RecoveryManager, take_checkpoint
 
 __all__ = [
     "DurableClient", "CommandLog", "LogRecord", "FrameAppender",
     "Checkpoint", "RecoveryError", "RecoveryManager", "take_checkpoint",
-    "OpenLoopClient", "OpenLoopReport",
     "CompactionStats", "compact",
 ]

@@ -13,7 +13,7 @@ the program is on-chip).
 Historically this module was a peephole scanner; it is now a thin
 client of the CFG/dataflow framework in :mod:`repro.analysis` — CFG
 construction drives the structural checks, and the commit-protocol,
-liveness and partition-provenance analyses contribute checks the
+liveness and partition-footprint analyses contribute checks the
 peephole pass could not express.  The API is unchanged:
 :func:`verify_program` returns a :class:`VerificationReport` of
 :class:`Finding`\\ s, and fatal findings raise
@@ -151,16 +151,17 @@ def _anchored(severity: str, code: str, message: str, section: Section,
 
 def verify_program(program: Program, n_registers: int = 256,
                    schemas=None, n_workers: Optional[int] = None,
-                   graph=None) -> VerificationReport:
+                   graph=None, footprint=None) -> VerificationReport:
     """Statically verify ``program``; finalises it first if needed.
 
     ``schemas`` is an optional :class:`repro.mem.schema.Catalog`; when
     given, DB-instruction table references are checked against it and
-    the partition-provenance warnings are enabled (``n_workers``
+    the partition-footprint warnings are enabled (``n_workers``
     additionally lets pinned keys name their concrete partition).
     ``graph`` is the program's flow graph
-    (:func:`repro.analysis.dataflow.program_flow`) when the caller
-    already has it.
+    (:func:`repro.analysis.dataflow.program_flow`) and ``footprint``
+    its :class:`~repro.analysis.footprint.FootprintSummary`, when the
+    caller already has them.
     """
     # Imported lazily: repro.analysis is a client of this module's
     # Finding API, and importing it at module scope would make the
@@ -168,7 +169,7 @@ def verify_program(program: Program, n_registers: int = 256,
     from ..analysis.dataflow import program_flow
     from ..analysis.liveness import dead_gp_writes, uncollected_cps
     from ..analysis.protocol import check_commit_protocol
-    from ..analysis.provenance import analyze_partitions
+    from ..analysis.footprint import analyze_footprint, table_schema
 
     if not program.finalized:
         program.finalize()
@@ -292,44 +293,37 @@ def verify_program(program: Program, n_registers: int = 256,
                       f"— the CP slot is held for nothing",
                       node.section, node.index, insts))
 
-    # ---- partition provenance (needs a schema catalog) -----------------
+    # ---- partition footprint (needs a schema catalog) ------------------
     if schemas is not None:
-        summary = analyze_partitions(program, schemas=schemas,
-                                     n_workers=n_workers, graph=graph)
-        for d in summary.pinned:
-            insts = program.section(d.node.section)
-            where = (f"partition {d.partition}" if d.partition is not None
-                     else "one fixed partition")
-            add(_anchored("warning", "partition-pinned-key",
-                          f"key is the compile-time constant "
-                          f"{d.const_key}: always routes to {where} "
-                          f"regardless of the block's home worker",
-                          d.node.section, d.node.index, insts))
-        for d in summary.untracked:
-            insts = program.section(d.node.section)
-            add(_anchored("warning", "partition-untracked-key",
-                          f"{d.opcode.value} key has no input-cell "
-                          f"anchor; reachable partitions cannot be "
-                          f"bounded statically",
-                          d.node.section, d.node.index, insts))
-
-        # ---- range footprints (the widened footprint pass) -------------
-        from ..analysis.footprint import analyze_footprint
-        footprint = analyze_footprint(program, schemas=schemas,
-                                      n_workers=n_workers, graph=graph)
-        for a in footprint.accesses:
+        if footprint is None:
+            footprint = analyze_footprint(program, graph=graph)
+        for a in footprint.with_layout(schemas, n_workers).accesses:
+            insts = program.section(a.node.section)
+            if a.kind == "pinned":
+                where = (f"partition {a.partition}"
+                         if a.partition is not None
+                         else "one fixed partition")
+                add(_anchored("warning", "partition-pinned-key",
+                              f"key is the compile-time constant "
+                              f"{a.key.const}: always routes to {where} "
+                              f"regardless of the block's home worker",
+                              a.node.section, a.node.index, insts))
+            elif a.kind == "opaque":
+                add(_anchored("warning", "partition-untracked-key",
+                              f"{a.opcode.value} key has no input-cell "
+                              f"anchor; reachable partitions cannot be "
+                              f"bounded statically",
+                              a.node.section, a.node.index, insts))
             if a.opcode is not Opcode.RANGE_SCAN:
                 continue
-            insts = program.section(a.node.section)
             if a.hi is not None and a.hi.kind == "opaque":
                 add(_anchored("warning", "range-hi-untracked",
                               "RANGE_SCAN upper bound has no constant or "
                               "input-cell anchor; the scanned key "
                               "interval cannot be bounded statically",
                               a.node.section, a.node.index, insts))
-            try:
-                schema = schemas.table(a.table)
-            except Exception:
+            schema = table_schema(schemas, a.table)
+            if schema is None:
                 continue            # unknown-table already reported
             if not schema.replicated and not schema.range_partitioned:
                 add(_anchored("warning", "range-partition-blind",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..analysis.dataflow import program_flow
-from ..analysis.footprint import analyze_footprint
+from ..analysis.footprint import FootprintSummary, analyze_footprint
 from ..errors import ProcedureNotFoundError
 from ..isa.instructions import BlockRef, Gp, Opcode, Program, Section
 from ..isa.verify import verify_program
@@ -36,6 +36,10 @@ class KeySource(NamedTuple):
 class ProcedureEntry:
     proc_id: int
     program: Program
+    #: the procedure's layout-free partition/key footprint, computed
+    #: once at registration: the key sources below and the routers
+    #: read it
+    footprint: FootprintSummary
     gp_needed: int
     cp_needed: int
     #: CP registers collected with RETN: a NOT_FOUND result there is
@@ -93,10 +97,11 @@ class Catalogue:
             for section in Section
             for inst in program.section(section)
             if inst.is_db and inst.table is not None)
+        footprint = analyze_footprint(program, graph=graph)
         # keys the logic does not compute: a direct input cell, or a
         # register the footprint pass proves constant
         reads, writes = [], []
-        for access in analyze_footprint(program, graph=graph).accesses:
+        for access in footprint.accesses:
             inst = program.section(access.node.section)[access.node.index]
             key = inst.key
             if isinstance(key, BlockRef) and not isinstance(key.offset, Gp):
@@ -110,6 +115,7 @@ class Catalogue:
         entry = ProcedureEntry(
             proc_id=proc_id,
             program=program,
+            footprint=footprint,
             gp_needed=max(1, program.gp_needed),
             cp_needed=max(1, program.cp_needed),
             tolerant_cps=tolerant,

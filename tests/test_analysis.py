@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    EXIT, FlowGraph, Node, analyze_partitions, build_all_cfgs, build_cfg,
+    EXIT, FlowGraph, Node, build_all_cfgs, build_cfg,
     check_commit_protocol, dead_gp_writes, def_use_chains, live_cp, live_gp,
     pending_cps, program_flow, reaching_definitions, static_mlp,
     uncollected_cps,
@@ -20,7 +20,7 @@ from repro.analysis.dataflow import cp_defs
 from repro.analysis.footprint import (
     CLASS_HOME, CLASS_MIXED, CLASS_PINNED, CLASS_UNBOUNDED,
     ROUTE_CROSS_NODE, ROUTE_SINGLE_NODE, ROUTE_SINGLE_PARTITION,
-    ROUTE_UNBOUNDED, FootprintIndex, analyze_footprint,
+    ROUTE_UNBOUNDED, analyze_footprint,
 )
 from repro.analysis.lint import findings_json, lint_paths, lint_source
 from repro.analysis.registry import ResolveError, all_procedures, resolve
@@ -47,6 +47,13 @@ def finalized(b: ProcedureBuilder) -> Program:
 
 def codes(report):
     return [f.code for f in report.findings]
+
+
+def laid_out(program, cat=None, n_workers=4):
+    """The footprint of ``program`` against ``cat`` (default
+    :func:`catalog`) and ``n_workers``."""
+    return analyze_footprint(program).with_layout(
+        cat if cat is not None else catalog(), n_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +431,10 @@ class TestPartitionChecks:
         b.commit_handler()
         b.ret(0, 0)
         b.commit()
-        summary = analyze_partitions(b.build(), schemas=catalog(), n_workers=4)
-        assert [d.kind for d in summary.dispatches] == ["pinned"]
-        assert summary.dispatches[0].const_key == 15
-        assert summary.dispatches[0].partition == 3
+        summary = laid_out(b.build())
+        assert [a.kind for a in summary.accesses] == ["pinned"]
+        assert summary.accesses[0].key.const == 15
+        assert summary.accesses[0].partition == 3
 
     def test_epoch_ownership_pinned_violation(self):
         from repro.analysis import check_epoch_ownership
@@ -437,7 +444,7 @@ class TestPartitionChecks:
         b.commit_handler()
         b.ret(1, 0)
         b.commit()
-        summary = analyze_partitions(b.build(), schemas=catalog(), n_workers=4)
+        summary = laid_out(b.build())
         # home partition 0 lives on node 0, but pinned partition 1 is
         # owned by node 1 — a provable cross-ownership dispatch
         ownership = {0: (0, 5), 1: (1, 5), 2: (0, 5), 3: (1, 5)}
@@ -456,7 +463,7 @@ class TestPartitionChecks:
         b.commit_handler()
         b.ret(0, 0)
         b.commit()
-        summary = analyze_partitions(b.build(), schemas=catalog(), n_workers=4)
+        summary = laid_out(b.build())
         ownership = {0: (2, 7)}
         stale = check_epoch_ownership(summary, ownership, home_partition=0,
                                       claimed_epoch=6)
@@ -472,7 +479,7 @@ class TestPartitionChecks:
         b.commit_handler()
         b.ret(0, 0)
         b.commit()
-        summary = analyze_partitions(b.build(), schemas=catalog(), n_workers=4)
+        summary = laid_out(b.build())
         report = check_epoch_ownership(summary, {0: (0, 1)}, home_partition=0)
         assert report.ok                       # nothing provably wrong...
         assert len(report.unprovable) == 1     # ...but the fence must catch it
@@ -492,9 +499,8 @@ class TestPartitionChecks:
         b.commit_handler()
         b.ret(0, 0)
         b.commit()
-        summary = analyze_partitions(b.build(), schemas=catalog(True),
-                                     n_workers=4)
-        assert [d.kind for d in summary.dispatches] == ["local"]
+        summary = laid_out(b.build(), catalog(True))
+        assert [a.kind for a in summary.accesses] == ["local"]
         assert "partition-pinned-key" not in codes(verify_program(
             b.build(), schemas=catalog(True), n_workers=4))
 
@@ -510,9 +516,9 @@ class TestPartitionChecks:
         b.ret(2, 1)
         b.store(Gp(2), b.at(1))
         b.commit()
-        summary = analyze_partitions(b.build(), schemas=catalog(), n_workers=4)
-        assert [d.kind for d in summary.dispatches] == ["input", "input"]
-        assert summary.dispatches[1].anchors == frozenset({0})
+        summary = laid_out(b.build())
+        assert [a.kind for a in summary.accesses] == ["home", "home"]
+        assert summary.accesses[1].key.cells == frozenset({0})
 
     def test_commit_protocol_proven_for_good_program(self):
         p = good_program()
@@ -560,7 +566,7 @@ class TestCli:
         program, cat = resolve("tpcc_payment")
         text = render_report(program, schemas=cat, n_workers=4)
         assert "analysis report: tpcc_payment" in text
-        assert "live-in" in text and "partition summary" in text
+        assert "live-in" in text and "footprint for tpcc_payment" in text
         assert "commit protocol: PROVEN" in text
         assert "verifier: clean" in text
 
@@ -746,9 +752,7 @@ def footprint_of(build, name="p", cat=None, n_workers=4):
     b.commit_handler()
     b.ret(0, 0)
     b.commit()
-    return analyze_footprint(finalized(b),
-                             schemas=cat if cat is not None else catalog(),
-                             n_workers=n_workers)
+    return laid_out(finalized(b), cat, n_workers)
 
 
 def const_writer(key, table=0):
@@ -858,25 +862,6 @@ class TestFootprint:
         (a,) = fp.accesses
         assert a.kind == "local"
         assert fp.kind_class == CLASS_HOME
-
-    def test_footprint_index_caches_per_proc_id(self):
-        from repro.core import BionicConfig, BionicDB
-        db = BionicDB(BionicConfig(n_workers=2))
-        db.define_table(TableSchema(0, "kv", hash_buckets=64))
-        b = ProcedureBuilder("get")
-        b.search(cp=0, table=0, key=b.at(0))
-        b.commit_handler()
-        b.ret(0, 0)
-        b.store(Gp(0), b.at(1))
-        b.commit()
-        db.register_procedure(1, b.build())
-        index = FootprintIndex(db.catalogue, db.schemas, 2)
-        summary = index.summary(1)
-        assert summary is not None and summary.kind_class == CLASS_HOME
-        assert index.summary(1) is summary          # cached
-        assert index.summary(99) is None            # unknown proc id
-        assert index.classify(1, home=1).verdict == ROUTE_SINGLE_PARTITION
-        assert index.classify(99, home=1) is None
 
     def test_to_json_is_serialisable(self):
         fp = footprint_of(lambda b: b.range_scan(
@@ -1115,14 +1100,14 @@ class TestCfgEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# the registry-wide footprint sweep (rides the CI lint job's -k filter)
+# the registry-wide footprint sweep
 # ---------------------------------------------------------------------------
 
 class TestFootprintSweep:
     def test_every_registry_procedure_is_summarised(self):
         summaries = []
         for name, program, cat in all_procedures():
-            fp = analyze_footprint(program, schemas=cat, n_workers=4)
+            fp = laid_out(program, cat)
             wcet = analyze_wcet(program)
             assert fp.kind_class == CLASS_HOME, (name, fp.format())
             assert fp.accesses, name
@@ -1140,8 +1125,7 @@ class TestFootprintSweep:
         baseline_path = Path(__file__).resolve().parents[1] \
             / "ANALYSIS_gate.json"
         baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-        classes = {name: analyze_footprint(p, schemas=c,
-                                           n_workers=4).kind_class
+        classes = {name: laid_out(p, c).kind_class
                    for name, p, c in all_procedures()}
         assert classes == baseline["classes"]
 

@@ -305,8 +305,8 @@ class TestEpochOwnershipProof:
         from repro.analysis import check_epoch_ownership
         wl, _ = make_workload()
         c = make_cluster(wl)
-        summary = self._summary()
-        report = check_epoch_ownership(summary, c, home_partition=1)
+        report = check_epoch_ownership(self._summary(c, 1), c,
+                                       home_partition=1)
         assert report.ok
         assert report.home_node == c.owner_of(1)
 
@@ -317,16 +317,21 @@ class TestEpochOwnershipProof:
         c.kill_node(1)
         c.advance(3 * c.ha.heartbeat_timeout_ns)
         victim_part = c.failovers[0][0]
-        report = check_epoch_ownership(self._summary(), c.ownership_map(),
+        report = check_epoch_ownership(self._summary(c, victim_part),
+                                       c.ownership_map(),
                                        home_partition=victim_part,
                                        claimed_epoch=1)
         assert not report.ok
         assert any("stale" in v for v in report.violations)
 
     @staticmethod
-    def _summary():
-        from repro.analysis import analyze_partitions
-        return analyze_partitions(YcsbWorkload.rmw_procedure(2))
+    def _summary(cluster, partition):
+        """The rmw footprint registered on the partition's owner, laid
+        out against that node's tables."""
+        from repro.workloads.ycsb import PROC_RMW_BASE
+        db = cluster.nodes[cluster.owner_of(partition)]
+        footprint = db.catalogue.lookup(PROC_RMW_BASE + 2).footprint
+        return footprint.with_layout(db.schemas, db.total_workers)
 
 
 @pytest.mark.drill

@@ -216,8 +216,8 @@ class TestPublicApi:
         from repro.core import BionicConfig, BionicDB, RunReport  # noqa
         from repro.baseline import SiloEngine, SiloTpcc, SiloYcsb  # noqa
         from repro.host import (  # noqa
-            CommandLog, DurableClient, OpenLoopClient, RecoveryManager,
-            compact, take_checkpoint,
+            CommandLog, DurableClient, RecoveryManager, compact,
+            take_checkpoint,
         )
         from repro.workloads import TpccWorkload, YcsbWorkload  # noqa
         from repro.isa import ProcedureBuilder, assemble, disassemble  # noqa

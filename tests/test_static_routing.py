@@ -2,10 +2,11 @@
 
 Three contracts from the footprint/conflict passes:
 
-* **Zero bounces.** With ``static_planning`` on, a stream of
-  statically home-anchored procedures submitted to the wrong node is
-  re-planned *before* submit — the ``CrossNodeTransactionError``
-  bounce-then-re-home path never runs.
+* **One pass.** The key-provenance pass runs once per registered
+  procedure, once per procedure for the verifier, the report and the
+  gate, and never while a router classifies a stream: every planner
+  reads ``ProcedureEntry.footprint``, laid out against the tables as
+  they are defined when it is read.
 * **Pre-classification.** The cluster retry router rejects a spec
   whose footprint pins partitions owned by a different node than its
   home before the first submit attempt.
@@ -14,131 +15,229 @@ Three contracts from the footprint/conflict passes:
   key instead of letting it be rejected and retried.
 """
 
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro.analysis  # noqa: F401  (loads every module the counter patches)
+from repro.analysis import dataflow
 from repro.analysis.conflict import MUST_SERIALIZE, build_conflict_matrix
-from repro.analysis.footprint import analyze_footprint
+from repro.analysis.footprint import CLASS_HOME, CLASS_PINNED
+from repro.analysis.registry import all_procedures, resolve
+from repro.analysis.report import report_json
+from repro.cluster.ha import HACluster
 from repro.core import BionicConfig, BionicDB
 from repro.errors import FrontendError
-from repro.frontend import (
-    ClusterRetryRouter, FrontEnd, FrontendConfig, ResilienceConfig,
-    SessionConfig,
-)
-from repro.isa import Gp, ProcedureBuilder
-from repro.mem import Catalog, TableSchema
-
-N_KEYS = 64
+from repro.frontend import ClusterRetryRouter
+from repro.isa import Gp, ProcedureBuilder, verify_program
+from repro.mem import TableSchema
+from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
 
-def _install_kv(db, n_keys=N_KEYS):
-    db.define_table(TableSchema(0, "kv", hash_buckets=512))
-    b = ProcedureBuilder("get")
-    b.search(cp=0, table=0, key=b.at(0))
-    b.commit_handler()
-    b.ret(0, 0)
-    b.store(Gp(0), b.at(1))
-    b.commit()
-    db.register_procedure(1, b.build())
-    for k in range(n_keys):
-        db.load(0, k, [f"v{k}"])
-
-
-def _kv_catalog():
-    return Catalog([TableSchema(0, "kv", hash_buckets=512)])
-
-
-def _summary_of(build, n_workers=2):
-    b = ProcedureBuilder("probe")
+def _procedure(build, name="probe"):
+    """A procedure whose logic is ``build(b)``; the commit handler
+    collects c0 into r0."""
+    b = ProcedureBuilder(name)
     build(b)
     b.commit_handler()
     b.ret(0, 0)
     b.commit()
-    return analyze_footprint(b.build(), schemas=_kv_catalog(),
-                             n_workers=n_workers)
+    return b.build()
 
 
-class _StubIndex:
-    """FootprintIndex-alike: one summary for a fixed proc-id set."""
+def _pinned(key, table=0):
+    """Logic that UPDATEs the compile-time-constant ``key``."""
+    def build(b):
+        b.mov(0, key)
+        b.update(cp=0, table=table, key=Gp(0))
+    return build
 
-    def __init__(self, summaries):
-        self._summaries = summaries
 
-    def summary(self, proc_id):
-        return self._summaries.get(proc_id)
+def _anchored(b):
+    b.search(cp=0, table=0, key=b.at(0))
+
+
+def _route_all(router, cluster, specs):
+    for tag, spec in specs:
+        router.route(tag, spec, None)
+    router.settle(10, cluster.ha.heartbeat_timeout_ns / 2)
+
+
+@pytest.fixture
+def provenance_solves(monkeypatch):
+    """Records every key-provenance solve: the forward worklist runs
+    whose abstract state is a register map."""
+    real = dataflow.solve_forward
+    graphs = []
+
+    def counting(graph, entry_state, *args, **kwargs):
+        if isinstance(entry_state, dict):
+            graphs.append(graph)
+        return real(graph, entry_state, *args, **kwargs)
+
+    for name, module in sorted(sys.modules.items()):
+        if (name.startswith("repro.")
+                and getattr(module, "solve_forward", None) is real):
+            monkeypatch.setattr(module, "solve_forward", counting)
+    return graphs
+
+
+PINNED_PID = 77
+
+
+def _mini_ha_cluster():
+    """Two nodes, one partition each; every node also registers a
+    procedure that UPDATEs a constant key of partition 1."""
+    wl = YcsbWorkload(YcsbConfig(records_per_partition=12, n_partitions=2,
+                                 reads_per_txn=2, payload="x" * 4, seed=0))
+
+    def install(db):
+        wl.install(db, load_data=True)
+        db.register_procedure(PINNED_PID, _procedure(_pinned(12)))
+
+    cluster = HACluster(
+        2, 2,
+        build_node=lambda: BionicDB(BionicConfig(n_workers=2)),
+        install_node=install,
+        step_ns=1_000.0)
+    return cluster, wl
 
 
 # ---------------------------------------------------------------------------
-# RequestRouter.plan: statically single-node streams never bounce
+# one key-provenance pass per procedure
 # ---------------------------------------------------------------------------
 
-class TestStaticPlanning:
-    def _run(self, static_planning):
-        cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
-        _install_kv(cluster)
-        fe = FrontEnd(cluster, FrontendConfig(
-            resilience=ResilienceConfig(enabled=True,
-                                        static_planning=static_planning)))
+class TestOnePass:
+    def test_one_solve_per_registration(self, provenance_solves):
+        db = BionicDB(BionicConfig(n_workers=2))
+        db.define_table(TableSchema(0, "kv", hash_buckets=64))
+        db.register_procedure(1, _procedure(_anchored))
+        assert len(provenance_solves) == 1
+        db.register_procedure(2, _procedure(_pinned(7)))
+        assert len(provenance_solves) == 2
+        assert db.catalogue.lookup(2).footprint.kind_class == CLASS_PINNED
 
-        def misrouted_factory(i):
-            key = i % N_KEYS
-            home = cluster.schemas.table(0).route(key,
-                                                  cluster.total_workers)
-            block = cluster.new_block(1, [key, None], worker=home)
-            return block, (home + 1) % cluster.total_workers   # wrong node
+    def test_one_solve_per_verify_and_report(self, provenance_solves):
+        program, cat = resolve("tpcc_neworder_15")
+        verify_program(program, schemas=cat, n_workers=4)
+        assert len(provenance_solves) == 1
+        report_json(program, schemas=cat, n_workers=4)
+        assert len(provenance_solves) == 2
 
-        fe.session(misrouted_factory, SessionConfig(
-            name="clu", arrival="open", rate_tps=400_000.0, n_requests=30))
-        rep = fe.run()
-        fe.detach()
-        return rep
+    def test_one_solve_per_procedure_in_a_gate_sweep(
+            self, provenance_solves, tmp_path, capsys):
+        from repro.analysis.__main__ import main
+        baseline = Path(__file__).resolve().parents[1] / "ANALYSIS_gate.json"
+        assert main(["gate", "--baseline", str(baseline),
+                     "--json", str(tmp_path / "gate.json")]) == 0
+        capsys.readouterr()
+        assert len(provenance_solves) == len(all_procedures())
 
-    def test_zero_bounces_for_statically_single_node_stream(self):
-        rep = self._run(static_planning=True)
-        assert rep.committed == 30 and rep.conserved
-        # the acceptance criterion: every misrouted submit was moved to
-        # its home lane *before* submit — the CrossNodeTransactionError
-        # bounce the rehome path re-plans from never happened
-        assert rep.planned == 30
-        assert rep.rehomed == 0
+    def test_the_router_classifies_without_solving(self, provenance_solves):
+        cluster, wl = _mini_ha_cluster()
+        del provenance_solves[:]                # registration solved once
+        router = ClusterRetryRouter(cluster)
+        specs = wl.make_rmw_txns(6)
+        for i, spec in enumerate(specs):
+            router.route(i, spec, wl.layout_for(spec))
+        router.settle(10, cluster.ha.heartbeat_timeout_ns / 2)
+        assert router.static_counts == {"single-partition": len(specs)}
+        assert provenance_solves == []
 
-    def test_dynamic_path_still_used_when_planning_off(self):
-        rep = self._run(static_planning=False)
-        assert rep.committed == 30 and rep.conserved
-        assert rep.planned == 0 and rep.rehomed == 30
+
+# ---------------------------------------------------------------------------
+# the stored footprint is layout-free: tables join where it is read
+# ---------------------------------------------------------------------------
+
+class TestLateTables:
+    """Two nodes over four partitions (partition p on node p % 2).  The
+    procedure is registered before either table it touches exists: it
+    SEARCHes a constant key of what becomes a replicated table and
+    UPDATEs a constant key of a hash-partitioned one."""
+
+    PID = 5
+    PINNED_KEY = 6                  # partition 6 % 4 = 2, on node 0
+
+    def _late(self, b):
+        b.mov(1, 3)
+        b.search(cp=1, table=1, key=Gp(1))      # replicated table
+        b.ret(1, 1)
+        b.mov(0, self.PINNED_KEY)
+        b.update(cp=0, table=0, key=Gp(0))      # constant key
+
+    def _cluster(self):
+        def install(db):
+            db.register_procedure(self.PID, _procedure(self._late, "late"))
+            db.define_table(TableSchema(0, "kv", hash_buckets=64,
+                                        partition_fn=lambda k, n: k % n))
+            db.define_table(TableSchema(1, "rep", hash_buckets=64,
+                                        replicated=True))
+            db.load(1, 3, ["r"])
+            for key in (5, self.PINNED_KEY):
+                db.load(0, key, [0])
+
+        return HACluster(
+            2, 4, build_node=lambda: BionicDB(BionicConfig(n_workers=4)),
+            install_node=install, step_ns=1_000.0)
+
+    def test_replicated_access_is_local_and_pin_follows_route(self):
+        cluster = self._cluster()
+        db = cluster.nodes[0]
+        footprint = db.catalogue.lookup(self.PID).footprint
+        laid_out = footprint.with_layout(db.schemas, db.total_workers)
+        assert [a.kind for a in laid_out.accesses] == ["local", "pinned"]
+        pinned = db.schemas.table(0).route(self.PINNED_KEY, db.total_workers)
+        assert laid_out.pinned_partitions == {pinned} == {2}
+        # the router joins the same layout: homed on the pinned partition
+        # the procedure is single-partition (were the replicated access
+        # not local, its constant key would make it unbounded), homed on
+        # partition 0 it stays on node 0, homed on partition 1 it would
+        # cross to node 0 and is rejected before any submit
+        router = ClusterRetryRouter(cluster)
+        _route_all(router, cluster, [
+            ("a", SimpleNamespace(proc_id=self.PID, home=2, inputs=(0,))),
+            ("b", SimpleNamespace(proc_id=self.PID, home=0, inputs=(0,)))])
+        with pytest.raises(FrontendError):
+            router.route("c", SimpleNamespace(proc_id=self.PID, home=1,
+                                              inputs=(0,)), None)
+        assert router.static_routes == {"a": "single-partition",
+                                         "b": "single-node",
+                                         "c": "cross-node"}
+        assert router.done and router.attempts == 2
+
+    def test_reregistration_replaces_the_footprint(self):
+        cluster = self._cluster()
+        before = cluster.nodes[0].catalogue.lookup(self.PID).footprint
+        for db in cluster.nodes:
+            db.register_procedure(self.PID, _procedure(_anchored, "late"))
+        db = cluster.nodes[0]
+        after = db.catalogue.lookup(self.PID).footprint
+        assert after is not before
+        assert after.with_layout(db.schemas, db.total_workers).kind_class \
+            == CLASS_HOME
+        router = ClusterRetryRouter(cluster)
+        _route_all(router, cluster, [
+            ("d", SimpleNamespace(proc_id=self.PID, home=1, inputs=(5,)))])
+        assert router.static_routes == {"d": "single-partition"}
+        assert router.acked["d"][1] == "committed"
 
 
 # ---------------------------------------------------------------------------
 # ClusterRetryRouter: footprint pre-classification before submit
 # ---------------------------------------------------------------------------
 
-def _mini_ha_cluster():
-    from repro.cluster.ha import HACluster
-    from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
-    wl = YcsbWorkload(YcsbConfig(records_per_partition=12, n_partitions=2,
-                                 reads_per_txn=2, payload="x" * 4, seed=0))
-    cluster = HACluster(
-        2, 2,
-        build_node=lambda: BionicDB(BionicConfig(n_workers=2)),
-        install_node=lambda db: wl.install(db, load_data=True),
-        step_ns=1_000.0)
-    return cluster, wl
-
-
 class TestClusterPreclassification:
     def test_statically_cross_node_spec_rejected_before_submit(self):
         cluster, _wl = _mini_ha_cluster()
         owners = {p: o for p, (o, _e) in cluster.ownership_map().items()}
         assert owners[0] != owners[1]           # two nodes, one each
+        schema = cluster.nodes[0].schemas.table(0)
+        assert schema.route(12, cluster.n_partitions) == 1
 
-        def pinned(b):                          # UPDATE key 1: partition 1
-            b.mov(0, 1)
-            b.update(cp=0, table=0, key=Gp(0))
-
-        router = ClusterRetryRouter(
-            cluster, footprints=_StubIndex({77: _summary_of(pinned)}))
-        spec = SimpleNamespace(proc_id=77, home=0)   # homed on partition 0
+        router = ClusterRetryRouter(cluster)
+        spec = SimpleNamespace(proc_id=PINNED_PID, home=0)   # partition 0
         with pytest.raises(FrontendError) as exc:
             router.route("t0", spec, None)
         assert "could only bounce" in str(exc.value)
@@ -151,27 +250,13 @@ class TestClusterPreclassification:
         cluster, wl = _mini_ha_cluster()
         specs = wl.make_rmw_txns(6)
         layouts = [wl.layout_for(s) for s in specs]
-        anchored = _summary_of(
-            lambda b: b.search(cp=0, table=0, key=b.at(0)))
-        index = _StubIndex({s.proc_id: anchored for s in specs})
-        router = ClusterRetryRouter(cluster, footprints=index)
+        router = ClusterRetryRouter(cluster)
         for i, spec in enumerate(specs):
             router.route(i, spec, layouts[i])
         router.settle(10, cluster.ha.heartbeat_timeout_ns / 2)
         assert router.done
         assert router.planned_rejects == 0
         assert router.static_counts == {"single-partition": len(specs)}
-
-    def test_no_footprints_keeps_the_dynamic_path(self):
-        cluster, wl = _mini_ha_cluster()
-        specs = wl.make_rmw_txns(4)
-        layouts = [wl.layout_for(s) for s in specs]
-        router = ClusterRetryRouter(cluster)    # no index wired
-        for i, spec in enumerate(specs):
-            router.route(i, spec, layouts[i])
-        router.settle(10, cluster.ha.heartbeat_timeout_ns / 2)
-        assert router.done
-        assert router.static_routes == {} and router.static_counts == {}
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +293,7 @@ class TestConflictAwareBatching:
         assert counter("worker0.batches_closed.conflict").value == \
             self.N_TXNS - 1
         # the analysis and the former agree on why
-        matrix = build_conflict_matrix([("hot", analyze_footprint(
-            db.catalogue.lookup(self.HOT_PID).program))])
+        footprint = db.catalogue.lookup(self.HOT_PID).footprint
+        matrix = build_conflict_matrix([
+            ("hot", footprint.with_layout(db.schemas, db.total_workers))])
         assert matrix.verdict("hot", "hot") == MUST_SERIALIZE
