@@ -118,7 +118,6 @@ class BionicConfig:
     bptree_fanout: int = 15
     bptree_stages: int = 4
     bptree_wave_size: int = 8
-    bptree_wave_window: float = 16.0          # cycles the wave former waits
     bptree_read_issue_interval: float = 4.0
     bptree_write_issue_interval: float = 4.0
 
@@ -166,7 +165,7 @@ class BionicConfig:
             ("skiplist_max_height", 1), ("skiplist_read_issue_interval", 0.0),
             ("skiplist_write_issue_interval", 0.0),
             ("bptree_fanout", 3), ("bptree_stages", 1),
-            ("bptree_wave_size", 1), ("bptree_wave_window", 0.0),
+            ("bptree_wave_size", 1),
             ("bptree_read_issue_interval", 0.0),
             ("bptree_write_issue_interval", 0.0),
             ("max_in_flight", 1), ("comm_hop_cycles", 0.0),
@@ -215,8 +214,6 @@ class BionicConfig:
             "fanout": self.bptree_fanout,
             "n_stages": self.bptree_stages,
             "wave_size": self.bptree_wave_size,
-            "wave_window_cycles": self.bptree_wave_window,
-            "hazard_prevention": self.hazard_prevention,
             "max_in_flight": self.max_in_flight,
             "read_issue_interval_cycles": self.bptree_read_issue_interval,
             "write_issue_interval_cycles": self.bptree_write_issue_interval,

@@ -1,19 +1,8 @@
-"""Shared machinery for the index coprocessor pipelines.
-
-A :class:`DbRequest` is the in-flight form of a DB instruction: it
-carries the operation, the transaction's timestamp, where the search
-key lives (a transaction-block cell, fetched by the KeyFetch stage) or
-an inline key value (when the stored procedure supplied it from a GP
-register), and a completion callback that routes the result back to
-the initiating worker's CP register — directly for foreground
-(local) requests, or over the on-chip channels for background
-(remote) ones.
-
-The paper's Figure 10/11 sweeps cap "the maximum number of in-flight
-DB requests over the index coprocessor"; :class:`PipelineBase`
-implements that cap with a token pool acquired at pipeline entry and
-released by terminal stages.
-"""
+"""Shared machinery for the index coprocessor pipelines: the in-flight
+DB instruction (:class:`DbRequest`: operation, timestamp, a key in a
+block cell or inline, and a completion callback routing the result to
+the initiating worker's CP register), and :class:`PipelineBase`, the
+stage framework all three index pipelines are built on."""
 
 from __future__ import annotations
 
@@ -21,19 +10,20 @@ import itertools
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from functools import partial
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..isa.instructions import Opcode
 from ..sim.clock import ClockDomain
-from ..sim.engine import Engine
+from ..sim.engine import Engine, Event
 from ..sim.memory import DramModel, MemoryPort
 from ..sim.stats import StatsRegistry
-from ..sim.sync import Fifo, TokenPool
+from ..sim.sync import TokenPool
 from ..sim.trace import NULL_TRACER
-from ..txn.cc import DbResult, ResultCode
+from ..txn.cc import DbResult, ResultCode, check_read, check_write
 
-__all__ = ["DbRequest", "PipelineBase", "sdbm_hash", "clear_hash_cache",
-           "key_column", "IndexError_"]
+__all__ = ["DbRequest", "PipelineBase", "Scan", "sdbm_hash",
+           "clear_hash_cache", "key_column", "IndexError_"]
 
 _request_ids = itertools.count(1)
 
@@ -43,12 +33,9 @@ class IndexError_(RuntimeError):
 
 
 def _key_bytes(key: Any) -> bytes:
-    """Serialise a key the way the hardware would see it on the wire.
-
-    Integers become 8-byte little-endian words (widened if needed),
-    strings/bytes pass through, and composite keys concatenate their
-    parts — both indexes support variable-length keys (§4.4).
-    """
+    """Serialise a key as the hardware sees it on the wire: integers as
+    8-byte little-endian words (widened if needed), strings and bytes as
+    is, composite keys part by part — keys are variable-length (§4.4)."""
     if isinstance(key, bytes):
         return key
     if isinstance(key, bool):
@@ -63,17 +50,14 @@ def _key_bytes(key: Any) -> bytes:
     return repr(key).encode()
 
 
-#: memo for exactly-typed int/str keys only: those types never compare
-#: equal across types (unlike bool==int or 1.0==1, which would conflate
-#: cache slots for keys with different wire encodings)
+#: memo for exactly-typed int/str keys only: those never compare equal
+#: across types (as bool==int or 1.0==1 would, with different encodings)
 _hash_cache: dict = {}
 _HASH_CACHE_CAP = 1 << 16
 
-#: Sdbm is ``h_i = byte_i + 65599 * h_{i-1}`` (the shifts-and-adds form
-#: expands to exactly that multiply), so an 8-byte little-endian key
-#: hashes to ``sum(byte_i * 65599^(7-i))`` — precomputing the powers
-#: turns the byte-serial loop into one closed-form expression for every
-#: int key below 2^63 (keys whose wire form is exactly 8 bytes).
+#: Sdbm is ``h_i = byte_i + 65599 * h_{i-1}``, so an 8-byte key hashes
+#: to ``sum(byte_i * 65599^(7-i))``: with the powers precomputed, one
+#: closed-form expression for every int key below 2^63
 _P7, _P6, _P5, _P4, _P3, _P2, _P1 = (
     15547521674245157311, 6702187518565740161, 11182486425443262783,
     71034040046345985, 282287506116799, 4303228801, 65599)
@@ -93,15 +77,11 @@ def _sdbm_int8(key: int) -> int:
 
 
 def sdbm_hash(key: Any) -> int:
-    """The Sdbm hash (chosen by the paper for its minimal hardware cost:
-    no lookup table, no modulo — shifts and adds only).  The 64-bit
-    result is xor-folded so the bucket index can be taken with a plain
-    mask/mod without the low-bit clustering raw Sdbm exhibits on short
-    binary keys.
-    """
+    """The Sdbm hash (the paper's choice for its hardware cost: shifts
+    and adds only), xor-folded so a plain mask/mod bucket index avoids
+    the low-bit clustering raw Sdbm shows on short binary keys."""
     if type(key) is int and 0 <= key < _INT8_MAX:
-        # the common case (integer row keys): no wire serialisation, no
-        # byte loop, no memo churn
+        # integer row keys: no wire form, no byte loop, no memo churn
         return _sdbm_int8(key)
     cacheable = type(key) is int or type(key) is str
     if cacheable:
@@ -115,9 +95,8 @@ def sdbm_hash(key: Any) -> int:
     h ^= h >> 17
     if cacheable:
         if len(_hash_cache) >= _HASH_CACHE_CAP:
-            # FIFO eviction (dicts iterate in insertion order): a full
-            # cache must keep admitting, or a long key-diverse process
-            # degrades to zero hits for every key it meets afterwards
+            # FIFO eviction: a full cache must keep admitting, or a long
+            # key-diverse process gets no hits for any key it meets later
             del _hash_cache[next(iter(_hash_cache))]
         _hash_cache[key] = h
     return h
@@ -129,10 +108,9 @@ def clear_hash_cache() -> None:
 
 
 def key_column(keys) -> Any:
-    """The key column a bulk loader stores for a batch: ``array('q')``,
-    one machine word per row, when every key is exactly an ``int`` in
-    [0, 2**63) (``True`` is not ``1`` on the wire; a ``range`` holds
-    nothing else), else a list — a copy either way."""
+    """A batch's key column, copied: ``array('q')`` when every key is
+    exactly an ``int`` in [0, 2**63) (``True`` is not ``1`` on the
+    wire), else a list."""
     if type(keys) is range or set(map(type, keys)) == {int}:
         try:
             words = array("q", keys)
@@ -176,6 +154,11 @@ class DbRequest:
     def is_write(self) -> bool:
         return self.op in (Opcode.INSERT, Opcode.UPDATE, Opcode.REMOVE)
 
+    @property
+    def key_in_cell(self) -> bool:
+        """The key is read from a transaction-block cell (KeyFetch)."""
+        return self.key_value is None and self.key_addr is not None
+
     def finish(self, result: DbResult) -> None:
         if self.result is not None:
             raise IndexError_(f"request {self.req_id} completed twice")
@@ -186,37 +169,51 @@ class DbRequest:
             self.on_complete(self, result)
 
 
+@dataclass(slots=True)
+class Scan:
+    """A SCAN / RANGE_SCAN in flight: rows emitted, the code it ends
+    with, its owner (scanner slot or wave) and where its walk stands."""
+
+    req: DbRequest
+    owner: Any
+    n: int = 0
+    code: ResultCode = ResultCode.OK
+    addr: int = 0           # the row being read
+    row: Any = None         # ... and what was read there
+    leaf: Any = None        # B+ tree: the leaf and the slot in it
+    i: int = 0
+
+
 class PipelineBase:
-    """Common scaffolding: admission under the in-flight cap, ports.
+    """The stage framework every index pipeline is built on.
 
-    Subclasses set ``trace_category``, build their stage graph in
-    ``_build()``, take an admitted request in ``_enter(req)`` and must
-    call ``self._done(req, result)`` from terminal stages.
+    A stage is a busy flag, a backlog and a service delay: a
+    finite-state machine woken when data arrives (§4.4).  ``_put`` hands
+    it an item: idle, it schedules its *body* at ``now + delay`` and
+    turns busy; busy, it queues the item.  The body calls ``_next`` when
+    done, which starts the oldest queued item or idles the stage.
+    Bodies are scheduled closure-free (``Engine._schedule_fn``) and
+    memory completions delivered in their own firing
+    (``MemoryPort.read_cb``): one work item per stage visit plus one per
+    DRAM access.  Rare structural paths are generators run by ``_follow``.
 
-    Admission costs no work item: a request submitted while a token is
-    free and nobody is queued enters its first stage inside the caller's
-    firing; otherwise it queues, and each ``_done`` admits the oldest
-    queued request with the token it just returned.  ``_enter`` therefore
-    runs on the submitter's stack (a softcore generator, a background
-    unit): a callback pipeline raises mis-dispatch errors from its first
-    stage body instead, so they come out of ``Engine.run()``.
+    Subclasses add stages with ``_stage`` in ``_build()``, take admitted
+    requests in ``_enter`` (inside the submitter's firing when a token
+    is free, so mis-dispatch errors are raised from a stage body, out of
+    ``Engine.run()``), finish them with ``_done``, and load and list
+    rows in ``_load`` / ``_records``.
     """
 
     #: the tracer category this pipeline's events are filed under
     trace_category: str
+    #: the kind's default (read, write) port issue intervals, in cycles
+    issue_intervals = (24.0, 8.0)
 
-    def __init__(
-        self,
-        engine: Engine,
-        clock: ClockDomain,
-        dram: DramModel,
-        name: str,
-        max_in_flight: int = 16,
-        read_issue_interval_cycles: float = 24.0,
-        write_issue_interval_cycles: float = 8.0,
-        stats: Optional[StatsRegistry] = None,
-        tracer=None,
-    ):
+    def __init__(self, engine: Engine, clock: ClockDomain, dram: DramModel,
+                 name: str, max_in_flight: int = 16,
+                 read_issue_interval_cycles: Optional[float] = None,
+                 write_issue_interval_cycles: Optional[float] = None,
+                 stats: Optional[StatsRegistry] = None, tracer=None):
         self.engine = engine
         self.clock = clock
         self.dram = dram
@@ -229,22 +226,26 @@ class PipelineBase:
         # One read port per coprocessor pipeline: its issue interval is the
         # modelled HC-2 port arbitration cost and the throughput anchor for
         # Figure 10 (see DESIGN.md §5).
+        read_iv, write_iv = self.issue_intervals
+        if read_issue_interval_cycles is not None:
+            read_iv = read_issue_interval_cycles
+        if write_issue_interval_cycles is not None:
+            write_iv = write_issue_interval_cycles
         self.read_port: MemoryPort = dram.new_port(
-            f"{name}.rd", max_outstanding=64,
-            issue_interval_cycles=read_issue_interval_cycles)
+            f"{name}.rd", max_outstanding=64, issue_interval_cycles=read_iv)
         self.write_port: MemoryPort = dram.new_port(
-            f"{name}.wr", max_outstanding=64,
-            issue_interval_cycles=write_issue_interval_cycles)
+            f"{name}.wr", max_outstanding=64, issue_interval_cycles=write_iv)
         self.completed = self.stats.counter(f"{name}.completed")
         self.errors = self.stats.counter(f"{name}.errors")
+        #: one index per table of the partition: table_id -> its root
+        self._tables: dict = {}
+        self._sched = engine._schedule_fn
+        # the stages, by slot: body, service delay (ns), busy, backlog
+        self._body: List[Callable[[Any], None]] = []
+        self._delay: List[float] = []
+        self._busy: List[bool] = []
+        self._backlog: List[deque] = []
         self._build()
-
-    # -- subclass hooks -------------------------------------------------
-    def _build(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _enter(self, req: DbRequest) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     # -- public ----------------------------------------------------------
     def submit(self, req: DbRequest) -> None:
@@ -259,7 +260,183 @@ class PipelineBase:
         self.tokens.resize(n)
         self._grant_waiting()
 
-    # -- shared plumbing ----------------------------------------------------
+    def bulk_load(self, key: Any, fields: List[Any], ts: int = 0,
+                  table_id: int = 0) -> int:
+        """Install one committed row, timing-free; returns its address."""
+        return self._load_rows((key,), (fields,), ts, table_id)[1]
+
+    def bulk_load_many(self, keys, fields, ts: int = 0,
+                       table_id: int = 0) -> int:
+        """Install the rows of parallel key and field columns (sized,
+        sliceable) in order, timing-free; returns the number installed.
+        A non-iterable ``fields`` entry stops the batch there."""
+        return self._load_rows(keys, fields, ts, table_id)[0]
+
+    def items_direct(self, table_id: int = 0) -> List[Tuple[Any, List[Any]]]:
+        """``(key, fields)`` of every live row (verification helper)."""
+        return [(key, list(rec.fields))
+                for key, rec in self._records(table_id) if not rec.tombstone]
+
+    def checkpoint_rows(self, table_id: int = 0):
+        """Yield ``(key, fields, write_ts)`` for every live committed row."""
+        for key, rec in self._records(table_id):
+            if not rec.tombstone and not rec.dirty:
+                yield key, list(rec.fields), rec.write_ts
+
+    # -- stages -----------------------------------------------------------
+    def _stage(self, body: Callable[[Any], None], cycles: float) -> None:
+        """Add a stage, at the next slot, serving each item with ``body``
+        ``cycles`` after it is handed over."""
+        self._body.append(body)
+        self._delay.append(self.clock.ns(cycles))
+        self._busy.append(False)
+        self._backlog.append(deque())
+
+    def _put(self, stage: int, item: Any) -> None:
+        """Hand ``item`` to a stage: an idle stage starts serving it, a
+        busy one queues it behind the item in service."""
+        if self._busy[stage]:
+            self._backlog[stage].append(item)
+        else:
+            self._busy[stage] = True
+            self._sched(self.engine.now + self._delay[stage],
+                        self._body[stage], item)
+
+    def _next(self, stage: int) -> None:
+        """The stage is done with its item: take the next or go idle."""
+        backlog = self._backlog[stage]
+        if backlog:
+            self._sched(self.engine.now + self._delay[stage],
+                        self._body[stage], backlog.popleft())
+        else:
+            self._busy[stage] = False
+
+    def _after(self, delay_ns: float, fn: Callable[[Any], None],
+               arg: Any) -> None:
+        self._sched(self.engine.now + delay_ns, fn, arg)
+
+    def _follow(self, job: tuple, value: Any = None) -> None:
+        """Step the generator of ``job = (gen, then, arg)`` to its next
+        wait (a delay, or a memory event it resumes inside), and call
+        ``then(arg)`` once it returns: a process without the start-up hop."""
+        try:
+            wait = job[0].send(value)
+        except StopIteration:
+            job[1](job[2])
+            return
+        if isinstance(wait, Event):
+            wait.callbacks.append(partial(self._follow_event, job))
+        else:
+            self._after(wait, self._follow, job)
+
+    def _follow_event(self, job: tuple, event: Event) -> None:
+        self._follow(job, event._value)
+
+    # -- key and payload resolution ---------------------------------------
+    def _resolve(self, req: DbRequest, then: Callable[[Any], None],
+                 arg: Any) -> bool:
+        """Find ``req.key`` and an INSERT's fields, reading the key cell
+        and the payload cell independently; a ``(key, fields)`` pair is
+        split only when no payload was given.  True when nothing was
+        read, else ``then(arg)`` runs inside the last read's completion."""
+        fetch_key = req.key_in_cell
+        if not fetch_key:
+            req.key = req.key_value
+        fetch_payload = (req.op is Opcode.INSERT
+                         and req.payload_addr is not None
+                         and req.insert_payload is None)
+        if not (fetch_key or fetch_payload):
+            self._split_pair(req)
+            return True
+        # the callbacks carry (req, then, arg): no cycle through req
+        req._cells = fetch_key + fetch_payload
+        job = (req, then, arg)
+        if fetch_key:
+            self.read_port.read_cb(req.key_addr, self._key_landed, job)
+        if fetch_payload:
+            self.read_port.read_cb(req.payload_addr, self._payload_landed,
+                                   job)
+        return False
+
+    def _key_landed(self, landed: tuple) -> None:
+        job, key = landed
+        job[0].key = key
+        self._cell_landed(job)
+
+    def _payload_landed(self, landed: tuple) -> None:
+        job, cell = landed
+        job[0].insert_payload = list(cell or [])
+        self._cell_landed(job)
+
+    def _cell_landed(self, job: tuple) -> None:
+        req, then, arg = job
+        req._cells -= 1
+        if not req._cells:
+            self._split_pair(req)
+            then(arg)
+
+    @staticmethod
+    def _split_pair(req: DbRequest) -> None:
+        # an INSERT key cell with no payload holds (key, fields)
+        if (req.op is Opcode.INSERT and req.insert_payload is None
+                and isinstance(req.key, tuple) and len(req.key) == 2):
+            req.key, req.insert_payload = req.key
+
+    # -- terminal steps ----------------------------------------------------
+    def _finish_point(self, req: DbRequest, addr: int, record: Any) -> None:
+        """Complete a SEARCH / UPDATE / REMOVE on the record the index
+        found for its key (``None``: no record): the visibility check,
+        the masked line write it grants, and the result."""
+        if record is None or (record.tombstone and not record.dirty):
+            # no record, or a committed delete
+            self._done(req, DbResult(ResultCode.NOT_FOUND))
+            return
+        if req.op is Opcode.SEARCH:
+            code = check_read(record, req.ts)
+        else:
+            code = check_write(record, req.ts,
+                               tombstone=req.op is Opcode.REMOVE)
+        if code is ResultCode.OK:
+            self.write_port.post_write(addr, record)
+        value = record.fields[0] if (code is ResultCode.OK
+                                     and record.fields) else None
+        self._done(req, DbResult(code, tuple_addr=addr, value=value))
+
+    def _emit(self, scan: Scan) -> bool:
+        """The row ``scan.row`` at ``scan.addr``: a visible one is copied
+        into the scan buffer and has its read timestamp raised.  False
+        when the buffer is full (the scan ends with SCAN_OVERFLOW)."""
+        req, record = scan.req, scan.row
+        if record is None or not record.visible_at(req.ts):
+            return True
+        if req.scan_limit and scan.n >= req.scan_limit:
+            scan.code = ResultCode.SCAN_OVERFLOW
+            return False
+        if req.scan_out_addr:
+            self.write_port.post_write(req.scan_out_addr + scan.n,
+                                       (record.key, list(record.fields)))
+        if req.ts > record.read_ts:
+            record.read_ts = req.ts
+            self.write_port.post_write(scan.addr, record)
+        scan.n += 1
+        return True
+
+    # -- tables and loading ---------------------------------------------
+    def _table(self, table_id: int) -> Any:
+        try:
+            return self._tables[table_id]
+        except KeyError:
+            raise IndexError_(f"{self.name}: unknown table {table_id}") from None
+
+    def _load_rows(self, keys, fields, ts: int,
+                   table_id: int) -> Tuple[int, int]:
+        n_rows = len(keys)
+        if len(fields) != n_rows:
+            raise ValueError(f"{self.name}: {n_rows} keys offered with "
+                             f"{len(fields)} field rows")
+        return self._load(keys, fields, ts, self._table(table_id))
+
+    # -- admission --------------------------------------------------------
     def _grant(self, req: DbRequest) -> None:
         if self.tracer.enabled:
             self.tracer.emit(self.trace_category, self.name,
@@ -284,7 +461,3 @@ class PipelineBase:
         if self._waiting:
             self._grant_waiting()
         req.finish(result)
-
-    def _forward(self, queue: Fifo, item: Any) -> None:
-        """Unbounded inter-stage handoff (fire and forget)."""
-        queue.try_put(item)

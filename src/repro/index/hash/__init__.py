@@ -1,6 +1,5 @@
 """Hash index pipeline for point access."""
 
-from .locktable import HazardLockTable
 from .pipeline import HashIndexPipeline, HashTimings
 
-__all__ = ["HazardLockTable", "HashIndexPipeline", "HashTimings"]
+__all__ = ["HashIndexPipeline", "HashTimings"]

@@ -1,7 +1,5 @@
 """Skiplist index pipeline for range scans."""
 
-from .locktable import SkiplistLockTable
 from .pipeline import SkiplistPipeline, SkiplistTimings, compute_level_ranges
 
-__all__ = ["SkiplistLockTable", "SkiplistPipeline", "SkiplistTimings",
-           "compute_level_ranges"]
+__all__ = ["SkiplistPipeline", "SkiplistTimings", "compute_level_ranges"]

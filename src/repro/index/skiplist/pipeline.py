@@ -1,40 +1,44 @@
 """The hardware skiplist pipeline (§4.4.2, Figure 5b).
 
-The skiplist's levels are split into *exclusive ranges*, one per
-pipeline stage; a stage chases pointers horizontally inside its range,
-drills down, and hands the instruction to the next stage the moment it
-leaves its range — immediately taking the next incoming instruction.
-The bottom-level stage exclusively owns level 0: it resolves point
-operations, installs new towers (validated splice along the recorded
-insert path) and hands range scans to dedicated scanner modules.
+    Stage0 --> Stage1 --> ... --> StageN-1 (bottom) --+--> Scanner*
+    (each owns a top-heavy range of levels)           (SCAN / RANGE_SCAN)
 
-Because stages have *internal* memory stalls (dependent pointer
-chasing), index parallelism is bound by pipeline depth, which is why
-Figure 11 saturates around 8 in-flight requests — unlike the hash
-pipeline.  Level ranges are top-heavy ("if towers are substantially
-sparser at upper levels, upper pipeline stages could be assigned
-larger ranges").
+Each stage chases pointers horizontally inside its exclusive range of
+levels, drills down, and hands the instruction on as it leaves the
+range.  Stage 0 first fetches the key and reads the head tower.  The
+bottom stage owns level 0: it resolves point operations, installs new
+towers (a validated splice along the recorded insert path) and hands
+range scans round-robin to the scanners.  Stages have *internal*
+memory stalls, so index parallelism is bound by pipeline depth (Figure
+11 saturates around 8 in flight).  Insert-insert hazards are prevented
+by entry-point locks plus traversal stalls (Figure 7b).
 
-Insert-insert hazards are prevented by entry-point locks plus
-traversal stalls (Figure 7b); scans are stall-free.
+Stages are :class:`~repro.index.common.PipelineBase`'s and keep their
+instruction across its stalls: a hop (a look at the successor on the
+current level) is one body plus one DRAM completion.  A stage takes an
+instruction in a same-instant arrival body, as the process pipeline it
+replaced woke on its queue, so every same-instant DRAM tie stays put.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import cycle, repeat
 from typing import Any, List, Optional, Tuple
 
 from ...isa.instructions import Opcode
 from ...mem.records import NULL_ADDR, Tower, head_tower
 from ...sim.memory import ColdRows
-from ...sim.sync import Fifo
-from ...txn.cc import DbResult, ResultCode, check_read, check_write
-from ..common import DbRequest, IndexError_, PipelineBase, key_column
-from .locktable import SkiplistLockTable
+from ...txn.cc import DbResult, ResultCode
+from ..common import DbRequest, PipelineBase, Scan, key_column
+from ..locks import LockTable
 
 __all__ = ["SkiplistTimings", "SkiplistPipeline", "compute_level_ranges"]
+
+#: seed of the tower-height draws (one stream per pipeline)
+_HEIGHT_SEED = 0xB10
 
 
 @dataclass(frozen=True)
@@ -49,33 +53,24 @@ class SkiplistTimings:
 
 
 def compute_level_ranges(max_height: int, n_stages: int) -> List[Tuple[int, int]]:
-    """Split levels ``max_height-1 .. 0`` into top-heavy stage ranges.
-
-    The two bottom stages get one level each, the next ones two, and
-    the top stage absorbs the remainder — matching the paper's advice
-    on balanced range binding.  Returns ``[(top, bottom), ...]`` from
-    the top stage to the bottom stage.
-    """
+    """Split levels ``max_height-1 .. 0`` into top-heavy stage ranges:
+    the two bottom stages get one level each, the next ones two, and
+    the top stage absorbs the remainder.  Returns ``[(top, bottom),
+    ...]`` from the top stage to the bottom stage."""
     if n_stages < 1:
         raise ValueError("need at least one stage")
     if max_height < n_stages:
         raise ValueError("max_height must be >= n_stages")
-    sizes = []
-    for i in range(n_stages - 1):  # bottom to top, excluding top stage
-        sizes.append(1 if i < 2 else 2)
-    used = sum(sizes)
-    top_size = max_height - used
-    if top_size < 1:
+    sizes = [1 if i < 2 else 2 for i in range(n_stages - 1)]  # bottom up
+    if max_height - sum(sizes) < 1:
         # fewer levels than the heuristic wants: flatten to ones
         sizes = [1] * (n_stages - 1)
-        top_size = max_height - (n_stages - 1)
-    sizes.append(top_size)  # top stage
+    sizes.append(max_height - sum(sizes))  # the top stage
     ranges: List[Tuple[int, int]] = []
     level = max_height - 1
     for size in reversed(sizes):  # top stage first
         ranges.append((level, level - size + 1))
         level -= size
-    assert ranges[-1][1] == 0
     return ranges
 
 
@@ -83,6 +78,7 @@ class SkiplistPipeline(PipelineBase):
     """One partition's skiplist index coprocessor."""
 
     trace_category = "skiplist"
+    issue_intervals = (4.0, 4.0)
 
     def __init__(self, engine, clock, dram, name: str,
                  max_height: int = 20,
@@ -90,12 +86,7 @@ class SkiplistPipeline(PipelineBase):
                  n_scanners: int = 1,
                  timings: Optional[SkiplistTimings] = None,
                  hazard_prevention: bool = True,
-                 max_in_flight: int = 16,
-                 read_issue_interval_cycles: float = 4.0,
-                 write_issue_interval_cycles: float = 4.0,
-                 height_seed: int = 0xB10,
-                 create_default_table: bool = True,
-                 stats=None, tracer=None):
+                 create_default_table: bool = True, **kw):
         if max_height > 255:
             # a loaded run keeps its tower heights as bytes
             raise ValueError("max_height must be <= 255")
@@ -105,20 +96,11 @@ class SkiplistPipeline(PipelineBase):
         self.timings = timings or SkiplistTimings()
         self.hazard_prevention = hazard_prevention
         self.level_ranges = compute_level_ranges(max_height, n_stages)
-        self._rng = random.Random(height_seed)
-        self._dram = dram
-        # one coprocessor serves every skiplist of its partition; each
-        # table gets its own -inf sentinel head tower: table_id -> addr
-        self._heads: dict = {}
-        super().__init__(engine, clock, dram, name,
-                         max_in_flight=max_in_flight,
-                         read_issue_interval_cycles=read_issue_interval_cycles,
-                         write_issue_interval_cycles=write_issue_interval_cycles,
-                         stats=stats, tracer=tracer)
-        self.locks = SkiplistLockTable(engine, name=f"{name}.locks")
+        self._rng = random.Random(_HEIGHT_SEED)
+        super().__init__(engine, clock, dram, name, **kw)
+        self.locks = LockTable(engine)
         self.tower_count = 0
-        # host loader: rows installed, and searches from the head (one
-        # per run: the rest of a run links without one)
+        # host loader: rows installed, and descents (one per run)
         self.load_rows = self.stats.counter(f"{name}.load.rows")
         self.load_descents = self.stats.counter(f"{name}.load.descents")
         if create_default_table:
@@ -126,41 +108,36 @@ class SkiplistPipeline(PipelineBase):
             self.add_table(0)
 
     def add_table(self, table_id: int = 0) -> None:
-        if table_id in self._heads:
+        """Give a table its own -inf sentinel head tower: one
+        coprocessor serves every skiplist of its partition."""
+        if table_id in self._tables:
             raise ValueError(f"table {table_id} already registered")
-        addr = self._dram.heap.alloc()
-        self._dram.heap.store(addr, head_tower(self.max_height))
-        self._heads[table_id] = addr
+        addr = self.dram.heap.alloc()
+        self.dram.heap.store(addr, head_tower(self.max_height))
+        self._tables[table_id] = addr
 
-    def head_addr_of(self, table_id: int = 0) -> int:
-        try:
-            return self._heads[table_id]
-        except KeyError:
-            raise IndexError_(f"{self.name}: unknown table {table_id}") from None
-
-    # ------------------------------------------------------------------
+    # -- stages ------------------------------------------------------------
     def _build(self) -> None:
-        eng = self.engine
-        self.stage_queues = [Fifo(eng, name=f"{self.name}.q.stage{i}")
-                             for i in range(self.n_stages)]
-        self.scan_queues = [Fifo(eng, name=f"{self.name}.q.scan{i}")
-                            for i in range(self.n_scanners)]
-        self._scan_rr = cycle(range(self.n_scanners))
-        for i, (top, bottom) in enumerate(self.level_ranges):
-            is_bottom = (i == self.n_stages - 1)
-            eng.process(self._stage(i, top, bottom, is_bottom),
-                        name=f"{self.name}.stage{i}")
-        for i, q in enumerate(self.scan_queues):
-            eng.process(self._scanner(q), name=f"{self.name}.scanner{i}")
+        t = self.timings
+        ns = self.clock.ns
+        self._hop_ns, self._keyfetch_ns = ns(t.hop), ns(t.keyfetch)
+        self._terminal_ns, self._emit_ns = ns(t.terminal), ns(t.scan_emit)
+        # traversal stage i is slot i, the scanners follow
+        self._stage(self._start, 0.0)
+        for _ in range(1, self.n_stages):
+            self._stage(self._arrive, 0.0)
+        for _ in range(self.n_scanners):
+            self._stage(self._scan_read, 0.0)
+        self._bottom = self.n_stages - 1
+        self._scan_rr = cycle(range(self.n_stages,
+                                    self.n_stages + self.n_scanners))
 
     def _enter(self, req: DbRequest) -> None:
         if req.op is Opcode.INSERT:
             req._new_height = self._draw_height()
             req._path = {}
             req._entry_lock = None
-        self._forward(self.stage_queues[0],
-                      (req, self.head_addr_of(req.table_id), None,
-                       self.max_height - 1))
+        self._put(0, req)
 
     def _draw_height(self) -> int:
         h = 1
@@ -168,110 +145,132 @@ class SkiplistPipeline(PipelineBase):
             h += 1
         return h
 
-    # -- traversal stages -------------------------------------------------
-    def _stage(self, idx: int, top: int, bottom: int, is_bottom: bool):
-        t = self.timings
-        while True:
-            req, cur_addr, cur, level = yield self.stage_queues[idx].get()
-            if req.key is None and req.key_addr is not None and cur is None:
-                # first stage fetches the search key from the txn block
-                yield self.clock.delay(t.keyfetch)
-                req.key = yield self.read_port.read(req.key_addr)
-                if req.op is Opcode.INSERT and isinstance(req.key, tuple) \
-                        and len(req.key) == 2 and req.insert_payload is None:
-                    req.key, req.insert_payload = req.key
-            elif req.key is None:
-                req.key = req.key_value
-                if req.op is Opcode.INSERT and req.payload_addr is not None \
-                        and req.insert_payload is None:
-                    cell = yield self.read_port.read(req.payload_addr)
-                    req.insert_payload = list(cell or [])
-            if cur is None:
-                cur = yield self.read_port.read(cur_addr)
-            check_locks = self.hazard_prevention and req.op not in (
-                Opcode.SCAN, Opcode.RANGE_SCAN)
-            while level >= bottom:
-                # horizontal movement within this stage's range
-                while True:
-                    yield self.clock.delay(t.hop)
-                    next_addr = cur.nexts[level] if level < cur.height else NULL_ADDR
-                    if not next_addr:
-                        break
-                    if check_locks and self.locks.locked(next_addr, level):
-                        yield self.locks.wait_clear(next_addr, level)
-                    nxt = yield self.read_port.read(next_addr)
-                    if nxt is None or not (nxt.key < req.key):
-                        break
-                    cur_addr, cur = next_addr, nxt
-                # record the insert path at this level
-                if req.op is Opcode.INSERT and level <= req._new_height - 1:
-                    if req._entry_lock is None and self.hazard_prevention:
-                        req._entry_lock = (cur_addr, level)
-                        yield self.locks.acquire(cur_addr, level)
-                    req._path[level] = cur_addr
-                if level == 0:
-                    break
-                if check_locks and self.locks.locked(cur_addr, level - 1):
-                    yield self.locks.wait_clear(cur_addr, level - 1)
-                level -= 1
-            if is_bottom:
-                yield from self._terminal(req, cur_addr, cur)
-            else:
-                self._forward(self.stage_queues[idx + 1],
-                              (req, cur_addr, cur, level))
+    # -- traversal stages ---------------------------------------------------
+    def _start(self, req: DbRequest) -> None:
+        """Stage 0: resolve the key, then read the table's head tower.  A
+        request in traversal carries its stage, level and tower."""
+        req._stage = 0
+        req._level = self.max_height - 1
+        req._cur_addr = self._table(req.table_id)
+        req._locking = self.hazard_prevention and req.op not in (
+            Opcode.SCAN, Opcode.RANGE_SCAN)
+        if req.key_in_cell:
+            self._after(self._keyfetch_ns, self._resolve_key, req)
+        else:
+            self._resolve_key(req)
+
+    def _resolve_key(self, req: DbRequest) -> None:
+        if self._resolve(req, self._read_head, req):
+            self._read_head(req)
+
+    def _read_head(self, req: DbRequest) -> None:
+        self.read_port.read_cb(req._cur_addr, self._head_landed, req)
+
+    def _head_landed(self, landed: tuple) -> None:
+        req, head = landed
+        req._cur = head
+        self._after(self._hop_ns, self._hop, req)
+
+    def _arrive(self, req: DbRequest) -> None:
+        self._after(self._hop_ns, self._hop, req)
+
+    def _hop(self, req: DbRequest) -> None:
+        """Look at the current tower's successor on the current level."""
+        cur, level = req._cur, req._level
+        next_addr = cur.nexts[level] if level < cur.height else NULL_ADDR
+        if not next_addr:
+            self._level_end(req)
+        elif not req._locking or self.locks.wait_clear(
+                (next_addr, level), self._read_next, (req, next_addr)):
+            self._read_next((req, next_addr))
+
+    def _read_next(self, hop: tuple) -> None:
+        self.read_port.read_cb(hop[1], self._next_landed, hop)
+
+    def _next_landed(self, landed: tuple) -> None:
+        (req, addr), nxt = landed
+        if nxt is not None and nxt.key < req.key:
+            req._cur_addr, req._cur = addr, nxt
+            self._after(self._hop_ns, self._hop, req)
+        else:
+            self._level_end(req)
+
+    def _level_end(self, req: DbRequest) -> None:
+        """The walk along this level is over: an INSERT records its
+        insert path, locking the entry point at its new tower's top."""
+        level = req._level
+        if req.op is Opcode.INSERT and level < req._new_height:
+            req._path[level] = req._cur_addr
+            if req._entry_lock is None and self.hazard_prevention:
+                req._entry_lock = (req._cur_addr, level)
+                if not self.locks.acquire(req._entry_lock, self._descend,
+                                          req):
+                    return
+        self._descend(req)
+
+    def _descend(self, req: DbRequest) -> None:
+        level = req._level
+        if level == 0:
+            # the bottom stage resolves the request, holding the stage
+            self._after(self._terminal_ns, self._terminal, req)
+        elif not req._locking or self.locks.wait_clear(
+                (req._cur_addr, level - 1), self._drop, req):
+            self._drop(req)
+
+    def _drop(self, req: DbRequest) -> None:
+        req._level -= 1
+        stage = req._stage
+        if req._level >= self.level_ranges[stage][1]:
+            self._after(self._hop_ns, self._hop, req)
+        else:
+            req._stage = stage + 1
+            self._put(stage + 1, req)
+            self._next(stage)
 
     # -- bottom-stage terminal handling ---------------------------------------
-    def _terminal(self, req: DbRequest, pred_addr: int, pred: Tower):
-        t = self.timings
-        yield self.clock.delay(t.terminal)
+    def _terminal(self, req: DbRequest) -> None:
+        pred = req._cur
         if req.op in (Opcode.SCAN, Opcode.RANGE_SCAN):
             # hand off to a scanner: first tower with key >= start key
-            first_addr = pred.nexts[0]
-            self._forward(self.scan_queues[next(self._scan_rr)],
-                          (req, first_addr))
-            return
-        if req.op is Opcode.INSERT:
-            yield from self._install(req, pred_addr, pred)
-            return
-        # point SEARCH / UPDATE / REMOVE: examine the successor at level 0
-        succ_addr = pred.nexts[0]
-        record = None
-        while succ_addr:
-            record = yield self.read_port.read(succ_addr)
-            if record is None or record.key > req.key:
-                record = None
-                break
-            if record.key == req.key:
-                if record.tombstone and not record.dirty:
-                    record = None  # committed delete
-                break
-            succ_addr = record.nexts[0]
-        if record is None:
-            self._done(req, DbResult(ResultCode.NOT_FOUND))
-            return
-        if req.op is Opcode.SEARCH:
-            code = check_read(record, req.ts)
+            scan = Scan(req, next(self._scan_rr))
+            scan.addr = pred.nexts[0]
+            self._put(scan.owner, scan)
+            self._next(self._bottom)
+        elif req.op is Opcode.INSERT:
+            self._follow((self._install(req, req._cur_addr, pred),
+                          self._next, self._bottom))
         else:
-            code = check_write(record, req.ts, tombstone=req.op is Opcode.REMOVE)
-        if code is ResultCode.OK:
-            self.write_port.post_write(succ_addr, record)
-        value = record.fields[0] if (code is ResultCode.OK and record.fields) else None
-        self._done(req, DbResult(code, tuple_addr=succ_addr, value=value))
+            # point SEARCH / UPDATE / REMOVE: walk level 0 to the key
+            self._walk(req, pred.nexts[0])
+
+    def _walk(self, req: DbRequest, addr: int) -> None:
+        if addr:
+            self.read_port.read_cb(addr, self._walk_landed, (req, addr))
+        else:
+            self._finish_point(req, NULL_ADDR, None)
+            self._next(self._bottom)
+
+    def _walk_landed(self, landed: tuple) -> None:
+        (req, addr), tower = landed
+        if tower is not None and tower.key < req.key:
+            self._walk(req, tower.nexts[0])
+            return
+        self._finish_point(req, addr, tower if tower is not None
+                           and tower.key == req.key else None)
+        self._next(self._bottom)
 
     def _install(self, req: DbRequest, pred_addr: int, pred: Tower):
-        """Validated splice: re-walk each recorded path level with fresh
-        reads (the recorded path is a hint; the bottom stage serialises
-        installs, so fresh pointers cannot change underneath us)."""
-        t = self.timings
+        """Validated splice: re-walk each level of the recorded path (a
+        hint) with fresh reads; the bottom stage serialises installs."""
         height = req._new_height
-        new_addr = self._dram.heap.alloc()
+        new_addr = self.dram.heap.alloc()
         preds: List[Tower] = []
         pred_addrs: List[int] = []
         # level 0 predecessor is where traversal stopped; higher ones from path
         cur_addr, cur = pred_addr, pred
         for level in range(height):
             if level > 0:
-                cur_addr = req._path.get(level, self.head_addr_of(req.table_id))
+                cur_addr = req._path.get(level, self._table(req.table_id))
                 cur = yield self.read_port.read(cur_addr)
             # validate: advance while the successor still sorts below the key
             while True:
@@ -284,131 +283,82 @@ class SkiplistPipeline(PipelineBase):
                 cur_addr, cur = nxt_addr, nxt
             preds.append(cur)
             pred_addrs.append(cur_addr)
-            yield self.clock.delay(t.splice_per_level)
+            yield self.clock.delay(self.timings.splice_per_level)
         # duplicate check at level 0
         succ0_addr = preds[0].nexts[0]
-        if succ0_addr:
-            succ0 = yield self.read_port.read(succ0_addr)
-            if succ0 is not None and succ0.key == req.key and \
-                    not (succ0.tombstone and not succ0.dirty):
-                self._release_entry_lock(req)
-                self._done(req, DbResult(ResultCode.DUPLICATE,
-                                         tuple_addr=succ0_addr))
-                return
-        tower = Tower(key=req.key, fields=list(req.insert_payload or []),
-                      height=height,
-                      nexts=[preds[l].nexts[l] for l in range(height)],
-                      addr=new_addr, read_ts=req.ts, write_ts=req.ts, dirty=True)
-        write_ev = self.write_port.write(new_addr, tower)
-        yield write_ev  # the tower must be visible before it is linked
-        last_ev = None
-        for level in range(height):
-            last_ev = self.write_port.apply(
-                pred_addrs[level], self._link(level, new_addr))
-        if last_ev is not None:
-            yield last_ev
-        self.tower_count += 1
-        self._release_entry_lock(req)
-        self._done(req, DbResult(ResultCode.OK, tuple_addr=new_addr))
+        succ0 = (yield self.read_port.read(succ0_addr)) if succ0_addr else None
+        if succ0 is not None and succ0.key == req.key and \
+                not (succ0.tombstone and not succ0.dirty):
+            result = DbResult(ResultCode.DUPLICATE, tuple_addr=succ0_addr)
+        else:
+            tower = Tower(key=req.key, fields=list(req.insert_payload or []),
+                          height=height,
+                          nexts=[preds[l].nexts[l] for l in range(height)],
+                          addr=new_addr, read_ts=req.ts, write_ts=req.ts,
+                          dirty=True)
+            yield self.write_port.write(new_addr, tower)  # visible before linked
+            for level in range(height):
+                linked = self.write_port.apply(
+                    pred_addrs[level], partial(self._link, level, new_addr))
+            yield linked
+            self.tower_count += 1
+            result = DbResult(ResultCode.OK, tuple_addr=new_addr)
+        if req._entry_lock is not None:
+            self.locks.release(req._entry_lock)
+        self._done(req, result)
 
     @staticmethod
-    def _link(level: int, new_addr: int):
-        def apply(pred_tower: Tower) -> None:
-            pred_tower.nexts[level] = new_addr
-        return apply
-
-    def _release_entry_lock(self, req: DbRequest) -> None:
-        if req._entry_lock is not None:
-            self.locks.release(*req._entry_lock)
-            req._entry_lock = None
+    def _link(level: int, new_addr: int, pred_tower: Tower) -> None:
+        pred_tower.nexts[level] = new_addr
 
     # -- scanners -----------------------------------------------------------
-    def _scanner(self, queue: Fifo):
-        t = self.timings
-        while True:
-            req, addr = yield queue.get()
-            collected = 0
-            code = ResultCode.OK
-            while addr and collected < req.scan_count:
-                tower = yield self.read_port.read(addr)
-                if tower is None:
-                    break
-                if req.scan_hi is not None and tower.key > req.scan_hi:
-                    break   # RANGE_SCAN: past the high key
-                yield self.clock.delay(t.scan_emit)
-                if tower.visible_at(req.ts):
-                    if req.scan_limit and collected >= req.scan_limit:
-                        code = ResultCode.SCAN_OVERFLOW
-                        break
-                    if req.scan_out_addr:
-                        self.write_port.post_write(
-                            req.scan_out_addr + collected,
-                            (tower.key, list(tower.fields)))
-                    if req.ts > tower.read_ts:
-                        tower.read_ts = req.ts
-                        self.write_port.post_write(addr, tower)
-                    collected += 1
-                addr = tower.nexts[0]
-            self._done(req, DbResult(code, value=collected))
+    def _scan_read(self, scan: Scan) -> None:
+        """A scanner reads the next tower, or ends the scan."""
+        if scan.addr and scan.n < scan.req.scan_count:
+            self.read_port.read_cb(scan.addr, self._scan_landed, scan)
+        else:
+            self._scan_end(scan)
+
+    def _scan_landed(self, landed: tuple) -> None:
+        scan, tower = landed
+        hi = scan.req.scan_hi
+        if tower is None or (hi is not None and tower.key > hi):
+            self._scan_end(scan)    # the end, or RANGE_SCAN past its key
+        else:
+            scan.row = tower
+            self._after(self._emit_ns, self._scan_emit, scan)
+
+    def _scan_emit(self, scan: Scan) -> None:
+        if self._emit(scan):
+            scan.addr = scan.row.nexts[0]
+            self._scan_read(scan)
+        else:
+            self._scan_end(scan)
+
+    def _scan_end(self, scan: Scan) -> None:
+        self._done(scan.req, DbResult(scan.code, value=scan.n))
+        self._next(scan.owner)
 
     # -- host-side helpers (timing-free) -----------------------------------
-    def bulk_load(self, key: Any, fields: List[Any], ts: int = 0,
-                  table_id: int = 0) -> int:
-        """Install one committed row; returns its tower's address."""
-        return self._load_rows((key,), (fields,), ts, table_id)[1]
-
-    def bulk_load_many(self, keys, fields, ts: int = 0,
-                       table_id: int = 0) -> int:
-        """Bulk-load a key column and its parallel field column in
-        order (timing-free host path); returns the number installed."""
-        return self._load_rows(keys, fields, ts, table_id)[0]
-
-    def _load_rows(self, keys, fields, ts: int,
-                   table_id: int) -> Tuple[int, int]:
-        """The one splice: install the rows of two parallel columns,
-        return ``(count, address of the last tower)``.
-
-        Rows go in as cold runs (:meth:`_splice_run`): a run is a
-        stretch of ascending keys that all sort below the level-0
-        successor of the first one's predecessor, so no tower already
-        placed lies between two of its rows and the run links without
-        reading or building any of its towers.  The one search per run
-        — a *descent* from the head, reading placed cells through
-        ``Heap.load`` like any other reader — finds the predecessors of
-        its first key.  Height draws, duplicate checks and allocations
-        happen in per-row order, so the heap image does not depend on
-        how rows are batched.  A ``fields`` entry that is not iterable
-        stops the batch there, with the rows before it installed and
-        counted.
-        """
+    def _load(self, keys, fields, ts: int, head_addr: int) -> Tuple[int, int]:
+        """The one splice; returns ``(count, last tower address)``.  Rows go
+        in as cold runs of ascending keys below the first one's level-0
+        successor, one descent each (:meth:`_find`, :meth:`_splice_run`);
+        draws, checks and allocations follow per-row order, so the heap
+        image does not depend on the batching."""
         n_rows = len(keys)
-        if len(fields) != n_rows:
-            raise ValueError(f"{self.name}: {n_rows} keys offered with "
-                             f"{len(fields)} field rows")
-        load = self._dram.heap.load
-        head = load(self.head_addr_of(table_id))
+        load = self.dram.heap.load
+        head = load(head_addr)
         addr = NULL_ADDR
         i = n = descents = 0
         try:
             while i < n_rows:
                 key = keys[i]
                 descents += 1
-                # finger[l]: the level-l predecessor of ``key``
-                finger = [head] * self.max_height
-                cur = head
-                for level in range(self.max_height - 1, -1, -1):
-                    while True:
-                        nxt_addr = cur.nexts[level]
-                        if not nxt_addr:
-                            break
-                        nxt = load(nxt_addr)
-                        if not (nxt.key < key):
-                            break
-                        cur = nxt
-                    finger[level] = cur
+                finger = self._find(head, key)
                 bound = None
-                if cur.nexts[0]:
-                    bound = load(cur.nexts[0]).key
+                if finger[0].nexts[0]:
+                    bound = load(finger[0].nexts[0]).key
                     if bound == key:
                         raise ValueError(f"duplicate key in bulk load: {key!r}")
                 # the run: ascending keys, every one below ``bound``
@@ -436,20 +386,26 @@ class SkiplistPipeline(PipelineBase):
             self.load_descents.add(descents)
         return n, addr
 
-    def _splice_run(self, run: ColdRows, keys, finger: List[Tower]) -> int:
-        """Lay out and link one run of ``keys`` (ascending, nothing
-        placed between them) after the predecessors ``finger``; return
-        the address of its last row.
+    def _find(self, head: Tower, key: Any) -> List[Tower]:
+        """``finger[l]``, the level-``l`` predecessor of ``key`` for every
+        level, read through ``Heap.load`` like any other reader."""
+        load = self.dram.heap.load
+        finger = [head] * self.max_height
+        cur = head
+        for level in range(self.max_height - 1, -1, -1):
+            while cur.nexts[level]:
+                nxt = load(cur.nexts[level])
+                if not (nxt.key < key):
+                    break
+                cur = nxt
+            finger[level] = cur
+        return finger
 
-        One ``heap.alloc`` places the run: the addresses row-by-row
-        loading hands out.  The level-``l`` successor of a row is the
-        next row of the run taller than ``l`` — all
-        :meth:`Tower.from_run` needs is the height column — and the
-        run's last row at level ``l`` takes over ``finger[l]``'s old
-        successor (``run.tails[l]``), while ``finger[l]`` now points at
-        the run's first row at that level.
-        """
-        heap = self._dram.heap
+    def _splice_run(self, run: ColdRows, keys, finger: List[Tower]) -> int:
+        """Place a run in one ``heap.alloc`` and link it after ``finger``
+        (the rest :meth:`Tower.from_run` finds from the height column);
+        returns the address of its last row."""
+        heap = self.dram.heap
         n = len(keys)
         run.keys = key_column(keys)
         run.base = base = heap.alloc(n)
@@ -466,62 +422,35 @@ class SkiplistPipeline(PipelineBase):
         heap.place_cold(run)
         return base + n - 1
 
+    def _records(self, table_id: int = 0, lo: Any = None):
+        """``(key, tower)`` along level 0, from the first tower at or
+        above ``lo`` (the first of all without)."""
+        load = self.dram.heap.load
+        head = load(self._table(table_id))
+        addr = (head if lo is None else self._find(head, lo)[0]).nexts[0]
+        while addr:
+            tower = load(addr)
+            yield tower.key, tower
+            addr = tower.nexts[0]
+
     def lookup_direct(self, key: Any, table_id: int = 0) -> Optional[Tower]:
-        heap = self._dram.heap
-        cur = heap.load(self.head_addr_of(table_id))
-        for level in range(self.max_height - 1, -1, -1):
-            while True:
-                nxt_addr = cur.nexts[level] if level < cur.height else NULL_ADDR
-                if not nxt_addr:
-                    break
-                nxt = heap.load(nxt_addr)
-                if not (nxt.key < key):
-                    break
-                cur = nxt
-        addr = cur.nexts[0]
-        while addr:
-            tower = heap.load(addr)
-            if tower.key > key:
+        for found, tower in self._records(table_id, key):
+            if found != key:
                 return None
-            if tower.key == key and not (tower.tombstone and not tower.dirty):
+            if not (tower.tombstone and not tower.dirty):
                 return tower
-            addr = tower.nexts[0]
         return None
-
-    def items_direct(self, table_id: int = 0) -> List[Tuple[Any, List[Any]]]:
-        """All live towers in key order (verification helper)."""
-        heap = self._dram.heap
-        out = []
-        addr = heap.load(self.head_addr_of(table_id)).nexts[0]
-        while addr:
-            tower = heap.load(addr)
-            if not tower.tombstone:
-                out.append((tower.key, list(tower.fields)))
-            addr = tower.nexts[0]
-        return out
-
-    def checkpoint_rows(self, table_id: int = 0):
-        """Yield (key, fields, write_ts) for live committed towers."""
-        heap = self._dram.heap
-        addr = heap.load(self.head_addr_of(table_id)).nexts[0]
-        while addr:
-            tower = heap.load(addr)
-            if not tower.tombstone and not tower.dirty:
-                yield tower.key, list(tower.fields), tower.write_ts
-            addr = tower.nexts[0]
 
     def compact_direct(self, table_id: int = 0) -> int:
         """Quiescent maintenance: unlink committed-tombstone towers at
         every level.  Returns the number of towers removed."""
-        heap = self._dram.heap
-        head_addr = self.head_addr_of(table_id)
+        heap = self.dram.heap
+        head_addr = self._table(table_id)
         removed = set()
         for level in range(self.max_height - 1, -1, -1):
             node = heap.load(head_addr)
-            while True:
-                nxt_addr = node.nexts[level] if level < node.height else NULL_ADDR
-                if not nxt_addr:
-                    break
+            while level < node.height and node.nexts[level]:
+                nxt_addr = node.nexts[level]
                 nxt = heap.load(nxt_addr)
                 if nxt.tombstone and not nxt.dirty:
                     node.nexts[level] = (nxt.nexts[level]
@@ -532,15 +461,13 @@ class SkiplistPipeline(PipelineBase):
         return len(removed)
 
     def invariant_check(self, table_id: int = 0) -> None:
-        """Assert skiplist structural invariants (used by property tests):
-        sorted bottom level; every level-l list is a subsequence of
-        level-(l-1); no dangling pointers."""
-        heap = self._dram.heap
-        level_keys = []
+        """Assert every level strictly sorted and a subsequence of the one
+        below, and no dangling pointers (used by property tests)."""
+        heap = self.dram.heap
+        lower = None
         for level in range(self.max_height):
             keys = []
-            cur = heap.load(self.head_addr_of(table_id))
-            addr = cur.nexts[level]
+            addr = heap.load(self._table(table_id)).nexts[level]
             while addr:
                 tower = heap.load(addr)
                 if tower is None:
@@ -548,14 +475,11 @@ class SkiplistPipeline(PipelineBase):
                 if tower.height <= level:
                     raise AssertionError(
                         f"tower {tower.key!r} linked above its height")
+                if lower is not None and tower.key not in lower:
+                    raise AssertionError(f"key {tower.key!r} at level {level} "
+                                         f"missing from level {level - 1}")
                 keys.append(tower.key)
                 addr = tower.nexts[level]
             if any(not (a < b) for a, b in zip(keys, keys[1:])):
                 raise AssertionError(f"level {level} not strictly sorted")
-            level_keys.append(keys)
-        for level in range(1, self.max_height):
-            lower = set(level_keys[level - 1])
-            for k in level_keys[level]:
-                if k not in lower:
-                    raise AssertionError(
-                        f"key {k!r} at level {level} missing from level {level-1}")
+            lower = set(keys)

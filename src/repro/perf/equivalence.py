@@ -6,7 +6,9 @@ scenario — ``Engine.now`` at the end, commit and abort counts, and a
 hash over every per-transaction completion timestamp
 (:data:`OBSERVABLES`), checked in below as :data:`GOLDEN_SMOKE`.
 
-``bptree_range_smoke`` has never been edited.  ``ycsb_smoke`` and
+``bptree_range_smoke``'s observables have never been edited; its
+``events_fired`` ceiling was lowered (4 292 -> 3 937) when the B+ tree
+pipeline moved onto the shared stage framework.  ``ycsb_smoke`` and
 ``tpcc_smoke`` were captured on the heap-only event loop the first perf
 PR replaced and stood unedited until the §4.5 batch former began
 comparing keys: both streams hold transactions of one worker that write
@@ -77,7 +79,7 @@ GOLDEN_SMOKE = {
             "5b38b2e8550362714ef140ec36b68c5dff5e326b7ba58eadf5d54052e70bd566",
     },
     "bptree_range_smoke": {
-        "events_fired": 4292,
+        "events_fired": 3937,
         "now_ns": 423312.0,
         "committed": 32,
         "aborted": 0,

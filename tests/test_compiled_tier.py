@@ -78,10 +78,10 @@ GOLDEN_TINY = {
     IndexKind.HASH: (416, 13192.0,
                      "e59bf3befe55ca6a7c449b312c3e063c"
                      "924a916dfb044f053ea0d639046bdc69"),
-    IndexKind.SKIPLIST: (1328, 49480.0,
+    IndexKind.SKIPLIST: (1249, 49480.0,
                          "6dce08b5f379555c1d66d3a82b4f7b6e"
                          "9364b6efe65ea0240ce168398d216d56"),
-    IndexKind.BPTREE: (549, 18712.0,
+    IndexKind.BPTREE: (457, 18712.0,
                        "d91cdf4122080216e4fd54c22332fd1c"
                        "91968414ce728f4f4d99b729cdc9fb0a"),
 }
