@@ -293,7 +293,7 @@ class SiloEngine:
         callable taking a :class:`SiloTxn` and issuing operations."""
         queue = Fifo(self.engine, name="silo.work")
         for body in bodies:
-            queue.put(body)
+            queue.try_put(body)
         start_committed = self._committed.value
         start_aborted = self._aborted.value
         start_ns = self.engine.now

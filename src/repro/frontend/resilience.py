@@ -365,7 +365,7 @@ class ResilienceConfig:
 
     ``enabled=False`` (the default) keeps the serving path bit-identical
     to the pre-resilience front-end: no router is constructed, no hook
-    runs, and the ``repro.perf`` goldens are unaffected.
+    runs, and the goldens of ``tests/goldens.py`` are unaffected.
     """
 
     enabled: bool = False

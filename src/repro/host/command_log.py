@@ -11,10 +11,9 @@ record needs.
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import CorruptionError
 from ..mem.txnblock import TransactionBlock, TxnStatus
@@ -182,23 +181,13 @@ class CommandLog:
         ``strict=True`` raises :class:`CorruptionError` on any damage.
         ``strict=False`` salvages the intact prefix of a truncated or
         tail-corrupted log (the right recovery posture after losing
-        power mid-append) and marks the instance ``truncated``.
-        Legacy whole-file-pickle logs (pre-framing) are still readable.
+        power mid-append) and marks the instance ``truncated``.  A file
+        without the log's magic is not a log and raises either way.
 
         An incrementally-written log may hold several frames for one
         txn (pending, then finalised); the last one wins.
         """
-        try:
-            records, intact = read_frames(path, LOG_MAGIC, strict=strict)
-        except CorruptionError as exc:
-            if exc.details.get("expected") == LOG_MAGIC:
-                legacy = cls._load_legacy(path)
-                if legacy is not None:
-                    records, intact = legacy, True
-                else:
-                    raise
-            else:
-                raise
+        records, intact = read_frames(path, LOG_MAGIC, strict=strict)
         log = cls()
         log.truncated = not intact
         for i, record in enumerate(records):
@@ -210,16 +199,6 @@ class CommandLog:
             else:
                 log._records[pos] = record
         return log
-
-    @staticmethod
-    def _load_legacy(path) -> Optional[List["LogRecord"]]:
-        """Best-effort read of the pre-framing format (one pickled list)."""
-        try:
-            with open(Path(path), "rb") as f:
-                records = pickle.load(f)
-        except Exception:
-            return None
-        return records if isinstance(records, list) else None
 
     @staticmethod
     def _validate_record(record, index: int, path) -> None:

@@ -18,11 +18,8 @@ Every point is:
   determinism check.
 
 Results merge into ``BENCH_sim.json`` under the ``"sweep"`` key (one
-entry per point, host metadata stamped alongside).  Usage::
-
-    python -m repro.perf sweep --list
-    python -m repro.perf sweep --points ycsb_paper_300k --jobs 2
-    python -m repro.perf sweep                  # every registered point
+entry per point, host metadata stamped alongside); ``python -m
+repro.perf`` is the command line.
 
 Wall-clock reads below only measure host cost; all simulated
 behaviour is seeded (the determinism lint enforces the split).
@@ -30,7 +27,7 @@ behaviour is seeded (the determinism lint enforces the split).
 
 from __future__ import annotations
 
-import argparse
+import hashlib
 import json
 import os
 import platform
@@ -41,8 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional
 from zlib import crc32
 
-__all__ = ["POINTS", "run_point", "run_sweep", "host_metadata",
-           "sweep_main"]
+__all__ = ["POINTS", "run_point", "run_sweep", "host_metadata"]
 
 
 def _point_seed(name: str) -> int:
@@ -95,9 +91,39 @@ POINTS: Dict[str, Dict[str, object]] = {
 }
 
 
+def _digest(commits: list) -> str:
+    return hashlib.sha256(repr(commits).encode("utf-8")).hexdigest()
+
+
 def _fingerprint(db, report, blocks) -> Dict[str, object]:
-    from .equivalence import _fingerprint as fp
-    return fp(db, report, blocks)
+    """The simulated observables of a finished run (``now_ns``, commit
+    and abort counts, a hash of every commit's completion time) and the
+    host work it took (``events_fired``)."""
+    commits = [(b.txn_id, b.done_at_ns) for b in blocks
+               if getattr(b, "done_at_ns", None) is not None]
+    return {
+        "events_fired": db.engine.events_fired,
+        "now_ns": db.engine.now,
+        "committed": report.committed,
+        "aborted": report.aborted,
+        "commit_hash": _digest(commits),
+    }
+
+
+def _timed_run(db, wl, make_specs, **submit_kw) -> Dict[str, object]:
+    """Load ``wl`` into ``db``, then draw ``make_specs()`` and run it to
+    the end: the fingerprint plus the load and run host seconds."""
+    t0 = time.perf_counter()   # det: allow(wall-clock)
+    wl.install(db)
+    t_loaded = time.perf_counter()   # det: allow(wall-clock)
+    report, blocks = wl.submit_all(db, make_specs(), **submit_kw)
+    t_done = time.perf_counter()   # det: allow(wall-clock)
+    out = _fingerprint(db, report, blocks)
+    out["throughput_tps"] = report.throughput_tps
+    out["load_host_seconds"] = t_loaded - t0
+    out["run_host_seconds"] = t_done - t_loaded
+    out["host_seconds"] = t_done - t0
+    return out
 
 
 def _run_ycsb(params: Dict, seed: int) -> Dict[str, object]:
@@ -116,17 +142,7 @@ def _run_ycsb(params: Dict, seed: int) -> Dict[str, object]:
     make_txns = {"read": wl.make_read_txns,
                  "scan": wl.make_scan_txns,
                  "range": wl.make_range_txns}[str(params.get("op", "read"))]
-    t0 = time.perf_counter()   # det: allow(wall-clock)
-    wl.install(db)
-    t_loaded = time.perf_counter()   # det: allow(wall-clock)
-    report, blocks = wl.submit_all(db, make_txns(int(params["n_txns"])))
-    t_done = time.perf_counter()   # det: allow(wall-clock)
-    out = _fingerprint(db, report, blocks)
-    out["throughput_tps"] = report.throughput_tps
-    out["load_host_seconds"] = t_loaded - t0
-    out["run_host_seconds"] = t_done - t_loaded
-    out["host_seconds"] = t_done - t0
-    return out
+    return _timed_run(db, wl, lambda: make_txns(int(params["n_txns"])))
 
 
 def _run_tpcc(params: Dict, seed: int) -> Dict[str, object]:
@@ -141,18 +157,8 @@ def _run_tpcc(params: Dict, seed: int) -> Dict[str, object]:
         seed=seed)
     db = BionicDB(BionicConfig(n_workers=int(params["n_partitions"])))
     wl = TpccWorkload(cfg)
-    t0 = time.perf_counter()   # det: allow(wall-clock)
-    wl.install(db)
-    t_loaded = time.perf_counter()   # det: allow(wall-clock)
-    report, blocks = wl.submit_all(db, wl.make_mix(int(params["n_txns"])),
-                                   retry=True)
-    t_done = time.perf_counter()   # det: allow(wall-clock)
-    out = _fingerprint(db, report, blocks)
-    out["throughput_tps"] = report.throughput_tps
-    out["load_host_seconds"] = t_loaded - t0
-    out["run_host_seconds"] = t_done - t_loaded
-    out["host_seconds"] = t_done - t0
-    return out
+    return _timed_run(db, wl, lambda: wl.make_mix(int(params["n_txns"])),
+                      retry=True)
 
 
 _WORKLOADS = {"ycsb": _run_ycsb, "tpcc": _run_tpcc}
@@ -225,51 +231,3 @@ def _merge_into(path: str, sweep_results: Dict[str, Dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def sweep_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.perf sweep",
-        description="host-parallel paper-scale sweep runner")
-    parser.add_argument("--points", default=None,
-                        help="comma-separated point names (default: all)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: one per point, "
-                             "capped at CPU count)")
-    parser.add_argument("--out", default="BENCH_sim.json",
-                        help="merge results into this JSON file")
-    parser.add_argument("--list", action="store_true",
-                        help="list registered sweep points and exit")
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name, params in POINTS.items():
-            print(f"{name:<28s} {params['workload']:<5s} "
-                  f"seed={_point_seed(name)} "
-                  + " ".join(f"{k}={v}" for k, v in params.items()
-                             if k != "workload"))
-        return 0
-
-    names = (args.points.split(",") if args.points else None)
-    t0 = time.perf_counter()   # det: allow(wall-clock)
-    results = run_sweep(names, jobs=args.jobs)
-    wall = time.perf_counter() - t0   # det: allow(wall-clock)
-
-    serial = sum(r["host_seconds"] for r in results.values())
-    for name, r in results.items():
-        print(f"  sweep {name:<28s} {r['host_seconds']:7.2f}s host   "
-              f"{r['peak_rss_mb']:6.0f} MB   "
-              f"{r['throughput_tps']:>12,.0f} tps   "
-              f"commits={r['committed']} aborts={r['aborted']}")
-
-    print(f"repro.perf sweep: {len(results)} point(s), "
-          f"{serial:.2f}s of work in {wall:.2f}s wall "
-          f"({serial / wall if wall > 0 else 1:.2f}x parallel)")
-
-    _merge_into(args.out, results)
-    print(f"repro.perf sweep: merged into {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(sweep_main())

@@ -2,8 +2,7 @@
 
 from .clock import ClockDomain
 from .engine import (
-    AllOf, AnyOf, Engine, Event, Interrupt, Process, SimulationError, Timeout,
-    collector_quiesced,
+    Engine, Event, Process, SimulationError, Timeout, collector_quiesced,
 )
 from .memory import Bram, DramModel, Heap, MemoryPort, LINE_BYTES
 from .power import CpuPowerModel, FpgaPowerModel, PowerReport
@@ -17,12 +16,12 @@ from .resources import (
 from .stats import (
     Counter, Histogram, PercentileHistogram, StatsRegistry, nearest_rank,
 )
-from .sync import Fifo, Gate, Mutex, TokenPool
+from .sync import Fifo, TokenPool
 from .trace import NULL_TRACER, TraceEvent, Tracer
 
 __all__ = [
-    "AllOf", "AnyOf", "Engine", "Event", "Interrupt", "Process",
-    "SimulationError", "Timeout", "ClockDomain",
+    "Engine", "Event", "Process", "SimulationError", "Timeout",
+    "ClockDomain",
     "Bram", "DramModel", "Heap", "MemoryPort", "LINE_BYTES",
     "collector_quiesced",
     "CpuPowerModel", "FpgaPowerModel", "PowerReport",
@@ -30,6 +29,6 @@ __all__ = [
     "VIRTEX5_LX330", "per_worker_costs",
     "Counter", "Histogram", "PercentileHistogram", "StatsRegistry",
     "nearest_rank",
-    "Fifo", "Gate", "Mutex", "TokenPool",
+    "Fifo", "TokenPool",
     "NULL_TRACER", "TraceEvent", "Tracer",
 ]

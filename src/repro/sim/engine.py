@@ -35,7 +35,7 @@ it to that order on random schedules):
   which is how :meth:`Engine.run` walks it.
 * A process that yields a plain number never materialises a Timeout at
   all: the resumption is scheduled as a callback guarded by a per-wait
-  epoch (the epoch is also the O(1) interrupt tombstone).
+  epoch (the epoch is also the O(1) :meth:`Process.kill` tombstone).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import heapq
 from collections import deque
 from contextlib import contextmanager
 from heapq import heappush as _heappush
-from typing import Any, Callable, Generator, Iterable, Iterator, Optional
+from typing import Any, Callable, Generator, Iterator, Optional
 
 from ..errors import BionicError, SimulatedCrash
 
@@ -54,9 +54,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
     "collector_quiesced",
 ]
@@ -64,14 +61,6 @@ __all__ = [
 
 class SimulationError(BionicError, RuntimeError):
     """Raised for illegal engine operations (double trigger, etc.)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 @contextmanager
@@ -207,7 +196,7 @@ class Process(Event):
     ``_resume`` / ``_delay_cb`` hold bound methods created once at
     construction so the wait/wake cycle never re-binds them;
     ``_delay_epoch`` tombstones stale delay wake-ups in O(1) and
-    ``_dead`` tombstones one stale event callback after an interrupt
+    ``_dead`` tombstones one stale event callback after a kill
     (replacing the old O(n) ``callbacks.remove`` scan).
     """
 
@@ -227,15 +216,8 @@ class Process(Event):
         seq = engine._seq = engine._seq + 1
         engine._ready.append((seq, self._kick, None))
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        self._throw_in(Interrupt(cause))
-
     def kill(self, exc: BaseException) -> None:
-        """Throw ``exc`` into the process at the current time.
-
-        Unlike :meth:`interrupt` (which the process may catch and
-        recover from), ``kill`` delivers an arbitrary exception — the
+        """Throw ``exc`` into the process at the current time — the
         crash-injection hook for modelling a hardware unit dying
         mid-flight."""
         if not isinstance(exc, BaseException):
@@ -341,78 +323,6 @@ class Process(Event):
                             self._delay_epoch)
 
 
-class AllOf(Event):
-    """Fires when every child event has fired; value is the list of values."""
-
-    __slots__ = ("_pending", "_events", "_child_cb")
-
-    def __init__(self, engine: "Engine", events: Iterable[Event]):
-        super().__init__(engine)
-        self._events = list(events)
-        self._pending = len(self._events)
-        if self._pending == 0:
-            self.succeed([])
-            return
-        cb = self._child_cb = self._on_child
-        for ev in self._events:
-            if ev.triggered:
-                self._on_child(ev)
-            else:
-                ev.callbacks.append(cb)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([ev._value for ev in self._events])
-
-
-class AnyOf(Event):
-    """Fires when the first child event fires; value is (event, value).
-
-    When the first child fires, the callbacks registered on the *losing*
-    children are detached, so a long-lived event raced against many
-    short ones does not accumulate dead waiter references.
-    """
-
-    __slots__ = ("_events", "_child_cb")
-
-    def __init__(self, engine: "Engine", events: Iterable[Event]):
-        super().__init__(engine)
-        self._events = list(events)
-        if not self._events:
-            raise ValueError("AnyOf needs at least one event")
-        cb = self._child_cb = self._on_child
-        for ev in self._events:
-            if ev.triggered:
-                self._on_child(ev)
-                break
-            ev.callbacks.append(cb)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._detach_losers(event)
-        if event._exc is not None:
-            self.fail(event._exc)
-            return
-        self.succeed((event, event._value))
-
-    def _detach_losers(self, winner: Event) -> None:
-        cb = self._child_cb
-        for ev in self._events:
-            if ev is winner or ev.callbacks is None:
-                continue
-            try:
-                ev.callbacks.remove(cb)
-            except ValueError:
-                pass
-
-
 class Engine:
     """The event loop: a time-ordered heap plus a same-time ready-deque.
 
@@ -436,7 +346,6 @@ class Engine:
         #: :class:`~repro.errors.SimulatedCrash` once ``events_fired``
         #: reaches this count — the whole-machine-dies fault site
         self.crash_at_fired: Optional[int] = None
-        self._halted = False
         self._fire_cb: Callable = self._fire
 
     # -- public API ------------------------------------------------------
@@ -448,12 +357,6 @@ class Engine:
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at absolute time ``when`` (≥ now)."""
@@ -491,10 +394,8 @@ class Engine:
         branching in an unconditional loop, which makes simulated
         progress on every iteration and so never trips ``until``).
 
-        A call to :meth:`halt` from inside a callback stops the loop at
-        the current time (the graceful stop hook); an armed
-        ``crash_at_fired`` raises :class:`SimulatedCrash` instead (the
-        machine-dies hook).
+        An armed ``crash_at_fired`` raises :class:`SimulatedCrash` once
+        that many events have fired (the machine-dies hook).
 
         The cyclic collector is off while the loop runs
         (:func:`collector_quiesced`) and back in its prior state on
@@ -505,7 +406,6 @@ class Engine:
 
     def _run(self, until: Optional[float], max_events: Optional[int]) -> float:
         fired = 0
-        self._halted = False
         heap = self._heap
         ready = self._ready
         heappop = heapq.heappop
@@ -517,11 +417,11 @@ class Engine:
         try:
             if (until is None and max_events is None
                     and self.crash_at_fired is None):
-                # Run to idle with nothing to watch for but halt(): an
-                # instant is every heap entry stamped T in sequence
-                # order, then the deque until it is empty (nothing ever
-                # pushes a heap entry stamped ``now``).  A crash point
-                # must be armed before run(), not from a callback.
+                # Run to idle with nothing to watch for: an instant is
+                # every heap entry stamped T in sequence order, then the
+                # deque until it is empty (nothing ever pushes a heap
+                # entry stamped ``now``).  A crash point must be armed
+                # before run(), not from a callback.
                 popleft = ready.popleft
                 now = self.now
                 while True:
@@ -529,20 +429,16 @@ class Engine:
                         _when, _seq, fn, arg = heappop(heap)
                         fired += 1
                         fn(arg)
-                        if self._halted:
-                            return now
                     while ready:
                         _seq, fn, arg = popleft()
                         fired += 1
                         fn(arg)
-                        if self._halted:
-                            return now
                     if not heap:
                         return now
                     now = self.now = heap[0][0]
             unbounded = until is None
             unwatched = max_events is None
-            while not self._halted:
+            while True:
                 if ready:
                     # Same-time heap entries (lower seq) fire before the deque.
                     if heap and heap[0][0] <= self.now and heap[0][1] < ready[0][0]:
@@ -576,14 +472,9 @@ class Engine:
                     self._maybe_crash()
         finally:
             self.events_fired = base + fired
-        if not unbounded and not self._halted:
+        if not unbounded:
             self.now = max(self.now, until)
         return self.now
-
-    def halt(self) -> None:
-        """Stop the current :meth:`run` loop after the firing event's
-        callbacks finish; pending events stay queued for the next run."""
-        self._halted = True
 
     def _maybe_crash(self) -> None:
         if (self.crash_at_fired is not None

@@ -1,96 +1,56 @@
 """Synchronisation primitives built on the DES engine.
 
-These model the hardware structures BionicDB is built from: bounded
-FIFOs between pipeline stages, token pools that throttle in-flight DB
-instructions, and simple locks for lock tables on BRAM.
+These model the hardware structures BionicDB is built from: FIFOs
+between pipeline stages and token pools that throttle in-flight DB
+instructions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .engine import Engine, Event, SimulationError
 
-__all__ = ["Fifo", "TokenPool", "Gate", "Mutex"]
+__all__ = ["Fifo", "TokenPool"]
 
 
 class Fifo:
-    """A FIFO channel with optional capacity.
+    """An unbounded FIFO channel.
 
-    ``put(item)`` and ``get()`` both return events.  With ``capacity``
-    None the queue is unbounded and puts complete immediately — this is
-    how inter-stage queues are modelled (the paper permits "multiple
+    ``try_put(item)`` enqueues at once (or hands the item to the oldest
+    waiting getter); ``get()`` returns an event.  This is how
+    inter-stage queues are modelled (the paper permits "multiple
     outstanding DB instructions between neighbouring stages"; global
     occupancy is throttled by a :class:`TokenPool` instead).
     """
 
-    def __init__(self, engine: Engine, capacity: Optional[int] = None, name: str = ""):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
+    def __init__(self, engine: Engine, name: str = ""):
         self.engine = engine
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
         self.total_put = 0
         self.max_depth = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        ev = Event(self.engine)
+    def try_put(self, item: Any) -> None:
         self.total_put += 1
         if self._getters:
-            # Hand the item straight to the oldest waiting getter.
             self._getters.popleft().succeed(item)
-            ev.succeed(None)
-            return ev
+            return
         items = self._items
-        cap = self.capacity
-        if cap is None or len(items) < cap:
-            items.append(item)
-            depth = len(items)
-            if depth > self.max_depth:
-                self.max_depth = depth
-            ev.succeed(None)
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the queue is full."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            self.total_put += 1
-            return True
-        items = self._items
-        cap = self.capacity
-        if cap is not None and len(items) >= cap:
-            return False
         items.append(item)
-        self.total_put += 1
         depth = len(items)
         if depth > self.max_depth:
             self.max_depth = depth
-        return True
 
     def get(self) -> Event:
         ev = Event(self.engine)
         if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            ev.succeed(item)
-        elif self._putters:
-            put_ev, item = self._putters.popleft()
-            put_ev.succeed(None)
-            ev.succeed(item)
+            ev.succeed(self._items.popleft())
         else:
             self._getters.append(ev)
         return ev
@@ -98,23 +58,8 @@ class Fifo:
     def try_get(self) -> tuple:
         """Non-blocking get; returns (ok, item)."""
         if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            return True, item
-        if self._putters:
-            put_ev, item = self._putters.popleft()
-            put_ev.succeed(None)
-            return True, item
+            return True, self._items.popleft()
         return False, None
-
-    def _admit_putter(self) -> None:
-        if self._putters and not self.is_full:
-            put_ev, item = self._putters.popleft()
-            self._items.append(item)
-            depth = len(self._items)
-            if depth > self.max_depth:
-                self.max_depth = depth
-            put_ev.succeed(None)
 
 
 class TokenPool:
@@ -178,58 +123,3 @@ class TokenPool:
             self.available -= 1
             self.total_acquired += 1
             self._waiters.popleft().succeed(None)
-
-
-class Gate:
-    """A level-triggered condition: processes wait until it is opened."""
-
-    def __init__(self, engine: Engine, open_: bool = False):
-        self.engine = engine
-        self._open = open_
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> Event:
-        ev = Event(self.engine)
-        if self._open:
-            ev.succeed(None)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def open(self) -> None:
-        self._open = True
-        while self._waiters:
-            self._waiters.popleft().succeed(None)
-
-    def close(self) -> None:
-        self._open = False
-
-
-class Mutex:
-    """A simple FIFO mutex (used for per-entry lock-table waits)."""
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self.locked = False
-        self._waiters: Deque[Event] = deque()
-
-    def acquire(self) -> Event:
-        ev = Event(self.engine)
-        if not self.locked:
-            self.locked = True
-            ev.succeed(None)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if not self.locked:
-            raise SimulationError("mutex released while unlocked")
-        if self._waiters:
-            self._waiters.popleft().succeed(None)
-        else:
-            self.locked = False

@@ -52,8 +52,8 @@ What the generated code must reproduce is what the procedure *does in
 simulated time*: every cycle charge, DRAM read, CP-register wait and
 commit-protocol apply happens at the simulated instant it always did,
 and every side effect executes at its instruction's place in program
-order.  The observables in :mod:`repro.perf.equivalence` (static,
-dynamic scheduling and trace digest, the latter two captured from the
+order.  The observables in ``tests/goldens.py`` (static, dynamic
+scheduling and trace digest, the latter two captured from the
 instruction interpreter this module replaced) pin that.
 
 How many engine work items it takes is not part of the contract.  An

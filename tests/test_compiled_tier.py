@@ -21,20 +21,9 @@ from repro.core import BionicConfig, BionicDB
 from repro.isa.builder import ProcedureBuilder
 from repro.isa.instructions import Gp, Section
 from repro.mem.schema import IndexKind, SchemaError, TableSchema
-from repro.perf import (
-    GOLDEN_INTERPRETER,
-    GOLDEN_SMOKE,
-    OBSERVABLES,
-    POINTS,
-    SCENARIOS,
-    agrees,
-    run_point,
-    run_sweep,
-    ycsb_scenario,
-)
+from repro.perf import POINTS, run_point, run_sweep
 from repro.perf.__main__ import main
-from repro.perf.equivalence import _fingerprint
-from repro.perf.sweep import _merge_into, _point_seed, sweep_main
+from repro.perf.sweep import _fingerprint, _merge_into, _point_seed
 from repro.sim.trace import Tracer
 from repro.softcore import SoftcoreConfig
 from repro.workloads import (
@@ -43,13 +32,16 @@ from repro.workloads import (
 from repro.workloads.ycsb import PROC_READ_BASE, YCSB_TABLE
 
 from conftest import heap_image, per_row as _per_row
+from goldens import (
+    GOLDEN_MODES, GOLDEN_SMOKE, OBSERVABLES, agrees, ycsb_scenario,
+)
 
 
 # -- the interpreter's behaviour, kept as data -------------------------------
 
 def test_dynamic_scheduling_matches_the_interpreter():
     got = ycsb_scenario(softcore=SoftcoreConfig(dynamic_scheduling=True))
-    assert agrees(got, GOLDEN_INTERPRETER["dynamic"]), got
+    assert agrees(got, GOLDEN_MODES["dynamic"]), got
 
 
 def test_traced_run_matches_the_interpreter_line_for_line():
@@ -57,7 +49,7 @@ def test_traced_run_matches_the_interpreter_line_for_line():
     traced = ycsb_scenario(tracer=tracer)
     assert not tracer.dropped
     digest = hashlib.sha256(tracer.format().encode()).hexdigest()
-    assert digest == GOLDEN_INTERPRETER["trace_sha256"]
+    assert digest == GOLDEN_MODES["trace_sha256"]
     # observing the run changes nothing it simulates
     assert agrees(traced, GOLDEN_SMOKE["ycsb_smoke"]), traced
     untraced = ycsb_scenario()
@@ -383,11 +375,10 @@ def test_run_sweep_serial_keeps_registry_order(monkeypatch):
 
 def test_merge_into_preserves_other_sections(tmp_path):
     out = tmp_path / "bench.json"
-    out.write_text(json.dumps({"schema": "repro.perf/v2",
-                               "simspeed": {"x": 1}}))
+    out.write_text(json.dumps({"notes": {"x": 1}}))
     _merge_into(str(out), {"p": {"now_ns": 1.0}})
     data = json.loads(out.read_text())
-    assert data["simspeed"] == {"x": 1}
+    assert data["notes"] == {"x": 1}
     assert data["sweep"]["p"]["now_ns"] == 1.0
     assert "cpu_count" in data["sweep_meta"]
     # a second merge updates in place without dropping earlier points
@@ -397,7 +388,7 @@ def test_merge_into_preserves_other_sections(tmp_path):
 
 
 def test_sweep_main_list_exits_clean(capsys):
-    assert sweep_main(["--list"]) == 0
+    assert main(["--list"]) == 0
     printed = capsys.readouterr().out
     for name in POINTS:
         assert name in printed
@@ -407,27 +398,10 @@ def test_sweep_main_merges_points(monkeypatch, tmp_path, capsys):
     _install_tiny_points(monkeypatch)
     out = tmp_path / "bench.json"
     # jobs=1: the monkeypatched registry does not exist in pool workers
-    rc = sweep_main(["--points", "tiny_ycsb,tiny_ycsb_b",
-                     "--jobs", "1", "--out", str(out)])
+    rc = main(["--points", "tiny_ycsb,tiny_ycsb_b",
+               "--jobs", "1", "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
     assert set(data["sweep"]) == {"tiny_ycsb", "tiny_ycsb_b"}
     assert data["sweep"]["tiny_ycsb"]["throughput_tps"] > 0
 
-
-# -- CLI filters -------------------------------------------------------------
-
-def test_cli_list_prints_scenarios(capsys):
-    assert main(["--list"]) == 0
-    printed = capsys.readouterr().out.split()
-    assert set(SCENARIOS) <= set(printed)
-
-
-def test_cli_rejects_unknown_scenario(capsys):
-    with pytest.raises(SystemExit):
-        main(["--scenario", "nope"])
-
-
-def test_cli_sweep_subcommand_routes(capsys):
-    assert main(["sweep", "--list"]) == 0
-    assert "ycsb_paper_300k" in capsys.readouterr().out

@@ -10,38 +10,6 @@ from repro.sim import ClockDomain, DramModel, Engine, Heap, SimulationError
 
 
 class TestEngineCorners:
-    def test_anyof_failure_propagates(self):
-        eng = Engine()
-        bad = eng.event()
-        caught = []
-
-        def proc():
-            try:
-                yield eng.any_of([bad, eng.timeout(100)])
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        eng.process(proc())
-        eng.call_after(1, lambda: bad.fail(RuntimeError("child failed")))
-        eng.run()
-        assert caught == ["child failed"]
-
-    def test_allof_failure_propagates(self):
-        eng = Engine()
-        bad = eng.event()
-        caught = []
-
-        def proc():
-            try:
-                yield eng.all_of([eng.timeout(1), bad])
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        eng.process(proc())
-        eng.call_after(2, lambda: bad.fail(RuntimeError("nope")))
-        eng.run()
-        assert caught == ["nope"]
-
     def test_event_value_before_trigger_raises(self):
         eng = Engine()
         ev = eng.event()
@@ -54,7 +22,7 @@ class TestEngineCorners:
         with pytest.raises(TypeError):
             ev.fail("not an exception")
 
-    def test_interrupt_after_completion_is_noop(self):
+    def test_kill_after_completion_is_noop(self):
         eng = Engine()
 
         def quick():
@@ -62,8 +30,9 @@ class TestEngineCorners:
 
         proc = eng.process(quick())
         eng.run()
-        proc.interrupt("late")  # must not raise
+        proc.kill(RuntimeError("late"))  # must not raise
         eng.run()
+        assert proc.ok
 
 
 class TestMemoryPortCorners:

@@ -21,8 +21,11 @@ from repro.faults import (
 )
 from repro.frontend import FrontEnd, FrontendConfig, SessionConfig
 from repro.host import CommandLog, DurableClient, take_checkpoint
+from repro.host.command_log import LOG_MAGIC, LogRecord
 from repro.host.durable import FrameAppender, atomic_write_bytes, read_frames
-from repro.host.recovery import Checkpoint, RecoveryError, RecoveryManager
+from repro.host.recovery import (
+    CKPT_MAGIC, Checkpoint, RecoveryError, RecoveryManager,
+)
 from repro.isa import Gp, ProcedureBuilder
 from repro.mem import IndexKind, TableSchema, TxnStatus
 
@@ -356,8 +359,13 @@ class TestMachineCrash:
 
 
 # ---------------------------------------------------------------------------
-# Legacy checkpoint loader error surfaces (satellite 1)
+# Unframed files: a file without the artifact's magic is never unpickled
 # ---------------------------------------------------------------------------
+
+def _assert_bad_magic(err, magic):
+    assert "bad magic" in str(err.value)
+    assert err.value.details["expected"] == magic
+
 
 class TestLegacyCheckpointErrors:
     def test_garbage_pickle_names_original_failure(self, tmp_path):
@@ -365,27 +373,41 @@ class TestLegacyCheckpointErrors:
         path.write_bytes(b"\x80\x04completely-bogus")
         with pytest.raises(CorruptionError) as err:
             Checkpoint.load(path)
-        assert "legacy" in str(err.value)
+        _assert_bad_magic(err, CKPT_MAGIC)
 
     def test_legacy_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         path.write_bytes(pickle.dumps({"not": "a pair"}))
         with pytest.raises(CorruptionError) as err:
             Checkpoint.load(path)
-        assert "pair" in str(err.value) or "legacy" in str(err.value)
+        _assert_bad_magic(err, CKPT_MAGIC)
 
     def test_legacy_wrong_types_rejected(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         path.write_bytes(pickle.dumps(([1, 2], "not-an-int")))
-        with pytest.raises(CorruptionError):
+        with pytest.raises(CorruptionError) as err:
             Checkpoint.load(path)
+        _assert_bad_magic(err, CKPT_MAGIC)
 
-    def test_legacy_valid_pair_still_loads(self, tmp_path):
-        path = tmp_path / "ckpt.bin"
-        rows = {(0, 0): [(1, ["v"], 10)]}
-        path.write_bytes(pickle.dumps((rows, 42)))
-        ckpt = Checkpoint.load(path)
-        assert ckpt.rows == rows and ckpt.last_commit_ts == 42
+    def test_well_formed_unframed_pickles_are_rejected(self, tmp_path):
+        """The pre-framing formats — a pickled ``(rows, ts)`` pair and a
+        pickled record list — carry no CRC and are not loaded."""
+        ckpt_path = tmp_path / "ckpt.bin"
+        ckpt_path.write_bytes(pickle.dumps(({(0, 0): [(1, ["v"], 10)]}, 42)))
+        with pytest.raises(CorruptionError) as err:
+            Checkpoint.load(ckpt_path)
+        _assert_bad_magic(err, CKPT_MAGIC)
+
+        record = LogRecord(txn_id=1, proc_id=2, inputs=(7,), home_worker=0,
+                           layout_inputs=1, layout_outputs=0,
+                           layout_scratch=0, layout_undo=0, layout_scan=0,
+                           status=TxnStatus.COMMITTED.value, commit_ts=3)
+        log_path = tmp_path / "cmd.log"
+        log_path.write_bytes(pickle.dumps([record]))
+        for strict in (True, False):
+            with pytest.raises(CorruptionError) as err:
+                CommandLog.load(log_path, strict=strict)
+            _assert_bad_magic(err, LOG_MAGIC)
 
 
 # ---------------------------------------------------------------------------

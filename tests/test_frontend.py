@@ -257,16 +257,14 @@ class TestTokenBucket:
         bucket = TokenBucket(engine, rate_tps=1_000_000.0, burst=2)
         assert bucket.try_take() and bucket.try_take()
         assert not bucket.try_take()
-        engine.timeout(2_000.0)       # 2 us at 1 token/us
-        engine.run()
+        engine.run(until=2_000.0)     # 2 us at 1 token/us
         assert bucket.try_take() and bucket.try_take()
         assert not bucket.try_take()
 
     def test_tokens_cap_at_burst(self):
         engine = Engine()
         bucket = TokenBucket(engine, rate_tps=1_000_000.0, burst=3)
-        engine.timeout(1e9)
-        engine.run()
+        engine.run(until=1e9)
         for _ in range(3):
             assert bucket.try_take()
         assert not bucket.try_take()
@@ -325,8 +323,7 @@ class TestDispatchScheduler:
 
     def test_expired_request_is_timed_out_not_submitted(self):
         engine = Engine()
-        engine.timeout(50_000.0)
-        engine.run()                      # now = 50 us
+        engine.run(until=50_000.0)        # now = 50 us
         sched, order = self._scheduler(engine, "fifo")
         sched.register_session(0, 1.0)
         sched.enqueue(_StubRequest(0, "dead", deadline=10_000.0))

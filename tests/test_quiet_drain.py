@@ -14,9 +14,10 @@ from repro.core import BionicConfig, BionicDB
 from repro.frontend import FrontEnd, SessionConfig
 from repro.isa import ProcedureBuilder
 from repro.mem.schema import SchemaError
-from repro.perf.equivalence import SETUPS
-from repro.sim import Engine
+from repro.sim import Engine, SimulationError
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
+
+from goldens import SETUPS
 
 
 def _frontend_setup():
@@ -104,17 +105,21 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, raises):
 
 
 def test_every_exit_of_the_engine_loop_restores_the_collector():
-    # until=, max_events= and halt() leave through different branches
+    # until=, the max_events= watchdog, the watched loop draining and
+    # the run-to-idle loop draining leave through different branches
     assert gc.isenabled()
     engine = Engine()
     seen = []
-    for t in range(1, 6):
+    for t in range(1, 8):
         engine.call_at(float(t), lambda: seen.append(gc.isenabled()))
-    engine.call_at(3.5, engine.halt)
     engine.run(until=1.5)
     assert gc.isenabled()
-    engine.run(max_events=10)           # stops at the halt
-    assert gc.isenabled() and engine.now == 3.5
+    with pytest.raises(SimulationError, match="watchdog"):
+        engine.run(max_events=2)        # trips after t=2 and t=3
+    assert gc.isenabled() and engine.now == 3.0
+    engine.run(max_events=10)           # the watched loop drains
+    assert gc.isenabled() and engine.now == 7.0
+    engine.call_at(8.0, lambda: seen.append(gc.isenabled()))
     engine.run()
     assert gc.isenabled() and engine.idle
-    assert seen == [False] * 5
+    assert seen == [False] * 8

@@ -8,8 +8,6 @@ runaway simulations — and check that every one surfaces as a typed
 from the guts of the simulator.
 """
 
-import pickle
-
 import pytest
 
 from repro.core import BionicConfig, BionicDB
@@ -405,14 +403,6 @@ class TestCommandLogDurability:
         assert salvaged.truncated
         assert len(salvaged) == len(log) - 1
 
-    def test_legacy_pickle_log_still_loads(self, tmp_path):
-        log = self._populated_log(make_db())
-        path = tmp_path / "cmd.log"
-        with open(path, "wb") as f:          # the pre-framing format
-            pickle.dump(list(log.records()), f)
-        loaded = CommandLog.load(path)
-        assert len(loaded) == len(log)
-
     def test_garbage_record_rejected(self, tmp_path):
         path = tmp_path / "cmd.log"
         write_frames(path, LOG_MAGIC, [{"not": "a record"}])
@@ -445,17 +435,6 @@ class TestCheckpointDurability:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptionError):
             Checkpoint.load(path)
-
-    def test_legacy_checkpoint_still_loads(self, tmp_path):
-        db = make_db()
-        db.load(0, 1, ["v"])
-        ckpt = take_checkpoint(db)
-        path = tmp_path / "ckpt.bin"
-        with open(path, "wb") as f:          # the pre-framing format
-            pickle.dump((ckpt.rows, ckpt.last_commit_ts), f)
-        restored = Checkpoint.load(path)
-        assert restored.rows == ckpt.rows
-        assert restored.last_commit_ts == ckpt.last_commit_ts
 
     def test_replay_with_missing_procedure_is_a_recovery_error(self):
         db = make_db()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Event, Interrupt, SimulationError
+from repro.sim import Engine, Event, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -130,46 +130,6 @@ def test_event_fail_raises_in_waiter():
     assert caught == ["bad"]
 
 
-def test_all_of_waits_for_every_event():
-    eng = Engine()
-    results = []
-
-    def proc():
-        values = yield eng.all_of([eng.timeout(5, "a"), eng.timeout(9, "b"),
-                                   eng.timeout(2, "c")])
-        results.append((eng.now, values))
-
-    eng.process(proc())
-    eng.run()
-    assert results == [(9, ["a", "b", "c"])]
-
-
-def test_all_of_empty_fires_immediately():
-    eng = Engine()
-    results = []
-
-    def proc():
-        values = yield eng.all_of([])
-        results.append(values)
-
-    eng.process(proc())
-    eng.run()
-    assert results == [[]]
-
-
-def test_any_of_fires_on_first():
-    eng = Engine()
-    results = []
-
-    def proc():
-        event, value = yield eng.any_of([eng.timeout(5, "slow"), eng.timeout(2, "fast")])
-        results.append((eng.now, value))
-
-    eng.process(proc())
-    eng.run()
-    assert results == [(2, "fast")]
-
-
 def test_run_until_limit_stops_early():
     eng = Engine()
     seen = []
@@ -183,22 +143,6 @@ def test_run_until_limit_stops_early():
     eng.run(until=35)
     assert seen == [10, 20, 30]
     assert eng.now == 35
-
-
-def test_interrupt_wakes_sleeping_process():
-    eng = Engine()
-    log = []
-
-    def sleeper():
-        try:
-            yield 1000
-        except Interrupt as intr:
-            log.append(("interrupted", eng.now, intr.cause))
-
-    proc = eng.process(sleeper())
-    eng.call_after(4, lambda: proc.interrupt("wakeup"))
-    eng.run()
-    assert log == [("interrupted", 4, "wakeup")]
 
 
 def test_call_at_in_past_raises():
@@ -256,8 +200,12 @@ def test_nested_processes_compose():
 
 # -- hot-path overhaul regressions -------------------------------------------
 
-def test_interrupt_while_waiting_on_event_no_double_resume():
-    # The interrupted process must not also be resumed when the original
+class _Killed(Exception):
+    pass
+
+
+def test_kill_while_waiting_on_event_no_double_resume():
+    # The killed process must not also be resumed when the original
     # event later fires (the O(1) tombstone replaces callbacks.remove).
     eng = Engine()
     gate = Event(eng)
@@ -267,25 +215,25 @@ def test_interrupt_while_waiting_on_event_no_double_resume():
         try:
             yield gate
             log.append("resumed")
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause))
+        except _Killed as exc:
+            log.append(("killed", str(exc)))
             yield 100
             log.append("slept")
 
     def driver(p):
         yield 5
-        p.interrupt("bored")
+        p.kill(_Killed("bored"))
         yield 5
         gate.succeed("late")
 
     p = eng.process(waiter())
     eng.process(driver(p))
     eng.run()
-    assert log == [("interrupted", "bored"), "slept"]
+    assert log == [("killed", "bored"), "slept"]
 
 
-def test_interrupt_during_delay_no_stale_wakeup():
-    # Interrupting a numeric sleep must cancel the pending wakeup (the
+def test_kill_during_delay_no_stale_wakeup():
+    # Killing a numeric sleep must cancel the pending wakeup (the
     # delay-epoch check), even if the process immediately sleeps again
     # across the original wakeup time.
     eng = Engine()
@@ -295,37 +243,18 @@ def test_interrupt_during_delay_no_stale_wakeup():
         try:
             yield 10
             log.append("full sleep")
-        except Interrupt:
+        except _Killed:
             yield 20
             log.append(eng.now)
 
     def driver(p):
         yield 4
-        p.interrupt()
+        p.kill(_Killed())
 
     p = eng.process(sleeper())
     eng.process(driver(p))
     eng.run()
     assert log == [24]
-
-
-def test_any_of_detaches_loser_callbacks():
-    eng = Engine()
-    winner = Event(eng)
-    loser = Event(eng)
-    got = []
-
-    def waiter():
-        value = yield eng.any_of([winner, loser])
-        got.append(value)
-
-    eng.process(waiter())
-    eng.run()
-    winner.succeed("w")
-    eng.run()
-    assert got == [(winner, "w")]
-    # the AnyOf must have removed itself from the losing event
-    assert loser.callbacks == []
 
 
 def test_same_time_heap_and_ready_interleave_in_seq_order():
@@ -371,35 +300,6 @@ def test_run_to_idle_publishes_events_fired():
     # the kick, ten wake-ups and the process's own completion event
     assert eng.events_fired == 12
     assert eng.idle
-
-
-def test_halt_stops_run_after_the_current_firing_and_resumes_in_order():
-    # three heap entries stamped t=5, each queueing same-instant work:
-    # halting inside the first must leave the other two *ahead* of the
-    # deque when the run resumes
-    def scenario(halt):
-        eng = Engine()
-        order = []
-
-        def at_five(tag):
-            order.append(tag)
-            eng.call_fn_at(eng.now, order.append, tag + "-chained")
-            if halt and tag == "h0":
-                eng.halt()
-
-        for i in range(3):
-            eng.call_fn_at(5, at_five, f"h{i}")
-        eng.call_fn_at(6, order.append, "later")
-        eng.run()
-        stopped_at = (eng.now, list(order), eng.events_fired)
-        eng.run()
-        return stopped_at, order
-
-    (now, seen, fired), resumed = scenario(halt=True)
-    assert (now, seen, fired) == (5, ["h0"], 1)
-    _, straight = scenario(halt=False)
-    assert resumed == straight == ["h0", "h1", "h2", "h0-chained",
-                                   "h1-chained", "h2-chained", "later"]
 
 
 def test_run_max_events_is_a_raising_watchdog():

@@ -1,8 +1,8 @@
-"""Unit tests for FIFOs, token pools, gates and mutexes."""
+"""Unit tests for FIFOs and token pools."""
 
 import pytest
 
-from repro.sim import Engine, Fifo, Gate, Mutex, SimulationError, TokenPool
+from repro.sim import Engine, Fifo, SimulationError, TokenPool
 
 
 def drive(eng):
@@ -16,8 +16,9 @@ class TestFifo:
         got = []
 
         def producer():
-            yield q.put("a")
-            yield q.put("b")
+            q.try_put("a")
+            q.try_put("b")
+            yield 0
 
         def consumer():
             yield 5
@@ -40,33 +41,12 @@ class TestFifo:
 
         def producer():
             yield 9
-            yield q.put("late")
+            q.try_put("late")
 
         eng.process(consumer())
         eng.process(producer())
         drive(eng)
         assert got == [(9, "late")]
-
-    def test_capacity_blocks_putter(self):
-        eng = Engine()
-        q = Fifo(eng, capacity=1)
-        times = []
-
-        def producer():
-            yield q.put(1)
-            times.append(eng.now)
-            yield q.put(2)  # blocks until consumer frees a slot
-            times.append(eng.now)
-
-        def consumer():
-            yield 20
-            yield q.get()
-
-        eng.process(producer())
-        eng.process(consumer())
-        drive(eng)
-        assert times[0] == 0
-        assert times[1] == 20
 
     def test_fifo_ordering_across_many_items(self):
         eng = Engine()
@@ -75,7 +55,7 @@ class TestFifo:
 
         def producer():
             for i in range(50):
-                yield q.put(i)
+                q.try_put(i)
                 yield 1
 
         def consumer():
@@ -89,31 +69,21 @@ class TestFifo:
 
     def test_try_put_and_try_get(self):
         eng = Engine()
-        q = Fifo(eng, capacity=1)
-        assert q.try_put("x") is True
-        assert q.try_put("y") is False
-        ok, item = q.try_get()
-        assert ok and item == "x"
-        ok, _item = q.try_get()
-        assert not ok
+        q = Fifo(eng)
+        q.try_put("x")
+        q.try_put("y")
+        assert [q.try_get() for _ in range(3)] == [
+            (True, "x"), (True, "y"), (False, None)]
 
     def test_max_depth_tracked(self):
         eng = Engine()
         q = Fifo(eng)
-
-        def producer():
-            for i in range(4):
-                yield q.put(i)
-
-        eng.process(producer())
-        drive(eng)
+        for i in range(4):
+            q.try_put(i)
+        q.try_get()
+        q.try_put(4)
         assert q.max_depth == 4
-        assert q.total_put == 4
-
-    def test_bad_capacity_rejected(self):
-        eng = Engine()
-        with pytest.raises(ValueError):
-            Fifo(eng, capacity=0)
+        assert q.total_put == 5
 
 
 class TestTokenPool:
@@ -172,73 +142,3 @@ class TestTokenPool:
         eng.run(until=50)
         assert pool.in_use == 2
         assert pool.available == 1
-
-
-class TestGate:
-    def test_wait_until_open(self):
-        eng = Engine()
-        gate = Gate(eng)
-        passed = []
-
-        def waiter():
-            yield gate.wait()
-            passed.append(eng.now)
-
-        eng.process(waiter())
-        eng.call_after(12, gate.open)
-        drive(eng)
-        assert passed == [12]
-
-    def test_open_gate_passes_immediately(self):
-        eng = Engine()
-        gate = Gate(eng, open_=True)
-        passed = []
-
-        def waiter():
-            yield gate.wait()
-            passed.append(eng.now)
-
-        eng.process(waiter())
-        drive(eng)
-        assert passed == [0]
-
-    def test_close_reblocks(self):
-        eng = Engine()
-        gate = Gate(eng, open_=True)
-        gate.close()
-        passed = []
-
-        def waiter():
-            yield gate.wait()
-            passed.append(eng.now)
-
-        eng.process(waiter())
-        eng.call_after(3, gate.open)
-        drive(eng)
-        assert passed == [3]
-
-
-class TestMutex:
-    def test_mutual_exclusion(self):
-        eng = Engine()
-        m = Mutex(eng)
-        critical = []
-
-        def worker(tag):
-            yield m.acquire()
-            critical.append((tag, "in", eng.now))
-            yield 10
-            critical.append((tag, "out", eng.now))
-            m.release()
-
-        eng.process(worker("a"))
-        eng.process(worker("b"))
-        drive(eng)
-        assert critical == [("a", "in", 0), ("a", "out", 10),
-                            ("b", "in", 10), ("b", "out", 20)]
-
-    def test_release_unlocked_raises(self):
-        eng = Engine()
-        m = Mutex(eng)
-        with pytest.raises(SimulationError):
-            m.release()
