@@ -28,14 +28,6 @@ def test_cluster_scale_out(benchmark):
     assert two > one * 1.6       # near-linear on partition-local work
 
 
-def test_latency_grows_with_offered_load(benchmark):
-    from repro.bench import run_latency_curve
-    report = run_once(benchmark, run_latency_curve, n_txns=120)
-    p99 = report.series[0].ys
-    assert p99[-1] > p99[0] * 1.5   # queueing delay appears near saturation
-    assert all(a <= b * 1.35 for a, b in zip(p99, p99[1:]))  # ~monotone
-
-
 def test_full_tpcc_mix(benchmark):
     from repro.bench import run_full_tpcc_mix
     report = run_once(benchmark, run_full_tpcc_mix, n_txns=150)

@@ -7,6 +7,9 @@ that it runs:
   p99 at 0.5x load, and goodput at 1.5x stays within 15% of peak;
 * without admission control, the open-loop backlog shows up as p99
   growing far past the admission-on curve at the same offered load.
+
+The figure test checks that the no-admission p99 series grows with
+offered load, near-monotonically.
 """
 
 import pytest
@@ -54,4 +57,7 @@ def test_hockey_stick_acceptance():
 
 
 def test_latency_load_figure(benchmark):
-    run_once(benchmark, run_latency_load, n_txns=500)
+    report = run_once(benchmark, run_latency_load, n_txns=500)
+    p99 = next(s for s in report.series if s.name == "p99 (no admission)").ys
+    assert p99[-1] > p99[0] * 1.5   # queueing delay appears near saturation
+    assert all(a <= b * 1.35 for a, b in zip(p99, p99[1:]))  # ~monotone

@@ -61,9 +61,9 @@ def saturated_tps() -> float:
 def overload_run(saturated: float, admission: bool):
     db = build_db()
     fe = FrontEnd(db, FrontendConfig(
-        admission=AdmissionConfig(enabled=admission,
-                                  rate_tps=0.9 * saturated, burst=64,
-                                  max_backlog=64),
+        admission=(AdmissionConfig(rate_tps=0.9 * saturated, burst=64,
+                                   max_backlog=64)
+                   if admission else AdmissionConfig()),
         scheduler=SchedulerConfig(policy="edf",
                                   max_inflight_per_worker=8)))
     # two tenants, both offering 1x saturation (2x total); SLO = 150 us

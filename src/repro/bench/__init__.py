@@ -25,14 +25,14 @@ __all__ += ["measure_latency_load", "run_latency_load"]
 
 from .ablations import (  # noqa: E402
     run_cluster_scale_out, run_dynamic_scheduling,
-    run_full_tpcc_mix, run_hazard_prevention_cost, run_latency_curve,
-    run_line_buffer_ablation, run_scale_up, run_traverse_stage_sweep,
+    run_full_tpcc_mix, run_hazard_prevention_cost, run_line_buffer_ablation,
+    run_scale_up, run_traverse_stage_sweep,
 )
 
 __all__ += [
     "run_cluster_scale_out", "run_dynamic_scheduling",
     "run_hazard_prevention_cost", "run_line_buffer_ablation", "run_scale_up",
-    "run_traverse_stage_sweep", "run_latency_curve", "run_full_tpcc_mix",
+    "run_traverse_stage_sweep", "run_full_tpcc_mix",
 ]
 
 from .fig_index3 import (  # noqa: E402

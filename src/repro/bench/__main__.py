@@ -20,8 +20,7 @@ import sys
 import time
 
 from . import (
-    run_cluster_scale_out, run_dynamic_scheduling,
-    run_full_tpcc_mix, run_latency_curve,
+    run_cluster_scale_out, run_dynamic_scheduling, run_full_tpcc_mix,
     run_fig9a, run_fig9b, run_fig10a, run_fig10b, run_fig10c, run_fig10d,
     run_fig11a, run_fig11b, run_fig11c, run_fig11d, run_fig12a, run_fig12b,
     run_fig13, run_hazard_prevention_cost, run_index3_point,
@@ -59,7 +58,6 @@ EXPERIMENTS = {
                     {"txns_per_worker": 15}),
     "ext-cluster": (run_cluster_scale_out, {"n_txns_per_part": 40},
                     {"n_txns_per_part": 20}),
-    "ext-latency": (run_latency_curve, {"n_txns": 150}, {"n_txns": 80}),
     "ext-frontend": (run_latency_load, {"n_txns": 1500}, {"n_txns": 500}),
     "ext-fullmix": (run_full_tpcc_mix, {"n_txns": 200}, {"n_txns": 100}),
     "ext-index3": (run_index3_point, {"n_ops": 600}, {"n_ops": 200}),

@@ -29,7 +29,7 @@ __all__ = [
     "run_traverse_stage_sweep", "run_hazard_prevention_cost",
     "run_line_buffer_ablation",
     "run_dynamic_scheduling", "run_scale_up", "run_cluster_scale_out",
-    "run_latency_curve", "run_full_tpcc_mix",
+    "run_full_tpcc_mix",
 ]
 
 
@@ -265,63 +265,6 @@ def run_cluster_scale_out(n_txns_per_part: int = 40) -> FigureReport:
     series = report.new_series("local YCSB-C")
     series.add(run(1))
     series.add(run(2))
-    return report
-
-
-# -- latency under open-loop load ------------------------------------------
-def run_latency_curve(loads=(0.2, 0.4, 0.6, 0.8, 0.95),
-                      n_txns: int = 150) -> FigureReport:
-    """Extension: the latency-vs-load hockey stick the paper's
-    closed-loop (pre-populated input queue) methodology hides.  Loads
-    are fractions of the saturated YCSB-C throughput."""
-    from ..frontend import FrontEnd, FrontendConfig, SessionConfig
-
-    report = FigureReport(
-        "Extension: latency under load",
-        "YCSB-C p99 latency vs offered load (open-loop Poisson clients)",
-        x_label="load (x saturation)", unit="us",
-        paper_expectations={
-            "note": "the paper reports saturated throughput only; an "
-                    "open-loop client exposes queueing delay",
-        })
-
-    def fresh():
-        cfg = YcsbConfig(records_per_partition=5000)
-        db = BionicDB(BionicConfig())
-        workload = YcsbWorkload(cfg)
-        workload.install(db)
-        return db, workload
-
-    # saturated throughput from a closed-loop burst
-    db, workload = fresh()
-    sat_report, _ = workload.submit_all(db, workload.make_read_txns(120))
-    saturated = sat_report.throughput_tps
-
-    report.xs = list(loads)
-    p99 = report.new_series("p99 latency")
-    mean = report.new_series("mean latency")
-    for frac in loads:
-        db, workload = fresh()
-        specs = workload.make_read_txns(n_txns)
-
-        def make_txn(i, _specs=specs, _w=workload, _db=db):
-            spec = _specs[i]
-            block = _db.new_block(spec.proc_id, list(spec.inputs),
-                                  layout=_w.read_layout(len(spec.keys)),
-                                  worker=spec.home)
-            return block, spec.home
-
-        # open-loop Poisson arrivals through a pass-through front-end:
-        # blocks reach their home workers at their arrival instants
-        frontend = FrontEnd(db, FrontendConfig.passthrough())
-        session = frontend.session(make_txn, SessionConfig(
-            name="open-loop", rate_tps=frac * saturated,
-            n_requests=n_txns, seed=5))
-        frontend.run()
-        latencies = session.stats.latencies_ns
-        p99.add(session.stats.percentile_ns(99) / 1000.0)
-        mean.add(sum(latencies) / len(latencies) / 1000.0)
-    report.note(f"saturated closed-loop throughput: {saturated/1e3:.1f} kTps")
     return report
 
 

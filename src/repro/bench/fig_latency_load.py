@@ -48,9 +48,9 @@ def _saturated_tps(n_txns: int) -> float:
 
 def _frontend_config(admission: bool, saturated: float) -> FrontendConfig:
     return FrontendConfig(
-        admission=AdmissionConfig(enabled=admission,
-                                  rate_tps=0.9 * saturated,
-                                  burst=64, max_backlog=64),
+        admission=(AdmissionConfig(rate_tps=0.9 * saturated, burst=64,
+                                   max_backlog=64)
+                   if admission else AdmissionConfig()),
         scheduler=SchedulerConfig(policy="fifo", max_inflight_per_worker=8),
     )
 

@@ -14,12 +14,12 @@ from .admission import (
 from .core import FrontEnd, FrontendConfig
 from .nic import Nic, NicConfig
 from .resilience import (
-    BreakerBank, BreakerConfig, BrownoutConfig, BrownoutController,
-    CircuitBreaker, ResilienceConfig, RetryBudget, RetryBudgetConfig,
+    BreakerBank, BreakerConfig, BrownoutController, CircuitBreaker,
+    ResilienceConfig, RetryBudget, RetryBudgetConfig,
     REASON_BREAKER, REASON_BROWNOUT, REASON_PARK_EXPIRED,
     REASON_RETRY_BUDGET,
 )
-from .router import ClusterRetryRouter, ClusterRouterConfig, RequestRouter
+from .router import ClusterRetryRouter, RequestRouter
 from .scheduler import DispatchScheduler, SchedulerConfig
 from .session import ClientSession, Request, SessionConfig
 from .slo import FrontendReport, SessionStats
@@ -33,8 +33,8 @@ __all__ = [
     "FrontendReport", "SessionStats",
     "ResilienceConfig", "RetryBudget", "RetryBudgetConfig",
     "CircuitBreaker", "BreakerBank", "BreakerConfig",
-    "BrownoutController", "BrownoutConfig",
-    "RequestRouter", "ClusterRetryRouter", "ClusterRouterConfig",
+    "BrownoutController",
+    "RequestRouter", "ClusterRetryRouter",
     "REASON_BACKLOG", "REASON_DEADLINE", "REASON_RATE", "REASON_RX_OVERFLOW",
     "REASON_BROWNOUT", "REASON_BREAKER", "REASON_RETRY_BUDGET",
     "REASON_PARK_EXPIRED",

@@ -47,8 +47,9 @@ REASON_DEADLINE = "deadline-exceeded"
 
 @dataclass
 class AdmissionConfig:
-    #: master switch; disabled = every delivered packet is admitted
-    enabled: bool = True
+    """The defaults (no rate limit, unbounded backlog) admit every
+    delivered packet."""
+
     #: sustained admission rate (txns/s); ``None`` = no rate limit
     rate_tps: Optional[float] = None
     #: token bucket depth (burst allowance), in requests
@@ -110,7 +111,7 @@ class AdmissionController:
         self.stats = stats or StatsRegistry()
         cfg = self.config
         self._bucket = (TokenBucket(engine, cfg.rate_tps, cfg.burst)
-                        if cfg.enabled and cfg.rate_tps is not None else None)
+                        if cfg.rate_tps is not None else None)
         self._admitted = self.stats.counter(f"{name}.admitted")
         self._shed_rate = self.stats.counter(f"{name}.shed.rate")
         self._shed_backlog = self.stats.counter(f"{name}.shed.backlog")
@@ -130,9 +131,6 @@ class AdmissionController:
         request never consumes a token another could have used.
         """
         cfg = self.config
-        if not cfg.enabled:
-            self._admitted.add()
-            return None
         if cfg.max_backlog is not None and backlog >= cfg.max_backlog:
             self._shed_backlog.add()
             return REASON_BACKLOG

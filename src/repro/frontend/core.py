@@ -52,9 +52,9 @@ class FrontendConfig:
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     #: the overload-resilience layer (brownout, breakers, retry budget,
-    #: re-home, park/replay); disabled by default — no router is built
-    #: and the serving path is bit-identical to the plain front-end
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
+    #: re-home, park/replay); ``None`` builds no router and keeps the
+    #: serving path bit-identical to the plain front-end
+    resilience: Optional[ResilienceConfig] = None
 
     @staticmethod
     def passthrough() -> "FrontendConfig":
@@ -65,7 +65,6 @@ class FrontendConfig:
         return FrontendConfig(
             nic=NicConfig(bandwidth_gbps=None, propagation_ns=0.0,
                           rx_queue_depth=None, rx_process_ns=0.0),
-            admission=AdmissionConfig(enabled=False),
             scheduler=SchedulerConfig(policy="fifo",
                                       max_inflight_per_worker=None),
         )
@@ -91,7 +90,7 @@ class FrontEnd:
             self.engine, db.total_workers, self.config.scheduler,
             submit=self._submit, on_timeout=self._timeout, stats=db.stats)
         self.router = (RequestRouter(self)
-                       if self.config.resilience.enabled else None)
+                       if self.config.resilience is not None else None)
         self.sessions: List[ClientSession] = []
         self._by_txn = {}              # txn_id -> Request (in the chip)
         self._procs = list(self.scheduler.procs)

@@ -2,18 +2,21 @@
 
 Two faces over the same :mod:`repro.frontend.resilience` primitives:
 
-* :class:`RequestRouter` — embedded in a :class:`FrontEnd`, on the
-  discrete-event engine.  It gates admission (brownout shedding by
-  priority class, per-partition circuit breakers), re-homes
-  ``CrossNodeTransactionError`` submits onto the block's true home
-  lane, parks requests bounced by a retryable cluster error and
-  replays them when the partition heals, and enforces the per-class
-  retry budget on the session retry loop.
+* :class:`RequestRouter` — embedded in a :class:`FrontEnd` that was
+  given a :class:`ResilienceConfig`, on the discrete-event engine.  It
+  gates admission (brownout shedding by priority class, per-partition
+  circuit breakers), re-homes ``CrossNodeTransactionError`` submits
+  onto the block's true home lane, parks requests bounced by a
+  retryable cluster error and replays them every
+  :data:`REPLAY_INTERVAL_NS` once the partition heals (for at most
+  :data:`MAX_PARK_NS`), and enforces the per-class retry budget on the
+  session retry loop.
 * :class:`ClusterRetryRouter` — a control-plane planner over
   :class:`repro.cluster.ha.HACluster`'s hand-advanced clock.  It
   caches ``ownership_map()``, refreshes it on ``StaleEpochError``
-  (re-homing submits to the current owner), reconciles against the
-  authoritative log before any re-execution so retries never
+  (re-homing submits to the current owner, at most
+  :data:`MAX_EPOCH_REFRESHES` times per attempt), reconciles against
+  the authoritative log before any re-execution so retries never
   double-apply, lets the cluster queue-and-replay during migration
   windows, and fails fast through the same breaker/budget machinery
   so a failover cannot snowball into a retry storm.
@@ -38,26 +41,31 @@ from .resilience import (
     RetryBudget, RetryBudgetConfig,
 )
 
-__all__ = ["RequestRouter", "ClusterRouterConfig", "ClusterRetryRouter"]
+__all__ = ["RequestRouter", "ClusterRetryRouter", "REPLAY_INTERVAL_NS",
+           "MAX_PARK_NS", "ROUND_REFILL", "MAX_EPOCH_REFRESHES"]
+
+#: replay poll cadence while requests are parked
+REPLAY_INTERVAL_NS = 250_000.0
+#: give up on a parked request after this long (rejected to client)
+MAX_PARK_NS = 5_000_000.0
 
 
 class RequestRouter:
     """The FrontEnd-embedded overload-resilience layer.
 
-    Constructed only when ``FrontendConfig.resilience.enabled`` — the
-    disabled path keeps the serving path bit-identical (zero events,
-    zero RNG draws, zero extra state).
+    Constructed only when ``FrontendConfig.resilience`` is given — a
+    front-end without one keeps the serving path bit-identical (zero
+    events, zero RNG draws, zero extra state).
     """
 
     def __init__(self, frontend):
         self.frontend = frontend
         self.engine = frontend.engine
-        self.config: ResilienceConfig = frontend.config.resilience
-        self.budget = RetryBudget(self.config.budget)
-        self.breakers = BreakerBank(self.config.breaker)
+        config: ResilienceConfig = frontend.config.resilience
+        self.budget = RetryBudget(config.budget)
+        self.breakers = BreakerBank(config.breaker)
         self.brownout = BrownoutController(
-            self.config.brownout,
-            capacity=frontend.config.admission.max_backlog)
+            frontend.config.admission.max_backlog)
         self._parked: List[Any] = []
         self._replay_armed = False
         # counters surfaced in FrontendReport
@@ -88,8 +96,6 @@ class RequestRouter:
         """A ``CrossNodeTransactionError``: the block lives in another
         node's DRAM.  Re-plan onto the block's true home lane instead
         of failing the request back to the client."""
-        if not self.config.rehome:
-            return False
         target = getattr(req.block, "home_worker", None)
         if target is None or target == req.home:
             return False
@@ -103,14 +109,13 @@ class RequestRouter:
     def park(self, req, now_ns: float) -> bool:
         """Hold a request bounced by a retryable cluster error and
         replay it when the partition heals; ``False`` = don't park
-        (expired, disabled, or past the park budget) — the caller
-        sheds it to the client instead."""
-        cfg = self.config
-        if not cfg.park or req.expired(now_ns):
+        (expired, or past the park budget) — the caller sheds it to the
+        client instead."""
+        if req.expired(now_ns):
             return False
         if req.first_parked_ns is None:
             req.first_parked_ns = now_ns
-        elif now_ns - req.first_parked_ns >= cfg.max_park_ns:
+        elif now_ns - req.first_parked_ns >= MAX_PARK_NS:
             return False
         self._parked.append(req)
         self.parked += 1
@@ -129,7 +134,7 @@ class RequestRouter:
         self.frontend._track(proc)
 
     def _replay(self):
-        yield self.config.replay_interval_ns
+        yield REPLAY_INTERVAL_NS
         self._replay_armed = False
         frontend = self.frontend
         now = self.engine.now
@@ -140,7 +145,7 @@ class RequestRouter:
             elif self.breakers.allow(req.home, now):
                 self.replayed += 1
                 frontend.scheduler.enqueue(req)
-            elif now - req.first_parked_ns >= self.config.max_park_ns:
+            elif now - req.first_parked_ns >= MAX_PARK_NS:
                 frontend._finish(req, "rejected", REASON_PARK_EXPIRED)
             else:
                 still_parked.append(req)
@@ -165,26 +170,13 @@ class RequestRouter:
 
 # -- the control-plane planner ----------------------------------------------
 
-class ClusterRouterConfig:
-    """Knobs for :class:`ClusterRetryRouter`."""
-
-    def __init__(self, budget: Optional[RetryBudgetConfig] = None,
-                 breaker: Optional[BreakerConfig] = None,
-                 round_refill: float = 1.0,
-                 max_epoch_refreshes: int = 4):
-        self.budget = budget or RetryBudgetConfig(ratio=0.5, burst=16)
-        self.breaker = breaker or BreakerConfig()
-        #: tokens trickled back per :meth:`ClusterRetryRouter.pump`
-        #: round so a long recovery cannot starve once a storm has
-        #: passed; amplification stays bounded by the settle budget
-        self.round_refill = round_refill
-        self.max_epoch_refreshes = max_epoch_refreshes
-        if round_refill < 0:
-            raise FrontendError("round_refill must be >= 0",
-                                round_refill=round_refill)
-        if max_epoch_refreshes < 1:
-            raise FrontendError("max_epoch_refreshes must be >= 1",
-                                max_epoch_refreshes=max_epoch_refreshes)
+#: budget tokens trickled back per :meth:`ClusterRetryRouter.pump` round
+#: so a long recovery cannot starve once a storm has passed;
+#: amplification stays bounded by the settle budget
+ROUND_REFILL = 1.0
+#: ownership refreshes one placement attempt may make before a submit
+#: that is still fenced is an error
+MAX_EPOCH_REFRESHES = 4
 
 
 class ClusterRetryRouter:
@@ -225,11 +217,11 @@ class ClusterRetryRouter:
       would bounce and burn retry budget.
     """
 
-    def __init__(self, cluster, config: Optional[ClusterRouterConfig] = None):
+    def __init__(self, cluster, budget: Optional[RetryBudgetConfig] = None,
+                 breaker: Optional[BreakerConfig] = None):
         self.cluster = cluster
-        self.config = config or ClusterRouterConfig()
-        self.budget = RetryBudget(self.config.budget)
-        self.breakers = BreakerBank(self.config.breaker)
+        self.budget = RetryBudget(budget)
+        self.breakers = BreakerBank(breaker)
         self.epochs: Dict[int, int] = {
             p: epoch for p, (_owner, epoch)
             in sorted(cluster.ownership_map().items())}
@@ -270,7 +262,7 @@ class ClusterRetryRouter:
     def pump(self) -> None:
         """One control-plane round: refill the budget trickle, collect
         router-released/deferred work, and flush every partition."""
-        self.budget.deposit(self.config.round_refill)
+        self.budget.deposit(ROUND_REFILL)
         self._collect()
         for p in sorted(self.pending):
             self._flush(p)
@@ -370,7 +362,7 @@ class ClusterRetryRouter:
     def _try(self, tag: Any) -> bool:
         """One placement attempt; ``True`` = tag is acked or queued at
         the cluster (either way it has left ``pending``)."""
-        cluster, cfg = self.cluster, self.config
+        cluster = self.cluster
         spec, layout = self.specs[tag]
         p = spec.home
         if tag in self.stalled:
@@ -394,7 +386,7 @@ class ClusterRetryRouter:
         self._seen.add(tag)
         if first:
             self.budget.note_first_attempt()
-        for _ in range(cfg.max_epoch_refreshes):
+        for _ in range(MAX_EPOCH_REFRESHES):
             self.attempts += 1
             try:
                 res = cluster.submit_spec(spec, layout,

@@ -1,8 +1,7 @@
 """SLO tracking: goodput and latency percentiles per tenant.
 
-Built on :class:`repro.sim.stats.PercentileHistogram` (log-bucketed
-p50/p95/p99 in O(buckets) memory), this module turns the front-end's
-raw outcomes into the numbers an operator actually watches:
+This module turns the front-end's raw outcomes into the numbers an
+operator actually watches:
 
 * **offered / committed / aborted / rejected / timed-out** — an exact
   conservation law: every generated request ends in exactly one of the
@@ -11,15 +10,18 @@ raw outcomes into the numbers an operator actually watches:
   session declares no deadline).  Under overload this is the curve
   that must stay flat while naive throughput collapses into timeouts.
 * **latency percentiles** — end-to-end, from block creation at the
-  client through NIC, admission, dispatch queueing and execution.
+  client through NIC, admission, dispatch queueing and execution;
+  exact nearest-rank over every committed request's sample.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import reduce
+from typing import Dict, List
 
-from ..sim.stats import PercentileHistogram, nearest_rank
+from ..sim.stats import nearest_rank
 from .resilience import REASON_BREAKER, REASON_BROWNOUT
 
 __all__ = ["SessionStats", "FrontendReport"]
@@ -46,10 +48,7 @@ class SessionStats:
     #: went terminal with its last shed reason)
     retries_denied: int = 0
     deadline_met: int = 0     # commits inside their deadline
-    latency: PercentileHistogram = field(
-        default_factory=lambda: PercentileHistogram("latency_ns"))
-    #: exact latency samples (committed requests), for small-run exact
-    #: percentiles
+    #: end-to-end latency of every committed request, in commit order
     latencies_ns: List[float] = field(default_factory=list)
 
     def record(self, req) -> None:
@@ -58,9 +57,7 @@ class SessionStats:
         if outcome == "committed":
             self.committed += 1
             done = req.block.done_at_ns
-            latency = done - req.created_at_ns
-            self.latency.observe(latency)
-            self.latencies_ns.append(latency)
+            self.latencies_ns.append(done - req.created_at_ns)
             if req.deadline_at_ns is None or done <= req.deadline_at_ns:
                 self.deadline_met += 1
         elif outcome == "aborted":
@@ -183,8 +180,12 @@ class FrontendReport:
 
     @property
     def mean_latency_ns(self) -> float:
-        total = sum(s.latency.total for s in self.sessions)
-        count = sum(s.latency.count for s in self.sessions)
+        # each session's total is a plain left fold: the builtin sum
+        # compensates rounding on Python 3.12+, so the mean would
+        # depend on the interpreter
+        total = sum(reduce(operator.add, s.latencies_ns, 0.0)
+                    for s in self.sessions)
+        count = sum(len(s.latencies_ns) for s in self.sessions)
         return total / count if count else 0.0
 
     # -- rendering ----------------------------------------------------------

@@ -13,9 +13,7 @@ from .resources import (
     VIRTEX5_LX330,
     per_worker_costs,
 )
-from .stats import (
-    Counter, Histogram, PercentileHistogram, StatsRegistry, nearest_rank,
-)
+from .stats import Counter, Histogram, StatsRegistry, nearest_rank
 from .sync import Fifo, TokenPool
 from .trace import NULL_TRACER, TraceEvent, Tracer
 
@@ -27,8 +25,7 @@ __all__ = [
     "CpuPowerModel", "FpgaPowerModel", "PowerReport",
     "HC2_INFRASTRUCTURE", "ResourceLedger", "ResourceVector",
     "VIRTEX5_LX330", "per_worker_costs",
-    "Counter", "Histogram", "PercentileHistogram", "StatsRegistry",
-    "nearest_rank",
+    "Counter", "Histogram", "StatsRegistry", "nearest_rank",
     "Fifo", "TokenPool",
     "NULL_TRACER", "TraceEvent", "Tracer",
 ]

@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Sequence
 
-__all__ = ["Counter", "Histogram", "PercentileHistogram", "StatsRegistry",
-           "nearest_rank"]
+__all__ = ["Counter", "Histogram", "StatsRegistry", "nearest_rank"]
 
 
 def nearest_rank(sorted_values: Sequence[float], p: float) -> float:
@@ -68,57 +67,6 @@ class Histogram:
         self.max = float("-inf")
 
 
-class PercentileHistogram(Histogram):
-    """Histogram with log-bucketed percentile estimation.
-
-    Values are binned into geometric buckets (8 per octave, ~9% wide),
-    so ``percentile`` answers with bounded relative error (±4.5%) in
-    O(buckets) memory regardless of observation count — the structure
-    SLO tracking needs where an exact sorted list would not scale to
-    millions of requests.  Non-positive observations land in a single
-    underflow bucket.
-    """
-
-    __slots__ = ("_buckets",)
-
-    _BASE = 2.0 ** 0.125          # 8 buckets per octave
-    _UNDERFLOW = -(1 << 40)       # bucket index for values <= 0
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._buckets: Dict[int, int] = {}
-
-    def observe(self, x: float) -> None:
-        super().observe(x)
-        if x <= 0:
-            idx = self._UNDERFLOW
-        else:
-            idx = math.floor(math.log(x, self._BASE))
-        self._buckets[idx] = self._buckets.get(idx, 0) + 1
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the bucketed distribution."""
-        if not 0 < p <= 100:
-            raise ValueError("percentile must be in (0, 100]")
-        if not self.count:
-            return 0.0
-        target = max(1, math.ceil(self.count * p / 100))
-        cum = 0
-        for idx in sorted(self._buckets):
-            cum += self._buckets[idx]
-            if cum >= target:
-                if idx == self._UNDERFLOW:
-                    return min(self.min, 0.0)
-                lo = self._BASE ** idx
-                mid = lo * self._BASE ** 0.5   # geometric bucket midpoint
-                return min(max(mid, self.min), self.max)
-        return self.max
-
-    def reset(self) -> None:
-        super().reset()
-        self._buckets.clear()
-
-
 class StatsRegistry:
     """Hierarchical registry so components can be audited after a run."""
 
@@ -134,11 +82,6 @@ class StatsRegistry:
     def histogram(self, name: str) -> Histogram:
         if name not in self._histograms:
             self._histograms[name] = Histogram(name)
-        return self._histograms[name]
-
-    def percentile_histogram(self, name: str) -> PercentileHistogram:
-        if name not in self._histograms:
-            self._histograms[name] = PercentileHistogram(name)
         return self._histograms[name]
 
     def snapshot(self) -> Dict[str, float]:

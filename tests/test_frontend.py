@@ -21,7 +21,7 @@ from repro.frontend.scheduler import DispatchScheduler
 from repro.isa import Gp, ProcedureBuilder
 from repro.mem import TableSchema
 from repro.mem.txnblock import TxnStatus
-from repro.sim import Engine, PercentileHistogram, nearest_rank
+from repro.sim import Engine, nearest_rank
 
 N_KEYS = 200
 
@@ -67,8 +67,8 @@ class TestConservation:
             self, rate_tps, max_backlog, deadline_ns):
         db = make_db()
         cfg = FrontendConfig(
-            admission=AdmissionConfig(enabled=True, rate_tps=rate_tps,
-                                      burst=8, max_backlog=max_backlog),
+            admission=AdmissionConfig(rate_tps=rate_tps, burst=8,
+                                      max_backlog=max_backlog),
             scheduler=SchedulerConfig(policy="fifo",
                                       max_inflight_per_worker=4))
         fe = FrontEnd(db, cfg)
@@ -90,8 +90,7 @@ class TestConservation:
     def test_shed_blocks_carry_terminal_status_and_reason(self):
         db = make_db()
         fe = FrontEnd(db, FrontendConfig(
-            admission=AdmissionConfig(enabled=True, rate_tps=100_000.0,
-                                      burst=1)))
+            admission=AdmissionConfig(rate_tps=100_000.0, burst=1)))
         sess = fe.session(make_factory(db), SessionConfig(
             name="t", arrival="open", rate_tps=2_000_000.0, n_requests=60))
         rep = fe.run()
@@ -159,7 +158,7 @@ class TestNic:
         fe = FrontEnd(db, FrontendConfig(
             nic=NicConfig(bandwidth_gbps=None, propagation_ns=0.0,
                           rx_queue_depth=2, rx_process_ns=50_000.0),
-            admission=AdmissionConfig(enabled=False)))
+            admission=AdmissionConfig()))
         sess = fe.session(make_factory(db), SessionConfig(
             name="burst", arrival="open", rate_tps=10_000_000.0,
             n_requests=40))
@@ -177,7 +176,7 @@ class TestNic:
         # wire, so 20 back-to-back arrivals serialise to ~92 us
         fe = FrontEnd(db, FrontendConfig(
             nic=NicConfig(bandwidth_gbps=1.0, propagation_ns=0.0),
-            admission=AdmissionConfig(enabled=False)))
+            admission=AdmissionConfig()))
         fe.session(make_factory(db), SessionConfig(
             name="wire", arrival="open", rate_tps=1e9, n_requests=20))
         rep = fe.run()
@@ -190,7 +189,7 @@ class TestNic:
         fe = FrontEnd(db, FrontendConfig(
             nic=NicConfig(bandwidth_gbps=None, propagation_ns=0.0,
                           rx_queue_depth=1, rx_process_ns=20_000.0),
-            admission=AdmissionConfig(enabled=False)))
+            admission=AdmissionConfig()))
         sess = fe.session(make_factory(db), SessionConfig(
             name="retry", arrival="open", rate_tps=5_000_000.0,
             n_requests=30, max_retries=8, retry_backoff_ns=30_000.0))
@@ -441,38 +440,25 @@ class TestAttachment:
         assert calls == [{"until": None, "max_events": None}]
 
 
-class TestPercentileHistogram:
-    def test_tracks_exact_percentiles_within_bucket_error(self):
-        import random
-        rng = random.Random(7)
-        h = PercentileHistogram("lat")
-        samples = [rng.lognormvariate(10.0, 0.8) for _ in range(5000)]
-        for s in samples:
-            h.observe(s)
-        exact = sorted(samples)
-        for p in (50, 90, 99):
-            est = h.percentile(p)
-            ref = nearest_rank(exact, p)
-            assert abs(est - ref) / ref < 0.10   # log-bucket resolution
-
-    def test_empty_and_bad_percentile(self):
-        h = PercentileHistogram("lat")
-        assert h.percentile(99) == 0.0
-        with pytest.raises(ValueError):
-            h.percentile(0)
-        with pytest.raises(ValueError):
-            h.percentile(101)
-
-    def test_estimates_clamped_to_observed_range(self):
-        h = PercentileHistogram("lat")
-        for v in (100.0, 100.0, 100.0):
-            h.observe(v)
-        assert h.percentile(50) == 100.0
-        assert h.percentile(100) == 100.0
-
+class TestLatencySummary:
     def test_nearest_rank_contract(self):
         assert nearest_rank([1.0, 2.0, 3.0, 4.0], 50) == 2.0
         assert nearest_rank([1.0, 2.0, 3.0, 4.0], 100) == 4.0
         assert nearest_rank([], 99) == 0.0
         with pytest.raises(ValueError):
             nearest_rank([1.0], 0)
+
+    def test_report_reads_the_exact_samples(self):
+        db = make_db()
+        fe = FrontEnd(db, FrontendConfig.passthrough())
+        a = fe.session(make_factory(db), SessionConfig(
+            name="a", arrival="open", rate_tps=800_000.0, n_requests=25))
+        b = fe.session(make_factory(db), SessionConfig(
+            name="b", arrival="open", rate_tps=800_000.0, n_requests=15))
+        rep = fe.run()
+        fe.detach()
+        samples = a.stats.latencies_ns + b.stats.latencies_ns
+        assert len(samples) == rep.committed == 40
+        assert rep.percentile_ns(99) == nearest_rank(sorted(samples), 99)
+        assert rep.mean_latency_ns == pytest.approx(
+            sum(samples) / len(samples))

@@ -23,11 +23,10 @@ from repro.errors import (
     PartitionUnavailableError,
 )
 from repro.frontend import (
-    AdmissionConfig, BreakerBank, BreakerConfig, BrownoutConfig,
-    BrownoutController, CircuitBreaker, ClusterRetryRouter,
-    ClusterRouterConfig, FrontEnd, FrontendConfig, ResilienceConfig,
-    RetryBudget, RetryBudgetConfig, SchedulerConfig, SessionConfig,
-    REASON_BREAKER, REASON_BROWNOUT,
+    AdmissionConfig, BreakerBank, BreakerConfig, BrownoutController,
+    CircuitBreaker, ClusterRetryRouter, FrontEnd, FrontendConfig,
+    ResilienceConfig, RetryBudget, RetryBudgetConfig, SchedulerConfig,
+    SessionConfig, REASON_BREAKER,
 )
 from repro.frontend.resilience import (
     BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
@@ -111,10 +110,6 @@ class TestRetryBudget:
         assert not budget.try_spend(cls=2)   # class 2 drained...
         assert budget.try_spend(cls=0)       # ...class 0 untouched
 
-    def test_disabled_always_grants(self):
-        budget = RetryBudget(RetryBudgetConfig(enabled=False, burst=0))
-        assert all(budget.try_spend() for _ in range(10))
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             RetryBudgetConfig(ratio=-0.1)
@@ -125,8 +120,7 @@ class TestRetryBudget:
 # -- circuit breakers --------------------------------------------------------
 
 def _breaker(**kw):
-    base = dict(window=8, min_samples=2, failure_threshold=0.5,
-                open_ns=1_000.0, half_open_probes=2, close_after=1)
+    base = dict(window=8, min_samples=2, open_ns=1_000.0)
     base.update(kw)
     return CircuitBreaker(BreakerConfig(**base))
 
@@ -147,14 +141,14 @@ class TestCircuitBreaker:
         assert brk.opened == 1
 
     def test_successes_dilute_the_window(self):
-        brk = _breaker(min_samples=2, failure_threshold=0.9)
+        brk = _breaker(min_samples=2)
         for _ in range(6):
             brk.record_success(0.0)
-        brk.record_failure(0.0)              # 1/7 < 0.9
+        brk.record_failure(0.0)              # 1/7 < 0.5
         assert brk.state == BREAKER_CLOSED
 
     def test_half_open_probes_then_reclose(self):
-        brk = _breaker(open_ns=1_000.0, half_open_probes=2)
+        brk = _breaker(open_ns=1_000.0)      # two half-open probes
         brk.record_failure(0.0)
         brk.record_failure(0.0)
         assert brk.allow(1_000.0)            # cooldown over: probe 1
@@ -177,8 +171,7 @@ class TestCircuitBreaker:
 
     def test_bank_is_per_partition_and_aggregates(self):
         bank = BreakerBank(BreakerConfig(window=4, min_samples=2,
-                                         open_ns=1_000.0,
-                                         half_open_probes=1, close_after=1))
+                                         open_ns=1_000.0))
         bank.record_failure(3, 0.0)
         bank.record_failure(3, 0.0)
         assert not bank.allow(3, 0.0)
@@ -191,63 +184,39 @@ class TestCircuitBreaker:
         assert bank.transitions() == {"opened": 1, "half_opened": 1,
                                       "reclosed": 1}
 
-    def test_disabled_bank_always_allows(self):
-        bank = BreakerBank(BreakerConfig(enabled=False, window=2,
-                                         min_samples=1))
-        bank.record_failure(0, 0.0)
-        assert bank.allow(0, 0.0)
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             BreakerConfig(window=0)
         with pytest.raises(ConfigError):
             BreakerConfig(min_samples=9, window=8)
         with pytest.raises(ConfigError):
-            BreakerConfig(failure_threshold=0.0)
-        with pytest.raises(ConfigError):
-            BreakerConfig(close_after=3, half_open_probes=2)
+            BreakerConfig(open_ns=-1.0)
 
 
 # -- brownout ----------------------------------------------------------------
 
 class TestBrownout:
     def test_sheds_low_priority_first(self):
-        ctl = BrownoutController(
-            BrownoutConfig(shed_at=(2.0, 0.85, 0.6)), capacity=100)
+        ctl = BrownoutController(capacity=100)
         assert not ctl.should_shed(0, 70)    # class 0 never (2.0 > 1)
         assert not ctl.should_shed(1, 70)    # 0.70 < 0.85
         assert ctl.should_shed(2, 70)        # 0.70 >= 0.60
 
     def test_hysteresis_releases_below_threshold(self):
-        ctl = BrownoutController(
-            BrownoutConfig(shed_at=(0.6,), release=0.5), capacity=100)
-        assert ctl.should_shed(0, 60)        # engage at 0.60
-        assert ctl.should_shed(0, 40)        # 0.40 >= 0.60 × 0.5: hold
-        assert not ctl.should_shed(0, 29)    # 0.29 < 0.30: release
-        assert not ctl.should_shed(0, 40)    # re-engages only at 0.60
+        ctl = BrownoutController(capacity=100)
+        assert ctl.should_shed(2, 60)        # engage at 0.60
+        assert ctl.should_shed(2, 46)        # 0.46 >= 0.60 × 0.75: hold
+        assert not ctl.should_shed(2, 44)    # 0.44 < 0.45: release
+        assert not ctl.should_shed(2, 50)    # re-engages only at 0.60
 
     def test_priority_beyond_table_uses_last_entry(self):
-        ctl = BrownoutController(BrownoutConfig(shed_at=(2.0, 0.5)),
-                                 capacity=10)
-        assert ctl.should_shed(7, 5)
+        ctl = BrownoutController(capacity=10)
+        assert not ctl.should_shed(7, 5)
+        assert ctl.should_shed(7, 6)         # class 2's 0.60
 
-    def test_disabled_or_uncapped_never_sheds(self):
-        ctl = BrownoutController(BrownoutConfig(enabled=False), capacity=10)
+    def test_uncapped_never_sheds(self):
+        ctl = BrownoutController(capacity=None)
         assert not ctl.should_shed(5, 10)
-        ctl = BrownoutController(BrownoutConfig(), capacity=None)
-        assert not ctl.should_shed(5, 10)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            BrownoutConfig(shed_at=())
-        with pytest.raises(ConfigError):
-            BrownoutConfig(shed_at=(0.0,))
-        with pytest.raises(ConfigError):
-            BrownoutConfig(release=1.5)
-        with pytest.raises(ConfigError):
-            ResilienceConfig(replay_interval_ns=0.0)
-        with pytest.raises(ConfigError):
-            ResilienceConfig(max_park_ns=1.0, replay_interval_ns=2.0)
 
 
 # -- FrontEnd integration ----------------------------------------------------
@@ -270,12 +239,10 @@ class TestFrontendResilience:
     def test_brownout_sheds_by_priority_class(self):
         db = make_db()
         fe = FrontEnd(db, FrontendConfig(
-            admission=AdmissionConfig(enabled=True, max_backlog=32),
+            admission=AdmissionConfig(max_backlog=32),
             scheduler=SchedulerConfig(policy="fifo",
                                       max_inflight_per_worker=8),
-            resilience=ResilienceConfig(
-                enabled=True,
-                brownout=BrownoutConfig(shed_at=(2.0, 0.85, 0.6)))))
+            resilience=ResilienceConfig()))
         base = fe.session(make_factory(db), SessionConfig(
             name="base", arrival="open", rate_tps=300_000.0,
             n_requests=80, priority=0, weight=4.0))
@@ -300,9 +267,8 @@ class TestFrontendResilience:
         db = make_db()
         budget = RetryBudgetConfig(ratio=0.0, burst=3)
         fe = FrontEnd(db, FrontendConfig(
-            admission=AdmissionConfig(enabled=True, rate_tps=150_000.0,
-                                      burst=1),
-            resilience=ResilienceConfig(enabled=True, budget=budget)))
+            admission=AdmissionConfig(rate_tps=150_000.0, burst=1),
+            resilience=ResilienceConfig(budget=budget)))
         sess = fe.session(make_factory(db), SessionConfig(
             name="t", arrival="open", rate_tps=2_000_000.0, n_requests=40,
             max_retries=10, retry_backoff_ns=2_000.0))
@@ -316,11 +282,8 @@ class TestFrontendResilience:
     def test_breaker_parks_and_replays_through_an_outage(self):
         db = make_db()
         fe = FrontEnd(db, FrontendConfig(resilience=ResilienceConfig(
-            enabled=True,
             breaker=BreakerConfig(window=8, min_samples=2,
-                                  open_ns=100_000.0, half_open_probes=2,
-                                  close_after=1),
-            replay_interval_ns=50_000.0)))
+                                  open_ns=100_000.0))))
         heal_at = 400_000.0
         real_submit = db.submit
 
@@ -352,7 +315,7 @@ class TestFrontendResilience:
         cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
         _install_kv(cluster)
         fe = FrontEnd(cluster, FrontendConfig(
-            resilience=ResilienceConfig(enabled=True)))
+            resilience=ResilienceConfig()))
 
         def misrouted_factory(i):
             key = i % N_KEYS
@@ -387,9 +350,8 @@ class TestFrontendResilience:
         def run_once(seed):
             db = make_db()
             fe = FrontEnd(db, FrontendConfig(
-                admission=AdmissionConfig(enabled=True, rate_tps=150_000.0,
-                                          burst=1),
-                resilience=ResilienceConfig(enabled=True)))
+                admission=AdmissionConfig(rate_tps=150_000.0, burst=1),
+                resilience=ResilienceConfig()))
             sess = fe.session(make_factory(db), SessionConfig(
                 name="t", arrival="open", rate_tps=2_000_000.0,
                 n_requests=30, max_retries=4, retry_backoff_ns=3_000.0,
@@ -428,11 +390,10 @@ def _mini_ha_cluster(seed=0, n_txns=8):
 
 
 def _mini_router(cluster):
-    return ClusterRetryRouter(cluster, ClusterRouterConfig(
-        budget=RetryBudgetConfig(ratio=0.5, burst=8),
+    return ClusterRetryRouter(
+        cluster, budget=RetryBudgetConfig(ratio=0.5, burst=8),
         breaker=BreakerConfig(window=8, min_samples=2,
-                              open_ns=cluster.ha.heartbeat_timeout_ns,
-                              half_open_probes=2, close_after=1)))
+                              open_ns=cluster.ha.heartbeat_timeout_ns))
 
 
 class TestClusterRetryRouter:
@@ -497,12 +458,6 @@ class TestClusterRetryRouter:
         assert cluster.owner_of(target) == migration.dst
         for tag, (_txn_id, outcome) in sorted(router.acked.items()):
             assert cluster.reconcile(tag) == ("acked", outcome)
-
-    def test_router_config_validation(self):
-        with pytest.raises(FrontendError):
-            ClusterRouterConfig(round_refill=-1.0)
-        with pytest.raises(FrontendError):
-            ClusterRouterConfig(max_epoch_refreshes=0)
 
 
 # -- drill smoke -------------------------------------------------------------
