@@ -3,9 +3,9 @@
 The whole point of a discrete-event simulator is that a (seed,
 workload) pair replays to the same cycle counts and the same state
 hashes — that is what the crash-recovery drills diff against and what
-makes a reported Figure reproducible.  Four classes of Python-level
-nondeterminism quietly break that contract, and all four have appeared
-in real simulator codebases:
+makes a reported Figure reproducible.  These classes of Python-level
+nondeterminism quietly break that contract, and all have appeared in
+real simulator codebases:
 
 ``wall-clock``
     reading host time (``time.time``, ``time.monotonic``,
@@ -43,6 +43,10 @@ in real simulator codebases:
     return entries in platform-dependent order; feeding them to an
     order-insensitive sink (``sorted`` …) is fine, iterating them
     directly is not.
+``id-order``
+    ``id(...)`` inside the ``key`` of a ``sorted``/``.sort``/``min``/
+    ``max`` call orders by memory address, which differs between
+    processes.  Order by a value the objects carry (table id, key).
 
 Suppression: append ``# det: allow(<rule>)`` to the offending line for
 a reviewed exception, or put ``# det: skip-file`` on its own line to
@@ -68,7 +72,7 @@ __all__ = ["LintFinding", "lint_source", "lint_file", "lint_paths",
            "findings_json", "main"]
 
 RULES = ("wall-clock", "unseeded-random", "set-order", "fault-latch",
-         "arbitrary-pop", "hash-randomisation", "fs-order")
+         "arbitrary-pop", "hash-randomisation", "fs-order", "id-order")
 
 _ALLOW_RE = re.compile(r"#\s*det:\s*allow\(([a-z-]+)\)")
 _SKIP_FILE_RE = re.compile(r"#\s*det:\s*skip-file")
@@ -89,6 +93,8 @@ _ORDER_FREE_SINKS = {"sorted", "set", "frozenset", "sum", "min", "max",
 _FS_ITER_ATTRS = {"iterdir", "glob", "rglob"}
 #: os-level directory listers (same hazard)
 _FS_ITER_FUNCS = {"os.listdir", "os.scandir"}
+#: calls whose ``key=`` decides an order
+_KEYED_ORDER = {"sorted", "sort", "min", "max"}
 
 
 @dataclass(frozen=True)
@@ -273,6 +279,9 @@ class _Linter(ast.NodeVisitor):
                              f".{attr}() yields entries in "
                              f"platform-dependent order; wrap in sorted(...)")
 
+        if dotted is not None and dotted.split(".")[-1] in _KEYED_ORDER:
+            self._check_id_order(node)
+
         sink = (isinstance(node.func, ast.Name)
                 and node.func.id in _ORDER_FREE_SINKS)
         if sink:
@@ -280,6 +289,18 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
         if sink:
             self._order_free -= 1
+
+    # -- rule: id-order --------------------------------------------------------
+    def _check_id_order(self, call: ast.Call) -> None:
+        for kw in call.keywords:
+            if kw.arg != "key":
+                continue
+            for sub in ast.walk(kw.value):
+                if isinstance(sub, ast.Name) and sub.id == "id":
+                    self._report(sub, "id-order",
+                                 "id() is a memory address, which differs "
+                                 "between processes; order by a value the "
+                                 "objects carry")
 
     # -- rule: fault-latch ----------------------------------------------------
     def _check_fault_latch(self, name: str,

@@ -5,17 +5,21 @@ fixed stage costs), so a worst-case execution bound is just the longest
 path through the stitched flow graph with every instruction charged its
 timing-model cost:
 
-* CPU instructions cost ``cpu_inst_cycles`` (5 at 125 MHz);
+* CPU instructions cost ``CPU_INST_CYCLES`` (5);
 * a DB dispatch costs Prepare + Dispatch (asynchronous hand-off — the
   latency of the index probe itself is hidden behind MLP and paid at
   the collecting ``RET``);
-* ``RET``/``RETN`` cost ``ret_cycles`` plus a worst-case result wait
-  (bounded by ``ret_wait_cycles``, default three DRAM round trips — a
-  hash probe's bucket walk);
+* ``RET``/``RETN`` cost ``RET_CYCLES`` plus a worst-case result wait
+  (:attr:`WcetModel.ret_wait_cycles`: three DRAM round trips — a hash
+  probe's bucket walk);
 * ``LOAD [r+k]`` / ``WRFIELD`` add a DRAM line fetch;
-* ``COMMIT``/``ABORT`` charge ``commit_cycles_per_entry`` per
+* ``COMMIT``/``ABORT`` charge ``COMMIT_CYCLES_PER_ENTRY`` per
   write-set/undo entry, bounded statically by the program's write
   dispatch and WRFIELD counts.
+
+The charges are the softcore's own (:mod:`repro.softcore.timing`), the
+DRAM latency the machine's (:data:`repro.sim.memory.DRAM_LATENCY_CYCLES`)
+and cycles convert to time at :data:`repro.sim.clock.FPGA_MHZ`.
 
 Loops make the longest-path problem ill-posed, so the pass contracts
 every non-trivial SCC of the flow graph and charges it ``loop_bound``
@@ -28,10 +32,17 @@ result is reported next to the static MLP estimate: WCET bounds the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..isa.instructions import FieldRef, Instruction, Opcode, Program, Section
+from ..sim.clock import FPGA_MHZ
+from ..sim.memory import DRAM_LATENCY_CYCLES
+from ..softcore.timing import (
+    CATALOGUE_CYCLES, COMMIT_CYCLES_PER_ENTRY, CONTEXT_SWITCH_CYCLES,
+    CPU_INST_CYCLES, DB_DISPATCH_CYCLES, DB_PREPARE_CYCLES, RET_CYCLES,
+    WRFIELD_CYCLES,
+)
 from .dataflow import FlowGraph, program_flow
 from .provenance import static_mlp
 
@@ -42,72 +53,38 @@ _BRANCHES = frozenset({Opcode.JMP, Opcode.BE, Opcode.BNE, Opcode.BLE,
 _WRITE_OPS = frozenset({Opcode.INSERT, Opcode.UPDATE, Opcode.REMOVE})
 
 
-@dataclass(frozen=True)
 class WcetModel:
-    """Per-stage worst-case cycle charges (mirrors the runtime model)."""
+    """Per-instruction worst-case cycle charges: the softcore's own,
+    plus the DRAM waits an instruction can meet."""
 
-    cpu_inst_cycles: float = 5.0
-    db_prepare_cycles: float = 1.0
-    db_dispatch_cycles: float = 1.0
-    ret_cycles: float = 5.0
-    context_switch_cycles: float = 10.0
-    commit_cycles_per_entry: float = 2.0
-    wrfield_cycles: float = 6.0
-    catalogue_cycles: float = 2.0
-    dram_latency_cycles: float = 85.0
-    fpga_mhz: float = 125.0
     #: worst-case cycles a RET waits for its coprocessor result (three
     #: DRAM round trips: bucket header, chain hop, tuple line)
-    ret_wait_cycles: float = field(default=3 * 85.0)
+    ret_wait_cycles = 3 * DRAM_LATENCY_CYCLES
+    ns_per_cycle = 1000.0 / FPGA_MHZ
 
-    @staticmethod
-    def from_config(config=None, dram_latency_cycles: float = 85.0,
-                    fpga_mhz: float = 125.0) -> "WcetModel":
-        """Derive the model from a live :class:`SoftcoreConfig`."""
-        if config is None:
-            return WcetModel(dram_latency_cycles=dram_latency_cycles,
-                             fpga_mhz=fpga_mhz,
-                             ret_wait_cycles=3 * dram_latency_cycles)
-        return WcetModel(
-            cpu_inst_cycles=config.cpu_inst_cycles,
-            db_prepare_cycles=config.db_prepare_cycles,
-            db_dispatch_cycles=config.db_dispatch_cycles,
-            ret_cycles=config.ret_cycles,
-            context_switch_cycles=config.context_switch_cycles,
-            commit_cycles_per_entry=config.commit_cycles_per_entry,
-            wrfield_cycles=config.wrfield_cycles,
-            catalogue_cycles=config.catalogue_cycles,
-            dram_latency_cycles=dram_latency_cycles,
-            fpga_mhz=fpga_mhz,
-            ret_wait_cycles=3 * dram_latency_cycles)
-
-    @property
-    def ns_per_cycle(self) -> float:
-        return 1000.0 / self.fpga_mhz
-
-    def inst_cycles(self, inst: Instruction, n_writes: int,
+    @classmethod
+    def inst_cycles(cls, inst: Instruction, n_writes: int,
                     n_wrfields: int) -> float:
         """Worst-case charge for one instruction."""
         op = inst.opcode
         if inst.is_db:
-            return self.db_prepare_cycles + self.db_dispatch_cycles
+            return DB_PREPARE_CYCLES + DB_DISPATCH_CYCLES
         if op in (Opcode.RET, Opcode.RETN):
-            return self.ret_cycles + self.ret_wait_cycles
+            return RET_CYCLES + cls.ret_wait_cycles
         if op is Opcode.COMMIT:
             # one apply per write-set entry + the final apply's DRAM wait
-            return (self.commit_cycles_per_entry * n_writes
-                    + (self.dram_latency_cycles if n_writes else 0.0))
+            return (COMMIT_CYCLES_PER_ENTRY * n_writes
+                    + (DRAM_LATENCY_CYCLES if n_writes else 0.0))
         if op is Opcode.ABORT:
             entries = n_writes + n_wrfields
-            return (self.commit_cycles_per_entry * entries
-                    + (self.dram_latency_cycles if entries else 0.0))
+            return (COMMIT_CYCLES_PER_ENTRY * entries
+                    + (DRAM_LATENCY_CYCLES if entries else 0.0))
         if op is Opcode.WRFIELD:
             # cpu issue + backup-and-write + tuple line fetch
-            return (self.cpu_inst_cycles + self.wrfield_cycles
-                    + self.dram_latency_cycles)
+            return CPU_INST_CYCLES + WRFIELD_CYCLES + DRAM_LATENCY_CYCLES
         if op is Opcode.LOAD and isinstance(inst.addr, FieldRef):
-            return self.cpu_inst_cycles + self.dram_latency_cycles
-        return self.cpu_inst_cycles
+            return CPU_INST_CYCLES + DRAM_LATENCY_CYCLES
+        return CPU_INST_CYCLES
 
 
 @dataclass
@@ -122,7 +99,6 @@ class WcetReport:
     static_mlp: int
     n_insts: int
     n_writes: int
-    ns_per_cycle: float = 8.0
 
     @property
     def total_cycles(self) -> float:
@@ -130,15 +106,14 @@ class WcetReport:
 
     @property
     def ns(self) -> float:
-        return self.total_cycles * self.ns_per_cycle
+        return self.total_cycles * WcetModel.ns_per_cycle
 
     def format(self) -> str:
         loops = (f", loops bounded at {self.loop_bound} iterations"
                  if self.has_loops else ", loop-free")
         return (f"WCET for {self.program_name}: "
                 f"{self.total_cycles:.0f} cycles "
-                f"({self.ns / 1000.0:.2f} us at "
-                f"{1000.0 / self.ns_per_cycle:.0f} MHz) — "
+                f"({self.ns / 1000.0:.2f} us at {FPGA_MHZ:.0f} MHz) — "
                 f"{self.cycles:.0f} path + "
                 f"{self.overhead_cycles:.0f} overhead, "
                 f"{self.n_insts} instructions, {self.n_writes} writes, "
@@ -210,27 +185,15 @@ def _sccs(n: int, succs: List[List[int]]) -> List[List[int]]:
 
 
 def analyze_wcet(program: Program,
-                 config=None,
-                 model: Optional[WcetModel] = None,
                  loop_bound: int = 16,
                  graph: Optional[FlowGraph] = None,
                  footprint=None) -> WcetReport:
     """Longest-path cycle bound over the stitched flow graph.
 
-    ``config`` is an optional :class:`~repro.core.config.BionicConfig`
-    whose softcore/DRAM/clock parameters seed the model; an explicit
-    ``model`` wins over both.  ``footprint`` is the procedure's
+    ``footprint`` is the procedure's
     :class:`~repro.analysis.footprint.FootprintSummary` when the caller
     already has it: the report's static MLP is read from it.
     """
-    if model is None:
-        if config is not None:
-            model = WcetModel.from_config(
-                config.softcore,
-                dram_latency_cycles=config.dram_latency_cycles,
-                fpga_mhz=config.fpga_mhz)
-        else:
-            model = WcetModel()
     graph = graph or program_flow(program)
     n = len(graph)
     n_writes = sum(1 for s in Section for i in program.section(s)
@@ -238,16 +201,14 @@ def analyze_wcet(program: Program,
     n_wrfields = sum(1 for s in Section for i in program.section(s)
                      if i.opcode is Opcode.WRFIELD)
     # admission + the two context switches (post-logic, pre-handler)
-    overhead = (model.catalogue_cycles
-                + 2 * model.context_switch_cycles)
+    overhead = CATALOGUE_CYCLES + 2 * CONTEXT_SWITCH_CYCLES
     if n == 0:
         return WcetReport(program_name=program.name, cycles=0.0,
                           overhead_cycles=overhead, has_loops=False,
                           loop_bound=loop_bound, static_mlp=0, n_insts=0,
-                          n_writes=n_writes,
-                          ns_per_cycle=model.ns_per_cycle)
+                          n_writes=n_writes)
 
-    cost = [model.inst_cycles(graph.inst(nid), n_writes, n_wrfields)
+    cost = [WcetModel.inst_cycles(graph.inst(nid), n_writes, n_wrfields)
             for nid in range(n)]
 
     comps = _sccs(n, graph.succs)           # reverse topological order
@@ -288,4 +249,4 @@ def analyze_wcet(program: Program,
         loop_bound=loop_bound,
         static_mlp=(footprint.static_mlp if footprint is not None
                     else static_mlp(program, graph)),
-        n_insts=n, n_writes=n_writes, ns_per_cycle=model.ns_per_cycle)
+        n_insts=n, n_writes=n_writes)

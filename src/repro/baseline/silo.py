@@ -210,8 +210,10 @@ class SiloTxn:
         model = self.model
         self._locked: List[SiloRecord] = []
         try:
+            # a global lock order that is the same in every process
             for _table, _key, record, _value, is_insert in sorted(
-                    self.write_set, key=lambda e: id(e[2]) if e[2] else 0):
+                    self.write_set,
+                    key=lambda e: (e[0].table_id, repr(e[1]))):
                 if is_insert:
                     continue
                 if record.locked_by is not None and record.locked_by != self.worker_id:

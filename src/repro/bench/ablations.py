@@ -20,10 +20,9 @@ from ..index.common import DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
 from ..isa import Gp, Opcode, ProcedureBuilder
 from ..mem import IndexKind, TableSchema
-from ..sim import ClockDomain, DramModel, Engine, Heap
 from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .report import FigureReport, drive_closed_loop
+from .report import FigureReport, bare_dram, drive_closed_loop
 
 __all__ = [
     "run_traverse_stage_sweep", "run_hazard_prevention_cost",
@@ -37,9 +36,7 @@ __all__ = [
 def _conflicted_search_tput(n_traverse: int, n_buckets: int = 256,
                             n_keys: int = 4096, n_ops: int = 800) -> float:
     """Search throughput at load factor 16 (long conflict chains)."""
-    engine = Engine()
-    clock = ClockDomain(engine, 125.0)
-    dram = DramModel(engine, clock, Heap(), latency_cycles=85.0)
+    engine, clock, dram = bare_dram()
     pipe = HashIndexPipeline(engine, clock, dram, "h", n_buckets=n_buckets,
                              n_traverse_stages=n_traverse, max_in_flight=16)
     pipe.bulk_load_many(range(n_keys), [(k,) for k in range(n_keys)])
@@ -84,9 +81,7 @@ def run_hazard_prevention_cost(n_ops: int = 800) -> FigureReport:
         })
 
     def insert_tput(prevention: bool) -> float:
-        engine = Engine()
-        clock = ClockDomain(engine, 125.0)
-        dram = DramModel(engine, clock, Heap(), latency_cycles=85.0)
+        engine, clock, dram = bare_dram()
         pipe = HashIndexPipeline(engine, clock, dram, "h", n_buckets=64,
                                  hazard_prevention=prevention,
                                  max_in_flight=16)

@@ -12,15 +12,13 @@
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Sequence
 
 from ..core import BionicConfig, BionicDB
 from ..index.common import DbRequest
-from ..index.hash.pipeline import HashIndexPipeline
 from ..isa import Opcode
-from ..sim import ClockDomain, DramModel, Engine, Heap, StatsRegistry
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .report import FigureReport, drive_closed_loop
+from .report import FigureReport, bare_pipelines, drive_closed_loop
 
 __all__ = ["run_fig10a", "run_fig10b", "run_fig10c", "run_fig10d",
            "kv_throughput", "DEFAULT_INFLIGHT_AXIS"]
@@ -29,23 +27,12 @@ DEFAULT_INFLIGHT_AXIS = (1, 4, 8, 12, 16, 20, 24)
 
 
 def kv_throughput(op: str, total_in_flight: int, n_ops: int = 2000,
-                  n_workers: int = 4, n_keys: int = 8192,
-                  config: BionicConfig = None) -> float:
+                  n_workers: int = 4, n_keys: int = 8192) -> float:
     """Aggregate ops/sec of the hash pipelines under a client-side cap
     on total in-flight requests (the §5.5 KV microbenchmark: a single
     transaction bulk-issuing inserts/searches)."""
-    cfg = config or BionicConfig()
-    engine = Engine()
-    clock = ClockDomain(engine, cfg.fpga_mhz)
-    dram = DramModel(engine, clock, Heap(),
-                     latency_cycles=cfg.dram_latency_cycles,
-                     channels=cfg.dram_channels)
-    pipes: List[HashIndexPipeline] = []
-    for w in range(n_workers):
-        kwargs = cfg.hash_kwargs()
-        kwargs["max_in_flight"] = max(64, total_in_flight)
-        pipes.append(HashIndexPipeline(engine, clock, dram, f"w{w}.hash",
-                                       n_buckets=2 * n_keys, **kwargs))
+    engine, dram, pipes = bare_pipelines("hash", n_workers, total_in_flight,
+                                         n_buckets=2 * n_keys)
     rng = random.Random(11)
     if op == "search":
         for pipe in pipes:

@@ -14,17 +14,15 @@
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Sequence
 
 from ..baseline import IndexStructure, SiloYcsb
 from ..core import BionicConfig, BionicDB
 from ..index.common import DbRequest
-from ..index.skiplist.pipeline import SkiplistPipeline
 from ..isa import Opcode
 from ..mem import IndexKind
-from ..sim import ClockDomain, DramModel, Engine, Heap
 from ..workloads import YcsbConfig, YcsbWorkload
-from .report import FigureReport, drive_closed_loop
+from .report import FigureReport, bare_pipelines, drive_closed_loop
 
 __all__ = ["run_fig11a", "run_fig11b", "run_fig11c", "run_fig11d",
            "skiplist_kv_throughput", "scanner_count_sweep",
@@ -35,22 +33,11 @@ DEFAULT_INFLIGHT_AXIS = (1, 4, 8, 12, 16, 20, 24)
 
 def skiplist_kv_throughput(op: str, total_in_flight: int, n_ops: int = 600,
                            n_workers: int = 4, n_keys: int = 4000,
-                           n_scanners: int = 1, scan_len: int = 50,
-                           config: BionicConfig = None) -> float:
+                           n_scanners: int = 1, scan_len: int = 50) -> float:
     """Drive the skiplist pipelines directly (as §5.5 does for hash)."""
-    cfg = config or BionicConfig()
-    engine = Engine()
-    clock = ClockDomain(engine, cfg.fpga_mhz)
-    dram = DramModel(engine, clock, Heap(),
-                     latency_cycles=cfg.dram_latency_cycles,
-                     channels=cfg.dram_channels)
-    pipes: List[SkiplistPipeline] = []
-    for w in range(n_workers):
-        kwargs = cfg.skiplist_kwargs()
-        kwargs["max_in_flight"] = max(64, total_in_flight)
-        kwargs["n_scanners"] = n_scanners
-        pipes.append(SkiplistPipeline(engine, clock, dram, f"w{w}.sl",
-                                      **kwargs))
+    engine, dram, pipes = bare_pipelines("skiplist", n_workers,
+                                         total_in_flight,
+                                         n_scanners=n_scanners)
     rng = random.Random(13)
     if op != "insert":
         for pipe in pipes:

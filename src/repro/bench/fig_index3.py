@@ -18,17 +18,12 @@ that crosses the same node.  Two experiments:
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Sequence
 
 from ..baseline.bptree import BPlusTree
-from ..core import BionicConfig
-from ..index.bptree.pipeline import BPTreePipeline
 from ..index.common import DbRequest
-from ..index.hash.pipeline import HashIndexPipeline
-from ..index.skiplist.pipeline import SkiplistPipeline
 from ..isa import Opcode
-from ..sim import ClockDomain, DramModel, Engine, Heap
-from .report import FigureReport, drive_closed_loop
+from .report import FigureReport, bare_pipelines, drive_closed_loop
 
 __all__ = ["run_index3_point", "run_index3_scan", "index_kv_throughput",
            "range_scan_sweep_point", "DEFAULT_INFLIGHT_AXIS",
@@ -38,45 +33,15 @@ DEFAULT_INFLIGHT_AXIS = (1, 4, 8, 12, 16, 20, 24)
 DEFAULT_SPAN_AXIS = (10, 25, 50, 100, 200)
 
 
-def _make_pipes(kind: str, cfg: BionicConfig, engine, clock, dram,
-                n_workers: int, total_in_flight: int,
-                wave_size: int = None) -> List:
-    pipes = []
-    for w in range(n_workers):
-        if kind == "hash":
-            kwargs = cfg.hash_kwargs()
-            kwargs["max_in_flight"] = max(64, total_in_flight)
-            pipes.append(HashIndexPipeline(
-                engine, clock, dram, f"w{w}.hash", n_buckets=1 << 13,
-                **kwargs))
-        elif kind == "skiplist":
-            kwargs = cfg.skiplist_kwargs()
-            kwargs["max_in_flight"] = max(64, total_in_flight)
-            pipes.append(SkiplistPipeline(engine, clock, dram, f"w{w}.sl",
-                                          **kwargs))
-        else:
-            kwargs = cfg.bptree_kwargs()
-            kwargs["max_in_flight"] = max(64, total_in_flight)
-            if wave_size is not None:
-                kwargs["wave_size"] = wave_size
-            pipes.append(BPTreePipeline(engine, clock, dram, f"w{w}.bptree",
-                                        **kwargs))
-    return pipes
-
-
 def index_kv_throughput(kind: str, op: str, total_in_flight: int,
                         n_ops: int = 600, n_workers: int = 4,
-                        n_keys: int = 4000, wave_size: int = None,
-                        config: BionicConfig = None) -> float:
+                        n_keys: int = 4000, wave_size: int = None) -> float:
     """Drive one index kind's pipelines directly (the §5.5 method)."""
-    cfg = config or BionicConfig()
-    engine = Engine()
-    clock = ClockDomain(engine, cfg.fpga_mhz)
-    dram = DramModel(engine, clock, Heap(),
-                     latency_cycles=cfg.dram_latency_cycles,
-                     channels=cfg.dram_channels)
-    pipes = _make_pipes(kind, cfg, engine, clock, dram, n_workers,
-                        total_in_flight, wave_size=wave_size)
+    shape = {"n_buckets": 1 << 13} if kind == "hash" else {}
+    if wave_size is not None:
+        shape["wave_size"] = wave_size
+    engine, _dram, pipes = bare_pipelines(kind, n_workers, total_in_flight,
+                                          **shape)
     rng = random.Random(13)
     if op != "insert":
         for pipe in pipes:
@@ -123,18 +88,10 @@ def run_index3_point(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
 
 def range_scan_sweep_point(kind: str, span: int, n_ops: int = 120,
                            n_workers: int = 4, n_keys: int = 4000,
-                           config: BionicConfig = None,
                            total_in_flight: int = 16):
     """One selectivity point: throughput plus golden-model mismatches."""
-    cfg = config or BionicConfig()
-    engine = Engine()
-    clock = ClockDomain(engine, cfg.fpga_mhz)
-    heap = Heap()
-    dram = DramModel(engine, clock, heap,
-                     latency_cycles=cfg.dram_latency_cycles,
-                     channels=cfg.dram_channels)
-    pipes = _make_pipes(kind, cfg, engine, clock, dram, n_workers,
-                        total_in_flight)
+    engine, dram, pipes = bare_pipelines(kind, n_workers, total_in_flight)
+    heap = dram.heap
     golden = BPlusTree()
     for pipe in pipes:
         pipe.bulk_load_many(range(n_keys), [(k,) for k in range(n_keys)])

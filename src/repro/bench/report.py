@@ -9,11 +9,46 @@ states them, so EXPERIMENTS.md can be regenerated from bench output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..sim import Engine, TokenPool
+from ..index.bptree.pipeline import BPTreePipeline, BPTreeTimings
+from ..index.common import SCAN_EMIT_CYCLES
+from ..index.hash.pipeline import HashIndexPipeline
+from ..index.skiplist.pipeline import SkiplistPipeline, SkiplistTimings
+from ..sim import FPGA_MHZ, ClockDomain, DramModel, Engine, Heap, TokenPool
 
-__all__ = ["Series", "FigureReport", "format_quantity", "drive_closed_loop"]
+__all__ = ["Series", "FigureReport", "format_quantity", "drive_closed_loop",
+           "bare_dram", "bare_pipelines"]
+
+
+def bare_dram() -> Tuple[Engine, ClockDomain, DramModel]:
+    """A new engine, the machine's clock and its DRAM over a new heap:
+    what an experiment on one component, outside a machine, builds on."""
+    engine = Engine()
+    clock = ClockDomain(engine, FPGA_MHZ)
+    return engine, clock, DramModel(engine, clock, Heap())
+
+
+def bare_pipelines(kind: str, n_workers: int, total_in_flight: int,
+                   **kw) -> Tuple[Engine, DramModel, list]:
+    """``n_workers`` index pipelines of one kind ("hash", "skiplist"
+    or "bptree") on one :func:`bare_dram`: the §5.5 method of driving
+    the coprocessors directly.  Each charges what a partition worker's
+    does — a scanner's :data:`~repro.index.common.SCAN_EMIT_CYCLES` per
+    tuple included — and holds the whole client-side in-flight cap;
+    ``kw`` goes to every constructor."""
+    engine, clock, dram = bare_dram()
+    kw["max_in_flight"] = max(64, total_in_flight)
+    if kind == "hash":
+        cls, name = HashIndexPipeline, "hash"
+    elif kind == "skiplist":
+        cls, name = SkiplistPipeline, "sl"
+        kw["timings"] = SkiplistTimings(scan_emit=SCAN_EMIT_CYCLES)
+    else:
+        cls, name = BPTreePipeline, "bptree"
+        kw["timings"] = BPTreeTimings(scan_emit=SCAN_EMIT_CYCLES)
+    return engine, dram, [cls(engine, clock, dram, f"w{w}.{name}", **kw)
+                          for w in range(n_workers)]
 
 
 def drive_closed_loop(engine: Engine, n_ops: int, total_in_flight: int,

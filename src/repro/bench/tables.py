@@ -7,7 +7,7 @@ from typing import Optional
 from ..comm.channels import Crossbar, RequestPacket, ResponsePacket
 from ..comm.software_mp import software_mp_table
 from ..core import BionicConfig, BionicDB
-from ..sim import ClockDomain, Engine
+from ..sim import FPGA_MHZ, ClockDomain, Engine
 from ..sim.power import CpuPowerModel, FpgaPowerModel
 from .report import FigureReport
 
@@ -28,8 +28,7 @@ PAPER_TABLE4 = {
 def measure_onchip_roundtrip_ns() -> float:
     """Measure a request/response pair on the simulated crossbar."""
     engine = Engine()
-    clock = ClockDomain(engine, 125.0)
-    xbar = Crossbar(engine, clock, 2)
+    xbar = Crossbar(engine, ClockDomain(engine, FPGA_MHZ), 2)
     times = {}
 
     def remote():

@@ -1,7 +1,7 @@
 """Live partition migration: drain → transfer → re-own.
 
 Moving a partition's ownership while traffic flows is the hard half of
-ROADMAP item 1 (elastic repartitioning).  The state machine:
+elastic repartitioning.  The state machine:
 
 ``DRAINING``
     The router stops admitting new transactions for the partition —

@@ -47,7 +47,7 @@ from ..errors import (
 from ..isa.instructions import Program
 from ..mem.schema import Catalog, SchemaError, TableSchema
 from ..mem.txnblock import BlockLayout, TransactionBlock, TxnStatus
-from ..sim.clock import ClockDomain
+from ..sim.clock import FPGA_MHZ, ClockDomain
 from ..sim.engine import Engine, collector_quiesced
 from ..sim.memory import DramModel, Heap
 from ..sim.power import CpuPowerModel, FpgaPowerModel, PowerReport
@@ -58,6 +58,9 @@ from ..txn.timestamps import HardwareClock
 from .config import BionicConfig
 
 __all__ = ["BionicDB", "RunReport"]
+
+#: the layout of a block whose caller names none
+_DEFAULT_LAYOUT = BlockLayout()
 
 #: keys routed per partition run, after its first, to check a
 #: ``range_partitioned`` declaration (:meth:`BionicDB._range_runs`)
@@ -144,7 +147,7 @@ class BionicDB:
         self.n_nodes = n_nodes
         self.total_workers = n_nodes * cfg.n_workers
         self.engine = Engine()
-        self.clock = ClockDomain(self.engine, cfg.fpga_mhz, name="fpga")
+        self.clock = ClockDomain(self.engine, FPGA_MHZ, name="fpga")
         self.stats = StatsRegistry()
         #: what load_many did (zero simulated cost): rows installed,
         #: bulk_load_many batches handed out, partition_fn calls made
@@ -154,16 +157,14 @@ class BionicDB:
         #: one heap and DRAM per chip — shared nothing
         self.drams: List[DramModel] = [
             DramModel(self.engine, self.clock, Heap(stats=self.stats),
-                      latency_cycles=cfg.dram_latency_cycles,
-                      channels=cfg.dram_channels, stats=self.stats)
+                      stats=self.stats)
             for _ in range(n_nodes)]
         #: the one-node spelling: node 0's DRAM and heap
         self.dram = self.drams[0]
         self.heap = self.dram.heap
         self.hw_clock = HardwareClock()
         self.schemas = Catalog()
-        self.catalogue = Catalogue(self.schemas,
-                                   n_registers=cfg.softcore.n_registers)
+        self.catalogue = Catalogue(self.schemas)
         from ..sim.trace import NULL_TRACER
         self.tracer = cfg.tracer if cfg.tracer is not None else NULL_TRACER
         self.tracer.bind_clock(self.clock)
@@ -184,9 +185,6 @@ class BionicDB:
                 self.total_workers, self.catalogue, self.hw_clock,
                 self.crossbar,
                 softcore_config=cfg.softcore,
-                hash_kwargs=cfg.hash_kwargs(),
-                skiplist_kwargs=cfg.skiplist_kwargs(),
-                bptree_kwargs=cfg.bptree_kwargs(),
                 stats=self.stats,
                 on_txn_done=self._on_txn_done,
                 tracer=self.tracer,
@@ -210,11 +208,10 @@ class BionicDB:
         cfg = self.config
         if cfg.comm_topology == "ring":
             from ..comm.ring import RingInterconnect
-            return RingInterconnect(
-                self.engine, self.clock, cfg.n_workers,
-                hop_cycles=cfg.ring_hop_cycles, stats=self.stats)
+            return RingInterconnect(self.engine, self.clock, cfg.n_workers,
+                                    stats=self.stats)
         return Crossbar(self.engine, self.clock, cfg.n_workers,
-                        hop_cycles=cfg.comm_hop_cycles, stats=self.stats)
+                        stats=self.stats)
 
     # -- topology ------------------------------------------------------------
     def node_of(self, worker: int) -> int:
@@ -410,7 +407,7 @@ class BionicDB:
                                   worker=worker,
                                   n_workers=self.total_workers)
         self._txn_counter += 1
-        layout = layout or self.config.block_layout
+        layout = layout or _DEFAULT_LAYOUT
         if len(inputs) > layout.n_inputs:
             layout = BlockLayout(n_inputs=len(inputs),
                                  n_outputs=layout.n_outputs,
@@ -665,17 +662,20 @@ class BionicDB:
             comm_vec = costs["communication"]
         for w in range(cfg.n_workers):
             inst = f"w{w}"
-            hash_vec = costs["hash.base"] + costs["hash.traverse"] * cfg.hash_traverse_stages
+            worker = self.workers[w]
+            hash_vec = (costs["hash.base"] + costs["hash.traverse"]
+                        * worker.hash_pipe.n_traverse_stages)
             ledger.add("Hash", hash_vec, inst)
+            skiplist = worker.skiplist_pipe
             sl_vec = (costs["skiplist.base"]
-                      + costs["skiplist.stage"] * cfg.skiplist_stages
-                      + costs["skiplist.scanner"] * cfg.skiplist_scanners)
+                      + costs["skiplist.stage"] * skiplist.n_stages
+                      + costs["skiplist.scanner"] * skiplist.n_scanners)
             ledger.add("Skiplist", sl_vec, inst)
-            if self.workers[w]._bptree_pipe is not None:
+            if worker._bptree_pipe is not None:
                 # only synthesized when a BPTREE table exists (the
                 # pipeline is instantiated lazily, like the hardware)
-                bp_vec = (costs["bptree.base"]
-                          + costs["bptree.stage"] * cfg.bptree_stages)
+                bp_vec = (costs["bptree.base"] + costs["bptree.stage"]
+                          * worker._bptree_pipe.n_stages)
                 ledger.add("BPTree", bp_vec, inst)
             ledger.add("Softcore", costs["softcore"], inst)
             ledger.add("Catalogue", costs["catalogue"], inst)

@@ -16,8 +16,8 @@ from typing import Any, Callable, Dict, Optional
 
 from ..comm.channels import Crossbar, RequestPacket, ResponsePacket
 from ..index.bptree.pipeline import BPTreePipeline, BPTreeTimings
-from ..index.common import DbRequest
-from ..index.hash.pipeline import HashIndexPipeline, HashTimings
+from ..index.common import SCAN_EMIT_CYCLES, DbRequest
+from ..index.hash.pipeline import HashIndexPipeline
 from ..index.skiplist.pipeline import SkiplistPipeline, SkiplistTimings
 from ..mem.schema import Catalog, IndexKind, TableSchema
 from ..sim.clock import ClockDomain
@@ -46,9 +46,6 @@ class PartitionWorker:
         hw_clock: HardwareClock,
         crossbar: Optional[Crossbar],
         softcore_config: Optional[SoftcoreConfig] = None,
-        hash_kwargs: Optional[dict] = None,
-        skiplist_kwargs: Optional[dict] = None,
-        bptree_kwargs: Optional[dict] = None,
         stats: Optional[StatsRegistry] = None,
         on_txn_done=None,
         tracer=None,
@@ -66,17 +63,18 @@ class PartitionWorker:
                                  tracer=tracer)
         self.hash_pipe = HashIndexPipeline(
             engine, clock, dram, f"w{worker_id}.hash", n_buckets=0,
-            stats=self.stats, tracer=tracer, **(hash_kwargs or {}))
+            stats=self.stats, tracer=tracer)
         self.skiplist_pipe = SkiplistPipeline(
             engine, clock, dram, f"w{worker_id}.skiplist",
-            create_default_table=False, stats=self.stats, tracer=tracer,
-            **(skiplist_kwargs or {}))
+            timings=SkiplistTimings(scan_emit=SCAN_EMIT_CYCLES),
+            create_default_table=False, stats=self.stats, tracer=tracer)
         # the B+ tree pipeline is built lazily on first use: a worker
         # with no BPTREE tables spawns no extra processes or memory
         # ports, keeping non-B+-tree runs cycle-identical
         self._bptree_pipe: Optional[BPTreePipeline] = None
         self._bptree_ctor = (engine, clock, dram, tracer)
-        self._bptree_kwargs = dict(bptree_kwargs or {})
+        #: the in-flight budget the B+ tree pipeline is built with
+        self._bptree_in_flight = self.hash_pipe.tokens.capacity
 
         self.softcore.route = self._route
         self.softcore.dispatch = self.dispatch
@@ -95,8 +93,9 @@ class PartitionWorker:
             engine, clock, dram, tracer = self._bptree_ctor
             self._bptree_pipe = BPTreePipeline(
                 engine, clock, dram, f"w{self.worker_id}.bptree",
-                create_default_table=False, stats=self.stats, tracer=tracer,
-                **self._bptree_kwargs)
+                max_in_flight=self._bptree_in_flight,
+                timings=BPTreeTimings(scan_emit=SCAN_EMIT_CYCLES),
+                create_default_table=False, stats=self.stats, tracer=tracer)
         return self._bptree_pipe
 
     # -- schema ------------------------------------------------------------
@@ -168,6 +167,6 @@ class PartitionWorker:
     def set_max_in_flight(self, n: int) -> None:
         self.hash_pipe.set_max_in_flight(n)
         self.skiplist_pipe.set_max_in_flight(n)
-        self._bptree_kwargs["max_in_flight"] = n
+        self._bptree_in_flight = n
         if self._bptree_pipe is not None:
             self._bptree_pipe.set_max_in_flight(n)

@@ -1,4 +1,4 @@
-"""Batched level-wise B+ tree index coprocessor (ROADMAP item 4)."""
+"""Batched level-wise B+ tree index coprocessor (an extension)."""
 
 from .pipeline import BPTreePipeline, BPTreeTimings, compute_level_ranges
 

@@ -1,4 +1,4 @@
-"""The batched level-wise B+ tree pipeline (extension; ROADMAP item 4).
+"""The batched level-wise B+ tree pipeline (an extension).
 
 The wave former groups requests into *waves* (the §4.5 batch former
 delivers a transaction group's index ops back to back), and a wave

@@ -23,7 +23,15 @@ from ..sim.trace import NULL_TRACER
 from ..txn.cc import DbResult, ResultCode, check_read, check_write
 
 __all__ = ["DbRequest", "PipelineBase", "Scan", "sdbm_hash",
-           "clear_hash_cache", "key_column", "IndexError_"]
+           "clear_hash_cache", "key_column", "IndexError_",
+           "SCAN_EMIT_CYCLES"]
+
+#: the machine's scanners' per-tuple charge: copying the 1 KB tuple into
+#: the transaction block's scan buffer, which is why one scanner
+#: bottlenecks Figure 11c (§5.5).  The skiplist and B+ tree pipelines
+#: default to 6 cycles (the visibility check and buffer write alone);
+#: the partition worker and the figures' bare pipelines pass this instead.
+SCAN_EMIT_CYCLES = 145.0
 
 _request_ids = itertools.count(1)
 
@@ -211,8 +219,6 @@ class PipelineBase:
 
     def __init__(self, engine: Engine, clock: ClockDomain, dram: DramModel,
                  name: str, max_in_flight: int = 16,
-                 read_issue_interval_cycles: Optional[float] = None,
-                 write_issue_interval_cycles: Optional[float] = None,
                  stats: Optional[StatsRegistry] = None, tracer=None):
         self.engine = engine
         self.clock = clock
@@ -227,10 +233,6 @@ class PipelineBase:
         # modelled HC-2 port arbitration cost and the throughput anchor for
         # Figure 10 (see DESIGN.md §5).
         read_iv, write_iv = self.issue_intervals
-        if read_issue_interval_cycles is not None:
-            read_iv = read_issue_interval_cycles
-        if write_issue_interval_cycles is not None:
-            write_iv = write_issue_interval_cycles
         self.read_port: MemoryPort = dram.new_port(
             f"{name}.rd", max_outstanding=64, issue_interval_cycles=read_iv)
         self.write_port: MemoryPort = dram.new_port(

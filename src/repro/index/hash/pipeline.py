@@ -59,14 +59,13 @@ class HashIndexPipeline(PipelineBase):
     issue_intervals = (24.0, 28.0)
 
     def __init__(self, engine, clock, dram, name: str, n_buckets: int = 0,
-                 timings: Optional[HashTimings] = None,
                  n_traverse_stages: int = 1,
                  hazard_prevention: bool = True, **kw):
         if n_buckets < 0:
             raise ValueError("n_buckets must be >= 0")
         if n_traverse_stages < 1:
             raise ValueError("need at least one Traverse stage")
-        self.timings = timings or HashTimings()
+        self.timings = HashTimings()
         self.n_traverse_stages = n_traverse_stages
         self.hazard_prevention = hazard_prevention
         super().__init__(engine, clock, dram, name, **kw)

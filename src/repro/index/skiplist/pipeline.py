@@ -79,23 +79,21 @@ class SkiplistPipeline(PipelineBase):
 
     trace_category = "skiplist"
     issue_intervals = (4.0, 4.0)
+    #: tower levels (a loaded run keeps its tower heights as bytes)
+    max_height = 20
+    #: traversal stages: the pipeline depth that bounds Figure 11
+    n_stages = 8
 
     def __init__(self, engine, clock, dram, name: str,
-                 max_height: int = 20,
-                 n_stages: int = 8,
                  n_scanners: int = 1,
                  timings: Optional[SkiplistTimings] = None,
                  hazard_prevention: bool = True,
                  create_default_table: bool = True, **kw):
-        if max_height > 255:
-            # a loaded run keeps its tower heights as bytes
-            raise ValueError("max_height must be <= 255")
-        self.max_height = max_height
-        self.n_stages = n_stages
         self.n_scanners = n_scanners
         self.timings = timings or SkiplistTimings()
         self.hazard_prevention = hazard_prevention
-        self.level_ranges = compute_level_ranges(max_height, n_stages)
+        self.level_ranges = compute_level_ranges(self.max_height,
+                                                 self.n_stages)
         self._rng = random.Random(_HEIGHT_SEED)
         super().__init__(engine, clock, dram, name, **kw)
         self.locks = LockTable(engine)

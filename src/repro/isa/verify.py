@@ -149,27 +149,31 @@ def _anchored(severity: str, code: str, message: str, section: Section,
                    detail=disassemble_instruction(insts[index]))
 
 
-def verify_program(program: Program, n_registers: int = 256,
+def verify_program(program: Program, n_registers: Optional[int] = None,
                    schemas=None, n_workers: Optional[int] = None,
                    graph=None, footprint=None) -> VerificationReport:
     """Statically verify ``program``; finalises it first if needed.
 
-    ``schemas`` is an optional :class:`repro.mem.schema.Catalog`; when
-    given, DB-instruction table references are checked against it and
-    the partition-footprint warnings are enabled (``n_workers``
+    ``n_registers`` is the register budget, by default the softcore's
+    (:data:`repro.softcore.timing.N_REGISTERS`).  ``schemas`` is an
+    optional :class:`repro.mem.schema.Catalog`; when given,
+    DB-instruction table references are checked against it and the
+    partition-footprint warnings are enabled (``n_workers``
     additionally lets pinned keys name their concrete partition).
     ``graph`` is the program's flow graph
     (:func:`repro.analysis.dataflow.program_flow`) and ``footprint``
     its :class:`~repro.analysis.footprint.FootprintSummary`, when the
     caller already has them.
     """
-    # Imported lazily: repro.analysis is a client of this module's
-    # Finding API, and importing it at module scope would make the
-    # package import order load-bearing.
+    # Imported lazily: repro.analysis and repro.softcore are clients of
+    # this module's Finding API, and importing either at module scope
+    # would make the package import order load-bearing.
     from ..analysis.dataflow import program_flow
     from ..analysis.liveness import dead_gp_writes, uncollected_cps
     from ..analysis.protocol import check_commit_protocol
     from ..analysis.footprint import analyze_footprint, table_schema
+    if n_registers is None:
+        from ..softcore.timing import N_REGISTERS as n_registers
 
     if not program.finalized:
         program.finalize()

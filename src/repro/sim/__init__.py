@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate for the BionicDB reproduction."""
 
-from .clock import ClockDomain
+from .clock import FPGA_MHZ, ClockDomain
 from .engine import (
     Engine, Event, Process, SimulationError, Timeout, collector_quiesced,
 )
@@ -19,7 +19,7 @@ from .trace import NULL_TRACER, TraceEvent, Tracer
 
 __all__ = [
     "Engine", "Event", "Process", "SimulationError", "Timeout",
-    "ClockDomain",
+    "ClockDomain", "FPGA_MHZ",
     "Bram", "DramModel", "Heap", "MemoryPort", "LINE_BYTES",
     "collector_quiesced",
     "CpuPowerModel", "FpgaPowerModel", "PowerReport",

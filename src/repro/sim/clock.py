@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from .engine import Engine
 
-__all__ = ["ClockDomain"]
+__all__ = ["ClockDomain", "FPGA_MHZ"]
+
+#: the BionicDB clock: the Virtex-5 on the HC-2 at 125 MHz (§5.2)
+FPGA_MHZ = 125.0
 
 
 class ClockDomain:

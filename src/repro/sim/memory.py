@@ -5,7 +5,8 @@ on-board DDR2 through dedicated memory controllers.  In-memory OLTP is
 bound by *latency* of small random accesses, not bandwidth (§4.1), so
 the model centres on:
 
-* a fixed random-access latency per request (``latency_cycles``),
+* a fixed random-access latency per request (``latency_cycles``,
+  :data:`DRAM_LATENCY_CYCLES` on the HC-2),
 * per-port issue limits (a port can only have ``max_outstanding``
   requests in flight — this is what caps memory-level parallelism and
   produces the saturation knees of Figures 10 and 11),
@@ -33,7 +34,8 @@ from .clock import ClockDomain
 from .engine import Engine, Event
 from .stats import StatsRegistry
 
-__all__ = ["Heap", "DramModel", "MemoryPort", "Bram", "LINE_BYTES"]
+__all__ = ["Heap", "DramModel", "MemoryPort", "Bram", "LINE_BYTES",
+           "DRAM_LATENCY_CYCLES"]
 
 LINE_BYTES = 64  # one heap cell models one 64-byte DRAM line
 
@@ -195,6 +197,11 @@ class _Request:
         self.cb_arg = cb_arg
 
 
+#: HC-2 coprocessor memory through the crossbar interconnect: a random
+#: access takes ~680 ns at 125 MHz
+DRAM_LATENCY_CYCLES = 85.0
+
+
 class DramModel:
     """Shared DRAM: channels, latency, bandwidth accounting."""
 
@@ -203,7 +210,7 @@ class DramModel:
         engine: Engine,
         clock: ClockDomain,
         heap: Heap,
-        latency_cycles: float = 85.0,
+        latency_cycles: float = DRAM_LATENCY_CYCLES,
         channels: int = 8,
         channel_issue_interval_cycles: float = 1.0,
         stats: Optional[StatsRegistry] = None,

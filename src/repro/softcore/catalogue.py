@@ -57,11 +57,8 @@ class ProcedureEntry:
 class Catalogue:
     """Per-worker procedure + schema store (replicated to every worker)."""
 
-    def __init__(self, schemas: Catalog, lookup_cycles: float = 2.0,
-                 n_registers: int = 256):
+    def __init__(self, schemas: Catalog):
         self.schemas = schemas
-        self.lookup_cycles = lookup_cycles
-        self.n_registers = n_registers
         self._procs: Dict[int, ProcedureEntry] = {}
         #: proc_id -> generated code, filled at first execution by
         #: :class:`repro.softcore.compiled.CompiledTier` and shared by
@@ -85,8 +82,7 @@ class Catalogue:
             program.finalize()
         graph = program_flow(program)
         if verify:
-            verify_program(program, n_registers=self.n_registers,
-                           graph=graph).raise_if_errors()
+            verify_program(program, graph=graph).raise_if_errors()
         tolerant = frozenset(
             inst.cp.n
             for section in Section

@@ -31,9 +31,11 @@ transient the allocator never returns), make a branch a ``return``
 instead of an O(blocks) ``if/elif`` chain, and give dynamic scheduling
 its re-entry points for free.  No source text is retained.
 
-Three things are fixed when a softcore is built and specialise the
-generated code rather than being tested at run time; they are part of
-:attr:`CompiledTier._sig` next to the cycle charges:
+The cycle charges are the constants of :mod:`repro.softcore.timing`,
+baked in as nanosecond literals at the machine's clock.  Three things
+are fixed when a softcore is built and specialise the generated code
+rather than being tested at run time; they make up
+:attr:`CompiledTier._sig`:
 
 * ``tracer.enabled`` — every instruction additionally emits its
   ``softcore`` trace line (``txn`` COMMIT/ABORT lines come from the
@@ -82,7 +84,6 @@ import re
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..analysis.cfg import EXIT, build_cfg
-from ..analysis.wcet import WcetModel, analyze_wcet
 from ..errors import BionicError
 from ..isa.instructions import (
     BRANCH_OPCODES, BlockRef, FieldRef, Gp, Imm, Instruction, Opcode, Section,
@@ -90,6 +91,10 @@ from ..isa.instructions import (
 from ..mem.schema import SchemaError
 from ..txn.cc import ResultCode
 from .catalogue import ProcedureEntry
+from .timing import (
+    CPU_INST_CYCLES, DB_DISPATCH_CYCLES, DB_PREPARE_CYCLES, RET_CYCLES,
+    WRFIELD_CYCLES,
+)
 
 __all__ = ["CompiledTier", "ExecutionError", "MAX_UNIT"]
 
@@ -162,14 +167,13 @@ class _SectionCompiler:
         self.trace = trace
         #: a blocked RET hands the softcore back (transaction logic only)
         self.ret_yields = dynamic and self.logic
-        cfg = softcore.config
         ns = softcore.clock.ns_per_cycle
-        self.c_cpu = cfg.cpu_inst_cycles * ns
-        self.c_ret = cfg.ret_cycles * ns
-        self.c_prep = cfg.db_prepare_cycles * ns
-        self.c_disp = cfg.db_dispatch_cycles * ns
-        self.c_wrfield = cfg.wrfield_cycles * ns
-        self.line_buffer = cfg.line_buffer
+        self.c_cpu = CPU_INST_CYCLES * ns
+        self.c_ret = RET_CYCLES * ns
+        self.c_prep = DB_PREPARE_CYCLES * ns
+        self.c_disp = DB_DISPATCH_CYCLES * ns
+        self.c_wrfield = WRFIELD_CYCLES * ns
+        self.line_buffer = softcore.config.line_buffer
         self.insts: List[Instruction] = entry.program.section(section)
         self.consts: List[Any] = []
         self.out: List[str] = []
@@ -485,8 +489,8 @@ class CompiledTier:
     """Generated-code cache, shared through the catalogue.
 
     Units take ``(softcore, ctx)`` and bind no per-core state, and every
-    worker of a machine shares one catalogue, one timing config and one
-    tracer — so the cache hangs off the catalogue and all softcores
+    worker of a machine shares one catalogue, one softcore config and
+    one tracer — so the cache hangs off the catalogue and all softcores
     reuse one compilation.  The catalogue allows re-registration, so
     entries are validated by identity (replacing a procedure invalidates
     its compiled form); the signature guards the off-design case of
@@ -499,10 +503,7 @@ class CompiledTier:
         cfg = softcore.config
         self._trace = bool(softcore.tracer.enabled)
         self._dynamic = cfg.dynamic_scheduling and cfg.interleaving
-        self._sig = (cfg.cpu_inst_cycles, cfg.ret_cycles,
-                     cfg.db_prepare_cycles, cfg.db_dispatch_cycles,
-                     cfg.wrfield_cycles, cfg.line_buffer,
-                     softcore.clock.ns_per_cycle, self._trace, self._dynamic)
+        self._sig = (cfg.line_buffer, self._trace, self._dynamic)
         self._cache: Dict[int, tuple] = softcore.catalogue.compiled
 
     def units(self, entry: ProcedureEntry,
@@ -515,19 +516,3 @@ class CompiledTier:
                 for s in Section})
             self._cache[entry.proc_id] = hit
         return hit[2][section]
-
-    def report(self) -> List[dict]:
-        """Per-procedure summary of what has been compiled so far, with
-        the static cycle bound of each (docs / debugging)."""
-        sc = self.softcore
-        model = WcetModel.from_config(
-            sc.config,
-            dram_latency_cycles=sc.dram.latency_ns / sc.clock.ns_per_cycle,
-            fpga_mhz=1000.0 / sc.clock.ns_per_cycle)
-        return [{
-            "proc_id": proc_id,
-            "program": entry.program.name,
-            "units": {s.value: len(units) for s, units in sections.items()},
-            "wcet_cycles": round(
-                analyze_wcet(entry.program, model=model).total_cycles, 3),
-        } for proc_id, (entry, _sig, sections) in sorted(self._cache.items())]

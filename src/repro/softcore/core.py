@@ -41,6 +41,10 @@ from .catalogue import Catalogue
 from .compiled import CompiledTier, ExecutionError
 from .context import TxnContext, WriteSetEntry
 from .registers import CpRegisterFile, RegisterFile
+from .timing import (
+    CATALOGUE_CYCLES, COMMIT_CYCLES_PER_ENTRY, CONTEXT_SWITCH_CYCLES,
+    N_REGISTERS,
+)
 
 __all__ = ["SoftcoreConfig", "Softcore", "ExecutionError"]
 
@@ -49,26 +53,21 @@ _WRITE_OPS = (Opcode.INSERT, Opcode.UPDATE, Opcode.REMOVE)
 
 @dataclass
 class SoftcoreConfig:
-    """Cycle charges and scheduling policy of one softcore.
+    """Scheduling policy of one softcore: the three choices the
+    experiments vary (Figure 12 and ``tpcc_demo`` turn interleaving off,
+    ``ext-dynamic`` turns dynamic scheduling on, ``ablation-linebuf``
+    the line buffer off).  The cycle charges and the register file are
+    the constants of :mod:`repro.softcore.timing`.
 
     Nothing here selects how instructions are executed: every procedure
-    runs as generated code (:mod:`repro.softcore.compiled`), which the
-    charges, ``line_buffer`` and ``dynamic_scheduling`` specialise.
+    runs as generated code (:mod:`repro.softcore.compiled`), which
+    ``line_buffer`` and ``dynamic_scheduling`` specialise.
     """
 
-    cpu_inst_cycles: float = 5.0
-    db_prepare_cycles: float = 1.0
-    db_dispatch_cycles: float = 1.0
-    ret_cycles: float = 5.0
-    context_switch_cycles: float = 10.0
-    commit_cycles_per_entry: float = 2.0
-    wrfield_cycles: float = 6.0
-    catalogue_cycles: float = 2.0
     interleaving: bool = True
     #: §4.5 'future work': switch transactions whenever a RET blocks,
     #: instead of only at end-of-logic (helps data-dependent workloads)
     dynamic_scheduling: bool = False
-    n_registers: int = 256
     #: single-entry tuple line buffer: one 64-byte header line holds all
     #: the fields a procedure touches, so consecutive LOAD/WRFIELD to
     #: the same record cost one DRAM read (ablation knob)
@@ -152,8 +151,8 @@ class Softcore:
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
         self.input_queue: Fifo = Fifo(engine, name=f"w{worker_id}.input")
-        self.gp = RegisterFile(self.config.n_registers)
-        self.cp = CpRegisterFile(engine, self.config.n_registers)
+        self.gp = RegisterFile(N_REGISTERS)
+        self.cp = CpRegisterFile(engine, N_REGISTERS)
         self.port = dram.new_port(f"w{worker_id}.core", max_outstanding=8,
                                   issue_interval_cycles=1.0)
 
@@ -222,7 +221,7 @@ class Softcore:
                 batch = yield from self._phase1_static(block)
             # ---- phase 2: commit/abort handlers in serial order -------------
             for ctx in batch:
-                yield self.clock.delay(cfg.context_switch_cycles)
+                yield self.clock.delay(CONTEXT_SWITCH_CYCLES)
                 if ctx.outstanding:
                     yield ctx.wait_drained(self.engine)
                 if not ctx.failed:
@@ -243,11 +242,10 @@ class Softcore:
         sitting in input cells (or constant) are compared; a computed
         key, or one held by another worker's batch, is still caught by
         the coprocessor's visibility check."""
-        n_registers = self.config.n_registers
         entry = self.catalogue.lookup(block.proc_id)
         closed = None
-        if batch and (batch.gp_base + entry.gp_needed > n_registers or
-                      batch.cp_base + entry.cp_needed > n_registers):
+        if batch and (batch.gp_base + entry.gp_needed > N_REGISTERS or
+                      batch.cp_base + entry.cp_needed > N_REGISTERS):
             closed = self._closed_capacity
         elif batch.collides(block, entry):      # never an empty batch
             closed = self._closed_conflict
@@ -273,13 +271,13 @@ class Softcore:
         cfg = self.config
         batch = _Batch()
         while True:
-            yield self.clock.delay(cfg.catalogue_cycles)
+            yield self.clock.delay(CATALOGUE_CYCLES)
             ctx = self._admit(block, batch)
             if ctx is None:
                 break
             yield from self._ingest(ctx)
             yield from self._exec(ctx, Section.LOGIC)
-            yield self.clock.delay(cfg.context_switch_cycles)
+            yield self.clock.delay(CONTEXT_SWITCH_CYCLES)
             if not cfg.interleaving:
                 break
             ok, nxt = self.input_queue.try_get()
@@ -295,13 +293,12 @@ class Softcore:
         instead of stalling, resuming the blocked one when its CP
         register is written back."""
         from collections import deque
-        cfg = self.config
         batch = _Batch()
         ready = deque()
         wake: Fifo = Fifo(self.engine)
         blocked = 0
 
-        yield self.clock.delay(cfg.catalogue_cycles)
+        yield self.clock.delay(CATALOGUE_CYCLES)
         first = self._admit(block, batch)
         yield from self._ingest(first)
         ready.append(first)
@@ -313,7 +310,7 @@ class Softcore:
                 if self._pending_block is None:
                     ok, nxt = self.input_queue.try_get()
                     if ok:
-                        yield self.clock.delay(cfg.catalogue_cycles)
+                        yield self.clock.delay(CATALOGUE_CYCLES)
                         ctx = self._admit(nxt, batch)
                         if ctx is not None:
                             yield from self._ingest(ctx)
@@ -324,7 +321,7 @@ class Softcore:
                 ready.append(woken)
                 continue
             ctx = ready.popleft()
-            yield self.clock.delay(cfg.context_switch_cycles)
+            yield self.clock.delay(CONTEXT_SWITCH_CYCLES)
             # a transaction woken from a blocked RET re-enters at that
             # RET's unit, a new one at unit 0
             yield from self._exec(ctx, Section.LOGIC, ctx.resume_unit)
@@ -336,7 +333,7 @@ class Softcore:
             elif self._pending_block is None:
                 ok, nxt = self.input_queue.try_get()
                 if ok:
-                    yield self.clock.delay(cfg.catalogue_cycles)
+                    yield self.clock.delay(CATALOGUE_CYCLES)
                     ctx2 = self._admit(nxt, batch)
                     if ctx2 is not None:
                         yield from self._ingest(ctx2)
@@ -418,10 +415,9 @@ class Softcore:
 
     # .. commit / abort protocols (§4.7) .....................................
     def _commit_protocol(self, ctx: TxnContext):
-        cfg = self.config
         last_ev = None
         for entry in ctx.write_set:
-            yield self.clock.delay(cfg.commit_cycles_per_entry)
+            yield self.clock.delay(COMMIT_CYCLES_PER_ENTRY)
             last_ev = self.port.apply(entry.tuple_addr,
                                       self._commit_fixup(ctx.begin_ts))
         if last_ev is not None:
@@ -442,16 +438,15 @@ class Softcore:
         return apply
 
     def _abort_protocol(self, ctx: TxnContext):
-        cfg = self.config
         last_ev = None
         # restore overwritten fields from the UNDO log, newest first
         for entry in reversed(ctx.undo):
-            yield self.clock.delay(cfg.commit_cycles_per_entry)
+            yield self.clock.delay(COMMIT_CYCLES_PER_ENTRY)
             last_ev = self.port.apply(entry.tuple_addr,
                                       self._restore_fixup(entry))
         # clear dirty marks; aborted inserts become tombstones
         for wse in ctx.write_set:
-            yield self.clock.delay(cfg.commit_cycles_per_entry)
+            yield self.clock.delay(COMMIT_CYCLES_PER_ENTRY)
             last_ev = self.port.apply(
                 wse.tuple_addr, self._abort_fixup(wse.op is Opcode.INSERT))
         if last_ev is not None:

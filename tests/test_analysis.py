@@ -26,6 +26,8 @@ from repro.analysis.lint import findings_json, lint_paths, lint_source
 from repro.analysis.registry import ResolveError, all_procedures, resolve
 from repro.analysis.report import render_report, report_json
 from repro.analysis.wcet import WcetModel, analyze_wcet
+from repro.sim.memory import DRAM_LATENCY_CYCLES
+from repro.softcore import timing
 from repro.isa import (
     Gp, Imm, Instruction, Opcode, ProcedureBuilder, Program, Section,
     assemble_one, disassemble, disassemble_instruction, verify_program,
@@ -740,6 +742,23 @@ class TestLintNewRules:
             "def f(root):\n"
             "    return [p.name for p in sorted(root.rglob('*.py'))]\n")
 
+    def test_id_order_in_sort_keys(self):
+        # the Silo commit protocol's old write-lock order
+        src = ("def lock(ws):\n"
+               "    for e in sorted(\n"
+               "            ws, key=lambda e: id(e[2]) if e[2] else 0):\n"
+               "        pass\n")
+        hits = lint_source(src)
+        assert [(f.rule, f.line) for f in hits] == [("id-order", 3)]
+        for bad in ("xs.sort(key=id)\n",
+                    "m = min(xs, key=lambda r: (r.t, id(r)))\n",
+                    "m = max(xs, key=id)\n"):
+            assert [f.rule for f in lint_source(bad)] == ["id-order"], bad
+        for fine in ("ys = sorted(xs, key=lambda e: (e[0].table_id, e[1]))\n",
+                     "seen = {id(x): x for x in xs}\n",
+                     "ys = sorted(xs)\n"):
+            assert not lint_source(fine), fine
+
 
 # ---------------------------------------------------------------------------
 # footprint summaries (tentpole)
@@ -943,14 +962,13 @@ class TestWcet:
         b.store(Gp(0), b.at(1))
         b.commit()
         r = analyze_wcet(finalized(b))
-        m = WcetModel()
-        path = (m.db_prepare_cycles + m.db_dispatch_cycles    # SEARCH
-                + m.ret_cycles + m.ret_wait_cycles            # RET
-                + m.cpu_inst_cycles                           # STORE
-                + 0.0)                                        # COMMIT, 0 writes
+        path = (timing.DB_PREPARE_CYCLES + timing.DB_DISPATCH_CYCLES  # SEARCH
+                + timing.RET_CYCLES + WcetModel.ret_wait_cycles       # RET
+                + timing.CPU_INST_CYCLES                              # STORE
+                + 0.0)                                    # COMMIT, 0 writes
         assert r.cycles == path
         assert r.overhead_cycles == \
-            m.catalogue_cycles + 2 * m.context_switch_cycles
+            timing.CATALOGUE_CYCLES + 2 * timing.CONTEXT_SWITCH_CYCLES
         assert r.total_cycles == path + r.overhead_cycles
         # 4 authored instructions + the implicit ABORT handler
         assert not r.has_loops and r.n_writes == 0 and r.n_insts == 5
@@ -963,11 +981,11 @@ class TestWcet:
         b.ret(0, 0)
         b.commit()
         r = analyze_wcet(finalized(b))
-        m = WcetModel()
         assert r.n_writes == 1
-        commit_cost = m.commit_cycles_per_entry * 1 + m.dram_latency_cycles
-        assert r.cycles == (m.db_prepare_cycles + m.db_dispatch_cycles
-                            + m.ret_cycles + m.ret_wait_cycles + commit_cost)
+        commit_cost = timing.COMMIT_CYCLES_PER_ENTRY * 1 + DRAM_LATENCY_CYCLES
+        assert r.cycles == (timing.DB_PREPARE_CYCLES
+                            + timing.DB_DISPATCH_CYCLES + timing.RET_CYCLES
+                            + WcetModel.ret_wait_cycles + commit_cost)
 
     def test_loops_are_charged_loop_bound_iterations(self):
         b = ProcedureBuilder("looped")
@@ -988,9 +1006,8 @@ class TestWcet:
         assert r32.cycles - r16.cycles == 16 * 4 * 5.0
 
     def test_model_derives_from_dram_latency(self):
-        m = WcetModel.from_config(None, dram_latency_cycles=100.0)
-        assert m.ret_wait_cycles == 300.0
-        assert m.dram_latency_cycles == 100.0
+        # a RET's worst wait is three round trips of the machine's DRAM
+        assert WcetModel.ret_wait_cycles == 3 * DRAM_LATENCY_CYCLES == 255.0
 
 
 # ---------------------------------------------------------------------------

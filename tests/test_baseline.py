@@ -1,10 +1,16 @@
 """Tests for the Silo baseline: data structures, OCC engine, runners."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.baseline import (
     BPlusTree, IndexStructure, SiloAbort, SiloEngine, SiloRecord, SiloTable,
-    SiloTpcc, SiloYcsb, SoftwareSkiplist, XeonModel,
+    SiloTpcc, SiloTxn, SiloYcsb, SoftwareSkiplist, XeonModel,
 )
 from repro.workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
 
@@ -158,6 +164,36 @@ class TestSiloEngine:
             return silo.run_transactions([body] * 60).throughput_tps
 
         assert tput(4) > tput(1) * 2.5
+
+    def test_write_locks_are_taken_in_key_order_not_address_order(self):
+        silo = self._engine(cores=1)
+        table = silo.tables[0]
+        # the record at the lower address gets the higher key, so an
+        # address order and a key order disagree
+        low, high = sorted((SiloRecord("a"), SiloRecord("b")), key=id)
+        table.install(1001, low)
+        table.install(1000, high)
+        txn = SiloTxn(silo, worker_id=0)
+        txn.write(table, 1001, "x")
+        txn.write(table, 1000, "y")
+        txn.lock_and_validate()
+        assert txn._locked == [high, low]
+
+    def test_fig9b_silo_point_is_the_same_in_every_process(self):
+        """Fig 9b's Silo@16 point, computed under two hash seeds: record
+        addresses differ between processes, and nothing may follow them."""
+        code = ("from repro.bench.fig09 import run_fig9b\n"
+                "print(run_fig9b(bionic_workers=(1,), silo_cores=(16,),"
+                " n_txns=100).series[1].ys[1])\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        points = {
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, text=True,
+                capture_output=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+            ).stdout
+            for seed in ("0", "1")}
+        assert len(points) == 1, points
 
 
 class TestXeonModel:

@@ -113,3 +113,45 @@ class TestClosedLoopDriver:
         assert _conflicted_search_tput(2, n_ops=200) == 313185.0923896023
         assert run_hazard_prevention_cost(200).series[0].ys == \
             [2032189.8878231181, 2199542.495161006]
+
+
+class TestFiguresMeasureTheMachine:
+    """The figures that drive index pipelines directly must measure the
+    pipelines a machine's partition workers run: every charge, port
+    interval and count equal.  A bare skiplist or B+ tree pipeline
+    charges 6 cycles per scanned tuple, a worker's 145; a figure that
+    fell back to the bare default would report a faster Figure 11c."""
+
+    @staticmethod
+    def _shape(pipe) -> dict:
+        from dataclasses import asdict
+        ns = pipe.clock.ns
+        shape = {
+            "ns_per_cycle": pipe.clock.ns_per_cycle,
+            "dram_latency_ns": pipe.dram.latency_ns,
+            "dram_channels": pipe.dram.channels,
+            "stage_ns": list(pipe._delay),
+            "timings_ns": {f: ns(c) for f, c in asdict(pipe.timings).items()},
+            "derived_ns": {k: v for k, v in vars(pipe).items()
+                           if k.endswith("_ns")},
+            "issue_ns": (pipe.read_port.issue_interval_ns,
+                         pipe.write_port.issue_interval_ns),
+        }
+        for count in ("n_stages", "n_scanners", "n_traverse_stages",
+                      "max_height", "fanout", "wave_size"):
+            if hasattr(pipe, count):
+                shape[count] = getattr(pipe, count)
+        return shape
+
+    @pytest.mark.parametrize("kind", ["hash", "skiplist", "bptree"])
+    def test_bare_pipelines_match_a_workers(self, kind):
+        from repro.bench.report import bare_pipelines
+        from repro.core import BionicDB
+        _engine, _dram, (driven, *_rest) = bare_pipelines(kind, 2, 16)
+        worker = BionicDB().workers[0]
+        machine = {"hash": worker.hash_pipe, "skiplist": worker.skiplist_pipe,
+                   "bptree": worker.bptree_pipe}[kind]
+        assert type(driven) is type(machine)
+        assert self._shape(driven) == self._shape(machine)
+        if kind != "hash":
+            assert driven._emit_ns == 145 * 8.0

@@ -6,10 +6,9 @@ import pytest
 
 from repro.core import BionicConfig, BionicDB
 from repro.baseline.bptree import BPlusTree
-from repro.errors import ConfigError
 from repro.index import common as index_common
 from repro.index.bptree.pipeline import (
-    BPTreePipeline, BPTreeTimings, compute_level_ranges,
+    BPTreePipeline, compute_level_ranges,
 )
 from repro.index.common import DbRequest, clear_hash_cache, sdbm_hash
 from repro.isa import Opcode
@@ -78,18 +77,6 @@ class TestLevelRanges:
 
 
 class TestConfigValidation:
-    def test_rejects_small_fanout(self):
-        with pytest.raises(ConfigError):
-            BionicConfig(bptree_fanout=2)
-
-    def test_rejects_zero_stages(self):
-        with pytest.raises(ConfigError):
-            BionicConfig(bptree_stages=0)
-
-    def test_rejects_zero_wave_size(self):
-        with pytest.raises(ConfigError):
-            BionicConfig(bptree_wave_size=0)
-
     def test_pipeline_ctor_validation(self, env):
         with pytest.raises(ValueError):
             make_pipeline(env, fanout=2)
@@ -97,15 +84,6 @@ class TestConfigValidation:
             make_pipeline(env, n_stages=0)
         with pytest.raises(ValueError):
             make_pipeline(env, wave_size=0)
-
-    def test_kwargs_reach_pipeline(self):
-        cfg = BionicConfig(bptree_fanout=8, bptree_stages=3,
-                           bptree_wave_size=4)
-        kw = cfg.bptree_kwargs()
-        assert kw["fanout"] == 8
-        assert kw["n_stages"] == 3
-        assert kw["wave_size"] == 4
-        assert isinstance(kw["timings"], BPTreeTimings)
 
 
 class TestHashCacheBound:

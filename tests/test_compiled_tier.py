@@ -109,8 +109,6 @@ def test_generated_code_is_shared_through_the_catalogue():
     units = tiers[0].units(entry, Section.LOGIC)
     # compiled once by whichever worker ran it first, visible to all
     assert tiers[1].units(entry, Section.LOGIC) is units
-    assert [r["program"] for r in tiers[0].report()] == [
-        db.catalogue.lookup(p).program.name for p in sorted(db.catalogue.compiled)]
 
 
 def test_reregistration_invalidates_generated_code():

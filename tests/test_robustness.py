@@ -28,7 +28,7 @@ from repro.isa import (
 )
 from repro.mem import IndexKind, SchemaError, TableSchema, TxnStatus
 from repro.sim.engine import Engine, SimulationError
-from repro.softcore import ExecutionError, SoftcoreConfig
+from repro.softcore import ExecutionError
 from repro.workloads.tpcc.schema import TpccConfig
 from repro.workloads.tpcc.workload import TpccWorkload
 from repro.workloads.ycsb import YcsbConfig
@@ -89,11 +89,6 @@ class TestTaxonomy:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"n_workers": 0},
-        {"fpga_mhz": 0},
-        {"dram_channels": 0},
-        {"max_in_flight": 0},
-        {"skiplist_scanners": 0},
-        {"hash_traverse_stages": 0},
         {"comm_topology": "mesh"},
         {"device": "stratix"},
     ])
@@ -104,10 +99,6 @@ class TestConfigValidation:
     def test_config_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             BionicConfig(n_workers=-1)
-
-    def test_bad_softcore_registers(self):
-        with pytest.raises(ConfigError):
-            BionicConfig(softcore=SoftcoreConfig(n_registers=0))
 
 
 # ---------------------------------------------------------------------------
