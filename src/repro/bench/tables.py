@@ -31,20 +31,18 @@ def measure_onchip_roundtrip_ns() -> float:
     xbar = Crossbar(engine, ClockDomain(engine, FPGA_MHZ), 2)
     times = {}
 
-    def remote():
-        pkt = yield xbar.link(1).requests.get()
+    def remote(pkt: RequestPacket) -> None:
         xbar.send_response(ResponsePacket(src_worker=1,
                                           dst_worker=pkt.src_worker,
-                                          cp_index=0, txn_id=0, result=None))
+                                          cp_index=0, result=None))
 
-    def initiator():
-        xbar.send_request(RequestPacket(src_worker=0, dst_worker=1,
-                                        request=object()))
-        yield xbar.link(0).responses.get()
+    def initiator(_pkt: ResponsePacket) -> None:
         times["rt"] = engine.now
 
-    engine.process(remote())
-    engine.process(initiator())
+    xbar.attach(0, on_request=None, on_response=initiator)
+    xbar.attach(1, on_request=remote, on_response=None)
+    xbar.send_request(RequestPacket(src_worker=0, dst_worker=1,
+                                    request=None))
     engine.run()
     return times["rt"]
 

@@ -6,9 +6,9 @@ cluster like H-store ... the message-passing channels should be
 diversified with additional connectivities for inter-node
 communication."
 
-This interconnect presents the familiar crossbar interface over global
+This interconnect is one more :class:`~repro.comm.Fabric` over global
 worker ids: messages between workers on the same chip take that chip's
-own fabric (crossbar or ring); messages crossing chips take an
+own fabric's timing (crossbar or ring); messages crossing chips take an
 inter-node link (microseconds, serialised per directed node pair).
 
 The inter-node portion is factored into :class:`NodeLinks`, a pure
@@ -34,13 +34,12 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Sequence
 
-from ..comm.channels import CommLink, Crossbar, RequestPacket, ResponsePacket
+from ..comm.channels import Crossbar, Fabric, RequestPacket
 from ..errors import BionicError
 from ..isa.instructions import Opcode
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
-from ..sim.sync import Fifo
 
 __all__ = ["ClusterError", "HierarchicalInterconnect", "NodeLinks"]
 
@@ -167,15 +166,14 @@ class NodeLinks:
         return now_ns + self.inter_latency_ns + n_bytes * ns_per_byte
 
 
-class HierarchicalInterconnect:
-    """Per-chip fabrics joined by :class:`NodeLinks`, under the fabric
-    interface (``link`` / ``send_request`` / ``send_response``) over
-    global worker ids.
+class HierarchicalInterconnect(Fabric):
+    """Per-chip fabrics joined by :class:`NodeLinks`: a
+    :class:`~repro.comm.Fabric` over global worker ids.
 
     ``node_of[w]`` is worker ``w``'s node; ``fabrics[n]`` is node
     ``n``'s on-chip fabric (a :class:`~repro.comm.Crossbar` or
     :class:`~repro.comm.RingInterconnect` over that node's workers, in
-    global-id order) and carries its same-node traffic — a default
+    global-id order) and times its same-node traffic — a default
     crossbar per node when not given.
     """
 
@@ -187,12 +185,10 @@ class HierarchicalInterconnect:
                  stats: Optional[StatsRegistry] = None,
                  faults=None,
                  stall_max_ns: float = 50_000.0):
-        self.engine = engine
+        super().__init__(engine, len(node_of), stats)
         self.node_of = list(node_of)
-        self.n_workers = len(self.node_of)
         self.inter_latency_ns = inter_latency_ns
-        self.stats = stats or StatsRegistry()
-        n_nodes = (max(self.node_of) + 1) if self.node_of else 1
+        n_nodes = max(self.node_of) + 1
         #: worker -> its station id on its own chip's fabric
         self._station = []
         sizes = [0] * n_nodes
@@ -201,8 +197,6 @@ class HierarchicalInterconnect:
             sizes[node] += 1
         self.fabrics = list(fabrics) if fabrics is not None else [
             Crossbar(engine, clock, size, stats=self.stats) for size in sizes]
-        self.links = [self.fabrics[node].links[station]
-                      for node, station in zip(self.node_of, self._station)]
         #: the shared inter-node lane model (and its optional
         #: repro.faults.FaultPlan: inter-node messages can be lost,
         #: stalled by up to ``stall_max_ns`` or cut off by a link
@@ -212,27 +206,16 @@ class HierarchicalInterconnect:
             n_nodes, inter_latency_ns=inter_latency_ns,
             inter_issue_ns=inter_issue_ns, faults=faults, stats=self.stats,
             stall_max_ns=stall_max_ns)
-        self._sent = self.stats.counter("comm.messages")
         self._inter = self.stats.counter("comm.internode_messages")
-
-    def link(self, worker_id: int) -> CommLink:
-        return self.links[worker_id]
 
     def crosses_nodes(self, src: int, dst: int) -> bool:
         return self.node_of[src] != self.node_of[dst]
 
-    # -- sending ------------------------------------------------------------
     def send_request(self, packet: RequestPacket) -> None:
-        self._check(packet.dst_worker)
+        self._check_dst(packet.dst_worker)
         if self.crosses_nodes(packet.src_worker, packet.dst_worker):
             self._make_self_contained(packet)
-        self._send(packet.src_worker, packet.dst_worker, "req",
-                   self.links[packet.dst_worker].requests, packet)
-
-    def send_response(self, packet: ResponsePacket) -> None:
-        self._check(packet.dst_worker)
-        self._send(packet.src_worker, packet.dst_worker, "rsp",
-                   self.links[packet.dst_worker].responses, packet)
+        super().send_request(packet)
 
     def _make_self_contained(self, packet: RequestPacket) -> None:
         req = packet.request
@@ -245,22 +228,14 @@ class HierarchicalInterconnect:
             req.key_value = req.route_key
             req.key_addr = None
 
-    def _check(self, dst: int) -> None:
-        if not 0 <= dst < self.n_workers:
-            raise ValueError(f"destination worker {dst} out of range")
-
-    def _send(self, src: int, dst: int, kind: str, queue: Fifo, packet) -> None:
+    def _arrival(self, kind: str, src: int, dst: int) -> Optional[float]:
         src_node, dst_node = self.node_of[src], self.node_of[dst]
         if src_node == dst_node:
-            self.fabrics[src_node].send(kind, self._station[src],
-                                        self._station[dst], queue, packet)
-            return
-        self._sent.add()
+            return self.fabrics[src_node]._arrival(
+                kind, self._station[src], self._station[dst])
         self._inter.add()
-        arrive = self.node_links.delivery(src_node, dst_node,
-                                          self.engine.now, kind=kind)
-        if arrive is not None:
-            self.engine.call_fn_at(arrive, queue.try_put, packet)
+        return self.node_links.delivery(src_node, dst_node,
+                                        self.engine.now, kind=kind)
 
     # -- latency figures ---------------------------------------------------------
     @property

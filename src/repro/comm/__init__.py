@@ -1,16 +1,14 @@
 """On-chip message passing and the software-messaging latency model."""
 
-from .channels import CommLink, Crossbar, RequestPacket, ResponsePacket
+from .channels import Crossbar, Fabric, RequestPacket, ResponsePacket
+from .ring import RingInterconnect
 from .software_mp import (
     DDR3_MP, L3_MP, MessagingPrimitive, ONCHIP_MP, software_mp_table,
 )
 
 __all__ = [
-    "CommLink", "Crossbar", "RequestPacket", "ResponsePacket",
+    "Crossbar", "Fabric", "RequestPacket", "ResponsePacket",
+    "RingInterconnect",
     "DDR3_MP", "L3_MP", "MessagingPrimitive", "ONCHIP_MP",
     "software_mp_table",
 ]
-
-from .ring import RingInterconnect  # noqa: E402
-
-__all__.append("RingInterconnect")

@@ -1,14 +1,20 @@
 """On-chip message-passing channels (§4.6).
 
-Each partition worker owns a communication *link*: a request channel
-and a response channel.  When the softcore decodes a DB instruction
-whose target partition is remote, it builds a request packet
-(instruction + transaction timestamp + source/destination worker ids)
-and sends it asynchronously.  A background unit at the remote worker
-watches its request channel and dispatches inbound instructions to the
-local index coprocessor as *background* requests; the result travels
-back on the response channel and is written into the initiator's CP
-register asynchronously.
+Each partition worker has a request channel and a response channel.
+When the softcore decodes a DB instruction whose target partition is
+remote, it builds a request packet (instruction + transaction
+timestamp + source/destination worker ids) and sends it
+asynchronously.  The remote worker's *background unit* — a state
+machine woken by arriving data, like an index pipeline stage (§4.4) —
+dispatches the instruction to the local index coprocessor as a
+*background* request; the result travels back on the response channel
+and is written into the initiator's CP register asynchronously.
+
+:class:`Fabric` is the send path every topology shares: a worker
+``attach``-es its two handlers, and a packet is handed to its
+destination's handler at the arrival instant the topology computes
+(``_arrival``).  Each channel serves its arrivals one at a time
+(:class:`Inbox`).
 
 The measured protocol cost is 3 cycles (24 ns at 125 MHz) per message,
 6 cycles (48 ns) for a request/response pair — Table 3.  Congestion can
@@ -18,20 +24,17 @@ cycle.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from ..index.common import DbRequest
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
-from ..sim.sync import Fifo
 from ..txn.cc import DbResult
 
-__all__ = ["RequestPacket", "ResponsePacket", "Crossbar", "CommLink"]
-
-_packet_ids = itertools.count(1)
+__all__ = ["RequestPacket", "ResponsePacket", "Fabric", "Inbox", "Crossbar"]
 
 
 @dataclass
@@ -41,7 +44,6 @@ class RequestPacket:
     src_worker: int
     dst_worker: int
     request: DbRequest
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
 
 @dataclass
@@ -51,74 +53,116 @@ class ResponsePacket:
     src_worker: int
     dst_worker: int
     cp_index: int
-    txn_id: int
     result: DbResult
-    req_id: int = 0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
 
-class CommLink:
-    """One worker's request + response channel pair."""
+class Inbox:
+    """One channel's arrivals, served one at a time.
 
-    def __init__(self, engine: Engine, worker_id: int):
-        self.worker_id = worker_id
-        self.requests = Fifo(engine, name=f"w{worker_id}.req")
-        self.responses = Fifo(engine, name=f"w{worker_id}.rsp")
+    A busy flag and a backlog — an index pipeline stage at zero delay:
+    an arrival at an idle channel is served on the engine's ready deque;
+    at a busy one it queues, and when a handler returns the next packet
+    is served after everything that handler queued at this instant.
+    An exception out of a handler leaves ``Engine.run()``.
+    """
+
+    __slots__ = ("_engine", "_sched", "_handler", "_busy", "_backlog")
+
+    def __init__(self, engine: Engine, handler: Callable[[object], None]):
+        self._engine = engine
+        self._sched = engine._schedule_fn
+        self._handler = handler
+        self._busy = False
+        self._backlog: deque = deque()
+
+    def arrive(self, packet) -> None:
+        if self._busy:
+            self._backlog.append(packet)
+        else:
+            self._busy = True
+            self._sched(self._engine.now, self._serve, packet)
+
+    def _serve(self, packet) -> None:
+        self._handler(packet)
+        backlog = self._backlog
+        if backlog:
+            self._sched(self._engine.now, self._serve, backlog.popleft())
+        else:
+            self._busy = False
 
 
-class Crossbar:
+class Fabric:
+    """The send path of every on-chip and cluster topology.
+
+    Subclasses define ``_arrival(kind, src, dst)``: the instant a
+    ``kind`` (``"req"`` / ``"rsp"``) message sent now from worker
+    ``src`` reaches worker ``dst``, or ``None`` when it is lost.
+    """
+
+    def __init__(self, engine: Engine, n_workers: int,
+                 stats: Optional[StatsRegistry] = None):
+        if n_workers < 1:
+            raise ValueError("need at least one worker")
+        self.engine = engine
+        self.n_workers = n_workers
+        self.stats = stats or StatsRegistry()
+        self._sent = self.stats.counter("comm.messages")
+        #: worker -> its request / response channel, once attached
+        self._requests: List[Optional[Inbox]] = [None] * n_workers
+        self._responses: List[Optional[Inbox]] = [None] * n_workers
+
+    def attach(self, worker: int, on_request: Callable[[RequestPacket], None],
+               on_response: Callable[[ResponsePacket], None]) -> None:
+        """Hand ``worker``'s arriving requests and responses to these
+        handlers, each channel one packet at a time."""
+        self._check_dst(worker)
+        self._requests[worker] = Inbox(self.engine, on_request)
+        self._responses[worker] = Inbox(self.engine, on_response)
+
+    def send_request(self, packet: RequestPacket) -> None:
+        self._send("req", self._requests, packet)
+
+    def send_response(self, packet: ResponsePacket) -> None:
+        self._send("rsp", self._responses, packet)
+
+    def _check_dst(self, dst: int) -> None:
+        if not 0 <= dst < self.n_workers:
+            raise ValueError(f"destination worker {dst} out of range")
+
+    def _send(self, kind: str, inboxes: List[Optional[Inbox]],
+              packet) -> None:
+        dst = packet.dst_worker
+        self._check_dst(dst)
+        self._sent.add()
+        arrive = self._arrival(kind, packet.src_worker, dst)
+        if arrive is not None:
+            self.engine.call_fn_at(arrive, inboxes[dst].arrive, packet)
+
+    def _arrival(self, kind: str, src: int, dst: int) -> Optional[float]:
+        raise NotImplementedError
+
+
+class Crossbar(Fabric):
     """The (non-scaling, §4.6) crossbar interconnect between workers.
 
     Message latency is ``hop_cycles`` plus any serialisation delay on
-    the directed (src, dst, kind) link, which admits one message per
+    the directed (kind, src, dst) lane, which admits one message per
     cycle.
     """
 
     def __init__(self, engine: Engine, clock: ClockDomain, n_workers: int,
                  hop_cycles: float = 3.0,
                  stats: Optional[StatsRegistry] = None):
-        if n_workers < 1:
-            raise ValueError("need at least one worker")
-        self.engine = engine
-        self.clock = clock
-        self.n_workers = n_workers
+        super().__init__(engine, n_workers, stats)
         self.hop_ns = clock.ns(hop_cycles)
         self.issue_interval_ns = clock.ns(1.0)
-        self.links = [CommLink(engine, w) for w in range(n_workers)]
         self._lane_free: Dict[tuple, float] = {}
-        self.stats = stats or StatsRegistry()
-        self._sent = self.stats.counter("comm.messages")
 
-    def link(self, worker_id: int) -> CommLink:
-        return self.links[worker_id]
-
-    # -- sending ------------------------------------------------------------
-    def send_request(self, packet: RequestPacket) -> None:
-        self._check_dst(packet.dst_worker)
-        self.send("req", packet.src_worker, packet.dst_worker,
-                  self.links[packet.dst_worker].requests, packet)
-
-    def send_response(self, packet: ResponsePacket) -> None:
-        self._check_dst(packet.dst_worker)
-        self.send("rsp", packet.src_worker, packet.dst_worker,
-                  self.links[packet.dst_worker].responses, packet)
-
-    def _check_dst(self, dst: int) -> None:
-        if not 0 <= dst < self.n_workers:
-            raise ValueError(f"destination worker {dst} out of range")
-
-    def send(self, kind: str, src: int, dst: int, queue: Fifo,
-             packet) -> None:
-        """Put ``packet`` on ``queue`` after the fabric's delay from
-        station ``src`` to ``dst`` (the call a multi-node interconnect
-        makes for same-node traffic, with chip-local station ids)."""
+    def _arrival(self, kind: str, src: int, dst: int) -> float:
         lane = (kind, src, dst)
-        now = self.engine.now
-        depart = max(now, self._lane_free.get(lane, 0.0))
+        depart = max(self.engine.now, self._lane_free.get(lane, 0.0))
         self._lane_free[lane] = depart + self.issue_interval_ns
-        arrive = depart + self.hop_ns
-        self._sent.add()
-        self.engine.call_fn_at(arrive, queue.try_put, packet)
+        return depart + self.hop_ns
 
     # -- latency figures (Table 3) -------------------------------------------
     @property

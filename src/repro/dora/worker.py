@@ -2,19 +2,21 @@
 
 A partition worker owns one database partition exclusively: its
 softcore, its index coprocessor (a hash pipeline and a skiplist
-pipeline sharing the in-flight budget semantics of §5.5) and one
-communication link.  A worker never touches a remote partition's data
-structures directly — a DB instruction bound for a remote partition
-travels over the on-chip channels, is executed there as a *background*
-request by that partition's coprocessor, and its result returns on the
-response channel.
+pipeline sharing the in-flight budget semantics of §5.5) and a request
+and a response channel on the fabric.  A worker never touches a remote
+partition's data structures directly — a DB instruction bound for a
+remote partition travels over the on-chip channels, is executed there
+as a *background* request by that partition's coprocessor, and its
+result returns on the response channel.  The background unit and the
+response unit are the two handlers the worker attaches to the fabric:
+each runs when a packet arrives, one packet at a time per channel.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Optional
 
-from ..comm.channels import Crossbar, RequestPacket, ResponsePacket
+from ..comm.channels import Fabric, RequestPacket, ResponsePacket
 from ..index.bptree.pipeline import BPTreePipeline, BPTreeTimings
 from ..index.common import SCAN_EMIT_CYCLES, DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
@@ -33,7 +35,7 @@ __all__ = ["PartitionWorker"]
 
 
 class PartitionWorker:
-    """One partition: softcore + index coprocessor + comm link."""
+    """One partition: softcore + index coprocessor + two channels."""
 
     def __init__(
         self,
@@ -44,7 +46,7 @@ class PartitionWorker:
         n_workers: int,
         catalogue: Catalogue,
         hw_clock: HardwareClock,
-        crossbar: Optional[Crossbar],
+        crossbar: Fabric,
         softcore_config: Optional[SoftcoreConfig] = None,
         stats: Optional[StatsRegistry] = None,
         on_txn_done=None,
@@ -80,12 +82,7 @@ class PartitionWorker:
         self.softcore.dispatch = self.dispatch
 
         self._bg_served = self.stats.counter(f"worker{worker_id}.background_requests")
-
-        if crossbar is not None:
-            engine.process(self._background_unit(),
-                           name=f"w{worker_id}.background")
-            engine.process(self._response_unit(),
-                           name=f"w{worker_id}.responses")
+        crossbar.attach(worker_id, self._serve_request, self._serve_response)
 
     @property
     def bptree_pipe(self) -> BPTreePipeline:
@@ -126,8 +123,6 @@ class PartitionWorker:
             req.on_complete = self._foreground_complete
             self.pipeline_for(req.table_id).submit(req)
         else:
-            if self.crossbar is None:
-                raise RuntimeError("remote dispatch without a crossbar")
             self.crossbar.send_request(RequestPacket(
                 src_worker=self.worker_id, dst_worker=dst, request=req))
 
@@ -135,33 +130,23 @@ class PartitionWorker:
         self.softcore.deliver(req.cp_index, result)
 
     # -- background units (remote requests / responses) -----------------------
-    def _background_unit(self):
-        """Watches the request channel; dispatches inbound instructions
-        to the local coprocessor as background requests."""
-        link = self.crossbar.link(self.worker_id)
-        while True:
-            packet: RequestPacket = yield link.requests.get()
-            req = packet.request
-            req.background = True
-            req.on_complete = self._background_complete(packet.src_worker)
-            self._bg_served.add()
-            self.pipeline_for(req.table_id).submit(req)
+    def _serve_request(self, packet: RequestPacket) -> None:
+        """The background unit: runs an inbound instruction on the local
+        coprocessor as a background request."""
+        req = packet.request
+        req.background = True
+        req.on_complete = self._respond
+        self._bg_served.add()
+        self.pipeline_for(req.table_id).submit(req)
 
-    def _background_complete(self, initiator: int) -> Callable:
-        def cb(req: DbRequest, result: DbResult) -> None:
-            self.crossbar.send_response(ResponsePacket(
-                src_worker=self.worker_id, dst_worker=initiator,
-                cp_index=req.cp_index, txn_id=req.txn_id, result=result,
-                req_id=req.req_id))
-        return cb
+    def _respond(self, req: DbRequest, result: DbResult) -> None:
+        self.crossbar.send_response(ResponsePacket(
+            src_worker=self.worker_id, dst_worker=req.src_worker,
+            cp_index=req.cp_index, result=result))
 
-    def _response_unit(self):
-        """Watches the response channel; writes results back to CP
-        registers asynchronously."""
-        link = self.crossbar.link(self.worker_id)
-        while True:
-            packet: ResponsePacket = yield link.responses.get()
-            self.softcore.deliver(packet.cp_index, packet.result)
+    def _serve_response(self, packet: ResponsePacket) -> None:
+        """The response unit: writes a result back to its CP register."""
+        self.softcore.deliver(packet.cp_index, packet.result)
 
     # -- convenience -----------------------------------------------------------
     def set_max_in_flight(self, n: int) -> None:

@@ -1,10 +1,15 @@
 """Discrete-event simulation engine.
 
-Everything in the BionicDB reproduction — pipeline stages, the softcore,
-DRAM, on-chip channels, the software baseline's CPU cores — runs as a
-*process* inside one :class:`Engine`.  A process is a Python generator
-that yields :class:`Event` objects (or plain numbers, treated as delays
-in the engine's time unit) and is resumed when the yielded event fires.
+Everything in the BionicDB reproduction runs inside one
+:class:`Engine`, as one of two kinds of actor.  Hardware units woken by
+arriving data — index pipeline stages, DRAM channels, the on-chip
+fabric and the partition workers' background units — are *callbacks*:
+a work item calls a function at an instant.  The softcore, the
+front-end's pump, deliveries, sessions, lanes and replay, the software
+baseline's CPU cores and the figures' closed-loop client are
+*processes*: a Python generator that yields :class:`Event`
+objects (or plain numbers, treated as delays in the engine's time
+unit) and is resumed when the yielded event fires.
 
 The design follows the familiar SimPy structure but is implemented from
 scratch so the simulation core has no external dependencies and stays

@@ -14,7 +14,13 @@ def make(node_of=(0, 0, 1, 1), inter_ns=1500.0):
     clock = ClockDomain(eng, 125.0)
     ic = HierarchicalInterconnect(eng, clock, node_of,
                                   inter_latency_ns=inter_ns)
+    for w in range(len(node_of)):
+        ic.attach(w, ignore, ignore)
     return eng, clock, ic
+
+
+def ignore(_pkt):
+    pass
 
 
 def search_req(**kw):
@@ -25,12 +31,7 @@ class TestHierarchicalInterconnect:
     def test_same_node_uses_onchip_latency(self):
         eng, clock, ic = make()
         got = []
-
-        def recv():
-            yield ic.link(1).requests.get()
-            got.append(eng.now)
-
-        eng.process(recv())
+        ic.attach(1, lambda _pkt: got.append(eng.now), None)
         ic.send_request(RequestPacket(src_worker=0, dst_worker=1,
                                       request=search_req(key_value=1)))
         eng.run()
@@ -39,12 +40,7 @@ class TestHierarchicalInterconnect:
     def test_cross_node_pays_link_latency(self):
         eng, _clock, ic = make(inter_ns=2000.0)
         got = []
-
-        def recv():
-            yield ic.link(2).requests.get()
-            got.append(eng.now)
-
-        eng.process(recv())
+        ic.attach(2, lambda _pkt: got.append(eng.now), None)
         ic.send_request(RequestPacket(src_worker=0, dst_worker=2,
                                       request=search_req(key_value=1)))
         eng.run()
@@ -83,13 +79,7 @@ class TestHierarchicalInterconnect:
     def test_inter_node_lane_serialisation(self):
         eng, _clock, ic = make(inter_ns=1000.0)
         arrivals = []
-
-        def recv():
-            while True:
-                yield ic.link(2).requests.get()
-                arrivals.append(eng.now)
-
-        eng.process(recv())
+        ic.attach(2, lambda _pkt: arrivals.append(eng.now), None)
         for _ in range(3):
             ic.send_request(RequestPacket(src_worker=0, dst_worker=2,
                                           request=search_req(key_value=1)))
@@ -101,14 +91,10 @@ class TestHierarchicalInterconnect:
         from repro.txn import DbResult, ResultCode
         eng, _clock, ic = make()
         got = []
-
-        def recv():
-            pkt = yield ic.link(0).responses.get()
-            got.append((eng.now, pkt.result.code))
-
-        eng.process(recv())
+        ic.attach(0, None,
+                  lambda pkt: got.append((eng.now, pkt.result.code)))
         ic.send_response(ResponsePacket(
-            src_worker=3, dst_worker=0, cp_index=1, txn_id=1,
+            src_worker=3, dst_worker=0, cp_index=1,
             result=DbResult(ResultCode.OK)))
         eng.run()
         assert got[0][0] == pytest.approx(1500.0)
@@ -140,13 +126,7 @@ class TestLinkFaultsUnderTraffic:
 
     def collect(self, eng, ic, dst_worker, n_sent):
         arrivals = []
-
-        def recv():
-            while True:
-                yield ic.link(dst_worker).requests.get()
-                arrivals.append(eng.now)
-
-        eng.process(recv())
+        ic.attach(dst_worker, lambda _pkt: arrivals.append(eng.now), None)
         for _ in range(n_sent):
             ic.send_request(RequestPacket(src_worker=0, dst_worker=dst_worker,
                                           request=search_req(key_value=1)))

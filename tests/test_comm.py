@@ -15,17 +15,19 @@ def make_crossbar(n=4, hop_cycles=3.0):
     return eng, clock, Crossbar(eng, clock, n, hop_cycles=hop_cycles)
 
 
+def record_arrivals(eng, fabric, worker):
+    """Attach ``worker`` with a request handler that logs ``(now,
+    packet)`` of every arrival; returns the log."""
+    log = []
+    fabric.attach(worker, lambda pkt: log.append((eng.now, pkt)), None)
+    return log
+
+
 class TestCrossbar:
     def test_request_arrives_after_hop_latency(self):
         eng, clock, xbar = make_crossbar()
         pkt = RequestPacket(src_worker=0, dst_worker=2, request=object())
-        got = []
-
-        def receiver():
-            item = yield xbar.link(2).requests.get()
-            got.append((eng.now, item))
-
-        eng.process(receiver())
+        got = record_arrivals(eng, xbar, 2)
         xbar.send_request(pkt)
         eng.run()
         assert got[0][0] == clock.ns(3)
@@ -40,55 +42,42 @@ class TestCrossbar:
         eng, clock, xbar = make_crossbar()
         times = {}
 
-        def remote():
-            pkt = yield xbar.link(1).requests.get()
+        def remote(pkt):
             times["request_at"] = eng.now
             xbar.send_response(ResponsePacket(
                 src_worker=1, dst_worker=pkt.src_worker, cp_index=0,
-                txn_id=1, result=None))
+                result=None))
 
-        def initiator():
-            xbar.send_request(RequestPacket(src_worker=0, dst_worker=1,
-                                            request=object()))
-            yield xbar.link(0).responses.get()
+        def initiator(_pkt):
             times["response_at"] = eng.now
 
-        eng.process(remote())
-        eng.process(initiator())
+        xbar.attach(0, None, initiator)
+        xbar.attach(1, remote, None)
+        xbar.send_request(RequestPacket(src_worker=0, dst_worker=1,
+                                        request=object()))
         eng.run()
+        assert times["request_at"] == pytest.approx(clock.ns(3))
         assert times["response_at"] == pytest.approx(clock.ns(6))  # 48 ns
 
     def test_congestion_serialises_one_lane(self):
         eng, clock, xbar = make_crossbar()
-        arrivals = []
-
-        def receiver():
-            while True:
-                yield xbar.link(1).requests.get()
-                arrivals.append(eng.now)
-
-        eng.process(receiver())
+        got = record_arrivals(eng, xbar, 1)
         for _ in range(4):
             xbar.send_request(RequestPacket(src_worker=0, dst_worker=1,
                                             request=object()))
         eng.run(until=1000)
         # one message per cycle on a directed lane
-        assert arrivals == [clock.ns(3 + i) for i in range(4)]
+        assert [t for t, _pkt in got] == [clock.ns(3 + i) for i in range(4)]
 
     def test_distinct_lanes_do_not_interfere(self):
         eng, clock, xbar = make_crossbar()
-        arrivals = []
-
-        def receiver(w):
-            yield xbar.link(w).requests.get()
-            arrivals.append((w, eng.now))
-
+        logs = {w: record_arrivals(eng, xbar, w) for w in (1, 2, 3)}
         for w in (1, 2, 3):
-            eng.process(receiver(w))
             xbar.send_request(RequestPacket(src_worker=0, dst_worker=w,
                                             request=object()))
         eng.run()
-        assert all(t == clock.ns(3) for _w, t in arrivals)
+        assert all([t for t, _pkt in log] == [clock.ns(3)]
+                   for log in logs.values())
 
     def test_bad_destination_rejected(self):
         _eng, _clock, xbar = make_crossbar(n=2)
@@ -98,9 +87,34 @@ class TestCrossbar:
 
     def test_message_counter(self):
         eng, _clock, xbar = make_crossbar()
+        record_arrivals(eng, xbar, 1)
         xbar.send_request(RequestPacket(src_worker=0, dst_worker=1,
                                         request=object()))
         assert xbar.stats.counter("comm.messages").value == 1
+
+
+class TestInbox:
+    """A channel serves its arrivals one at a time: what a handler
+    queues at its instant runs before the next packet is served."""
+
+    def test_same_instant_arrivals_are_served_one_after_the_other(self):
+        eng, _clock, xbar = make_crossbar()
+        order = []
+
+        def on_request(pkt):
+            order.append(pkt.request)
+            if pkt.request == "p1":
+                # work the first handler queues at this instant runs
+                # before the second packet is served
+                eng.call_fn_at(eng.now, order.append, "queued by p1")
+
+        xbar.attach(1, on_request, None)
+        # different source lanes: both land at the same instant
+        for src, name in ((0, "p1"), (2, "p2")):
+            xbar.send_request(RequestPacket(src_worker=src, dst_worker=1,
+                                            request=name))
+        eng.run()
+        assert order == ["p1", "queued by p1", "p2"]
 
 
 class TestSoftwareMpModel:

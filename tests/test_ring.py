@@ -20,12 +20,13 @@ class TestRing:
         arrivals = {}
 
         def receiver(w):
-            yield ring.link(w).requests.get()
-            arrivals[w] = eng.now
+            def on_request(_pkt):
+                arrivals[w] = eng.now
+            return on_request
 
         # stagger the sends so they do not serialise on segment 0
         for i, dst in enumerate((1, 4, 7)):
-            eng.process(receiver(dst))
+            ring.attach(dst, receiver(dst), None)
             send_at = clock.ns(100 * i)
             eng.call_at(send_at, lambda d=dst: ring.send_request(
                 RequestPacket(src_worker=0, dst_worker=d, request=object())))
@@ -46,6 +47,7 @@ class TestRing:
 
     def test_hop_counter(self):
         eng, _clock, ring = make_ring(n=4)
+        ring.attach(2, lambda _pkt: None, None)
         ring.send_request(RequestPacket(src_worker=0, dst_worker=2,
                                         request=object()))
         assert ring.stats.counter("comm.hops").value == 2
@@ -60,13 +62,7 @@ class TestRing:
         """Two messages crossing segment 0 at once serialise there."""
         eng, clock, ring = make_ring(n=4, hop_cycles=2.0)
         arrivals = []
-
-        def receiver():
-            while True:
-                yield ring.link(1).requests.get()
-                arrivals.append(eng.now)
-
-        eng.process(receiver())
+        ring.attach(1, lambda _pkt: arrivals.append(eng.now), None)
         for _ in range(3):
             ring.send_request(RequestPacket(src_worker=0, dst_worker=1,
                                             request=object()))

@@ -189,6 +189,52 @@ class TestMultisite:
         assert block.header.status is TxnStatus.COMMITTED
 
 
+class TestBackgroundUnits:
+    """A remote DB instruction is handed to the destination worker's
+    handler; the softcores are the only processes a machine spawns."""
+
+    @staticmethod
+    def remote_stream(n_workers, n_txns=20):
+        from repro.workloads import YcsbConfig, YcsbWorkload
+        workload = YcsbWorkload(YcsbConfig(
+            records_per_partition=500, n_partitions=n_workers,
+            remote_fraction=1.0, seed=3))
+        return workload, workload.make_read_txns(n_txns)
+
+    def test_a_failure_serving_a_remote_request_leaves_run(self, monkeypatch):
+        workload, specs = self.remote_stream(2)
+        db = BionicDB(BionicConfig(n_workers=2))
+        workload.install(db)
+
+        def broken(_table_id):
+            raise RuntimeError("coprocessor fault on worker 1")
+
+        monkeypatch.setattr(db.workers[1], "pipeline_for", broken)
+        with pytest.raises(RuntimeError, match="coprocessor fault"):
+            workload.submit_all(db, specs)
+
+    @pytest.mark.parametrize("n_workers", [2, 4])
+    def test_only_the_softcores_are_processes(self, monkeypatch, n_workers):
+        from repro.sim.engine import Engine
+        spawned = []
+        spawn = Engine.process
+
+        def counting(engine, gen, name=""):
+            spawned.append(name)
+            return spawn(engine, gen, name)
+
+        monkeypatch.setattr(Engine, "process", counting)
+        workload, specs = self.remote_stream(n_workers)
+        db = BionicDB(BionicConfig(n_workers=n_workers))
+        workload.install(db)
+        report, _blocks = workload.submit_all(db, specs)
+        assert report.committed == len(specs)
+        remote = sum(db.stats.counter(f"worker{w}.background_requests").value
+                     for w in range(n_workers))
+        assert remote > 0
+        assert spawned == [f"w{w}.softcore" for w in range(n_workers)]
+
+
 class TestAbortPaths:
     def test_update_conflict_aborts_and_rolls_back(self):
         """Two workers update one tuple at once — a pair no batch former
