@@ -10,6 +10,9 @@ serving path (NIC -> admission control -> deadline dispatch), twice:
   against their original deadline, the admitted ones are dispatched
   earliest-deadline-first, and goodput holds near peak.
 
+Exits non-zero unless both runs conserve outcomes and admission ON
+meets its SLO on a larger share of the offered work than admission OFF.
+
 Run:  python examples/frontend_demo.py
 """
 
@@ -85,15 +88,21 @@ def main() -> None:
     print(f"saturated throughput: {saturated / 1e3:.0f} kTps "
           f"-> offering 2x that ({2 * saturated / 1e3:.0f} kTps) "
           f"across two tenants\n")
+    met = {}
     for admission in (False, True):
         label = "admission ON" if admission else "admission OFF"
         rep = overload_run(saturated, admission)
         print(f"--- {label} " + "-" * (58 - len(label)))
         print(rep.render())
-        met = rep.deadline_met / rep.offered * 100
-        print(f"  => {met:.0f}% of offered work met its 150 us SLO; "
-              f"goodput {rep.goodput_tps / 1e3:.0f} kTps, "
+        met[admission] = rep.deadline_met / rep.offered * 100
+        print(f"  => {met[admission]:.0f}% of offered work met its 150 us "
+              f"SLO; goodput {rep.goodput_tps / 1e3:.0f} kTps, "
               f"p99 {rep.percentile_ns(99) / 1e3:.0f} us\n")
+        if not rep.conserved:
+            raise SystemExit(f"{label}: outcomes are not conserved")
+    if met[True] <= met[False]:
+        raise SystemExit("admission ON met its SLO on no larger a share of "
+                         "offered work than admission OFF")
 
 
 if __name__ == "__main__":

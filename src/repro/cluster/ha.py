@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.config import HAConfig
 from ..core.system import BionicDB
 from ..errors import (
     MigrationError, PartitionUnavailableError, ReplicationStalledError,
@@ -54,13 +53,23 @@ from ..host.recovery import RecoveryManager, partition_hashes
 from ..mem.txnblock import TxnStatus
 from ..sim.stats import StatsRegistry
 from .interconnect import NodeLinks
-from .membership import MembershipService
+from .membership import HEARTBEAT_INTERVAL_NS, MembershipService
 from .migration import (
     EST_RECORD_BYTES, EST_SNAPSHOT_HEADER_BYTES, MigrationRecord,
     MigrationState,
 )
 
-__all__ = ["HAResult", "ReplicationStream", "PartitionState", "HACluster"]
+__all__ = ["HAResult", "ReplicationStream", "PartitionState", "HACluster",
+           "REPLICATION_MAX_LAG", "MIGRATION_BUDGET_NS",
+           "TRANSFER_NS_PER_BYTE"]
+
+#: command-log frames an owner may buffer unreplicated before it refuses
+#: new transactions for the partition (bounded lag)
+REPLICATION_MAX_LAG = 64
+#: per-partition bound on drain→transfer→re-own unavailability (50 ms)
+MIGRATION_BUDGET_NS = 50_000_000.0
+#: simulated cost of bulk state transfer (~10 GB/s links)
+TRANSFER_NS_PER_BYTE = 0.1
 
 _TERMINAL = (TxnStatus.COMMITTED.value, TxnStatus.ABORTED.value)
 
@@ -180,7 +189,7 @@ class HACluster:
     def __init__(self, n_nodes: int, n_partitions: int,
                  build_node: Callable[[], BionicDB],
                  install_node: Callable[[BionicDB], None],
-                 ha: Optional[HAConfig] = None, faults=None,
+                 faults=None,
                  max_events_per_txn: int = 2_000_000,
                  start_ns: float = 0.0,
                  step_ns: Optional[float] = None):
@@ -188,19 +197,18 @@ class HACluster:
             raise ValueError("high availability needs at least two nodes")
         self.n_nodes = n_nodes
         self.n_partitions = n_partitions
-        self.ha = ha or HAConfig()
         self.faults = faults
         self.max_events_per_txn = max_events_per_txn
         self.stats = StatsRegistry()
         self.links = NodeLinks(n_nodes, faults=faults, stats=self.stats)
-        self.membership = MembershipService(n_nodes, self.links, self.ha,
+        self.membership = MembershipService(n_nodes, self.links,
                                             start_ns=start_ns)
         self.membership.on_death(self._on_death)
         self.now_ns = start_ns
         #: control-plane time per submission step; heartbeats flow
         #: between transactions at this cadence
         self.step_ns = step_ns if step_ns is not None \
-            else self.ha.heartbeat_interval_ns
+            else HEARTBEAT_INTERVAL_NS
         self.nodes: List[BionicDB] = []
         for i in range(n_nodes):
             db = build_node()
@@ -315,12 +323,12 @@ class HACluster:
                           claimed: Optional[int] = None) -> HAResult:
         stream = st.stream
         stream.pump(now)
-        if stream.backlog() > self.ha.replication_max_lag:
+        if stream.backlog() > REPLICATION_MAX_LAG:
             raise PartitionUnavailableError(
                 "replication lag bound exceeded — refusing before execute",
                 partition=st.pid, node=st.owner, reason="bounded lag",
                 backlog=stream.backlog(),
-                max_lag=self.ha.replication_max_lag)
+                max_lag=REPLICATION_MAX_LAG)
         db = self.nodes[st.owner]
         block = db.new_block(spec.proc_id, list(spec.inputs), layout=layout,
                              worker=st.pid)
@@ -461,7 +469,7 @@ class HACluster:
                             + EST_RECORD_BYTES * len(tail))
         done = self.links.bulk_transfer_ns(
             st.owner, dst, m.transfer_bytes, m.drained_ns,
-            self.ha.transfer_ns_per_byte)
+            TRANSFER_NS_PER_BYTE)
         self.migrations.append(m)
         if done is None:
             m.abort("inter-node links cut at transfer start")
@@ -519,7 +527,7 @@ class HACluster:
         self.audit.append(("re_own", None, p, st.epoch, None, m.release_ns))
         m.queued_released = self._release_queue(st,
                                                 max(self.now_ns, m.release_ns))
-        m.check_budget(self.ha.migration_budget_ns)
+        m.check_budget(MIGRATION_BUDGET_NS)
 
     def _release_queue(self, st: PartitionState, t: float) -> int:
         """Execute router-queued work on the current owner; anything

@@ -3,7 +3,7 @@
 Every node heartbeats every peer over the same :class:`NodeLinks`
 lanes the data plane uses, so a link fault starves both planes
 consistently.  A node is *suspected* by a peer once the peer's last
-heartbeat from it is older than ``heartbeat_timeout_ns``; it is
+heartbeat from it is older than :data:`HEARTBEAT_TIMEOUT_NS`; it is
 *declared dead* — and a new epoch-numbered :class:`MembershipView` is
 emitted — only when **every** live peer suspects it, so a single cut
 link (one peer deaf, the rest still hearing beats) never triggers a
@@ -32,10 +32,16 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
-from ..core.config import HAConfig
 from .interconnect import NodeLinks
 
-__all__ = ["MembershipView", "MembershipService"]
+__all__ = ["MembershipView", "MembershipService", "HEARTBEAT_INTERVAL_NS",
+           "HEARTBEAT_TIMEOUT_NS"]
+
+#: how often each node emits a heartbeat to every peer (1 ms)
+HEARTBEAT_INTERVAL_NS = 1_000_000.0
+#: silence after which a peer suspects a node (5 ms) — five intervals,
+#: so one delayed beat never declares a healthy node dead
+HEARTBEAT_TIMEOUT_NS = 5_000_000.0
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,11 @@ class MembershipService:
     """Heartbeat bookkeeping, suspicion, and death declaration."""
 
     def __init__(self, n_nodes: int, links: NodeLinks,
-                 ha: Optional[HAConfig] = None, start_ns: float = 0.0):
+                 start_ns: float = 0.0):
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
         self.links = links
-        self.ha = ha or HAConfig()
         self.now_ns = start_ns
         #: declared-alive nodes (a falsely-declared node leaves this set
         #: even though it is still executing — fencing handles the rest)
@@ -71,7 +76,7 @@ class MembershipService:
             d: {s: start_ns for s in range(n_nodes) if s != d}
             for d in range(n_nodes)}
         self._next_beat: Dict[int, float] = {
-            n: start_ns + self.ha.heartbeat_interval_ns
+            n: start_ns + HEARTBEAT_INTERVAL_NS
             for n in range(n_nodes)}
         self._pending: List[tuple] = []     # (arrive, seq, src, dst)
         self._seq = 0
@@ -106,7 +111,7 @@ class MembershipService:
         heard = self.last_heard[observer].get(peer)
         if heard is None:
             return False
-        return (t - heard) > self.ha.heartbeat_timeout_ns
+        return (t - heard) > HEARTBEAT_TIMEOUT_NS
 
     def view(self) -> MembershipView:
         return self.views[-1]
@@ -131,7 +136,7 @@ class MembershipService:
                         self.last_heard[dst][src], arrive)
             else:
                 src = min(n for n in senders if self._next_beat[n] == next_emit)
-                self._next_beat[src] += self.ha.heartbeat_interval_ns
+                self._next_beat[src] += HEARTBEAT_INTERVAL_NS
                 for dst in sorted(self.alive):
                     if dst == src:
                         continue

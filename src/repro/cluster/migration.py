@@ -30,9 +30,9 @@ elastic repartitioning.  The state machine:
     source exactly as if no migration had been attempted.
 
 The whole DRAINING→RE_OWN window is checked against
-``HAConfig.migration_budget_ns``; blowing the budget is recorded as a
-:class:`~repro.errors.MigrationError` on the record (drills fail on
-it), not silently absorbed.
+:data:`repro.cluster.ha.MIGRATION_BUDGET_NS`; blowing the budget is
+recorded as a :class:`~repro.errors.MigrationError` on the record
+(drills fail on it), not silently absorbed.
 """
 
 from __future__ import annotations

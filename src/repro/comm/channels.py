@@ -14,7 +14,7 @@ and is written into the initiator's CP register asynchronously.
 ``attach``-es its two handlers, and a packet is handed to its
 destination's handler at the arrival instant the topology computes
 (``_arrival``).  Each channel serves its arrivals one at a time
-(:class:`Inbox`).
+(:class:`~repro.sim.sync.Inbox` at zero delay).
 
 The measured protocol cost is 3 cycles (24 ns at 125 MHz) per message,
 6 cycles (48 ns) for a request/response pair — Table 3.  Congestion can
@@ -24,7 +24,6 @@ cycle.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -32,9 +31,10 @@ from ..index.common import DbRequest
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
+from ..sim.sync import Inbox
 from ..txn.cc import DbResult
 
-__all__ = ["RequestPacket", "ResponsePacket", "Fabric", "Inbox", "Crossbar"]
+__all__ = ["RequestPacket", "ResponsePacket", "Fabric", "Crossbar"]
 
 
 @dataclass
@@ -54,41 +54,6 @@ class ResponsePacket:
     dst_worker: int
     cp_index: int
     result: DbResult
-
-
-class Inbox:
-    """One channel's arrivals, served one at a time.
-
-    A busy flag and a backlog — an index pipeline stage at zero delay:
-    an arrival at an idle channel is served on the engine's ready deque;
-    at a busy one it queues, and when a handler returns the next packet
-    is served after everything that handler queued at this instant.
-    An exception out of a handler leaves ``Engine.run()``.
-    """
-
-    __slots__ = ("_engine", "_sched", "_handler", "_busy", "_backlog")
-
-    def __init__(self, engine: Engine, handler: Callable[[object], None]):
-        self._engine = engine
-        self._sched = engine._schedule_fn
-        self._handler = handler
-        self._busy = False
-        self._backlog: deque = deque()
-
-    def arrive(self, packet) -> None:
-        if self._busy:
-            self._backlog.append(packet)
-        else:
-            self._busy = True
-            self._sched(self._engine.now, self._serve, packet)
-
-    def _serve(self, packet) -> None:
-        self._handler(packet)
-        backlog = self._backlog
-        if backlog:
-            self._sched(self._engine.now, self._serve, backlog.popleft())
-        else:
-            self._busy = False
 
 
 class Fabric:

@@ -1,6 +1,6 @@
 """BionicDB core: system assembly, configuration, run reports."""
 
-from .config import BionicConfig, HAConfig
+from .config import BionicConfig
 from .system import BionicDB, RunReport
 
-__all__ = ["BionicConfig", "HAConfig", "BionicDB", "RunReport"]
+__all__ = ["BionicConfig", "BionicDB", "RunReport"]

@@ -38,56 +38,7 @@ from typing import Optional
 from ..errors import ConfigError
 from ..softcore.core import SoftcoreConfig
 
-__all__ = ["BionicConfig", "HAConfig"]
-
-
-@dataclass
-class HAConfig:
-    """Cluster high-availability knobs (heartbeats, failover, migration).
-
-    Validated at construction with the same typed-error style as
-    :class:`BionicConfig`: the relationships that would make the
-    failure detector or the migration state machine nonsensical
-    (timeout not exceeding the interval, a zero unavailability budget)
-    are rejected before any node is built."""
-
-    #: how often each node emits a heartbeat to every peer
-    heartbeat_interval_ns: float = 1_000_000.0          # 1 ms
-    #: silence after which a node is declared dead — must exceed the
-    #: interval, or a single on-time beat's latency declares everyone dead
-    heartbeat_timeout_ns: float = 5_000_000.0           # 5 ms
-    #: command-log frames an owner may buffer unreplicated before it
-    #: refuses new transactions for the partition (bounded lag)
-    replication_max_lag: int = 64
-    #: per-partition bound on drain→transfer→re-own unavailability
-    migration_budget_ns: float = 50_000_000.0           # 50 ms
-    #: simulated cost of bulk state transfer (snapshot + log tail)
-    transfer_ns_per_byte: float = 0.1                   # ~10 GB/s links
-    #: client backoff between retries of retryable cluster errors
-    retry_backoff_ns: float = 500_000.0
-
-    def __post_init__(self):
-        if self.heartbeat_interval_ns <= 0:
-            raise ConfigError("heartbeat_interval_ns must be positive",
-                              heartbeat_interval_ns=self.heartbeat_interval_ns)
-        if self.heartbeat_timeout_ns <= self.heartbeat_interval_ns:
-            raise ConfigError(
-                "heartbeat_timeout_ns must exceed heartbeat_interval_ns, or "
-                "one delayed beat declares a healthy node dead",
-                heartbeat_timeout_ns=self.heartbeat_timeout_ns,
-                heartbeat_interval_ns=self.heartbeat_interval_ns)
-        if self.replication_max_lag < 1:
-            raise ConfigError("replication_max_lag must be >= 1",
-                              replication_max_lag=self.replication_max_lag)
-        if self.migration_budget_ns <= 0:
-            raise ConfigError("migration_budget_ns must be positive",
-                              migration_budget_ns=self.migration_budget_ns)
-        if self.transfer_ns_per_byte < 0:
-            raise ConfigError("transfer_ns_per_byte must be >= 0",
-                              transfer_ns_per_byte=self.transfer_ns_per_byte)
-        if self.retry_backoff_ns < 0:
-            raise ConfigError("retry_backoff_ns must be >= 0",
-                              retry_backoff_ns=self.retry_backoff_ns)
+__all__ = ["BionicConfig"]
 
 
 @dataclass

@@ -15,6 +15,10 @@ node or many), create sessions, then ``run()``: the same
 discrete-event engine advances clients, the link, the pump, the
 dispatchers and the chip on one timeline, and a
 :class:`~repro.frontend.slo.FrontendReport` summarises the outcome.
+Like the chip's units, every actor on the path is a handler the engine
+calls when its data arrives — an arrival, a landed packet, a lane
+signal, a freed window slot, a finished block — so an exception in any
+of them leaves ``Engine.run()`` at the instant it is raised.
 
 Every generated request ends in exactly one terminal state —
 ``committed``, ``aborted``, ``rejected`` or ``timed_out``; if the
@@ -80,8 +84,8 @@ class FrontEnd:
         self.engine = db.engine
         #: optional repro.faults.FaultPlan threaded into the NIC
         self.faults = faults
-        self.nic = Nic(self.engine, self.config.nic, stats=db.stats,
-                       name="frontend.nic", faults=faults)
+        self.nic = Nic(self.engine, self._pump, self.config.nic,
+                       stats=db.stats, name="frontend.nic", faults=faults)
         self._dup_discarded = db.stats.counter("frontend.dup_discarded")
         self.admission = AdmissionController(self.engine,
                                              self.config.admission,
@@ -93,12 +97,9 @@ class FrontEnd:
                        if self.config.resilience is not None else None)
         self.sessions: List[ClientSession] = []
         self._by_txn = {}              # txn_id -> Request (in the chip)
-        self._procs = list(self.scheduler.procs)
         self._start_ns = self.engine.now
         self._attached = True
         db.attach_frontend(self)
-        pump = self.engine.process(self._pump(), name="frontend.pump")
-        self._track(pump)
 
     # -- sessions -----------------------------------------------------------
     def session(self, factory, config: Optional[SessionConfig] = None,
@@ -123,74 +124,67 @@ class FrontEnd:
         self.scheduler.register_session(sess.id, config.weight)
         return sess
 
-    def _track(self, proc) -> None:
-        self._procs.append(proc)
-
     # -- the serving path ----------------------------------------------------
-    def _launch(self, req: Request) -> None:
-        """Open-loop delivery: runs independently of the arrival clock."""
-        proc = self.engine.process(
-            self._deliver(req),
-            name=f"frontend.deliver.{req.session.config.name}.{req.index}")
-        self._track(proc)
-
-    def _deliver(self, req: Request):
-        """Drive one request to a terminal outcome, retrying sheds."""
-        cfg = req.session.config
+    def _deliver(self, req: Request) -> None:
+        """Send a request's first attempt."""
         if self.router is not None:
             self.router.note_first_attempt(req)
-        while True:
-            ok = yield from self.nic.transmit(req)
-            if ok:
-                yield req.done_event
-            else:
-                self._finish(req, "rejected", REASON_RX_OVERFLOW)
-            if (req.outcome == "rejected"
-                    and req.attempts < cfg.max_retries):
-                if (self.router is not None
-                        and not self.router.allow_retry(req)):
-                    # budget exhausted: go terminal with the last shed
-                    # reason rather than amplify the storm
-                    req.session.stats.retries_denied += 1
-                    break
+        self.nic.transmit(req, self._landed)
+
+    def _landed(self, req: Request) -> None:
+        if not self.nic.receive(req):
+            # the sender sees the loss at once: settle now, not a step on
+            self._stamp(req, "rejected", REASON_RX_OVERFLOW)
+            self._settle(req)
+
+    def _settle(self, req: Request) -> None:
+        """The attempt reached an outcome: retry a shed after its
+        backoff, or close the request."""
+        cfg = req.session.config
+        if req.outcome == "rejected" and req.attempts < cfg.max_retries:
+            if self.router is None or self.router.allow_retry(req):
                 req.attempts += 1
                 req.session.stats.retries += 1
                 backoff = cfg.retry_backoff_ns * (2 ** (req.attempts - 1))
                 if cfg.retry_jitter > 0:
                     backoff *= 1.0 - cfg.retry_jitter * req.session._rng.random()
                 if backoff > 0:
-                    yield backoff
-                req.reset_for_retry(self.engine)
-                continue
-            break
-        req.session._record_terminal(req)
+                    self.engine._schedule_fn(self.engine.now + backoff,
+                                             self._retry, req)
+                else:
+                    self._retry(req)
+                return
+            # budget exhausted: go terminal with the last shed reason
+            # rather than amplify the storm
+            req.session.stats.retries_denied += 1
+        req.session._terminal(req)
 
-    def _pump(self):
-        """Drain the NIC RX queue: dedup, admission control, dispatch."""
-        rx_ns = self.nic.config.rx_process_ns
-        while True:
-            req = yield self.nic.rx.get()
-            if rx_ns > 0:
-                yield rx_ns
-            if req.in_system or req.outcome is not None:
-                # an injected duplicate of an attempt already accepted
-                # (or already terminal) — dedup as a host stack would
-                self._dup_discarded.add()
-                continue
-            req.in_system = True
-            if req.expired(self.engine.now):
-                self._finish(req, "timed_out", REASON_DEADLINE)
-                continue
-            if self.router is not None:
-                reason = self.router.gate(req, self.engine.now)
-                if reason is not None:
-                    self._finish(req, "rejected", reason)
-                    continue
-            reason = self.admission.check(self.scheduler.backlog)
+    def _retry(self, req: Request) -> None:
+        req.reset_for_retry()
+        self.nic.transmit(req, self._landed)
+
+    def _pump(self, req: Request) -> None:
+        """The RX ring's handler: dedup, admission control, dispatch."""
+        if req.in_system or req.outcome is not None:
+            # an injected duplicate of an attempt already accepted
+            # (or already terminal) — dedup as a host stack would
+            self._dup_discarded.add()
+            return
+        req.in_system = True
+        now = self.engine.now
+        if req.expired(now):
+            self._finish(req, "timed_out", REASON_DEADLINE)
+            return
+        if self.router is not None:
+            reason = self.router.gate(req, now)
             if reason is not None:
                 self._finish(req, "rejected", reason)
-                continue
-            self.scheduler.enqueue(req)
+                return
+        reason = self.admission.check(self.scheduler.backlog)
+        if reason is not None:
+            self._finish(req, "rejected", reason)
+            return
+        self.scheduler.enqueue(req)
 
     def _submit(self, req: Request) -> None:
         self._by_txn[req.block.txn_id] = req
@@ -224,8 +218,13 @@ class FrontEnd:
 
     def _finish(self, req: Request, outcome: str,
                 reason: Optional[str] = None) -> None:
-        """Shed terminal states (rejected / timed out): stamp the block
-        and wake whoever is waiting on the request."""
+        """Shed a request (rejected / timed out); its sender settles it
+        on the engine's next step."""
+        self._stamp(req, outcome, reason)
+        self.engine._schedule_fn(self.engine.now, self._settle, req)
+
+    def _stamp(self, req: Request, outcome: str,
+               reason: Optional[str]) -> None:
         req.outcome = outcome
         req.reason = reason
         header = req.block.header
@@ -233,7 +232,6 @@ class FrontEnd:
                          else TxnStatus.TIMED_OUT)
         header.abort_reason = reason
         req.block.done_at_ns = self.engine.now
-        req.done_event.succeed(outcome)
 
     # -- completion from the chip -------------------------------------------
     def _note_done(self, block) -> None:
@@ -247,7 +245,7 @@ class FrontEnd:
                        if block.header.status is TxnStatus.COMMITTED
                        else "aborted")
         req.reason = block.header.abort_reason
-        req.done_event.succeed(req.outcome)
+        self.engine._schedule_fn(self.engine.now, self._settle, req)
 
     # -- running -------------------------------------------------------------
     def run(self, until: Optional[float] = None,
@@ -256,7 +254,6 @@ class FrontEnd:
         if not self._attached:
             raise FrontendError("front-end is detached from its system")
         self.db.run(until=until, max_events=max_events)
-        self._check_processes()
         drained = self.engine.idle
         if drained:
             stuck = {f"{s.config.name}/{req.index}": req.block.header.status.value
@@ -268,12 +265,6 @@ class FrontEnd:
                     f"terminal outcome after the event heap drained",
                     stuck=stuck)
         return self.report()
-
-    def _check_processes(self) -> None:
-        """Surface any exception that killed a front-end process."""
-        for proc in self._procs:
-            if proc.triggered and proc._exc is not None:
-                raise proc._exc
 
     def report(self) -> FrontendReport:
         report = FrontendReport(

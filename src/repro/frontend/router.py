@@ -129,12 +129,16 @@ class RequestRouter:
         if self._replay_armed:
             return
         self._replay_armed = True
-        proc = self.engine.process(self._replay(),
-                                   name="frontend.router.replay")
-        self.frontend._track(proc)
+        # the poll interval starts counting on the engine's next step
+        engine = self.engine
+        engine._schedule_fn(engine.now, self._start_replay, None)
 
-    def _replay(self):
-        yield REPLAY_INTERVAL_NS
+    def _start_replay(self, _arg) -> None:
+        engine = self.engine
+        engine._schedule_fn(engine.now + REPLAY_INTERVAL_NS, self._replay,
+                            None)
+
+    def _replay(self, _arg) -> None:
         self._replay_armed = False
         frontend = self.frontend
         now = self.engine.now

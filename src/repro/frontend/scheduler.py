@@ -1,10 +1,13 @@
 """Dispatch scheduling: from admitted requests to home workers.
 
 Admitted requests queue here per home worker.  Each worker has a
-dispatch loop that keeps at most ``max_inflight_per_worker`` blocks
+dispatch lane that keeps at most ``max_inflight_per_worker`` blocks
 inside the chip (submitted but not finished) — the window that feeds
 the softcore's §4.5 batch former without recreating today's unbounded
-teleport.  Two orthogonal decisions pick the next request:
+teleport.  A lane is a handler: it selects an engine step after an
+enqueue (so requests enqueued in between are candidates) and takes a
+window slot a step after one is free.  Two orthogonal decisions pick
+the next request:
 
 * **Across sessions** — weighted-fair queuing (stride scheduling): each
   session owns a virtual clock advanced by ``1/weight`` per dispatch;
@@ -30,9 +33,8 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..errors import ConfigError
-from ..sim.engine import Engine
+from ..sim.engine import Engine, SimulationError
 from ..sim.stats import StatsRegistry
-from ..sim.sync import Fifo, TokenPool
 
 __all__ = ["SchedulerConfig", "DispatchScheduler"]
 
@@ -57,18 +59,17 @@ class SchedulerConfig:
 
 
 class _Lane:
-    """Per-worker dispatch state: per-session queues + a request signal."""
+    """Per-worker dispatch state: per-session queues, the enqueues not
+    yet served (the one in service included), the window's free slots
+    (``None`` = no window) and the request waiting for one."""
 
-    __slots__ = ("worker", "queues", "signal", "window")
+    __slots__ = ("queues", "pending", "free", "blocked")
 
-    def __init__(self, engine: Engine, worker: int,
-                 window: Optional[int]):
-        self.worker = worker
+    def __init__(self, window: Optional[int]):
         self.queues: Dict[int, Deque] = {}
-        self.signal = Fifo(engine, name=f"frontend.lane{worker}")
-        self.window = (TokenPool(engine, window,
-                                 name=f"frontend.lane{worker}.window")
-                       if window is not None else None)
+        self.pending = 0
+        self.free = window
+        self.blocked = None
 
 
 class DispatchScheduler:
@@ -92,15 +93,9 @@ class DispatchScheduler:
         self._global_v = 0.0
         self._dispatched = self.stats.counter("frontend.dispatched")
         self._timed_out = self.stats.counter("frontend.timed_out")
-        self._lanes: List[_Lane] = [
-            _Lane(engine, w, self.config.max_inflight_per_worker)
-            for w in range(n_workers)
-        ]
-        self.procs = [
-            engine.process(self._lane_loop(lane),
-                           name=f"frontend.dispatch.w{lane.worker}")
-            for lane in self._lanes
-        ]
+        self._window = self.config.max_inflight_per_worker
+        self._lanes: List[_Lane] = [_Lane(self._window)
+                                    for _ in range(n_workers)]
 
     # -- session registry ---------------------------------------------------
     def register_session(self, session_id: int, weight: float) -> None:
@@ -121,7 +116,9 @@ class DispatchScheduler:
         request.seq = self._seq
         dq.append(request)
         self.backlog += 1
-        lane.signal.try_put(None)
+        lane.pending += 1
+        if lane.pending == 1:
+            self.engine._schedule_fn(self.engine.now, self._serve, lane)
 
     # -- selection ----------------------------------------------------------
     def _select(self, lane: _Lane):
@@ -148,29 +145,50 @@ class DispatchScheduler:
         self._vtime[sid] += 1.0 / self._weight.get(sid, 1.0)
         return request
 
-    # -- per-worker loop ----------------------------------------------------
-    def _lane_loop(self, lane: _Lane):
-        while True:
-            yield lane.signal.get()
-            request = self._select(lane)
-            self.backlog -= 1
-            if request.expired(self.engine.now):
-                self._timed_out.add()
-                self._on_timeout(request)
-                continue
-            if lane.window is not None:
-                yield lane.window.acquire()
-                # the wait for a window slot may have burned the deadline
-                if request.expired(self.engine.now):
-                    lane.window.release()
-                    self._timed_out.add()
-                    self._on_timeout(request)
-                    continue
+    # -- per-worker lane -----------------------------------------------------
+    def _serve(self, lane: _Lane) -> None:
+        """Serve one enqueue: select, then submit or take a window slot."""
+        request = self._select(lane)
+        self.backlog -= 1
+        if lane.free is None or request.expired(self.engine.now):
+            self._submit_or_shed(lane, request)
+        elif lane.free:
+            lane.free -= 1
+            self.engine._schedule_fn(self.engine.now, self._granted,
+                                     (lane, request))
+        else:
+            lane.blocked = request
+
+    def _granted(self, item) -> None:
+        lane, request = item
+        if request.expired(self.engine.now):
+            lane.free += 1     # the wait for a slot burned the deadline
+        self._submit_or_shed(lane, request)
+
+    def _submit_or_shed(self, lane: _Lane, request) -> None:
+        if request.expired(self.engine.now):
+            self._timed_out.add()
+            self._on_timeout(request)
+        else:
             self._dispatched.add()
             self._submit(request)
+        lane.pending -= 1
+        if lane.pending:
+            self.engine._schedule_fn(self.engine.now, self._serve, lane)
 
     # -- completion ---------------------------------------------------------
     def note_done(self, worker: int) -> None:
+        """A block of ``worker``'s lane left the chip: free its slot."""
         lane = self._lanes[worker]
-        if lane.window is not None:
-            lane.window.release()
+        if lane.free is None:
+            return
+        request = lane.blocked
+        if request is not None:
+            lane.blocked = None
+            self.engine._schedule_fn(self.engine.now, self._granted,
+                                     (lane, request))
+        elif lane.free >= self._window:
+            raise SimulationError(
+                f"dispatch window of worker {worker} over-released")
+        else:
+            lane.free += 1

@@ -1,11 +1,14 @@
 """Client sessions: who is sending, how fast, and what they do on failure.
 
 A :class:`ClientSession` is one tenant's connection through the
-front-end.  It owns an arrival process (open-loop Poisson that never
+front-end.  It owns an arrival schedule (open-loop Poisson that never
 waits, or closed-loop with a concurrency window and think time), a
 fair-queuing weight, an optional per-request deadline, a retry policy
 for shed requests, and per-session accounting
-(:class:`~repro.frontend.slo.SessionStats`).
+(:class:`~repro.frontend.slo.SessionStats`).  Arrivals are handlers
+the engine calls at their instants: an open-loop arrival schedules the
+next one, a closed-loop request's terminal outcome schedules the next
+request after a think time.
 
 Blocks are created lazily at their arrival instants — exactly as a
 network client would deliver them — via the session's
@@ -28,12 +31,12 @@ class Request:
     """One in-flight unit of client work: a block plus serving metadata."""
 
     __slots__ = ("session", "index", "block", "home", "deadline_at_ns",
-                 "created_at_ns", "outcome", "reason", "done_event", "seq",
+                 "created_at_ns", "outcome", "reason", "seq",
                  "attempts", "in_system", "first_parked_ns")
 
     def __init__(self, session: "ClientSession", index: int, block,
                  home: int, created_at_ns: float,
-                 deadline_at_ns: Optional[float], done_event):
+                 deadline_at_ns: Optional[float]):
         self.session = session
         self.index = index
         self.block = block
@@ -42,7 +45,6 @@ class Request:
         self.deadline_at_ns = deadline_at_ns
         self.outcome: Optional[str] = None    # committed|aborted|rejected|timed_out
         self.reason: Optional[str] = None
-        self.done_event = done_event
         self.seq = 0
         self.attempts = 0
         #: True once the pump has accepted this attempt — a second RX
@@ -56,7 +58,7 @@ class Request:
     def expired(self, now_ns: float) -> bool:
         return self.deadline_at_ns is not None and now_ns > self.deadline_at_ns
 
-    def reset_for_retry(self, engine) -> None:
+    def reset_for_retry(self) -> None:
         """Clear the previous shed outcome so the block can re-enter.
 
         The deadline is *not* extended: SLOs are end-to-end, so retries
@@ -69,7 +71,6 @@ class Request:
         self.reason = None
         self.in_system = False
         self.first_parked_ns = None
-        self.done_event = engine.event()
 
 
 @dataclass
@@ -161,18 +162,10 @@ class ClientSession:
         #: pass the workload's RNG (``rng=``) to make a multi-session
         #: overload drill reproducible from a single seed
         self._rng = rng if rng is not None else random.Random(config.seed)
-        engine = frontend.engine
-        if config.arrival == "open":
-            proc = engine.process(self._open_loop(),
-                                  name=f"frontend.session.{config.name}")
-            frontend._track(proc)
-        else:
-            counter = iter(range(config.n_requests))
-            for c in range(config.concurrency):
-                proc = engine.process(
-                    self._closed_loop(counter),
-                    name=f"frontend.session.{config.name}.{c}")
-                frontend._track(proc)
+        self._next_index = 0
+        streams = config.concurrency if config.arrival == "closed" else 1
+        for _ in range(streams):     # each starts on the engine's next step
+            self._after(0.0, self._start)
 
     # -- request construction ----------------------------------------------
     def _make(self, i: int) -> Request:
@@ -183,30 +176,48 @@ class ClientSession:
         deadline = (now + self.config.deadline_ns
                     if self.config.deadline_ns is not None else None)
         block.deadline_ns = deadline
-        req = Request(self, i, block, home, now, deadline, engine.event())
+        req = Request(self, i, block, home, now, deadline)
         self.stats.offered += 1
         self.requests.append(req)
         return req
 
-    # -- arrival processes ---------------------------------------------------
-    def _open_loop(self):
-        if self.config.start_ns > 0:
-            yield self.config.start_ns
-        gap_ns = 1e9 / self.config.rate_tps
-        for i in range(self.config.n_requests):
-            req = self._make(i)
-            self.frontend._launch(req)
-            yield self._rng.expovariate(1.0) * gap_ns
+    def _after(self, delay: float, fn: Callable[[Any], None],
+               arg: Any = None) -> None:
+        engine = self.frontend.engine
+        engine._schedule_fn(engine.now + delay, fn, arg)
 
-    def _closed_loop(self, counter):
+    def _start(self, _arg) -> None:
+        first = (self._open_arrival if self.config.arrival == "open"
+                 else self._closed_next)
         if self.config.start_ns > 0:
-            yield self.config.start_ns
-        for i in counter:
-            req = self._make(i)
-            yield from self.frontend._deliver(req)
-            if self.config.think_ns > 0:
-                yield self._rng.expovariate(1.0) * self.config.think_ns
+            self._after(self.config.start_ns, first, 0)
+        else:
+            first(0)
+
+    # -- open loop: each arrival schedules the next, and its delivery -------
+    def _open_arrival(self, i: int) -> None:
+        # past the last request this wake only advances the clock: a
+        # session sleeps one gap after its last arrival too
+        config = self.config
+        if i < config.n_requests:
+            self._after(0.0, self.frontend._deliver, self._make(i))
+            self._after(self._rng.expovariate(1.0) * (1e9 / config.rate_tps),
+                        self._open_arrival, i + 1)
+
+    # -- closed loop: each terminal outcome schedules the next request -------
+    def _closed_next(self, _arg) -> None:
+        i = self._next_index
+        if i < self.config.n_requests:
+            self._next_index = i + 1
+            self.frontend._deliver(self._make(i))
 
     # -- terminal accounting -------------------------------------------------
-    def _record_terminal(self, req: Request) -> None:
+    def _terminal(self, req: Request) -> None:
         self.stats.record(req)
+        config = self.config
+        if config.arrival == "closed":
+            if config.think_ns > 0:
+                self._after(self._rng.expovariate(1.0) * config.think_ns,
+                            self._closed_next)
+            else:
+                self._closed_next(None)

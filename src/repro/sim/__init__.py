@@ -14,7 +14,7 @@ from .resources import (
     per_worker_costs,
 )
 from .stats import Counter, Histogram, StatsRegistry, nearest_rank
-from .sync import Fifo, TokenPool
+from .sync import Fifo, Inbox, TokenPool
 from .trace import NULL_TRACER, TraceEvent, Tracer
 
 __all__ = [
@@ -26,6 +26,6 @@ __all__ = [
     "HC2_INFRASTRUCTURE", "ResourceLedger", "ResourceVector",
     "VIRTEX5_LX330", "per_worker_costs",
     "Counter", "Histogram", "StatsRegistry", "nearest_rank",
-    "Fifo", "TokenPool",
+    "Fifo", "Inbox", "TokenPool",
     "NULL_TRACER", "TraceEvent", "Tracer",
 ]

@@ -1,15 +1,15 @@
 """Discrete-event simulation engine.
 
 Everything in the BionicDB reproduction runs inside one
-:class:`Engine`, as one of two kinds of actor.  Hardware units woken by
+:class:`Engine`, as one of two kinds of actor.  Units woken by
 arriving data — index pipeline stages, DRAM channels, the on-chip
-fabric and the partition workers' background units — are *callbacks*:
-a work item calls a function at an instant.  The softcore, the
-front-end's pump, deliveries, sessions, lanes and replay, the software
-baseline's CPU cores and the figures' closed-loop client are
-*processes*: a Python generator that yields :class:`Event`
-objects (or plain numbers, treated as delays in the engine's time
-unit) and is resumed when the yielded event fires.
+fabric, the partition workers' background units and the whole
+network front-end (sessions, NIC, pump, dispatch lanes, retries and
+replay) — are *callbacks*: a work item calls a function at an instant.
+The softcore, the software baseline's CPU cores and the figures'
+closed-loop client are *processes*: a Python generator that yields
+:class:`Event` objects (or plain numbers, treated as delays in the
+engine's time unit) and is resumed when the yielded event fires.
 
 The design follows the familiar SimPy structure but is implemented from
 scratch so the simulation core has no external dependencies and stays

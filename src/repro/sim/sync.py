@@ -1,18 +1,64 @@
 """Synchronisation primitives built on the DES engine.
 
 These model the hardware structures BionicDB is built from: FIFOs
-between pipeline stages and token pools that throttle in-flight DB
-instructions.
+between a process and its producers, token pools that throttle
+in-flight DB instructions, and inboxes that hand arrivals to a
+handler one at a time.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Callable, Deque
 
 from .engine import Engine, Event, SimulationError
 
-__all__ = ["Fifo", "TokenPool"]
+__all__ = ["Fifo", "Inbox", "TokenPool"]
+
+
+class Inbox:
+    """Arrivals served one at a time, ``delay`` ns each, by a handler.
+
+    An index pipeline stage: an arrival at an idle inbox starts service
+    on the engine's ready deque, at a busy one it joins the backlog
+    (``len()``).  Service ends by calling the handler; the next arrival
+    starts after everything the handler queued at that instant.  An
+    exception out of a handler leaves ``Engine.run()``.
+    """
+
+    __slots__ = ("_engine", "_sched", "_handler", "_delay", "_start",
+                 "_busy", "_backlog")
+
+    def __init__(self, engine: Engine, handler: Callable[[Any], None],
+                 delay: float = 0.0):
+        self._engine = engine
+        self._sched = engine._schedule_fn
+        self._handler = handler
+        self._delay = delay
+        self._start = self._serve if delay == 0 else self._wait
+        self._busy = False
+        self._backlog: deque = deque()
+
+    def __len__(self) -> int:
+        return len(self._backlog)
+
+    def arrive(self, item: Any) -> None:
+        if self._busy:
+            self._backlog.append(item)
+        else:
+            self._busy = True
+            self._sched(self._engine.now, self._start, item)
+
+    def _wait(self, item: Any) -> None:
+        self._sched(self._engine.now + self._delay, self._serve, item)
+
+    def _serve(self, item: Any) -> None:
+        self._handler(item)
+        backlog = self._backlog
+        if backlog:
+            self._sched(self._engine.now, self._start, backlog.popleft())
+        else:
+            self._busy = False
 
 
 class Fifo:

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.cluster import MembershipService, MembershipView, MigrationState
-from repro.cluster.ha import HACluster
+from repro.cluster.membership import HEARTBEAT_TIMEOUT_NS
+from repro.cluster.ha import MIGRATION_BUDGET_NS, HACluster
 from repro.cluster.interconnect import NodeLinks
-from repro.core import BionicConfig, HAConfig
+from repro.core import BionicConfig
 from repro.core.system import BionicDB
 from repro.errors import (
-    ConfigError, MigrationError, PartitionUnavailableError, StaleEpochError,
+    MigrationError, PartitionUnavailableError, StaleEpochError,
 )
 from repro.faults import FaultPlan, HEARTBEAT_LOSS, STALE_EPOCH_SUBMIT
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
@@ -23,12 +24,12 @@ def make_workload(n_txns=8, seed=0):
     return wl, wl.make_rmw_txns(n_txns)
 
 
-def make_cluster(wl, n_nodes=3, faults=None, ha=None, step_ns=None):
+def make_cluster(wl, n_nodes=3, faults=None, step_ns=None):
     return HACluster(
         n_nodes, N_PARTS,
         build_node=lambda: BionicDB(BionicConfig(n_workers=N_PARTS)),
         install_node=lambda db: wl.install(db, load_data=True),
-        ha=ha, faults=faults, step_ns=step_ns)
+        faults=faults, step_ns=step_ns)
 
 
 class TestMembership:
@@ -43,40 +44,36 @@ class TestMembership:
         assert view.epoch == 1
 
     def test_silent_node_declared_dead(self):
-        ha = HAConfig()
-        m = MembershipService(3, self.links(), ha)
+        m = MembershipService(3, self.links())
         m.kill(1)
-        m.advance_to(2 * ha.heartbeat_timeout_ns)
+        m.advance_to(2 * HEARTBEAT_TIMEOUT_NS)
         view = m.view()
         assert 1 in view.dead
         assert view.epoch > 1
 
     def test_death_callback_fires_once(self):
-        ha = HAConfig()
-        m = MembershipService(3, self.links(), ha)
+        m = MembershipService(3, self.links())
         deaths = []
         m.on_death(lambda node, epoch, t: deaths.append((node, epoch)))
         m.kill(2)
-        m.advance_to(3 * ha.heartbeat_timeout_ns)
-        m.advance_to(6 * ha.heartbeat_timeout_ns)
+        m.advance_to(3 * HEARTBEAT_TIMEOUT_NS)
+        m.advance_to(6 * HEARTBEAT_TIMEOUT_NS)
         assert len(deaths) == 1 and deaths[0][0] == 2
 
     def test_pair_cut_does_not_kill_with_three_nodes(self):
         # node 1 is silent *to node 0 only*; node 2 still hears it, so
         # no death is declared — suspicion must be unanimous
-        ha = HAConfig()
         links = self.links()
-        m = MembershipService(3, links, ha)
-        links.isolate(0, 1, 10 * ha.heartbeat_timeout_ns)
-        m.advance_to(5 * ha.heartbeat_timeout_ns)
+        m = MembershipService(3, links)
+        links.isolate(0, 1, 10 * HEARTBEAT_TIMEOUT_NS)
+        m.advance_to(5 * HEARTBEAT_TIMEOUT_NS)
         assert m.view().dead == frozenset()
         assert m.suspects(0, 1)
         assert not m.suspects(2, 1)
 
     def test_heartbeats_keep_nodes_alive(self):
-        ha = HAConfig()
-        m = MembershipService(3, self.links(), ha)
-        m.advance_to(20 * ha.heartbeat_timeout_ns)
+        m = MembershipService(3, self.links())
+        m.advance_to(20 * HEARTBEAT_TIMEOUT_NS)
         assert m.view().alive == frozenset({0, 1, 2})
         assert m.view().dead == frozenset()
 
@@ -133,7 +130,7 @@ class TestFailover:
                 except StaleEpochError:
                     epochs[spec.home] = c.current_epoch(spec.home)
                 except PartitionUnavailableError:
-                    c.advance(c.ha.heartbeat_timeout_ns)
+                    c.advance(HEARTBEAT_TIMEOUT_NS)
         return acked
 
     def test_node_death_fails_partitions_over(self):
@@ -141,7 +138,7 @@ class TestFailover:
         c = make_cluster(wl)
         acked = self.run_stream(c, wl, specs[:4])
         c.kill_node(1)
-        c.advance(3 * c.ha.heartbeat_timeout_ns)
+        c.advance(3 * HEARTBEAT_TIMEOUT_NS)
         assert c.failovers, "node death must trigger failover"
         for p, st in c.parts.items():
             assert st.owner != 1
@@ -153,7 +150,7 @@ class TestFailover:
         c = make_cluster(wl)
         acked = self.run_stream(c, wl, specs)
         c.kill_node(0)
-        c.advance(3 * c.ha.heartbeat_timeout_ns)
+        c.advance(3 * HEARTBEAT_TIMEOUT_NS)
         for i, res in acked.items():
             durable = c.durable_status(res.partition, res.txn_id)
             assert durable == res.outcome, (
@@ -165,7 +162,7 @@ class TestFailover:
         victim_part = next(p for p in range(N_PARTS) if c.owner_of(p) == 1)
         old_epoch = c.current_epoch(victim_part)
         c.kill_node(1)
-        c.advance(3 * c.ha.heartbeat_timeout_ns)
+        c.advance(3 * HEARTBEAT_TIMEOUT_NS)
         spec = next(s for s in specs if s.home == victim_part)
         with pytest.raises(StaleEpochError):
             c.submit_spec(spec, wl.layout_for(spec), client_epoch=old_epoch,
@@ -191,7 +188,7 @@ class TestFailover:
         c = make_cluster(wl)
         self.run_stream(c, wl, specs[:5])
         c.kill_node(0)
-        c.advance(3 * c.ha.heartbeat_timeout_ns)
+        c.advance(3 * HEARTBEAT_TIMEOUT_NS)
         self.run_stream(c, wl, specs, start=5)
         for entry in c.audit:
             if entry[0] == "exec":
@@ -207,11 +204,11 @@ class TestLiveMigration:
         src, epoch0 = c.owner_of(0), c.current_epoch(0)
         dst = (src + 1) % 3
         m = c.begin_migration(0, dst)
-        c.advance(c.ha.migration_budget_ns)
+        c.advance(MIGRATION_BUDGET_NS)
         assert m.state is MigrationState.DONE
         assert c.owner_of(0) == dst
         assert c.current_epoch(0) > epoch0
-        assert m.unavailability_ns <= c.ha.migration_budget_ns
+        assert m.unavailability_ns <= MIGRATION_BUDGET_NS
 
     def test_draining_queues_then_releases(self):
         wl, specs = make_workload(n_txns=6)
@@ -223,7 +220,7 @@ class TestLiveMigration:
         m = c.begin_migration(0, (src + 1) % 3)
         res = c.submit_spec(spec, wl.layout_for(spec), tag="queued")
         assert res.status == "queued"
-        c.advance(c.ha.migration_budget_ns)
+        c.advance(MIGRATION_BUDGET_NS)
         assert m.queued_released == 1
         assert c.released["queued"].outcome == "committed"
 
@@ -249,7 +246,7 @@ class TestLiveMigration:
         src = c.owner_of(0)
         m = c.begin_migration(0, (src + 1) % 3)
         c.kill_node(src)
-        c.advance(3 * c.ha.heartbeat_timeout_ns)
+        c.advance(3 * HEARTBEAT_TIMEOUT_NS)
         assert m.state is MigrationState.ABORTED
         assert c.owner_of(0) != src
 
@@ -260,7 +257,7 @@ class TestLiveMigration:
         dst = (src + 1) % 3
         m = c.begin_migration(0, dst)
         c.kill_node(dst)
-        c.advance(3 * c.ha.heartbeat_timeout_ns)
+        c.advance(3 * HEARTBEAT_TIMEOUT_NS)
         assert m.state is MigrationState.ABORTED
         assert c.owner_of(0) == src
         spec = next(s for s in specs if s.home == 0)
@@ -290,16 +287,6 @@ class TestInjectedClusterFaults:
             assert c.durable_status(res.partition, res.txn_id) == res.outcome
 
 
-class TestHAConfigValidation:
-    def test_timeout_must_exceed_interval(self):
-        with pytest.raises(ConfigError):
-            HAConfig(heartbeat_interval_ns=5e6, heartbeat_timeout_ns=1e6)
-
-    def test_migration_budget_positive(self):
-        with pytest.raises(ConfigError):
-            HAConfig(migration_budget_ns=0)
-
-
 class TestEpochOwnershipProof:
     def test_check_epoch_ownership_accepts_current_epoch(self):
         from repro.analysis import check_epoch_ownership
@@ -315,7 +302,7 @@ class TestEpochOwnershipProof:
         wl, _ = make_workload()
         c = make_cluster(wl)
         c.kill_node(1)
-        c.advance(3 * c.ha.heartbeat_timeout_ns)
+        c.advance(3 * HEARTBEAT_TIMEOUT_NS)
         victim_part = c.failovers[0][0]
         report = check_epoch_ownership(self._summary(c, victim_part),
                                        c.ownership_map(),

@@ -440,6 +440,52 @@ class TestAttachment:
         assert calls == [{"until": None, "max_events": None}]
 
 
+class TestHandlers:
+    """The serving path is handlers the engine calls, not processes."""
+
+    def test_factory_failure_leaves_db_run(self):
+        db = make_db()
+        fe = FrontEnd(db, FrontendConfig.passthrough())
+        factory = make_factory(db)
+
+        def failing(i):
+            if i == 3:
+                raise RuntimeError("factory failed at request 3")
+            return factory(i)
+
+        sess = fe.session(failing, SessionConfig(
+            name="t", arrival="open", rate_tps=1_000_000.0, n_requests=10))
+        with pytest.raises(RuntimeError, match="request 3"):
+            db.run()
+        assert sess.stats.offered == 3
+
+    def test_frontend_spawns_no_process(self, monkeypatch):
+        from repro.faults import FaultPlan, NIC_DROP, NIC_DUPLICATE
+        db = make_db()
+        spawned = []
+        real_process = Engine.process
+
+        def process(engine, gen, name=""):
+            spawned.append(name)
+            return real_process(engine, gen, name)
+
+        monkeypatch.setattr(Engine, "process", process)
+        plan = FaultPlan(seed=1)
+        plan.arm(NIC_DROP, prob=0.2, times=None)
+        plan.arm(NIC_DUPLICATE, prob=0.2, times=None)
+        fe = FrontEnd(db, FrontendConfig(
+            nic=NicConfig(rx_queue_depth=2, rx_process_ns=2_000.0)),
+            faults=plan)
+        sess = fe.session(make_factory(db), SessionConfig(
+            name="t", arrival="open", rate_tps=2_000_000.0, n_requests=30,
+            max_retries=3, retry_backoff_ns=5_000.0, retry_jitter=0.5))
+        rep = fe.run()
+        fe.detach()
+        assert rep.conserved
+        assert sess.stats.retries > 0 and fe.nic.dropped > 0
+        assert spawned == []
+
+
 class TestLatencySummary:
     def test_nearest_rank_contract(self):
         assert nearest_rank([1.0, 2.0, 3.0, 4.0], 50) == 2.0

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.cluster.membership import HEARTBEAT_TIMEOUT_NS
 from repro.core import BionicConfig, BionicDB
 from repro.errors import (
     ConfigError, CrossNodeTransactionError, FrontendError,
@@ -393,7 +394,7 @@ def _mini_router(cluster):
     return ClusterRetryRouter(
         cluster, budget=RetryBudgetConfig(ratio=0.5, burst=8),
         breaker=BreakerConfig(window=8, min_samples=2,
-                              open_ns=cluster.ha.heartbeat_timeout_ns))
+                              open_ns=HEARTBEAT_TIMEOUT_NS))
 
 
 class TestClusterRetryRouter:
@@ -402,7 +403,7 @@ class TestClusterRetryRouter:
         router = _mini_router(cluster)
         for i, spec in enumerate(specs):
             router.route(i, spec, layouts[i])
-        rounds = router.settle(10, cluster.ha.heartbeat_timeout_ns / 2)
+        rounds = router.settle(10, HEARTBEAT_TIMEOUT_NS / 2)
         assert router.done and rounds == 0
         assert router.amplification == 1.0
         assert sorted(router.acked) == list(range(len(specs)))
@@ -422,7 +423,7 @@ class TestClusterRetryRouter:
             if i == kill_at:
                 cluster.kill_node(cluster.owner_of(specs[i].home))
             router.route(i, spec, layouts[i])
-        router.settle(60, cluster.ha.heartbeat_timeout_ns / 2)
+        router.settle(60, HEARTBEAT_TIMEOUT_NS / 2)
         assert cluster.failovers
         assert sorted(router.acked) == list(range(len(specs)))
         # the satellite invariant: reconcile() must agree with every
@@ -446,12 +447,12 @@ class TestClusterRetryRouter:
                 migration = cluster.begin_migration(target, dst)
             router.route(i, spec, layouts[i])
         assert router.queued_total > 0       # landed in the drain window
-        router.settle(60, cluster.ha.heartbeat_timeout_ns / 2)
+        router.settle(60, HEARTBEAT_TIMEOUT_NS / 2)
         from repro.cluster.migration import MigrationState
         for _ in range(8):
             if migration.state is MigrationState.DONE:
                 break
-            cluster.advance(cluster.ha.heartbeat_timeout_ns)
+            cluster.advance(HEARTBEAT_TIMEOUT_NS)
             router.pump()
         assert migration.state is MigrationState.DONE
         assert sorted(router.acked) == list(range(len(specs)))

@@ -1,8 +1,8 @@
-"""Unit tests for FIFOs and token pools."""
+"""Unit tests for FIFOs, inboxes and token pools."""
 
 import pytest
 
-from repro.sim import Engine, Fifo, SimulationError, TokenPool
+from repro.sim import Engine, Fifo, Inbox, SimulationError, TokenPool
 
 
 def drive(eng):
@@ -84,6 +84,21 @@ class TestFifo:
         q.try_put(4)
         assert q.max_depth == 4
         assert q.total_put == 5
+
+
+class TestInbox:
+    def test_serves_one_at_a_time_after_its_delay(self):
+        eng = Engine()
+        served = []
+        box = Inbox(eng, lambda item: served.append((eng.now, item)),
+                    delay=10.0)
+        for item in "abc":
+            box.arrive(item)
+        # the first arrival is in service; the backlog is behind it
+        assert len(box) == 2
+        eng.run()
+        assert served == [(10.0, "a"), (20.0, "b"), (30.0, "c")]
+        assert len(box) == 0
 
 
 class TestTokenPool:

@@ -28,6 +28,7 @@ from repro.analysis.footprint import CLASS_HOME, CLASS_PINNED
 from repro.analysis.registry import all_procedures, resolve
 from repro.analysis.report import report_json
 from repro.cluster.ha import HACluster
+from repro.cluster.membership import HEARTBEAT_TIMEOUT_NS
 from repro.core import BionicConfig, BionicDB
 from repro.errors import FrontendError
 from repro.frontend import ClusterRetryRouter
@@ -62,7 +63,7 @@ def _anchored(b):
 def _route_all(router, cluster, specs):
     for tag, spec in specs:
         router.route(tag, spec, None)
-    router.settle(10, cluster.ha.heartbeat_timeout_ns / 2)
+    router.settle(10, HEARTBEAT_TIMEOUT_NS / 2)
 
 
 @pytest.fixture
@@ -142,7 +143,7 @@ class TestOnePass:
         specs = wl.make_rmw_txns(6)
         for i, spec in enumerate(specs):
             router.route(i, spec, wl.layout_for(spec))
-        router.settle(10, cluster.ha.heartbeat_timeout_ns / 2)
+        router.settle(10, HEARTBEAT_TIMEOUT_NS / 2)
         assert router.static_counts == {"single-partition": len(specs)}
         assert provenance_solves == []
 
@@ -253,7 +254,7 @@ class TestClusterPreclassification:
         router = ClusterRetryRouter(cluster)
         for i, spec in enumerate(specs):
             router.route(i, spec, layouts[i])
-        router.settle(10, cluster.ha.heartbeat_timeout_ns / 2)
+        router.settle(10, HEARTBEAT_TIMEOUT_NS / 2)
         assert router.done
         assert router.planned_rejects == 0
         assert router.static_counts == {"single-partition": len(specs)}
