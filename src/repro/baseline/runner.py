@@ -1,9 +1,11 @@
 """Drives the Silo baseline with the same workloads as BionicDB.
 
 The YCSB and TPC-C generators emit :class:`repro.workloads.TxnSpec`
-descriptors; this module installs equivalent Silo tables and turns each
-spec into a transaction body, so both systems execute identical request
-streams (§5.3/§5.4 comparisons).
+descriptors; this module loads the rows BionicDB loads, from the same
+row generators, and turns each spec into a transaction body, so both
+systems execute identical request streams over identical data
+(§5.3/§5.4 comparisons).  Replayed in BionicDB's commit order, the
+bodies also reproduce its final rows (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from typing import Callable, List, Optional, Sequence
 
 from ..workloads.tpcc import schema as T
 from ..workloads.tpcc.schema import TpccConfig
-from ..workloads.ycsb import TxnSpec, YCSB_TABLE, YcsbConfig
+from ..workloads.tpcc.workload import tpcc_rows
+from ..workloads.ycsb import TxnSpec, YCSB_TABLE, YcsbConfig, ycsb_columns
 from .memory_model import XeonModel
 from .silo import IndexStructure, SiloEngine, SiloReport, SiloTable, SiloTxn
 
@@ -49,8 +52,9 @@ class SiloYcsb:
             expected_rows=max(model_rows, self.config.total_records)))
 
     def install(self) -> None:
-        for key in range(self.config.total_records):
-            self.silo.load(YCSB_TABLE, key, self.config.payload)
+        for table_id, keys, fields in ycsb_columns(self.config):
+            for key, row in zip(keys, fields):
+                self.silo.load(table_id, key, list(row))
 
     # -- spec -> body translation ---------------------------------------
     def body_for(self, spec: TxnSpec) -> Callable[[SiloTxn], None]:
@@ -68,7 +72,7 @@ class SiloYcsb:
             def rmw_body(txn: SiloTxn) -> None:
                 for key, value in zip(keys, values):
                     txn.read(self.table, key)
-                    txn.write(self.table, key, value)
+                    txn.write(self.table, key, [value])
             return rmw_body
         if spec.kind == "scan":
             start = spec.keys[0]
@@ -88,7 +92,7 @@ class SiloYcsb:
                     txn.read(self.table, key)
                 for key, value in zip(keys[n_reads:], values):
                     txn.read(self.table, key)
-                    txn.write(self.table, key, value)
+                    txn.write(self.table, key, [value])
             return mix_body
         raise ValueError(f"unknown YCSB spec kind {spec.kind!r}")
 
@@ -130,23 +134,8 @@ class SiloTpcc:
         self._next_hid = 0
 
     def install(self) -> None:
-        cfg = self.config
-        import random
-        rng = random.Random(cfg.seed + 1)
-        for i in range(1, cfg.items + 1):
-            self.silo.load(T.ITEM, i, [f"item{i}", rng.randint(1, 100)])
-        for w in range(1, cfg.n_warehouses + 1):
-            self.silo.load(T.WAREHOUSE, T.warehouse_key(w),
-                           [f"w{w}", rng.randint(0, 20) / 100.0, 0])
-            for i in range(1, cfg.items + 1):
-                self.silo.load(T.STOCK, T.stock_key(w, i),
-                               [rng.randint(10, 100), 0, 0])
-            for d in range(1, cfg.districts_per_warehouse + 1):
-                self.silo.load(T.DISTRICT, T.district_key(w, d),
-                               [rng.randint(0, 20) / 100.0, 0, 1, 1])
-                for c in range(1, cfg.customers_per_district + 1):
-                    self.silo.load(T.CUSTOMER, T.customer_key(w, d, c),
-                                   [f"c{w}.{d}.{c}", 0, 0, 0, 0])
+        for table_id, key, fields in tpcc_rows(self.config):
+            self.silo.load(table_id, key, fields)
 
     # -- spec -> body translation ------------------------------------------
     def body_for(self, spec: TxnSpec) -> Callable[[SiloTxn], None]:
@@ -185,14 +174,18 @@ class SiloTpcc:
         def body(txn: SiloTxn) -> None:
             txn.read(tables[T.WAREHOUSE], T.warehouse_key(w),
                      copy_payload=False)
-            txn.read(tables[T.CUSTOMER], T.customer_key(w, d, c),
-                     copy_payload=False)
+            ckey = T.customer_key(w, d, c)
+            crow = txn.read(tables[T.CUSTOMER], ckey, copy_payload=False)
             dkey = T.district_key(w, d)
             drow = txn.read(tables[T.DISTRICT], dkey, copy_payload=False)
             o_id = drow[2]
             txn.write(tables[T.DISTRICT], dkey,
                       [drow[0], drow[1], o_id + 1] + list(drow[3:]))
             okey = T.orders_key(w, d, o_id)
+            # the customer's last order, which OrderStatus reads
+            last = T.C_FIELD_LAST_O
+            txn.write(tables[T.CUSTOMER], ckey,
+                      crow[:last] + [okey] + crow[last + 1:])
             txn.insert(tables[T.ORDERS], okey, [c, K, 20190326])
             txn.insert(tables[T.NEW_ORDER], okey, [])
             total = 0

@@ -10,7 +10,7 @@ from .procedures import (
     stocklevel_procedure,
 )
 from .schema import TpccConfig, tpcc_schemas
-from .workload import TpccWorkload, nurand
+from .workload import TpccWorkload, nurand, tpcc_rows
 
 __all__ = [
     "schema", "MAX_OL_CNT", "MIN_OL_CNT", "PROC_DELIVERY",
@@ -19,5 +19,5 @@ __all__ = [
     "neworder_layout", "neworder_procedure", "orderstatus_layout",
     "orderstatus_procedure", "payment_layout", "payment_procedure",
     "stocklevel_layout", "stocklevel_procedure", "TpccConfig",
-    "tpcc_schemas", "TpccWorkload", "nurand",
+    "tpcc_schemas", "TpccWorkload", "nurand", "tpcc_rows",
 ]

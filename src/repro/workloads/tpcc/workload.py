@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ...core.system import BionicDB
 from ...errors import WorkloadError
@@ -24,12 +24,34 @@ from .procedures import (
     stocklevel_procedure,
 )
 
-__all__ = ["TpccWorkload", "nurand"]
+__all__ = ["TpccWorkload", "nurand", "tpcc_rows"]
 
 
 def nurand(rng: random.Random, a: int, x: int, y: int, c: int = 123) -> int:
     """TPC-C's non-uniform random distribution NURand(A, x, y)."""
     return ((rng.randint(0, a) | rng.randint(x, y)) + c) % (y - x + 1) + x
+
+
+def tpcc_rows(cfg: S.TpccConfig) -> Iterator[Tuple[int, int, list]]:
+    """The initial population as ``(table_id, key, fields)`` rows, the
+    one both BionicDB's loader and the Silo baseline's install."""
+    rng = random.Random(cfg.seed + 1)
+    # the row (and rng-draw) order is load-bearing for simulated
+    # timing: heap allocation order picks DRAM channels (address %
+    # channels)
+    for i in range(1, cfg.items + 1):
+        yield S.ITEM, i, [f"item{i}", rng.randint(1, 100)]
+    for w in range(1, cfg.n_warehouses + 1):
+        yield (S.WAREHOUSE, S.warehouse_key(w),
+               [f"w{w}", rng.randint(0, 20) / 100.0, 0])
+        for i in range(1, cfg.items + 1):
+            yield S.STOCK, S.stock_key(w, i), [rng.randint(10, 100), 0, 0]
+        for d in range(1, cfg.districts_per_warehouse + 1):
+            yield (S.DISTRICT, S.district_key(w, d),
+                   [rng.randint(0, 20) / 100.0, 0, 1, 1])
+            for c in range(1, cfg.customers_per_district + 1):
+                yield (S.CUSTOMER, S.customer_key(w, d, c),
+                       [f"c{w}.{d}.{c}", 0, 0, 0, 0])
 
 
 class TpccWorkload:
@@ -61,29 +83,7 @@ class TpccWorkload:
             self._load(db)
 
     def _load(self, db: BionicDB) -> None:
-        cfg = self.config
-        rng = random.Random(cfg.seed + 1)
-
-        def rows():
-            # exactly the row (and rng-draw) order of the original
-            # per-row loader: heap allocation order is load-bearing for
-            # simulated timing (DRAM channel = address % channels)
-            for i in range(1, cfg.items + 1):
-                yield S.ITEM, i, [f"item{i}", rng.randint(1, 100)]
-            for w in range(1, cfg.n_warehouses + 1):
-                yield (S.WAREHOUSE, S.warehouse_key(w),
-                       [f"w{w}", rng.randint(0, 20) / 100.0, 0])
-                for i in range(1, cfg.items + 1):
-                    yield (S.STOCK, S.stock_key(w, i),
-                           [rng.randint(10, 100), 0, 0])
-                for d in range(1, cfg.districts_per_warehouse + 1):
-                    yield (S.DISTRICT, S.district_key(w, d),
-                           [rng.randint(0, 20) / 100.0, 0, 1, 1])
-                    for c in range(1, cfg.customers_per_district + 1):
-                        yield (S.CUSTOMER, S.customer_key(w, d, c),
-                               [f"c{w}.{d}.{c}", 0, 0, 0, 0])
-
-        db.load_many(rows())
+        db.load_many(tpcc_rows(self.config))
 
     # -- generators ----------------------------------------------------------
     def _home_of(self, w: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.system import BionicDB
 from ..errors import WorkloadError
@@ -29,7 +29,7 @@ from .zipf import ScrambledZipfianGenerator, UniformGenerator
 
 __all__ = ["YcsbConfig", "TxnSpec", "YcsbWorkload",
            "YCSB_TABLE", "PROC_READ_BASE", "PROC_SCAN", "PROC_RANGE",
-           "PROC_RMW_BASE", "PROC_MIX_BASE"]
+           "PROC_RMW_BASE", "PROC_MIX_BASE", "ycsb_columns"]
 
 YCSB_TABLE = 0
 #: proc id for an N-read transaction is PROC_READ_BASE + N
@@ -81,6 +81,20 @@ class YcsbConfig:
     @property
     def total_records(self) -> int:
         return self.records_per_partition * self.n_partitions
+
+
+def ycsb_columns(cfg: YcsbConfig) -> Iterator[Tuple[int, Sequence, list]]:
+    """The initial population as ``(table_id, keys, fields)`` columns,
+    the one both BionicDB's loader and the Silo baseline's install.
+
+    Row order (and so heap addresses) matches per-row ``db.load``
+    exactly.  Every row offers the same one-field tuple: immutable, so
+    a loader may keep it, and the hash loader keeps just this one until
+    a row is read.  The columns are built when the loader asks and
+    dropped with its last row, so the closing collection has no
+    million-slot list to walk."""
+    total = cfg.total_records
+    yield YCSB_TABLE, range(total), [(cfg.payload,)] * total
 
 
 class YcsbWorkload:
@@ -212,18 +226,7 @@ class YcsbWorkload:
                 self.range_procedure(cfg.scan_length, self.range_layout()))
         if not load_data:
             return
-        # the whole table as two columns; row order (and so heap
-        # addresses) matches per-row db.load exactly.  Every row offers
-        # the same one-field tuple: immutable, so a loader may keep it,
-        # and the hash loader keeps just this one until a row is read.
-        total = cfg.total_records
-
-        def table():
-            # built when load_many asks and dropped with its last row:
-            # the closing collection has no million-slot list to walk
-            yield YCSB_TABLE, range(total), [(cfg.payload,)] * total
-
-        db.load_many(columns=table())
+        db.load_many(columns=ycsb_columns(cfg))
 
     # -- block layouts -----------------------------------------------------------
     def read_layout(self, n_reads: Optional[int] = None) -> BlockLayout:
