@@ -8,21 +8,24 @@ re-validating the read set and installing new TIDs.
 This implementation is *functional* — real indexes (chained hash,
 B+-tree standing in for Masstree, software skiplist), real TID
 validation, real aborts — and *timed* by the calibrated Xeon model
-(:mod:`repro.baseline.memory_model`).  Worker cores are processes in
-the same discrete-event engine as BionicDB, so both systems are
-measured on one timeline.
+(:mod:`repro.baseline.memory_model`).  Worker cores are generators
+stepped by the same discrete-event engine as BionicDB
+(:meth:`~repro.sim.engine.Engine.follow`), so both systems are
+measured on one timeline.  A core runs a body functionally, then
+waits out its modelled cost; an exception out of a body leaves
+:meth:`SiloEngine.run_transactions` at once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
 from ..sim.stats import StatsRegistry
-from ..sim.sync import Fifo
 from .bptree import BPlusTree
 from .memory_model import XeonModel
 from .swskiplist import SoftwareSkiplist
@@ -293,18 +296,14 @@ class SiloEngine:
                          max_retries: int = 100) -> SiloReport:
         """Execute transaction bodies across the cores; each body is a
         callable taking a :class:`SiloTxn` and issuing operations."""
-        queue = Fifo(self.engine, name="silo.work")
-        for body in bodies:
-            queue.try_put(body)
+        queue = deque(bodies)
         start_committed = self._committed.value
         start_aborted = self._aborted.value
         start_ns = self.engine.now
 
         def worker(worker_id: int):
-            while True:
-                ok, body = queue.try_get()
-                if not ok:
-                    return
+            while queue:
+                body = queue.popleft()
                 for _attempt in range(max_retries):
                     txn = SiloTxn(self, worker_id)
                     try:
@@ -334,7 +333,7 @@ class SiloEngine:
                     raise RuntimeError("transaction exceeded retry budget")
 
         for c in range(self.n_cores):
-            self.engine.process(worker(c), name=f"silo.core{c}")
+            self.engine.start(worker(c))
         self.engine.run()
         return SiloReport(
             committed=self._committed.value - start_committed,

@@ -15,7 +15,7 @@ from ..index.bptree.pipeline import BPTreePipeline, BPTreeTimings
 from ..index.common import SCAN_EMIT_CYCLES
 from ..index.hash.pipeline import HashIndexPipeline
 from ..index.skiplist.pipeline import SkiplistPipeline, SkiplistTimings
-from ..sim import FPGA_MHZ, ClockDomain, DramModel, Engine, Heap, TokenPool
+from ..sim import FPGA_MHZ, ClockDomain, DramModel, Engine, Event, Heap
 
 __all__ = ["Series", "FigureReport", "format_quantity", "drive_closed_loop",
            "bare_dram", "bare_pipelines"]
@@ -55,22 +55,34 @@ def drive_closed_loop(engine: Engine, n_ops: int, total_in_flight: int,
                       submit_one: Callable) -> List[tuple]:
     """The §5.5 closed-loop index client: at most ``total_in_flight``
     requests outstanding.  ``submit_one(i, on_complete)`` builds and
-    submits request ``i`` once its token is held (so RNG draws happen in
+    submits request ``i`` once it holds a token (so RNG draws happen in
     issue order); runs the engine dry and returns the ``(request,
-    result)`` completions in completion order."""
-    throttle = TokenPool(engine, total_in_flight, name="client")
+    result)`` completions in completion order.
+
+    Each submit comes one ready-deque hop after the previous one while
+    a token is free, else one hop after the completion that frees it."""
+    free = [total_in_flight]
+    parked: List[Event] = []     # the client, while no token is free
     done: List[tuple] = []
 
     def on_complete(req, result):
-        throttle.release()
+        if parked:
+            parked.pop().succeed()      # the token passes to the client
+        else:
+            free[0] += 1
         done.append((req, result))
 
     def client():
         for i in range(n_ops):
-            yield throttle.acquire()
+            if free[0]:
+                free[0] -= 1
+                yield 0
+            else:
+                parked.append(engine.event())
+                yield parked[0]
             submit_one(i, on_complete)
 
-    engine.process(client())
+    engine.start(client())
     engine.run()
     assert len(done) == n_ops
     return done

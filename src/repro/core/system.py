@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 from ..comm.channels import Crossbar
 from ..dora.worker import PartitionWorker
 from ..errors import (
-    ConfigError, CrossNodeTransactionError, FrontendError, SimulatedCrash,
+    ConfigError, CrossNodeTransactionError, FrontendError,
     StuckTransactionError, SubmissionError,
 )
 from ..isa.instructions import Program
@@ -507,15 +507,10 @@ class BionicDB:
         return now
 
     def _check_health(self, drained: bool = False) -> None:
-        """Re-raise any exception that killed a worker's softcore, and
-        — once the event heap has drained — flag transactions that were
-        submitted but never finished.  Silent worker death or a
-        silently-stranded transaction must never masquerade as a quiet
-        run."""
-        for worker in self.workers:
-            proc = worker.softcore._proc
-            if proc.triggered:
-                _ = proc.value  # raises the stored exception if it failed
+        """Once the event heap has drained, flag transactions that were
+        submitted but never finished: a silently-stranded transaction
+        must never masquerade as a quiet run.  (A softcore that dies
+        needs no check: its exception has already left ``run()``.)"""
         if drained and self._inflight:
             stuck = {txn_id: block.header.status.value
                      for txn_id, block in sorted(self._inflight.items())}
@@ -538,21 +533,6 @@ class BionicDB:
         if n < 1:
             raise SubmissionError("crash_after_events needs n >= 1", n=n)
         self.engine.crash_at_fired = self.engine.events_fired + n
-
-    def crash_worker(self, worker: int) -> None:
-        """Kill one partition worker's softcore mid-flight.
-
-        The dead worker's process fails with :class:`SimulatedCrash`
-        the next time the engine advances, and :meth:`run` surfaces it
-        through the health check — a dead partition never masquerades
-        as a quiet run."""
-        if not 0 <= worker < self.total_workers:
-            raise SubmissionError("crash_worker out of range",
-                                  worker=worker,
-                                  n_workers=self.total_workers)
-        proc = self.workers[worker].softcore._proc
-        proc.kill(SimulatedCrash("injected worker crash",
-                                 site="worker.crash", worker=worker))
 
     def run_all(self, blocks: Sequence[TransactionBlock],
                 workers: Optional[Sequence[int]] = None) -> RunReport:

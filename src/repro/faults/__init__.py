@@ -20,7 +20,7 @@ from .plan import (
     APPEND_BIT_FLIP, CRASH_AFTER_RENAME, CRASH_BEFORE_RENAME, FaultPlan,
     HEARTBEAT_LOSS, LINK_DROP, LINK_PARTITION, LINK_STALL, MACHINE_CRASH,
     NIC_CORRUPT, NIC_DROP, NIC_DUPLICATE, NODE_DEATH, SITES,
-    STALE_EPOCH_SUBMIT, TORN_APPEND, Trigger, WORKER_CRASH,
+    STALE_EPOCH_SUBMIT, TORN_APPEND, Trigger,
 )
 _DRILL_NAMES = ("SUITES", "DrillConfig", "DrillResult", "Drill",
                 "DrillFailure", "draw_flavor", "run_sweep")
@@ -43,6 +43,6 @@ __all__ = [
     "NIC_DROP", "NIC_DUPLICATE", "NIC_CORRUPT",
     "LINK_DROP", "LINK_STALL", "LINK_PARTITION",
     "HEARTBEAT_LOSS", "NODE_DEATH", "STALE_EPOCH_SUBMIT",
-    "MACHINE_CRASH", "WORKER_CRASH",
+    "MACHINE_CRASH",
     *_DRILL_NAMES,
 ]

@@ -39,7 +39,7 @@ __all__ = [
     "CRASH_BEFORE_RENAME", "CRASH_AFTER_RENAME",
     "NIC_DROP", "NIC_DUPLICATE", "NIC_CORRUPT",
     "LINK_DROP", "LINK_STALL", "LINK_PARTITION",
-    "MACHINE_CRASH", "WORKER_CRASH",
+    "MACHINE_CRASH",
     "HEARTBEAT_LOSS", "NODE_DEATH", "STALE_EPOCH_SUBMIT",
 ]
 
@@ -67,8 +67,6 @@ LINK_STALL = "interconnect.stall"
 LINK_PARTITION = "interconnect.partition"
 #: whole-machine crash at an engine event count (see Engine.crash_at_fired)
 MACHINE_CRASH = "machine.crash"
-#: one partition worker dies mid-flight (see BionicDB.crash_worker)
-WORKER_CRASH = "worker.crash"
 #: a heartbeat message is silently dropped (failure-detector food)
 HEARTBEAT_LOSS = "cluster.heartbeat_loss"
 #: a whole cluster node dies (its partitions must fail over)
@@ -80,7 +78,7 @@ SITES = frozenset({
     TORN_APPEND, APPEND_BIT_FLIP, CRASH_BEFORE_RENAME, CRASH_AFTER_RENAME,
     NIC_DROP, NIC_DUPLICATE, NIC_CORRUPT,
     LINK_DROP, LINK_STALL, LINK_PARTITION,
-    MACHINE_CRASH, WORKER_CRASH,
+    MACHINE_CRASH,
     HEARTBEAT_LOSS, NODE_DEATH, STALE_EPOCH_SUBMIT,
 })
 

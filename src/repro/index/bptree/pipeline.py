@@ -318,8 +318,8 @@ class BPTreePipeline(PipelineBase):
         self._serve(wave)
 
     def _terminal(self, wave: _Wave) -> None:
-        self._follow((self._move_right(wave.probes[wave.i]), self._at_leaf,
-                      wave))
+        self.engine.follow((self._move_right(wave.probes[wave.i]),
+                            self._at_leaf, wave))
 
     def _move_right(self, req: DbRequest):
         """B-link-style recovery: if a split moved this probe's key into
@@ -341,7 +341,7 @@ class BPTreePipeline(PipelineBase):
             scan.leaf, scan.i = leaf, bisect_left(leaf.keys, req.key)
             self._scan_step(scan)
         elif req.op is Opcode.INSERT:
-            self._follow((self._insert(req), self._served, wave))
+            self.engine.follow((self._insert(req), self._served, wave))
         else:
             # SEARCH / UPDATE / REMOVE against the leaf entry's record
             i = bisect_left(leaf.keys, req.key)

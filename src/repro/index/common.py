@@ -10,12 +10,11 @@ import itertools
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..isa.instructions import Opcode
 from ..sim.clock import ClockDomain
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from ..sim.memory import DramModel, MemoryPort
 from ..sim.stats import StatsRegistry
 from ..sim.sync import TokenPool
@@ -203,7 +202,8 @@ class PipelineBase:
     Bodies are scheduled closure-free (``Engine._schedule_fn``) and
     memory completions delivered in their own firing
     (``MemoryPort.read_cb``): one work item per stage visit plus one per
-    DRAM access.  Rare structural paths are generators run by ``_follow``.
+    DRAM access.  Rare structural paths are generators run by
+    ``Engine.follow``.
 
     Subclasses add stages with ``_stage`` in ``_build()``, take admitted
     requests in ``_enter`` (inside the submitter's firing when a token
@@ -226,7 +226,7 @@ class PipelineBase:
         self.name = name
         self.stats = stats or StatsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.tokens = TokenPool(engine, max_in_flight, name=f"{name}.inflight")
+        self.tokens = TokenPool(max_in_flight, name=f"{name}.inflight")
         #: requests waiting for an in-flight token, oldest first
         self._waiting: deque = deque()
         # One read port per coprocessor pipeline: its issue interval is the
@@ -316,23 +316,6 @@ class PipelineBase:
     def _after(self, delay_ns: float, fn: Callable[[Any], None],
                arg: Any) -> None:
         self._sched(self.engine.now + delay_ns, fn, arg)
-
-    def _follow(self, job: tuple, value: Any = None) -> None:
-        """Step the generator of ``job = (gen, then, arg)`` to its next
-        wait (a delay, or a memory event it resumes inside), and call
-        ``then(arg)`` once it returns: a process without the start-up hop."""
-        try:
-            wait = job[0].send(value)
-        except StopIteration:
-            job[1](job[2])
-            return
-        if isinstance(wait, Event):
-            wait.callbacks.append(partial(self._follow_event, job))
-        else:
-            self._after(wait, self._follow, job)
-
-    def _follow_event(self, job: tuple, event: Event) -> None:
-        self._follow(job, event._value)
 
     # -- key and payload resolution ---------------------------------------
     def _resolve(self, req: DbRequest, then: Callable[[Any], None],

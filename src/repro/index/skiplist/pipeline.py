@@ -235,8 +235,8 @@ class SkiplistPipeline(PipelineBase):
             self._put(scan.owner, scan)
             self._next(self._bottom)
         elif req.op is Opcode.INSERT:
-            self._follow((self._install(req, req._cur_addr, pred),
-                          self._next, self._bottom))
+            self.engine.follow((self._install(req, req._cur_addr, pred),
+                                self._next, self._bottom))
         else:
             # point SEARCH / UPDATE / REMOVE: walk level 0 to the key
             self._walk(req, pred.nexts[0])

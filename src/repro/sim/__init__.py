@@ -1,9 +1,7 @@
 """Discrete-event simulation substrate for the BionicDB reproduction."""
 
 from .clock import FPGA_MHZ, ClockDomain
-from .engine import (
-    Engine, Event, Process, SimulationError, Timeout, collector_quiesced,
-)
+from .engine import Engine, Event, SimulationError, collector_quiesced
 from .memory import Bram, DramModel, Heap, MemoryPort, LINE_BYTES
 from .power import CpuPowerModel, FpgaPowerModel, PowerReport
 from .resources import (
@@ -14,11 +12,11 @@ from .resources import (
     per_worker_costs,
 )
 from .stats import Counter, Histogram, StatsRegistry, nearest_rank
-from .sync import Fifo, Inbox, TokenPool
+from .sync import Inbox, TokenPool
 from .trace import NULL_TRACER, TraceEvent, Tracer
 
 __all__ = [
-    "Engine", "Event", "Process", "SimulationError", "Timeout",
+    "Engine", "Event", "SimulationError",
     "ClockDomain", "FPGA_MHZ",
     "Bram", "DramModel", "Heap", "MemoryPort", "LINE_BYTES",
     "collector_quiesced",
@@ -26,6 +24,6 @@ __all__ = [
     "HC2_INFRASTRUCTURE", "ResourceLedger", "ResourceVector",
     "VIRTEX5_LX330", "per_worker_costs",
     "Counter", "Histogram", "StatsRegistry", "nearest_rank",
-    "Fifo", "Inbox", "TokenPool",
+    "Inbox", "TokenPool",
     "NULL_TRACER", "TraceEvent", "Tracer",
 ]

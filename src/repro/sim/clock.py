@@ -33,13 +33,9 @@ class ClockDomain:
         return ns / self.ns_per_cycle
 
     def delay(self, cycles: float) -> float:
-        """A delay of ``cycles`` cycles, for yielding from a process.
-
-        Returns the plain nanosecond figure rather than a Timeout
-        event: the engine's numeric-delay fast path schedules the
-        resumption without allocating an event object, and the timing
-        is identical either way.
-        """
+        """A delay of ``cycles`` cycles, in ns, for a generator to yield:
+        :meth:`Engine.follow <repro.sim.engine.Engine.follow>` schedules
+        the resumption without allocating an event object."""
         return self.ns(cycles)
 
     @property

@@ -6,15 +6,19 @@ arriving data — index pipeline stages, DRAM channels, the on-chip
 fabric, the partition workers' background units and the whole
 network front-end (sessions, NIC, pump, dispatch lanes, retries and
 replay) — are *callbacks*: a work item calls a function at an instant.
-The softcore, the software baseline's CPU cores and the figures'
-closed-loop client are *processes*: a Python generator that yields
-:class:`Event` objects (or plain numbers, treated as delays in the
-engine's time unit) and is resumed when the yielded event fires.
+Actors that read best as straight-line code — the softcore, the
+software baseline's CPU cores, the figures' closed-loop client and the
+index pipelines' rare structural paths — are Python *generators*
+stepped by :meth:`Engine.follow`: a body yields a delay (a plain
+number, in the engine's time unit) or an :class:`Event`, and is
+resumed when the delay has passed or the event fires.  An exception
+out of either kind of actor leaves :meth:`Engine.run` at the instant
+it is raised.
 
-The design follows the familiar SimPy structure but is implemented from
-scratch so the simulation core has no external dependencies and stays
-small enough to audit.  Time is a float measured in **nanoseconds**;
-clock domains (:mod:`repro.sim.clock`) convert cycles to nanoseconds.
+The engine is implemented from scratch so the simulation core has no
+external dependencies and stays small enough to audit.  Time is a
+float measured in **nanoseconds**; clock domains
+(:mod:`repro.sim.clock`) convert cycles to nanoseconds.
 
 Hot-path layout
 ---------------
@@ -26,11 +30,10 @@ it to that order on random schedules):
 
 * Work items are ``(when, seq, fn, arg)`` tuples; firing one is a
   single call ``fn(arg)``.  Full :class:`Event` objects only exist
-  where the API hands one to user code — internal resumptions (process
-  kicks, delay wake-ups, memory completions) are scheduled closure-free
-  through :meth:`Engine._schedule_fn` with a *pre-bound* method, so the
-  common case allocates one tuple instead of an ``Event`` + ``list`` +
-  ``lambda`` + bound method.
+  where a generator waits on one; everything else (delay wake-ups,
+  pipeline stage bodies, memory completions delivered by callback) is
+  scheduled closure-free through :meth:`Engine._schedule_fn` with a
+  *pre-bound* method, so the common case allocates one tuple.
 * Work due at the **current** time goes onto a FIFO ready-deque instead
   of round-tripping through the heap.  Heap entries carrying the same
   timestamp always predate (in sequence order) anything on the deque —
@@ -38,9 +41,6 @@ it to that order on random schedules):
   scheduling never touches the heap — so an instant is "every heap
   entry stamped T in sequence order, then the deque until it is empty",
   which is how :meth:`Engine.run` walks it.
-* A process that yields a plain number never materialises a Timeout at
-  all: the resumption is scheduled as a callback guarded by a per-wait
-  epoch (the epoch is also the O(1) :meth:`Process.kill` tombstone).
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import gc
 import heapq
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Iterator, Optional
 
@@ -57,8 +58,6 @@ from ..errors import BionicError, SimulatedCrash
 __all__ = [
     "Engine",
     "Event",
-    "Timeout",
-    "Process",
     "SimulationError",
     "collector_quiesced",
 ]
@@ -113,42 +112,27 @@ def _invoke(fn: Callable[[], None]) -> None:
     fn()
 
 
-#: marker for a process waiting on an anonymous numeric delay (no Event)
-_DELAY = object()
+def _ended(_arg: Any) -> None:
+    """What a generator run by :meth:`Engine.start` does on return."""
 
 
 class Event:
-    """A one-shot occurrence that processes can wait on.
+    """A one-shot occurrence a generator can wait on.
 
-    An event is *triggered* at most once, either with :meth:`succeed`
-    (delivering ``value`` to waiters) or :meth:`fail` (raising the given
-    exception inside waiters).
+    An event is *triggered* at most once, with :meth:`succeed`; its
+    callbacks then run, with the event, one ready-deque hop later (or
+    at once, for :meth:`succeed_now`).  A generator stepped by
+    :meth:`Engine.follow` that yields the event is one of them.
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_exc", "triggered", "_scheduled")
+    __slots__ = ("engine", "callbacks", "_value", "triggered")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
         self.callbacks: Optional[list] = []
         self._value: Any = None
-        self._exc: Optional[BaseException] = None
         self.triggered = False
-        self._scheduled = False
 
-    # -- inspection ------------------------------------------------------
-    @property
-    def value(self) -> Any:
-        if not self.triggered:
-            raise SimulationError("event value read before trigger")
-        if self._exc is not None:
-            raise self._exc
-        return self._value
-
-    @property
-    def ok(self) -> bool:
-        return self.triggered and self._exc is None
-
-    # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
             raise SimulationError("event already triggered")
@@ -163,177 +147,17 @@ class Event:
         work item delivering the value (a memory completion)."""
         if self.triggered:
             raise SimulationError("event already triggered")
-        self._value = value
-        self._scheduled = True
-        self.engine._fire(self)
-
-    def fail(self, exc: BaseException) -> "Event":
-        if self.triggered:
-            raise SimulationError("event already triggered")
-        if not isinstance(exc, BaseException):
-            raise TypeError("fail() requires an exception instance")
         self.triggered = True
-        self._exc = exc
-        self.engine._dispatch(self)
-        return self
-
-
-class Timeout(Event):
-    """An event that fires automatically ``delay`` time units from now."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        super().__init__(engine)
         self._value = value
-        engine._schedule_at(engine.now + delay, self)
-
-
-class Process(Event):
-    """Runs a generator; as an Event it fires when the generator returns.
-
-    The generator's ``return`` value becomes the event value.  If the
-    generator raises, the process event fails with that exception, which
-    propagates to any process waiting on it.
-
-    ``_resume`` / ``_delay_cb`` hold bound methods created once at
-    construction so the wait/wake cycle never re-binds them;
-    ``_delay_epoch`` tombstones stale delay wake-ups in O(1) and
-    ``_dead`` tombstones one stale event callback after a kill
-    (replacing the old O(n) ``callbacks.remove`` scan).
-    """
-
-    __slots__ = ("_gen", "_waiting_on", "name", "_resume", "_delay_cb",
-                 "_dead", "_delay_epoch")
-
-    def __init__(self, engine: "Engine", gen: Generator, name: str = ""):
-        super().__init__(engine)
-        self._gen = gen
-        self._waiting_on: Optional[Event] = None
-        self._dead: Optional[Event] = None
-        self._delay_epoch = 0
-        self.name = name or getattr(gen, "__name__", "process")
-        self._resume: Callable = self._do_resume
-        self._delay_cb: Callable = self._delay_resume
-        # Kick off on the next dispatch round at the current time.
-        seq = engine._seq = engine._seq + 1
-        engine._ready.append((seq, self._kick, None))
-
-    def kill(self, exc: BaseException) -> None:
-        """Throw ``exc`` into the process at the current time — the
-        crash-injection hook for modelling a hardware unit dying
-        mid-flight."""
-        if not isinstance(exc, BaseException):
-            raise TypeError("kill() requires an exception instance")
-        self._throw_in(exc)
-
-    def _throw_in(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        target = self._waiting_on
-        if target is _DELAY:
-            # O(1) tombstone: the pending wake-up's epoch no longer matches
-            self._delay_epoch += 1
-        elif (target is not None and not target.triggered
-                and target.callbacks is not None):
-            # O(1) tombstone: _do_resume swallows one firing of this event
-            self._dead = target
-        self._waiting_on = None
-        engine = self.engine
-        engine._schedule_fn(engine.now, self._throw_step, exc)
-
-    # -- internal --------------------------------------------------------
-    def _kick(self, _arg: Any) -> None:
-        self._step(None, False)
-
-    def _throw_step(self, exc: BaseException) -> None:
-        self._step(exc, True)
-
-    def _delay_resume(self, epoch: int) -> None:
-        if epoch != self._delay_epoch or self.triggered:
-            return
-        self._waiting_on = None
-        self._step(None, False)
-
-    def _do_resume(self, event: Event) -> None:
-        if event is self._dead:
-            self._dead = None
-            return
-        self._waiting_on = None
-        exc = event._exc
-        if exc is None:
-            self._step(event._value, False)
-        else:
-            self._step(exc, True)
-
-    def _step(self, value: Any, throw: bool) -> None:
-        if self.triggered:
-            return
-        gen = self._gen
-        try:
-            if throw:
-                yielded = gen.throw(value)
-            else:
-                yielded = gen.send(value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate to waiters
-            self.fail(exc)
-            return
-        cls = yielded.__class__
-        if cls is float or cls is int:
-            # inlined _wait_delay: the single hottest path in the system
-            if yielded < 0:
-                raise ValueError(f"negative delay: {yielded}")
-            engine = self.engine
-            self._waiting_on = _DELAY
-            epoch = self._delay_epoch = self._delay_epoch + 1
-            now = engine.now
-            when = now + yielded
-            seq = engine._seq = engine._seq + 1
-            if when == now:
-                engine._ready.append((seq, self._delay_cb, epoch))
-            else:
-                _heappush(engine._heap, (when, seq, self._delay_cb, epoch))
-            return
-        if isinstance(yielded, Event):
-            self._waiting_on = yielded
-            if yielded.triggered:
-                # Already fired: resume on the next dispatch round so other
-                # same-time callbacks run first (prevents starvation loops).
-                engine = self.engine
-                seq = engine._seq = engine._seq + 1
-                engine._ready.append((seq, self._resume, yielded))
-            else:
-                yielded.callbacks.append(self._resume)
-            return
-        if isinstance(yielded, (int, float)):  # bool / exotic numeric types
-            self._wait_delay(yielded)
-            return
-        self.fail(SimulationError(
-            f"process {self.name!r} yielded {yielded!r}; expected Event or delay"
-        ))
-
-    def _wait_delay(self, delay: float) -> None:
-        """Anonymous delay: no Timeout object, just an epoch-guarded wake."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        self._waiting_on = _DELAY
-        self._delay_epoch += 1
-        engine = self.engine
-        engine._schedule_fn(engine.now + delay, self._delay_cb,
-                            self._delay_epoch)
+        self.engine._fire(self)
 
 
 class Engine:
     """The event loop: a time-ordered heap plus a same-time ready-deque.
 
     Work items are ``(when, seq, fn, arg)``; ``fn(arg)`` fires one item.
-    Events fire through the pre-bound ``self._fire``; internal
-    resumptions are scheduled directly as bound-method callbacks.  The
+    Events fire through the pre-bound ``self._fire``; generators resume
+    through the pre-bound ``self.follow``.  The
     ready-deque holds items due at the *current* time in FIFO (sequence)
     order; heap entries stamped with the current time always carry lower
     sequence numbers than anything on the deque (see module docstring),
@@ -352,16 +176,48 @@ class Engine:
         #: reaches this count — the whole-machine-dies fault site
         self.crash_at_fired: Optional[int] = None
         self._fire_cb: Callable = self._fire
+        self._follow_cb: Callable = self.follow
 
     # -- public API ------------------------------------------------------
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+    def start(self, gen: Generator) -> None:
+        """Run ``gen`` on :meth:`follow`, taking its first step one
+        ready-deque hop from now."""
+        self._schedule_fn(self.now, self._follow_cb, (gen, _ended, None))
 
-    def process(self, gen: Generator, name: str = "") -> Process:
-        return Process(self, gen, name=name)
+    def follow(self, job: tuple, value: Any = None) -> None:
+        """Send ``value`` into the generator of ``job = (gen, then,
+        arg)``, run it to its next wait and arrange its resumption;
+        call ``then(arg)`` once it returns.
+
+        A delay ``d`` resumes it with ``None`` as a work item at
+        ``now + d``; an :class:`Event` resumes it with the event's
+        value inside the event's firing (a memory completion's, for a
+        port read).  An exception out of the generator leaves
+        :meth:`run` at once."""
+        try:
+            wait = job[0].send(value)
+        except StopIteration:
+            job[1](job[2])
+            return
+        if isinstance(wait, Event):
+            wait.callbacks.append(partial(self._follow_event, job))
+            return
+        # inlined _schedule_fn: a delay is the single hottest wait
+        if wait < 0:
+            raise SimulationError(f"negative delay: {wait}")
+        now = self.now
+        when = now + wait
+        seq = self._seq = self._seq + 1
+        if when == now:
+            self._ready.append((seq, self._follow_cb, job))
+        else:
+            _heappush(self._heap, (when, seq, self._follow_cb, job))
+
+    def _follow_event(self, job: tuple, event: Event) -> None:
+        self.follow(job, event._value)
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at absolute time ``when`` (≥ now)."""
@@ -491,14 +347,6 @@ class Engine:
                                  now_ns=self.now)
 
     # -- internal --------------------------------------------------------
-    def _schedule_at(self, when: float, event: Event) -> None:
-        seq = self._seq = self._seq + 1
-        event._scheduled = True
-        if when == self.now:
-            self._ready.append((seq, self._fire_cb, event))
-        else:
-            heapq.heappush(self._heap, (when, seq, self._fire_cb, event))
-
     def _schedule_fn(self, when: float, fn: Callable[[Any], None],
                      arg: Any) -> None:
         seq = self._seq = self._seq + 1
@@ -508,21 +356,12 @@ class Engine:
             heapq.heappush(self._heap, (when, seq, fn, arg))
 
     def _dispatch(self, event: Event) -> None:
-        """Queue a freshly-triggered event's callbacks at the current time.
-
-        Triggering always queues at ``now``, which always lands on the
-        ready-deque (inlined :meth:`_schedule_at`).
-        """
-        if event._scheduled:
-            return  # it is queued already; callbacks run when popped
-        event._scheduled = True
+        """Queue a freshly-triggered event's callbacks at the current
+        time, which always lands on the ready-deque."""
         seq = self._seq = self._seq + 1
         self._ready.append((seq, self._fire_cb, event))
 
     def _fire(self, event: Event) -> None:
-        # every event reaching here is either triggered (succeed/fail)
-        # or a Timeout whose trigger is this very firing
-        event.triggered = True
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:

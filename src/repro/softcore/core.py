@@ -20,20 +20,28 @@ At transaction admission, the block's input region is streamed into the
 softcore's *working-set buffer* (the BRAM buffer visible in Figure 2);
 this is what lets the Dispatch step route DB instructions by key
 without a DRAM round trip.
+
+The softcore is a plain core: one generator, :meth:`Softcore._run`,
+started at construction and stepped by :meth:`Engine.follow
+<repro.sim.engine.Engine.follow>`.  It yields a delay for every cycle
+charge and an event for every wait (a DRAM read, a CP register, the
+drain of a transaction's DB instructions, an empty input queue).  An
+exception in it — a procedure loading from an empty cell, say — leaves
+``Engine.run()`` at the instant it is raised.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..isa.instructions import Opcode, Section
 from ..mem.txnblock import TransactionBlock, TxnStatus, UndoEntry
 from ..sim.clock import ClockDomain
-from ..sim.engine import Engine
+from ..sim.engine import Engine, Event
 from ..sim.memory import DramModel
 from ..sim.stats import StatsRegistry
-from ..sim.sync import Fifo
 from ..txn.cc import DbResult, ResultCode, abort_write, commit_record
 from ..txn.timestamps import HardwareClock
 from ..index.common import DbRequest
@@ -150,7 +158,10 @@ class Softcore:
         self.on_txn_done = on_txn_done
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
-        self.input_queue: Fifo = Fifo(engine, name=f"w{worker_id}.input")
+        #: submitted blocks, oldest first, and the event the main loop
+        #: sleeps on while there are none
+        self._inbox: deque = deque()
+        self._parked: List[Event] = []
         self.gp = RegisterFile(N_REGISTERS)
         self.cp = CpRegisterFile(engine, N_REGISTERS)
         self.port = dram.new_port(f"w{worker_id}.core", max_outstanding=8,
@@ -181,7 +192,7 @@ class Softcore:
 
         self._code = CompiledTier(self)
 
-        self._proc = engine.process(self._run(), name=f"w{worker_id}.softcore")
+        engine.start(self._run())
 
     @staticmethod
     def _reject_dispatch(_req, _dst):  # pragma: no cover - must be wired
@@ -190,7 +201,25 @@ class Softcore:
     # -- client interface --------------------------------------------------
     def submit(self, block: TransactionBlock) -> None:
         block.header.status = TxnStatus.PENDING
-        self.input_queue.try_put(block)
+        self._put(self._inbox, self._parked, block)
+
+    @staticmethod
+    def _put(queue: deque, parked: List[Event], item: Any) -> None:
+        """Queue ``item``, waking the softcore if it sleeps on ``queue``."""
+        queue.append(item)
+        if parked:
+            parked.pop().succeed()
+
+    def _take(self, queue: deque, parked: List[Event]):
+        """Take the oldest item of ``queue``, one ready-deque hop from
+        now: the put that wakes the parked softcore when the queue is
+        empty, else one item at the current instant."""
+        if queue:
+            yield 0
+        else:
+            parked.append(Event(self.engine))
+            yield parked[0]
+        return queue.popleft()
 
     # -- result delivery (local coprocessor or remote response path) --------
     def deliver(self, cp_global: int, result: DbResult) -> None:
@@ -214,7 +243,7 @@ class Softcore:
             if self._pending_block is not None:
                 block, self._pending_block = self._pending_block, None
             else:
-                block = yield self.input_queue.get()
+                block = yield from self._take(self._inbox, self._parked)
             if cfg.interleaving and cfg.dynamic_scheduling:
                 batch = yield from self._phase1_dynamic(block)
             else:
@@ -278,12 +307,9 @@ class Softcore:
             yield from self._ingest(ctx)
             yield from self._exec(ctx, Section.LOGIC)
             yield self.clock.delay(CONTEXT_SWITCH_CYCLES)
-            if not cfg.interleaving:
+            if not cfg.interleaving or not self._inbox:
                 break
-            ok, nxt = self.input_queue.try_get()
-            if not ok:
-                break
-            block = nxt
+            block = self._inbox.popleft()
         return batch
 
     def _phase1_dynamic(self, block: TransactionBlock):
@@ -292,10 +318,12 @@ class Softcore:
         logic, the softcore switches to another runnable transaction
         instead of stalling, resuming the blocked one when its CP
         register is written back."""
-        from collections import deque
         batch = _Batch()
         ready = deque()
-        wake: Fifo = Fifo(self.engine)
+        # contexts whose blocking RET's result arrived, oldest first,
+        # and the event the softcore sleeps on while there are none
+        woken: deque = deque()
+        parked: List[Event] = []
         blocked = 0
 
         yield self.clock.delay(CATALOGUE_CYCLES)
@@ -307,18 +335,15 @@ class Softcore:
             if not ready:
                 # nothing runnable: admit new work if possible, else
                 # sleep until a blocked transaction is woken
-                if self._pending_block is None:
-                    ok, nxt = self.input_queue.try_get()
-                    if ok:
-                        yield self.clock.delay(CATALOGUE_CYCLES)
-                        ctx = self._admit(nxt, batch)
-                        if ctx is not None:
-                            yield from self._ingest(ctx)
-                            ready.append(ctx)
-                            continue
-                woken = yield wake.get()
+                if self._pending_block is None and self._inbox:
+                    yield self.clock.delay(CATALOGUE_CYCLES)
+                    ctx = self._admit(self._inbox.popleft(), batch)
+                    if ctx is not None:
+                        yield from self._ingest(ctx)
+                        ready.append(ctx)
+                        continue
+                ready.append((yield from self._take(woken, parked)))
                 blocked -= 1
-                ready.append(woken)
                 continue
             ctx = ready.popleft()
             yield self.clock.delay(CONTEXT_SWITCH_CYCLES)
@@ -329,15 +354,14 @@ class Softcore:
                 cp_idx, ctx.blocked_on = ctx.blocked_on, None
                 blocked += 1
                 ev = self.cp.wait_valid(cp_idx)
-                ev.callbacks.append(lambda _e, c=ctx: wake.try_put(c))
-            elif self._pending_block is None:
-                ok, nxt = self.input_queue.try_get()
-                if ok:
-                    yield self.clock.delay(CATALOGUE_CYCLES)
-                    ctx2 = self._admit(nxt, batch)
-                    if ctx2 is not None:
-                        yield from self._ingest(ctx2)
-                        ready.append(ctx2)
+                ev.callbacks.append(
+                    lambda _e, c=ctx: self._put(woken, parked, c))
+            elif self._pending_block is None and self._inbox:
+                yield self.clock.delay(CATALOGUE_CYCLES)
+                ctx2 = self._admit(self._inbox.popleft(), batch)
+                if ctx2 is not None:
+                    yield from self._ingest(ctx2)
+                    ready.append(ctx2)
         return batch
 
     def _ingest(self, ctx: TxnContext):

@@ -144,6 +144,37 @@ class TestSiloEngine:
         assert report.committed == 1
         assert table.get_record(999).value == "new"
 
+    def test_a_core_s_exception_leaves_run_transactions(self):
+        """A body that raises something other than SiloAbort kills its
+        core, and the error leaves run_transactions at once: the bodies
+        queued behind it do not run on the other core."""
+        silo = self._engine()
+        table = silo.tables[0]
+        ran = []
+
+        def always_aborts(_txn):
+            raise SiloAbort("always")
+
+        def ok(txn):
+            ran.append(txn.read(table, 5))
+
+        def broken(_txn):
+            raise KeyError("no such column")
+
+        with pytest.raises(KeyError):
+            silo.run_transactions([always_aborts, ok, broken, ok, ok],
+                                  max_retries=3)
+        assert ran == [5]
+
+    def test_a_body_out_of_retries_raises(self):
+        silo = self._engine()
+
+        def always_aborts(_txn):
+            raise SiloAbort("always")
+
+        with pytest.raises(RuntimeError, match="retry budget"):
+            silo.run_transactions([always_aborts], max_retries=3)
+
     def test_duplicate_load_rejected(self):
         silo = self._engine()
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Edge-case coverage: engine corners, key encoding, worker plumbing."""
+"""Edge-case coverage: memory-port corners, key encoding, worker plumbing."""
 
 import pytest
 
@@ -6,33 +6,7 @@ from repro.core import BionicConfig, BionicDB
 from repro.index.common import _key_bytes, sdbm_hash
 from repro.isa import Gp, ProcedureBuilder
 from repro.mem import IndexKind, TableSchema, TxnStatus
-from repro.sim import ClockDomain, DramModel, Engine, Heap, SimulationError
-
-
-class TestEngineCorners:
-    def test_event_value_before_trigger_raises(self):
-        eng = Engine()
-        ev = eng.event()
-        with pytest.raises(SimulationError):
-            _ = ev.value
-
-    def test_fail_requires_exception_instance(self):
-        eng = Engine()
-        ev = eng.event()
-        with pytest.raises(TypeError):
-            ev.fail("not an exception")
-
-    def test_kill_after_completion_is_noop(self):
-        eng = Engine()
-
-        def quick():
-            yield 1
-
-        proc = eng.process(quick())
-        eng.run()
-        proc.kill(RuntimeError("late"))  # must not raise
-        eng.run()
-        assert proc.ok
+from repro.sim import ClockDomain, DramModel, Engine, Heap
 
 
 class TestMemoryPortCorners:
@@ -50,7 +24,7 @@ class TestMemoryPortCorners:
             yield port.apply(addr, lambda cell: cell.update(n=cell["n"] + 1))
             seen.append(heap.load(addr)["n"])
 
-        eng.process(proc())
+        eng.start(proc())
         eng.run()
         assert seen == [1]
 

@@ -301,7 +301,7 @@ class TestCommandLogCrashConsistency:
 
 
 # ---------------------------------------------------------------------------
-# Machine / worker crashes and the replay watchdog
+# Machine crashes and the replay watchdog
 # ---------------------------------------------------------------------------
 
 class TestMachineCrash:
@@ -321,15 +321,6 @@ class TestMachineCrash:
         db = build_db()
         with pytest.raises(Exception):
             db.crash_after_events(0)
-
-    def test_worker_crash_surfaces_not_hangs(self):
-        db = build_db()
-        db.load(0, 1, ["v"])
-        block = db.new_block(1, [1, "upd"], worker=0)
-        db.submit(block, 0)
-        db.crash_worker(0)
-        with pytest.raises(SimulatedCrash):
-            db.run()
 
     def test_replay_watchdog_raises_recovery_error(self):
         db = build_db()

@@ -463,13 +463,13 @@ class TestHandlers:
         from repro.faults import FaultPlan, NIC_DROP, NIC_DUPLICATE
         db = make_db()
         spawned = []
-        real_process = Engine.process
+        real_start = Engine.start
 
-        def process(engine, gen, name=""):
-            spawned.append(name)
-            return real_process(engine, gen, name)
+        def start(engine, gen):
+            spawned.append(gen.__qualname__)
+            return real_start(engine, gen)
 
-        monkeypatch.setattr(Engine, "process", process)
+        monkeypatch.setattr(Engine, "start", start)
         plan = FaultPlan(seed=1)
         plan.arm(NIC_DROP, prob=0.2, times=None)
         plan.arm(NIC_DUPLICATE, prob=0.2, times=None)

@@ -267,7 +267,7 @@ class TestThrottling:
                 max_seen = max(max_seen, pipe.tokens.in_use)
                 yield 8.0
 
-        env.engine.process(watch())
+        env.engine.start(watch())
         env.run(until=200_000)
         assert max_seen <= 2
         assert pipe.completed.value == 10

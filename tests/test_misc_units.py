@@ -34,7 +34,7 @@ class TestClockDomain:
             yield clock.delay(5)
             seen.append(clock.now_cycles)
 
-        eng.process(proc())
+        eng.start(proc())
         eng.run()
         assert seen == [pytest.approx(5.0)]
 

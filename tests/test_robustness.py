@@ -283,9 +283,29 @@ class TestHangDetection:
             while True:
                 yield 1.0
 
-        engine.process(spinner())
+        engine.start(spinner())
         with pytest.raises(SimulationError):
             engine.run(max_events=500)
+
+    def test_a_dying_softcore_leaves_run_before_the_rest_drains(self):
+        """Worker 0's only procedure loads from an empty cell; worker 1
+        has 200 reads queued.  The error must surface at the instant
+        the softcore raises it, not once worker 1 has drained."""
+        db = make_db(n_workers=2)
+        db.load(0, 7, ["v"])
+        db.register_procedure(1, good_program())
+        b = ProcedureBuilder("boom")
+        b.load(0, b.fld(1))   # r1 = 0: LOAD from empty cell kills the core
+        b.commit_handler()
+        b.commit()
+        db.register_procedure(2, b.build())
+        for _ in range(200):
+            db.submit(db.new_block(1, [7], worker=1), 1)
+        db.submit(db.new_block(2, [7], worker=0), 0)
+        with pytest.raises(ExecutionError, match="empty cell"):
+            db.run()
+        assert db.stats.counter("worker1.committed").value < 200
+        assert db.engine.now < 10_000
 
     def test_db_run_passes_watchdog_through(self):
         db = make_db()

@@ -15,7 +15,7 @@ def test_timeout_advances_clock():
         yield 5.5
         fired.append(eng.now)
 
-    eng.process(proc())
+    eng.start(proc())
     eng.run()
     assert fired == [10, 15.5]
 
@@ -28,9 +28,9 @@ def test_events_fire_in_time_order():
         yield delay
         order.append(tag)
 
-    eng.process(waiter(30, "c"))
-    eng.process(waiter(10, "a"))
-    eng.process(waiter(20, "b"))
+    eng.start(waiter(30, "c"))
+    eng.start(waiter(10, "a"))
+    eng.start(waiter(20, "b"))
     eng.run()
     assert order == ["a", "b", "c"]
 
@@ -44,7 +44,7 @@ def test_same_time_events_fifo_order():
         order.append(tag)
 
     for tag in ("x", "y", "z"):
-        eng.process(waiter(tag))
+        eng.start(waiter(tag))
     eng.run()
     assert order == ["x", "y", "z"]
 
@@ -58,10 +58,10 @@ def test_process_return_value_propagates():
         return 42
 
     def parent():
-        value = yield eng.process(child())
+        value = yield from child()
         results.append(value)
 
-    eng.process(parent())
+    eng.start(parent())
     eng.run()
     assert results == [42]
 
@@ -76,11 +76,11 @@ def test_process_exception_propagates_to_waiter():
 
     def parent():
         try:
-            yield eng.process(child())
+            yield from child()
         except ValueError as exc:
             caught.append(str(exc))
 
-    eng.process(parent())
+    eng.start(parent())
     eng.run()
     assert caught == ["boom"]
 
@@ -98,8 +98,8 @@ def test_event_succeed_delivers_value():
         yield 7
         ev.succeed("hello")
 
-    eng.process(waiter())
-    eng.process(trigger())
+    eng.start(waiter())
+    eng.start(trigger())
     eng.run()
     assert got == ["hello"]
     assert eng.now == 7
@@ -113,23 +113,6 @@ def test_event_double_trigger_raises():
         ev.succeed(2)
 
 
-def test_event_fail_raises_in_waiter():
-    eng = Engine()
-    ev = eng.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield ev
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    eng.process(waiter())
-    eng.call_after(2, lambda: ev.fail(RuntimeError("bad")))
-    eng.run()
-    assert caught == ["bad"]
-
-
 def test_run_until_limit_stops_early():
     eng = Engine()
     seen = []
@@ -139,7 +122,7 @@ def test_run_until_limit_stops_early():
             yield 10
             seen.append(eng.now)
 
-    eng.process(proc())
+    eng.start(proc())
     eng.run(until=35)
     assert seen == [10, 20, 30]
     assert eng.now == 35
@@ -151,7 +134,7 @@ def test_call_at_in_past_raises():
     def proc():
         yield 10
 
-    eng.process(proc())
+    eng.start(proc())
     eng.run()
     with pytest.raises(SimulationError):
         eng.call_at(5, lambda: None)
@@ -163,17 +146,35 @@ def test_yield_bad_value_fails_process():
     def proc():
         yield "not an event"
 
-    p = eng.process(proc())
-    eng.run()
-    assert p.triggered
-    with pytest.raises(SimulationError):
-        _ = p.value
+    eng.start(proc())
+    with pytest.raises(TypeError):
+        eng.run()
 
 
 def test_negative_delay_rejected():
     eng = Engine()
-    with pytest.raises(ValueError):
-        eng.timeout(-1)
+
+    def proc():
+        yield -1
+
+    eng.start(proc())
+    with pytest.raises(SimulationError, match="negative delay"):
+        eng.run()
+
+
+def test_an_exception_leaves_run_at_the_instant_it_is_raised():
+    eng = Engine()
+    log = []
+
+    def failing():
+        yield 5
+        raise KeyError("boom")
+
+    eng.start(failing())
+    eng.start(_ticker(eng, log, "t", 1, 20))
+    with pytest.raises(KeyError):
+        eng.run()
+    assert eng.now == 5 and log[-1] == (4, "t")   # nothing after t=5
 
 
 def test_nested_processes_compose():
@@ -185,77 +186,20 @@ def test_nested_processes_compose():
         return n * 2
 
     def mid():
-        a = yield eng.process(leaf(3))
-        b = yield eng.process(leaf(4))
+        a = yield from leaf(3)
+        b = yield from leaf(4)
         return a + b
 
     def root():
-        total = yield eng.process(mid())
+        total = yield from mid()
         trace.append((eng.now, total))
 
-    eng.process(root())
+    eng.start(root())
     eng.run()
     assert trace == [(7, 14)]
 
 
-# -- hot-path overhaul regressions -------------------------------------------
-
-class _Killed(Exception):
-    pass
-
-
-def test_kill_while_waiting_on_event_no_double_resume():
-    # The killed process must not also be resumed when the original
-    # event later fires (the O(1) tombstone replaces callbacks.remove).
-    eng = Engine()
-    gate = Event(eng)
-    log = []
-
-    def waiter():
-        try:
-            yield gate
-            log.append("resumed")
-        except _Killed as exc:
-            log.append(("killed", str(exc)))
-            yield 100
-            log.append("slept")
-
-    def driver(p):
-        yield 5
-        p.kill(_Killed("bored"))
-        yield 5
-        gate.succeed("late")
-
-    p = eng.process(waiter())
-    eng.process(driver(p))
-    eng.run()
-    assert log == [("killed", "bored"), "slept"]
-
-
-def test_kill_during_delay_no_stale_wakeup():
-    # Killing a numeric sleep must cancel the pending wakeup (the
-    # delay-epoch check), even if the process immediately sleeps again
-    # across the original wakeup time.
-    eng = Engine()
-    log = []
-
-    def sleeper():
-        try:
-            yield 10
-            log.append("full sleep")
-        except _Killed:
-            yield 20
-            log.append(eng.now)
-
-    def driver(p):
-        yield 4
-        p.kill(_Killed())
-
-    p = eng.process(sleeper())
-    eng.process(driver(p))
-    eng.run()
-    assert log == [24]
-
+# -- hot-path ordering ----------------------------------------------------
 
 def test_same_time_heap_and_ready_interleave_in_seq_order():
     # Callbacks scheduled for a future instant (heap) must fire before
@@ -271,16 +215,16 @@ def test_same_time_heap_and_ready_interleave_in_seq_order():
         yield 10
         order.append("first")
         ev = Event(eng)
-        ev.succeed()     # lands on the ready deque at t=10
 
         def chained():
             yield ev
             order.append("chained")
 
-        eng.process(chained())
+        eng.start(chained())     # first step on the ready deque at t=10
+        ev.succeed()             # and the event's firing behind it
 
-    eng.process(trigger())
-    eng.process(early())
+    eng.start(trigger())
+    eng.start(early())
     eng.run()
     assert order == ["first", "heap", "chained"]
 
@@ -295,17 +239,17 @@ def _ticker(eng, log, name, period, n):
 
 def test_run_to_idle_publishes_events_fired():
     eng = Engine()
-    eng.process(_ticker(eng, [], "a", 1, 10))
+    eng.start(_ticker(eng, [], "a", 1, 10))
     eng.run()
-    # the kick, ten wake-ups and the process's own completion event
-    assert eng.events_fired == 12
+    # the first step and ten wake-ups
+    assert eng.events_fired == 11
     assert eng.idle
 
 
 def test_run_max_events_is_a_raising_watchdog():
     eng = Engine()
     log = []
-    eng.process(_ticker(eng, log, "a", 1, 1000))
+    eng.start(_ticker(eng, log, "a", 1, 1000))
     with pytest.raises(SimulationError, match="watchdog"):
         eng.run(max_events=25)
     assert eng.events_fired == 25
@@ -317,7 +261,7 @@ def test_crash_at_fired_raises_at_the_exact_count():
     from repro.errors import SimulatedCrash
     eng = Engine()
     log = []
-    eng.process(_ticker(eng, log, "a", 1, 100))
+    eng.start(_ticker(eng, log, "a", 1, 100))
     eng.crash_at_fired = 40
     with pytest.raises(SimulatedCrash):
         eng.run()
@@ -331,9 +275,9 @@ def test_watched_and_unwatched_runs_fire_in_the_same_order():
     def run(**kw):
         eng = Engine()
         log = []
-        eng.process(_ticker(eng, log, "a", 2, 30))
-        eng.process(_ticker(eng, log, "b", 3, 20))
-        eng.process(_ticker(eng, log, "c", 6, 10))
+        eng.start(_ticker(eng, log, "a", 2, 30))
+        eng.start(_ticker(eng, log, "b", 3, 20))
+        eng.start(_ticker(eng, log, "c", 6, 10))
         eng.run(**kw)
         return log, eng.now, eng.events_fired
 

@@ -91,7 +91,7 @@ class TestDram:
             value = yield port.read(addr)
             seen.append((eng.now, value))
 
-        eng.process(proc())
+        eng.start(proc())
         eng.run()
         assert seen == [(clock.ns(85), "payload")]
 
@@ -116,7 +116,7 @@ class TestDram:
             done.append(eng.now)
 
         for a in addrs:
-            eng.process(proc(a))
+            eng.start(proc(a))
         eng.run()
         # One at a time: completions at 10, 20, 30 cycles.
         assert done == [clock.ns(10), clock.ns(20), clock.ns(30)]
@@ -133,7 +133,7 @@ class TestDram:
             done.append(eng.now)
 
         for a in addrs:
-            eng.process(proc(a))
+            eng.start(proc(a))
         eng.run()
         # Issue 1/cycle: completions at 10, 11, 12 cycles.
         assert done == [clock.ns(10), clock.ns(11), clock.ns(12)]
@@ -151,8 +151,8 @@ class TestDram:
             yield port.read(addr)
             done.append(eng.now)
 
-        eng.process(proc(port_a, base))
-        eng.process(proc(port_b, base + 8))
+        eng.start(proc(port_a, base))
+        eng.start(proc(port_b, base + 8))
         eng.run()
         assert done == [clock.ns(10), clock.ns(11)]
 
@@ -168,7 +168,7 @@ class TestDram:
         def proc():
             yield port.apply(addr, bump)
 
-        eng.process(proc())
+        eng.start(proc())
         eng.run()
         assert heap.load(addr) == [1]
 
@@ -181,7 +181,7 @@ class TestDram:
             yield port.read(addr)
             yield port.write(addr, 1)
 
-        eng.process(proc())
+        eng.start(proc())
         eng.run()
         assert dram.stats.counter("dram.reads").value == 1
         assert dram.stats.counter("dram.writes").value == 1
@@ -215,8 +215,8 @@ class TestDram:
             yield port.write(head, (tag, old))
             results.append(tag)
 
-        eng.process(insert("A"))
-        eng.process(insert("B"))
+        eng.start(insert("A"))
+        eng.start(insert("B"))
         eng.run()
         # Both read None before either write landed -> one insert lost.
         final = heap.load(head)

@@ -327,7 +327,7 @@ class TestRegisterFiles:
             op, res = yield cp.wait_valid(3)
             got.append((op, res))
 
-        eng.process(proc())
+        eng.start(proc())
         eng.run()
         assert got == [(Opcode.SEARCH, result)]
 
@@ -341,7 +341,7 @@ class TestRegisterFiles:
             op, res = yield cp.wait_valid(0)
             got.append(res.tuple_addr)
 
-        eng.process(proc())
+        eng.start(proc())
         eng.call_after(5, lambda: cp.write_back(0, DbResult(ResultCode.OK,
                                                             tuple_addr=9)))
         eng.run()

@@ -217,13 +217,14 @@ class TestBackgroundUnits:
     def test_only_the_softcores_are_processes(self, monkeypatch, n_workers):
         from repro.sim.engine import Engine
         spawned = []
-        spawn = Engine.process
+        start = Engine.start
 
-        def counting(engine, gen, name=""):
-            spawned.append(name)
-            return spawn(engine, gen, name)
+        def counting(engine, gen):
+            owner = gen.gi_frame.f_locals["self"]
+            spawned.append(f"w{owner.worker_id}.{gen.__name__}")
+            return start(engine, gen)
 
-        monkeypatch.setattr(Engine, "process", counting)
+        monkeypatch.setattr(Engine, "start", counting)
         workload, specs = self.remote_stream(n_workers)
         db = BionicDB(BionicConfig(n_workers=n_workers))
         workload.install(db)
@@ -232,7 +233,7 @@ class TestBackgroundUnits:
         remote = sum(db.stats.counter(f"worker{w}.background_requests").value
                      for w in range(n_workers))
         assert remote > 0
-        assert spawned == [f"w{w}.softcore" for w in range(n_workers)]
+        assert spawned == [f"w{w}._run" for w in range(n_workers)]
 
 
 class TestAbortPaths:
