@@ -13,8 +13,8 @@ homed.  This package proves those properties (or produces findings)
   (logic → commit/abort, trap edges) and the generic worklist engine
   (:func:`~repro.analysis.dataflow.solve_forward` /
   :func:`~repro.analysis.dataflow.solve_backward`).
-* :mod:`.liveness` — GP/CP liveness, reaching definitions, def-use
-  chains; dead-write and uncollected-CP clients.
+* :mod:`.liveness` — GP/CP liveness and reaching definitions;
+  dead-write and uncollected-CP clients.
 * :mod:`.protocol` — the §4.7 commit-protocol proof: must/may
   pending-CP analyses and WRFIELD write-intent provenance.
 * :mod:`.provenance` — the §4.4 key-origin lattice and the static MLP
@@ -22,9 +22,8 @@ homed.  This package proves those properties (or produces findings)
 * :mod:`.footprint` — the key-provenance pass: per-procedure
   partition/key footprints (constant keys → exact partitions, anchored
   keys → home partition, RANGE_SCAN → key intervals), computed once at
-  registration, the layout and deployment joins (single-partition /
-  single-node / cross-node routing verdicts) and the epoch-fenced
-  ownership check.
+  registration, and the layout and deployment joins (single-partition /
+  single-node / cross-node routing verdicts).
 * :mod:`.conflict` — pairwise static conflict matrix over the shipped
   registry (commute / may-conflict / must-serialize).
 * :mod:`.wcet` — worst-case cycle bound per procedure, charging the
@@ -43,8 +42,8 @@ from .dataflow import (
     FlowGraph, Node, program_flow, solve_backward, solve_forward,
 )
 from .liveness import (
-    ENTRY_DEF, LivenessResult, ReachingDefs, dead_gp_writes, def_use_chains,
-    live_cp, live_gp, reaching_definitions, uncollected_cps,
+    ENTRY_DEF, LivenessResult, ReachingDefs, dead_gp_writes, live_cp,
+    live_gp, reaching_definitions, uncollected_cps,
 )
 from .protocol import (
     CommitProtocolReport, PendingCpResult, WriteProvenance,
@@ -52,8 +51,7 @@ from .protocol import (
 )
 from .provenance import KeyOrigin, static_mlp
 from .footprint import (
-    Access, EpochOwnershipReport, FootprintSummary, KeyBound, StaticRoute,
-    analyze_footprint, check_epoch_ownership,
+    Access, FootprintSummary, KeyBound, StaticRoute, analyze_footprint,
 )
 from .conflict import ConflictMatrix, build_conflict_matrix
 from .wcet import WcetModel, WcetReport, analyze_wcet
@@ -62,12 +60,11 @@ __all__ = [
     "EXIT", "BasicBlock", "Cfg", "build_cfg", "build_all_cfgs",
     "FlowGraph", "Node", "program_flow", "solve_forward", "solve_backward",
     "ENTRY_DEF", "LivenessResult", "ReachingDefs", "live_gp", "live_cp",
-    "reaching_definitions", "def_use_chains", "dead_gp_writes",
+    "reaching_definitions", "dead_gp_writes",
     "uncollected_cps",
     "PendingCpResult", "WriteProvenance", "CommitProtocolReport",
     "pending_cps", "write_provenance", "check_commit_protocol",
-    "KeyOrigin", "static_mlp", "EpochOwnershipReport",
-    "check_epoch_ownership",
+    "KeyOrigin", "static_mlp",
     "KeyBound", "Access", "FootprintSummary", "StaticRoute",
     "analyze_footprint",
     "ConflictMatrix", "build_conflict_matrix",

@@ -10,8 +10,8 @@ end" loop exit — and falling off the last instruction both flow to the
 synthetic :data:`EXIT` node.
 
 Block labels use the same ``L<index>`` naming as
-:func:`repro.isa.disassembler.disassemble`, so a CFG dump and a
-disassembly listing of the same section agree line for line.
+:func:`repro.isa.disassembler.disassemble`, so a CFG's blocks and a
+disassembly listing of the same section carry the same labels.
 
 The CFG is the substrate for everything in :mod:`repro.analysis`:
 the worklist dataflow engine (:mod:`repro.analysis.dataflow`) derives
@@ -155,22 +155,6 @@ class Cfg:
                    for i in range(blk.start, blk.end)):
                 return True
         return False
-
-    # -- rendering -------------------------------------------------------
-    def format(self) -> str:
-        """Human-readable dump; block labels match the disassembler."""
-        from ..isa.disassembler import disassemble_instruction
-        lines = [f".{self.section.value}  "
-                 f"({len(self.blocks)} blocks, {len(self.insts)} instructions)"]
-        for blk in self.blocks:
-            succs = ", ".join("exit" if s == EXIT else self.blocks[s].label
-                              for s in blk.succs) or "-"
-            preds = ", ".join(self.blocks[p].label for p in blk.preds) or "-"
-            lines.append(f"  {blk.label}:  preds=[{preds}]  succs=[{succs}]")
-            for i in range(blk.start, blk.end):
-                lines.append(f"    {i:3d}  "
-                             f"{disassemble_instruction(self.insts[i])}")
-        return "\n".join(lines)
 
 
 def _resolved_target(inst: Instruction, index: int) -> int:

@@ -48,9 +48,7 @@ summary collapses to one of four classes:
 deployment (home partition, node map) into a :class:`StaticRoute`
 verdict — ``single-partition`` / ``single-node`` / ``cross-node`` /
 ``unbounded`` — which is what :class:`repro.frontend.router.RequestRouter`
-consults to re-plan misrouted lanes *before* the submit, and
-:func:`check_epoch_ownership` joins it with a cluster's epoch-fenced
-ownership map.
+consults to re-plan misrouted lanes *before* the submit.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ from .provenance import (
 __all__ = [
     "KeyBound", "Access", "FootprintSummary", "StaticRoute",
     "analyze_footprint", "table_schema",
-    "EpochOwnershipReport", "check_epoch_ownership",
     "CLASS_HOME", "CLASS_PINNED", "CLASS_MIXED", "CLASS_UNBOUNDED",
     "CLASS_RANK",
     "ROUTE_SINGLE_PARTITION", "ROUTE_SINGLE_NODE", "ROUTE_CROSS_NODE",
@@ -366,99 +363,3 @@ def analyze_footprint(program: Program,
                 _access(inst, ins[nid] or {}, graph.nodes[nid]))
     summary.static_mlp = static_mlp(program, graph)
     return summary
-
-
-# -- epoch-fenced ownership (cluster HA) -------------------------------------
-
-@dataclass(frozen=True)
-class EpochOwnershipReport:
-    """The verdict of :func:`check_epoch_ownership` for one submission.
-
-    ``violations`` are provable wrongs (submitting would execute on a
-    node that does not own the partition at the claimed epoch);
-    ``unprovable`` lists the accesses the static analysis cannot
-    bound, which the runtime fence (:class:`~repro.errors.StaleEpochError`
-    and the cross-partition reject) must catch instead.
-    """
-
-    program_name: str
-    home_partition: int
-    home_node: int
-    epoch: int
-    violations: tuple = ()
-    unprovable: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def format(self) -> str:
-        head = (f"epoch-ownership check for {self.program_name}: "
-                f"partition {self.home_partition} @ node {self.home_node} "
-                f"epoch {self.epoch} — "
-                f"{'OK' if self.ok else 'VIOLATIONS'}")
-        lines = [head]
-        lines.extend(f"  violation: {v}" for v in self.violations)
-        lines.extend(f"  unprovable: {a.opcode.value} t{a.table} "
-                     f"({a.kind})" for a in self.unprovable)
-        return "\n".join(lines)
-
-
-def check_epoch_ownership(summary: FootprintSummary, ownership,
-                          home_partition: int,
-                          claimed_epoch: Optional[int] = None
-                          ) -> EpochOwnershipReport:
-    """Prove a submission stays inside its home node's ownership.
-
-    ``summary`` is a footprint with its layout applied
-    (:meth:`FootprintSummary.with_layout`): it bounds which
-    *partitions* a procedure touches.  Under cluster HA a partition's
-    location is no longer static — it is whatever the epoch-fenced
-    ownership map says *now*.  This check joins the two: every
-    partition the procedure provably reaches must be owned by the home
-    partition's owner at the claimed epoch.
-
-    ``ownership`` is duck-typed: either a mapping
-    ``partition -> (owner_node, epoch)`` (what
-    :meth:`~repro.cluster.ha.HACluster.ownership_map` returns) or an
-    object exposing ``ownership_map()``.  ``claimed_epoch`` is the
-    epoch the client's routing cache holds; ``None`` trusts the map
-    (a fresh lookup).
-    """
-    if not hasattr(ownership, "get"):
-        ownership = ownership.ownership_map()
-    try:
-        home_node, current_epoch = ownership[home_partition]
-    except KeyError:
-        raise KeyError(f"home partition {home_partition} is not in the "
-                       f"ownership map ({sorted(ownership)})") from None
-    epoch = claimed_epoch if claimed_epoch is not None else current_epoch
-    violations: List[str] = []
-    unprovable: List[Access] = []
-    if epoch != current_epoch:
-        violations.append(
-            f"claimed epoch {epoch} is stale: partition {home_partition} "
-            f"is at epoch {current_epoch} (ownership moved)")
-    for a in summary.accesses:
-        if a.kind in ("local", "home"):
-            # replicated tables are copied on every node; anchored keys
-            # route to the home partition by the §4.4 contract, which
-            # the home check above covers
-            continue
-        if a.kind == "pinned" and a.partition is not None:
-            owner_epoch = ownership.get(a.partition)
-            if owner_epoch is None:
-                violations.append(
-                    f"pinned key {a.key.const} routes to partition "
-                    f"{a.partition}, which no node owns")
-            elif owner_epoch[0] != home_node:
-                violations.append(
-                    f"pinned key {a.key.const} routes to partition "
-                    f"{a.partition} owned by node {owner_epoch[0]}, but "
-                    f"the block is homed on node {home_node}")
-            continue
-        unprovable.append(a)
-    return EpochOwnershipReport(
-        program_name=summary.program_name, home_partition=home_partition,
-        home_node=home_node, epoch=epoch,
-        violations=tuple(violations), unprovable=tuple(unprovable))

@@ -1,6 +1,6 @@
-"""Liveness, reaching definitions and def-use chains for ISA programs.
+"""Liveness and reaching definitions for ISA programs.
 
-All three are thin clients of the worklist engine in :mod:`.dataflow`,
+Both are thin clients of the worklist engine in :mod:`.dataflow`,
 run on the stitched whole-program flow graph — registers survive the
 logic → commit/abort transition (the renamed register window belongs
 to the transaction, not the section), so a GP written in transaction
@@ -23,7 +23,7 @@ Built on top:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from ..isa.instructions import Instruction, Opcode, Program
 from .dataflow import (
@@ -33,7 +33,7 @@ from .dataflow import (
 
 __all__ = [
     "ENTRY_DEF", "LivenessResult", "ReachingDefs",
-    "live_gp", "live_cp", "reaching_definitions", "def_use_chains",
+    "live_gp", "live_cp", "reaching_definitions",
     "dead_gp_writes", "uncollected_cps",
 ]
 
@@ -138,22 +138,6 @@ def reaching_definitions(program: Program,
                     in_work[s] = True
                     work.append(s)
     return ReachingDefs(graph=graph, reach_in=ins, reach_out=outs)
-
-
-def def_use_chains(program: Program,
-                   graph: FlowGraph = None) -> Dict[int, FrozenSet[int]]:
-    """Map def-site node id -> node ids of the uses it reaches.
-
-    :data:`ENTRY_DEF` collects uses of never-written registers.
-    """
-    graph = graph or program_flow(program)
-    reach = reaching_definitions(program, graph)
-    chains: Dict[int, set] = {}
-    for nid in range(len(graph)):
-        for reg in gp_uses(graph.inst(nid)):
-            for d in reach.defs_of(nid, reg):
-                chains.setdefault(d, set()).add(nid)
-    return {d: frozenset(u) for d, u in chains.items()}
 
 
 def dead_gp_writes(program: Program,

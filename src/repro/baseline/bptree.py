@@ -185,8 +185,3 @@ class BPlusTree:
         while node is not None:
             yield from zip(node.keys, node.values)
             node = node.next
-
-    def leaves_touched(self, count: int) -> int:
-        """How many leaf nodes a count-long scan crosses (cost model)."""
-        per_leaf = max(1, self.fanout // 2)
-        return -(-count // per_leaf)

@@ -561,9 +561,7 @@ class HACluster:
         return out
 
     def ownership_map(self) -> Dict[int, Tuple[int, int]]:
-        """partition -> (owner node, epoch); what a router caches, what
-        :class:`repro.frontend.ClusterRetryRouter` joins each registered
-        procedure footprint with, and what
-        :func:`repro.analysis.check_epoch_ownership` verifies a laid-out
-        footprint against."""
+        """partition -> (owner node, epoch); what a router caches, and
+        what :class:`repro.frontend.ClusterRetryRouter` joins each
+        registered procedure footprint with."""
         return {p: (st.owner, st.epoch) for p, st in self.parts.items()}

@@ -234,8 +234,3 @@ class FrontendReport:
                 f"  timed-out {s.timed_out}  retries {s.retries}"
                 f"  deadline-met {s.deadline_met}")
         return "\n".join(lines)
-
-    def show(self) -> "FrontendReport":
-        print()
-        print(self.render())
-        return self

@@ -8,10 +8,10 @@ between the two leaves a replayable record.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..core.system import BionicDB, RunReport
-from ..mem.txnblock import BlockLayout, TransactionBlock, TxnStatus
+from ..core.system import BionicDB
+from ..mem.txnblock import BlockLayout, TransactionBlock
 from .command_log import CommandLog
 
 __all__ = ["DurableClient"]
@@ -45,24 +45,6 @@ class DurableClient:
             # input survives for post-mortem (§4.8 crash semantics)
             self.log.finalize(block)
         return block
-
-    def execute_batch(self, requests: Sequence[tuple]) -> List[TransactionBlock]:
-        """Run (proc_id, inputs, layout, worker) tuples concurrently,
-        logging each before submission."""
-        blocks = []
-        for proc_id, inputs, layout, worker in requests:
-            block = self.db.new_block(proc_id, list(inputs), layout=layout,
-                                      worker=worker)
-            self.log.append_pending(block)
-            blocks.append((block, worker))
-        try:
-            for block, worker in blocks:
-                self.db.submit(block, worker)
-            self.db.run()
-        finally:
-            for block, _worker in blocks:
-                self.log.finalize(block)
-        return [b for b, _w in blocks]
 
     @property
     def committed(self) -> int:

@@ -16,8 +16,8 @@ terminal stage serves the wave's probes in order and alone mutates
 structure (insert with split-upward, a purge of committed tombstones
 before a split); a probe that raced a split moves right along the leaf
 chain.  Range scans descend by their low key, then walk the leaf chain.
-REMOVE only plants a tombstone: unlinking waits for quiescent
-compaction, as an aborted REMOVE must be able to resurrect the record.
+REMOVE only plants a tombstone, as an aborted REMOVE must be able to
+resurrect the record.
 
 Stages are :class:`~repro.index.common.PipelineBase`'s, scheduled per
 wave *level*: a level issues all its distinct node fetches at once, and
@@ -539,11 +539,10 @@ class BPTreePipeline(PipelineBase):
             node = heap.load(addr)
         return path, addr, node
 
-    def _leaves(self, state: _TableState, key: Any = None):
-        """Yield ``(addr, leaf)`` along the bottom chain, left to right,
-        from the leaf that holds ``key`` (the leftmost without)."""
+    def _leaves(self, state: _TableState):
+        """Yield ``(addr, leaf)`` along the bottom chain, left to right."""
         heap = self.dram.heap
-        _path, addr, node = self._host_find_leaf(state, key)
+        _path, addr, node = self._host_find_leaf(state, None)
         while True:
             yield addr, node
             addr = node.next_leaf
@@ -637,62 +636,6 @@ class BPTreePipeline(PipelineBase):
                                            and not record.dirty):
                 return record
         return None
-
-    def scan_range_direct(self, lo: Any, hi: Any = None,
-                          limit: Optional[int] = None,
-                          table_id: int = 0) -> List[Tuple[Any, List[Any]]]:
-        """Live rows with ``lo <= key`` (``<= hi`` when given), in key
-        order — the host-side mirror of RANGE_SCAN for parity checks."""
-        load = self.dram.heap.load
-        out: List[Tuple[Any, List[Any]]] = []
-        for _addr, leaf in self._leaves(self._table(table_id), lo):
-            for key, rec_addr in zip(leaf.keys, leaf.children):
-                if key < lo:
-                    continue
-                if hi is not None and key > hi:
-                    return out
-                record = load(rec_addr)
-                if record is not None and not record.tombstone:
-                    out.append((key, list(record.fields)))
-                    if limit is not None and len(out) >= limit:
-                        return out
-        return out
-
-    def compact_direct(self, table_id: int = 0) -> int:
-        """Quiescent merge maintenance: drop committed tombstones, unlink
-        emptied leaves with a left sibling, collapse single-child roots.
-        Returns the number of entries purged."""
-        heap = self.dram.heap
-        state = self._table(table_id)
-        removed = 0
-        for _addr, leaf in self._leaves(state):
-            keep = []
-            for key, rec_addr in zip(leaf.keys, leaf.children):
-                record = heap.load(rec_addr)
-                if record is None or not record.tombstone or record.dirty:
-                    keep.append((key, rec_addr))
-            removed += len(leaf.keys) - len(keep)
-            leaf.keys[:] = [key for key, _addr in keep]
-            leaf.children[:] = [addr for _key, addr in keep]
-        parents: List[BPTreeNode] = []      # the level above the leaves
-        level = [heap.load(state.root)]
-        while not level[0].is_leaf:
-            parents = level
-            level = [heap.load(child) for node in level
-                     for child in node.children]
-        for parent in parents:
-            for i in range(len(parent.children) - 1, 0, -1):
-                child = heap.load(parent.children[i])
-                if not child.keys:
-                    heap.load(parent.children[i - 1]).next_leaf = child.next_leaf
-                    parent.children.pop(i)
-                    parent.keys.pop(i - 1)
-        root = heap.load(state.root)
-        while not root.is_leaf and len(root.children) == 1:
-            state.root = root.children[0]
-            state.depth -= 1
-            root = heap.load(state.root)
-        return removed
 
     def invariant_check(self, table_id: int = 0) -> None:
         """Assert the structural invariants: sorted keys within separator

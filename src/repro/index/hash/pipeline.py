@@ -308,24 +308,5 @@ class HashIndexPipeline(PipelineBase):
                 return record
         return None
 
-    def compact_direct(self, table_id: int = 0) -> int:
-        """Quiescent maintenance: unlink committed tombstones from every
-        bucket chain.  Returns the number of entries removed."""
-        heap = self.dram.heap
-        base, n_buckets = self._table(table_id)
-        removed = 0
-        for bucket in range(base, base + n_buckets):
-            kept = None     # the last record kept (None: the bucket itself)
-            for _addr, record in self._chain(bucket):
-                if record.tombstone and not record.dirty:
-                    removed += 1
-                    if kept is None:
-                        heap.store(bucket, record.next_addr or NULL_ADDR)
-                    else:
-                        kept.next_addr = record.next_addr or NULL_ADDR
-                else:
-                    kept = record
-        return removed
-
     def chain_length(self, key: Any, table_id: int = 0) -> int:
         return sum(1 for _ in self._chain(self.bucket_addr_of(key, table_id)))

@@ -439,25 +439,6 @@ class SkiplistPipeline(PipelineBase):
                 return tower
         return None
 
-    def compact_direct(self, table_id: int = 0) -> int:
-        """Quiescent maintenance: unlink committed-tombstone towers at
-        every level.  Returns the number of towers removed."""
-        heap = self.dram.heap
-        head_addr = self._table(table_id)
-        removed = set()
-        for level in range(self.max_height - 1, -1, -1):
-            node = heap.load(head_addr)
-            while level < node.height and node.nexts[level]:
-                nxt_addr = node.nexts[level]
-                nxt = heap.load(nxt_addr)
-                if nxt.tombstone and not nxt.dirty:
-                    node.nexts[level] = (nxt.nexts[level]
-                                         if level < nxt.height else NULL_ADDR)
-                    removed.add(nxt_addr)
-                else:
-                    node = nxt
-        return len(removed)
-
     def invariant_check(self, table_id: int = 0) -> None:
         """Assert every level strictly sorted and a subsequence of the one
         below, and no dangling pointers (used by property tests)."""

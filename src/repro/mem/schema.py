@@ -94,12 +94,6 @@ class Catalog:
         except KeyError:
             raise SchemaError(f"unknown table id {table_id}") from None
 
-    def by_name(self, name: str) -> TableSchema:
-        for t in self._tables.values():
-            if t.name == name:
-                return t
-        raise SchemaError(f"unknown table {name!r}")
-
     def __iter__(self):
         return iter(self._tables.values())
 

@@ -11,7 +11,7 @@ from .resources import (
     VIRTEX5_LX330,
     per_worker_costs,
 )
-from .stats import Counter, Histogram, StatsRegistry, nearest_rank
+from .stats import Counter, StatsRegistry, nearest_rank
 from .sync import Inbox, TokenPool
 from .trace import NULL_TRACER, TraceEvent, Tracer
 
@@ -23,7 +23,7 @@ __all__ = [
     "CpuPowerModel", "FpgaPowerModel", "PowerReport",
     "HC2_INFRASTRUCTURE", "ResourceLedger", "ResourceVector",
     "VIRTEX5_LX330", "per_worker_costs",
-    "Counter", "Histogram", "StatsRegistry", "nearest_rank",
+    "Counter", "StatsRegistry", "nearest_rank",
     "Inbox", "TokenPool",
     "NULL_TRACER", "TraceEvent", "Tracer",
 ]

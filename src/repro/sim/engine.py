@@ -107,11 +107,6 @@ def collector_quiesced(collect_on_exit: bool) -> Iterator[None]:
                 gc.collect()
 
 
-def _invoke(fn: Callable[[], None]) -> None:
-    """Adapter so zero-argument ``call_at`` thunks fit ``fn(arg)`` items."""
-    fn()
-
-
 def _ended(_arg: Any) -> None:
     """What a generator run by :meth:`Engine.start` does on return."""
 
@@ -219,22 +214,12 @@ class Engine:
     def _follow_event(self, job: tuple, event: Event) -> None:
         self.follow(job, event._value)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at absolute time ``when`` (≥ now)."""
-        if when < self.now:
-            raise SimulationError(f"call_at in the past: {when} < {self.now}")
-        self._schedule_fn(when, _invoke, fn)
-
-    def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        self.call_at(self.now + delay, fn)
-
     def call_fn_at(self, when: float, fn: Callable[[Any], None],
                    arg: Any = None) -> None:
-        """Closure-free :meth:`call_at`: run ``fn(arg)`` at ``when``.
+        """Run ``fn(arg)`` at absolute time ``when`` (≥ now).
 
-        The hot-path variant — the caller passes a pre-bound method and
-        its argument, so no relay lambda (and no closure cell) is ever
-        allocated.
+        The caller passes a pre-bound method and its argument, so no
+        relay lambda (and no closure cell) is allocated.
         """
         if when < self.now:
             raise SimulationError(f"call_at in the past: {when} < {self.now}")

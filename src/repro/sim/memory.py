@@ -247,11 +247,6 @@ class DramModel:
     def total_accesses(self) -> int:
         return self._reads.value + self._writes.value
 
-    def bandwidth_gbps(self, elapsed_ns: float) -> float:
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.total_accesses * LINE_BYTES / elapsed_ns  # bytes/ns == GB/s
-
 
 class MemoryPort:
     """One requester's window into DRAM.

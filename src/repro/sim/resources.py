@@ -123,13 +123,6 @@ class ResourceLedger:
             total = total + self.platform
         return total
 
-    @property
-    def bionicdb_total(self) -> ResourceVector:
-        total = ResourceVector()
-        for _mod, _inst, vec in self.entries:
-            total = total + vec
-        return total
-
     def utilization(self) -> Dict[str, float]:
         t = self.design_total
         return {

@@ -37,15 +37,6 @@ class ResultCode(enum.IntEnum):
     DUPLICATE = -3       # insert found an existing visible key
     SCAN_OVERFLOW = -4   # scan result set exceeded the block's scan buffer
 
-    @property
-    def is_error(self) -> bool:
-        return self is not ResultCode.OK
-
-    @property
-    def must_abort(self) -> bool:
-        """Errors that trap to the abort handler (all of them: §4.7)."""
-        return self.is_error
-
 
 @dataclass(frozen=True)
 class DbResult:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis import (
     EXIT, FlowGraph, Node, build_all_cfgs, build_cfg,
-    check_commit_protocol, dead_gp_writes, def_use_chains, live_cp, live_gp,
+    check_commit_protocol, dead_gp_writes, live_cp, live_gp,
     pending_cps, program_flow, reaching_definitions, static_mlp,
     uncollected_cps,
 )
@@ -175,8 +175,6 @@ class TestDataflow:
         reach = reaching_definitions(p, graph)
         use = graph.node_id(Node(Section.LOGIC, 2))
         assert reach.defs_of(use, 0) == {graph.node_id(Node(Section.LOGIC, 1))}
-        chains = def_use_chains(p, graph)
-        assert graph.node_id(Node(Section.LOGIC, 0)) not in chains
 
     def test_pending_cp_must_and_may(self):
         b = ProcedureBuilder("pend")
@@ -437,54 +435,6 @@ class TestPartitionChecks:
         assert [a.kind for a in summary.accesses] == ["pinned"]
         assert summary.accesses[0].key.const == 15
         assert summary.accesses[0].partition == 3
-
-    def test_epoch_ownership_pinned_violation(self):
-        from repro.analysis import check_epoch_ownership
-        b = ProcedureBuilder("mishomed")
-        b.mov(0, 17)                           # pins partition 1 (17 % 4)
-        b.search(cp=0, table=0, key=Gp(0))
-        b.commit_handler()
-        b.ret(1, 0)
-        b.commit()
-        summary = laid_out(b.build())
-        # home partition 0 lives on node 0, but pinned partition 1 is
-        # owned by node 1 — a provable cross-ownership dispatch
-        ownership = {0: (0, 5), 1: (1, 5), 2: (0, 5), 3: (1, 5)}
-        report = check_epoch_ownership(summary, ownership, home_partition=0)
-        assert not report.ok
-        assert any("partition 1" in v and "node 1" in v
-                   for v in report.violations)
-        # homing it where the pinned partition lives clears the check
-        ok = check_epoch_ownership(summary, ownership, home_partition=1)
-        assert ok.ok and ok.epoch == 5
-
-    def test_epoch_ownership_stale_claim(self):
-        from repro.analysis import check_epoch_ownership
-        b = ProcedureBuilder("anchored")
-        b.search(cp=0, table=0, key=b.at(0))   # input-anchored: provable
-        b.commit_handler()
-        b.ret(0, 0)
-        b.commit()
-        summary = laid_out(b.build())
-        ownership = {0: (2, 7)}
-        stale = check_epoch_ownership(summary, ownership, home_partition=0,
-                                      claimed_epoch=6)
-        assert not stale.ok and any("stale" in v for v in stale.violations)
-        fresh = check_epoch_ownership(summary, ownership, home_partition=0,
-                                      claimed_epoch=7)
-        assert fresh.ok and not fresh.unprovable
-
-    def test_epoch_ownership_untracked_is_unprovable_not_violation(self):
-        from repro.analysis import check_epoch_ownership
-        b = ProcedureBuilder("wild")
-        b.search(cp=0, table=0, key=Gp(5))
-        b.commit_handler()
-        b.ret(0, 0)
-        b.commit()
-        summary = laid_out(b.build())
-        report = check_epoch_ownership(summary, {0: (0, 1)}, home_partition=0)
-        assert report.ok                       # nothing provably wrong...
-        assert len(report.unprovable) == 1     # ...but the fence must catch it
 
     def test_untracked_key_is_flagged(self):
         b = ProcedureBuilder("wild")

@@ -84,10 +84,10 @@ class TestClosedLoopDriver:
             assert len(in_flight) <= 2
             delay = 30 if i == 0 else 10
 
-            def finish():
+            def finish(i):
                 in_flight.remove(i)
                 on_complete(i, engine.now)
-            engine.call_after(delay, finish)
+            engine.call_fn_at(engine.now + delay, finish, i)
 
         done = drive_closed_loop(engine, 4, 2, submit_one)
         assert [req for req, _t in done] == [1, 2, 0, 3]

@@ -162,15 +162,6 @@ class TestBulkLoadAndDirect:
         with pytest.raises(ValueError):
             pipe.bulk_load(7, ["b"])
 
-    def test_scan_range_direct(self, env):
-        pipe = make_pipeline(env, fanout=4)
-        for k in range(50):
-            pipe.bulk_load(k, [k * 2])
-        rows = pipe.scan_range_direct(10, 14)
-        assert rows == [(k, [k * 2]) for k in range(10, 15)]
-        assert pipe.scan_range_direct(10, None, limit=3) == [
-            (10, [20]), (11, [22]), (12, [24])]
-
 
 class TestPointOps:
     def test_insert_then_search(self, env):
@@ -380,41 +371,6 @@ class TestRangeScan:
 
 
 class TestMaintenance:
-    def test_compact_purges_committed_tombstones(self, env):
-        pipe = make_pipeline(env, fanout=4)
-        for k in range(40):
-            pipe.bulk_load(k, [k])
-        for k in range(0, 40, 2):
-            rec = pipe.lookup_direct(k)
-            rec.tombstone = True
-            rec.dirty = False
-        # a dirty tombstone must survive (abort could resurrect it)
-        rec1 = pipe.lookup_direct(1)
-        rec1.tombstone = True
-        rec1.dirty = True
-        removed = pipe.compact_direct(0)
-        assert removed == 20
-        pipe.invariant_check()
-        # the dirty tombstone (key 1) stays linked but is not live
-        keys = [k for k, _ in pipe.items_direct()]
-        assert keys == [k for k in range(3, 40, 2)]
-        assert pipe.lookup_direct(1) is not None   # still linked
-
-    def test_compact_collapses_singleton_root(self, env):
-        pipe = make_pipeline(env, fanout=4)
-        for k in range(30):
-            pipe.bulk_load(k, [k])
-        depth_before = pipe.depth_of(0)
-        assert depth_before >= 2
-        for k in range(29):
-            rec = pipe.lookup_direct(k)
-            rec.tombstone = True
-            rec.dirty = False
-        pipe.compact_direct(0)
-        pipe.invariant_check()
-        assert pipe.depth_of(0) <= depth_before
-        assert [k for k, _ in pipe.items_direct()] == [29]
-
     def test_insert_purges_overflowing_leaf(self, env):
         pipe = make_pipeline(env, fanout=4)
         for k in range(4):
@@ -567,7 +523,7 @@ class TestGoldenParity:
             # cross-check a random range scan every round
             lo = rng.randrange(1000)
             hi = lo + rng.randrange(1, 120)
-            got = [(k, f) for k, f in pipe.scan_range_direct(lo, hi)]
+            got = [(k, f) for k, f in pipe.items_direct() if lo <= k <= hi]
             want = golden.scan_range(lo, hi)
             assert got == want, f"round {round_no}: [{lo}, {hi}]"
         pipe.invariant_check()
@@ -657,18 +613,6 @@ class TestSystemIntegration:
         restored = RecoveryManager(db3).restore_checkpoint(ckpt)
         assert restored == wl.config.total_records
         assert db3.lookup(0, 5).fields == ["p"]
-
-    def test_host_maintenance_compacts_bptree(self):
-        from repro.host.maintenance import compact
-        db, wl = self._db(records=50)
-        for key in range(0, 20, 2):
-            rec = db.lookup(0, key)
-            rec.tombstone = True
-            rec.dirty = False
-        stats = compact(db)
-        assert stats.bptree_tombstones_removed == 10
-        assert stats.total >= 10
-        assert db.lookup(0, 0) is None
 
     def test_resource_ledger_includes_bptree_when_used(self):
         db, _wl = self._db()

@@ -287,40 +287,6 @@ class TestInjectedClusterFaults:
             assert c.durable_status(res.partition, res.txn_id) == res.outcome
 
 
-class TestEpochOwnershipProof:
-    def test_check_epoch_ownership_accepts_current_epoch(self):
-        from repro.analysis import check_epoch_ownership
-        wl, _ = make_workload()
-        c = make_cluster(wl)
-        report = check_epoch_ownership(self._summary(c, 1), c,
-                                       home_partition=1)
-        assert report.ok
-        assert report.home_node == c.owner_of(1)
-
-    def test_check_epoch_ownership_flags_stale_epoch(self):
-        from repro.analysis import check_epoch_ownership
-        wl, _ = make_workload()
-        c = make_cluster(wl)
-        c.kill_node(1)
-        c.advance(3 * HEARTBEAT_TIMEOUT_NS)
-        victim_part = c.failovers[0][0]
-        report = check_epoch_ownership(self._summary(c, victim_part),
-                                       c.ownership_map(),
-                                       home_partition=victim_part,
-                                       claimed_epoch=1)
-        assert not report.ok
-        assert any("stale" in v for v in report.violations)
-
-    @staticmethod
-    def _summary(cluster, partition):
-        """The rmw footprint registered on the partition's owner, laid
-        out against that node's tables."""
-        from repro.workloads.ycsb import PROC_RMW_BASE
-        db = cluster.nodes[cluster.owner_of(partition)]
-        footprint = db.catalogue.lookup(PROC_RMW_BASE + 2).footprint
-        return footprint.with_layout(db.schemas, db.total_workers)
-
-
 @pytest.mark.drill
 class TestClusterDrillSweep:
     def test_sweep_is_green(self):

@@ -196,8 +196,7 @@ class TestPublicApi:
         from repro.core import BionicConfig, BionicDB, RunReport  # noqa
         from repro.baseline import SiloEngine, SiloTpcc, SiloYcsb  # noqa
         from repro.host import (  # noqa
-            CommandLog, DurableClient, RecoveryManager, compact,
-            take_checkpoint,
+            CommandLog, DurableClient, RecoveryManager, take_checkpoint,
         )
         from repro.workloads import TpccWorkload, YcsbWorkload  # noqa
         from repro.isa import ProcedureBuilder, assemble, disassemble  # noqa

@@ -3,8 +3,8 @@ heap builds a row's record — a hash or B+ tree ``TupleRecord``, a
 skiplist ``Tower`` — the first time its cell is read.
 
 Whatever touches a bulk-loaded row first — a pipeline stage, a host
-probe, maintenance, a checkpoint — must see the record the eager
-per-row loader would have stored.  (The cell-for-cell image properties
+probe, a checkpoint — must see the record the eager per-row loader
+would have stored.  (The cell-for-cell image properties
 are ``test_cold_hash_load_image_equals_per_row_load`` and
 ``test_cold_ordered_load_image_equals_per_row_load`` in
 ``test_properties.py``.)
@@ -399,7 +399,7 @@ def test_writes_next_to_never_read_rows(env, pipeline, op):
 
 @pytest.mark.parametrize("index_kind", [IndexKind.SKIPLIST, IndexKind.BPTREE],
                          ids=["skiplist", "bptree"])
-def test_checkpoint_compaction_and_restore_over_never_read_rows(index_kind):
+def test_checkpoint_and_restore_over_never_read_rows(index_kind):
     keys = range(100)
 
     def build(loaded=True):
@@ -414,20 +414,17 @@ def test_checkpoint_compaction_and_restore_over_never_read_rows(index_kind):
     expected = [(key, [f"v{key}", key], 0) for key in keys]
     _db, pipe = build()
     assert list(pipe.checkpoint_rows(0)) == expected
-    db, pipe = build()
-    assert pipe.compact_direct(0) == 0
-    assert list(pipe.checkpoint_rows(0)) == expected
+    db, _pipe = build()
     checkpoint = take_checkpoint(db)
     restored, _pipe = build(loaded=False)
     assert RecoveryManager(restored).restore_checkpoint(checkpoint) == 100
     assert restored.stats.snapshot()["heap.rows_cold"] == 100
     assert take_checkpoint(restored).rows == checkpoint.rows
     assert heap_image(restored.heap)[1] == heap_image(db.heap)[1]
-    # committed tombstones among cold rows: compaction drops just those
+    # committed tombstones among cold rows: a checkpoint skips just those
     _db, pipe = build()
     for key in (10, 11, 50):
         pipe.lookup_direct(key).tombstone = True
-    assert pipe.compact_direct(0) == 3
     assert [k for k, _f, _ts in pipe.checkpoint_rows(0)] == [
         key for key in keys if key not in (10, 11, 50)]
     pipe.invariant_check()

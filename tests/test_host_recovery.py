@@ -176,3 +176,46 @@ class TestCheckpointRecovery:
                           fresh.workers[0].hash_pipe.checkpoint_rows(0))
 
         assert rebuild() == rebuild()
+
+
+class TestMultiNodeMachine:
+    """Checkpoint and restore walk each worker's own pipeline, so they
+    work where workers sit on different heaps."""
+
+    @pytest.mark.parametrize("index_kind", [
+        IndexKind.HASH, IndexKind.SKIPLIST, IndexKind.BPTREE])
+    def test_checkpoint_restore_two_by_two(self, index_kind):
+        from repro.host.recovery import partition_hashes
+
+        def build_2x2():
+            db = BionicDB(BionicConfig(n_workers=2), n_nodes=2)
+            db.define_table(TableSchema(0, "kv", index_kind=index_kind,
+                                        hash_buckets=8,
+                                        partition_fn=lambda k, n: k % n))
+            return db
+
+        b = ProcedureBuilder("rm")
+        b.remove(cp=0, table=0, key=b.at(0))
+        b.commit_handler()
+        b.ret(0, 0)
+        b.commit()
+        db = build_2x2()
+        db.register_procedure(1, b.build())
+        for k in range(40):
+            db.load(0, k, [k])
+        doomed = [1, 2, 3, 4, 9, 14]            # every partition, both nodes
+        blocks = [db.new_block(1, [k], worker=k % 4) for k in doomed]
+        report = db.run_all(blocks, workers=[k % 4 for k in doomed])
+        assert report.committed == len(doomed)
+
+        before = partition_hashes(db)
+        assert sorted(before) == [f"t0.p{p}" for p in range(4)]
+        ckpt = take_checkpoint(db)
+        for k in range(40):
+            assert (db.lookup(0, k) is None) == (k in doomed)
+
+        fresh = build_2x2()
+        assert RecoveryManager(fresh).restore_checkpoint(ckpt) == 34
+        assert partition_hashes(fresh) == before
+        assert partition_hashes(fresh, {1, 2}) == {
+            name: before[name] for name in ("t0.p1", "t0.p2")}

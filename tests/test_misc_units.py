@@ -44,32 +44,28 @@ class TestClockDomain:
 
 
 class TestStats:
-    def test_counters_and_histograms(self):
+    def test_counters(self):
         stats = StatsRegistry()
         stats.counter("a").add(3)
         stats.counter("a").add()
-        h = stats.histogram("lat")
-        for x in (1.0, 3.0, 5.0):
-            h.observe(x)
-        snap = stats.snapshot()
-        assert snap["a"] == 4
-        assert snap["lat.count"] == 3
-        assert snap["lat.mean"] == pytest.approx(3.0)
-        assert h.min == 1.0 and h.max == 5.0
-
-    def test_reset(self):
-        stats = StatsRegistry()
-        stats.counter("x").add(5)
-        stats.histogram("y").observe(1)
-        stats.reset()
-        assert stats.counter("x").value == 0
-        assert stats.histogram("y").count == 0
+        assert stats.snapshot() == {"a": 4}
 
     def test_by_prefix(self):
         stats = StatsRegistry()
         stats.counter("worker0.committed").add(2)
         stats.counter("dram.reads").add(9)
         assert stats.by_prefix("worker0") == {"worker0.committed": 2}
+
+
+class TestRunReport:
+    def test_mean_latency_is_a_left_fold(self):
+        # the builtin sum compensates rounding on Python 3.12+ and
+        # would read 0.5 here; a left fold reads the same everywhere
+        from repro.core import RunReport
+        report = RunReport(submitted=4, committed=4, aborted=0,
+                           elapsed_ns=1.0,
+                           latencies_ns=[1e16, 1.0, -1e16, 1.0])
+        assert report.mean_latency_ns == 0.25
 
 
 class TestRecords:
@@ -176,9 +172,6 @@ class TestSchema:
             cat.add(TableSchema(0, "b"))
         with pytest.raises(SchemaError):
             cat.table(9)
-        assert cat.by_name("a").table_id == 0
-        with pytest.raises(SchemaError):
-            cat.by_name("zzz")
 
     def test_bad_index_kind(self):
         with pytest.raises(SchemaError):

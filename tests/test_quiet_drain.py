@@ -89,7 +89,8 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, raises):
         spec = wl.make_read_txns(1)[0]
         db.submit(db.new_block(spec.proc_id, list(spec.inputs),
                                layout=wl.layout_for(spec), worker=0))
-    db.engine.call_after(1.0, lambda: seen.append(gc.isenabled()))
+    db.engine.call_fn_at(db.engine.now + 1.0,
+                         lambda _arg: seen.append(gc.isenabled()))
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
@@ -111,7 +112,7 @@ def test_every_exit_of_the_engine_loop_restores_the_collector():
     engine = Engine()
     seen = []
     for t in range(1, 8):
-        engine.call_at(float(t), lambda: seen.append(gc.isenabled()))
+        engine.call_fn_at(float(t), lambda _arg: seen.append(gc.isenabled()))
     engine.run(until=1.5)
     assert gc.isenabled()
     with pytest.raises(SimulationError, match="watchdog"):
@@ -119,7 +120,7 @@ def test_every_exit_of_the_engine_loop_restores_the_collector():
     assert gc.isenabled() and engine.now == 3.0
     engine.run(max_events=10)           # the watched loop drains
     assert gc.isenabled() and engine.now == 7.0
-    engine.call_at(8.0, lambda: seen.append(gc.isenabled()))
+    engine.call_fn_at(8.0, lambda _arg: seen.append(gc.isenabled()))
     engine.run()
     assert gc.isenabled() and engine.idle
     assert seen == [False] * 8

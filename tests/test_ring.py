@@ -28,8 +28,8 @@ class TestRing:
         for i, dst in enumerate((1, 4, 7)):
             ring.attach(dst, receiver(dst), None)
             send_at = clock.ns(100 * i)
-            eng.call_at(send_at, lambda d=dst: ring.send_request(
-                RequestPacket(src_worker=0, dst_worker=d, request=object())))
+            eng.call_fn_at(send_at, ring.send_request, RequestPacket(
+                src_worker=0, dst_worker=dst, request=object()))
         eng.run()
         assert arrivals[1] == pytest.approx(clock.ns(2 * 1))
         assert arrivals[4] == pytest.approx(clock.ns(100 + 2 * 4))

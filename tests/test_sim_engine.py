@@ -137,7 +137,7 @@ def test_call_at_in_past_raises():
     eng.start(proc())
     eng.run()
     with pytest.raises(SimulationError):
-        eng.call_at(5, lambda: None)
+        eng.call_fn_at(5, lambda _arg: None)
 
 
 def test_yield_bad_value_fails_process():

@@ -186,7 +186,6 @@ class TestDram:
         assert dram.stats.counter("dram.reads").value == 1
         assert dram.stats.counter("dram.writes").value == 1
         assert dram.total_accesses == 2
-        assert dram.bandwidth_gbps(eng.now) > 0
 
     def test_direct_access_bypasses_timing(self):
         eng, clock, heap, dram = make_dram()

@@ -342,8 +342,8 @@ class TestRegisterFiles:
             got.append(res.tuple_addr)
 
         eng.start(proc())
-        eng.call_after(5, lambda: cp.write_back(0, DbResult(ResultCode.OK,
-                                                            tuple_addr=9)))
+        eng.call_fn_at(eng.now + 5, lambda _arg: cp.write_back(
+            0, DbResult(ResultCode.OK, tuple_addr=9)))
         eng.run()
         assert got == [9]
 
