@@ -34,9 +34,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, compress, count, islice, repeat
-from operator import add, lt, ne
+from operator import lt, ne
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..comm.channels import Crossbar
@@ -111,14 +110,6 @@ class RunReport:
         if self.elapsed_ns <= 0:
             return 0.0
         return self.committed / (self.elapsed_ns * 1e-9)
-
-    @property
-    def mean_latency_ns(self) -> float:
-        if not self.latencies_ns:
-            return 0.0
-        # a plain left fold: the builtin sum compensates rounding on
-        # Python 3.12+, so the mean would depend on the interpreter
-        return reduce(add, self.latencies_ns, 0.0) / len(self.latencies_ns)
 
     def latency_percentile_ns(self, p: float) -> float:
         """p in (0, 100]; nearest-rank percentile of txn latency."""

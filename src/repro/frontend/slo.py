@@ -16,9 +16,7 @@ operator actually watches:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Dict, List
 
 from ..sim.stats import nearest_rank
@@ -177,16 +175,6 @@ class FrontendReport:
         for s in self.sessions:
             merged.extend(s.latencies_ns)
         return nearest_rank(sorted(merged), p)
-
-    @property
-    def mean_latency_ns(self) -> float:
-        # each session's total is a plain left fold: the builtin sum
-        # compensates rounding on Python 3.12+, so the mean would
-        # depend on the interpreter
-        total = sum(reduce(operator.add, s.latencies_ns, 0.0)
-                    for s in self.sessions)
-        count = sum(len(s.latencies_ns) for s in self.sessions)
-        return total / count if count else 0.0
 
     # -- rendering ----------------------------------------------------------
     def render(self) -> str:

@@ -506,5 +506,3 @@ class TestLatencySummary:
         samples = a.stats.latencies_ns + b.stats.latencies_ns
         assert len(samples) == rep.committed == 40
         assert rep.percentile_ns(99) == nearest_rank(sorted(samples), 99)
-        assert rep.mean_latency_ns == pytest.approx(
-            sum(samples) / len(samples))

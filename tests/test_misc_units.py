@@ -57,17 +57,6 @@ class TestStats:
         assert stats.by_prefix("worker0") == {"worker0.committed": 2}
 
 
-class TestRunReport:
-    def test_mean_latency_is_a_left_fold(self):
-        # the builtin sum compensates rounding on Python 3.12+ and
-        # would read 0.5 here; a left fold reads the same everywhere
-        from repro.core import RunReport
-        report = RunReport(submitted=4, committed=4, aborted=0,
-                           elapsed_ns=1.0,
-                           latencies_ns=[1e16, 1.0, -1e16, 1.0])
-        assert report.mean_latency_ns == 0.25
-
-
 class TestRecords:
     def test_tuple_visibility(self):
         rec = TupleRecord(key=1, fields=["v"], write_ts=5)

@@ -40,7 +40,6 @@ class TestOpenLoop:
                                offered_tps=50_000)
         assert report.committed == 50 and report.conserved
         assert len(report.sessions[0].latencies_ns) == 50
-        assert report.mean_latency_ns > 0
 
     def test_achieved_tracks_offered_below_saturation(self):
         db, workload = build()

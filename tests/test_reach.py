@@ -1,10 +1,10 @@
 """``tools/reach.py``, the reachability audit, on a one-command surface."""
 
-import subprocess
-import sys
+import runpy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+audit = runpy.run_path(str(ROOT / "tools" / "reach.py"))["audit"]
 
 # the parent calls nearest_rank and a decorated method (a property);
 # a forked child, which leaves through os._exit, calls by_prefix
@@ -22,11 +22,7 @@ SURFACE = (
 
 def test_audit_of_a_forking_command(tmp_path):
     out = tmp_path / "unreached.txt"
-    done = subprocess.run(
-        [sys.executable, "tools/reach.py", "--out", str(out),
-         "--command", SURFACE],
-        cwd=ROOT, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert audit([SURFACE], out) == 0
     *rows, total = out.read_text().splitlines()
     # each row: lines, path:line of the def, qualified name
     listed = {(row.split()[1].split(":")[0], row.split()[2]) for row in rows}

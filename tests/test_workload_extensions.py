@@ -165,7 +165,6 @@ class TestLatencyReporting:
                                            n_partitions=2))
         workload.install(db)
         report, _ = workload.submit_all(db, workload.make_read_txns(40))
-        assert report.mean_latency_ns > 0
         p50 = report.latency_percentile_ns(50)
         p99 = report.latency_percentile_ns(99)
         assert 0 < p50 <= p99

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Which functions of ``src/repro`` does the program never call?
 
-    python tools/reach.py [--out unreached.txt] [--command CMD]...
+    python tools/reach.py
 
 Runs the program's surface with a profile hook in every interpreter it
 starts, then lists each top-level function and method of
@@ -9,11 +9,10 @@ starts, then lists each top-level function and method of
 eight examples, ``repro.bench --quick``, the 25-seed drill of every
 suite, the analysis CLI (``gate``, ``lint``, ``report`` in text and
 JSON, ``list``), the four paper-scale sweep points of CI's perf-smoke
-job and the repo benchmark at half a second.  ``--command`` (repeatable,
-shell-quoted) runs the given commands in its place.  Commands run from
-the repository root with ``src`` on ``PYTHONPATH``; ``{tmp}`` in a
-command names a temporary directory.  The whole surface takes about
-eight minutes on a two-core machine.
+job and the repo benchmark at half a second.  Commands run from the
+repository root with ``src`` on ``PYTHONPATH``; ``{tmp}`` in a command
+names a temporary directory.  The whole surface takes about eight
+minutes on a two-core machine.
 
 The hook is a generated ``sitecustomize`` module that installs
 ``sys.setprofile`` and ``threading.setprofile`` and appends each
@@ -28,10 +27,11 @@ while that profiler is on.
 The records are matched against an ``ast`` walk of every top-level
 function and of every method of a top-level class (nested functions
 count with their parent).  A decorated function's code starts at its
-first decorator, and that is the line matched.  ``unreached.txt`` gets
-one line per unreached function, in path and line order: its length in
-lines (``def`` to last line), ``path:line`` of the ``def`` and the
-qualified name.  The last line totals the listed lines.
+first decorator, and that is the line matched.  ``unreached.txt``, at
+the repository root, gets one line per unreached function, in path and
+line order: its length in lines (``def`` to last line), ``path:line``
+of the ``def`` and the qualified name.  The last line totals the listed
+lines.
 
 Only the standard library is used; nothing in ``src/repro`` imports
 this file.
@@ -39,7 +39,6 @@ this file.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shlex
@@ -187,16 +186,5 @@ def audit(commands, out: Path) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", default="unreached.txt",
-                    help="where to write the list (default unreached.txt)")
-    ap.add_argument("--command", action="append", default=None,
-                    help="a command to run in place of the surface "
-                         "(repeatable)")
-    args = ap.parse_args(argv)
-    return audit(args.command or SURFACE, Path(args.out))
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(audit(SURFACE, ROOT / "unreached.txt"))
