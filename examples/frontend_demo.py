@@ -1,14 +1,16 @@
 """Graceful degradation at 2x overload: the network front-end.
 
 Drives a BionicDB at twice its saturated throughput through the
-serving path (NIC -> admission control -> deadline dispatch), twice:
+serving path (NIC -> admission control -> weighted-fair dispatch),
+twice:
 
 * admission OFF — the open-loop backlog grows without bound, latency
   climbs the hockey stick, and late commits blow the SLO;
 * admission ON — a token bucket just under saturation plus a backlog
   bound sheds the excess at the door; shed requests retry with backoff
   against their original deadline, the admitted ones are dispatched
-  earliest-deadline-first, and goodput holds near peak.
+  weighted-fair (a request already past its deadline is shed, not
+  served late), and goodput holds near peak.
 
 Exits non-zero unless both runs conserve outcomes and admission ON
 meets its SLO on a larger share of the offered work than admission OFF.
@@ -67,11 +69,9 @@ def overload_run(saturated: float, admission: bool):
         admission=(AdmissionConfig(rate_tps=0.9 * saturated, burst=64,
                                    max_backlog=64)
                    if admission else AdmissionConfig()),
-        scheduler=SchedulerConfig(policy="edf",
-                                  max_inflight_per_worker=8)))
-    # two tenants, both offering 1x saturation (2x total); SLO = 150 us
-    # end to end with EDF dispatch, 3 retries on shed requests (weights
-    # matter under policy="fifo" weighted-fair dispatch)
+        scheduler=SchedulerConfig(max_inflight_per_worker=8)))
+    # two tenants, both offering 1x saturation (2x total) at weights 2
+    # and 1; SLO = 150 us end to end, 3 retries on shed requests
     for name, weight, seed in (("premium", 2.0, 101),
                                ("best-effort", 1.0, 202)):
         fe.session(make_factory(db), SessionConfig(

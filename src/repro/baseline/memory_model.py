@@ -25,28 +25,28 @@ LINE_BYTES = 64
 
 @dataclass
 class XeonModel:
-    freq_ghz: float = 1.87
-    l1_ns: float = 2.0
-    l2_ns: float = 6.0
-    l3_ns: float = 20.0
-    dram_ns: float = 80.0
-    streamed_line_ns: float = 18.0     # prefetcher-friendly sequential touch
-    l3_bytes: int = 18 * 1024 * 1024
+    #: the cores running transactions, which load DRAM together
+    active_cores: int = 1
+
+    freq_ghz = 1.87
+    l3_ns = 20.0
+    dram_ns = 80.0
+    streamed_line_ns = 18.0     # prefetcher-friendly sequential touch
+    l3_bytes = 18 * 1024 * 1024
     #: per-instruction cost for the non-memory work of one DB operation
-    op_overhead_ns: float = 25.0
+    op_overhead_ns = 25.0
     #: transaction begin/commit bookkeeping (timestamp, logging elide)
-    txn_overhead_ns: float = 120.0
+    txn_overhead_ns = 120.0
     #: per-read-set-entry OCC validation cost
-    validate_entry_ns: float = 8.0
+    validate_entry_ns = 8.0
     #: DRAM queueing under multi-core load: latency inflates toward
     #: (1 + contention_span) as active cores grow; this saturating shape
     #: reproduces Silo's mildly sublinear scaling (Fig. 9a: 6x the cores
     #: buy ~4.5x the throughput)
-    contention_span: float = 0.75
-    contention_cores_scale: float = 6.0
-    active_cores: int = 1
+    contention_span = 0.75
+    contention_cores_scale = 6.0
     #: how much of a random payload copy the line-fill burst overlaps
-    payload_overlap: float = 0.95
+    payload_overlap = 0.95
 
     def cycles_ns(self, cycles: float) -> float:
         return cycles / self.freq_ghz

@@ -16,7 +16,6 @@ from ..workloads.tpcc import schema as T
 from ..workloads.tpcc.schema import TpccConfig
 from ..workloads.tpcc.workload import tpcc_rows
 from ..workloads.ycsb import TxnSpec, YCSB_TABLE, YcsbConfig, ycsb_columns
-from .memory_model import XeonModel
 from .silo import IndexStructure, SiloEngine, SiloReport, SiloTable, SiloTxn
 
 __all__ = ["SiloYcsb", "SiloTpcc"]
@@ -39,14 +38,10 @@ class SiloYcsb:
     PAPER_ROWS_PER_PARTITION = 300_000
 
     def __init__(self, config: Optional[YcsbConfig] = None, n_cores: int = 4,
-                 structure: str = IndexStructure.MASSTREE,
-                 model: Optional[XeonModel] = None,
-                 model_rows: Optional[int] = None):
+                 structure: str = IndexStructure.MASSTREE):
         self.config = config or YcsbConfig()
-        self.silo = SiloEngine(n_cores, model=model)
-        if model_rows is None:
-            model_rows = (self.PAPER_ROWS_PER_PARTITION
-                          * self.config.n_partitions)
+        self.silo = SiloEngine(n_cores)
+        model_rows = self.PAPER_ROWS_PER_PARTITION * self.config.n_partitions
         self.table = self.silo.create_table(SiloTable(
             YCSB_TABLE, "usertable", structure=structure, row_bytes=1024,
             expected_rows=max(model_rows, self.config.total_records)))
@@ -103,10 +98,9 @@ class SiloYcsb:
 class SiloTpcc:
     """TPC-C (NewOrder + Payment) over Silo."""
 
-    def __init__(self, config: Optional[TpccConfig] = None, n_cores: int = 4,
-                 model: Optional[XeonModel] = None):
+    def __init__(self, config: Optional[TpccConfig] = None, n_cores: int = 4):
         self.config = config or TpccConfig()
-        self.silo = SiloEngine(n_cores, model=model)
+        self.silo = SiloEngine(n_cores)
         cfg = self.config
         # cost-model scale is pinned to full TPC-C (items=100 K,
         # customers=3000/district) so reduced functional scales still

@@ -263,15 +263,12 @@ class SiloTxn:
 class SiloEngine:
     """N worker cores over shared tables, inside a DES."""
 
-    def __init__(self, n_cores: int, model: Optional[XeonModel] = None,
-                 engine: Optional[Engine] = None,
-                 stats: Optional[StatsRegistry] = None):
+    def __init__(self, n_cores: int, stats: Optional[StatsRegistry] = None):
         if n_cores < 1:
             raise ValueError("n_cores must be >= 1")
         self.n_cores = n_cores
-        self.model = model or XeonModel()
-        self.model.active_cores = n_cores
-        self.engine = engine or Engine()
+        self.model = XeonModel(active_cores=n_cores)
+        self.engine = Engine()
         self.clock = ClockDomain(self.engine, self.model.freq_ghz * 1000.0,
                                  name="xeon")
         self.stats = stats or StatsRegistry()

@@ -51,7 +51,7 @@ def _frontend_config(admission: bool, saturated: float) -> FrontendConfig:
         admission=(AdmissionConfig(rate_tps=0.9 * saturated, burst=64,
                                    max_backlog=64)
                    if admission else AdmissionConfig()),
-        scheduler=SchedulerConfig(policy="fifo", max_inflight_per_worker=8),
+        scheduler=SchedulerConfig(max_inflight_per_worker=8),
     )
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..index.bptree.pipeline import BPTreePipeline, BPTreeTimings
-from ..index.common import SCAN_EMIT_CYCLES
+from ..index.bptree.pipeline import BPTreePipeline
 from ..index.hash.pipeline import HashIndexPipeline
-from ..index.skiplist.pipeline import SkiplistPipeline, SkiplistTimings
+from ..index.skiplist.pipeline import SkiplistPipeline
 from ..sim import FPGA_MHZ, ClockDomain, DramModel, Engine, Event, Heap
 
 __all__ = ["Series", "FigureReport", "format_quantity", "drive_closed_loop",
@@ -33,20 +32,17 @@ def bare_pipelines(kind: str, n_workers: int, total_in_flight: int,
                    **kw) -> Tuple[Engine, DramModel, list]:
     """``n_workers`` index pipelines of one kind ("hash", "skiplist"
     or "bptree") on one :func:`bare_dram`: the §5.5 method of driving
-    the coprocessors directly.  Each charges what a partition worker's
-    does — a scanner's :data:`~repro.index.common.SCAN_EMIT_CYCLES` per
-    tuple included — and holds the whole client-side in-flight cap;
-    ``kw`` goes to every constructor."""
+    the coprocessors directly.  Each is the class a partition worker
+    builds and holds the whole client-side in-flight cap; ``kw`` goes
+    to every constructor."""
     engine, clock, dram = bare_dram()
     kw["max_in_flight"] = max(64, total_in_flight)
     if kind == "hash":
         cls, name = HashIndexPipeline, "hash"
     elif kind == "skiplist":
         cls, name = SkiplistPipeline, "sl"
-        kw["timings"] = SkiplistTimings(scan_emit=SCAN_EMIT_CYCLES)
     else:
         cls, name = BPTreePipeline, "bptree"
-        kw["timings"] = BPTreeTimings(scan_emit=SCAN_EMIT_CYCLES)
     return engine, dram, [cls(engine, clock, dram, f"w{w}.{name}", **kw)
                           for w in range(n_workers)]
 

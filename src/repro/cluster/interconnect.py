@@ -69,21 +69,22 @@ class NodeLinks:
     ``cluster.heartbeat_loss`` first.
     """
 
+    #: a lane's gap between two messages it puts on the wire
+    inter_issue_ns = 50.0
+    #: the longest cut an ``interconnect.partition`` fault makes
+    partition_max_ns = 20_000_000.0
+
     def __init__(self, n_nodes: int,
                  inter_latency_ns: float = 1500.0,
-                 inter_issue_ns: float = 50.0,
                  faults=None,
                  stats: Optional[StatsRegistry] = None,
-                 stall_max_ns: float = 50_000.0,
-                 partition_max_ns: float = 20_000_000.0):
+                 stall_max_ns: float = 50_000.0):
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
         self.inter_latency_ns = inter_latency_ns
-        self.inter_issue_ns = inter_issue_ns
         self.faults = faults
         self.stall_max_ns = stall_max_ns
-        self.partition_max_ns = partition_max_ns
         self.stats = stats or StatsRegistry()
         self._lane_free: Dict[tuple, float] = {}
         #: undirected node pair -> healed-at instant
@@ -181,7 +182,6 @@ class HierarchicalInterconnect(Fabric):
                  node_of: Sequence[int],
                  fabrics: Optional[Sequence] = None,
                  inter_latency_ns: float = 1500.0,
-                 inter_issue_ns: float = 50.0,
                  stats: Optional[StatsRegistry] = None,
                  faults=None,
                  stall_max_ns: float = 50_000.0):
@@ -203,9 +203,8 @@ class HierarchicalInterconnect(Fabric):
         #: partition); the HA control plane rides the same instance so
         #: faults starve both planes consistently
         self.node_links = NodeLinks(
-            n_nodes, inter_latency_ns=inter_latency_ns,
-            inter_issue_ns=inter_issue_ns, faults=faults, stats=self.stats,
-            stall_max_ns=stall_max_ns)
+            n_nodes, inter_latency_ns=inter_latency_ns, faults=faults,
+            stats=self.stats, stall_max_ns=stall_max_ns)
         self._inter = self.stats.counter("comm.internode_messages")
 
     def crosses_nodes(self, src: int, dst: int) -> bool:

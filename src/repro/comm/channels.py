@@ -115,11 +115,13 @@ class Crossbar(Fabric):
     cycle.
     """
 
+    #: one hop (Table 3's primitive latency)
+    hop_cycles = 3.0
+
     def __init__(self, engine: Engine, clock: ClockDomain, n_workers: int,
-                 hop_cycles: float = 3.0,
                  stats: Optional[StatsRegistry] = None):
         super().__init__(engine, n_workers, stats)
-        self.hop_ns = clock.ns(hop_cycles)
+        self.hop_ns = clock.ns(self.hop_cycles)
         self.issue_interval_ns = clock.ns(1.0)
         self._lane_free: Dict[tuple, float] = {}
 

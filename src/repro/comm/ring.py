@@ -32,11 +32,13 @@ __all__ = ["RingInterconnect"]
 class RingInterconnect(Fabric):
     """Unidirectional ring of point-to-point segments."""
 
+    #: one segment (Table 3's ring anchor)
+    hop_cycles = 2.0
+
     def __init__(self, engine: Engine, clock: ClockDomain, n_workers: int,
-                 hop_cycles: float = 2.0,
                  stats: Optional[StatsRegistry] = None):
         super().__init__(engine, n_workers, stats)
-        self.hop_ns = clock.ns(hop_cycles)
+        self.hop_ns = clock.ns(self.hop_cycles)
         self.issue_interval_ns = clock.ns(1.0)
         # each ring segment (w -> w+1) admits one flit per cycle
         self._segment_free = [0.0] * n_workers

@@ -9,7 +9,8 @@ in the module that charges it, with the paper anchor that justifies it:
   HC-2 class coprocessor memory through the crossbar interconnect:
   :class:`repro.sim.memory.DramModel`'s defaults;
 * the index pipelines' stage charges, depths and port issue intervals:
-  each pipeline's defaults (``HashTimings``, ``issue_intervals``, …).
+  each pipeline's class attributes (``keyfetch_cycles``,
+  ``issue_intervals``, ``n_stages``, …).
   The hash read port issues one request per 24 cycles (HC-2 port
   arbitration); a SEARCH needs three dependent reads, so four workers
   peak near 7 Mops with knees between 12 and 16 total in-flight
@@ -21,8 +22,8 @@ in the module that charges it, with the paper anchor that justifies it:
   one scanner bottlenecks Figure 11c:
   :data:`repro.index.common.SCAN_EMIT_CYCLES`;
 * on-chip message passing, 3 cycles per message and 6 per round trip
-  (Table 3): the :class:`~repro.comm.channels.Crossbar`'s hop, 2 on the
-  :class:`~repro.comm.ring.RingInterconnect`;
+  (Table 3): the :class:`~repro.comm.channels.Crossbar`'s
+  ``hop_cycles``, 2 on the :class:`~repro.comm.ring.RingInterconnect`;
 * the softcore's charges — five RISC steps per CPU instruction, Prepare
   + Dispatch per DB instruction, a 10-cycle context switch (§4.3,
   §4.5): :mod:`repro.softcore.timing`.

@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..comm.channels import Fabric, RequestPacket, ResponsePacket
-from ..index.bptree.pipeline import BPTreePipeline, BPTreeTimings
-from ..index.common import SCAN_EMIT_CYCLES, DbRequest
+from ..index.bptree.pipeline import BPTreePipeline
+from ..index.common import DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
-from ..index.skiplist.pipeline import SkiplistPipeline, SkiplistTimings
+from ..index.skiplist.pipeline import SkiplistPipeline
 from ..mem.schema import Catalog, IndexKind, TableSchema
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
@@ -68,7 +68,6 @@ class PartitionWorker:
             stats=self.stats, tracer=tracer)
         self.skiplist_pipe = SkiplistPipeline(
             engine, clock, dram, f"w{worker_id}.skiplist",
-            timings=SkiplistTimings(scan_emit=SCAN_EMIT_CYCLES),
             create_default_table=False, stats=self.stats, tracer=tracer)
         # the B+ tree pipeline is built lazily on first use: a worker
         # with no BPTREE tables spawns no extra processes or memory
@@ -91,7 +90,6 @@ class PartitionWorker:
             self._bptree_pipe = BPTreePipeline(
                 engine, clock, dram, f"w{self.worker_id}.bptree",
                 max_in_flight=self._bptree_in_flight,
-                timings=BPTreeTimings(scan_emit=SCAN_EMIT_CYCLES),
                 create_default_table=False, stats=self.stats, tracer=tracer)
         return self._bptree_pipe
 

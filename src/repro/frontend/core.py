@@ -5,7 +5,7 @@
     session arrival ──► NIC (wire + bounded RX) ──► pump
                                                      │ admission control
                                                      ▼
-                                  dispatch scheduler (WFQ / EDF, window)
+                                  dispatch scheduler (WFQ, window)
                                                      │
                                                      ▼
                               BionicDB.submit ──► softcore batch former
@@ -69,8 +69,7 @@ class FrontendConfig:
         return FrontendConfig(
             nic=NicConfig(bandwidth_gbps=None, propagation_ns=0.0,
                           rx_queue_depth=None, rx_process_ns=0.0),
-            scheduler=SchedulerConfig(policy="fifo",
-                                      max_inflight_per_worker=None),
+            scheduler=SchedulerConfig(max_inflight_per_worker=None),
         )
 
 

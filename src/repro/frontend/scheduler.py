@@ -6,20 +6,15 @@ inside the chip (submitted but not finished) — the window that feeds
 the softcore's §4.5 batch former without recreating today's unbounded
 teleport.  A lane is a handler: it selects an engine step after an
 enqueue (so requests enqueued in between are candidates) and takes a
-window slot a step after one is free.  Two orthogonal decisions pick
-the next request:
+window slot a step after one is free.
 
-* **Across sessions** — weighted-fair queuing (stride scheduling): each
-  session owns a virtual clock advanced by ``1/weight`` per dispatch;
-  the ready session with the smallest clock goes next, so a weight-2
-  tenant gets twice the dispatch share of a weight-1 tenant when both
-  are backlogged, and an idle session never banks credit (its clock is
-  snapped forward on re-arrival).
-
-* **Within/instead of fairness** — with ``policy="edf"`` the dispatcher
-  ignores virtual clocks and picks the queued request with the
-  earliest absolute deadline (requests without deadlines sort last),
-  the classic earliest-deadline-first rule.
+The next request comes from weighted-fair queuing across sessions
+(stride scheduling), FIFO within a session: each session owns a
+virtual clock advanced by ``1/weight`` per dispatch; the ready session
+with the smallest clock goes next, so a weight-2 tenant gets twice the
+dispatch share of a weight-1 tenant when both are backlogged, and an
+idle session never banks credit (its clock is snapped forward on
+re-arrival).
 
 A request whose deadline has already passed when it is popped is shed
 as ``TIMED_OUT`` instead of being submitted — executing it would only
@@ -41,15 +36,10 @@ __all__ = ["SchedulerConfig", "DispatchScheduler"]
 
 @dataclass
 class SchedulerConfig:
-    #: "fifo" = weighted-fair across sessions, FIFO within a session;
-    #: "edf" = earliest-deadline-first across everything queued
-    policy: str = "fifo"
     #: dispatch window per worker; ``None`` = unlimited (pass-through)
     max_inflight_per_worker: Optional[int] = 8
 
     def __post_init__(self):
-        if self.policy not in ("fifo", "edf"):
-            raise ConfigError(f"unknown dispatch policy {self.policy!r}")
         if (self.max_inflight_per_worker is not None
                 and self.max_inflight_per_worker < 1):
             raise ConfigError(
@@ -73,7 +63,7 @@ class _Lane:
 
 
 class DispatchScheduler:
-    """Routes admitted requests to home workers under the chosen policy."""
+    """Routes admitted requests to home workers, weighted-fair."""
 
     def __init__(self, engine: Engine, n_workers: int,
                  config: Optional[SchedulerConfig] = None,
@@ -122,25 +112,10 @@ class DispatchScheduler:
 
     # -- selection ----------------------------------------------------------
     def _select(self, lane: _Lane):
-        if self.config.policy == "edf":
-            # earliest absolute deadline over EVERYTHING queued on this
-            # lane, not just session heads — a late-queued urgent request
-            # must overtake its own session's earlier arrivals too
-            sid, dq, pos, best = None, None, None, None
-            for s, q in lane.queues.items():
-                for i, r in enumerate(q):
-                    key = (r.deadline_at_ns
-                           if r.deadline_at_ns is not None else float("inf"),
-                           r.seq)
-                    if best is None or key < best:
-                        best, sid, dq, pos = key, s, q, i
-            request = dq[pos]
-            del dq[pos]
-        else:
-            heads = [(s, q) for s, q in lane.queues.items() if q]
-            sid, dq = min(heads, key=lambda item: (self._vtime[item[0]],
-                                                   item[1][0].seq))
-            request = dq.popleft()
+        heads = [(s, q) for s, q in lane.queues.items() if q]
+        sid, dq = min(heads, key=lambda item: (self._vtime[item[0]],
+                                               item[1][0].seq))
+        request = dq.popleft()
         self._global_v = self._vtime[sid]
         self._vtime[sid] += 1.0 / self._weight.get(sid, 1.0)
         return request

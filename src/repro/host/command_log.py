@@ -125,7 +125,7 @@ class CommandLog:
         """Apply one already-built record — the replication path, where
         frames arrive from the owner instead of from a local block.  A
         record for a txn already present replaces it (pending →
-        finalised), mirroring load()'s last-frame-wins rule."""
+        finalised): the last frame wins, here and in :meth:`load`."""
         pos = self._index.get(record.txn_id)
         if pos is None:
             self._index[record.txn_id] = len(self._records)
@@ -192,12 +192,7 @@ class CommandLog:
         log.truncated = not intact
         for i, record in enumerate(records):
             cls._validate_record(record, i, path)
-            pos = log._index.get(record.txn_id)
-            if pos is None:
-                log._index[record.txn_id] = len(log._records)
-                log._records.append(record)
-            else:
-                log._records[pos] = record
+            log.append_record(record)
         return log
 
     @staticmethod

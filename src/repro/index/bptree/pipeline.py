@@ -41,29 +41,17 @@ from ...isa.instructions import Opcode
 from ...mem.records import NULL_ADDR, BPTreeNode, TupleRecord
 from ...sim.memory import ColdRows
 from ...txn.cc import DbResult, ResultCode
-from ..common import DbRequest, IndexError_, PipelineBase, Scan, key_column
+from ..common import (
+    SCAN_EMIT_CYCLES, DbRequest, IndexError_, PipelineBase, Scan, key_column,
+)
 
-__all__ = ["BPTreeTimings", "BPTreePipeline", "compute_level_ranges",
-           "WAVE_WINDOW_CYCLES"]
+__all__ = ["BPTreePipeline", "compute_level_ranges", "WAVE_WINDOW_CYCLES"]
 
 #: cycles the wave former keeps a wave open for one more request
 WAVE_WINDOW_CYCLES = 16.0
 
 #: stage slots: the wave former, then level stage ``i`` at ``_LEVELS + i``
 _FORMER, _LEVELS = 0, 1
-
-
-@dataclass(frozen=True)
-class BPTreeTimings:
-    """Per-action service times in FPGA cycles."""
-
-    keyfetch: float = 2.0
-    node_fetch: float = 4.0     # per *distinct* node per wave (BRAM landing)
-    probe_step: float = 3.0     # per probe per level: separator binary search
-    terminal: float = 10.0      # leaf entry resolution + visibility check
-    split_per_node: float = 12.0
-    merge_per_node: float = 12.0
-    scan_emit: float = 6.0      # per collected tuple (visibility + buffer copy)
 
 
 def compute_level_ranges(n_levels: int,
@@ -120,23 +108,25 @@ class BPTreePipeline(PipelineBase):
 
     trace_category = "bptree"
     issue_intervals = (4.0, 4.0)
+    #: keys per node before it splits: the fixed node format
+    fanout = 15
+    #: level stages
+    n_stages = 4
+    #: per-action service times in FPGA cycles
+    keyfetch_cycles = 2.0
+    node_fetch_cycles = 4.0     # per *distinct* node per wave (BRAM landing)
+    probe_step_cycles = 3.0     # per probe per level: separator binary search
+    terminal_cycles = 10.0      # leaf entry resolution + visibility check
+    split_per_node_cycles = 12.0
+    merge_per_node_cycles = 12.0
+    scan_emit_cycles = SCAN_EMIT_CYCLES     # per collected tuple
 
     def __init__(self, engine, clock, dram, name: str,
-                 fanout: int = 15,
-                 n_stages: int = 4,
                  wave_size: int = 8,
-                 timings: Optional[BPTreeTimings] = None,
                  create_default_table: bool = True, **kw):
-        if fanout < 3:
-            raise ValueError("fanout must be >= 3")
-        if n_stages < 1:
-            raise ValueError("need at least one stage")
         if wave_size < 1:
             raise ValueError("wave_size must be >= 1")
-        self.fanout = fanout
-        self.n_stages = n_stages
         self.wave_size = wave_size
-        self.timings = timings or BPTreeTimings()
         super().__init__(engine, clock, dram, name, **kw)
         self.tuple_count = 0
         self.node_fetches = self.stats.counter(f"{name}.node_fetches")
@@ -163,11 +153,13 @@ class BPTreePipeline(PipelineBase):
 
     # -- stages ------------------------------------------------------------
     def _build(self) -> None:
-        t = self.timings
         ns = self.clock.ns
-        self._window_ns, self._keyfetch_ns = ns(WAVE_WINDOW_CYCLES), ns(t.keyfetch)
-        self._node_fetch_ns, self._probe_step_ns = ns(t.node_fetch), ns(t.probe_step)
-        self._terminal_ns, self._emit_ns = ns(t.terminal), ns(t.scan_emit)
+        self._window_ns = ns(WAVE_WINDOW_CYCLES)
+        self._keyfetch_ns = ns(self.keyfetch_cycles)
+        self._node_fetch_ns = ns(self.node_fetch_cycles)
+        self._probe_step_ns = ns(self.probe_step_cycles)
+        self._terminal_ns = ns(self.terminal_cycles)
+        self._emit_ns = ns(self.scan_emit_cycles)
         self._stage(self._form, 0.0)
         for _ in range(self.n_stages):
             self._stage(self._arrive, 0.0)
@@ -330,7 +322,7 @@ class BPTreePipeline(PipelineBase):
             right = yield self.read_port.read(req._leaf.next_leaf)
             if right is None or not right.keys or not (right.keys[0] <= req.key):
                 return
-            yield self.clock.delay(self.timings.probe_step)
+            yield self.clock.delay(self.probe_step_cycles)
             req._node, req._leaf = req._leaf.next_leaf, right
 
     def _at_leaf(self, wave: _Wave) -> None:
@@ -359,7 +351,6 @@ class BPTreePipeline(PipelineBase):
 
     def _insert(self, req: DbRequest):
         leaf_addr, leaf = req._node, req._leaf
-        t = self.timings
         i = bisect_left(leaf.keys, req.key)
         if i < len(leaf.keys) and leaf.keys[i] == req.key:
             old_addr = leaf.children[i]
@@ -381,7 +372,7 @@ class BPTreePipeline(PipelineBase):
                 if record is None or not record.tombstone or record.dirty:
                     keep.append((key, rec_addr))
             if len(keep) != len(leaf.keys):
-                yield self.clock.delay(t.merge_per_node)
+                yield self.clock.delay(self.merge_per_node_cycles)
                 leaf.keys[:] = [key for key, _addr in keep]
                 leaf.children[:] = [addr for _key, addr in keep]
                 self.write_port.post_write(leaf_addr, leaf)
@@ -396,7 +387,7 @@ class BPTreePipeline(PipelineBase):
         leaf.children.insert(i, rec_addr)
         writes, n_splits = self._split_upward(state, req._path, leaf_addr, leaf)
         if n_splits:
-            yield self.clock.delay(t.split_per_node * n_splits)
+            yield self.clock.delay(self.split_per_node_cycles * n_splits)
         for addr, node in writes:     # the leaf, and any split nodes
             written = self.write_port.write(addr, node)
         yield written

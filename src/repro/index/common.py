@@ -25,11 +25,9 @@ __all__ = ["DbRequest", "PipelineBase", "Scan", "sdbm_hash",
            "clear_hash_cache", "key_column", "IndexError_",
            "SCAN_EMIT_CYCLES"]
 
-#: the machine's scanners' per-tuple charge: copying the 1 KB tuple into
-#: the transaction block's scan buffer, which is why one scanner
-#: bottlenecks Figure 11c (§5.5).  The skiplist and B+ tree pipelines
-#: default to 6 cycles (the visibility check and buffer write alone);
-#: the partition worker and the figures' bare pipelines pass this instead.
+#: the scanners' per-tuple charge in the skiplist and B+ tree pipelines:
+#: copying the 1 KB tuple into the transaction block's scan buffer, which
+#: is why one scanner bottlenecks Figure 11c (§5.5)
 SCAN_EMIT_CYCLES = 145.0
 
 _request_ids = itertools.count(1)

@@ -1,5 +1,5 @@
 """Hash index pipeline for point access."""
 
-from .pipeline import HashIndexPipeline, HashTimings
+from .pipeline import HashIndexPipeline
 
-__all__ = ["HashIndexPipeline", "HashTimings"]
+__all__ = ["HashIndexPipeline"]

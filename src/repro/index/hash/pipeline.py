@@ -19,7 +19,6 @@ reproduces the lost-update anomaly of Figure 6a.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from itertools import cycle
 from typing import Any, List, Optional, Tuple
@@ -34,22 +33,10 @@ from ..common import (
 )
 from ..locks import LockTable
 
-__all__ = ["HashTimings", "HashIndexPipeline"]
+__all__ = ["HashIndexPipeline"]
 
 #: stage slots; Traverse stage ``k`` is slot ``_TRAVERSE + k``
 _KEYFETCH, _HASH, _INSTALL, _HEADFETCH, _KEYCOMP, _TRAVERSE = range(6)
-
-
-@dataclass(frozen=True)
-class HashTimings:
-    """Per-stage service times in FPGA cycles."""
-
-    keyfetch: float = 2.0
-    hash: float = 12.0      # byte-serial Sdbm over the key + bucket address
-    headfetch: float = 2.0
-    keycomp: float = 16.0   # byte-serial compare + visibility check
-    install: float = 10.0
-    traverse_hop: float = 4.0
 
 
 class HashIndexPipeline(PipelineBase):
@@ -57,6 +44,13 @@ class HashIndexPipeline(PipelineBase):
 
     trace_category = "hash"
     issue_intervals = (24.0, 28.0)
+    #: per-stage service times in FPGA cycles
+    keyfetch_cycles = 2.0
+    hash_cycles = 12.0      # byte-serial Sdbm over the key + bucket address
+    headfetch_cycles = 2.0
+    keycomp_cycles = 16.0   # byte-serial compare + visibility check
+    install_cycles = 10.0
+    traverse_hop_cycles = 4.0
 
     def __init__(self, engine, clock, dram, name: str, n_buckets: int = 0,
                  n_traverse_stages: int = 1,
@@ -65,7 +59,6 @@ class HashIndexPipeline(PipelineBase):
             raise ValueError("n_buckets must be >= 0")
         if n_traverse_stages < 1:
             raise ValueError("need at least one Traverse stage")
-        self.timings = HashTimings()
         self.n_traverse_stages = n_traverse_stages
         self.hazard_prevention = hazard_prevention
         super().__init__(engine, clock, dram, name, **kw)
@@ -86,15 +79,16 @@ class HashIndexPipeline(PipelineBase):
 
     # -- stages ------------------------------------------------------------
     def _build(self) -> None:
-        t = self.timings
-        for body, cycles in ((self._keyfetch, t.keyfetch), (self._hash, t.hash),
-                             (self._install, t.install),
-                             (self._headfetch, t.headfetch),
-                             (self._keycomp, t.keycomp)):
+        for body, cycles in ((self._keyfetch, self.keyfetch_cycles),
+                             (self._hash, self.hash_cycles),
+                             (self._install, self.install_cycles),
+                             (self._headfetch, self.headfetch_cycles),
+                             (self._keycomp, self.keycomp_cycles)):
             self._stage(body, cycles)
         n = self.n_traverse_stages
         for k in range(n):
-            self._stage(partial(self._traverse, _TRAVERSE + k), t.traverse_hop)
+            self._stage(partial(self._traverse, _TRAVERSE + k),
+                        self.traverse_hop_cycles)
         self._traverse_rr = cycle(range(_TRAVERSE, _TRAVERSE + n))
         # destinations of the KeyFetch stage and of the bucket-head read
         self._to_hash = partial(self._put, _HASH)

@@ -1,5 +1,5 @@
 """Skiplist index pipeline for range scans."""
 
-from .pipeline import SkiplistPipeline, SkiplistTimings, compute_level_ranges
+from .pipeline import SkiplistPipeline, compute_level_ranges
 
-__all__ = ["SkiplistPipeline", "SkiplistTimings", "compute_level_ranges"]
+__all__ = ["SkiplistPipeline", "compute_level_ranges"]

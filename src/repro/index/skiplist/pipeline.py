@@ -23,7 +23,6 @@ replaced woke on its queue, so every same-instant DRAM tie stays put.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
 from itertools import cycle, repeat
 from typing import Any, List, Optional, Tuple
@@ -32,24 +31,13 @@ from ...isa.instructions import Opcode
 from ...mem.records import NULL_ADDR, Tower, head_tower
 from ...sim.memory import ColdRows
 from ...txn.cc import DbResult, ResultCode
-from ..common import DbRequest, PipelineBase, Scan, key_column
+from ..common import SCAN_EMIT_CYCLES, DbRequest, PipelineBase, Scan, key_column
 from ..locks import LockTable
 
-__all__ = ["SkiplistTimings", "SkiplistPipeline", "compute_level_ranges"]
+__all__ = ["SkiplistPipeline", "compute_level_ranges"]
 
 #: seed of the tower-height draws (one stream per pipeline)
 _HEIGHT_SEED = 0xB10
-
-
-@dataclass(frozen=True)
-class SkiplistTimings:
-    """Per-action service times in FPGA cycles."""
-
-    hop: float = 4.0            # per horizontal/vertical step beyond the read
-    keyfetch: float = 2.0
-    terminal: float = 10.0      # match handling / visibility check
-    splice_per_level: float = 6.0
-    scan_emit: float = 6.0      # per collected tuple (visibility + buffer write)
 
 
 def compute_level_ranges(max_height: int, n_stages: int) -> List[Tuple[int, int]]:
@@ -83,15 +71,17 @@ class SkiplistPipeline(PipelineBase):
     max_height = 20
     #: traversal stages: the pipeline depth that bounds Figure 11
     n_stages = 8
+    #: per-action service times in FPGA cycles
+    hop_cycles = 4.0            # per horizontal/vertical step beyond the read
+    keyfetch_cycles = 2.0
+    terminal_cycles = 10.0      # match handling / visibility check
+    splice_per_level_cycles = 6.0
+    scan_emit_cycles = SCAN_EMIT_CYCLES     # per collected tuple
 
     def __init__(self, engine, clock, dram, name: str,
                  n_scanners: int = 1,
-                 timings: Optional[SkiplistTimings] = None,
-                 hazard_prevention: bool = True,
                  create_default_table: bool = True, **kw):
         self.n_scanners = n_scanners
-        self.timings = timings or SkiplistTimings()
-        self.hazard_prevention = hazard_prevention
         self.level_ranges = compute_level_ranges(self.max_height,
                                                  self.n_stages)
         self._rng = random.Random(_HEIGHT_SEED)
@@ -116,10 +106,11 @@ class SkiplistPipeline(PipelineBase):
 
     # -- stages ------------------------------------------------------------
     def _build(self) -> None:
-        t = self.timings
         ns = self.clock.ns
-        self._hop_ns, self._keyfetch_ns = ns(t.hop), ns(t.keyfetch)
-        self._terminal_ns, self._emit_ns = ns(t.terminal), ns(t.scan_emit)
+        self._hop_ns = ns(self.hop_cycles)
+        self._keyfetch_ns = ns(self.keyfetch_cycles)
+        self._terminal_ns = ns(self.terminal_cycles)
+        self._emit_ns = ns(self.scan_emit_cycles)
         # traversal stage i is slot i, the scanners follow
         self._stage(self._start, 0.0)
         for _ in range(1, self.n_stages):
@@ -150,8 +141,7 @@ class SkiplistPipeline(PipelineBase):
         req._stage = 0
         req._level = self.max_height - 1
         req._cur_addr = self._table(req.table_id)
-        req._locking = self.hazard_prevention and req.op not in (
-            Opcode.SCAN, Opcode.RANGE_SCAN)
+        req._locking = req.op not in (Opcode.SCAN, Opcode.RANGE_SCAN)
         if req.key_in_cell:
             self._after(self._keyfetch_ns, self._resolve_key, req)
         else:
@@ -199,7 +189,7 @@ class SkiplistPipeline(PipelineBase):
         level = req._level
         if req.op is Opcode.INSERT and level < req._new_height:
             req._path[level] = req._cur_addr
-            if req._entry_lock is None and self.hazard_prevention:
+            if req._entry_lock is None:
                 req._entry_lock = (req._cur_addr, level)
                 if not self.locks.acquire(req._entry_lock, self._descend,
                                           req):
@@ -281,7 +271,7 @@ class SkiplistPipeline(PipelineBase):
                 cur_addr, cur = nxt_addr, nxt
             preds.append(cur)
             pred_addrs.append(cur_addr)
-            yield self.clock.delay(self.timings.splice_per_level)
+            yield self.clock.delay(self.splice_per_level_cycles)
         # duplicate check at level 0
         succ0_addr = preds[0].nexts[0]
         succ0 = (yield self.read_port.read(succ0_addr)) if succ0_addr else None

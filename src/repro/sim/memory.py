@@ -205,6 +205,9 @@ DRAM_LATENCY_CYCLES = 85.0
 class DramModel:
     """Shared DRAM: channels, latency, bandwidth accounting."""
 
+    #: cycles between two requests a channel accepts
+    channel_issue_interval_cycles = 1.0
+
     def __init__(
         self,
         engine: Engine,
@@ -212,7 +215,6 @@ class DramModel:
         heap: Heap,
         latency_cycles: float = DRAM_LATENCY_CYCLES,
         channels: int = 8,
-        channel_issue_interval_cycles: float = 1.0,
         stats: Optional[StatsRegistry] = None,
     ):
         self.engine = engine
@@ -224,7 +226,7 @@ class DramModel:
             raise ValueError("latency_cycles must be > 0")
         self.latency_ns = clock.ns(latency_cycles)
         self.channels = channels
-        self.channel_interval_ns = clock.ns(channel_issue_interval_cycles)
+        self.channel_interval_ns = clock.ns(self.channel_issue_interval_cycles)
         self._channel_free = [0.0] * channels
         self.stats = stats or StatsRegistry()
         self._reads = self.stats.counter("dram.reads")

@@ -35,21 +35,12 @@ class PowerReport:
 class FpgaPowerModel:
     """XPE-style estimate for a Virtex-5 class device (65 nm)."""
 
-    def __init__(
-        self,
-        static_w: float = 3.2,
-        lut_dynamic_w: float = 19.0e-6,
-        ff_dynamic_w: float = 10.0e-6,
-        bram_dynamic_w_per_block: float = 8.0e-3,
-        io_and_memory_w: float = 2.45,
-        reference_activity: float = 0.125,
-    ):
-        self.static_w = static_w
-        self.lut_dynamic_w = lut_dynamic_w
-        self.ff_dynamic_w = ff_dynamic_w
-        self.bram_dynamic_w_per_block = bram_dynamic_w_per_block
-        self.io_and_memory_w = io_and_memory_w
-        self.reference_activity = reference_activity
+    static_w = 3.2
+    lut_dynamic_w = 19.0e-6
+    ff_dynamic_w = 10.0e-6
+    bram_dynamic_w_per_block = 8.0e-3
+    io_and_memory_w = 2.45
+    reference_activity = 0.125
 
     def estimate(self, ledger: ResourceLedger, activity: float | None = None) -> PowerReport:
         """Estimate total power for the design in ``ledger``.
@@ -74,9 +65,8 @@ class FpgaPowerModel:
 class CpuPowerModel:
     """TDP ledger for the Xeon E7 4807 baseline (6 cores / 95 W / chip)."""
 
-    def __init__(self, tdp_per_chip_w: float = 95.0, cores_per_chip: int = 6):
-        self.tdp_per_chip_w = tdp_per_chip_w
-        self.cores_per_chip = cores_per_chip
+    tdp_per_chip_w = 95.0
+    cores_per_chip = 6
 
     def chips_for(self, cores: int) -> int:
         if cores < 1:

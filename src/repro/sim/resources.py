@@ -93,7 +93,6 @@ class ResourceLedger:
     """Accumulates module instances and checks device fit."""
 
     device: ResourceVector = VIRTEX5_LX330
-    include_platform: bool = True
     platform: ResourceVector = HC2_INFRASTRUCTURE
     entries: List = field(default_factory=list)  # (module, instance, vec)
 
@@ -119,9 +118,7 @@ class ResourceLedger:
         total = ResourceVector()
         for _mod, _inst, vec in self.entries:
             total = total + vec
-        if self.include_platform:
-            total = total + self.platform
-        return total
+        return total + self.platform
 
     def utilization(self) -> Dict[str, float]:
         t = self.design_total
@@ -140,11 +137,10 @@ class ResourceLedger:
         for mod in self.modules():
             vec = self.module_total(mod)
             rows.append({"module": mod, "ff": vec.ff, "lut": vec.lut, "bram": vec.bram})
-        if self.include_platform:
-            name = ("HC-2 modules" if self.platform is HC2_INFRASTRUCTURE
-                    else "Platform shell")
-            rows.append({"module": name, "ff": self.platform.ff,
-                         "lut": self.platform.lut, "bram": self.platform.bram})
+        name = ("HC-2 modules" if self.platform is HC2_INFRASTRUCTURE
+                else "Platform shell")
+        rows.append({"module": name, "ff": self.platform.ff,
+                     "lut": self.platform.lut, "bram": self.platform.bram})
         total = self.design_total
         rows.append({"module": "Total", "ff": total.ff, "lut": total.lut,
                      "bram": total.bram})

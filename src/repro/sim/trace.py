@@ -13,7 +13,7 @@ and pipeline behaviour:
     tracer = Tracer(categories={"softcore", "hash"})
     db = BionicDB(BionicConfig(tracer=tracer))
     ...
-    print(tracer.format(limit=50))
+    print(tracer.format())
 
 Events carry (time_ns, category, source, message); ``format`` renders
 them as aligned columns, ``filter`` slices by category/source/window.
@@ -81,18 +81,10 @@ class Tracer:
                 and (source is None or e.source == source)
                 and since_ns <= e.time_ns <= until_ns]
 
-    def format(self, events: Optional[Sequence[TraceEvent]] = None,
-               limit: Optional[int] = None, tail: bool = False) -> str:
-        """Render events as aligned columns.
-
-        ``limit`` truncates the listing; with ``tail=True`` the *last*
-        ``limit`` events are kept instead of the first — the ones
-        immediately before a failure, which is usually what a
-        post-mortem needs.
-        """
-        events = list(self.events if events is None else events)
-        if limit is not None:
-            events = events[-limit:] if tail else events[:limit]
+    def format(self, events: Optional[Sequence[TraceEvent]] = None) -> str:
+        """Render ``events`` (every recorded event by default) as
+        aligned columns."""
+        events = self.events if events is None else events
         lines = [f"{e.time_ns:12.1f} ns  {e.category:<9s} {e.source:<16s} "
                  f"{e.message}" for e in events]
         if self.dropped:

@@ -162,8 +162,8 @@ class Softcore:
         #: sleeps on while there are none
         self._inbox: deque = deque()
         self._parked: List[Event] = []
-        self.gp = RegisterFile(N_REGISTERS)
-        self.cp = CpRegisterFile(engine, N_REGISTERS)
+        self.gp = RegisterFile()
+        self.cp = CpRegisterFile(engine)
         self.port = dram.new_port(f"w{worker_id}.core", max_outstanding=8,
                                   issue_interval_cycles=1.0)
 

@@ -19,6 +19,7 @@ from typing import Any, List, Optional, Tuple
 from ..isa.instructions import Opcode
 from ..sim.engine import Engine, Event
 from ..txn.cc import DbResult
+from .timing import N_REGISTERS
 
 __all__ = ["RegisterFile", "CpRegisterFile", "RegisterError"]
 
@@ -30,17 +31,16 @@ class RegisterError(RuntimeError):
 class RegisterFile:
     """The GP register file."""
 
-    def __init__(self, size: int = 256):
-        self.size = size
-        self._regs: List[Any] = [0] * size
+    def __init__(self):
+        self._regs: List[Any] = [0] * N_REGISTERS
 
     def read(self, idx: int) -> Any:
-        if not 0 <= idx < self.size:
+        if not 0 <= idx < N_REGISTERS:
             raise RegisterError(f"GP register {idx} out of range")
         return self._regs[idx]
 
     def write(self, idx: int, value: Any) -> None:
-        if not 0 <= idx < self.size:
+        if not 0 <= idx < N_REGISTERS:
             raise RegisterError(f"GP register {idx} out of range")
         self._regs[idx] = value
 
@@ -62,10 +62,9 @@ class _CpSlot:
 class CpRegisterFile:
     """The CP register file with asynchronous writeback + RET waits."""
 
-    def __init__(self, engine: Engine, size: int = 256):
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.size = size
-        self._slots = [_CpSlot() for _ in range(size)]
+        self._slots = [_CpSlot() for _ in range(N_REGISTERS)]
 
     def mark_pending(self, idx: int, op: Opcode) -> None:
         """Called at Dispatch: the register now awaits a result."""
@@ -111,6 +110,6 @@ class CpRegisterFile:
             slot.waiter = None
 
     def _slot(self, idx: int) -> _CpSlot:
-        if not 0 <= idx < self.size:
+        if not 0 <= idx < N_REGISTERS:
             raise RegisterError(f"CP register {idx} out of range")
         return self._slots[idx]

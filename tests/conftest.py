@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.index.bptree.pipeline import BPTreePipeline
 from repro.sim import ClockDomain, DramModel, Engine, Heap, StatsRegistry
 from repro.sim.memory import ColdRows
+
+
+class SmallNodeBPTree(BPTreePipeline):
+    """A B+ tree pipeline with 4 keys per node instead of 15: a few
+    hundred keys grow a tree deep enough to split, purge and descend
+    several levels."""
+
+    fanout = 4
 
 
 class SimEnv:

@@ -21,12 +21,11 @@ from repro.workloads.ycsb import (
     PROC_RANGE, YcsbConfig, YcsbWorkload,
 )
 
-from conftest import SimEnv, collect_results
+from conftest import SimEnv, SmallNodeBPTree, collect_results
 
 
-def make_pipeline(env: SimEnv, **kw) -> BPTreePipeline:
-    return BPTreePipeline(env.engine, env.clock, env.dram, "bp0",
-                          stats=env.stats, **kw)
+def make_pipeline(env: SimEnv, cls=BPTreePipeline, **kw) -> BPTreePipeline:
+    return cls(env.engine, env.clock, env.dram, "bp0", stats=env.stats, **kw)
 
 
 def req(op, key=None, ts=1, txn_id=1, **kw):
@@ -79,10 +78,6 @@ class TestLevelRanges:
 class TestConfigValidation:
     def test_pipeline_ctor_validation(self, env):
         with pytest.raises(ValueError):
-            make_pipeline(env, fanout=2)
-        with pytest.raises(ValueError):
-            make_pipeline(env, n_stages=0)
-        with pytest.raises(ValueError):
             make_pipeline(env, wave_size=0)
 
 
@@ -133,7 +128,7 @@ class TestBulkLoadAndDirect:
         pipe.invariant_check()
 
     def test_ascending_batch_descends_once_per_leaf_split(self, env):
-        pipe = make_pipeline(env, fanout=15)
+        pipe = make_pipeline(env)
         assert pipe.bulk_load_many(range(400), [[k] for k in range(400)]) == 400
         assert pipe.load_rows.value == 400
         # a full leaf splits 8 / 8, so the rightmost one refills — and
@@ -147,7 +142,7 @@ class TestBulkLoadAndDirect:
         pipe.invariant_check()
 
     def test_bulk_load_many_invariants(self, env):
-        pipe = make_pipeline(env, fanout=4)
+        pipe = make_pipeline(env, SmallNodeBPTree)
         keys = list(range(200))
         random.Random(3).shuffle(keys)
         for k in keys:
@@ -242,7 +237,7 @@ class TestPointOps:
         assert results[0][1].code is ResultCode.NOT_FOUND
 
     def test_interleaved_pipeline_inserts_keep_structure(self, env):
-        pipe = make_pipeline(env, fanout=4, wave_size=8)
+        pipe = make_pipeline(env, SmallNodeBPTree, wave_size=8)
         keys = list(range(80))
         random.Random(11).shuffle(keys)
         reqs = [req(Opcode.INSERT, key=k, insert_payload=[k], txn_id=i, ts=1)
@@ -294,7 +289,7 @@ class TestWaveDedup:
 
 class TestRangeScan:
     def _loaded(self, env, n=100, **kw):
-        pipe = make_pipeline(env, fanout=4, **kw)
+        pipe = make_pipeline(env, SmallNodeBPTree, **kw)
         for k in range(n):
             pipe.bulk_load(k, [f"v{k}"])
         return pipe
@@ -372,7 +367,7 @@ class TestRangeScan:
 
 class TestMaintenance:
     def test_insert_purges_overflowing_leaf(self, env):
-        pipe = make_pipeline(env, fanout=4)
+        pipe = make_pipeline(env, SmallNodeBPTree)
         for k in range(4):
             pipe.bulk_load(k, [k])
         # tombstone-commit two entries; the next overflow purges them
@@ -427,9 +422,14 @@ class TestEngines:
     #: firings this stream needs: a ceiling, not a pin
     EVENTS_CEILING = 755
 
-    @staticmethod
-    def stream(env):
-        pipe = make_pipeline(env, fanout=4, max_in_flight=8)
+    class Pipeline(SmallNodeBPTree):
+        #: the 6-cycle scanner (visibility check and buffer write) the
+        #: stream was pinned with
+        scan_emit_cycles = 6.0
+
+    @classmethod
+    def stream(cls, env):
+        pipe = make_pipeline(env, cls.Pipeline, max_in_flight=8)
         for k in range(0, 60, 2):
             pipe.bulk_load(k, [k])
         out = env.heap.alloc(64)
@@ -487,7 +487,7 @@ class TestGoldenParity:
     def test_randomized_ops_match_software_bptree(self, env):
         """Seeded insert/delete/scan interleavings against the golden
         software B+ tree (the baseline's Masstree stand-in)."""
-        pipe = make_pipeline(env, fanout=4, wave_size=4)
+        pipe = make_pipeline(env, SmallNodeBPTree, wave_size=4)
         golden = BPlusTree(fanout=4)
         rng = random.Random(1234)
         alive = set()

@@ -24,7 +24,7 @@ from repro.mem.records import Tower, TupleRecord
 from repro.sim.memory import ColdRows
 from repro.txn import ResultCode
 
-from conftest import SimEnv, collect_results, heap_image
+from conftest import SimEnv, SmallNodeBPTree, collect_results, heap_image
 
 
 def make_pipeline(env, n_buckets=64):
@@ -372,8 +372,9 @@ def test_scans_over_never_read_rows(env, pipeline, op):
 def test_writes_next_to_never_read_rows(env, pipeline, op):
     # fan-out 4: every leaf is full, so the B+ tree INSERT purges and
     # splits a leaf of cold records
-    kw = {"fanout": 4} if pipeline is BPTreePipeline else {}
-    pipe = make_ordered(env, pipeline, **kw)
+    if pipeline is BPTreePipeline:
+        pipeline = SmallNodeBPTree
+    pipe = make_ordered(env, pipeline)
     keys = range(0, 200, 2)
     pipe.bulk_load_many(keys, [[f"v{key}"] for key in keys])
     key = 101 if op is Opcode.INSERT else 100

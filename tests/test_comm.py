@@ -9,10 +9,10 @@ from repro.comm import (
 from repro.sim import ClockDomain, Engine
 
 
-def make_crossbar(n=4, hop_cycles=3.0):
+def make_crossbar(n=4):
     eng = Engine()
     clock = ClockDomain(eng, 125.0)
-    return eng, clock, Crossbar(eng, clock, n, hop_cycles=hop_cycles)
+    return eng, clock, Crossbar(eng, clock, n)
 
 
 def record_arrivals(eng, fabric, worker):

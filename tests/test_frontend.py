@@ -69,8 +69,7 @@ class TestConservation:
         cfg = FrontendConfig(
             admission=AdmissionConfig(rate_tps=rate_tps, burst=8,
                                       max_backlog=max_backlog),
-            scheduler=SchedulerConfig(policy="fifo",
-                                      max_inflight_per_worker=4))
+            scheduler=SchedulerConfig(max_inflight_per_worker=4))
         fe = FrontEnd(db, cfg)
         n = 150
         fe.session(make_factory(db), SessionConfig(
@@ -130,11 +129,9 @@ class TestConfigErrors:
             SessionConfig(name="t", arrival="open", rate_tps=1.0,
                           deadline_ns=0.0)
 
-    def test_zero_window_and_bad_policy(self):
+    def test_zero_window(self):
         with pytest.raises(ConfigError):
             SchedulerConfig(max_inflight_per_worker=0)
-        with pytest.raises(ConfigError):
-            SchedulerConfig(policy="lifo")
 
     def test_nic_bounds(self):
         with pytest.raises(ConfigError):
@@ -287,28 +284,17 @@ class _StubRequest:
 
 
 class TestDispatchScheduler:
-    def _scheduler(self, engine, policy):
+    def _scheduler(self, engine):
         order = []
         sched = DispatchScheduler(
-            engine, 1, SchedulerConfig(policy=policy,
-                                       max_inflight_per_worker=None),
+            engine, 1, SchedulerConfig(max_inflight_per_worker=None),
             submit=lambda r: order.append(r.tag),
             on_timeout=lambda r: order.append(("timeout", r.tag)))
         return sched, order
 
-    def test_edf_dispatches_earliest_deadline_first(self):
-        engine = Engine()
-        sched, order = self._scheduler(engine, "edf")
-        sched.register_session(0, 1.0)
-        for tag, dl in [("late", 30_000.0), ("early", 10_000.0),
-                        ("mid", 20_000.0), ("never", None)]:
-            sched.enqueue(_StubRequest(0, tag, deadline=dl))
-        engine.run()
-        assert order == ["early", "mid", "late", "never"]
-
     def test_weighted_fair_gives_2x_share(self):
         engine = Engine()
-        sched, order = self._scheduler(engine, "fifo")
+        sched, order = self._scheduler(engine)
         sched.register_session(0, 2.0)
         sched.register_session(1, 1.0)
         for i in range(6):
@@ -323,7 +309,7 @@ class TestDispatchScheduler:
     def test_expired_request_is_timed_out_not_submitted(self):
         engine = Engine()
         engine.run(until=50_000.0)        # now = 50 us
-        sched, order = self._scheduler(engine, "fifo")
+        sched, order = self._scheduler(engine)
         sched.register_session(0, 1.0)
         sched.enqueue(_StubRequest(0, "dead", deadline=10_000.0))
         engine.run()
@@ -358,8 +344,7 @@ class TestSessions:
     def test_deadline_scheduling_sheds_instead_of_serving_late(self):
         db = make_db()
         fe = FrontEnd(db, FrontendConfig(
-            scheduler=SchedulerConfig(policy="edf",
-                                      max_inflight_per_worker=2)))
+            scheduler=SchedulerConfig(max_inflight_per_worker=2)))
         fe.session(make_factory(db), SessionConfig(
             name="slo", arrival="open", rate_tps=4_000_000.0,
             n_requests=120, deadline_ns=25_000.0))

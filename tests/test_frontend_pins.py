@@ -1,7 +1,7 @@
-"""Nine front-end scenarios, pinned to the last simulated nanosecond.
+"""Eight front-end scenarios, pinned to the last simulated nanosecond.
 
 Each scenario drives a small machine through one corner of the serving
-path — link and RX ring, admission, both dispatch policies and their
+path — link and RX ring, admission, weighted-fair dispatch and its
 windows, closed and open arrivals, retries with jitter, NIC faults and
 the resilience layer's breaker / park / replay — and keeps as literals:
 
@@ -89,23 +89,10 @@ def _closed_no_think_offset():
     return db, fe
 
 
-def _edf_window_2():
-    db = make_db()
-    fe = FrontEnd(db, FrontendConfig(
-        scheduler=SchedulerConfig(policy="edf", max_inflight_per_worker=2)))
-    fe.session(make_factory(db), SessionConfig(
-        name="tight", arrival="open", rate_tps=2_000_000.0, n_requests=60,
-        deadline_ns=20_000.0, seed=11))
-    fe.session(make_factory(db), SessionConfig(
-        name="loose", arrival="open", rate_tps=2_000_000.0, n_requests=60,
-        deadline_ns=80_000.0, seed=12))
-    return db, fe
-
-
 def _weighted_fair_window_1():
     db = make_db()
     fe = FrontEnd(db, FrontendConfig(
-        scheduler=SchedulerConfig(policy="fifo", max_inflight_per_worker=1)))
+        scheduler=SchedulerConfig(max_inflight_per_worker=1)))
     fe.session(make_factory(db), SessionConfig(
         name="heavy", arrival="open", rate_tps=2_500_000.0, n_requests=50,
         weight=2.0, seed=13))
@@ -156,7 +143,6 @@ SCENARIOS = {
     "rx_ring_retries_jitter": _rx_ring_retries_jitter,
     "closed_think": _closed_think,
     "closed_no_think_offset": _closed_no_think_offset,
-    "edf_window_2": _edf_window_2,
     "weighted_fair_window_1": _weighted_fair_window_1,
     "nic_faults_retries": _nic_faults_retries,
     "resilience_park_replay": _resilience_park_replay,
@@ -201,9 +187,6 @@ PINNED = {
     "closed_no_think_offset": {
         "requests": "a42582ab06615f4a", "now": 46296.0,
         "report": "fc1040290a688f2a", "counters": "98f9b6eeda0bb058"},
-    "edf_window_2": {
-        "requests": "4d116becd6b218aa", "now": 111276.28642394858,
-        "report": "13c48b1deb643b62", "counters": "f7bc4d3808d0140c"},
     "weighted_fair_window_1": {
         "requests": "a7e8cb45151be35d", "now": 163047.2,
         "report": "b1b53676e9f5b5f5", "counters": "08656dd25959ba3d"},

@@ -5,7 +5,7 @@ from array import array
 import pytest
 
 from repro.index.common import DbRequest, sdbm_hash
-from repro.index.hash.pipeline import HashIndexPipeline, HashTimings
+from repro.index.hash.pipeline import HashIndexPipeline
 from repro.isa import Opcode
 from repro.txn import ResultCode
 

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BionicConfig, BionicDB
-from repro.index.bptree.pipeline import BPTreePipeline
 from repro.index.common import DbRequest
 from repro.index.hash.pipeline import HashIndexPipeline
 from repro.index.skiplist.pipeline import SkiplistPipeline
@@ -22,7 +21,7 @@ from repro.mem.schema import IndexKind, TableSchema
 from repro.txn import ResultCode
 from repro.txn.cc import commit_record
 
-from conftest import SimEnv
+from conftest import SimEnv, SmallNodeBPTree
 
 KINDS = {"hash": IndexKind.HASH, "skiplist": IndexKind.SKIPLIST,
          "bptree": IndexKind.BPTREE}
@@ -53,8 +52,8 @@ def _pipeline(kind: str, env: SimEnv):
         return SkiplistPipeline(env.engine, env.clock, env.dram, "sl0",
                                 n_scanners=2, max_in_flight=3,
                                 stats=env.stats)
-    return BPTreePipeline(env.engine, env.clock, env.dram, "bp0", fanout=4,
-                          max_in_flight=3, stats=env.stats)
+    return SmallNodeBPTree(env.engine, env.clock, env.dram, "bp0",
+                           max_in_flight=3, stats=env.stats)
 
 
 def _req(op, key, ts, **kw):

@@ -241,8 +241,7 @@ class TestFrontendResilience:
         db = make_db()
         fe = FrontEnd(db, FrontendConfig(
             admission=AdmissionConfig(max_backlog=32),
-            scheduler=SchedulerConfig(policy="fifo",
-                                      max_inflight_per_worker=8),
+            scheduler=SchedulerConfig(max_inflight_per_worker=8),
             resilience=ResilienceConfig()))
         base = fe.session(make_factory(db), SessionConfig(
             name="base", arrival="open", rate_tps=300_000.0,

@@ -8,10 +8,10 @@ from repro.mem import TableSchema, TxnStatus
 from repro.sim import ClockDomain, Engine
 
 
-def make_ring(n=4, hop_cycles=2.0):
+def make_ring(n=4):
     eng = Engine()
     clock = ClockDomain(eng, 125.0)
-    return eng, clock, RingInterconnect(eng, clock, n, hop_cycles=hop_cycles)
+    return eng, clock, RingInterconnect(eng, clock, n)
 
 
 class TestRing:
@@ -60,7 +60,7 @@ class TestRing:
 
     def test_segment_serialisation(self):
         """Two messages crossing segment 0 at once serialise there."""
-        eng, clock, ring = make_ring(n=4, hop_cycles=2.0)
+        eng, clock, ring = make_ring(n=4)
         arrivals = []
         ring.attach(1, lambda _pkt: arrivals.append(eng.now), None)
         for _ in range(3):

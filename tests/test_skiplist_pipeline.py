@@ -4,7 +4,7 @@ import pytest
 
 from repro.index.common import DbRequest
 from repro.index.skiplist.pipeline import (
-    SkiplistPipeline, SkiplistTimings, compute_level_ranges,
+    SkiplistPipeline, compute_level_ranges,
 )
 from repro.isa import Opcode
 from repro.txn import ResultCode
@@ -12,9 +12,8 @@ from repro.txn import ResultCode
 from conftest import SimEnv, collect_results
 
 
-def make_pipeline(env: SimEnv, **kw) -> SkiplistPipeline:
-    return SkiplistPipeline(env.engine, env.clock, env.dram, "sl0",
-                            stats=env.stats, **kw)
+def make_pipeline(env: SimEnv, cls=SkiplistPipeline, **kw) -> SkiplistPipeline:
+    return cls(env.engine, env.clock, env.dram, "sl0", stats=env.stats, **kw)
 
 
 def req(op, key=None, ts=1, txn_id=1, **kw):
@@ -288,7 +287,7 @@ class TestSkiplistHazards:
     def test_insert_hazard_prevention_under_contention(self, env):
         """Sequential (ascending) inserts share entry points; with
         prevention on, no insert is lost (Figure 7b)."""
-        pipe = make_pipeline(env, hazard_prevention=True)
+        pipe = make_pipeline(env)
         reqs = []
         for k in range(25):
             r = req(Opcode.INSERT, key=k, txn_id=k)
@@ -303,7 +302,7 @@ class TestSkiplistHazards:
         assert len(pipe.items_direct()) == 25
 
     def test_lock_table_sees_contention(self, env):
-        pipe = make_pipeline(env, hazard_prevention=True)
+        pipe = make_pipeline(env)
         reqs = []
         for k in range(25):
             r = req(Opcode.INSERT, key=k, txn_id=k)
@@ -347,9 +346,14 @@ class TestEngines:
     #: firings this stream needs: a ceiling, not a pin
     EVENTS_CEILING = 1571
 
-    @staticmethod
-    def stream(env):
-        pipe = make_pipeline(env, max_in_flight=6, n_scanners=2)
+    class Pipeline(SkiplistPipeline):
+        #: the 6-cycle scanner (visibility check and buffer write) the
+        #: stream was pinned with
+        scan_emit_cycles = 6.0
+
+    @classmethod
+    def stream(cls, env):
+        pipe = make_pipeline(env, cls.Pipeline, max_in_flight=6, n_scanners=2)
         for k in range(0, 80, 2):
             pipe.bulk_load(k, [k])
         out = env.heap.alloc(64)

@@ -58,8 +58,8 @@ class TestTracer:
     def test_format_renders_lines(self):
         db, tracer = traced_db()
         run_one(db)
-        text = tracer.format(limit=5)
-        assert len(text.splitlines()) == 5
+        text = tracer.format()
+        assert len(text.splitlines()) == len(tracer.events)
         assert "ns" in text
 
     def test_capacity_drops_and_reports(self):
@@ -99,17 +99,6 @@ class TestTracer:
         with pytest.raises((TypeError, AttributeError)):
             a.events.append("junk")
         assert len(b.events) == 0
-
-    def test_format_tail_shows_latest_events(self):
-        db, tracer = traced_db()
-        run_one(db)
-        head = tracer.format(limit=3)
-        tail = tracer.format(limit=3, tail=True)
-        assert len(head.splitlines()) == 3
-        assert len(tail.splitlines()) == 3
-        assert head != tail
-        last_line = tracer.format().splitlines()[-1]
-        assert tail.splitlines()[-1] == last_line
 
     def test_clear(self):
         db, tracer = traced_db()
