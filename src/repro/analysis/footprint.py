@@ -41,14 +41,15 @@ summary collapses to one of four classes:
     both anchored and pinned accesses (classification is still exact).
 ``unbounded``
     some key has no anchor at all; the reachable partitions cannot be
-    bounded statically and the router must keep the dynamic
-    bounce-then-re-home path.
+    bounded statically and the router must leave the spec to the
+    dynamic submit path.
 
 :meth:`FootprintSummary.classify` then joins a laid-out summary with a
 deployment (home partition, node map) into a :class:`StaticRoute`
 verdict — ``single-partition`` / ``single-node`` / ``cross-node`` /
-``unbounded`` — which is what :class:`repro.frontend.router.RequestRouter`
-consults to re-plan misrouted lanes *before* the submit.
+``unbounded`` — which
+:meth:`repro.frontend.router.ClusterRetryRouter._preclassify` consults
+to reject statically cross-node work *before* the first submit.
 """
 
 from __future__ import annotations

@@ -206,13 +206,6 @@ class BionicDB:
     def node_of(self, worker: int) -> int:
         return worker // self.config.n_workers
 
-    def ownership_map(self) -> Dict[int, tuple]:
-        """partition -> (owner node, epoch); static here (no failover —
-        that is :class:`repro.cluster.ha.HACluster`), but the same shape
-        the front-end router consults before re-homing a cross-node
-        submit."""
-        return {w: (self.node_of(w), 0) for w in range(self.total_workers)}
-
     # -- schema & procedures ------------------------------------------------
     def define_table(self, schema: TableSchema) -> TableSchema:
         self.schemas.add(schema)

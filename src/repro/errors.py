@@ -39,7 +39,8 @@ Errors additionally marked :class:`RetryableError` (a mixin, not a
 ``BionicError`` subclass) describe transient cluster conditions: the
 request was *not* durably executed-and-acknowledged, and a client that
 refreshes its routing state and retries with backoff is expected to
-succeed — the contract the front-end's retry loop relies on.
+succeed — the contract :class:`repro.frontend.router.ClusterRetryRouter`
+relies on.
 """
 
 from __future__ import annotations
@@ -161,9 +162,10 @@ class RetryableError(Exception):
     Not a :class:`BionicError` itself — concrete errors inherit both.
     The guarantee a retryable error makes: the request was **not**
     executed-and-acknowledged, so retrying (after refreshing routing
-    state) cannot double-apply it.  The front-end maps these to the
-    ``rejected`` terminal outcome, which the session retry-with-backoff
-    loop already knows how to drive."""
+    state) cannot double-apply it.  Only
+    :class:`~repro.cluster.ha.HACluster` raises them; its client,
+    ``ClusterRetryRouter``, refreshes, reconciles or retries them under
+    per-partition breakers and a retry budget."""
 
 
 class PartitionUnavailableError(BionicError, RetryableError, RuntimeError):

@@ -3,8 +3,9 @@
 The serving stack the paper defers ("ideally, remote clients should
 submit transaction blocks through network cards", §5.1): all traffic
 can now enter a BionicDB (of one node or many) through a simulated
-link with admission control, multi-tenant fair queuing, deadline
-scheduling and SLO observability.  See ``docs/frontend.md``.
+link with admission control, multi-tenant weighted-fair dispatch,
+shedding of requests already past their deadline, and SLO
+observability.  See ``docs/frontend.md``.
 """
 
 from .admission import (
@@ -15,11 +16,9 @@ from .core import FrontEnd, FrontendConfig
 from .nic import Nic, NicConfig
 from .resilience import (
     BreakerBank, BreakerConfig, BrownoutController, CircuitBreaker,
-    ResilienceConfig, RetryBudget, RetryBudgetConfig,
-    REASON_BREAKER, REASON_BROWNOUT, REASON_PARK_EXPIRED,
-    REASON_RETRY_BUDGET,
+    ResilienceConfig, RetryBudget, RetryBudgetConfig, REASON_BROWNOUT,
 )
-from .router import ClusterRetryRouter, RequestRouter
+from .router import ClusterRetryRouter
 from .scheduler import DispatchScheduler, SchedulerConfig
 from .session import ClientSession, Request, SessionConfig
 from .slo import FrontendReport, SessionStats
@@ -34,8 +33,7 @@ __all__ = [
     "ResilienceConfig", "RetryBudget", "RetryBudgetConfig",
     "CircuitBreaker", "BreakerBank", "BreakerConfig",
     "BrownoutController",
-    "RequestRouter", "ClusterRetryRouter",
+    "ClusterRetryRouter",
     "REASON_BACKLOG", "REASON_DEADLINE", "REASON_RATE", "REASON_RX_OVERFLOW",
-    "REASON_BROWNOUT", "REASON_BREAKER", "REASON_RETRY_BUDGET",
-    "REASON_PARK_EXPIRED",
+    "REASON_BROWNOUT",
 ]

@@ -32,17 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
-from ..errors import (
-    CrossNodeTransactionError, FrontendError, RetryableError,
-    StuckTransactionError,
-)
+from ..errors import FrontendError, StuckTransactionError
 from ..mem.txnblock import TxnStatus
 from .admission import (
     AdmissionConfig, AdmissionController, REASON_DEADLINE, REASON_RX_OVERFLOW,
 )
 from .nic import Nic, NicConfig
-from .resilience import ResilienceConfig
-from .router import RequestRouter
+from .resilience import (
+    REASON_BROWNOUT, BrownoutController, ResilienceConfig, RetryBudget,
+)
 from .scheduler import DispatchScheduler, SchedulerConfig
 from .session import ClientSession, Request, SessionConfig
 from .slo import FrontendReport
@@ -55,8 +53,8 @@ class FrontendConfig:
     nic: NicConfig = field(default_factory=NicConfig)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    #: the overload-resilience layer (brownout, breakers, retry budget,
-    #: re-home, park/replay); ``None`` builds no router and keeps the
+    #: the overload-resilience layer (brownout shedding and the
+    #: per-class retry budget); ``None`` builds neither and keeps the
     #: serving path bit-identical to the plain front-end
     resilience: Optional[ResilienceConfig] = None
 
@@ -92,8 +90,14 @@ class FrontEnd:
         self.scheduler = DispatchScheduler(
             self.engine, db.total_workers, self.config.scheduler,
             submit=self._submit, on_timeout=self._timeout, stats=db.stats)
-        self.router = (RequestRouter(self)
-                       if self.config.resilience is not None else None)
+        #: the per-class retry budget and the brownout shedder, built
+        #: only when ``FrontendConfig.resilience`` is given
+        self.budget: Optional[RetryBudget] = None
+        self.brownout: Optional[BrownoutController] = None
+        if self.config.resilience is not None:
+            self.budget = RetryBudget(self.config.resilience.budget)
+            self.brownout = BrownoutController(
+                self.config.admission.max_backlog)
         self.sessions: List[ClientSession] = []
         self._by_txn = {}              # txn_id -> Request (in the chip)
         self._start_ns = self.engine.now
@@ -126,8 +130,8 @@ class FrontEnd:
     # -- the serving path ----------------------------------------------------
     def _deliver(self, req: Request) -> None:
         """Send a request's first attempt."""
-        if self.router is not None:
-            self.router.note_first_attempt(req)
+        if self.budget is not None:
+            self.budget.note_first_attempt(req.session.config.priority)
         self.nic.transmit(req, self._landed)
 
     def _landed(self, req: Request) -> None:
@@ -141,7 +145,7 @@ class FrontEnd:
         backoff, or close the request."""
         cfg = req.session.config
         if req.outcome == "rejected" and req.attempts < cfg.max_retries:
-            if self.router is None or self.router.allow_retry(req):
+            if self.budget is None or self.budget.try_spend(cfg.priority):
                 req.attempts += 1
                 req.session.stats.retries += 1
                 backoff = cfg.retry_backoff_ns * (2 ** (req.attempts - 1))
@@ -174,10 +178,11 @@ class FrontEnd:
         if req.expired(now):
             self._finish(req, "timed_out", REASON_DEADLINE)
             return
-        if self.router is not None:
-            reason = self.router.gate(req, now)
-            if reason is not None:
-                self._finish(req, "rejected", reason)
+        if self.brownout is not None:
+            priority = req.session.config.priority
+            if self.brownout.should_shed(priority, self.scheduler.backlog):
+                self.brownout.note_shed(priority)
+                self._finish(req, "rejected", REASON_BROWNOUT)
                 return
         reason = self.admission.check(self.scheduler.backlog)
         if reason is not None:
@@ -187,30 +192,7 @@ class FrontEnd:
 
     def _submit(self, req: Request) -> None:
         self._by_txn[req.block.txn_id] = req
-        try:
-            self.db.submit(req.block, req.home)
-        except CrossNodeTransactionError as exc:
-            # the block lives in another node's DRAM: with a router,
-            # re-plan onto the true home lane; without one, propagate —
-            # this is a mis-wired factory, not a transient
-            del self._by_txn[req.block.txn_id]
-            self.scheduler.note_done(req.home)
-            if self.router is not None and self.router.rehome(req, exc):
-                return
-            raise
-        except RetryableError as exc:
-            # a transient cluster condition (stale epoch, owner failing
-            # over, replication lag): the request was not executed, so
-            # map it to the ``rejected`` terminal outcome — the session
-            # retry-with-backoff loop already knows how to drive that
-            del self._by_txn[req.block.txn_id]
-            self.scheduler.note_done(req.home)
-            if self.router is not None:
-                now = self.engine.now
-                self.router.note_failure(req, now)
-                if self.router.park(req, now):
-                    return      # held for replay once the partition heals
-            self._finish(req, "rejected", f"retryable:{type(exc).__name__}")
+        self.db.submit(req.block, req.home)
 
     def _timeout(self, req: Request) -> None:
         self._finish(req, "timed_out", REASON_DEADLINE)
@@ -238,8 +220,6 @@ class FrontEnd:
         if req is None:
             return    # not front-end traffic (direct submit)
         self.scheduler.note_done(req.home)
-        if self.router is not None:
-            self.router.note_success(req, self.engine.now)
         req.outcome = ("committed"
                        if block.header.status is TxnStatus.COMMITTED
                        else "aborted")
@@ -277,15 +257,10 @@ class FrontEnd:
             },
             dispatched=self.scheduler._dispatched.value,
         )
-        router = self.router
-        if router is not None:
-            report.breaker_transitions = router.breakers.transitions()
-            report.retry_budget = router.budget.totals()
+        if self.budget is not None:
+            report.retry_budget = self.budget.totals()
             report.brownout_shed = dict(
-                sorted(router.brownout.shed_counts.items()))
-            report.rehomed = router.rehomed
-            report.parked = router.parked
-            report.replayed = router.replayed
+                sorted(self.brownout.shed_counts.items()))
         return report
 
     # -- lifecycle -----------------------------------------------------------

@@ -1,8 +1,12 @@
 """Overload-resilience primitives: retry budgets, breakers, brownout.
 
-Three independent mechanisms behind a single :class:`ResilienceConfig`.
-A front-end given no config builds none of them, so its serving path
-is bit-identical to the plain front-end:
+Three independent mechanisms.  A front-end given a
+:class:`ResilienceConfig` calls the retry budget and the brownout
+controller from its serving path; a front-end given none builds
+neither, so its serving path is bit-identical to the plain front-end.
+The breakers, and the budget again, serve
+:class:`repro.frontend.router.ClusterRetryRouter`, the control-plane
+planner in front of an :class:`~repro.cluster.ha.HACluster`:
 
 * :class:`RetryBudget` — a per-priority-class token bucket funded by
   *first-attempt* traffic: every first attempt deposits ``ratio``
@@ -23,10 +27,6 @@ is bit-identical to the plain front-end:
   low-priority classes are shed first and class 0 never is.
   Hysteresis (:data:`BROWNOUT_RELEASE`) keeps the controller from
   flapping at the threshold.
-
-The engine-embedded consumer of these pieces is
-:class:`repro.frontend.router.RequestRouter`; the control-plane
-consumer is :class:`repro.frontend.router.ClusterRetryRouter`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from typing import Deque, Dict, Optional, Tuple
 from ..errors import ConfigError
 
 __all__ = [
-    "REASON_BROWNOUT", "REASON_BREAKER", "REASON_RETRY_BUDGET",
-    "REASON_PARK_EXPIRED",
+    "REASON_BROWNOUT",
     "RetryBudgetConfig", "RetryBudget",
     "BreakerConfig", "CircuitBreaker", "BreakerBank",
     "BREAKER_CLOSED", "BREAKER_OPEN", "BREAKER_HALF_OPEN",
@@ -48,11 +47,8 @@ __all__ = [
     "ResilienceConfig",
 ]
 
-#: shed reasons stamped into ``Request.reason`` / ``abort_reason``
+#: shed reason stamped into ``Request.reason`` / ``abort_reason``
 REASON_BROWNOUT = "brownout-shed"
-REASON_BREAKER = "breaker-open"
-REASON_RETRY_BUDGET = "retry-budget-exhausted"
-REASON_PARK_EXPIRED = "parked-past-budget"
 
 
 # -- retry budget ------------------------------------------------------------
@@ -173,7 +169,7 @@ class CircuitBreaker:
         self._window: Deque[int] = deque(maxlen=config.window)
         self._opened_at = 0.0
         self._probes_left = 0
-        # transition counters (surfaced in FrontendReport)
+        # transition counters (surfaced in the cluster drills' counts)
         self.opened = 0
         self.half_opened = 0
         self.reclosed = 0
@@ -315,15 +311,13 @@ class BrownoutController:
 
 @dataclass
 class ResilienceConfig:
-    """Knobs for the overload-resilience layer.
+    """Knobs for the front-end's overload-resilience layer.
 
     A :class:`~repro.frontend.core.FrontendConfig` without one (the
-    default) builds no router: no hook runs, and the goldens of
-    ``tests/goldens.py`` are unaffected.  With one, the router sheds by
-    brownout and breaker, re-homes cross-node submits, parks and
-    replays requests bounced by a retryable cluster error, and budgets
-    session retries.
+    default) builds no budget and no brownout controller: no hook
+    runs, and the goldens of ``tests/goldens.py`` are unaffected.  With
+    one, the front-end sheds low-priority work by brownout and budgets
+    session retries per priority class.
     """
 
     budget: RetryBudgetConfig = field(default_factory=RetryBudgetConfig)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)

@@ -1,30 +1,22 @@
 """The cluster-aware retry router: planning behind typed retry signals.
 
-Two faces over the same :mod:`repro.frontend.resilience` primitives:
+:class:`ClusterRetryRouter` is a control-plane planner over
+:class:`repro.cluster.ha.HACluster`'s hand-advanced clock, built on
+the :mod:`repro.frontend.resilience` breakers and retry budget.  It
+caches ``ownership_map()``, refreshes it on ``StaleEpochError``
+(re-homing submits to the current owner, at most
+:data:`MAX_EPOCH_REFRESHES` times per attempt), reconciles against the
+authoritative log before any re-execution so retries never
+double-apply, lets the cluster queue-and-replay during migration
+windows, and fails fast through per-partition breakers and a budget
+so a failover cannot snowball into a retry storm.
 
-* :class:`RequestRouter` — embedded in a :class:`FrontEnd` that was
-  given a :class:`ResilienceConfig`, on the discrete-event engine.  It
-  gates admission (brownout shedding by priority class, per-partition
-  circuit breakers), re-homes ``CrossNodeTransactionError`` submits
-  onto the block's true home lane, parks requests bounced by a
-  retryable cluster error and replays them every
-  :data:`REPLAY_INTERVAL_NS` once the partition heals (for at most
-  :data:`MAX_PARK_NS`), and enforces the per-class retry budget on the
-  session retry loop.
-* :class:`ClusterRetryRouter` — a control-plane planner over
-  :class:`repro.cluster.ha.HACluster`'s hand-advanced clock.  It
-  caches ``ownership_map()``, refreshes it on ``StaleEpochError``
-  (re-homing submits to the current owner, at most
-  :data:`MAX_EPOCH_REFRESHES` times per attempt), reconciles against
-  the authoritative log before any re-execution so retries never
-  double-apply, lets the cluster queue-and-replay during migration
-  windows, and fails fast through the same breaker/budget machinery
-  so a failover cannot snowball into a retry storm.
-
-Both are exercised by ``repro.faults.drill``: the first by the
-front-end flavours of ``--suite overload``, the second — the only
-client the cluster-backed drills have — by every flavour of ``--suite
-cluster`` and the other two of ``--suite overload``.
+It is the only client the cluster-backed drills of
+``repro.faults.drill`` have: every flavour of ``--suite cluster`` and
+the two cluster flavours of ``--suite overload`` drive it.  A
+:class:`~repro.frontend.core.FrontEnd` serves one
+:class:`~repro.core.system.BionicDB` and needs no router: its brownout
+and retry budget are called from the serving path itself.
 """
 
 from __future__ import annotations
@@ -36,143 +28,10 @@ from ..errors import (
     StaleEpochError,
 )
 from .resilience import (
-    REASON_BREAKER, REASON_BROWNOUT, REASON_PARK_EXPIRED,
-    BreakerBank, BreakerConfig, BrownoutController, ResilienceConfig,
-    RetryBudget, RetryBudgetConfig,
+    BreakerBank, BreakerConfig, RetryBudget, RetryBudgetConfig,
 )
 
-__all__ = ["RequestRouter", "ClusterRetryRouter", "REPLAY_INTERVAL_NS",
-           "MAX_PARK_NS", "ROUND_REFILL", "MAX_EPOCH_REFRESHES"]
-
-#: replay poll cadence while requests are parked
-REPLAY_INTERVAL_NS = 250_000.0
-#: give up on a parked request after this long (rejected to client)
-MAX_PARK_NS = 5_000_000.0
-
-
-class RequestRouter:
-    """The FrontEnd-embedded overload-resilience layer.
-
-    Constructed only when ``FrontendConfig.resilience`` is given — a
-    front-end without one keeps the serving path bit-identical (zero
-    events, zero RNG draws, zero extra state).
-    """
-
-    def __init__(self, frontend):
-        self.frontend = frontend
-        self.engine = frontend.engine
-        config: ResilienceConfig = frontend.config.resilience
-        self.budget = RetryBudget(config.budget)
-        self.breakers = BreakerBank(config.breaker)
-        self.brownout = BrownoutController(
-            frontend.config.admission.max_backlog)
-        self._parked: List[Any] = []
-        self._replay_armed = False
-        # counters surfaced in FrontendReport
-        self.rehomed = 0
-        self.parked = 0
-        self.replayed = 0
-        self.breaker_fast_fails = 0
-
-    # -- admission-side gate (runs in the pump, before the bucket) ----------
-    def gate(self, req, now_ns: float) -> Optional[str]:
-        """Shed reason for this request, or ``None`` to let it through.
-
-        Brownout first (cheapest signal, protects the whole box), then
-        the target partition's breaker (protects queue slots from work
-        that is known to be doomed)."""
-        priority = req.session.config.priority
-        if self.brownout.should_shed(priority,
-                                     self.frontend.scheduler.backlog):
-            self.brownout.note_shed(priority)
-            return REASON_BROWNOUT
-        if not self.breakers.allow(req.home, now_ns):
-            self.breaker_fast_fails += 1
-            return REASON_BREAKER
-        return None
-
-    # -- submit-side planning ------------------------------------------------
-    def rehome(self, req, exc) -> bool:
-        """A ``CrossNodeTransactionError``: the block lives in another
-        node's DRAM.  Re-plan onto the block's true home lane instead
-        of failing the request back to the client."""
-        target = getattr(req.block, "home_worker", None)
-        if target is None or target == req.home:
-            return False
-        if target not in self.frontend.db.ownership_map():
-            return False
-        req.home = target
-        self.rehomed += 1
-        self.frontend.scheduler.enqueue(req)
-        return True
-
-    def park(self, req, now_ns: float) -> bool:
-        """Hold a request bounced by a retryable cluster error and
-        replay it when the partition heals; ``False`` = don't park
-        (expired, or past the park budget) — the caller sheds it to the
-        client instead."""
-        if req.expired(now_ns):
-            return False
-        if req.first_parked_ns is None:
-            req.first_parked_ns = now_ns
-        elif now_ns - req.first_parked_ns >= MAX_PARK_NS:
-            return False
-        self._parked.append(req)
-        self.parked += 1
-        self._arm_replay()
-        return True
-
-    def _arm_replay(self) -> None:
-        # one-shot timer, re-armed only while requests are parked: the
-        # event heap must drain once all requests are terminal, so the
-        # replay poller never sits in an infinite loop
-        if self._replay_armed:
-            return
-        self._replay_armed = True
-        # the poll interval starts counting on the engine's next step
-        engine = self.engine
-        engine._schedule_fn(engine.now, self._start_replay, None)
-
-    def _start_replay(self, _arg) -> None:
-        engine = self.engine
-        engine._schedule_fn(engine.now + REPLAY_INTERVAL_NS, self._replay,
-                            None)
-
-    def _replay(self, _arg) -> None:
-        self._replay_armed = False
-        frontend = self.frontend
-        now = self.engine.now
-        still_parked: List[Any] = []
-        for req in self._parked:
-            if req.expired(now):
-                frontend._finish(req, "timed_out", "deadline-exceeded")
-            elif self.breakers.allow(req.home, now):
-                self.replayed += 1
-                frontend.scheduler.enqueue(req)
-            elif now - req.first_parked_ns >= MAX_PARK_NS:
-                frontend._finish(req, "rejected", REASON_PARK_EXPIRED)
-            else:
-                still_parked.append(req)
-        self._parked = still_parked
-        if still_parked:
-            self._arm_replay()
-
-    # -- retry budget (runs in the session retry loop) -----------------------
-    def note_first_attempt(self, req) -> None:
-        self.budget.note_first_attempt(req.session.config.priority)
-
-    def allow_retry(self, req) -> bool:
-        return self.budget.try_spend(req.session.config.priority)
-
-    # -- breaker signals -----------------------------------------------------
-    def note_failure(self, req, now_ns: float) -> None:
-        self.breakers.record_failure(req.home, now_ns)
-
-    def note_success(self, req, now_ns: float) -> None:
-        self.breakers.record_success(req.home, now_ns)
-
-
-# -- the control-plane planner ----------------------------------------------
+__all__ = ["ClusterRetryRouter", "ROUND_REFILL", "MAX_EPOCH_REFRESHES"]
 
 #: budget tokens trickled back per :meth:`ClusterRetryRouter.pump` round
 #: so a long recovery cannot starve once a storm has passed;

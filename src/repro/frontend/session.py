@@ -32,7 +32,7 @@ class Request:
 
     __slots__ = ("session", "index", "block", "home", "deadline_at_ns",
                  "created_at_ns", "outcome", "reason", "seq",
-                 "attempts", "in_system", "first_parked_ns")
+                 "attempts", "in_system")
 
     def __init__(self, session: "ClientSession", index: int, block,
                  home: int, created_at_ns: float,
@@ -50,10 +50,6 @@ class Request:
         #: True once the pump has accepted this attempt — a second RX
         #: copy of the same attempt (an injected duplicate) is discarded
         self.in_system = False
-        #: set by the router when a retryable cluster error first parks
-        #: this attempt — bounds how long a request may wait for a
-        #: partition to heal before it is shed back to the client
-        self.first_parked_ns: Optional[float] = None
 
     def expired(self, now_ns: float) -> bool:
         return self.deadline_at_ns is not None and now_ns > self.deadline_at_ns
@@ -70,7 +66,6 @@ class Request:
         self.outcome = None
         self.reason = None
         self.in_system = False
-        self.first_parked_ns = None
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..sim.stats import nearest_rank
-from .resilience import REASON_BREAKER, REASON_BROWNOUT
+from .resilience import REASON_BROWNOUT
 
 __all__ = ["SessionStats", "FrontendReport"]
 
@@ -37,11 +37,9 @@ class SessionStats:
     rejected: int = 0         # shed: NIC overflow / rate limit / backlog
     timed_out: int = 0        # deadline expired while queued
     retries: int = 0          # re-submissions after a shed (not new offers)
-    #: rejections whose *final* shed reason was brownout / an open
-    #: breaker — subsets of ``rejected``, for exact per-class SLO
-    #: accounting under overload
+    #: rejections whose *final* shed reason was brownout — a subset of
+    #: ``rejected``, for exact per-class SLO accounting under overload
     rejected_brownout: int = 0
-    rejected_breaker: int = 0
     #: retries the per-class retry budget refused (the request then
     #: went terminal with its last shed reason)
     retries_denied: int = 0
@@ -64,8 +62,6 @@ class SessionStats:
             self.rejected += 1
             if req.reason == REASON_BROWNOUT:
                 self.rejected_brownout += 1
-            elif req.reason == REASON_BREAKER:
-                self.rejected_breaker += 1
         elif outcome == "timed_out":
             self.timed_out += 1
         else:  # pragma: no cover - guarded by FrontEnd.run()
@@ -94,19 +90,12 @@ class FrontendReport:
     nic_dropped: int = 0
     admission_shed: Dict[str, int] = field(default_factory=dict)
     dispatched: int = 0
-    #: breaker open / half-open / re-close transition counts (empty
-    #: when the resilience layer is disabled)
-    breaker_transitions: Dict[str, int] = field(default_factory=dict)
-    #: per-class retry-budget grants/denials
+    #: retry-budget grants/denials (empty when the resilience layer is
+    #: disabled)
     retry_budget: Dict[str, int] = field(default_factory=dict)
     #: priority class -> requests shed by brownout (attempt-level; the
     #: terminal per-class view lives in :meth:`by_class`)
     brownout_shed: Dict[int, int] = field(default_factory=dict)
-    #: cross-node submits re-planned onto their true home lane
-    rehomed: int = 0
-    #: requests parked on a retryable cluster error / replayed after
-    parked: int = 0
-    replayed: int = 0
 
     # -- totals -------------------------------------------------------------
     def _sum(self, attr: str) -> int:
@@ -145,7 +134,7 @@ class FrontendReport:
         """Terminal-state breakdown per priority class — the exact
         per-class SLO accounting brownout shedding is judged by."""
         fields = ("offered", "committed", "aborted", "rejected",
-                  "timed_out", "rejected_brownout", "rejected_breaker",
+                  "timed_out", "rejected_brownout",
                   "retries", "retries_denied", "deadline_met")
         out: Dict[int, Dict[str, int]] = {}
         for s in self.sessions:
@@ -197,21 +186,16 @@ class FrontendReport:
             f"  nic delivered {self.nic_delivered}  dropped {self.nic_dropped}"
             f"   admission shed {self.admission_shed}   "
             f"dispatched {self.dispatched}")
-        if self.breaker_transitions or self.retry_budget or self.rehomed \
-                or self.parked or self.brownout_shed:
+        if self.retry_budget or self.brownout_shed:
             lines.append(
-                f"  breakers {self.breaker_transitions}  "
-                f"retry-budget {self.retry_budget}  "
-                f"brownout-shed {self.brownout_shed}  "
-                f"rehomed {self.rehomed}  parked {self.parked}  "
-                f"replayed {self.replayed}")
+                f"  retry-budget {self.retry_budget}  "
+                f"brownout-shed {self.brownout_shed}")
             for cls, row in self.by_class().items():
                 lines.append(
                     f"  class {cls}: offered {row['offered']}  "
                     f"committed {row['committed']}  "
                     f"rejected {row['rejected']} "
-                    f"(brownout {row['rejected_brownout']}, "
-                    f"breaker {row['rejected_breaker']})  "
+                    f"(brownout {row['rejected_brownout']})  "
                     f"timed-out {row['timed_out']}  "
                     f"retries {row['retries']} "
                     f"(denied {row['retries_denied']})")

@@ -2,10 +2,10 @@
 
 Seed 2 of each flavour, run once, and its whole ``summary()`` line kept
 as a literal.  The front-end flavours depend on the brownout shed
-fractions and hysteresis, the park-and-replay cadence and the breaker's
-half-open probes, and the cluster flavours on the retry router's
-per-round refill and epoch-refresh bound; a change to any of those
-constants moves a count here.
+fractions and hysteresis and the per-class retry budget, and the
+cluster flavours on the retry router's breakers, per-round refill and
+epoch-refresh bound; a change to any of those constants moves a count
+here.
 """
 
 import pytest
@@ -67,12 +67,10 @@ PINNED = {
     ("overload", "flash_crowd"):
         "seed=2 overload flavor=flash_crowd offered=426 acked=309 shed=117 "
         "retries=57 retries_denied=112 amplification=1.13 "
-        "breakers={'opened': 0, 'half_opened': 0, 'reclosed': 0} "
         "pre_goodput=1.00 post_goodput=1.00 — ok",
     ("overload", "slow_client_storm"):
         "seed=2 overload flavor=slow_client_storm offered=509 acked=463 "
         "shed=46 retries=92 retries_denied=45 amplification=1.18 "
-        "breakers={'opened': 0, 'half_opened': 0, 'reclosed': 0} "
         "pre_goodput=1.00 post_goodput=1.00 — ok",
     ("overload", "migration_under_load"):
         "seed=2 overload flavor=migration_under_load event_txn=1 victim=1 "

@@ -198,54 +198,6 @@ class TestNic:
         assert fe.nic.dropped > rep.rejected
         assert rep.conserved
 
-    def test_retryable_cluster_error_drives_retry_loop(self):
-        # a transient typed error from submit (stale epoch, owner
-        # failing over) maps to the rejected outcome and the session's
-        # retry-with-backoff loop recovers it
-        from repro.errors import PartitionUnavailableError
-        db = make_db()
-        real_submit = db.submit
-        flaky = {"left": 2}
-
-        def submit(block, worker=None):
-            if flaky["left"] > 0:
-                flaky["left"] -= 1
-                raise PartitionUnavailableError(
-                    "owner failing over", partition=worker, node=0,
-                    reason="test")
-            return real_submit(block, worker)
-
-        db.submit = submit
-        fe = FrontEnd(db, FrontendConfig.passthrough())
-        sess = fe.session(make_factory(db), SessionConfig(
-            name="ha-retry", arrival="open", rate_tps=1_000_000.0,
-            n_requests=6, max_retries=4, retry_backoff_ns=10_000.0))
-        rep = fe.run()
-        fe.detach()
-        assert sess.stats.retries >= 2
-        assert rep.conserved
-        assert sess.stats.committed == 6
-
-    def test_retryable_error_exhausting_retries_is_rejected(self):
-        from repro.errors import StaleEpochError
-        db = make_db()
-
-        def submit(block, worker=None):
-            raise StaleEpochError("always stale", partition=0,
-                                  current_epoch=2, client_epoch=1)
-
-        db.submit = submit
-        fe = FrontEnd(db, FrontendConfig.passthrough())
-        sess = fe.session(make_factory(db), SessionConfig(
-            name="fenced", arrival="open", rate_tps=1_000_000.0,
-            n_requests=3, max_retries=2, retry_backoff_ns=1_000.0))
-        rep = fe.run()
-        fe.detach()
-        assert rep.conserved
-        assert sess.stats.rejected == 3
-        for req in sess.requests:
-            assert req.reason == "retryable:StaleEpochError"
-
 
 class TestTokenBucket:
     def test_burst_then_refill(self):

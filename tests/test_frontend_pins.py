@@ -1,9 +1,9 @@
-"""Eight front-end scenarios, pinned to the last simulated nanosecond.
+"""Seven front-end scenarios, pinned to the last simulated nanosecond.
 
 Each scenario drives a small machine through one corner of the serving
 path — link and RX ring, admission, weighted-fair dispatch and its
-windows, closed and open arrivals, retries with jitter, NIC faults and
-the resilience layer's breaker / park / replay — and keeps as literals:
+windows, closed and open arrivals, retries with jitter and NIC
+faults — and keeps as literals:
 
 * a digest of every request's ``(session, index, outcome, reason,
   created_at_ns, done_at_ns, attempts, status, commit_ts)``;
@@ -22,11 +22,10 @@ import hashlib
 
 import pytest
 
-from repro.errors import PartitionUnavailableError
 from repro.faults import FaultPlan, NIC_CORRUPT, NIC_DROP, NIC_DUPLICATE
 from repro.frontend import (
-    AdmissionConfig, BreakerConfig, FrontEnd, FrontendConfig, NicConfig,
-    ResilienceConfig, SchedulerConfig, SessionConfig,
+    AdmissionConfig, FrontEnd, FrontendConfig, NicConfig, SchedulerConfig,
+    SessionConfig,
 )
 
 from test_frontend import make_db, make_factory
@@ -116,27 +115,6 @@ def _nic_faults_retries():
     return db, fe
 
 
-def _resilience_park_replay():
-    db = make_db()
-    fe = FrontEnd(db, FrontendConfig(resilience=ResilienceConfig(
-        breaker=BreakerConfig(window=8, min_samples=2, open_ns=100_000.0))))
-    heal_at = 400_000.0
-    real_submit = db.submit
-
-    def flaky_submit(block, worker=None):
-        if db.engine.now < heal_at:
-            raise PartitionUnavailableError(
-                "owner failing over", partition=worker, node=0,
-                reason="induced outage")
-        return real_submit(block, worker)
-
-    db.submit = flaky_submit
-    fe.session(make_factory(db), SessionConfig(
-        name="t", arrival="open", rate_tps=600_000.0, n_requests=24,
-        max_retries=6, retry_backoff_ns=80_000.0, seed=16))
-    return db, fe
-
-
 SCENARIOS = {
     "passthrough_two_sessions": _passthrough_two_sessions,
     "default_nic_backlog_deadlines": _default_nic_backlog_deadlines,
@@ -145,7 +123,6 @@ SCENARIOS = {
     "closed_no_think_offset": _closed_no_think_offset,
     "weighted_fair_window_1": _weighted_fair_window_1,
     "nic_faults_retries": _nic_faults_retries,
-    "resilience_park_replay": _resilience_park_replay,
 }
 
 
@@ -174,28 +151,25 @@ def observe(name):
 PINNED = {
     "passthrough_two_sessions": {
         "requests": "4603bdcc27e7bb82", "now": 47187.16715164358,
-        "report": "4cd0145fc5cae0fa", "counters": "e7ff32fd2b0f1f74"},
+        "report": "d32feffbced51b38", "counters": "e7ff32fd2b0f1f74"},
     "default_nic_backlog_deadlines": {
         "requests": "c1459cc8211029c8", "now": 60863.2,
-        "report": "4b13da2b04fb4391", "counters": "0ee93bc36160774a"},
+        "report": "692fbcc09c0c4e80", "counters": "0ee93bc36160774a"},
     "rx_ring_retries_jitter": {
         "requests": "39bcb4305027eb40", "now": 64715.2,
-        "report": "81dda3f75e433bbf", "counters": "9b73b5e655f79a44"},
+        "report": "465df3faf139a2b9", "counters": "9b73b5e655f79a44"},
     "closed_think": {
         "requests": "2242ca82b36b3dc3", "now": 93622.32508601497,
-        "report": "28f4f2013cd1adf1", "counters": "b715a39b400a25cf"},
+        "report": "fc1659099ab387ee", "counters": "b715a39b400a25cf"},
     "closed_no_think_offset": {
         "requests": "a42582ab06615f4a", "now": 46296.0,
-        "report": "fc1040290a688f2a", "counters": "98f9b6eeda0bb058"},
+        "report": "af779e139040475c", "counters": "98f9b6eeda0bb058"},
     "weighted_fair_window_1": {
         "requests": "a7e8cb45151be35d", "now": 163047.2,
-        "report": "b1b53676e9f5b5f5", "counters": "08656dd25959ba3d"},
+        "report": "32aa245dc91199f5", "counters": "08656dd25959ba3d"},
     "nic_faults_retries": {
         "requests": "5c186872c7fc80e7", "now": 77933.84557899632,
-        "report": "c37d25d045cf7b7c", "counters": "6bb40c81d3b13b6e"},
-    "resilience_park_replay": {
-        "requests": "4a80fb946738fcfc", "now": 756167.2,
-        "report": "3a314908210e2dd3", "counters": "1ef6f23aa42da530"},
+        "report": "2280eae484e0418c", "counters": "6bb40c81d3b13b6e"},
 }
 
 

@@ -6,8 +6,7 @@ The layer's contract has three parts, each tested here:
 * **Bounded amplification** — retries can never exceed
   ``burst + ratio × first_attempts`` per priority class.
 * **Fail fast, then heal** — breakers trip on repeated partition
-  failures, fail further work fast, and re-close after probe success;
-  parked requests replay once the partition heals.
+  failures, fail further work fast, and re-close after probe success.
 * **Exactly-once through retries** — the cluster router reconciles
   against the authoritative log before any re-submit, so a failover
   retry never double-executes a committed transaction.
@@ -21,13 +20,12 @@ from repro.cluster.membership import HEARTBEAT_TIMEOUT_NS
 from repro.core import BionicConfig, BionicDB
 from repro.errors import (
     ConfigError, CrossNodeTransactionError, FrontendError,
-    PartitionUnavailableError,
 )
 from repro.frontend import (
     AdmissionConfig, BreakerBank, BreakerConfig, BrownoutController,
     CircuitBreaker, ClusterRetryRouter, FrontEnd, FrontendConfig,
     ResilienceConfig, RetryBudget, RetryBudgetConfig, SchedulerConfig,
-    SessionConfig, REASON_BREAKER,
+    SessionConfig,
 )
 from repro.frontend.resilience import (
     BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
@@ -226,16 +224,15 @@ class TestFrontendResilience:
     def test_disabled_resilience_builds_no_router(self):
         db = make_db()
         fe = FrontEnd(db, FrontendConfig())
-        assert fe.router is None
+        assert fe.budget is None and fe.brownout is None
         fe.session(make_factory(db), SessionConfig(
             name="t", arrival="open", rate_tps=500_000.0, n_requests=20))
         rep = fe.run()
         fe.detach()
         assert rep.committed == 20
         # report keeps the pre-resilience shape when the layer is off
-        assert rep.breaker_transitions == {} and rep.retry_budget == {}
-        assert rep.parked == rep.replayed == rep.rehomed == 0
-        assert "breakers" not in rep.render()
+        assert rep.retry_budget == {} and rep.brownout_shed == {}
+        assert "retry-budget" not in rep.render()
 
     def test_brownout_sheds_by_priority_class(self):
         db = make_db()
@@ -279,62 +276,15 @@ class TestFrontendResilience:
         assert sess.stats.retries_denied > 0
         assert rep.retry_budget["denied"] == sess.stats.retries_denied
 
-    def test_breaker_parks_and_replays_through_an_outage(self):
-        db = make_db()
-        fe = FrontEnd(db, FrontendConfig(resilience=ResilienceConfig(
-            breaker=BreakerConfig(window=8, min_samples=2,
-                                  open_ns=100_000.0))))
-        heal_at = 400_000.0
-        real_submit = db.submit
-
-        def flaky_submit(block, worker=None):
-            if db.engine.now < heal_at:
-                raise PartitionUnavailableError(
-                    "owner failing over", partition=worker, node=0,
-                    reason="induced outage")
-            return real_submit(block, worker)
-
-        db.submit = flaky_submit
-        sess = fe.session(make_factory(db), SessionConfig(
-            name="t", arrival="open", rate_tps=600_000.0, n_requests=24,
-            max_retries=6, retry_backoff_ns=80_000.0))
-        rep = fe.run()
-        fe.detach()
-        assert rep.conserved
-        assert rep.parked > 0 and rep.replayed > 0
-        assert rep.breaker_transitions["opened"] >= 1
-        assert rep.committed > 0
-        assert fe.router.breakers.all_closed()
-        shed = [r for r in sess.requests if r.outcome == "rejected"]
-        for req in shed:
-            assert req.reason == REASON_BREAKER \
-                or req.reason.startswith("retryable:") \
-                or req.reason in ("brownout-shed", "parked-past-budget")
-
-    def test_rehome_replans_cross_node_submits(self):
+    @pytest.mark.parametrize("resilience", [None, ResilienceConfig()],
+                             ids=["plain", "resilient"])
+    def test_cross_node_submit_raises_out_of_run(self, resilience):
+        # a mis-wired factory is a program error, not a transient: the
+        # submit's exception leaves run() whether or not the
+        # overload-resilience layer is armed
         cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
         _install_kv(cluster)
-        fe = FrontEnd(cluster, FrontendConfig(
-            resilience=ResilienceConfig()))
-
-        def misrouted_factory(i):
-            key = i % N_KEYS
-            home = cluster.schemas.table(0).route(key,
-                                                  cluster.total_workers)
-            block = cluster.new_block(1, [key, None], worker=home)
-            return block, (home + 1) % cluster.total_workers   # wrong node
-
-        fe.session(misrouted_factory, SessionConfig(
-            name="clu", arrival="open", rate_tps=400_000.0, n_requests=30))
-        rep = fe.run()
-        fe.detach()
-        assert rep.committed == 30 and rep.conserved
-        assert rep.rehomed == 30
-
-    def test_cross_node_submit_without_router_still_raises(self):
-        cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
-        _install_kv(cluster)
-        fe = FrontEnd(cluster, FrontendConfig())     # resilience off
+        fe = FrontEnd(cluster, FrontendConfig(resilience=resilience))
 
         def misrouted_factory(i):
             block = cluster.new_block(1, [0, None], worker=0)
