@@ -48,7 +48,7 @@ summary collapses to one of four classes:
 deployment (home partition, node map) into a :class:`StaticRoute`
 verdict — ``single-partition`` / ``single-node`` / ``cross-node`` /
 ``unbounded`` — which
-:meth:`repro.frontend.router.ClusterRetryRouter._preclassify` consults
+:meth:`repro.cluster.router.ClusterRetryRouter._preclassify` consults
 to reject statically cross-node work *before* the first submit.
 """
 

@@ -562,6 +562,6 @@ class HACluster:
 
     def ownership_map(self) -> Dict[int, Tuple[int, int]]:
         """partition -> (owner node, epoch); what a router caches, and
-        what :class:`repro.frontend.ClusterRetryRouter` joins each
+        what :class:`repro.cluster.router.ClusterRetryRouter` joins each
         registered procedure footprint with."""
         return {p: (st.owner, st.epoch) for p, st in self.parts.items()}

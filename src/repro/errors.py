@@ -39,7 +39,7 @@ Errors additionally marked :class:`RetryableError` (a mixin, not a
 ``BionicError`` subclass) describe transient cluster conditions: the
 request was *not* durably executed-and-acknowledged, and a client that
 refreshes its routing state and retries with backoff is expected to
-succeed — the contract :class:`repro.frontend.router.ClusterRetryRouter`
+succeed — the contract :class:`repro.cluster.router.ClusterRetryRouter`
 relies on.
 """
 
@@ -164,8 +164,9 @@ class RetryableError(Exception):
     executed-and-acknowledged, so retrying (after refreshing routing
     state) cannot double-apply it.  Only
     :class:`~repro.cluster.ha.HACluster` raises them; its client,
-    ``ClusterRetryRouter``, refreshes, reconciles or retries them under
-    per-partition breakers and a retry budget."""
+    :class:`~repro.cluster.router.ClusterRetryRouter`, refreshes,
+    reconciles or retries them under per-partition breakers and a retry
+    budget."""
 
 
 class PartitionUnavailableError(BionicError, RetryableError, RuntimeError):

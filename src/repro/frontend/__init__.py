@@ -3,22 +3,21 @@
 The serving stack the paper defers ("ideally, remote clients should
 submit transaction blocks through network cards", §5.1): all traffic
 can now enter a BionicDB (of one node or many) through a simulated
-link with admission control, multi-tenant weighted-fair dispatch,
-shedding of requests already past their deadline, and SLO
-observability.  See ``docs/frontend.md``.
+link with admission control (brownout by priority class, a backlog
+bound, a token bucket), multi-tenant weighted-fair dispatch, shedding
+of requests already past their deadline, per-class retry budgets and
+SLO observability.  See ``docs/frontend.md``.  The planner in front of
+an :class:`~repro.cluster.ha.HACluster` is
+:class:`repro.cluster.router.ClusterRetryRouter`.
 """
 
 from .admission import (
-    AdmissionConfig, AdmissionController, TokenBucket,
-    REASON_BACKLOG, REASON_DEADLINE, REASON_RATE, REASON_RX_OVERFLOW,
+    AdmissionConfig, AdmissionController, RetryBudget, RetryBudgetConfig,
+    TokenBucket, REASON_BACKLOG, REASON_BROWNOUT, REASON_DEADLINE,
+    REASON_RATE, REASON_RX_OVERFLOW,
 )
 from .core import FrontEnd, FrontendConfig
 from .nic import Nic, NicConfig
-from .resilience import (
-    BreakerBank, BreakerConfig, BrownoutController, CircuitBreaker,
-    ResilienceConfig, RetryBudget, RetryBudgetConfig, REASON_BROWNOUT,
-)
-from .router import ClusterRetryRouter
 from .scheduler import DispatchScheduler, SchedulerConfig
 from .session import ClientSession, Request, SessionConfig
 from .slo import FrontendReport, SessionStats
@@ -30,10 +29,7 @@ __all__ = [
     "DispatchScheduler", "SchedulerConfig",
     "ClientSession", "Request", "SessionConfig",
     "FrontendReport", "SessionStats",
-    "ResilienceConfig", "RetryBudget", "RetryBudgetConfig",
-    "CircuitBreaker", "BreakerBank", "BreakerConfig",
-    "BrownoutController",
-    "ClusterRetryRouter",
+    "RetryBudget", "RetryBudgetConfig",
     "REASON_BACKLOG", "REASON_DEADLINE", "REASON_RATE", "REASON_RX_OVERFLOW",
     "REASON_BROWNOUT",
 ]

@@ -36,11 +36,9 @@ from ..errors import FrontendError, StuckTransactionError
 from ..mem.txnblock import TxnStatus
 from .admission import (
     AdmissionConfig, AdmissionController, REASON_DEADLINE, REASON_RX_OVERFLOW,
+    RetryBudget, RetryBudgetConfig,
 )
 from .nic import Nic, NicConfig
-from .resilience import (
-    REASON_BROWNOUT, BrownoutController, ResilienceConfig, RetryBudget,
-)
 from .scheduler import DispatchScheduler, SchedulerConfig
 from .session import ClientSession, Request, SessionConfig
 from .slo import FrontendReport
@@ -53,10 +51,9 @@ class FrontendConfig:
     nic: NicConfig = field(default_factory=NicConfig)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    #: the overload-resilience layer (brownout shedding and the
-    #: per-class retry budget); ``None`` builds neither and keeps the
-    #: serving path bit-identical to the plain front-end
-    resilience: Optional[ResilienceConfig] = None
+    #: the per-class budget session retries are drawn from; ``None``
+    #: grants every retry a session's ``max_retries`` allows
+    retry_budget: Optional[RetryBudgetConfig] = None
 
     @staticmethod
     def passthrough() -> "FrontendConfig":
@@ -90,14 +87,11 @@ class FrontEnd:
         self.scheduler = DispatchScheduler(
             self.engine, db.total_workers, self.config.scheduler,
             submit=self._submit, on_timeout=self._timeout, stats=db.stats)
-        #: the per-class retry budget and the brownout shedder, built
-        #: only when ``FrontendConfig.resilience`` is given
-        self.budget: Optional[RetryBudget] = None
-        self.brownout: Optional[BrownoutController] = None
-        if self.config.resilience is not None:
-            self.budget = RetryBudget(self.config.resilience.budget)
-            self.brownout = BrownoutController(
-                self.config.admission.max_backlog)
+        #: the per-class retry budget, built only when
+        #: ``FrontendConfig.retry_budget`` is given
+        self.budget: Optional[RetryBudget] = (
+            RetryBudget(self.config.retry_budget)
+            if self.config.retry_budget is not None else None)
         self.sessions: List[ClientSession] = []
         self._by_txn = {}              # txn_id -> Request (in the chip)
         self._start_ns = self.engine.now
@@ -178,13 +172,8 @@ class FrontEnd:
         if req.expired(now):
             self._finish(req, "timed_out", REASON_DEADLINE)
             return
-        if self.brownout is not None:
-            priority = req.session.config.priority
-            if self.brownout.should_shed(priority, self.scheduler.backlog):
-                self.brownout.note_shed(priority)
-                self._finish(req, "rejected", REASON_BROWNOUT)
-                return
-        reason = self.admission.check(self.scheduler.backlog)
+        reason = self.admission.check(self.scheduler.backlog,
+                                      req.session.config.priority)
         if reason is not None:
             self._finish(req, "rejected", reason)
             return
@@ -256,11 +245,10 @@ class FrontEnd:
                 "backlog": self.admission._shed_backlog.value,
             },
             dispatched=self.scheduler._dispatched.value,
+            brownout_shed=dict(sorted(self.admission.brownout_shed.items())),
         )
         if self.budget is not None:
             report.retry_budget = self.budget.totals()
-            report.brownout_shed = dict(
-                sorted(self.brownout.shed_counts.items()))
         return report
 
     # -- lifecycle -----------------------------------------------------------

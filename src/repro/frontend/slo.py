@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..sim.stats import nearest_rank
-from .resilience import REASON_BROWNOUT
+from .admission import REASON_BROWNOUT
 
 __all__ = ["SessionStats", "FrontendReport"]
 
@@ -90,8 +90,8 @@ class FrontendReport:
     nic_dropped: int = 0
     admission_shed: Dict[str, int] = field(default_factory=dict)
     dispatched: int = 0
-    #: retry-budget grants/denials (empty when the resilience layer is
-    #: disabled)
+    #: retry-budget grants/denials (empty without
+    #: ``FrontendConfig.retry_budget``)
     retry_budget: Dict[str, int] = field(default_factory=dict)
     #: priority class -> requests shed by brownout (attempt-level; the
     #: terminal per-class view lives in :meth:`by_class`)

@@ -666,7 +666,7 @@ class TestDrillHasTeeth:
 
     def test_forgetting_a_stalled_txn_is_a_double_execution(
             self, monkeypatch):
-        from repro.frontend import ClusterRetryRouter
+        from repro.cluster import ClusterRetryRouter
 
         class Forgetful(set):
             def add(self, tag):

@@ -1,12 +1,17 @@
-"""Tests for the overload-resilience layer: budgets, breakers, brownout,
-the cluster-aware retry router, and the metastable-failure drills.
+"""Tests for overload resilience: the front end's retry budget and
+brownout admission, the cluster planner's breakers and retries, and the
+metastable-failure drills.
 
-The layer's contract has three parts, each tested here:
+The contract has four parts, each tested here:
 
 * **Bounded amplification** — retries can never exceed
-  ``burst + ratio × first_attempts`` per priority class.
-* **Fail fast, then heal** — breakers trip on repeated partition
-  failures, fail further work fast, and re-close after probe success.
+  ``burst + ratio × first_attempts`` per priority class
+  (:class:`repro.frontend.RetryBudget`).
+* **Priority under overload** — :class:`repro.frontend.AdmissionController`
+  browns out low-priority classes first and never class 0.
+* **Fail fast, then heal** — :mod:`repro.cluster.router`'s breakers trip
+  on repeated partition failures, fail further work fast, and re-close
+  after probe success.
 * **Exactly-once through retries** — the cluster router reconciles
   against the authoritative log before any re-submit, so a failover
   retry never double-executes a committed transaction.
@@ -17,21 +22,23 @@ import random
 import pytest
 
 from repro.cluster.membership import HEARTBEAT_TIMEOUT_NS
+from repro.cluster.router import (
+    BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_MIN_SAMPLES, BREAKER_OPEN,
+    BREAKER_OPEN_NS, BREAKER_WINDOW, BreakerBank, CircuitBreaker,
+    ClusterRetryRouter,
+)
 from repro.core import BionicConfig, BionicDB
 from repro.errors import (
     ConfigError, CrossNodeTransactionError, FrontendError,
 )
 from repro.frontend import (
-    AdmissionConfig, BreakerBank, BreakerConfig, BrownoutController,
-    CircuitBreaker, ClusterRetryRouter, FrontEnd, FrontendConfig,
-    ResilienceConfig, RetryBudget, RetryBudgetConfig, SchedulerConfig,
+    REASON_BROWNOUT, AdmissionConfig, AdmissionController, FrontEnd,
+    FrontendConfig, RetryBudget, RetryBudgetConfig, SchedulerConfig,
     SessionConfig,
-)
-from repro.frontend.resilience import (
-    BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
 )
 from repro.isa import Gp, ProcedureBuilder
 from repro.mem import TableSchema
+from repro.sim.engine import Engine
 
 N_KEYS = 200
 
@@ -118,104 +125,99 @@ class TestRetryBudget:
 
 # -- circuit breakers --------------------------------------------------------
 
-def _breaker(**kw):
-    base = dict(window=8, min_samples=2, open_ns=1_000.0)
-    base.update(kw)
-    return CircuitBreaker(BreakerConfig(**base))
+def _trip(brk, now_ns=0.0):
+    for _ in range(BREAKER_MIN_SAMPLES):
+        brk.record_failure(now_ns)
 
 
 class TestCircuitBreaker:
     def test_stays_closed_under_min_samples(self):
-        brk = _breaker(min_samples=3)
-        brk.record_failure(0.0)
-        brk.record_failure(0.0)     # 2 samples < min_samples=3
+        brk = CircuitBreaker()
+        for _ in range(BREAKER_MIN_SAMPLES - 1):
+            brk.record_failure(0.0)
         assert brk.state == BREAKER_CLOSED
 
     def test_trips_at_failure_threshold(self):
-        brk = _breaker()
-        brk.record_failure(0.0)
-        brk.record_failure(0.0)
+        brk = CircuitBreaker()
+        _trip(brk)
         assert brk.state == BREAKER_OPEN
-        assert not brk.allow(100.0)          # still cooling down
+        assert not brk.allow(BREAKER_OPEN_NS / 2)    # still cooling down
         assert brk.opened == 1
 
     def test_successes_dilute_the_window(self):
-        brk = _breaker(min_samples=2)
-        for _ in range(6):
+        brk = CircuitBreaker()
+        for _ in range(BREAKER_WINDOW - 2):
             brk.record_success(0.0)
         brk.record_failure(0.0)              # 1/7 < 0.5
         assert brk.state == BREAKER_CLOSED
 
     def test_half_open_probes_then_reclose(self):
-        brk = _breaker(open_ns=1_000.0)      # two half-open probes
-        brk.record_failure(0.0)
-        brk.record_failure(0.0)
-        assert brk.allow(1_000.0)            # cooldown over: probe 1
+        brk = CircuitBreaker()               # two half-open probes
+        _trip(brk)
+        assert brk.allow(BREAKER_OPEN_NS)    # cooldown over: probe 1
         assert brk.state == BREAKER_HALF_OPEN
-        assert brk.allow(1_000.0)            # probe 2
-        assert not brk.allow(1_000.0)        # probes exhausted
-        brk.record_success(1_500.0)
+        assert brk.allow(BREAKER_OPEN_NS)    # probe 2
+        assert not brk.allow(BREAKER_OPEN_NS)    # probes exhausted
+        brk.record_success(BREAKER_OPEN_NS + 500.0)
         assert brk.state == BREAKER_CLOSED
         assert brk.reclosed == 1
 
     def test_failed_probe_reopens_immediately(self):
-        brk = _breaker()
-        brk.record_failure(0.0)
-        brk.record_failure(0.0)
-        assert brk.allow(1_000.0)            # half-open probe
-        brk.record_failure(1_200.0)
+        brk = CircuitBreaker()
+        _trip(brk)
+        assert brk.allow(BREAKER_OPEN_NS)    # half-open probe
+        reopened = BREAKER_OPEN_NS + 200.0
+        brk.record_failure(reopened)
         assert brk.state == BREAKER_OPEN
-        assert not brk.allow(1_500.0)        # new cooldown from 1200
-        assert brk.allow(2_200.0)
+        assert not brk.allow(BREAKER_OPEN_NS + 500.0)    # new cooldown
+        assert brk.allow(reopened + BREAKER_OPEN_NS)
 
     def test_bank_is_per_partition_and_aggregates(self):
-        bank = BreakerBank(BreakerConfig(window=4, min_samples=2,
-                                         open_ns=1_000.0))
-        bank.record_failure(3, 0.0)
-        bank.record_failure(3, 0.0)
+        bank = BreakerBank()
+        for _ in range(BREAKER_MIN_SAMPLES):
+            bank.record_failure(3, 0.0)
         assert not bank.allow(3, 0.0)
         assert bank.allow(1, 0.0)            # other partitions unaffected
         assert not bank.all_closed()
         assert bank.states()[3] == BREAKER_OPEN
-        assert bank.allow(3, 1_000.0)
-        bank.record_success(3, 1_100.0)
+        assert bank.allow(3, BREAKER_OPEN_NS)
+        bank.record_success(3, BREAKER_OPEN_NS + 100.0)
         assert bank.all_closed()
         assert bank.transitions() == {"opened": 1, "half_opened": 1,
                                       "reclosed": 1}
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            BreakerConfig(window=0)
-        with pytest.raises(ConfigError):
-            BreakerConfig(min_samples=9, window=8)
-        with pytest.raises(ConfigError):
-            BreakerConfig(open_ns=-1.0)
-
 
 # -- brownout ----------------------------------------------------------------
 
+def _door(max_backlog):
+    return AdmissionController(Engine(),
+                               AdmissionConfig(max_backlog=max_backlog))
+
+
 class TestBrownout:
     def test_sheds_low_priority_first(self):
-        ctl = BrownoutController(capacity=100)
-        assert not ctl.should_shed(0, 70)    # class 0 never (2.0 > 1)
-        assert not ctl.should_shed(1, 70)    # 0.70 < 0.85
-        assert ctl.should_shed(2, 70)        # 0.70 >= 0.60
+        door = _door(100)
+        assert door.check(70, 0) is None     # class 0 never (2.0 > 1)
+        assert door.check(70, 1) is None     # 0.70 < 0.85
+        assert door.check(70, 2) == REASON_BROWNOUT   # 0.70 >= 0.60
+        assert door.brownout_shed == {2: 1}
 
     def test_hysteresis_releases_below_threshold(self):
-        ctl = BrownoutController(capacity=100)
-        assert ctl.should_shed(2, 60)        # engage at 0.60
-        assert ctl.should_shed(2, 46)        # 0.46 >= 0.60 × 0.75: hold
-        assert not ctl.should_shed(2, 44)    # 0.44 < 0.45: release
-        assert not ctl.should_shed(2, 50)    # re-engages only at 0.60
+        door = _door(100)
+        assert door.check(60, 2) == REASON_BROWNOUT   # engage at 0.60
+        assert door.check(46, 2) == REASON_BROWNOUT   # >= 0.60 × 0.75: hold
+        assert door.check(44, 2) is None     # 0.44 < 0.45: release
+        assert door.check(50, 2) is None     # re-engages only at 0.60
 
     def test_priority_beyond_table_uses_last_entry(self):
-        ctl = BrownoutController(capacity=10)
-        assert not ctl.should_shed(7, 5)
-        assert ctl.should_shed(7, 6)         # class 2's 0.60
+        door = _door(10)
+        assert door.check(5, 7) is None
+        assert door.check(6, 7) == REASON_BROWNOUT    # class 2's 0.60
 
     def test_uncapped_never_sheds(self):
-        ctl = BrownoutController(capacity=None)
-        assert not ctl.should_shed(5, 10)
+        door = _door(None)
+        assert door.check(10, 5) is None
+        assert door.brownout_shed == {}
 
 
 # -- FrontEnd integration ----------------------------------------------------
@@ -224,7 +226,7 @@ class TestFrontendResilience:
     def test_disabled_resilience_builds_no_router(self):
         db = make_db()
         fe = FrontEnd(db, FrontendConfig())
-        assert fe.budget is None and fe.brownout is None
+        assert fe.budget is None
         fe.session(make_factory(db), SessionConfig(
             name="t", arrival="open", rate_tps=500_000.0, n_requests=20))
         rep = fe.run()
@@ -238,8 +240,7 @@ class TestFrontendResilience:
         db = make_db()
         fe = FrontEnd(db, FrontendConfig(
             admission=AdmissionConfig(max_backlog=32),
-            scheduler=SchedulerConfig(max_inflight_per_worker=8),
-            resilience=ResilienceConfig()))
+            scheduler=SchedulerConfig(max_inflight_per_worker=8)))
         base = fe.session(make_factory(db), SessionConfig(
             name="base", arrival="open", rate_tps=300_000.0,
             n_requests=80, priority=0, weight=4.0))
@@ -265,7 +266,7 @@ class TestFrontendResilience:
         budget = RetryBudgetConfig(ratio=0.0, burst=3)
         fe = FrontEnd(db, FrontendConfig(
             admission=AdmissionConfig(rate_tps=150_000.0, burst=1),
-            resilience=ResilienceConfig(budget=budget)))
+            retry_budget=budget))
         sess = fe.session(make_factory(db), SessionConfig(
             name="t", arrival="open", rate_tps=2_000_000.0, n_requests=40,
             max_retries=10, retry_backoff_ns=2_000.0))
@@ -276,15 +277,15 @@ class TestFrontendResilience:
         assert sess.stats.retries_denied > 0
         assert rep.retry_budget["denied"] == sess.stats.retries_denied
 
-    @pytest.mark.parametrize("resilience", [None, ResilienceConfig()],
+    @pytest.mark.parametrize("retry_budget", [None, RetryBudgetConfig()],
                              ids=["plain", "resilient"])
-    def test_cross_node_submit_raises_out_of_run(self, resilience):
+    def test_cross_node_submit_raises_out_of_run(self, retry_budget):
         # a mis-wired factory is a program error, not a transient: the
-        # submit's exception leaves run() whether or not the
-        # overload-resilience layer is armed
+        # submit's exception leaves run() whether or not retries are
+        # budgeted
         cluster = BionicDB(BionicConfig(n_workers=1), n_nodes=2)
         _install_kv(cluster)
-        fe = FrontEnd(cluster, FrontendConfig(resilience=resilience))
+        fe = FrontEnd(cluster, FrontendConfig(retry_budget=retry_budget))
 
         def misrouted_factory(i):
             block = cluster.new_block(1, [0, None], worker=0)
@@ -301,7 +302,7 @@ class TestFrontendResilience:
             db = make_db()
             fe = FrontEnd(db, FrontendConfig(
                 admission=AdmissionConfig(rate_tps=150_000.0, burst=1),
-                resilience=ResilienceConfig()))
+                retry_budget=RetryBudgetConfig()))
             sess = fe.session(make_factory(db), SessionConfig(
                 name="t", arrival="open", rate_tps=2_000_000.0,
                 n_requests=30, max_retries=4, retry_backoff_ns=3_000.0,
@@ -341,9 +342,7 @@ def _mini_ha_cluster(seed=0, n_txns=8):
 
 def _mini_router(cluster):
     return ClusterRetryRouter(
-        cluster, budget=RetryBudgetConfig(ratio=0.5, burst=8),
-        breaker=BreakerConfig(window=8, min_samples=2,
-                              open_ns=HEARTBEAT_TIMEOUT_NS))
+        cluster, budget=RetryBudgetConfig(ratio=0.5, burst=8))
 
 
 class TestClusterRetryRouter:

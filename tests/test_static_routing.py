@@ -29,9 +29,9 @@ from repro.analysis.registry import all_procedures, resolve
 from repro.analysis.report import report_json
 from repro.cluster.ha import HACluster
 from repro.cluster.membership import HEARTBEAT_TIMEOUT_NS
+from repro.cluster.router import ClusterRetryRouter
 from repro.core import BionicConfig, BionicDB
 from repro.errors import FrontendError
-from repro.frontend import ClusterRetryRouter
 from repro.isa import Gp, ProcedureBuilder, verify_program
 from repro.mem import TableSchema
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
