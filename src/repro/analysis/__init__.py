@@ -24,17 +24,16 @@ homed.  This package proves those properties (or produces findings)
   keys → home partition, RANGE_SCAN → key intervals), computed once at
   registration, and the layout and deployment joins (single-partition /
   single-node / cross-node routing verdicts).
-* :mod:`.conflict` — pairwise static conflict matrix over the shipped
-  registry (commute / may-conflict / must-serialize).
 * :mod:`.wcet` — worst-case cycle bound per procedure, charging the
   timing model's stage costs over the longest flow-graph path with
   bounded loops.
 * :mod:`.lint` — determinism lint for the simulator's own Python
   (``python -m repro.analysis.lint src/repro``).
 
-:func:`repro.isa.verify.verify_program` is the main client; the CLI
-(``python -m repro.analysis report <proc>``) renders everything at
-once for one procedure.
+:func:`repro.isa.verify.verify_program` is the main client;
+:func:`.report.analyze` runs every pass once over one procedure, and
+the CLI (``python -m repro.analysis report <proc>``, ``gate``) renders
+its result.
 """
 
 from .cfg import EXIT, BasicBlock, Cfg, build_all_cfgs, build_cfg
@@ -53,7 +52,6 @@ from .provenance import KeyOrigin, static_mlp
 from .footprint import (
     Access, FootprintSummary, KeyBound, StaticRoute, analyze_footprint,
 )
-from .conflict import ConflictMatrix, build_conflict_matrix
 from .wcet import WcetModel, WcetReport, analyze_wcet
 
 __all__ = [
@@ -67,6 +65,5 @@ __all__ = [
     "KeyOrigin", "static_mlp",
     "KeyBound", "Access", "FootprintSummary", "StaticRoute",
     "analyze_footprint",
-    "ConflictMatrix", "build_conflict_matrix",
     "WcetModel", "WcetReport", "analyze_wcet",
 ]

@@ -8,20 +8,19 @@
     python -m repro.analysis gate [--json FILE] [--baseline FILE]
                                   [--write-baseline]
 
-``report`` prints the CFG, per-block liveness, the footprint,
-conflict and WCET passes and verifier findings for one stored
-procedure (see :mod:`repro.analysis.registry` for the accepted names);
-``--json`` emits the machine-readable document instead.  ``lint`` is a
-shorthand for :mod:`repro.analysis.lint`.
+``report`` prints the CFG, per-block liveness, the footprint and WCET
+passes, the commit-protocol verdict and verifier findings for one
+stored procedure (see :mod:`repro.analysis.registry` for the accepted
+names); ``--json`` emits the machine-readable document instead.
+``lint`` is a shorthand for :mod:`repro.analysis.lint`.
 
-``gate`` is the CI entry point: it sweeps every registry procedure
-through all passes (the footprint pass once per procedure; the
-verifier, the WCET bound and the conflict matrix share its summary),
-fails (exit 1) on any verifier finding or when a procedure's
-footprint class regresses against the checked-in baseline
-(``ANALYSIS_gate.json`` — e.g. home-anchored → unbounded means a
-formerly statically-routable procedure would start bouncing off
-remote nodes), and can write the JSON report for artifact upload.
+``gate`` is the CI entry point: it runs :func:`~.report.analyze` once
+per registry procedure, fails (exit 1) on any verifier finding or when
+a procedure's footprint class regresses against the checked-in
+baseline (``ANALYSIS_gate.json`` — e.g. home-anchored → unbounded
+means a formerly statically-routable procedure would start bouncing
+off remote nodes), and can write the per-procedure ``report --json``
+documents as one JSON report for artifact upload.
 """
 
 from __future__ import annotations
@@ -32,50 +31,31 @@ import sys
 
 from . import lint as lint_mod
 from .registry import ResolveError, known_names, resolve
-from .report import render_report, report_json
+from .report import analyze, render_report, report_json
 
 #: default baseline location (repo root, next to BENCH_sim.json)
 BASELINE = "ANALYSIS_gate.json"
 
 
 def _run_gate(args) -> int:
-    from .conflict import build_conflict_matrix
-    from .dataflow import program_flow
-    from .footprint import CLASS_RANK, analyze_footprint
+    from .footprint import CLASS_RANK
     from .registry import all_procedures
-    from .wcet import analyze_wcet
-    from ..isa.verify import verify_program
 
     procedures = all_procedures()
     failures = []
-    doc = {"procedures": {}, "conflicts": None}
-    summaries = []
+    classes = {}
+    doc = {"procedures": {}}
     for name, program, catalog in procedures:
-        graph = program_flow(program)
-        footprint = analyze_footprint(program, graph=graph)
-        laid_out = footprint.with_layout(catalog, args.workers)
-        wcet = analyze_wcet(program, graph=graph, footprint=footprint)
-        verify = verify_program(program, schemas=catalog,
-                                n_workers=args.workers, graph=graph,
-                                footprint=footprint)
-        summaries.append((name, laid_out))
-        doc["procedures"][name] = {
-            "class": laid_out.kind_class,
-            "footprint": laid_out.to_json(),
-            "wcet": wcet.to_json(),
-            "verifier_findings": [str(f) for f in verify.findings],
-        }
-        for f in verify.findings:
+        result = analyze(program, catalog, args.workers)
+        classes[name] = result.footprint.kind_class
+        doc["procedures"][name] = result.to_json()
+        findings = result.verify.findings
+        for f in findings:
             failures.append(f"{name}: verifier: {f}")
-        print(f"{name:<20} {laid_out.kind_class:<14} "
-              f"wcet={wcet.total_cycles:>7.0f}cy  "
-              f"mlp={wcet.static_mlp}  "
-              f"findings={len(verify.findings)}")
-
-    matrix = build_conflict_matrix(summaries)
-    doc["conflicts"] = matrix.to_json()
-    print()
-    print(matrix.format())
+        print(f"{name:<20} {classes[name]:<14} "
+              f"wcet={result.wcet.total_cycles:>7.0f}cy  "
+              f"mlp={result.wcet.static_mlp}  "
+              f"findings={len(findings)}")
 
     # -- classification-regression gate ---------------------------------
     try:
@@ -84,32 +64,15 @@ def _run_gate(args) -> int:
     except FileNotFoundError:
         baseline = None
     if baseline is not None:
-        for name, entry in doc["procedures"].items():
+        for name, now in classes.items():
             was = baseline.get("classes", {}).get(name)
-            now = entry["class"]
             if was is not None and CLASS_RANK[now] > CLASS_RANK[was]:
                 failures.append(
                     f"{name}: footprint class regressed {was} -> {now}")
-        for pair, verdict in (baseline.get("must_serialize") or {}).items():
-            a, b = pair.split("|")
-            try:
-                if matrix.verdict(a, b) != verdict:
-                    failures.append(
-                        f"conflict verdict changed for ({a}, {b}): "
-                        f"baseline {verdict}, now {matrix.verdict(a, b)}")
-            except KeyError:
-                failures.append(f"baseline pair ({a}, {b}) left the registry")
 
     if args.write_baseline:
-        snapshot = {
-            "classes": {name: entry["class"]
-                        for name, entry in doc["procedures"].items()},
-            "must_serialize": {
-                f"{a}|{b}": matrix.verdict(a, b)
-                for (a, b) in matrix.pairs("must-serialize")},
-        }
         with open(args.baseline, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
+            json.dump({"classes": classes}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"\nbaseline written to {args.baseline}")
 

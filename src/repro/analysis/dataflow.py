@@ -18,7 +18,7 @@ Analyses supply a lattice as plain values plus ``join``/``transfer``
 callables; :func:`solve_forward` and :func:`solve_backward` iterate a
 worklist to the fixpoint and return per-node in/out states.  The
 concrete analyses live in :mod:`.liveness` (liveness, reaching
-definitions, def-use chains), :mod:`.protocol` (commit-protocol
+definitions), :mod:`.protocol` (commit-protocol
 proofs) and :mod:`.provenance` (partition ownership).
 
 Def/use model

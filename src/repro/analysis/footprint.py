@@ -11,8 +11,7 @@ records, for every DB dispatch, where its key comes from:
 * ``RANGE_SCAN`` carries a *key interval*: the low key is the routing
   key (the scanner walks the local index only, so the dispatch is
   single-partition like any point access), while the ``[lo, hi]``
-  bounds feed the conflict analysis (:mod:`.conflict`) and the range
-  report.
+  bounds feed the range checks of the verifier and the report.
 
 Every access is split into the **read set** (SEARCH/SCAN/RANGE_SCAN)
 and the **write set** (INSERT/UPDATE/REMOVE).  ``Catalogue.register``

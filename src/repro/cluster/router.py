@@ -234,10 +234,6 @@ class ClusterRetryRouter:
         self.stale_refreshes = 0
         self.queued_total = 0
         self.planned_rejects = 0
-        #: tag -> static routing verdict
-        self.static_routes: Dict[Any, str] = {}
-        #: verdict -> count over everything routed
-        self.static_counts: Dict[str, int] = {}
 
     # -- public surface ------------------------------------------------------
     def route(self, tag: Any, spec, layout) -> None:
@@ -310,9 +306,6 @@ class ClusterRetryRouter:
                   in cluster.ownership_map().items()}
         route = footprint.with_layout(db.schemas, db.total_workers) \
             .classify(spec.home, node_of=lambda p: owners.get(p, -1))
-        self.static_routes[tag] = route.verdict
-        self.static_counts[route.verdict] = \
-            self.static_counts.get(route.verdict, 0) + 1
         if route.verdict == "cross-node":
             self.planned_rejects += 1
             raise FrontendError(

@@ -6,7 +6,8 @@ packet the NIC delivers:
 * **Brownout** — priority-class load shedding while a backlog bound is
   set: as the dispatch backlog fills past a per-class fraction of
   ``max_backlog`` (:data:`BROWNOUT_SHED_AT`), low-priority classes are
-  shed first (reason ``"brownout-shed"``) and class 0 never is.
+  shed first (reason ``"brownout-shed"``).  Class 0 is never shed and
+  never checked.
   Hysteresis (:data:`BROWNOUT_RELEASE`) keeps a class from flapping at
   its threshold.  Past-deadline work is already shed ahead of this
   check, so brownout only orders the *live* work by class.
@@ -61,10 +62,9 @@ REASON_RX_OVERFLOW = "rx-overflow"
 REASON_DEADLINE = "deadline-exceeded"
 REASON_BROWNOUT = "brownout-shed"
 
-#: per-priority-class backlog fraction at which that class starts
-#: shedding; class ``c`` uses ``BROWNOUT_SHED_AT[min(c, len-1)]``.  2.0
-#: is above any reachable backlog fraction, so class 0 is never shed.
-BROWNOUT_SHED_AT: Tuple[float, ...] = (2.0, 0.85, 0.6)
+#: backlog fraction at which priority class ``c >= 1`` starts shedding:
+#: ``BROWNOUT_SHED_AT[min(c, len) - 1]``.  Class 0 is never shed.
+BROWNOUT_SHED_AT: Tuple[float, ...] = (0.85, 0.6)
 #: hysteresis: once shedding, a class resumes only when the backlog
 #: fraction falls back below ``threshold * BROWNOUT_RELEASE``
 BROWNOUT_RELEASE = 0.75
@@ -154,7 +154,7 @@ class AdmissionController:
         """
         cap = self.config.max_backlog
         if cap is not None:
-            if self._browning_out(priority, backlog / cap):
+            if priority > 0 and self._browning_out(priority, backlog / cap):
                 self.brownout_shed[priority] = \
                     self.brownout_shed.get(priority, 0) + 1
                 return REASON_BROWNOUT
@@ -168,10 +168,10 @@ class AdmissionController:
         return None
 
     def _browning_out(self, priority: int, fraction: float) -> bool:
-        """Shed this class at this backlog fraction?  A class that
-        engaged at its threshold releases only below
+        """Shed class ``priority >= 1`` at this backlog fraction?  A
+        class that engaged at its threshold releases only below
         ``threshold * BROWNOUT_RELEASE``."""
-        threshold = BROWNOUT_SHED_AT[min(priority, len(BROWNOUT_SHED_AT) - 1)]
+        threshold = BROWNOUT_SHED_AT[min(priority, len(BROWNOUT_SHED_AT)) - 1]
         if self._browned_out.get(priority, False):
             if fraction < threshold * BROWNOUT_RELEASE:
                 self._browned_out[priority] = False

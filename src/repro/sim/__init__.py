@@ -2,7 +2,7 @@
 
 from .clock import FPGA_MHZ, ClockDomain
 from .engine import Engine, Event, SimulationError, collector_quiesced
-from .memory import Bram, DramModel, Heap, MemoryPort, LINE_BYTES
+from .memory import DramModel, Heap, MemoryPort, LINE_BYTES
 from .power import CpuPowerModel, FpgaPowerModel, PowerReport
 from .resources import (
     HC2_INFRASTRUCTURE,
@@ -18,7 +18,7 @@ from .trace import NULL_TRACER, TraceEvent, Tracer
 __all__ = [
     "Engine", "Event", "SimulationError",
     "ClockDomain", "FPGA_MHZ",
-    "Bram", "DramModel", "Heap", "MemoryPort", "LINE_BYTES",
+    "DramModel", "Heap", "MemoryPort", "LINE_BYTES",
     "collector_quiesced",
     "CpuPowerModel", "FpgaPowerModel", "PowerReport",
     "HC2_INFRASTRUCTURE", "ResourceLedger", "ResourceVector",

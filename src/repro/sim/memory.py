@@ -27,14 +27,14 @@ from array import array
 from collections import deque
 from heapq import heappush
 from itertools import repeat
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Iterator, List, Optional, Tuple
 
 from ..errors import HeapAddressError
 from .clock import ClockDomain
 from .engine import Engine, Event
 from .stats import StatsRegistry
 
-__all__ = ["Heap", "DramModel", "MemoryPort", "Bram", "LINE_BYTES",
+__all__ = ["Heap", "DramModel", "MemoryPort", "LINE_BYTES",
            "DRAM_LATENCY_CYCLES"]
 
 LINE_BYTES = 64  # one heap cell models one 64-byte DRAM line
@@ -387,47 +387,3 @@ class MemoryPort:
             req.cb((req.cb_arg, value))
         elif req.event is not None:
             req.event.succeed_now(value)
-
-
-class Bram:
-    """On-chip block RAM: single-cycle, capacity-accounted storage.
-
-    BRAM accesses are folded into stage service times (they complete in
-    the same cycle), so this class only provides storage plus capacity
-    accounting for the Table 4 resource ledger.  A Virtex-5 BRAM block
-    holds 36 Kb; ``blocks_for`` converts a byte requirement to blocks.
-    """
-
-    BLOCK_BITS = 36 * 1024
-
-    def __init__(self, name: str = "", capacity_bytes: int = 4096):
-        self.name = name
-        self.capacity_bytes = capacity_bytes
-        self._data: Dict[Any, Any] = {}
-
-    @classmethod
-    def blocks_for(cls, bytes_needed: int) -> int:
-        bits = bytes_needed * 8
-        return max(1, (bits + cls.BLOCK_BITS - 1) // cls.BLOCK_BITS)
-
-    @property
-    def blocks(self) -> int:
-        return self.blocks_for(self.capacity_bytes)
-
-    def load(self, key: Any, default: Any = None) -> Any:
-        return self._data.get(key, default)
-
-    def store(self, key: Any, value: Any) -> None:
-        self._data[key] = value
-
-    def delete(self, key: Any) -> None:
-        self._data.pop(key, None)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()

@@ -17,7 +17,6 @@ from ..errors import ProcedureNotFoundError
 from ..isa.instructions import BlockRef, Gp, Opcode, Program, Section
 from ..isa.verify import verify_program
 from ..mem.schema import Catalog
-from ..sim.memory import Bram
 
 __all__ = ["KeySource", "ProcedureEntry", "Catalogue"]
 
@@ -64,7 +63,6 @@ class Catalogue:
         #: :class:`repro.softcore.compiled.CompiledTier` and shared by
         #: every softcore holding this catalogue
         self.compiled: Dict[int, tuple] = {}
-        self.bram = Bram("catalogue", capacity_bytes=16 * 1024)
 
     def register(self, proc_id: int, program: Program,
                  verify: bool = True) -> ProcedureEntry:

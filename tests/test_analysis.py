@@ -13,9 +13,6 @@ from repro.analysis import (
     pending_cps, program_flow, reaching_definitions, static_mlp,
     uncollected_cps,
 )
-from repro.analysis.conflict import (
-    COMMUTE, MAY_CONFLICT, MUST_SERIALIZE, build_conflict_matrix,
-)
 from repro.analysis.dataflow import cp_defs
 from repro.analysis.footprint import (
     CLASS_HOME, CLASS_MIXED, CLASS_PINNED, CLASS_UNBOUNDED,
@@ -733,21 +730,6 @@ def const_writer(key, table=0):
     return build
 
 
-def const_reader(key, table=0):
-    def build(b):
-        b.mov(0, key)
-        b.search(cp=0, table=table, key=Gp(0))
-    return build
-
-
-def const_range_reader(lo, hi):
-    def build(b):
-        b.mov(0, lo)
-        b.range_scan(cp=0, table=0, lo=Gp(0), hi=Imm(hi), count=8,
-                     out=b.at(0))
-    return build
-
-
 class TestFootprint:
     def test_constant_key_pins_its_partition(self):
         fp = footprint_of(const_writer(7))
@@ -838,65 +820,6 @@ class TestFootprint:
         doc = json.loads(json.dumps(fp.to_json()))
         assert doc["class"] == CLASS_HOME
         assert doc["accesses"][0]["hi"]["cells"] == [1]
-
-
-# ---------------------------------------------------------------------------
-# pairwise conflict matrix (tentpole)
-# ---------------------------------------------------------------------------
-
-class TestConflict:
-    def _matrix(self, build_a, build_b, cat=None):
-        sa = footprint_of(build_a, name="a", cat=cat)
-        sb = footprint_of(build_b, name="b", cat=cat)
-        return build_conflict_matrix([("a", sa), ("b", sb)])
-
-    def test_equal_constant_writers_must_serialize(self):
-        m = self._matrix(const_writer(7), const_writer(7))
-        assert m.verdict("a", "b") == MUST_SERIALIZE
-        assert m.verdict("a", "a") == MUST_SERIALIZE   # self-pair
-        assert m.pairs(MUST_SERIALIZE) == [("a", "a"), ("a", "b"),
-                                           ("b", "b")]
-
-    def test_disjoint_constants_commute(self):
-        m = self._matrix(const_writer(3), const_writer(9))
-        assert m.verdict("a", "b") == COMMUTE
-
-    def test_read_read_commutes_even_on_the_same_key(self):
-        m = self._matrix(const_reader(7), const_reader(7))
-        assert m.verdict("a", "b") == COMMUTE
-
-    def test_anchored_write_may_conflict(self):
-        m = self._matrix(lambda b: b.update(cp=0, table=0, key=b.at(0)),
-                         lambda b: b.search(cp=0, table=0, key=b.at(0)))
-        assert m.verdict("a", "b") == MAY_CONFLICT
-
-    def test_constant_range_decides_exactly(self):
-        m = self._matrix(const_range_reader(2, 9), const_writer(5))
-        assert m.verdict("a", "b") == MUST_SERIALIZE   # 5 in [2, 9]
-        m = self._matrix(const_range_reader(2, 9), const_writer(11))
-        assert m.verdict("a", "b") == COMMUTE          # 11 outside [2, 9]
-
-    def test_replicated_write_broadcasts(self):
-        m = self._matrix(const_writer(1), const_reader(2),
-                         cat=catalog(replicated=True))
-        assert m.verdict("a", "b") == MUST_SERIALIZE
-
-    def test_different_tables_commute(self):
-        cat = Catalog([
-            TableSchema(0, "t0", index_kind=IndexKind.HASH, hash_buckets=64,
-                        partition_fn=lambda k, n: k % n),
-            TableSchema(1, "t1", index_kind=IndexKind.HASH, hash_buckets=64,
-                        partition_fn=lambda k, n: k % n),
-        ])
-        m = self._matrix(const_writer(7, table=0), const_writer(7, table=1),
-                         cat=cat)
-        assert m.verdict("a", "b") == COMMUTE
-
-    def test_matrix_json_round_trips(self):
-        m = self._matrix(const_writer(7), const_writer(7))
-        doc = json.loads(json.dumps(m.to_json()))
-        assert doc["verdicts"]["a|b"] == MUST_SERIALIZE
-        assert "MUST" in m.format()
 
 
 # ---------------------------------------------------------------------------
@@ -1072,21 +995,12 @@ class TestCfgEdgeCases:
 
 class TestFootprintSweep:
     def test_every_registry_procedure_is_summarised(self):
-        summaries = []
         for name, program, cat in all_procedures():
             fp = laid_out(program, cat)
             wcet = analyze_wcet(program)
             assert fp.kind_class == CLASS_HOME, (name, fp.format())
             assert fp.accesses, name
             assert wcet.total_cycles > 0 and wcet.static_mlp >= 1, name
-            summaries.append((name, fp))
-        matrix = build_conflict_matrix(summaries)
-        for name, _ in summaries:
-            row = matrix.row(name)
-            assert len(row) == len(summaries)
-        # no shipped pair must-serialize: the batch former never has to
-        # split a batch for the stock workloads
-        assert matrix.pairs(MUST_SERIALIZE) == []
 
     def test_classes_match_the_checked_in_gate_baseline(self):
         baseline_path = Path(__file__).resolve().parents[1] \
@@ -1108,8 +1022,6 @@ class TestReportJson:
         assert doc["program"] == "tpcc_payment"
         assert doc["footprint"]["class"] == CLASS_HOME
         assert doc["wcet"]["wcet_cycles"] > 0
-        assert doc["self_conflict"] in (COMMUTE, MAY_CONFLICT,
-                                        MUST_SERIALIZE)
         assert doc["commit_protocol_proven"] is True
         assert doc["verifier"] == []
         json.dumps(doc)                            # fully serialisable
@@ -1138,25 +1050,39 @@ class TestReportJson:
                      "--json", str(out)]) == 0
         assert "procedures clean" in capsys.readouterr().out
         doc = json.loads(out.read_text(encoding="utf-8"))
-        assert set(doc) == {"procedures", "conflicts"}
+        assert set(doc) == {"procedures"}
         assert len(doc["procedures"]) == len(all_procedures())
 
-    def test_gate_fails_on_class_regression(self, tmp_path, capsys):
+    def test_gate_fails_on_class_regression(self, tmp_path, capsys,
+                                            monkeypatch):
+        from repro.analysis import registry
         from repro.analysis.__main__ import main
         # a fabricated baseline that claims every procedure used to be
         # unbounded is fine (improvement), but the reverse must fail
-        strict = {"classes": {name: "home-anchored"
-                              for name, _, _ in all_procedures()},
-                  "must_serialize": {}}
-        ok = tmp_path / "ok.json"
-        ok.write_text(json.dumps(strict), encoding="utf-8")
-        assert main(["gate", "--baseline", str(ok)]) == 0
-        capsys.readouterr()
-        name = all_procedures()[0][0]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(
-            {"classes": {name: "home-anchored"},
-             "must_serialize": {"ghost_a|ghost_b": "must-serialize"}}),
+        names = [name for name, _, _ in all_procedures()]
+        loose = tmp_path / "loose.json"
+        loose.write_text(json.dumps(
+            {"classes": {name: CLASS_UNBOUNDED for name in names}}),
             encoding="utf-8")
-        assert main(["gate", "--baseline", str(bad)]) == 1
-        assert "left the registry" in capsys.readouterr().out
+        assert main(["gate", "--baseline", str(loose)]) == 0
+        capsys.readouterr()
+        # a procedure the baseline lists as home-anchored now pins a
+        # constant key: its class regressed
+        real = registry.all_procedures
+        b = ProcedureBuilder("pinned_probe")
+        const_writer(7)(b)
+        b.commit_handler()
+        b.ret(0, 0)
+        b.commit()
+        pinned = finalized(b)
+        monkeypatch.setattr(registry, "all_procedures", lambda: real() + [
+            ("pinned_probe", pinned, catalog())])
+        strict = tmp_path / "strict.json"
+        strict.write_text(json.dumps(
+            {"classes": {name: CLASS_HOME
+                         for name in names + ["pinned_probe"]}}),
+            encoding="utf-8")
+        assert main(["gate", "--baseline", str(strict)]) == 1
+        out = capsys.readouterr().out
+        assert ("pinned_probe: footprint class regressed "
+                f"{CLASS_HOME} -> {CLASS_PINNED}") in out

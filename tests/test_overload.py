@@ -197,7 +197,7 @@ def _door(max_backlog):
 class TestBrownout:
     def test_sheds_low_priority_first(self):
         door = _door(100)
-        assert door.check(70, 0) is None     # class 0 never (2.0 > 1)
+        assert door.check(70, 0) is None     # class 0 is never shed
         assert door.check(70, 1) is None     # 0.70 < 0.85
         assert door.check(70, 2) == REASON_BROWNOUT   # 0.70 >= 0.60
         assert door.brownout_shed == {2: 1}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HeapAddressError
-from repro.sim import Bram, ClockDomain, DramModel, Engine, Heap, LINE_BYTES
+from repro.sim import ClockDomain, DramModel, Engine, Heap, LINE_BYTES
 
 
 def make_dram(latency_cycles=85.0, channels=8):
@@ -221,24 +221,3 @@ class TestDram:
         final = heap.load(head)
         assert final[1] is None
         assert len(results) == 2
-
-
-class TestBram:
-    def test_store_and_load(self):
-        b = Bram("lock-table", capacity_bytes=1024)
-        b.store("k", 5)
-        assert b.load("k") == 5
-        assert "k" in b and len(b) == 1
-        b.delete("k")
-        assert b.load("k", "missing") == "missing"
-
-    def test_blocks_for_capacity(self):
-        assert Bram.blocks_for(1) == 1
-        assert Bram.blocks_for(36 * 1024 // 8) == 1
-        assert Bram.blocks_for(36 * 1024 // 8 + 1) == 2
-
-    def test_clear(self):
-        b = Bram()
-        b.store(1, 1)
-        b.clear()
-        assert len(b) == 0

@@ -1,6 +1,6 @@
 """End-to-end tests for the static-analysis consumers.
 
-Three contracts from the footprint/conflict passes:
+Three contracts from the footprint pass:
 
 * **One pass.** The key-provenance pass runs once per registered
   procedure, once per procedure for the verifier, the report and the
@@ -11,8 +11,8 @@ Three contracts from the footprint/conflict passes:
   whose footprint pins partitions owned by a different node than its
   home before the first submit attempt.
 * **Conflict-aware batching.** The §4.5 batch former never co-batches
-  a must-serialize pair: it closes the batch at the second writer of a
-  key instead of letting it be rejected and retried.
+  two writers of one key: it closes the batch at the second writer
+  instead of letting it be rejected and retried.
 """
 
 import sys
@@ -23,7 +23,6 @@ import pytest
 
 import repro.analysis  # noqa: F401  (loads every module the counter patches)
 from repro.analysis import dataflow
-from repro.analysis.conflict import MUST_SERIALIZE, build_conflict_matrix
 from repro.analysis.footprint import CLASS_HOME, CLASS_PINNED
 from repro.analysis.registry import all_procedures, resolve
 from repro.analysis.report import report_json
@@ -144,7 +143,7 @@ class TestOnePass:
         for i, spec in enumerate(specs):
             router.route(i, spec, wl.layout_for(spec))
         router.settle(10, HEARTBEAT_TIMEOUT_NS / 2)
-        assert router.static_counts == {"single-partition": len(specs)}
+        assert router.done and router.attempts == len(specs)
         assert provenance_solves == []
 
 
@@ -191,11 +190,17 @@ class TestLateTables:
         assert [a.kind for a in laid_out.accesses] == ["local", "pinned"]
         pinned = db.schemas.table(0).route(self.PINNED_KEY, db.total_workers)
         assert laid_out.pinned_partitions == {pinned} == {2}
-        # the router joins the same layout: homed on the pinned partition
-        # the procedure is single-partition (were the replicated access
-        # not local, its constant key would make it unbounded), homed on
-        # partition 0 it stays on node 0, homed on partition 1 it would
-        # cross to node 0 and is rejected before any submit
+        # homed on the pinned partition the procedure is
+        # single-partition (were the replicated access not local, its
+        # constant key would make it unbounded), homed on partition 0 it
+        # stays on node 0, homed on partition 1 it would cross to node 0
+        owners = {p: o for p, (o, _e) in cluster.ownership_map().items()}
+        assert {home: laid_out.classify(home, node_of=owners.get).verdict
+                for home in (2, 0, 1)} == {2: "single-partition",
+                                           0: "single-node",
+                                           1: "cross-node"}
+        # the router joins the same layout: the cross-node spec is
+        # rejected before any submit
         router = ClusterRetryRouter(cluster)
         _route_all(router, cluster, [
             ("a", SimpleNamespace(proc_id=self.PID, home=2, inputs=(0,))),
@@ -203,10 +208,9 @@ class TestLateTables:
         with pytest.raises(FrontendError):
             router.route("c", SimpleNamespace(proc_id=self.PID, home=1,
                                               inputs=(0,)), None)
-        assert router.static_routes == {"a": "single-partition",
-                                         "b": "single-node",
-                                         "c": "cross-node"}
+        assert router.planned_rejects == 1
         assert router.done and router.attempts == 2
+        assert sorted(router.acked) == ["a", "b"]
 
     def test_reregistration_replaces_the_footprint(self):
         cluster = self._cluster()
@@ -218,10 +222,13 @@ class TestLateTables:
         assert after is not before
         assert after.with_layout(db.schemas, db.total_workers).kind_class \
             == CLASS_HOME
+        owners = {p: o for p, (o, _e) in cluster.ownership_map().items()}
+        assert after.with_layout(db.schemas, db.total_workers).classify(
+            1, node_of=owners.get).verdict == "single-partition"
         router = ClusterRetryRouter(cluster)
         _route_all(router, cluster, [
             ("d", SimpleNamespace(proc_id=self.PID, home=1, inputs=(5,)))])
-        assert router.static_routes == {"d": "single-partition"}
+        assert router.attempts == 1
         assert router.acked["d"][1] == "committed"
 
 
@@ -244,7 +251,6 @@ class TestClusterPreclassification:
         assert "could only bounce" in str(exc.value)
         assert router.attempts == 0             # rejected pre-submit
         assert router.planned_rejects == 1
-        assert router.static_routes == {"t0": "cross-node"}
         assert "t0" not in router.specs         # never accepted
 
     def test_home_anchored_stream_classified_and_delivered(self):
@@ -257,7 +263,9 @@ class TestClusterPreclassification:
         router.settle(10, HEARTBEAT_TIMEOUT_NS / 2)
         assert router.done
         assert router.planned_rejects == 0
-        assert router.static_counts == {"single-partition": len(specs)}
+        assert router.attempts == len(specs)
+        assert [router.acked[i][1] for i in range(len(specs))] == \
+            ["committed"] * len(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +291,7 @@ class TestConflictAwareBatching:
         db.load(0, 7, [0])
         return db
 
-    def test_must_serialize_pairs_never_share_a_batch(self):
+    def test_same_key_writers_never_share_a_batch(self):
         db = self._hot_writer_db()
         blocks = [db.new_block(self.HOT_PID, [0], worker=0)
                   for _ in range(self.N_TXNS)]
@@ -293,8 +301,3 @@ class TestConflictAwareBatching:
         assert counter("worker0.batches").value == self.N_TXNS
         assert counter("worker0.batches_closed.conflict").value == \
             self.N_TXNS - 1
-        # the analysis and the former agree on why
-        footprint = db.catalogue.lookup(self.HOT_PID).footprint
-        matrix = build_conflict_matrix([
-            ("hot", footprint.with_layout(db.schemas, db.total_workers))])
-        assert matrix.verdict("hot", "hot") == MUST_SERIALIZE
