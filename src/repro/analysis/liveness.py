@@ -23,7 +23,7 @@ Built on top:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..isa.instructions import Instruction, Opcode, Program
 from .dataflow import (
@@ -140,11 +140,13 @@ def reaching_definitions(program: Program,
     return ReachingDefs(graph=graph, reach_in=ins, reach_out=outs)
 
 
-def dead_gp_writes(program: Program,
-                   graph: FlowGraph = None) -> List[Node]:
-    """Nodes whose pure GP write is never read before redefinition/exit."""
+def dead_gp_writes(program: Program, graph: FlowGraph = None,
+                   liveness: Optional[LivenessResult] = None) -> List[Node]:
+    """Nodes whose pure GP write is never read before redefinition/exit;
+    ``liveness`` is the program's GP liveness when the caller has it."""
     graph = graph or program_flow(program)
-    liveness = live_gp(program, graph)
+    if liveness is None:
+        liveness = live_gp(program, graph)
     dead: List[Node] = []
     for nid in range(len(graph)):
         inst = graph.inst(nid)
@@ -156,11 +158,13 @@ def dead_gp_writes(program: Program,
     return dead
 
 
-def uncollected_cps(program: Program,
-                    graph: FlowGraph = None) -> List[Node]:
-    """DB dispatches whose CP result is never collected on any path."""
+def uncollected_cps(program: Program, graph: FlowGraph = None,
+                    liveness: Optional[LivenessResult] = None) -> List[Node]:
+    """DB dispatches whose CP result is never collected on any path;
+    ``liveness`` is the program's CP liveness when the caller has it."""
     graph = graph or program_flow(program)
-    liveness = _liveness(graph, cp_defs, cp_uses)
+    if liveness is None:
+        liveness = live_cp(program, graph)
     leaked: List[Node] = []
     for nid in range(len(graph)):
         inst = graph.inst(nid)

@@ -3,7 +3,8 @@
 :func:`analyze` builds the CFGs and the flow graph, then runs the
 liveness, footprint, WCET, commit-protocol and verifier passes once
 each; the footprint pass's summary feeds the WCET bound and the
-verifier.  Its :class:`Analysis` renders the two outputs of
+verifier, and the verifier's liveness and commit-protocol results are
+the report's.  Its :class:`Analysis` renders the two outputs of
 ``python -m repro.analysis report <proc>``:
 
 * :meth:`Analysis.format` — per-section CFG with dominators,
@@ -27,8 +28,8 @@ from ..isa.verify import VerificationReport, verify_program
 from ..mem.schema import Catalog
 from .dataflow import FlowGraph, Node, program_flow
 from .footprint import FootprintSummary, analyze_footprint
-from .liveness import LivenessResult, live_cp, live_gp
-from .protocol import CommitProtocolReport, check_commit_protocol
+from .liveness import LivenessResult
+from .protocol import CommitProtocolReport
 from .wcet import WcetReport, analyze_wcet
 
 __all__ = ["Analysis", "analyze", "render_report", "report_json"]
@@ -121,20 +122,21 @@ class Analysis(NamedTuple):
 
 def analyze(program: Program, schemas: Optional[Catalog] = None,
             n_workers: Optional[int] = None) -> Analysis:
-    """Run every pass over ``program`` once (finalises it if needed)."""
+    """Run every pass over ``program`` once (finalises it if needed):
+    the liveness and commit-protocol results are the verifier's own."""
     graph = program_flow(program)
     footprint = analyze_footprint(program, graph=graph)
+    verify = verify_program(program, schemas=schemas, n_workers=n_workers,
+                            graph=graph, footprint=footprint)
     return Analysis(
         program=program,
         graph=graph,
-        gp=live_gp(program, graph),
-        cp=live_cp(program, graph),
+        gp=verify.gp,
+        cp=verify.cp,
         footprint=footprint.with_layout(schemas, n_workers),
         wcet=analyze_wcet(program, graph=graph, footprint=footprint),
-        protocol=check_commit_protocol(program, graph),
-        verify=verify_program(program, schemas=schemas,
-                              n_workers=n_workers, graph=graph,
-                              footprint=footprint),
+        protocol=verify.protocol,
+        verify=verify,
     )
 
 

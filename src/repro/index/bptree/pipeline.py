@@ -160,6 +160,14 @@ class BPTreePipeline(PipelineBase):
         self._probe_step_ns = ns(self.probe_step_cycles)
         self._terminal_ns = ns(self.terminal_cycles)
         self._emit_ns = ns(self.scan_emit_cycles)
+        # the per-level and per-row steps, bound once
+        self._node_landed_cb = self._node_landed
+        self._last_step_cb = self._last_step
+        self._descended_cb = self._descended
+        self._leaf_landed_cb = self._leaf_landed
+        self._next_leaf_cb = self._next_leaf
+        self._row_landed_cb = self._row_landed
+        self._scan_emit_cb = self._scan_emit
         self._stage(self._form, 0.0)
         for _ in range(self.n_stages):
             self._stage(self._arrive, 0.0)
@@ -259,7 +267,7 @@ class BPTreePipeline(PipelineBase):
         wave.t0 = self.engine.now
         wave.pending = len(fetched)
         for addr in fetched:
-            self.read_port.read_cb(addr, self._node_landed, (wave, addr))
+            self.read_port.read_cb(addr, self._node_landed_cb, (wave, addr))
         return True
 
     def _node_landed(self, landed: tuple) -> None:
@@ -275,11 +283,12 @@ class BPTreePipeline(PipelineBase):
         for _ in range(sum(req._leaf is None for req in wave.probes) - 1):
             start += self._probe_step_ns
         self.node_fetches.add(len(wave.fetched))
-        self._sched(start, self._last_step, wave)
+        self._sched(start, self._last_step_cb, wave)
 
     def _last_step(self, wave: _Wave) -> None:
         # the level's end is scheduled where the serial charge did it
-        self._after(self._probe_step_ns, self._descended, wave)
+        self._sched(self.engine.now + self._probe_step_ns, self._descended_cb,
+                    wave)
 
     def _descended(self, wave: _Wave) -> None:
         """Move every probe still descending down the level just fetched."""
@@ -401,7 +410,7 @@ class BPTreePipeline(PipelineBase):
         req, leaf = scan.req, scan.leaf
         if scan.i >= len(leaf.keys):
             if leaf.next_leaf:
-                self.read_port.read_cb(leaf.next_leaf, self._leaf_landed,
+                self.read_port.read_cb(leaf.next_leaf, self._leaf_landed_cb,
                                        scan)
             else:
                 self._scan_end(scan)
@@ -410,7 +419,7 @@ class BPTreePipeline(PipelineBase):
             self._scan_end(scan)
         else:
             scan.addr = leaf.children[scan.i]
-            self.read_port.read_cb(scan.addr, self._row_landed, scan)
+            self.read_port.read_cb(scan.addr, self._row_landed_cb, scan)
 
     def _leaf_landed(self, landed: tuple) -> None:
         scan, leaf = landed
@@ -418,7 +427,8 @@ class BPTreePipeline(PipelineBase):
             self._scan_end(scan)
         else:
             scan.leaf = leaf
-            self._after(self._node_fetch_ns, self._next_leaf, scan)
+            self._sched(self.engine.now + self._node_fetch_ns,
+                        self._next_leaf_cb, scan)
 
     def _next_leaf(self, scan: Scan) -> None:
         self.node_fetches.add()
@@ -428,7 +438,7 @@ class BPTreePipeline(PipelineBase):
     def _row_landed(self, landed: tuple) -> None:
         scan, record = landed
         scan.row = record
-        self._after(self._emit_ns, self._scan_emit, scan)
+        self._sched(self.engine.now + self._emit_ns, self._scan_emit_cb, scan)
 
     def _scan_emit(self, scan: Scan) -> None:
         if self._emit(scan):

@@ -24,7 +24,8 @@ class LockTable:
 
     def __init__(self, engine: Engine):
         self.engine = engine
-        #: held key -> (queued acquirers, stalled readers), as (fn, arg)
+        #: held key -> (queued acquirers, stalled readers), as (fn, arg);
+        #: empty when nothing is locked, which a traversal tests first
         self._held: Dict[Hashable, Tuple[deque, list]] = {}
         #: instructions that stalled on a held lock
         self.stalls = 0

@@ -111,6 +111,11 @@ class SkiplistPipeline(PipelineBase):
         self._keyfetch_ns = ns(self.keyfetch_cycles)
         self._terminal_ns = ns(self.terminal_cycles)
         self._emit_ns = ns(self.scan_emit_cycles)
+        # the per-hop and per-row steps, bound once
+        self._hop_cb = self._hop
+        self._next_landed_cb = self._next_landed
+        self._scan_landed_cb = self._scan_landed
+        self._scan_emit_cb = self._scan_emit
         # traversal stage i is slot i, the scanners follow
         self._stage(self._start, 0.0)
         for _ in range(1, self.n_stages):
@@ -157,29 +162,31 @@ class SkiplistPipeline(PipelineBase):
     def _head_landed(self, landed: tuple) -> None:
         req, head = landed
         req._cur = head
-        self._after(self._hop_ns, self._hop, req)
+        self._sched(self.engine.now + self._hop_ns, self._hop_cb, req)
 
     def _arrive(self, req: DbRequest) -> None:
-        self._after(self._hop_ns, self._hop, req)
+        self._sched(self.engine.now + self._hop_ns, self._hop_cb, req)
 
     def _hop(self, req: DbRequest) -> None:
-        """Look at the current tower's successor on the current level."""
+        """Look at the current tower's successor on the current level; a
+        traversal probes the lock table only while something is locked."""
         cur, level = req._cur, req._level
         next_addr = cur.nexts[level] if level < cur.height else NULL_ADDR
         if not next_addr:
             self._level_end(req)
-        elif not req._locking or self.locks.wait_clear(
+        elif not req._locking or not self.locks._held or self.locks.wait_clear(
                 (next_addr, level), self._read_next, (req, next_addr)):
-            self._read_next((req, next_addr))
+            self.read_port.read_cb(next_addr, self._next_landed_cb,
+                                   (req, next_addr))
 
     def _read_next(self, hop: tuple) -> None:
-        self.read_port.read_cb(hop[1], self._next_landed, hop)
+        self.read_port.read_cb(hop[1], self._next_landed_cb, hop)
 
     def _next_landed(self, landed: tuple) -> None:
         (req, addr), nxt = landed
         if nxt is not None and nxt.key < req.key:
             req._cur_addr, req._cur = addr, nxt
-            self._after(self._hop_ns, self._hop, req)
+            self._sched(self.engine.now + self._hop_ns, self._hop_cb, req)
         else:
             self._level_end(req)
 
@@ -201,7 +208,7 @@ class SkiplistPipeline(PipelineBase):
         if level == 0:
             # the bottom stage resolves the request, holding the stage
             self._after(self._terminal_ns, self._terminal, req)
-        elif not req._locking or self.locks.wait_clear(
+        elif not req._locking or not self.locks._held or self.locks.wait_clear(
                 (req._cur_addr, level - 1), self._drop, req):
             self._drop(req)
 
@@ -209,7 +216,7 @@ class SkiplistPipeline(PipelineBase):
         req._level -= 1
         stage = req._stage
         if req._level >= self.level_ranges[stage][1]:
-            self._after(self._hop_ns, self._hop, req)
+            self._sched(self.engine.now + self._hop_ns, self._hop_cb, req)
         else:
             req._stage = stage + 1
             self._put(stage + 1, req)
@@ -303,7 +310,7 @@ class SkiplistPipeline(PipelineBase):
     def _scan_read(self, scan: Scan) -> None:
         """A scanner reads the next tower, or ends the scan."""
         if scan.addr and scan.n < scan.req.scan_count:
-            self.read_port.read_cb(scan.addr, self._scan_landed, scan)
+            self.read_port.read_cb(scan.addr, self._scan_landed_cb, scan)
         else:
             self._scan_end(scan)
 
@@ -314,7 +321,8 @@ class SkiplistPipeline(PipelineBase):
             self._scan_end(scan)    # the end, or RANGE_SCAN past its key
         else:
             scan.row = tower
-            self._after(self._emit_ns, self._scan_emit, scan)
+            self._sched(self.engine.now + self._emit_ns, self._scan_emit_cb,
+                        scan)
 
     def _scan_emit(self, scan: Scan) -> None:
         if self._emit(scan):

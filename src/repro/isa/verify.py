@@ -84,11 +84,15 @@ disassembled text in :attr:`Finding.detail`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..errors import VerificationError
 from .disassembler import disassemble_instruction
 from .instructions import Imm, Instruction, Opcode, Program, Section
+
+if TYPE_CHECKING:
+    from ..analysis.liveness import LivenessResult
+    from ..analysis.protocol import CommitProtocolReport
 
 __all__ = ["Finding", "VerificationReport", "verify_program"]
 
@@ -117,10 +121,19 @@ class Finding:
 
 @dataclass
 class VerificationReport:
-    """The outcome of :func:`verify_program`."""
+    """The outcome of :func:`verify_program`, with the dataflow results
+    its proofs came from: the commit-protocol report (``protocol``) and
+    the GP and CP liveness (``gp``, ``cp``), for a caller that reports
+    them too."""
 
     program_name: str
     findings: List[Finding] = field(default_factory=list)
+    protocol: Optional[CommitProtocolReport] = field(
+        default=None, repr=False, compare=False)
+    gp: Optional[LivenessResult] = field(default=None, repr=False,
+                                         compare=False)
+    cp: Optional[LivenessResult] = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def errors(self) -> List[Finding]:
@@ -169,7 +182,9 @@ def verify_program(program: Program, n_registers: Optional[int] = None,
     # this module's Finding API, and importing either at module scope
     # would make the package import order load-bearing.
     from ..analysis.dataflow import program_flow
-    from ..analysis.liveness import dead_gp_writes, uncollected_cps
+    from ..analysis.liveness import (
+        dead_gp_writes, live_cp, live_gp, uncollected_cps,
+    )
     from ..analysis.protocol import check_commit_protocol
     from ..analysis.footprint import analyze_footprint, table_schema
     if n_registers is None:
@@ -241,7 +256,7 @@ def verify_program(program: Program, n_registers: Optional[int] = None,
                               section, i, insts))
 
     # ---- dataflow proofs ----------------------------------------------
-    protocol = check_commit_protocol(program, graph)
+    protocol = report.protocol = check_commit_protocol(program, graph)
     for node in protocol.unwritten_rets:
         insts = program.section(node.section)
         cp = insts[node.index].cp
@@ -282,14 +297,16 @@ def verify_program(program: Program, n_registers: Optional[int] = None,
                       "— the tuple address provenance is unknown",
                       node.section, node.index, insts))
 
-    for node in dead_gp_writes(program, graph):
+    report.gp = live_gp(program, graph)
+    report.cp = live_cp(program, graph)
+    for node in dead_gp_writes(program, graph, report.gp):
         insts = program.section(node.section)
         dst = insts[node.index].dst
         add(_anchored("warning", "dead-gp-write",
                       f"r{dst.n} is written but never read before "
                       f"redefinition or exit",
                       node.section, node.index, insts))
-    for node in uncollected_cps(program, graph):
+    for node in uncollected_cps(program, graph, report.cp):
         insts = program.section(node.section)
         cp = insts[node.index].cp
         add(_anchored("warning", "uncollected-cp",

@@ -88,9 +88,6 @@ class Tower:
         if len(self.nexts) != self.height:
             raise ValueError("nexts length must equal height")
 
-    def visible_at(self, ts: int) -> bool:
-        return not self.dirty and not self.tombstone and self.write_ts <= ts
-
     @classmethod
     def from_run(cls, rows, addr: int) -> "Tower":
         """The tower of ``addr`` in a cold skiplist run (row ``addr -
@@ -100,17 +97,20 @@ class Tower:
         i = addr - base
         heights = rows.heights
         height = heights[i]
-        end = len(heights)
-        nexts: List[int] = []
         j = i + 1
-        for level in range(height):
-            if j < end and heights[j] <= level:
-                taller = _next_taller(level)(heights, j)
-                j = taller.start() if taller else end
-            if j == end:
-                nexts += rows.tails[level:height]
-                break
-            nexts.append(base + j)
+        if j == len(heights):
+            nexts = rows.tails[:height]
+        else:
+            # the next row is every tower's level-0 successor
+            nexts = [base + j]
+            for level in range(1, height):
+                if heights[j] <= level:
+                    taller = _next_taller(level)(heights, j)
+                    if taller is None:
+                        nexts += rows.tails[level:height]
+                        break
+                    j = taller.start()
+                nexts.append(base + j)
         ts = rows.ts
         return cls(rows.keys[i], list(rows.fields[i]), height, nexts, addr,
                    ts, ts)

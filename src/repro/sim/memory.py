@@ -1,4 +1,4 @@
-"""Simulated memory: the FPGA-side DRAM and on-chip BRAM.
+"""Simulated memory: the FPGA-side DRAM.
 
 The paper's machine (Convey/Micron HC-2) gives each FPGA chip access to
 on-board DDR2 through dedicated memory controllers.  In-memory OLTP is
@@ -19,6 +19,11 @@ entry, a skiplist tower, one payload chunk).  Reads sample the cell and
 writes apply at *service time*, so the pipeline hazards described in
 §4.4 (insert-after-insert, search-after-insert) genuinely occur when
 hazard prevention is disabled.
+
+Every access is modelled, so the request path is the simulator's
+hottest: a :class:`MemoryPort` request is no object but the argument
+tuple of the work item that serves it, and its kind's completion
+handler is that item's function.
 """
 
 from __future__ import annotations
@@ -169,7 +174,9 @@ class Heap:
         cells[addr] = value
 
     def __contains__(self, addr: int) -> bool:
-        return self.load(addr) is not None
+        """The cell is allocated and occupied; a cold cell stays cold."""
+        cells = self._cells
+        return 0 <= addr < len(cells) and cells[addr] is not None
 
     def items(self) -> Iterator[Tuple[int, Any]]:
         """``(addr, cell)`` for every occupied cell, in address order."""
@@ -180,21 +187,6 @@ class Heap:
     @property
     def bytes_allocated(self) -> int:
         return self.allocated_cells * LINE_BYTES
-
-
-class _Request:
-    __slots__ = ("kind", "addr", "value", "event", "apply_fn", "cb", "cb_arg")
-
-    def __init__(self, kind: str, addr: int, value: Any, event: Optional[Event],
-                 apply_fn: Optional[Callable] = None,
-                 cb: Optional[Callable] = None, cb_arg: Any = None):
-        self.kind = kind
-        self.addr = addr
-        self.value = value
-        self.event = event
-        self.apply_fn = apply_fn
-        self.cb = cb
-        self.cb_arg = cb_arg
 
 
 #: HC-2 coprocessor memory through the crossbar interconnect: a random
@@ -257,6 +249,16 @@ class MemoryPort:
     most ``max_outstanding`` requests in flight.  Pipeline stages and the
     softcore each own ports; the per-port outstanding limit is the
     modelled analogue of the HC-2 memory-port semantics that caps MLP.
+
+    A request is no object but one flat tuple, ``(counter, handler,
+    addr, ...)``: the DRAM counter its access bumps, its kind's
+    completion handler (chosen when it is issued), then the arguments
+    its entry point received.  The same tuple is the argument of every
+    work item the request becomes.  One that issues at once arbitrates
+    its channel inside the caller and pushes ``handler`` at the instant
+    DRAM serves it; one that waits for the port's issue slot is first a
+    :meth:`_launch` item at that slot; one that finds the port full
+    waits in ``_pending`` until a completion frees a place.
     """
 
     def __init__(self, dram: DramModel, name: str = "", max_outstanding: int = 4,
@@ -270,29 +272,53 @@ class MemoryPort:
         self.issue_interval_ns = dram.clock.ns(issue_interval_cycles)
         self._outstanding = 0
         self._next_issue = 0.0
-        self._pending: Deque[_Request] = deque()
-        self.issued = 0
-        # bound once: completions and deferred launches are pushed as
-        # closure-free (when, seq, fn, arg) work items
+        self._pending: Deque[tuple] = deque()
+        # the hot handlers, bound once: launches and completions are
+        # pushed as closure-free (when, seq, fn, request) work items
         self._launch_cb = self._launch
-        self._complete_cb = self._complete
+        self._post_write_done_cb = self._post_write_done
+        self._read_cb_done_cb = self._read_cb_done
 
     # -- public operations -------------------------------------------------
     def read(self, addr: int) -> Event:
         """Read a cell; the event fires with the cell's value at service."""
         ev = Event(self.engine)
-        self._submit(_Request("read", addr, None, ev))
+        self._issue((self.dram._reads, self._read_done, addr, ev))
         return ev
 
     def write(self, addr: int, value: Any) -> Event:
         """Write a cell; the event fires when the write is serviced."""
         ev = Event(self.engine)
-        self._submit(_Request("write", addr, value, ev))
+        self._issue((self.dram._writes, self._write_done, addr, value, ev))
         return ev
 
     def post_write(self, addr: int, value: Any) -> None:
         """Posted (fire-and-forget) write; still occupies an issue slot."""
-        self._submit(_Request("write", addr, value, None))
+        # _issue and _launch, inlined: the hottest write
+        dram = self.dram
+        req = (dram._writes, self._post_write_done_cb, addr, value)
+        if self._outstanding >= self.max_outstanding:
+            self._pending.append(req)
+            return
+        self._outstanding += 1
+        engine = self.engine
+        now = engine.now
+        nxt = self._next_issue
+        seq = engine._seq = engine._seq + 1
+        if nxt <= now:
+            self._next_issue = now + self.issue_interval_ns
+            channel_free = dram._channel_free
+            ch = addr % dram.channels
+            free = channel_free[ch]
+            if free < now:
+                free = now
+            channel_free[ch] = free + dram.channel_interval_ns
+            dram._writes.value += 1
+            heappush(engine._heap, (free + dram.latency_ns, seq,
+                                    self._post_write_done_cb, req))
+        else:
+            self._next_issue = nxt + self.issue_interval_ns
+            heappush(engine._heap, (nxt, seq, self._launch_cb, req))
 
     def read_cb(self, addr: int, fn: Callable, arg: Any) -> None:
         """Read with a closure-free completion callback.
@@ -300,13 +326,38 @@ class MemoryPort:
         ``fn((arg, value))`` is called inside the completion firing, at
         the instant the event of :meth:`read` would fire — the only
         difference is that no :class:`Event` is allocated.  This is the
-        completion path of the hash index pipeline.
+        completion path of the index pipelines.
         """
-        self._submit(_Request("read", addr, None, None, cb=fn, cb_arg=arg))
+        # _issue and _launch, inlined: the hottest read
+        dram = self.dram
+        req = (dram._reads, self._read_cb_done_cb, addr, fn, arg)
+        if self._outstanding >= self.max_outstanding:
+            self._pending.append(req)
+            return
+        self._outstanding += 1
+        engine = self.engine
+        now = engine.now
+        nxt = self._next_issue
+        seq = engine._seq = engine._seq + 1
+        if nxt <= now:
+            self._next_issue = now + self.issue_interval_ns
+            channel_free = dram._channel_free
+            ch = addr % dram.channels
+            free = channel_free[ch]
+            if free < now:
+                free = now
+            channel_free[ch] = free + dram.channel_interval_ns
+            dram._reads.value += 1
+            heappush(engine._heap, (free + dram.latency_ns, seq,
+                                    self._read_cb_done_cb, req))
+        else:
+            self._next_issue = nxt + self.issue_interval_ns
+            heappush(engine._heap, (nxt, seq, self._launch_cb, req))
 
     def write_cb(self, addr: int, value: Any, fn: Callable, arg: Any) -> None:
         """Write with a closure-free completion callback (see read_cb)."""
-        self._submit(_Request("write", addr, value, None, cb=fn, cb_arg=arg))
+        self._issue((self.dram._writes, self._write_cb_done, addr, value,
+                     fn, arg))
 
     def apply(self, addr: int, fn: Callable[[Any], None]) -> Event:
         """Read-modify-write: run ``fn(cell_value)`` at service time.
@@ -316,23 +367,23 @@ class MemoryPort:
         preserving hazard semantics.
         """
         ev = Event(self.engine)
-        self._submit(_Request("rmw", addr, None, ev, apply_fn=fn))
+        self._issue((self.dram._writes, self._apply_done, addr, fn, ev))
         return ev
 
     def post_apply(self, addr: int, fn: Callable[[Any], None]) -> None:
-        self._submit(_Request("rmw", addr, None, None, apply_fn=fn))
+        self._issue((self.dram._writes, self._post_apply_done, addr, fn))
 
     @property
     def outstanding(self) -> int:
         return self._outstanding
 
-    # -- internal ------------------------------------------------------------
-    def _submit(self, req: _Request) -> None:
+    # -- issue ---------------------------------------------------------------
+    def _issue(self, req: tuple) -> None:
+        """Take a place and the port's issue slot for ``req``."""
         if self._outstanding >= self.max_outstanding:
             self._pending.append(req)
             return
         self._outstanding += 1
-        self.issued += 1
         engine = self.engine
         now = engine.now
         nxt = self._next_issue
@@ -348,42 +399,76 @@ class MemoryPort:
             seq = engine._seq = engine._seq + 1
             heappush(engine._heap, (nxt, seq, self._launch_cb, req))
 
-    def _launch(self, req: _Request) -> None:
+    def _launch(self, req: tuple) -> None:
+        """Arbitrate the channel of ``req`` and push its completion."""
         dram = self.dram
         engine = self.engine
         now = engine.now
-        # channel arbitration: same-instant requests to one channel are
-        # served in the order their launches fire
-        ch = req.addr % dram.channels
-        free = dram._channel_free[ch]
-        t_issue = free if free > now else now
-        dram._channel_free[ch] = t_issue + dram.channel_interval_ns
-        if req.kind == "read":
-            dram._reads.value += 1
-        else:
-            dram._writes.value += 1
+        # same-instant requests to one channel are served in the order
+        # their launches fire
+        channel_free = dram._channel_free
+        ch = req[2] % dram.channels
+        free = channel_free[ch]
+        if free < now:
+            free = now
+        channel_free[ch] = free + dram.channel_interval_ns
+        req[0].value += 1
         # latency > 0, so the completion is never stamped ``now`` and
         # goes straight onto the heap
         seq = engine._seq = engine._seq + 1
-        heappush(engine._heap, (t_issue + dram.latency_ns, seq,
-                                self._complete_cb, req))
+        heappush(engine._heap, (free + dram.latency_ns, seq, req[1], req))
 
-    def _complete(self, req: _Request) -> None:
-        heap = self.dram.heap
-        if req.kind == "read":
-            value = heap.load(req.addr)
-        elif req.kind == "write":
-            heap.store(req.addr, req.value)
-            value = None
-        else:  # rmw
-            req.apply_fn(heap.load(req.addr))
-            value = None
+    # -- completions: one per kind ---------------------------------------------
+    # Each serves its cell through Heap.load / Heap.store, frees its
+    # place (issuing the oldest waiting request), then hands the value
+    # over inside this firing: the completion *is* the delivery, no
+    # relay item on the ready-deque.
+    def _retire(self) -> None:
         self._outstanding -= 1
         if self._pending:
-            self._submit(self._pending.popleft())
-        # hand the value over inside this firing: the completion *is*
-        # the delivery, no relay item on the ready-deque
-        if req.cb is not None:
-            req.cb((req.cb_arg, value))
-        elif req.event is not None:
-            req.event.succeed_now(value)
+            self._issue(self._pending.popleft())
+
+    def _read_done(self, req: tuple) -> None:
+        _counter, _done, addr, ev = req
+        value = self.dram.heap.load(addr)
+        self._retire()
+        ev.succeed_now(value)
+
+    def _write_done(self, req: tuple) -> None:
+        _counter, _done, addr, value, ev = req
+        self.dram.heap.store(addr, value)
+        self._retire()
+        ev.succeed_now(None)
+
+    def _post_write_done(self, req: tuple) -> None:
+        self.dram.heap.store(req[2], req[3])
+        # _retire, inlined
+        self._outstanding -= 1
+        if self._pending:
+            self._issue(self._pending.popleft())
+
+    def _read_cb_done(self, req: tuple) -> None:
+        _counter, _done, addr, fn, arg = req
+        value = self.dram.heap.load(addr)
+        # _retire, inlined
+        self._outstanding -= 1
+        if self._pending:
+            self._issue(self._pending.popleft())
+        fn((arg, value))
+
+    def _write_cb_done(self, req: tuple) -> None:
+        _counter, _done, addr, value, fn, arg = req
+        self.dram.heap.store(addr, value)
+        self._retire()
+        fn((arg, None))
+
+    def _apply_done(self, req: tuple) -> None:
+        _counter, _done, addr, fn, ev = req
+        fn(self.dram.heap.load(addr))
+        self._retire()
+        ev.succeed_now(None)
+
+    def _post_apply_done(self, req: tuple) -> None:
+        _counter, _done, addr, fn = req
+        fn(self.dram.heap.load(addr))
+        self._retire()

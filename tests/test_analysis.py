@@ -8,10 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    EXIT, FlowGraph, Node, build_all_cfgs, build_cfg,
-    check_commit_protocol, dead_gp_writes, live_cp, live_gp,
+    EXIT, Node, build_cfg, check_commit_protocol, dead_gp_writes, live_gp,
     pending_cps, program_flow, reaching_definitions, static_mlp,
-    uncollected_cps,
 )
 from repro.analysis.dataflow import cp_defs
 from repro.analysis.footprint import (
@@ -21,7 +19,7 @@ from repro.analysis.footprint import (
 )
 from repro.analysis.lint import findings_json, lint_paths, lint_source
 from repro.analysis.registry import ResolveError, all_procedures, resolve
-from repro.analysis.report import render_report, report_json
+from repro.analysis.report import analyze, render_report, report_json
 from repro.analysis.wcet import WcetModel, analyze_wcet
 from repro.sim.memory import DRAM_LATENCY_CYCLES
 from repro.softcore import timing
@@ -1086,3 +1084,44 @@ class TestReportJson:
         out = capsys.readouterr().out
         assert ("pinned_probe: footprint class regressed "
                 f"{CLASS_HOME} -> {CLASS_PINNED}") in out
+
+
+class TestAnalyzeRunsEachPassOnce:
+    def test_one_protocol_pass_and_two_liveness_solves(self, monkeypatch):
+        import importlib
+
+        liveness = importlib.import_module("repro.analysis.liveness")
+        protocol = importlib.import_module("repro.analysis.protocol")
+        calls = []
+        real_solve = liveness._liveness
+        real_check = protocol.check_commit_protocol
+
+        def solve(*args):
+            calls.append("liveness")
+            return real_solve(*args)
+
+        def check(*args, **kwargs):
+            calls.append("protocol")
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(liveness, "_liveness", solve)
+        monkeypatch.setattr(protocol, "check_commit_protocol", check)
+        program, cat = resolve("tpcc_neworder_15")
+        result = analyze(program, cat, 4)
+        assert sorted(calls) == ["liveness", "liveness", "protocol"]
+        # the report shows the very results the verifier's proofs used
+        assert result.protocol is result.verify.protocol
+        assert result.gp is result.verify.gp
+        assert result.cp is result.verify.cp
+
+    def test_given_liveness_is_used_as_is(self):
+        program, _cat = resolve("tpcc_neworder_15")
+        graph = program_flow(program)
+        gp = live_gp(program, graph)
+        assert dead_gp_writes(program, graph, gp) == dead_gp_writes(
+            program, graph)
+        # an empty liveness makes every pure register write dead
+        nothing = gp.__class__(graph, [frozenset()] * len(graph),
+                               [frozenset()] * len(graph))
+        assert len(dead_gp_writes(program, graph, nothing)) > len(
+            dead_gp_writes(program, graph))
