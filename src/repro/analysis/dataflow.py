@@ -34,6 +34,7 @@ computed keys) are uses.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, FrozenSet, List, Optional, Tuple, TypeVar,
@@ -74,16 +75,18 @@ class FlowGraph:
                  traps: bool = True):
         self.program = program
         self.cfgs = cfgs
+        # a node's id is its section's first id plus its index: plain
+        # integers, so no Node is hashed while the graph is built
         self.nodes: List[Node] = []
-        self._id: Dict[Node, int] = {}
+        #: section -> id of its first instruction
+        self._first: Dict[Section, int] = {}
         #: node id -> instruction (the solvers ask once per visit)
         self._insts: List[Instruction] = []
         for section in Section:
-            for i, inst in enumerate(program.section(section)):
-                node = Node(section, i)
-                self._id[node] = len(self.nodes)
-                self.nodes.append(node)
-                self._insts.append(inst)
+            insts = program.section(section)
+            self._first[section] = len(self.nodes)
+            self.nodes.extend(Node(section, i) for i in range(len(insts)))
+            self._insts.extend(insts)
         n = len(self.nodes)
         self.succs: List[List[int]] = [[] for _ in range(n)]
         self.preds: List[List[int]] = [[] for _ in range(n)]
@@ -91,13 +94,14 @@ class FlowGraph:
 
     # -- construction ----------------------------------------------------
     def _entry_of(self, section: Section) -> Optional[int]:
-        insts = self.program.section(section)
-        return self._id[Node(section, 0)] if insts else None
+        return self._first[section] if self.program.section(section) else None
 
     def _build_edges(self, traps: bool) -> None:
         commit_entry = self._entry_of(Section.COMMIT)
         abort_entry = self._entry_of(Section.ABORT)
+        edge = self._edge
         for section, cfg in self.cfgs.items():
+            first = self._first[section]
             # section exits: logic flows into the phase-2 handlers
             if section is Section.LOGIC:
                 exit_targets = [t for t in (commit_entry, abort_entry)
@@ -106,23 +110,21 @@ class FlowGraph:
                 exit_targets = []
             for blk in cfg.blocks:
                 # intra-block straight line
-                for i in range(blk.start, blk.end - 1):
-                    self._edge(self._id[Node(section, i)],
-                               self._id[Node(section, i + 1)])
+                for nid in range(first + blk.start, first + blk.end - 1):
+                    edge(nid, nid + 1)
                 # block terminator -> successor blocks (their first inst)
-                last = self._id[Node(section, blk.end - 1)]
+                last = first + blk.end - 1
                 for s in blk.succs:
                     if s == EXIT:
                         for t in exit_targets:
-                            self._edge(last, t)
+                            edge(last, t)
                     else:
-                        first = self._id[Node(section, cfg.blocks[s].start)]
-                        self._edge(last, first)
+                        edge(last, first + cfg.blocks[s].start)
             # trap edges: logic may bail to the abort handler mid-stream
             if traps and section is Section.LOGIC and abort_entry is not None:
                 for i, inst in enumerate(cfg.insts):
                     if inst.opcode in TRAP_OPCODES:
-                        self._edge(self._id[Node(section, i)], abort_entry)
+                        edge(first + i, abort_entry)
 
     def _edge(self, src: int, dst: int) -> None:
         if dst not in self.succs[src]:
@@ -134,7 +136,9 @@ class FlowGraph:
         return len(self.nodes)
 
     def node_id(self, node: Node) -> int:
-        return self._id[node]
+        if not 0 <= node.index < len(self.program.section(node.section)):
+            raise KeyError(node)
+        return self._first[node.section] + node.index
 
     def inst(self, nid: int) -> Instruction:
         return self._insts[nid]
@@ -178,19 +182,20 @@ def solve_forward(
     ins: List[S] = [bottom] * n
     outs: List[S] = [bottom] * n
     entries = set(graph.entries)
-    work = list(range(n))
+    insts, preds, succs = graph._insts, graph.preds, graph.succs
+    work = deque(range(n))
     in_work = [True] * n
     while work:
-        nid = work.pop(0)
+        nid = work.popleft()
         in_work[nid] = False
         state = entry_state if nid in entries else bottom
-        for p in graph.preds[nid]:
+        for p in preds[nid]:
             state = join(state, outs[p])
         ins[nid] = state
-        new_out = transfer(graph.inst(nid), state)
+        new_out = transfer(insts[nid], state)
         if new_out != outs[nid]:
             outs[nid] = new_out
-            for s in graph.succs[nid]:
+            for s in succs[nid]:
                 if not in_work[s]:
                     in_work[s] = True
                     work.append(s)
@@ -213,19 +218,20 @@ def solve_backward(
     n = len(graph)
     ins: List[S] = [bottom] * n
     outs: List[S] = [bottom] * n
-    work = list(range(n - 1, -1, -1))
+    insts, preds, succs = graph._insts, graph.preds, graph.succs
+    work = deque(range(n - 1, -1, -1))
     in_work = [True] * n
     while work:
-        nid = work.pop(0)
+        nid = work.popleft()
         in_work[nid] = False
-        state = exit_state if not graph.succs[nid] else bottom
-        for s in graph.succs[nid]:
+        state = exit_state if not succs[nid] else bottom
+        for s in succs[nid]:
             state = join(state, ins[s])
         outs[nid] = state
-        new_in = transfer(graph.inst(nid), state)
+        new_in = transfer(insts[nid], state)
         if new_in != ins[nid]:
             ins[nid] = new_in
-            for p in graph.preds[nid]:
+            for p in preds[nid]:
                 if not in_work[p]:
                     in_work[p] = True
                     work.append(p)
@@ -237,50 +243,48 @@ def solve_backward(
 # ---------------------------------------------------------------------------
 
 _ARITH = frozenset({Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV})
-
-
-def _reg_of(x) -> Optional[int]:
-    return x.n if isinstance(x, Gp) else None
+#: opcodes that write their ``dst`` GP register
+_GP_WRITERS = _ARITH | {Opcode.MOV, Opcode.LOAD, Opcode.RET, Opcode.RETN}
+_NONE: FrozenSet[int] = frozenset()
 
 
 def _addr_uses(addr) -> FrozenSet[int]:
     if isinstance(addr, BlockRef) and isinstance(addr.offset, Gp):
-        return frozenset({addr.offset.n})
+        return frozenset((addr.offset.n,))
     if isinstance(addr, FieldRef):
-        return frozenset({addr.base.n})
-    return frozenset()
+        return frozenset((addr.base.n,))
+    return _NONE
 
 
 def gp_defs(inst: Instruction) -> FrozenSet[int]:
     """GP registers this instruction writes."""
-    if inst.opcode in _ARITH or inst.opcode in (
-            Opcode.MOV, Opcode.LOAD, Opcode.RET, Opcode.RETN):
-        return frozenset({inst.dst.n}) if inst.dst is not None else frozenset()
-    return frozenset()
+    if inst.dst is not None and inst.opcode in _GP_WRITERS:
+        return frozenset((inst.dst.n,))
+    return _NONE
 
 
 def gp_uses(inst: Instruction) -> FrozenSet[int]:
     """GP registers this instruction reads (any addressing mode)."""
-    used = set()
+    used = []
     for operand in (inst.a, inst.b, inst.key):
-        r = _reg_of(operand)
-        if r is not None:
-            used.add(r)
+        if isinstance(operand, Gp):
+            used.append(operand.n)
         elif isinstance(operand, BlockRef) and isinstance(operand.offset, Gp):
-            used.add(operand.offset.n)
-    used |= _addr_uses(inst.addr)
-    return frozenset(used)
+            used.append(operand.offset.n)
+    if inst.addr is not None:
+        return _addr_uses(inst.addr).union(used)
+    return frozenset(used) if used else _NONE
 
 
 def cp_defs(inst: Instruction) -> FrozenSet[int]:
     """CP registers this instruction writes (DB dispatch)."""
     if inst.is_db and inst.cp is not None:
-        return frozenset({inst.cp.n})
-    return frozenset()
+        return frozenset((inst.cp.n,))
+    return _NONE
 
 
 def cp_uses(inst: Instruction) -> FrozenSet[int]:
     """CP registers this instruction reads (result collection)."""
-    if inst.opcode in (Opcode.RET, Opcode.RETN) and inst.cp is not None:
-        return frozenset({inst.cp.n})
-    return frozenset()
+    if inst.cp is not None and inst.opcode in (Opcode.RET, Opcode.RETN):
+        return frozenset((inst.cp.n,))
+    return _NONE

@@ -345,10 +345,14 @@ def analyze_footprint(program: Program,
     def join(a, b):
         if a is None:
             return b
-        if b is None:
+        if b is None or b is a:
             return a
-        return {reg: a.get(reg, _ENTRY).join(b.get(reg, _ENTRY))
-                for reg in sorted(set(a) | set(b), key=repr)}
+        # (a state is a map: its key order means nothing)
+        out = {}
+        for reg in a.keys() | b.keys():
+            x, y = a.get(reg, _ENTRY), b.get(reg, _ENTRY)
+            out[reg] = x if x is y else x.join(y)
+        return out
 
     def transfer(inst, state):
         return None if state is None else _transfer(inst, state)

@@ -23,7 +23,7 @@ Built on top:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from ..isa.instructions import Instruction, Opcode, Program
 from .dataflow import (
@@ -62,9 +62,14 @@ class LivenessResult:
 
 def _liveness(graph: FlowGraph, defs, uses) -> LivenessResult:
     empty: FrozenSet[int] = frozenset()
+    # each instruction's (defs, uses), taken once, not once per visit
+    effect = {id(inst): (defs(inst), uses(inst)) for inst in graph._insts}
 
     def transfer(inst: Instruction, out_state: FrozenSet[int]) -> FrozenSet[int]:
-        return (out_state - defs(inst)) | uses(inst)
+        kill, gen = effect[id(inst)]
+        if kill:
+            out_state = out_state - kill
+        return out_state | gen if gen else out_state
 
     ins, outs = solve_backward(graph, exit_state=empty, bottom=empty,
                                transfer=transfer,
@@ -88,6 +93,7 @@ class ReachingDefs:
 
     States are frozensets of ``(register, def_node_id)`` pairs;
     ``def_node_id`` is :data:`ENTRY_DEF` for the implicit entry value.
+    Only the registers the analysis was asked to track have pairs.
     """
 
     graph: FlowGraph
@@ -99,11 +105,17 @@ class ReachingDefs:
         return frozenset(d for r, d in self.reach_in[nid] if r == reg)
 
 
-def reaching_definitions(program: Program,
-                         graph: FlowGraph = None) -> ReachingDefs:
+def reaching_definitions(program: Program, graph: FlowGraph = None,
+                         registers: Optional[Iterable[int]] = None
+                         ) -> ReachingDefs:
+    """Reaching definitions of every GP register the program names or,
+    given ``registers``, of those alone: the answers for a tracked
+    register are the same either way, and the states are smaller."""
     graph = graph or program_flow(program)
     empty: FrozenSet[Tuple[int, int]] = frozenset()
     gps, _ = program._registers()
+    if registers is not None:
+        gps = gps & set(registers)
     entry = frozenset((r, ENTRY_DEF) for r in gps)
 
     # per-node transfer needs the node id for the gen set; close over a
@@ -111,8 +123,7 @@ def reaching_definitions(program: Program,
     gens: List[FrozenSet[Tuple[int, int]]] = []
     kills: List[FrozenSet[int]] = []
     for nid in range(len(graph)):
-        inst = graph.inst(nid)
-        defs = gp_defs(inst)
+        defs = gp_defs(graph.inst(nid)) & gps
         gens.append(frozenset((r, nid) for r in defs))
         kills.append(defs)
 
@@ -129,8 +140,9 @@ def reaching_definitions(program: Program,
         for p in graph.preds[nid]:
             state = state | outs[p]
         ins[nid] = state
-        new_out = frozenset((r, d) for r, d in state
-                            if r not in kills[nid]) | gens[nid]
+        kill = kills[nid]
+        new_out = (frozenset(pair for pair in state if pair[0] not in kill)
+                   | gens[nid]) if kill else state
         if new_out != outs[nid]:
             outs[nid] = new_out
             for s in graph.succs[nid]:

@@ -53,10 +53,13 @@ class PendingCpResult:
 
 def _pending_transfer(inst: Instruction,
                       state: FrozenSet[int]) -> FrozenSet[int]:
-    if inst.is_db and inst.cp is not None:
-        return state | {inst.cp.n}
-    if inst.opcode in (Opcode.RET, Opcode.RETN) and inst.cp is not None:
-        return state - {inst.cp.n}
+    cp = inst.cp
+    if cp is None:
+        return state
+    if inst.is_db:
+        return state | {cp.n}
+    if inst.opcode in (Opcode.RET, Opcode.RETN):
+        return state - {cp.n}
     return state
 
 
@@ -104,7 +107,11 @@ def write_provenance(program: Program, graph: Optional[FlowGraph] = None
                      ) -> List[WriteProvenance]:
     """Trace every WRFIELD base register back to its producing dispatch."""
     graph = graph or program_flow(program)
-    reach = reaching_definitions(program, graph)
+    bases = {inst.addr.base.n for inst in graph._insts
+             if inst.opcode is Opcode.WRFIELD}
+    if not bases:
+        return []
+    reach = reaching_definitions(program, graph, registers=bases)
 
     # CP register -> opcodes of the dispatches writing it
     cp_opcodes: Dict[int, Set[Opcode]] = {}

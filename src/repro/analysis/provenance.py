@@ -66,10 +66,13 @@ class KeyOrigin:
         return KeyOrigin(const=None, cells=self.cells, opaque=True)
 
     def join(self, other: "KeyOrigin") -> "KeyOrigin":
-        return KeyOrigin(
-            const=self.const if self.const == other.const else None,
-            cells=self.cells | other.cells,
-            opaque=self.opaque or other.opaque)
+        const = self.const if self.const == other.const else None
+        opaque = self.opaque or other.opaque
+        if (const == self.const and opaque == self.opaque
+                and other.cells <= self.cells):
+            return self         # (states share what a join leaves as is)
+        return KeyOrigin(const=const, cells=self.cells | other.cells,
+                         opaque=opaque)
 
     def combine(self, other: "KeyOrigin", op: Opcode) -> "KeyOrigin":
         """Provenance of a binary arithmetic result."""

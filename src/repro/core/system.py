@@ -45,7 +45,8 @@ from ..errors import (
     StuckTransactionError, SubmissionError,
 )
 from ..isa.instructions import Program
-from ..mem.schema import Catalog, SchemaError, TableSchema
+from ..index.hash.pipeline import load_replicated
+from ..mem.schema import Catalog, IndexKind, SchemaError, TableSchema
 from ..mem.txnblock import BlockLayout, TransactionBlock, TxnStatus
 from ..sim.clock import FPGA_MHZ, ClockDomain
 from ..sim.engine import Engine, collector_quiesced
@@ -276,11 +277,11 @@ class BionicDB:
         home outright, as in :meth:`load`.  The cyclic collector is
         held off until the last row is in
         (:func:`~repro.sim.engine.collector_quiesced`).  Rows are
-        installed in the order offered and a replicated row is
-        installed in every partition before the next one, so heap
-        addresses — and with them DRAM channel assignment and all
-        downstream simulated timing — are identical to calling
-        :meth:`load` once per row; image tests pin that cell for cell.
+        installed in the order offered, a replicated row's replicas in
+        consecutive cells, so heap addresses — and with them DRAM
+        channel assignment and all downstream simulated timing — are
+        identical to calling :meth:`load` once per row; image tests pin
+        that cell for cell.
         A row's ``fields`` are copied when its run is installed, not
         when it is offered: one sequence may stand for every row
         (``[fields] * n``), but a generator must not rewrite a
@@ -296,7 +297,17 @@ class BionicDB:
 
     def _load_column(self, table_id: int, keys, fields,
                      partition: Optional[int]) -> int:
-        """Install one table's key and field columns, run by run."""
+        """Install one table's key and field columns, run by run.
+
+        A replicated table goes into every partition, each row's
+        replicas in consecutive cells.  A hash table is laid out that
+        way as one strided cold batch per partition
+        (:func:`~repro.index.hash.pipeline.load_replicated`).  A
+        skiplist or B+ tree goes in row by row, each row into every
+        partition before the next: its loader allocates nodes as it
+        splits, so only that path gives the layout, and no shipped
+        schema replicates one.
+        """
         schema = self.schemas.table(table_id)
         n_rows = len(keys)
         if len(fields) != n_rows:
@@ -305,15 +316,16 @@ class BionicDB:
                                   fields=len(fields))
         if not n_rows:
             return 0
+        runs = []
         if schema.replicated:
-            # a row's replicas take consecutive addresses, one per
-            # worker: only row-at-a-time loading lays that out for
-            # every index kind
             pipes = [worker.pipeline_for(table_id) for worker in self.workers]
-            for key, row_fields in zip(keys, fields):
-                for pipe in pipes:
-                    pipe.bulk_load(key, row_fields, table_id=table_id)
-            runs = []
+            if schema.index_kind == IndexKind.HASH:
+                load_replicated(pipes, keys, fields, table_id=table_id)
+                self._load_batches.value += len(pipes)
+            else:
+                for key, row_fields in zip(keys, fields):
+                    for pipe in pipes:
+                        pipe.bulk_load(key, row_fields, table_id=table_id)
         elif partition is not None:
             runs = [(0, n_rows, partition)]
         elif schema.range_partitioned and _ascending(keys):

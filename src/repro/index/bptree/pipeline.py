@@ -103,6 +103,13 @@ class _Wave:
         self.pending = 0        # the current level's fetches in flight
 
 
+def _past_leaf(req: DbRequest) -> bool:
+    """The probe's key lies beyond its leaf, which has a right sibling:
+    a split moved the key right after the descent read the leaf."""
+    leaf = req._leaf
+    return bool(leaf.next_leaf and leaf.keys and req.key > leaf.keys[-1])
+
+
 class BPTreePipeline(PipelineBase):
     """One partition's batched level-wise B+ tree coprocessor."""
 
@@ -319,15 +326,18 @@ class BPTreePipeline(PipelineBase):
         self._serve(wave)
 
     def _terminal(self, wave: _Wave) -> None:
-        self.engine.follow((self._move_right(wave.probes[wave.i]),
-                            self._at_leaf, wave))
+        req = wave.probes[wave.i]
+        if _past_leaf(req):
+            self.engine.follow((self._move_right(req), self._at_leaf, wave))
+        else:
+            # (what follow would do with a generator that returns at once)
+            self._at_leaf(wave)
 
     def _move_right(self, req: DbRequest):
         """B-link-style recovery: if a split moved this probe's key into
         a right sibling after the descent read the (now stale) leaf,
         follow the leaf chain until the key's range is reached."""
-        while (req._leaf.next_leaf and req._leaf.keys
-               and req.key > req._leaf.keys[-1]):
+        while _past_leaf(req):
             right = yield self.read_port.read(req._leaf.next_leaf)
             if right is None or not right.keys or not (right.keys[0] <= req.key):
                 return

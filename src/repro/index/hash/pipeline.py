@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from functools import partial
 from itertools import cycle
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ...isa.instructions import Opcode
 from ...mem.records import NULL_ADDR, TupleRecord
@@ -33,10 +33,82 @@ from ..common import (
 )
 from ..locks import LockTable
 
-__all__ = ["HashIndexPipeline"]
+__all__ = ["HashIndexPipeline", "load_replicated"]
 
 #: stage slots; Traverse stage ``k`` is slot ``_TRAVERSE + k``
 _KEYFETCH, _HASH, _INSTALL, _HEADFETCH, _KEYCOMP, _TRAVERSE = range(6)
+
+
+def _bucket_offsets(keys, n_buckets: int) -> Iterator[int]:
+    """Yield ``sdbm_hash(key) % n_buckets`` for each key of a batch's
+    key column, in order.  An ``array('q')`` column is hashed as
+    ``_sdbm_int8`` with the upper seven bytes' terms carried while they
+    do not change: one multiply a key instead of seven.  (Generated, not
+    collected: a paper-scale batch's offsets would outlive it in RSS.)"""
+    if type(keys) is not array:
+        for key in keys:
+            yield sdbm_hash(key) % n_buckets
+        return
+    upper, carried = -1, 0
+    for key in keys:
+        if key >> 8 != upper:
+            upper = key >> 8
+            carried = ((upper & 0xFF) * _P6
+                       + (upper >> 8 & 0xFF) * _P5
+                       + (upper >> 16 & 0xFF) * _P4
+                       + (upper >> 24 & 0xFF) * _P3
+                       + (upper >> 32 & 0xFF) * _P2
+                       + (upper >> 40 & 0xFF) * _P1
+                       + (upper >> 48))
+        h = carried + (key & 0xFF) * _P7 & _MASK64
+        h ^= h >> 33
+        yield (h ^ h >> 17) % n_buckets
+
+
+def load_replicated(pipes: List["HashIndexPipeline"], keys, fields,
+                    ts: int = 0, table_id: int = 0) -> None:
+    """Install a replicated table's key and field columns in every
+    pipeline of ``pipes`` (every partition's, in worker order) as one
+    cold batch each.
+
+    A chip's partitions share its heap: with ``S`` of them, replica
+    ``w`` of row ``k`` is at ``base + k * S + w``, the cell, chain and
+    bucket :meth:`HashIndexPipeline.bulk_load` gives it when each row
+    goes into every partition before the next row — so DRAM channel
+    choice, and every simulated number after it, is the row path's.
+    All batches share one key column and one field column, and each key
+    is hashed once per bucket count.  A ``fields`` entry that is not
+    iterable stops the column there: the rows before it go into every
+    partition, and the error is raised.
+    """
+    rows: List[tuple] = []
+    try:
+        rows.extend(map(tuple, fields))
+    finally:
+        # on an error, the rows whose fields were taken go in
+        if rows:
+            _lay_out_replicas(pipes, key_column(keys[:len(rows)]), rows,
+                              ts, table_id)
+
+
+def _lay_out_replicas(pipes, column, rows: List[tuple], ts: int,
+                      table_id: int) -> None:
+    chips: Dict[int, list] = {}
+    for pipe in pipes:
+        chips.setdefault(id(pipe.dram.heap), []).append(pipe)
+    offsets: Dict[int, array] = {}      # by bucket count
+    for chip in chips.values():
+        stride = len(chip)
+        base = chip[0].dram.heap.alloc(len(rows) * stride)
+        for w, pipe in enumerate(chip):
+            table = pipe._table(table_id)
+            n_buckets = table[1]
+            if n_buckets not in offsets:
+                offsets[n_buckets] = array(
+                    "q", _bucket_offsets(column, n_buckets))
+            cold = ColdRows(TupleRecord.from_hash_batch, base + w, ts, stride)
+            cold.keys, cold.fields = column, rows
+            pipe._link(cold, table, offsets[n_buckets])
 
 
 class HashIndexPipeline(PipelineBase):
@@ -226,13 +298,11 @@ class HashIndexPipeline(PipelineBase):
         built — the batch is the columns of one
         :class:`~repro.sim.memory.ColdRows`, whose rows the heap builds
         on first touch."""
-        heap = self.dram.heap
-        base, n_buckets = table
         n_rows = len(keys)
         if not n_rows:
             return 0, NULL_ADDR
-        cold = ColdRows(TupleRecord.from_hash_batch, heap.alloc(n_rows), ts)
-        cold.nexts = array("q")
+        cold = ColdRows(TupleRecord.from_hash_batch,
+                        self.dram.heap.alloc(n_rows), ts)
         try:
             # a snapshot per row; a tuple offered for many rows is kept once
             cold.fields.extend(map(tuple, fields))
@@ -240,38 +310,31 @@ class HashIndexPipeline(PipelineBase):
             # on an error, the rows whose fields were taken go in
             if len(cold) < n_rows:
                 keys = keys[:len(cold)]
-            # the one place outside Heap that indexes its cell list: only
-            # this table's buckets, and load()/store() cost +0.2 us a row
-            cells = heap._cells
-            add_next = cold.nexts.append
             cold.keys = key_column(keys)
-            if type(cold.keys) is array:
-                # _sdbm_int8 with the upper seven bytes' terms carried while
-                # they do not change: one multiply instead of seven
-                upper, carried = -1, 0
-                for addr, key in enumerate(cold.keys, cold.base):
-                    if key >> 8 != upper:
-                        upper = key >> 8
-                        carried = ((upper & 0xFF) * _P6
-                                   + (upper >> 8 & 0xFF) * _P5
-                                   + (upper >> 16 & 0xFF) * _P4
-                                   + (upper >> 24 & 0xFF) * _P3
-                                   + (upper >> 32 & 0xFF) * _P2
-                                   + (upper >> 40 & 0xFF) * _P1
-                                   + (upper >> 48))
-                    h = carried + (key & 0xFF) * _P7 & _MASK64
-                    h ^= h >> 33
-                    bucket = base + (h ^ h >> 17) % n_buckets
-                    add_next(cells[bucket] or NULL_ADDR)
-                    cells[bucket] = addr
-            else:
-                for addr, key in enumerate(cold.keys, cold.base):
-                    bucket = base + sdbm_hash(key) % n_buckets
-                    add_next(cells[bucket] or NULL_ADDR)
-                    cells[bucket] = addr
-            heap.place_cold(cold)
-            self.tuple_count += len(cold)
+            self._link(cold, table, _bucket_offsets(cold.keys, table[1]))
         return n_rows, cold.base + n_rows - 1
+
+    def _link(self, cold: ColdRows, table: tuple, offsets) -> None:
+        """Push row ``i`` of ``cold`` (at ``base + i * stride``) onto the
+        chain of ``table``'s bucket ``offsets[i]``, in row order, and
+        lay the batch out cold."""
+        heap = self.dram.heap
+        # with _records, the one place outside Heap that indexes its
+        # cell list: only this table's buckets, and load()/store() cost
+        # +0.2 us a row
+        cells = heap._cells
+        bucket_base = table[0]
+        cold.nexts = array("q")
+        add_next = cold.nexts.append
+        stride = cold.stride
+        for addr, offset in zip(
+                range(cold.base, cold.base + len(cold) * stride, stride),
+                offsets):
+            bucket = bucket_base + offset
+            add_next(cells[bucket] or NULL_ADDR)
+            cells[bucket] = addr
+        heap.place_cold(cold)
+        self.tuple_count += len(cold)
 
     def _chain(self, bucket_addr: int):
         """Yield ``(addr, record)`` along a bucket's chain, head first."""
@@ -288,12 +351,20 @@ class HashIndexPipeline(PipelineBase):
         """``(key, record)`` of the newest version of every key (the one
         closest to its chain's head), bucket by bucket."""
         base, n_buckets = self._table(table_id)
-        for bucket in range(base, base + n_buckets):
+        heap = self.dram.heap
+        load = heap.load
+        # a checkpoint's tables are mostly empty buckets: take the
+        # occupied ones' chain heads from the bucket array at C speed
+        for addr in filter(None, heap._cells[base:base + n_buckets]):
             seen = set()
-            for _addr, record in self._chain(bucket):
+            while addr:
+                record = load(addr)
+                if record is None:
+                    break
                 if record.key not in seen:
                     seen.add(record.key)
                     yield record.key, record
+                addr = record.next_addr
 
     def lookup_direct(self, key: Any, table_id: int = 0) -> Optional[TupleRecord]:
         """Timing-free probe used by tests and recovery verification."""

@@ -42,6 +42,10 @@ class IsaError(BionicError, ValueError):
 
 
 class Opcode(enum.Enum):
+    # members are singletons compared by identity: hash them by identity
+    # too, in C, not by name (the analyses test set membership per node)
+    __hash__ = object.__hash__
+
     # DB instructions (dispatched to the index coprocessor)
     INSERT = "INSERT"
     SEARCH = "SEARCH"
@@ -200,10 +204,12 @@ class Instruction:
     table: Optional[int] = None
     key: Optional[Union[BlockRef, Gp]] = None
     target: Optional[Union[Label, int]] = None
+    #: a DB instruction (dispatched to a coprocessor): fixed with the
+    #: opcode at construction, since every analysis asks it per node
+    is_db: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_db(self) -> bool:
-        return self.opcode in DB_OPCODES
+    def __post_init__(self):
+        self.is_db = self.opcode in DB_OPCODES
 
     def validate(self) -> None:
         op = self.opcode
@@ -256,6 +262,7 @@ class Instruction:
 
 class Section(enum.Enum):
     """The three parts of a stored procedure (§4.3, Figure 3)."""
+    __hash__ = object.__hash__      # (as Opcode's)
     LOGIC = "logic"
     COMMIT = "commit"
     ABORT = "abort"
@@ -308,21 +315,18 @@ class Program:
         if cached is not None and self.finalized:
             return cached
         gps, cps = set(), set()
-
-        def visit(x: Any) -> None:
-            if isinstance(x, Gp):
-                gps.add(x.n)
-            elif isinstance(x, Cp):
-                cps.add(x.n)
-            elif isinstance(x, BlockRef) and isinstance(x.offset, Gp):
-                gps.add(x.offset.n)
-            elif isinstance(x, FieldRef):
-                gps.add(x.base.n)
-
-        for which in Section:
-            for inst in self.section(which):
-                for name in ("dst", "a", "b", "addr", "cp", "key"):
-                    visit(getattr(inst, name))
+        for inst in (*self.logic, *self.commit, *self.abort):
+            for x in (inst.dst, inst.a, inst.b, inst.addr, inst.cp, inst.key):
+                if x is None:
+                    continue
+                if isinstance(x, Gp):
+                    gps.add(x.n)
+                elif isinstance(x, Cp):
+                    cps.add(x.n)
+                elif isinstance(x, BlockRef) and isinstance(x.offset, Gp):
+                    gps.add(x.offset.n)
+                elif isinstance(x, FieldRef):
+                    gps.add(x.base.n)
         if self.finalized:
             self._reg_cache = (gps, cps)
         return gps, cps

@@ -46,8 +46,9 @@ class TupleRecord:
     @classmethod
     def from_hash_batch(cls, rows, addr: int) -> "TupleRecord":
         """The record of ``addr`` in a cold hash batch: row
-        ``addr - base``, chained to ``rows.nexts`` of that row."""
-        i = addr - rows.base
+        ``(addr - base) / stride``, chained to ``rows.nexts`` of that
+        row."""
+        i = (addr - rows.base) // rows.stride
         ts = rows.ts
         return cls(rows.keys[i], list(rows.fields[i]), addr, rows.nexts[i],
                    ts, ts)

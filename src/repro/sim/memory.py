@@ -65,7 +65,10 @@ class ColdRows:
     tuple for every row (YCSB's one payload) stores it once.  Every row
     was loaded at ``ts``.  The other columns belong to one index kind:
 
-    * hash — row ``i`` at ``base + i``; ``nexts``, its chain pointer;
+    * hash — row ``i`` at ``base + i * stride``; ``nexts``, its chain
+      pointer.  A replicated table's batches are strided: one per
+      partition, all sharing one ``keys`` and one ``fields`` column, so
+      that a row's replicas sit in consecutive cells;
     * skiplist — one ascending run, row ``i`` at ``base + i``;
       ``heights``, a ``bytearray`` of tower heights, and ``tails``, the
       level-``l`` successor of the run's last row that reaches ``l``;
@@ -78,12 +81,14 @@ class ColdRows:
     live in :mod:`repro.mem`, which imports this module.
     """
 
-    __slots__ = ("inflate", "base", "ts", "keys", "fields",
+    __slots__ = ("inflate", "base", "stride", "ts", "keys", "fields",
                  "nexts", "heights", "tails", "ranks")
 
-    def __init__(self, inflate: Callable, base: int, ts: int):
+    def __init__(self, inflate: Callable, base: int, ts: int,
+                 stride: int = 1):
         self.inflate = inflate
         self.base = base
+        self.stride = stride
         self.ts = ts
         self.keys: Any = array("q")
         self.fields: List[tuple] = []
@@ -151,9 +156,10 @@ class Heap:
 
     def place_cold(self, rows: ColdRows) -> None:
         """Point the cells of ``rows`` (allocated by the caller, one
-        per row from ``rows.base``) at their batch."""
-        n = len(rows)
-        self._cells[rows.base:rows.base + n] = [rows] * n
+        per row from ``rows.base``, ``rows.stride`` apart) at their
+        batch."""
+        n, stride = len(rows), rows.stride
+        self._cells[rows.base:rows.base + n * stride:stride] = [rows] * n
         self.rows_cold.value += n
 
     def alloc_cold(self, rows: ColdRows) -> int:

@@ -239,9 +239,9 @@ def test_database_counters_cover_every_partition():
     db.define_table(TableSchema(0, "kv", hash_buckets=64))
     db.define_table(TableSchema(1, "rep", hash_buckets=64, replicated=True))
     db.load_many([(0, key, [key]) for key in range(50)])
-    db.load_many([(1, key, [key]) for key in range(5)])   # row by row: hot
+    db.load_many([(1, key, [key]) for key in range(5)])   # 5 rows x 2 replicas
     db.load(0, 1000, ["hot"])
-    assert db.stats.snapshot()["heap.rows_cold"] == 50
+    assert db.stats.snapshot()["heap.rows_cold"] == 50 + 5 * 2
     assert db.lookup(0, 7).fields == [7]
     assert db.stats.snapshot()["heap.rows_inflated"] >= 1
 

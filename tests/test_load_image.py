@@ -18,11 +18,14 @@ from hypothesis import strategies as st
 from repro.core import BionicConfig, BionicDB
 from repro.errors import SubmissionError
 from repro.host import RecoveryManager, take_checkpoint
+from repro.index.common import DbRequest
 from repro.index.hash.pipeline import HashIndexPipeline
+from repro.isa import Opcode
 from repro.mem.schema import IndexKind, SchemaError, TableSchema
 from repro.sim.memory import ColdRows
+from repro.txn import ResultCode
 
-from conftest import SimEnv, heap_image, per_row
+from conftest import SimEnv, collect_results, heap_image, per_row
 
 KINDS = [IndexKind.HASH, IndexKind.SKIPLIST, IndexKind.BPTREE]
 N_WORKERS = 4
@@ -158,6 +161,102 @@ def test_loads_of_every_form_interleave():
         assert column == rows
 
 
+# -- a replicated hash table: one strided cold batch per partition ------------
+
+def replicated_db(n_workers, n_nodes=1, row_by_row=False):
+    """A machine whose table 1 is a replicated hash table, beside a
+    partitioned table 0 loaded between its columns."""
+    db = BionicDB(BionicConfig(n_workers=n_workers), n_nodes=n_nodes)
+    db.define_table(TableSchema(0, "t", hash_buckets=32))
+    db.define_table(TableSchema(1, "rep", hash_buckets=16, replicated=True))
+    return per_row(db) if row_by_row else db
+
+
+def load_replicated_columns(db):
+    db.load_many(columns=[(1, range(40), fields_of(range(40))),
+                          (0, range(30), fields_of(range(30))),
+                          (1, [100, 7, 55], fields_of([100, 7, 55]))])
+    # a second batch, into chains the first one left
+    db.load_many(columns=[(1, array("q", range(200, 260)),
+                           [("shared",)] * 60)])
+    db.load_many([(1, "str-key", ["x"]), (1, 3, ["newer"])])
+
+
+MACHINES = {"2 workers": (2, 1), "3 workers": (3, 1), "4 workers": (4, 1),
+            "2 chips x 2 workers": (2, 2)}
+
+
+@pytest.mark.parametrize("n_workers, n_nodes", MACHINES.values(),
+                         ids=MACHINES)
+def test_replicated_batches_leave_the_per_row_image(n_workers, n_nodes):
+    out = []
+    for row_by_row in (False, True):
+        db = replicated_db(n_workers, n_nodes, row_by_row)
+        load_replicated_columns(db)
+        out.append([heap_image(dram.heap) for dram in db.drams])
+    assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("n_workers, n_nodes", MACHINES.values(),
+                         ids=MACHINES)
+def test_replicated_rows_are_cold_until_read(n_workers, n_nodes):
+    db = replicated_db(n_workers, n_nodes)
+    load_replicated_columns(db)
+    replicated_rows = 40 + 3 + 60 + 2
+    assert counter(db, "heap.rows_cold") == (
+        30 + replicated_rows * n_workers * n_nodes)
+    assert counter(db, "heap.rows_inflated") == 0
+    for worker in db.workers:
+        assert worker.hash_pipe.lookup_direct(3, table_id=1).fields == [
+            "newer"]
+        assert worker.hash_pipe.lookup_direct(201, table_id=1).fields == [
+            "shared"]
+    # one batch per partition and column, and nothing routed
+    db = replicated_db(n_workers, n_nodes)
+    db.load_many(columns=[(1, range(9), fields_of(range(9)))] * 2)
+    assert counter(db, "core.load.batches") == 2 * n_workers * n_nodes
+    assert counter(db, "core.load.route_calls") == 0
+
+
+def test_the_first_timed_read_of_a_replica_inflates_one_row():
+    db = replicated_db(4)
+    db.load_many(columns=[(1, range(40), fields_of(range(40)))])
+    # the last row loaded heads its bucket's chain: a SEARCH reads it first
+    key, worker = 39, 2
+    batches = {id(cell): cell for cell in db.heap._cells
+               if cell.__class__ is ColdRows}.values()
+    assert [(cold.stride, len(cold)) for cold in batches] == [(4, 40)] * 4
+    base = min(cold.base for cold in batches)
+    pipe = db.workers[worker].hash_pipe
+    request = DbRequest(op=Opcode.SEARCH, table_id=1, ts=3, txn_id=1,
+                        key_value=key)
+    results = collect_results([request])
+    pipe.submit(request)
+    db.run()
+    (_req, result), = results
+    assert result.code is ResultCode.OK
+    assert counter(db, "heap.rows_inflated") == 1
+    record = db.heap.load(result.tuple_addr)
+    assert (record.key, record.fields) == (key, [f"v{key}", key])
+    # the row's replica on this worker, strided among the other three
+    assert result.tuple_addr == base + key * 4 + worker
+
+
+def test_a_replicated_fields_entry_that_is_not_iterable_stops_there():
+    fields = fields_of(range(10))
+    fields[6] = None
+    occupied = []
+    for row_by_row in (False, True):
+        db = replicated_db(3, row_by_row=row_by_row)
+        with pytest.raises(TypeError):
+            db.load_many(columns=[(1, range(10), fields)])
+        for worker in db.workers:
+            assert worker.hash_pipe.tuple_count == 6
+            assert worker.hash_pipe.lookup_direct(6, table_id=1) is None
+        occupied.append(heap_image(db.heap)[1])
+    assert occupied[0] == occupied[1]
+
+
 # -- what cannot be installed -------------------------------------------------
 
 def test_a_short_fields_column_is_refused_before_anything_is_installed():
@@ -248,10 +347,10 @@ def test_counters_cover_rows_and_replicated_tables():
                  columns=[(1, range(6), fields_of(range(6)))])
     db.load_many(columns=[(0, [TOTAL], [["homed"]])], partition=0)
     assert counter(db, "core.load.rows") == PER_PART + 6 + 1
-    # a replicated table goes in row by row and an explicit partition
-    # routes nothing: one batch and PER_PART routing calls for the
-    # first column, one batch for the last
-    assert counter(db, "core.load.batches") == 2
+    # a replicated table is one batch per partition and an explicit
+    # partition routes nothing: one batch and PER_PART routing calls
+    # for the first column, N_WORKERS for the second, one for the last
+    assert counter(db, "core.load.batches") == 1 + N_WORKERS + 1
     assert counter(db, "core.load.route_calls") == PER_PART
 
 
