@@ -147,7 +147,9 @@ class HashIndexPipeline(PipelineBase):
             raise ValueError("n_buckets must be >= 1")
         if table_id in self._tables:
             raise ValueError(f"table {table_id} already registered")
-        self._tables[table_id] = (self.dram.heap.alloc(n_buckets), n_buckets)
+        # one word a bucket: the address of its chain's head, or 0
+        self._tables[table_id] = (self.dram.heap.alloc_words(n_buckets),
+                                  n_buckets)
 
     # -- stages ------------------------------------------------------------
     def _build(self) -> None:
@@ -319,20 +321,17 @@ class HashIndexPipeline(PipelineBase):
         chain of ``table``'s bucket ``offsets[i]``, in row order, and
         lay the batch out cold."""
         heap = self.dram.heap
-        # with _records, the one place outside Heap that indexes its
-        # cell list: only this table's buckets, and load()/store() cost
-        # +0.2 us a row
-        cells = heap._cells
-        bucket_base = table[0]
-        cold.nexts = array("q")
+        # the table's bucket words, written in place: each row's address
+        # is allocated, and load()/store() would cost +0.2 us a row
+        buckets = heap.words(table[0])
+        cold.nexts = array("I")         # a word a row, as a bucket is
         add_next = cold.nexts.append
         stride = cold.stride
         for addr, offset in zip(
                 range(cold.base, cold.base + len(cold) * stride, stride),
                 offsets):
-            bucket = bucket_base + offset
-            add_next(cells[bucket] or NULL_ADDR)
-            cells[bucket] = addr
+            add_next(buckets[offset])       # an empty word is NULL_ADDR
+            buckets[offset] = addr
         heap.place_cold(cold)
         self.tuple_count += len(cold)
 
@@ -350,12 +349,11 @@ class HashIndexPipeline(PipelineBase):
     def _records(self, table_id: int = 0):
         """``(key, record)`` of the newest version of every key (the one
         closest to its chain's head), bucket by bucket."""
-        base, n_buckets = self._table(table_id)
         heap = self.dram.heap
         load = heap.load
         # a checkpoint's tables are mostly empty buckets: take the
-        # occupied ones' chain heads from the bucket array at C speed
-        for addr in filter(None, heap._cells[base:base + n_buckets]):
+        # occupied ones' chain heads from the bucket words at C speed
+        for addr in filter(None, heap.words(self._table(table_id)[0])):
             seen = set()
             while addr:
                 record = load(addr)

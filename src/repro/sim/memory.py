@@ -29,9 +29,10 @@ handler is that item's function.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import deque
 from heapq import heappush
-from itertools import repeat
+from itertools import compress, count, repeat
 from typing import Any, Callable, Deque, Iterator, List, Optional, Tuple
 
 from ..errors import HeapAddressError
@@ -66,9 +67,10 @@ class ColdRows:
     was loaded at ``ts``.  The other columns belong to one index kind:
 
     * hash — row ``i`` at ``base + i * stride``; ``nexts``, its chain
-      pointer.  A replicated table's batches are strided: one per
-      partition, all sharing one ``keys`` and one ``fields`` column, so
-      that a row's replicas sit in consecutive cells;
+      pointer, an ``array('I')`` of words like a bucket array.  A
+      replicated table's batches are strided: one per partition, all
+      sharing one ``keys`` and one ``fields`` column, so that a row's
+      replicas sit in consecutive cells;
     * skiplist — one ascending run, row ``i`` at ``base + i``;
       ``heights``, a ``bytearray`` of tower heights, and ``tails``, the
       level-``l`` successor of the run's last row that reaches ``l``;
@@ -102,31 +104,49 @@ class Heap:
     """Word-addressed object store with a bump allocator.
 
     Addresses are integers.  ``alloc(n)`` reserves ``n`` consecutive
-    cells.  The heap is shared by all partitions (the FPGA's on-board
-    DRAM is one physical address space); isolation between partitions
-    is a matter of discipline, exactly as in the hardware.
+    cells, each holding any object; ``alloc_words(n)`` reserves the same
+    range as ``alloc(n)`` would, each cell holding one machine word: a
+    heap address or nothing (a hash table's bucket array, §4.4.1).  The
+    heap is shared by all partitions (the FPGA's on-board DRAM is one
+    physical address space); isolation between partitions is a matter of
+    discipline, exactly as in the hardware.
 
-    Cells live in one ``list`` indexed by address and grown by the
-    allocator (8 bytes per allocated line, occupied or not), so the
-    first ``base`` slots are never handed out.  A cell holding ``None``
-    is unoccupied: reading it, or any address outside the allocated
-    range, yields ``None`` — a wild pointer reads nothing — while a
-    store outside the allocated range is a bug in the caller and
-    raises.
+    The address space is a run of *segments* in address order, one per
+    ``alloc_words`` call and one per run of ``alloc`` calls between two
+    of them, with no gap: addresses, and so DRAM channels, are those of
+    one flat cell list.  An object segment is a ``list`` (8 bytes per
+    allocated line, occupied or not); a word segment is an
+    ``array('I')`` (4 bytes per line, 0 for nothing), so a bucket head
+    is neither a boxed int nor a slot the cyclic collector walks.  The
+    last segment is always an object list (rows, blocks), read and
+    written on a fast path; the rest are found by bisection.  The first
+    ``base`` addresses are never handed out.
 
-    A cell may also be *cold*: one row of a :class:`ColdRows` batch
-    whose record has not been built yet.  :meth:`load` builds it on
-    first touch and keeps it, so every reader gets an ordinary record
-    and a cold cell is never handed out.  The counters ``rows_cold`` and
-    ``rows_inflated`` (``heap.rows_cold`` / ``heap.rows_inflated`` in the
-    stats registry) count the rows placed and the rows built; since a
-    cell is built once, the second never exceeds the first.
+    A cell holding ``None`` (a word holding 0) is unoccupied: reading
+    it, or any address outside the allocated range, yields ``None`` — a
+    wild pointer reads nothing — while a store outside the allocated
+    range, or of anything but ``None`` or an allocated address into a
+    word cell, is a bug in the caller and raises
+    :class:`~repro.errors.HeapAddressError`.
+
+    An object cell may also be *cold*: one row of a :class:`ColdRows`
+    batch whose record has not been built yet.  :meth:`load` builds it
+    on first touch and keeps it, so every reader gets an ordinary record
+    and a cold cell is never handed out (only :meth:`raw_items` shows
+    one).  The counters ``rows_cold`` and ``rows_inflated``
+    (``heap.rows_cold`` / ``heap.rows_inflated`` in the stats registry)
+    count the rows placed and the rows built; since a cell is built
+    once, the second never exceeds the first.
     """
 
     def __init__(self, base: int = 0x1000,
                  stats: Optional[StatsRegistry] = None):
         self._base = base
-        self._cells: List[Any] = [None] * base
+        # segment k covers [starts[k], starts[k + 1]); the last is _tail
+        self._starts: List[int] = [base]
+        self._segments: List[Any] = [[]]
+        self._tail: List[Any] = self._segments[0]
+        self._tail_start = base
         self.allocated_cells = 0
         stats = stats or StatsRegistry()
         self.rows_cold = stats.counter("heap.rows_cold")
@@ -135,8 +155,8 @@ class Heap:
     def alloc(self, n_cells: int = 1) -> int:
         if n_cells < 1:
             raise ValueError("allocation must be >= 1 cell")
-        cells = self._cells
-        addr = len(cells)
+        cells = self._tail
+        addr = self._tail_start + len(cells)
         if n_cells == 1:
             cells.append(None)
         else:
@@ -144,51 +164,137 @@ class Heap:
         self.allocated_cells += n_cells
         return addr
 
+    def alloc_words(self, n_cells: int) -> int:
+        """Reserve ``n_cells`` word cells, all empty, at the address
+        ``alloc(n_cells)`` would return; :meth:`words` hands out their
+        array."""
+        if n_cells < 1:
+            raise ValueError("allocation must be >= 1 cell")
+        addr = self._tail_start + len(self._tail)
+        words = array("I", [0]) * n_cells
+        if self._tail:
+            self._starts.append(addr)
+            self._segments.append(words)
+        else:                       # an empty object run gives way
+            self._segments[-1] = words
+        self._tail = []
+        self._tail_start = addr + n_cells
+        self._starts.append(self._tail_start)
+        self._segments.append(self._tail)
+        self.allocated_cells += n_cells
+        return addr
+
+    def words(self, addr: int) -> array:
+        """The array of the ``alloc_words`` allocation at ``addr``:
+        item ``i`` is the word of cell ``addr + i``, 0 when empty.  A
+        writer must keep to ``None``-or-address, as :meth:`store`
+        does."""
+        k = bisect_right(self._starts, addr) - 1
+        segment = self._segments[k] if k >= 0 else None
+        if segment.__class__ is not array or self._starts[k] != addr:
+            raise HeapAddressError("no word allocation starts here",
+                                   addr=addr, limit=self._limit())
+        return segment
+
+    def _limit(self) -> int:
+        return self._tail_start + len(self._tail)
+
+    def _find(self, addr: int) -> Tuple[Any, int]:
+        """``(segment, index)`` of an allocated ``addr``; ``(None, 0)``
+        outside the allocated range."""
+        i = addr - self._tail_start
+        if i >= 0:
+            return (self._tail, i) if i < len(self._tail) else (None, 0)
+        if addr < self._base:
+            return None, 0
+        k = bisect_right(self._starts, addr) - 1
+        return self._segments[k], addr - self._starts[k]
+
     def load(self, addr: int) -> Any:
-        cells = self._cells
-        if not 0 <= addr < len(cells):
-            return None
-        cell = cells[addr]
+        i = addr - self._tail_start
+        if i >= 0:
+            cells = self._tail
+            if i >= len(cells):
+                return None
+        else:
+            # _find, inlined: every hash operation reads a bucket word
+            starts = self._starts
+            k = bisect_right(starts, addr) - 1
+            if k < 0:
+                return None
+            cells = self._segments[k]
+            i = addr - starts[k]
+            if cells.__class__ is array:
+                return cells[i] or None
+        cell = cells[i]
         if cell.__class__ is ColdRows:
-            cell = cells[addr] = cell.inflate(cell, addr)
+            cell = cells[i] = cell.inflate(cell, addr)
             self.rows_inflated.value += 1
         return cell
 
     def place_cold(self, rows: ColdRows) -> None:
-        """Point the cells of ``rows`` (allocated by the caller, one
-        per row from ``rows.base``, ``rows.stride`` apart) at their
-        batch."""
+        """Point the cells of ``rows`` (allocated by the caller with one
+        ``alloc``, one per row from ``rows.base``, ``rows.stride``
+        apart) at their batch."""
         n, stride = len(rows), rows.stride
-        self._cells[rows.base:rows.base + n * stride:stride] = [rows] * n
+        cells, i = self._find(rows.base)
+        cells[i:i + n * stride:stride] = [rows] * n
         self.rows_cold.value += n
 
     def alloc_cold(self, rows: ColdRows) -> int:
         """Allocate one cell, holding a row of ``rows`` whose columns
         already describe it, and return its address."""
-        cells = self._cells
-        addr = len(cells)
+        cells = self._tail
+        addr = self._tail_start + len(cells)
         cells.append(rows)
         self.allocated_cells += 1
         self.rows_cold.value += 1
         return addr
 
     def store(self, addr: int, value: Any) -> None:
-        cells = self._cells
-        if not self._base <= addr < len(cells):
-            raise HeapAddressError("store outside the allocated range",
-                                   addr=addr, limit=len(cells))
-        cells[addr] = value
+        i = addr - self._tail_start
+        cells = self._tail
+        if not 0 <= i < len(cells):
+            cells, i = self._find(addr)
+            if cells is None:
+                raise HeapAddressError("store outside the allocated range",
+                                       addr=addr, limit=self._limit())
+            if cells.__class__ is array:
+                if value is None:
+                    value = 0
+                elif not (value.__class__ is int
+                          and self._base <= value < self._limit()):
+                    raise HeapAddressError(
+                        "a word cell holds a heap address or None",
+                        addr=addr, limit=self._limit(), value=value)
+        cells[i] = value
 
     def __contains__(self, addr: int) -> bool:
         """The cell is allocated and occupied; a cold cell stays cold."""
-        cells = self._cells
-        return 0 <= addr < len(cells) and cells[addr] is not None
+        cells, i = self._find(addr)
+        if cells is None:
+            return False
+        if cells.__class__ is array:
+            return cells[i] != 0
+        return cells[i] is not None
+
+    def raw_items(self) -> Iterator[Tuple[int, Any]]:
+        """``(addr, cell)`` for every occupied cell, in address order,
+        as stored: a cold cell yields its :class:`ColdRows` batch and
+        stays cold; a word cell yields its address."""
+        for start, cells in zip(self._starts, self._segments):
+            if cells.__class__ is array:
+                for i in compress(count(), cells):
+                    yield start + i, cells[i]
+            else:
+                for i, cell in enumerate(cells):
+                    if cell is not None:
+                        yield start + i, cell
 
     def items(self) -> Iterator[Tuple[int, Any]]:
         """``(addr, cell)`` for every occupied cell, in address order."""
         load = self.load
-        return ((addr, load(addr)) for addr, cell in enumerate(self._cells)
-                if cell is not None)
+        return ((addr, load(addr)) for addr, _cell in self.raw_items())
 
     @property
     def bytes_allocated(self) -> int:

@@ -10,6 +10,9 @@ are ``test_cold_hash_load_image_equals_per_row_load`` and
 ``test_properties.py``.)
 """
 
+import sys
+import tracemalloc
+
 import pytest
 
 from repro.core import BionicConfig, BionicDB
@@ -79,13 +82,31 @@ def test_one_offered_tuple_is_stored_once_and_copied_per_record(env):
     pipe = make_pipeline(env)
     payload = ("v",)
     pipe.bulk_load_many(range(10), [payload] * 10)
-    (cold,) = {id(cell): cell for cell in env.heap._cells
+    (cold,) = {id(cell): cell for _addr, cell in env.heap.raw_items()
                if isinstance(cell, ColdRows)}.values()
     assert all(snapshot is payload for snapshot in cold.fields)
     first, second = pipe.lookup_direct(1), pipe.lookup_direct(2)
     assert first.fields == second.fields == ["v"]
     assert first.fields is not second.fields
 
+
+def test_loading_rows_boxes_no_int_per_occupied_bucket():
+    # a bucket head is a word of its table's array (Heap.alloc_words):
+    # spreading 4 096 rows over 65 536 buckets costs what chaining them
+    # in one does, where a boxed head per occupied bucket is 28 bytes
+    def grown(n_buckets, n_rows=4096):
+        env = SimEnv()
+        pipe = make_pipeline(env, n_buckets=n_buckets)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pipe.bulk_load_many(range(n_rows), [("v",)] * n_rows)
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    one_chain, spread = grown(1), grown(1 << 16)
+    assert spread - one_chain < 4096 // 64 * sys.getsizeof(1 << 20)
 
 def test_key_column_falls_back_to_a_list_mid_batch(env):
     pipe = make_pipeline(env)
@@ -279,7 +300,7 @@ def make_ordered(env, pipeline, **kw):
 
 
 def cold_cells(env):
-    return {addr for addr, cell in enumerate(env.heap._cells)
+    return {addr for addr, cell in env.heap.raw_items()
             if cell.__class__ is ColdRows}
 
 

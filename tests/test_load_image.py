@@ -115,7 +115,7 @@ def test_a_key_the_int_column_cannot_hold_makes_the_batch_a_list(keys):
     assert column == rows
     db = make_db()
     load(db)
-    batches = {id(cell): cell for cell in db.heap._cells
+    batches = {id(cell): cell for _addr, cell in db.heap.raw_items()
                if isinstance(cell, ColdRows)}.values()
     assert [type(cold.keys) for cold in batches] == [array, list]
     for key in keys:        # True and 1 are different rows
@@ -223,7 +223,7 @@ def test_the_first_timed_read_of_a_replica_inflates_one_row():
     db.load_many(columns=[(1, range(40), fields_of(range(40)))])
     # the last row loaded heads its bucket's chain: a SEARCH reads it first
     key, worker = 39, 2
-    batches = {id(cell): cell for cell in db.heap._cells
+    batches = {id(cell): cell for _addr, cell in db.heap.raw_items()
                if cell.__class__ is ColdRows}.values()
     assert [(cold.stride, len(cold)) for cold in batches] == [(4, 40)] * 4
     base = min(cold.base for cold in batches)

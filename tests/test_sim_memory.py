@@ -72,7 +72,7 @@ class TestHeap:
         heap.place_cold(rows)
         assert rows.base in heap and rows.base + 1 in heap
         assert rows.base + 2 not in heap
-        assert heap._cells[rows.base] is rows
+        assert dict(heap.raw_items())[rows.base] is rows
         assert heap.rows_inflated.value == 0
         assert heap.load(rows.base) == ("built", rows.base)
         assert heap.rows_inflated.value == 1
@@ -93,6 +93,97 @@ class TestHeap:
         heap.store(addr + 3, "b")
         heap.store(addr + 1, "a")
         assert list(heap.items()) == [(addr + 1, "a"), (addr + 3, "b")]
+
+
+class TestWordCells:
+    def test_addresses_and_allocated_cells_match_alloc(self):
+        # alloc_words takes the range alloc would, with no padding: a
+        # word cell's DRAM channel is its address's
+        sizes = (4, 3, 1, 65536, 2, 5, 1)
+        flat, mixed = Heap(), Heap()
+        kinds = (mixed.alloc, mixed.alloc_words, mixed.alloc_words,
+                 mixed.alloc, mixed.alloc_words, mixed.alloc, mixed.alloc)
+        assert ([alloc(n) for alloc, n in zip(kinds, sizes)]
+                == [flat.alloc(n) for n in sizes])
+        assert mixed.allocated_cells == flat.allocated_cells == sum(sizes)
+        assert mixed.bytes_allocated == flat.bytes_allocated
+
+    def test_an_empty_word_loads_as_none_and_is_not_in_the_heap(self):
+        heap = Heap()
+        addr = heap.alloc_words(3)
+        for cell in range(addr, addr + 3):
+            assert heap.load(cell) is None
+            assert cell not in heap
+        assert list(heap.items()) == list(heap.raw_items()) == []
+
+    def test_an_occupied_word_reads_back_its_address(self):
+        heap = Heap()
+        words = heap.alloc_words(4)
+        row = heap.alloc()
+        heap.store(words + 2, row)
+        assert heap.load(words + 2) == row
+        assert words + 2 in heap and words + 1 not in heap
+        assert heap.words(words)[2] == row
+        heap.store(words + 2, None)         # empties the cell
+        assert heap.load(words + 2) is None and words + 2 not in heap
+
+    def test_items_skip_empty_words_in_address_order(self):
+        heap = Heap()
+        first = heap.alloc(2)
+        words = heap.alloc_words(5)
+        last = heap.alloc(2)
+        heap.store(first + 1, "a")
+        heap.store(words + 3, last)
+        heap.store(words, first)
+        heap.store(last, "b")
+        assert list(heap.items()) == [(first + 1, "a"), (words, first),
+                                      (words + 3, last), (last, "b")]
+        assert list(heap.raw_items()) == list(heap.items())
+
+    def test_a_word_holds_none_or_an_allocated_address(self):
+        heap = Heap()
+        words = heap.alloc_words(2)
+        limit = heap.alloc(2) + 2
+        for value in ("x", 0, -1, 0xFFF, limit, 1.5, True, [words],
+                      ColdRows(lambda batch, addr: None, words, ts=0)):
+            with pytest.raises(HeapAddressError) as err:
+                heap.store(words, value)
+            assert err.value.details["addr"] == words
+        assert heap.load(words) is None
+        heap.store(words, limit - 1)
+        assert heap.load(words) == limit - 1
+
+    def test_words_hands_out_only_a_word_allocation(self):
+        heap = Heap()
+        rows = heap.alloc(2)
+        words = heap.alloc_words(3)
+        assert len(heap.words(words)) == 3
+        for addr in (rows, words + 1, words + 3, 0):
+            with pytest.raises(HeapAddressError):
+                heap.words(addr)
+
+    def test_a_store_past_the_last_word_allocation_raises(self):
+        heap = Heap()
+        words = heap.alloc_words(2)
+        with pytest.raises(HeapAddressError):
+            heap.store(words + 2, None)
+        assert heap.load(words + 2) is None and words + 2 not in heap
+
+    def test_cold_rows_after_a_word_allocation_stay_cold_until_read(self):
+        heap = Heap()
+        heap.alloc(1)
+        heap.alloc_words(4)
+        rows = ColdRows(lambda batch, addr: ("built", addr), 0, ts=1)
+        rows.fields.extend([(1,), (2,)])
+        rows.base = heap.alloc(2)
+        heap.alloc_words(1)             # the batch is no longer the tail
+        heap.place_cold(rows)
+        assert rows.base + 1 in heap
+        assert dict(heap.raw_items())[rows.base + 1] is rows
+        assert heap.load(rows.base + 1) == ("built", rows.base + 1)
+        assert heap.rows_inflated.value == 1
+        heap.store(rows.base, "stored")
+        assert heap.load(rows.base) == "stored"
 
 
 class TestDram:
