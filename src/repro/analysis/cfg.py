@@ -72,9 +72,6 @@ class Cfg:
     def entry(self) -> Optional[int]:
         return 0 if self.blocks else None
 
-    def block_of(self, index: int) -> BasicBlock:
-        return self.blocks[self.block_at[index]]
-
     # -- orders and reachability -----------------------------------------
     def reachable(self) -> Set[int]:
         """Block ids reachable from the entry block."""

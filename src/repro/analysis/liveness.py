@@ -56,9 +56,6 @@ class LivenessResult:
     def at(self, node: Node) -> FrozenSet[int]:
         return self.live_in[self.graph.node_id(node)]
 
-    def out_at(self, node: Node) -> FrozenSet[int]:
-        return self.live_out[self.graph.node_id(node)]
-
 
 def _liveness(graph: FlowGraph, defs, uses) -> LivenessResult:
     empty: FrozenSet[int] = frozenset()

@@ -13,7 +13,7 @@ rule; the first two need dataflow:
   (intersection join) proves every ``RET c`` is dominated by a
   dispatch writing ``c``: if ``c`` is not must-pending at the RET,
   some path reaches the RET with nothing in flight and the softcore
-  parks on ``wait_valid`` forever.  The *may* variant (union join)
+  parks on its valid bit forever.  The *may* variant (union join)
   flags a dispatch that overwrites a CP whose previous result was
   never collected.
 * **write-provenance analysis** — reaching definitions trace every

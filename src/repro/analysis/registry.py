@@ -39,10 +39,6 @@ def _ycsb():
     return YcsbWorkload()
 
 
-def _ycsb_catalog() -> Catalog:
-    return Catalog([_ycsb().schema()])
-
-
 def _fixed() -> Dict[str, Callable[[], Program]]:
     from ..workloads.tpcc import procedures as tpcc
     return {

@@ -48,9 +48,6 @@ class XeonModel:
     #: how much of a random payload copy the line-fill burst overlaps
     payload_overlap = 0.95
 
-    def cycles_ns(self, cycles: float) -> float:
-        return cycles / self.freq_ghz
-
     @property
     def loaded_dram_ns(self) -> float:
         """DRAM latency under the current core count's load."""

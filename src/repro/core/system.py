@@ -513,10 +513,6 @@ class BionicDB:
                 f"heap drained — a procedure is waiting on a result that "
                 f"can never arrive", stuck=stuck)
 
-    def pending_blocks(self) -> List[TransactionBlock]:
-        """Blocks submitted but not yet finished (diagnostics)."""
-        return list(self._inflight.values())
-
     # -- fault injection (repro.faults) --------------------------------------
     def crash_after_events(self, n: int) -> None:
         """Arm a whole-machine crash ``n`` fired events from now: the

@@ -6,10 +6,9 @@ stage framework all three index pipelines are built on."""
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..isa.instructions import Opcode
@@ -21,16 +20,13 @@ from ..sim.sync import TokenPool
 from ..sim.trace import NULL_TRACER
 from ..txn.cc import DbResult, ResultCode, check_read, check_write
 
-__all__ = ["DbRequest", "PipelineBase", "Scan", "sdbm_hash",
-           "clear_hash_cache", "key_column", "IndexError_",
-           "SCAN_EMIT_CYCLES"]
+__all__ = ["DbRequest", "PipelineBase", "Scan", "sdbm_hash", "key_column",
+           "IndexError_", "SCAN_EMIT_CYCLES"]
 
 #: the scanners' per-tuple charge in the skiplist and B+ tree pipelines:
 #: copying the 1 KB tuple into the transaction block's scan buffer, which
 #: is why one scanner bottlenecks Figure 11c (§5.5)
 SCAN_EMIT_CYCLES = 145.0
-
-_request_ids = itertools.count(1)
 
 
 class IndexError_(RuntimeError):
@@ -54,11 +50,6 @@ def _key_bytes(key: Any) -> bytes:
         return b"\x1f".join(_key_bytes(part) for part in key)
     return repr(key).encode()
 
-
-#: memo for exactly-typed int/str keys only: those never compare equal
-#: across types (as bool==int or 1.0==1 would, with different encodings)
-_hash_cache: dict = {}
-_HASH_CACHE_CAP = 1 << 16
 
 #: Sdbm is ``h_i = byte_i + 65599 * h_{i-1}``, so an 8-byte key hashes
 #: to ``sum(byte_i * 65599^(7-i))``: with the powers precomputed, one
@@ -86,30 +77,14 @@ def sdbm_hash(key: Any) -> int:
     and adds only), xor-folded so a plain mask/mod bucket index avoids
     the low-bit clustering raw Sdbm shows on short binary keys."""
     if type(key) is int and 0 <= key < _INT8_MAX:
-        # integer row keys: no wire form, no byte loop, no memo churn
+        # integer row keys: no wire form, no byte loop
         return _sdbm_int8(key)
-    cacheable = type(key) is int or type(key) is str
-    if cacheable:
-        h = _hash_cache.get(key)
-        if h is not None:
-            return h
     h = 0
     for byte in _key_bytes(key):
         h = (byte + (h << 6) + (h << 16) - h) & 0xFFFFFFFFFFFFFFFF
     h ^= h >> 33
     h ^= h >> 17
-    if cacheable:
-        if len(_hash_cache) >= _HASH_CACHE_CAP:
-            # FIFO eviction: a full cache must keep admitting, or a long
-            # key-diverse process gets no hits for any key it meets later
-            del _hash_cache[next(iter(_hash_cache))]
-        _hash_cache[key] = h
     return h
-
-
-def clear_hash_cache() -> None:
-    """Drop the sdbm memo (tests; long key-diverse host processes)."""
-    _hash_cache.clear()
 
 
 def key_column(keys) -> Any:
@@ -148,16 +123,10 @@ class DbRequest:
     route_key: Any = None                    # routing key (known at Dispatch)
     background: bool = False                 # arrived via on-chip channels
     on_complete: Optional[Callable[["DbRequest", DbResult], None]] = None
-    on_write_effect: Optional[Callable[["DbRequest", DbResult], None]] = None
-    req_id: int = field(default_factory=lambda: next(_request_ids))
 
     # filled during pipeline traversal
     key: Any = None
     result: Optional[DbResult] = None
-
-    @property
-    def is_write(self) -> bool:
-        return self.op in (Opcode.INSERT, Opcode.UPDATE, Opcode.REMOVE)
 
     @property
     def key_in_cell(self) -> bool:
@@ -166,10 +135,10 @@ class DbRequest:
 
     def finish(self, result: DbResult) -> None:
         if self.result is not None:
-            raise IndexError_(f"request {self.req_id} completed twice")
+            raise IndexError_(
+                f"{self.op.value} of txn {self.txn_id} for CP register "
+                f"{self.cp_index} completed twice")
         self.result = result
-        if result.ok and self.is_write and self.on_write_effect is not None:
-            self.on_write_effect(self, result)
         if self.on_complete is not None:
             self.on_complete(self, result)
 

@@ -3,7 +3,7 @@
 The softcore executes whatever the catalogue hands it; a malformed
 stored procedure does not fault cleanly — it *hangs*.  A ``RET`` on a
 CP register no DB instruction ever writes parks the softcore process on
-``wait_valid`` forever; a commit handler with no ``COMMIT`` releases
+its valid bit forever; a commit handler with no ``COMMIT`` releases
 the transaction without ever setting its status; a branch target past
 the end of a section silently falls through.  On real hardware these
 are tape-out reviews; here they are a static pass run at procedure

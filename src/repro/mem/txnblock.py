@@ -145,22 +145,11 @@ class TransactionBlock:
         return [self.dram.direct_read(self.data_base + self.layout.out + i)
                 for i in range(self.layout.n_outputs)]
 
-    def scan_results(self, count: int) -> List[Any]:
-        return [self.dram.direct_read(self.data_base + self.layout.scan + i)
-                for i in range(count)]
-
-    def undo_entries(self) -> List[UndoEntry]:
-        return [self.dram.direct_read(self.data_base + self.layout.undo + i)
-                for i in range(self.header.undo_count)]
-
     # -- address helpers used by the softcore --------------------------------
     def undo_slot(self, i: int) -> int:
         if i >= self.layout.n_undo:
             raise IndexError("UNDO log buffer overflow")
         return self.data_base + self.layout.undo + i
-
-    def scan_slot(self, i: int) -> int:
-        return self.data_base + self.layout.scan + i
 
     def reset_for_replay(self) -> None:
         """Clear execution state, preserving inputs (command-log replay)."""

@@ -3,10 +3,8 @@
 from .catalogue import Catalogue, ProcedureEntry
 from .context import TxnContext, WriteSetEntry
 from .core import ExecutionError, Softcore, SoftcoreConfig
-from .registers import CpRegisterFile, RegisterError, RegisterFile
 
 __all__ = [
     "Catalogue", "ProcedureEntry", "TxnContext", "WriteSetEntry",
     "ExecutionError", "Softcore", "SoftcoreConfig",
-    "CpRegisterFile", "RegisterError", "RegisterFile",
 ]

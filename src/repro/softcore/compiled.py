@@ -134,7 +134,8 @@ _GLOBALS = {
 #: unit-local aliases, bound at unit entry when the body names them
 _PROLOGUE = (
     ("port", "sc.port"),
-    ("gp", "sc.gp._regs"),
+    ("gp", "sc.gp"),
+    ("cp", "sc.cp"),
     ("gpb", "ctx.gp_base"),
     ("cpb", "ctx.cp_base"),
     ("ws", "ctx.working_set"),
@@ -256,7 +257,7 @@ class _SectionCompiler:
                         f".{self.section.value}>")
             codes = tuple(compile(src, filename, "exec") for src in sources)
             if len(_CODE_CACHE) >= _CODE_CACHE_CAP:
-                # FIFO eviction, same policy as the sdbm memo
+                # FIFO eviction: a full cache keeps admitting
                 del _CODE_CACHE[next(iter(_CODE_CACHE))]
             _CODE_CACHE[digest] = codes
         namespace = {"K": self.consts, **_GLOBALS}
@@ -389,7 +390,7 @@ class _SectionCompiler:
     def _emit_ret(self, inst: Instruction, unit: int) -> None:
         d = inst.dst.n
         self.body(f"yield {self.c_ret!r}")
-        self.body(f"_s = sc.cp._slot(cpb + {inst.cp.n})")
+        self.body(f"_s = cp[cpb + {inst.cp.n}]")
         if self.ret_yields:
             # dynamic scheduling: hand the softcore to another
             # transaction instead of stalling; re-entry starts this unit
@@ -404,7 +405,7 @@ class _SectionCompiler:
             self.body("if _s.valid:")
             self.body("    _op, _res = _s.op, _s.result")
             self.body("else:")
-            self.body("    _op, _res = yield sc.cp.wait_valid("
+            self.body("    _op, _res = yield sc._wait_cp("
                       f"cpb + {inst.cp.n})")
         if inst.opcode is Opcode.RETN:
             # null-tolerant collect: absence is data, not an error

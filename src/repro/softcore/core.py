@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..isa.instructions import Opcode, Section
 from ..mem.txnblock import TransactionBlock, TxnStatus, UndoEntry
@@ -48,7 +48,6 @@ from ..index.common import DbRequest
 from .catalogue import Catalogue
 from .compiled import CompiledTier, ExecutionError
 from .context import TxnContext, WriteSetEntry
-from .registers import CpRegisterFile, RegisterFile
 from .timing import (
     CATALOGUE_CYCLES, COMMIT_CYCLES_PER_ENTRY, CONTEXT_SWITCH_CYCLES,
     N_REGISTERS,
@@ -95,6 +94,22 @@ def _keys(block: TransactionBlock, sources) -> set:
         if isinstance(key, (int, str)):
             pairs.add((table, key))
     return pairs
+
+
+class _CpSlot:
+    """One CP register: the DB instruction last dispatched to it (its
+    op, table and owning transaction) and the result written back for
+    it, with the valid bit and the ``RET`` waiting on that bit."""
+
+    __slots__ = ("op", "table_id", "owner", "result", "valid", "waiter")
+
+    def __init__(self) -> None:
+        self.op: Optional[Opcode] = None
+        self.table_id = 0
+        self.owner: Optional[TxnContext] = None
+        self.result: Optional[DbResult] = None
+        self.valid = False
+        self.waiter: Optional[Event] = None
 
 
 class _Batch(list):
@@ -162,8 +177,16 @@ class Softcore:
         #: sleeps on while there are none
         self._inbox: deque = deque()
         self._parked: List[Event] = []
-        self.gp = RegisterFile()
-        self.cp = CpRegisterFile(engine)
+        # The register files: 256 GP and 256 CP registers on BRAM
+        # rather than flip-flops (§4.3).  Each batched transaction owns
+        # an exclusive range of both, and its instructions are renamed by
+        # adding the range's base (§4.5), so the generated code indexes
+        # these lists at ``ctx.gp_base + n`` / ``ctx.cp_base + n``.  A CP
+        # register receives its DB instruction's result asynchronously
+        # (:meth:`deliver`); a ``RET`` waits on its valid bit, then
+        # copies the result into a GP register.
+        self.gp: List[Any] = [0] * N_REGISTERS
+        self.cp: List[_CpSlot] = [_CpSlot() for _ in range(N_REGISTERS)]
         self.port = dram.new_port(f"w{worker_id}.core", max_outstanding=8,
                                   issue_interval_cycles=1.0)
 
@@ -174,8 +197,6 @@ class Softcore:
         self.dispatch: Callable[[DbRequest, Optional[int]], None] = \
             self._reject_dispatch
 
-        self._cp_owner: Dict[int, TxnContext] = {}
-        self._pending_info: Dict[int, Tuple[Opcode, int]] = {}
         self._pending_block: Optional[TransactionBlock] = None
 
         pre = f"worker{worker_id}"
@@ -223,18 +244,43 @@ class Softcore:
 
     # -- result delivery (local coprocessor or remote response path) --------
     def deliver(self, cp_global: int, result: DbResult) -> None:
-        ctx = self._cp_owner.get(cp_global)
+        """Write ``result`` back to CP register ``cp_global``, waking the
+        ``RET`` waiting on it."""
+        slot = self.cp[cp_global]
+        ctx = slot.owner
         if ctx is None:
             raise ExecutionError(f"result for unowned CP register {cp_global}")
-        op, table_id = self._pending_info.pop(cp_global)
-        self.cp.write_back(cp_global, result)
+        if slot.valid:
+            raise ExecutionError(
+                f"second result for CP register {cp_global} of txn "
+                f"{ctx.txn_id}")
+        op = slot.op
+        slot.result = result
+        slot.valid = True
+        if slot.waiter is not None:
+            waiter, slot.waiter = slot.waiter, None
+            waiter.succeed((op, result))
         if result.ok and op in _WRITE_OPS:
-            ctx.write_set.append(WriteSetEntry(op, table_id, result.tuple_addr))
+            ctx.write_set.append(
+                WriteSetEntry(op, slot.table_id, result.tuple_addr))
         tolerated = (result.code is ResultCode.NOT_FOUND and
                      (cp_global - ctx.cp_base) in ctx.entry.tolerant_cps)
         if not result.ok and not tolerated:
             ctx.fail(f"{op.value}: {result.code.name}")
         ctx.note_result()
+
+    def _wait_cp(self, cp_global: int) -> Event:
+        """RET: an event firing with ``(op, result)`` once CP register
+        ``cp_global`` is valid."""
+        slot = self.cp[cp_global]
+        ev = Event(self.engine)
+        if slot.valid:
+            ev.succeed((slot.op, slot.result))
+        elif slot.waiter is not None:
+            raise ExecutionError(f"two RETs waiting on CP register {cp_global}")
+        else:
+            slot.waiter = ev
+        return ev
 
     # -- main loop -----------------------------------------------------------
     def _run(self):
@@ -287,8 +333,8 @@ class Softcore:
                          gp_base=batch.gp_base, cp_base=batch.cp_base)
         batch.gp_base += entry.gp_needed
         batch.cp_base += entry.cp_needed
-        self.gp.clear_range(ctx.gp_base, entry.gp_needed)
-        self.cp.clear_range(ctx.cp_base, entry.cp_needed)
+        # the CP range was left unowned and invalid by its last release
+        self.gp[ctx.gp_base:batch.gp_base] = [0] * entry.gp_needed
         block.header.begin_ts = ctx.begin_ts
         block.header.status = TxnStatus.RUNNING
         batch.append(ctx)
@@ -353,7 +399,7 @@ class Softcore:
             if ctx.blocked_on is not None:
                 cp_idx, ctx.blocked_on = ctx.blocked_on, None
                 blocked += 1
-                ev = self.cp.wait_valid(cp_idx)
+                ev = self._wait_cp(cp_idx)
                 ev.callbacks.append(
                     lambda _e, c=ctx: self._put(woken, parked, c))
             elif self._pending_block is None and self._inbox:
@@ -377,9 +423,12 @@ class Softcore:
         ctx.working_set = ws
 
     def _release(self, ctx: TxnContext) -> None:
-        for i in range(ctx.cp_base, ctx.cp_base + ctx.entry.cp_needed):
-            self._cp_owner.pop(i, None)
-            self._pending_info.pop(i, None)
+        """Hand the context's CP range back: no owner, no valid result,
+        so a late result raises and the next owner's ``RET`` waits."""
+        for slot in self.cp[ctx.cp_base:ctx.cp_base + ctx.entry.cp_needed]:
+            slot.owner = None
+            slot.valid = False
+            slot.result = None
         if self.on_txn_done is not None:
             self.on_txn_done(ctx.block)
 
@@ -401,13 +450,15 @@ class Softcore:
                      cp_global: int, dst: Optional[int], key_addr, key_value,
                      payload, route_key, **fields) -> None:
         """The Dispatch step of a DB instruction: mark the CP register
-        pending and hand the request, asynchronously, to the local
-        coprocessor or the on-chip channels.  ``fields`` are the
+        pending for ``ctx`` and hand the request, asynchronously, to the
+        local coprocessor or the on-chip channels.  ``fields`` are the
         opcode-specific :class:`DbRequest` fields (payload cell, scan
         bounds)."""
-        self.cp.mark_pending(cp_global, op)
-        self._cp_owner[cp_global] = ctx
-        self._pending_info[cp_global] = (op, table_id)
+        slot = self.cp[cp_global]
+        slot.op = op
+        slot.table_id = table_id
+        slot.owner = ctx
+        slot.valid = False
         ctx.outstanding += 1
         self._db_insts.value += 1
         if dst is not None and dst != self.worker_id:

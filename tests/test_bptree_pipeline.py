@@ -10,7 +10,7 @@ from repro.index import common as index_common
 from repro.index.bptree.pipeline import (
     BPTreePipeline, compute_level_ranges,
 )
-from repro.index.common import DbRequest, clear_hash_cache, sdbm_hash
+from repro.index.common import DbRequest, sdbm_hash
 from repro.isa import Opcode
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble
@@ -82,29 +82,6 @@ class TestConfigValidation:
 
 
 class TestHashCacheBound:
-    def test_cache_capped_and_hits_short_circuit(self, monkeypatch):
-        # int keys below 2**63 take the closed-form path and never touch
-        # the memo; the cache now only serves strings and big ints
-        clear_hash_cache()
-        cap = index_common._HASH_CACHE_CAP
-        monkeypatch.setattr(index_common, "_HASH_CACHE_CAP", 64)
-        try:
-            for k in range(200):
-                sdbm_hash(f"k{k}")
-            assert len(index_common._hash_cache) <= 64
-            # FIFO eviction: the oldest keys are gone, the newest stay
-            assert "k0" not in index_common._hash_cache
-            assert "k199" in index_common._hash_cache
-            # hits must not recompute: poison the byte encoder and
-            # verify a cached key still resolves
-            monkeypatch.setattr(index_common, "_key_bytes",
-                                lambda key: (_ for _ in ()).throw(
-                                    AssertionError("cache miss")))
-            assert sdbm_hash("k199") == index_common._hash_cache["k199"]
-        finally:
-            monkeypatch.setattr(index_common, "_HASH_CACHE_CAP", cap)
-            clear_hash_cache()
-
     def test_closed_form_int_hash_matches_byte_serial(self):
         for key in (0, 1, 7, 65599, 2**31, 2**63 - 1):
             h = 0
@@ -113,8 +90,6 @@ class TestHashCacheBound:
             h ^= h >> 33
             h ^= h >> 17
             assert sdbm_hash(key) == h, key
-            # and the closed-form path leaves the memo untouched
-            assert key not in index_common._hash_cache
 
 
 class TestBulkLoadAndDirect:

@@ -121,7 +121,8 @@ class _Served:
         self.pipe.submit(req)
         self.env.run()
         (result,) = got
-        if result.ok and req.is_write:
+        if result.ok and req.op in (Opcode.INSERT, Opcode.UPDATE,
+                                    Opcode.REMOVE):
             commit_record(self.env.heap.load(result.tuple_addr), req.ts)
         rows = None
         if req.op is Opcode.RANGE_SCAN:

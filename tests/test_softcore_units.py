@@ -8,11 +8,8 @@ from repro.isa import (
     BlockRef, FieldRef, Gp, Instruction, Opcode, ProcedureBuilder, Program,
 )
 from repro.mem import Catalog, IndexKind, TableSchema, TxnStatus
-from repro.softcore import (
-    Catalogue, CpRegisterFile, ExecutionError, RegisterError, RegisterFile,
-    SoftcoreConfig,
-)
-from repro.sim import Engine
+from repro.errors import StuckTransactionError
+from repro.softcore import Catalogue, ExecutionError, SoftcoreConfig
 from repro.txn import DbResult, ResultCode
 
 
@@ -296,72 +293,130 @@ class TestErrors:
 
 
 class TestRegisterFiles:
-    def test_gp_bounds(self):
-        gp = RegisterFile()
-        gp.write(255, "x")
-        assert gp.read(255) == "x"
-        with pytest.raises(RegisterError):
-            gp.read(256)
-        with pytest.raises(RegisterError):
-            gp.write(-1, 0)
+    """The softcore's GP list and CP slots (``Softcore.gp``/``.cp``):
+    a slot holds its dispatched DB instruction until the transaction
+    is released, and a ``RET`` waits on its valid bit."""
 
-    def test_gp_clear_range(self):
-        gp = RegisterFile()
-        for i in range(10):
-            gp.write(i, i + 1)
-        gp.clear_range(2, 5)
-        assert gp.read(1) == 2
-        assert all(gp.read(i) == 0 for i in range(2, 7))
-        assert gp.read(7) == 8
+    @staticmethod
+    def _record(sc):
+        """The CP registers RETs waited on, and the results delivered."""
+        waits, results = [], []
+        wait_cp, deliver = sc._wait_cp, sc.deliver
+
+        def wait(cp):
+            waits.append(cp)
+            return wait_cp(cp)
+
+        def record(cp, result):
+            results.append((cp, result))
+            deliver(cp, result)
+        sc._wait_cp, sc.deliver = wait, record
+        return waits, results
+
+    @staticmethod
+    def _search_then_ret(b, cp, in_logic):
+        b.search(cp=cp, table=0, key=b.at(0))
+        if not in_logic:
+            b.commit_handler()
+        b.ret(0, cp)
+        b.store(Gp(0), b.at(1))
+        if in_logic:
+            b.commit_handler()
+        b.commit()
 
     def test_cp_writeback_then_wait(self):
-        eng = Engine()
-        cp = CpRegisterFile(eng)
-        cp.mark_pending(3, Opcode.SEARCH)
-        assert not cp.is_valid(3)
-        result = DbResult(ResultCode.OK, tuple_addr=7)
-        cp.write_back(3, result)
-        got = []
-
-        def proc():
-            op, res = yield cp.wait_valid(3)
-            got.append((op, res))
-
-        eng.start(proc())
-        eng.run()
-        assert got == [(Opcode.SEARCH, result)]
+        """A commit handler runs once every result is in: its RET reads
+        the valid slot without waiting."""
+        db = make_db()
+        db.load(0, 1, ["v"])
+        sc = db.workers[0].softcore
+        waits, results = self._record(sc)
+        block = run_proc(db, lambda b: self._search_then_ret(b, 3, False),
+                         [1, 0])
+        assert block.header.status is TxnStatus.COMMITTED
+        assert waits == []
+        ((cp, result),) = results
+        assert cp == 3 and result.ok
+        assert block.input_cell(1) == result.tuple_addr
+        # released: no owner, no valid result
+        slot = sc.cp[3]
+        assert slot.op is Opcode.SEARCH
+        assert (slot.owner, slot.valid, slot.result) == (None, False, None)
 
     def test_cp_wait_before_writeback(self):
-        eng = Engine()
-        cp = CpRegisterFile(eng)
-        cp.mark_pending(0, Opcode.UPDATE)
-        got = []
-
-        def proc():
-            op, res = yield cp.wait_valid(0)
-            got.append(res.tuple_addr)
-
-        eng.start(proc())
-        eng.call_fn_at(eng.now + 5, lambda _arg: cp.write_back(
-            0, DbResult(ResultCode.OK, tuple_addr=9)))
-        eng.run()
-        assert got == [9]
+        """A RET right after its dispatch waits for the result."""
+        db = make_db()
+        db.load(0, 1, ["v"])
+        sc = db.workers[0].softcore
+        waits, results = self._record(sc)
+        block = run_proc(db, lambda b: self._search_then_ret(b, 0, True),
+                         [1, 0])
+        assert block.header.status is TxnStatus.COMMITTED
+        assert waits == [0]
+        ((cp, result),) = results
+        assert cp == 0 and block.input_cell(1) == result.tuple_addr
 
     def test_two_concurrent_waiters_rejected(self):
-        eng = Engine()
-        cp = CpRegisterFile(eng)
-        cp.mark_pending(0, Opcode.SEARCH)
-        cp.wait_valid(0)
-        with pytest.raises(RegisterError):
-            cp.wait_valid(0)
+        sc = make_db().workers[0].softcore
+        sc._wait_cp(0)
+        with pytest.raises(ExecutionError, match="two RETs"):
+            sc._wait_cp(0)
+
+    def test_gp_clear_range(self):
+        """An admitted transaction's GP range reads 0 whatever the last
+        transaction in that range left there."""
+        db = make_db()
+        sc = db.workers[0].softcore
+
+        def writes(b):
+            for i in range(5):
+                b.mov(i, i + 1)
+
+        run_proc(db, writes, [], proc_id=1)
+        assert sc.gp[:6] == [1, 2, 3, 4, 5, 0]
+        b = ProcedureBuilder("reads")
+        b.store(Gp(2), b.at(0))
+        db.register_procedure(2, b.build(), verify=False)
+        block = db.new_block(2, [7], worker=0)
+        db.submit(block, 0)
+        db.run()
+        assert block.input_cell(0) == 0
 
     def test_clear_range_resets_slots(self):
-        eng = Engine()
-        cp = CpRegisterFile(eng)
-        cp.mark_pending(1, Opcode.SEARCH)
-        cp.write_back(1, DbResult(ResultCode.OK))
-        cp.clear_range(0, 4)
-        assert not cp.is_valid(1)
+        """A RET on a CP register its transaction never dispatched waits,
+        though the last owner of the range collected a result there."""
+        db = make_db()
+        db.load(0, 1, ["v"])
+        block = run_proc(db, lambda b: self._search_then_ret(b, 1, False),
+                         [1, 0])
+        assert block.header.status is TxnStatus.COMMITTED
+        b = ProcedureBuilder("stale")
+        b.ret(0, 1)
+        db.register_procedure(2, b.build(), verify=False)
+        db.submit(db.new_block(2, [1], worker=0), 0)
+        with pytest.raises(StuckTransactionError):
+            db.run()
+
+    def test_result_after_release_raises(self):
+        db = make_db()
+        db.load(0, 1, ["v"])
+        run_proc(db, lambda b: self._search_then_ret(b, 0, False), [1, 0])
+        with pytest.raises(ExecutionError, match="unowned CP register 0"):
+            db.workers[0].softcore.deliver(0, DbResult(ResultCode.OK))
+
+    def test_second_result_for_one_dispatch_raises(self):
+        db = make_db()
+        db.load(0, 1, ["v"])
+        sc = db.workers[0].softcore
+        deliver = sc.deliver
+
+        def twice(cp, result):
+            deliver(cp, result)
+            deliver(cp, result)
+        sc.deliver = twice
+        with pytest.raises(ExecutionError, match="second result"):
+            run_proc(db, lambda b: self._search_then_ret(b, 0, False),
+                     [1, 0])
 
 
 class TestCatalogue:
