@@ -111,6 +111,16 @@ def _lay_out_replicas(pipes, column, rows: List[tuple], ts: int,
             pipe._link(cold, table, offsets[n_buckets])
 
 
+def _next_of(addr: int, cell: Any) -> int:
+    """The chain pointer of the row in ``cell`` at ``addr``, cold or
+    built; NULL_ADDR for an empty cell."""
+    if cell is None:
+        return NULL_ADDR
+    if cell.__class__ is ColdRows:
+        return cell.nexts[(addr - cell.base) // cell.stride]
+    return cell.next_addr
+
+
 class HashIndexPipeline(PipelineBase):
     """One partition's hash index coprocessor."""
 
@@ -227,50 +237,93 @@ class HashIndexPipeline(PipelineBase):
         self._done(req, DbResult(ResultCode.OK, tuple_addr=addr))
 
     # -- stage 3b: HeadFetch -----------------------------------------------
+    # The chain walk reads each row's cell as stored: a cold row is
+    # matched, followed and granted a SEARCH from its batch's columns
+    # and stays cold (see ColdRows).
     def _headfetch(self, item: tuple) -> None:
         req, head_addr = item
         if not head_addr:
             self._done(req, DbResult(ResultCode.NOT_FOUND))
         else:
-            self.read_port.read_cb(head_addr, self._head_read_done,
-                                   (req, head_addr))
+            self.read_port.read_raw_cb(head_addr, self._head_read_done,
+                                       (req, head_addr))
         self._next(_HEADFETCH)
 
     def _head_read_done(self, arg: tuple) -> None:
-        (req, addr), record = arg
-        self._put(_KEYCOMP, (req, addr, record))
+        (req, addr), cell = arg
+        self._put(_KEYCOMP, (req, addr, cell))
 
     # -- stage 4: KeyComp -----------------------------------------------------
     def _keycomp(self, item: tuple) -> None:
-        req, addr, record = item
-        if self._matches(req, record):
-            self._finish_point(req, addr, record)
-        else:
-            self._put(next(self._traverse_rr), (req, record))
+        req, addr, cell = item
+        if cell.__class__ is ColdRows:
+            # cold when it landed: a row built since is seen as it is now,
+            # as a record read then would show every change made to it
+            cell = self.dram.heap.load_raw(addr)
+        if not self._finish_at(req, addr, cell):
+            self._put(next(self._traverse_rr), (req, _next_of(addr, cell)))
         self._next(_KEYCOMP)
 
     # -- stage 5: Traverse ------------------------------------------------------
     def _traverse(self, stage: int, item: tuple) -> None:
         """Follow the chain, holding the item across its memory stalls."""
-        req, record = item
-        next_addr = record.next_addr if record is not None else NULL_ADDR
+        req, next_addr = item
         if not next_addr:
             self._done(req, DbResult(ResultCode.NOT_FOUND))
             self._next(stage)
         else:
-            self.read_port.read_cb(next_addr, self._traverse_read,
-                                   (stage, req, next_addr))
+            self.read_port.read_raw_cb(next_addr, self._traverse_read,
+                                       (stage, req, next_addr))
 
     def _traverse_read(self, arg: tuple) -> None:
-        (stage, req, addr), record = arg
-        if self._matches(req, record):
-            self._finish_point(req, addr, record)
+        (stage, req, addr), cell = arg
+        if self._finish_at(req, addr, cell):
             self._next(stage)
         else:
             # next hop of the chain: the stage keeps its item
-            self._after(self._delay[stage], self._body[stage], (req, record))
+            self._after(self._delay[stage], self._body[stage],
+                        (req, _next_of(addr, cell)))
 
     # -- terminal behaviour ---------------------------------------------------
+    def _finish_at(self, req: DbRequest, addr: int, cell: Any) -> bool:
+        """Finish ``req`` on the row in ``cell`` at ``addr`` if it holds
+        ``req``'s key; False to follow the chain.  A cold row is never
+        dirty nor a tombstone: a SEARCH is granted on its columns, an
+        UPDATE or REMOVE builds its record."""
+        if cell.__class__ is not ColdRows:
+            if not self._matches(req, cell):
+                return False
+            self._finish_point(req, addr, cell)
+        else:
+            i = (addr - cell.base) // cell.stride
+            if not cell.keys[i] == req.key:
+                return False
+            if req.op is Opcode.SEARCH:
+                self._grant_cold_read(req, addr, cell, i)
+            else:
+                self._finish_point(req, addr, self.dram.heap.load(addr))
+        return True
+
+    def _grant_cold_read(self, req: DbRequest, addr: int, rows: ColdRows,
+                         i: int) -> None:
+        """:meth:`_finish_point` of a SEARCH on cold row ``i`` of
+        ``rows``: ``check_read`` on its columns.  A grant raises the
+        row's read time in the batch's ``read_ts`` column; its line
+        write-back stores nothing, so the cell stays cold."""
+        ts = req.ts
+        if rows.ts > ts:
+            self._done(req, DbResult(ResultCode.CC_REJECT, tuple_addr=addr))
+            return
+        read_ts = rows.read_ts
+        if read_ts is None:
+            read_ts = rows.read_ts = array("Q", [rows.ts]) * len(rows)
+        if ts > read_ts[i]:
+            read_ts[i] = ts
+        self.write_port.post_write_back(addr)
+        fields = rows.fields[i]
+        self._done(req, DbResult(ResultCode.OK, tuple_addr=addr,
+                                 value=fields[0] if fields else None))
+
     @staticmethod
     def _matches(req: DbRequest, record: Optional[TupleRecord]) -> bool:
         """Key match; committed tombstones are skipped (deleted), but a

@@ -270,7 +270,7 @@ def verify_program(program: Program, n_registers: Optional[int] = None,
         add(_anchored("error", "ret-unready-cp",
                       f"collects c{cp.n}, but on some path to this RET "
                       f"no un-collected dispatch has written it — the "
-                      f"softcore can park on wait_valid forever",
+                      f"softcore can park in Softcore._wait_cp forever",
                       node.section, node.index, insts))
     for node in protocol.redispatches:
         insts = program.section(node.section)

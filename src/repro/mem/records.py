@@ -10,7 +10,8 @@ object for the cyclic collector to walk — than the record itself.  A
 bulk-loaded row is not even that until it is read: the loaders lay
 rows out as the columns of a :class:`~repro.sim.memory.ColdRows`, and
 the ``from_*`` constructors below are what the heap calls to build a
-row's record from them on first touch.
+row's record from them on first touch (for a hash row, the first touch
+that is not a chain walk or a granted SEARCH).
 """
 
 from __future__ import annotations
@@ -47,11 +48,15 @@ class TupleRecord:
     def from_hash_batch(cls, rows, addr: int) -> "TupleRecord":
         """The record of ``addr`` in a cold hash batch: row
         ``(addr - base) / stride``, chained to ``rows.nexts`` of that
-        row."""
+        row and read at ``rows.read_ts`` of it once a SEARCH granted on
+        the cold row raised that.  The heap calls this when an UPDATE or
+        REMOVE is granted on the row, or the host or the softcore reads
+        it; the hash pipeline's chain walk and SEARCH grant do not."""
         i = (addr - rows.base) // rows.stride
         ts = rows.ts
+        read_ts = rows.read_ts
         return cls(rows.keys[i], list(rows.fields[i]), addr, rows.nexts[i],
-                   ts, ts)
+                   ts if read_ts is None else read_ts[i], ts)
 
     @classmethod
     def from_bptree_batch(cls, rows, addr: int) -> "TupleRecord":

@@ -53,10 +53,9 @@ class ColdRows:
     so no index loader builds a record per row.  Each lays a batch out
     as the columns of one of these and points the batch's cells at it;
     :meth:`Heap.load` swaps a cell's pointer for the row's record the
-    first time the cell is read, and only :class:`Heap` ever sees a cold
-    cell.  Per row that is a few machine words and no object the cyclic
-    collector tracks, against a record, its field list and its boxed
-    integers.
+    first time the cell is read through it.  Per row that is a few
+    machine words and no object the cyclic collector tracks, against a
+    record, its field list and its boxed integers.
 
     Every kind fills ``keys`` — an ``array('q')`` when every key of the
     batch is an ``int`` in [0, 2**63), a plain list when one is not —
@@ -81,10 +80,19 @@ class ColdRows:
     ``inflate(rows, addr)`` builds the record at ``addr`` from those
     columns: each kind hands in its constructor, because record layouts
     live in :mod:`repro.mem`, which imports this module.
+
+    A hash row is built when an UPDATE or REMOVE is granted on it, or
+    when the host or the softcore reads it.  The hash pipeline's chain
+    walk and its SEARCH grant read the cell through
+    :meth:`Heap.load_raw`, work from the columns and leave the row
+    cold: a granted read raises the row's entry of ``read_ts``, an
+    ``array('Q')`` of read times allocated (every entry ``ts``) at the
+    batch's first such grant; while it is ``None``, every row of the
+    batch was read at ``ts``.
     """
 
     __slots__ = ("inflate", "base", "stride", "ts", "keys", "fields",
-                 "nexts", "heights", "tails", "ranks")
+                 "nexts", "heights", "tails", "ranks", "read_ts")
 
     def __init__(self, inflate: Callable, base: int, ts: int,
                  stride: int = 1):
@@ -95,6 +103,7 @@ class ColdRows:
         self.keys: Any = array("q")
         self.fields: List[tuple] = []
         self.nexts = self.heights = self.tails = self.ranks = None
+        self.read_ts: Optional[array] = None
 
     def __len__(self) -> int:
         return len(self.fields)
@@ -131,9 +140,10 @@ class Heap:
 
     An object cell may also be *cold*: one row of a :class:`ColdRows`
     batch whose record has not been built yet.  :meth:`load` builds it
-    on first touch and keeps it, so every reader gets an ordinary record
-    and a cold cell is never handed out (only :meth:`raw_items` shows
-    one).  The counters ``rows_cold`` and ``rows_inflated``
+    on first touch and keeps it, so a reader gets an ordinary record.
+    Only :meth:`load_raw` (the hash pipeline's chain walk) and
+    :meth:`raw_items` hand a cold cell out, as stored, and leave it
+    cold.  The counters ``rows_cold`` and ``rows_inflated``
     (``heap.rows_cold`` / ``heap.rows_inflated`` in the stats registry)
     count the rows placed and the rows built; since a cell is built
     once, the second never exceeds the first.
@@ -232,6 +242,16 @@ class Heap:
             self.rows_inflated.value += 1
         return cell
 
+    def load_raw(self, addr: int) -> Any:
+        """The cell at ``addr`` as stored, like :meth:`load` but a cold
+        cell yields its :class:`ColdRows` batch and stays cold."""
+        cells, i = self._find(addr)
+        if cells is None:
+            return None
+        if cells.__class__ is array:
+            return cells[i] or None
+        return cells[i]
+
     def place_cold(self, rows: ColdRows) -> None:
         """Point the cells of ``rows`` (allocated by the caller with one
         ``alloc``, one per row from ``rows.base``, ``rows.stride``
@@ -271,12 +291,7 @@ class Heap:
 
     def __contains__(self, addr: int) -> bool:
         """The cell is allocated and occupied; a cold cell stays cold."""
-        cells, i = self._find(addr)
-        if cells is None:
-            return False
-        if cells.__class__ is array:
-            return cells[i] != 0
-        return cells[i] is not None
+        return self.load_raw(addr) is not None
 
     def raw_items(self) -> Iterator[Tuple[int, Any]]:
         """``(addr, cell)`` for every occupied cell, in address order,
@@ -466,6 +481,11 @@ class MemoryPort:
             self._next_issue = nxt + self.issue_interval_ns
             heappush(engine._heap, (nxt, seq, self._launch_cb, req))
 
+    def read_raw_cb(self, addr: int, fn: Callable, arg: Any) -> None:
+        """:meth:`read_cb` of the cell as stored (:meth:`Heap.load_raw`):
+        a cold row lands as its batch and stays cold."""
+        self._issue((self.dram._reads, self._read_raw_done, addr, fn, arg))
+
     def write_cb(self, addr: int, value: Any, fn: Callable, arg: Any) -> None:
         """Write with a closure-free completion callback (see read_cb)."""
         self._issue((self.dram._writes, self._write_cb_done, addr, value,
@@ -484,6 +504,12 @@ class MemoryPort:
 
     def post_apply(self, addr: int, fn: Callable[[Any], None]) -> None:
         self._issue((self.dram._writes, self._post_apply_done, addr, fn))
+
+    def post_write_back(self, addr: int) -> None:
+        """Posted write of a line whose new contents live outside its
+        cell (a cold row's raised read time): the issue slot, channel
+        and DRAM write of :meth:`post_write`, but nothing is stored."""
+        self._issue((self.dram._writes, self._post_write_back_done, addr))
 
     @property
     def outstanding(self) -> int:
@@ -531,10 +557,10 @@ class MemoryPort:
         heappush(engine._heap, (free + dram.latency_ns, seq, req[1], req))
 
     # -- completions: one per kind ---------------------------------------------
-    # Each serves its cell through Heap.load / Heap.store, frees its
-    # place (issuing the oldest waiting request), then hands the value
-    # over inside this firing: the completion *is* the delivery, no
-    # relay item on the ready-deque.
+    # Each serves its cell through Heap.load / load_raw / store (a
+    # write-back stores nothing), frees its place (issuing the oldest
+    # waiting request), then hands the value over inside this firing:
+    # the completion *is* the delivery, no relay item on the ready-deque.
     def _retire(self) -> None:
         self._outstanding -= 1
         if self._pending:
@@ -567,6 +593,15 @@ class MemoryPort:
         if self._pending:
             self._issue(self._pending.popleft())
         fn((arg, value))
+
+    def _read_raw_done(self, req: tuple) -> None:
+        _counter, _done, addr, fn, arg = req
+        value = self.dram.heap.load_raw(addr)
+        self._retire()
+        fn((arg, value))
+
+    def _post_write_back_done(self, _req: tuple) -> None:
+        self._retire()
 
     def _write_cb_done(self, req: tuple) -> None:
         _counter, _done, addr, value, fn, arg = req

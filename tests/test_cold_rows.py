@@ -227,7 +227,7 @@ def test_checkpoint_and_recovery_of_a_cold_database():
 
 # -- observability ------------------------------------------------------------
 
-def test_a_read_only_burst_inflates_exactly_the_rows_it_visits(env):
+def test_a_read_only_burst_leaves_the_rows_it_visits_cold(env):
     pipe = make_pipeline(env, n_buckets=8)
     keys = list(range(200))
     pipe.bulk_load_many(keys, [[key] for key in keys])
@@ -250,9 +250,82 @@ def test_a_read_only_burst_inflates_exactly_the_rows_it_visits(env):
     for request in requests:
         pipe.submit(request)
     env.run()
-    assert all(result.code is ResultCode.OK for _req, result in results)
-    assert counter(env, "heap.rows_inflated") == len(visited)
+    assert [(result.code, result.value) for _req, result in results] == [
+        (ResultCode.OK, key) for key in wanted]
+    # the walk matched, followed and granted every row from its columns
+    assert counter(env, "heap.rows_inflated") == 0
     assert counter(env, "heap.rows_cold") == 200
+    cells = dict(env.heap.raw_items())
+    base = min(addr for addr, cell in cells.items()
+               if cell.__class__ is ColdRows)
+    assert all(cells[base + key].__class__ is ColdRows for key in visited)
+
+
+# -- cold reads: a granted SEARCH leaves its row cold -------------------------
+
+def test_a_cold_read_time_holds_off_an_older_write(env):
+    pipe = make_pipeline(env)
+    pipe.bulk_load_many(range(20), [[key] for key in range(20)])
+    assert run_op(env, pipe, Opcode.SEARCH, 7, ts=9).code is ResultCode.OK
+    assert counter(env, "heap.rows_inflated") == 0
+    # the UPDATE builds the record, read time from the batch's column
+    assert run_op(env, pipe, Opcode.UPDATE, 7, ts=5).code is (
+        ResultCode.CC_REJECT)
+    assert counter(env, "heap.rows_inflated") == 1
+    assert pipe.lookup_direct(7).read_ts == 9
+    # a row the SEARCH did not read kept the load's read time
+    assert pipe.lookup_direct(8).read_ts == 0
+
+
+def test_a_row_built_and_dirtied_after_head_fetch_rejects_the_search(env):
+    pipe = make_pipeline(env)
+    pipe.bulk_load_many(range(20), [[key] for key in range(20)])
+    landed = []
+    head_read_done = pipe._head_read_done
+
+    def watched(arg):
+        landed.append(arg[1])
+        head_read_done(arg)
+
+    pipe._head_read_done = watched
+    req = DbRequest(op=Opcode.SEARCH, table_id=0, ts=5, txn_id=1,
+                    key_value=7)
+    results = collect_results([req])
+    pipe.submit(req)
+    # step a cycle at a time, so KeyComp (16 cycles on) has not run
+    step = env.clock.ns(1)
+    while not landed:
+        assert not env.engine.idle
+        env.run(until=env.engine.now + step)
+    assert landed[0].__class__ is ColdRows and not results
+    record = pipe.lookup_direct(7)            # built from the host...
+    record.dirty = True                       # ...and dirtied
+    env.run()
+    (_req, result), = results
+    assert result.code is ResultCode.CC_REJECT
+
+
+def test_a_cold_grant_writes_one_line_and_stores_nothing(env):
+    pipe = make_pipeline(env)
+    pipe.bulk_load_many(range(20), [[key] for key in range(20)])
+    addr = env.heap.load(pipe.bucket_addr_of(19))   # 19 heads its chain
+    writes = counter(env, "dram.writes")
+    assert run_op(env, pipe, Opcode.SEARCH, 19, ts=4).code is ResultCode.OK
+    assert counter(env, "dram.writes") == writes + 1
+    assert dict(env.heap.raw_items())[addr].__class__ is ColdRows
+    # a row built while its write-back is in flight keeps its record
+    built = []
+    req = DbRequest(op=Opcode.SEARCH, table_id=0, ts=6, txn_id=2,
+                    key_value=19)
+    req.on_complete = lambda _req, result: built.append(
+        (result.code, pipe.lookup_direct(19)))
+    pipe.submit(req)
+    env.run()
+    (code, record), = built
+    assert code is ResultCode.OK and record.read_ts == 6
+    assert counter(env, "dram.writes") == writes + 2
+    assert env.heap.load(addr) is record
+    assert counter(env, "heap.rows_inflated") == 1
 
 
 def test_database_counters_cover_every_partition():

@@ -218,28 +218,52 @@ def test_replicated_rows_are_cold_until_read(n_workers, n_nodes):
     assert counter(db, "core.load.route_calls") == 0
 
 
-def test_the_first_timed_read_of_a_replica_inflates_one_row():
-    db = replicated_db(4)
-    db.load_many(columns=[(1, range(40), fields_of(range(40)))])
-    # the last row loaded heads its bucket's chain: a SEARCH reads it first
-    key, worker = 39, 2
-    batches = {id(cell): cell for _addr, cell in db.heap.raw_items()
-               if cell.__class__ is ColdRows}.values()
-    assert [(cold.stride, len(cold)) for cold in batches] == [(4, 40)] * 4
-    base = min(cold.base for cold in batches)
-    pipe = db.workers[worker].hash_pipe
-    request = DbRequest(op=Opcode.SEARCH, table_id=1, ts=3, txn_id=1,
-                        key_value=key)
+def point_op(pipe, db, key, ts, op=Opcode.SEARCH):
+    request = DbRequest(op=op, table_id=1, ts=ts, txn_id=1, key_value=key)
     results = collect_results([request])
     pipe.submit(request)
     db.run()
     (_req, result), = results
+    return result
+
+
+def test_the_first_timed_read_of_a_replica_builds_no_row():
+    db = replicated_db(4)
+    db.load_many(columns=[(1, range(40), fields_of(range(40)))])
+    # the last row loaded heads its bucket's chain: a SEARCH reads it first
+    key, worker = 39, 2
+    batches = list({id(cell): cell for _addr, cell in db.heap.raw_items()
+                    if cell.__class__ is ColdRows}.values())
+    assert [(cold.stride, len(cold)) for cold in batches] == [(4, 40)] * 4
+    base = min(cold.base for cold in batches)
+    pipe = db.workers[worker].hash_pipe
+    result = point_op(pipe, db, key, ts=3)
     assert result.code is ResultCode.OK
-    assert counter(db, "heap.rows_inflated") == 1
-    record = db.heap.load(result.tuple_addr)
-    assert (record.key, record.fields) == (key, [f"v{key}", key])
-    # the row's replica on this worker, strided among the other three
+    assert result.value == f"v{key}"
+    assert counter(db, "heap.rows_inflated") == 0
+    # the row's replica on this worker, strided among the other three,
+    # and only that replica's batch holds read times
     assert result.tuple_addr == base + key * 4 + worker
+    assert [cold.read_ts is not None for cold in batches] == [
+        cold.base == base + worker for cold in batches]
+    record = db.heap.load(result.tuple_addr)
+    assert (record.key, record.fields, record.read_ts) == (
+        key, [f"v{key}", key], 3)
+
+
+def test_the_replicas_of_a_row_keep_separate_read_times():
+    db = replicated_db(2, n_nodes=2)
+    db.load_many(columns=[(1, range(40), fields_of(range(40)))])
+    pipes = [worker.hash_pipe for worker in db.workers]
+    assert point_op(pipes[1], db, 11, ts=9).code is ResultCode.OK
+    assert point_op(pipes[2], db, 11, ts=4).code is ResultCode.OK
+    assert counter(db, "heap.rows_inflated") == 0
+    # an older write is held off only where a newer read was granted
+    assert [point_op(pipe, db, 11, ts=6, op=Opcode.UPDATE).code
+            for pipe in pipes] == [ResultCode.OK, ResultCode.CC_REJECT,
+                                   ResultCode.OK, ResultCode.OK]
+    assert [pipe.lookup_direct(11, table_id=1).read_ts
+            for pipe in pipes] == [0, 9, 4, 0]
 
 
 def test_a_replicated_fields_entry_that_is_not_iterable_stops_there():

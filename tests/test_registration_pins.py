@@ -235,9 +235,9 @@ PINNED = {
     'ycsb_range_16': '89f8a95ea4c2052f',
     'ycsb_mix_3r1u': '66598717cd544e7e',
     'ycsb_mix_2r2u': '22183067e43ae67c',
-    'defect/hangs': '2098749732f1c8e7',
+    'defect/hangs': '81bb1494f2f862a7',
     'defect/writes': '1486d298fc7e98f5',
-    'defect/routes': '5a9ba8bed90580e6',
+    'defect/routes': '96057e60384fbbab',
     'tpcc/10': '4a31d518ceb1ceb7',
     'tpcc/25': '5787424cea67ffce',
     'tpcc/26': 'b2d4e82f8e42b60d',

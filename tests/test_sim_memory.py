@@ -77,6 +77,23 @@ class TestHeap:
         assert heap.load(rows.base) == ("built", rows.base)
         assert heap.rows_inflated.value == 1
 
+    def test_load_raw_hands_a_cold_row_out_as_stored(self):
+        heap = Heap()
+        rows = ColdRows(lambda batch, addr: ("built", addr), 0, ts=1)
+        rows.fields.append((1,))
+        rows.base = heap.alloc(2)
+        heap.place_cold(rows)
+        words = heap.alloc_words(2)
+        heap.store(words, rows.base)
+        assert heap.load_raw(rows.base) is rows
+        assert heap.load_raw(rows.base + 1) is None
+        assert (heap.load_raw(words), heap.load_raw(words + 1)) == (
+            rows.base, None)
+        assert heap.load_raw(0) is heap.load_raw(heap._limit()) is None
+        assert heap.rows_inflated.value == 0
+        assert heap.load(rows.base) == ("built", rows.base)
+        assert heap.load_raw(rows.base) == ("built", rows.base)
+
     def test_store_outside_the_allocated_range_raises(self):
         heap = Heap()
         last = heap.alloc(3) + 2
@@ -211,6 +228,45 @@ class TestDram:
         assert heap.load(addr) is None  # not serviced yet
         eng.run()
         assert heap.load(addr) == "v1"
+
+    def test_raw_read_and_write_back_keep_the_port_schedule(self):
+        # each pair of kinds takes the same slots, channels and DRAM
+        # counts; the raw kinds only leave a cold cell as stored
+        def run(raw):
+            eng, clock, heap, dram = make_dram(latency_cycles=10, channels=2)
+            rows = ColdRows(lambda batch, addr: ("built", addr), 0, ts=1)
+            rows.fields.extend([(1,)] * 4)
+            rows.base = heap.alloc(4)
+            heap.place_cold(rows)
+            port = dram.new_port("p", max_outstanding=2,
+                                 issue_interval_cycles=3.0)
+            landed = []
+
+            def on_cb(arg):
+                where, value = arg
+                landed.append((eng.now, where, value.__class__.__name__))
+
+            for i in range(4):
+                addr = rows.base + i
+                if raw:
+                    port.read_raw_cb(addr, on_cb, i)
+                    port.post_write_back(addr)
+                else:
+                    port.read_cb(addr, on_cb, i)
+                    port.post_write(addr, heap.load(addr))
+            eng.run()
+            cells = [cell.__class__.__name__ for _a, cell in heap.raw_items()]
+            return (landed, dram.stats.counter("dram.reads").value,
+                    dram.stats.counter("dram.writes").value,
+                    eng.events_fired, heap.rows_inflated.value, cells)
+
+        built, raw = run(False), run(True)
+        assert [(t, i) for t, i, _kind in raw[0]] == [
+            (t, i) for t, i, _kind in built[0]]
+        assert raw[1:4] == built[1:4] == (4, 4, raw[3])
+        assert {kind for _t, _i, kind in raw[0]} == {"ColdRows"}
+        assert raw[4:] == (0, ["ColdRows"] * 4)
+        assert built[4:] == (4, ["tuple"] * 4)
 
     def test_outstanding_limit_serialises_excess(self):
         eng, clock, heap, dram = make_dram(latency_cycles=10)
