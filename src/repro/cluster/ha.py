@@ -97,7 +97,9 @@ class ReplicationStream:
     it.  ``backlog()`` is the bounded-lag gauge the admission path
     checks.  With no live follower (``dst is None`` — last node
     standing) the stream degrades to single-copy mode: frames apply
-    immediately and durability rests on the owner alone.
+    immediately and durability rests on the owner alone.  ``log`` is
+    the follower's replica, the last frame of each txn winning; a
+    failover takes it as the partition's authoritative log.
     """
 
     def __init__(self, partition: int, src: int, dst: Optional[int],
@@ -108,9 +110,7 @@ class ReplicationStream:
         self.links = links
         self.membership = membership
         self._queue: List[LogRecord] = []
-        #: frames delivered to the follower, in ship order
-        self.delivered: List[LogRecord] = []
-        self._final_delivered: Set[int] = set()
+        self.log = CommandLog()
         self.last_delivery_ns = 0.0
         self.shipped = 0
 
@@ -118,9 +118,7 @@ class ReplicationStream:
         """Mark ``records`` as already replicated — the bulk sync that
         establishes a fresh follower (costed as part of the failover /
         re-own transfer, not per-frame)."""
-        self.delivered = list(records)
-        self._final_delivered = {r.txn_id for r in self.delivered
-                                 if r.status in _TERMINAL}
+        self.log = CommandLog.from_records(records)
         self.last_delivery_ns = now_ns
 
     def ship(self, record: LogRecord, now_ns: float) -> Optional[float]:
@@ -133,7 +131,7 @@ class ReplicationStream:
     def pump(self, now_ns: float) -> Optional[float]:
         while self._queue:
             if self.dst is None:
-                self._apply(self._queue.pop(0))
+                self.log.append_record(self._queue.pop(0))
                 self.last_delivery_ns = now_ns
                 continue
             if (self.dst in self.membership.really_dead
@@ -143,21 +141,16 @@ class ReplicationStream:
                                          kind="repl")
             if arrive is None:
                 return None
-            self._apply(self._queue.pop(0))
+            self.log.append_record(self._queue.pop(0))
             self.last_delivery_ns = arrive
         return self.last_delivery_ns
-
-    def _apply(self, record: LogRecord) -> None:
-        self.delivered.append(record)
-        if record.status in _TERMINAL:
-            self._final_delivered.add(record.txn_id)
 
     def backlog(self) -> int:
         return len(self._queue)
 
     def has_final(self, txn_id: int) -> bool:
         """Has the txn's finalised frame reached the follower?"""
-        return self.dst is None or txn_id in self._final_delivered
+        return self.dst is None or self.log.status_of(txn_id) in _TERMINAL
 
 
 @dataclass
@@ -408,8 +401,7 @@ class HACluster:
             if new_owner is None:
                 self.audit.append(("lost", None, p, st.epoch, None, t))
                 continue            # no survivor can take the partition
-            delivered = st.stream.delivered if st.stream is not None else []
-            new_log = CommandLog.from_records(delivered)
+            new_log = st.stream.log
             watermark = self._applied_ts.get((new_owner, p), 0)
             replayed = RecoveryManager(self.nodes[new_owner]).replay(
                 new_log, after_ts=watermark,

@@ -168,7 +168,6 @@ class BionicDB:
                 fabrics=[self._chip_fabric() for _ in range(n_nodes)],
                 inter_latency_ns=inter_latency_ns, stats=self.stats,
                 faults=faults)
-        self._done_count = 0
         self.workers: List[PartitionWorker] = [
             PartitionWorker(
                 self.engine, self.clock, self.drams[self.node_of(w)], w,
@@ -182,15 +181,11 @@ class BionicDB:
             for w in range(self.total_workers)
         ]
         self._txn_counter = 0
-        #: txn_id -> block, from submit() until the done callback; used
+        #: txn_id -> block, from submit() until it is done; used
         #: to detect transactions silently stranded by a drained engine
         self._inflight: Dict[int, TransactionBlock] = {}
-        #: proc ids whose table references were validated against the
-        #: current schema catalog (reset when a table is defined)
-        self._table_checked: set = set()
-        #: completion hooks (the front-end's attach point, diagnostics)
-        self._done_callbacks: List = []
-        #: the attached repro.frontend.FrontEnd, if any
+        #: the attached repro.frontend.FrontEnd, if any: it hears every
+        #: completion (:meth:`_on_txn_done`)
         self.frontend = None
 
     def _chip_fabric(self):
@@ -210,7 +205,6 @@ class BionicDB:
     # -- schema & procedures ------------------------------------------------
     def define_table(self, schema: TableSchema) -> TableSchema:
         self.schemas.add(schema)
-        self._table_checked.clear()
         for worker in self.workers:
             worker.add_table(schema)
         return schema
@@ -226,7 +220,6 @@ class BionicDB:
         runtime failure modes the verifier exists to prevent.
         """
         self.catalogue.register(proc_id, program, verify=verify)
-        self._table_checked.discard(proc_id)
 
     # -- loading -------------------------------------------------------------
     def load(self, table_id: int, key: Any, fields: Sequence[Any],
@@ -433,59 +426,39 @@ class BionicDB:
                 worker=w, home_worker=home, worker_node=self.node_of(w),
                 home_nodes={self.node_of(home)}, partitions={w, home})
         entry = self.catalogue.lookup(block.proc_id)  # raises if unknown
-        self._check_tables(block.proc_id, entry)
+        # every table the procedure touches must be defined, or its DB
+        # instructions would kill the softcore mid-simulation
+        defined = self.schemas.ids()
+        if not entry.tables_used <= defined:
+            raise SubmissionError(
+                "procedure references undefined tables",
+                proc_id=block.proc_id,
+                missing_tables=sorted(entry.tables_used - defined))
         block.submitted_at_ns = self.engine.now
         self._inflight[block.txn_id] = block
         self.workers[w].softcore.submit(block)
 
-    def _check_tables(self, proc_id: int, entry) -> None:
-        """Admission check: every table the procedure touches must be
-        defined, or its DB instructions would kill the softcore
-        mid-simulation with a bare SchemaError."""
-        if proc_id in self._table_checked:
-            return
-        missing = sorted(
-            t for t in entry.tables_used
-            if t not in {s.table_id for s in self.schemas})
-        if missing:
-            raise SubmissionError(
-                "procedure references undefined tables",
-                proc_id=proc_id, missing_tables=missing)
-        self._table_checked.add(proc_id)
-
     def _on_txn_done(self, block: TransactionBlock) -> None:
-        self._done_count += 1
         block.done_at_ns = self.engine.now
         self._inflight.pop(block.txn_id, None)
-        for fn in self._done_callbacks:
-            fn(block)
+        if self.frontend is not None:
+            self.frontend._note_done(block)
 
     # -- front-end attach point (repro.frontend) -----------------------------
-    def add_done_callback(self, fn) -> None:
-        """Call ``fn(block)`` whenever a transaction reaches a terminal
-        state — the hook the network front-end (and any monitor) uses."""
-        self._done_callbacks.append(fn)
-
-    def remove_done_callback(self, fn) -> None:
-        if fn in self._done_callbacks:
-            self._done_callbacks.remove(fn)
-
     def attach_frontend(self, frontend) -> None:
         """Wire a :class:`repro.frontend.FrontEnd` as the serving path.
 
-        Only one front-end may be attached at a time; it observes every
-        completion through the done-callback hook."""
+        Only one front-end may be attached at a time; it hears every
+        completion (:meth:`_on_txn_done` calls its ``_note_done``)."""
         if self.frontend is not None:
             raise FrontendError("a front-end is already attached",
                                 attached=type(self.frontend).__name__)
         self.frontend = frontend
-        self.add_done_callback(frontend._note_done)
 
     def detach_frontend(self, frontend) -> None:
         if self.frontend is not frontend:
             raise FrontendError("front-end is not the attached one")
         self.frontend = None
-        self.remove_done_callback(frontend._note_done)
 
     # -- running -----------------------------------------------------------------
     def run(self, until: Optional[float] = None,
@@ -608,12 +581,16 @@ class BionicDB:
     # -- knobs used by benchmark sweeps -----------------------------------------
     def set_total_in_flight(self, n: int) -> None:
         """Spread a system-wide in-flight budget over the coprocessors
-        (the Figure 10/11 x-axis)."""
-        if n < 1:
-            raise ValueError("in-flight budget must be >= 1")
+        (the Figure 10 x-axis).  Every coprocessor needs a slot, or its
+        worker's transactions would strand: ``n`` below the worker
+        count raises."""
+        if n < self.total_workers:
+            raise ValueError(f"in-flight budget {n} is below the worker "
+                             f"count {self.total_workers}: every "
+                             f"coprocessor needs a slot")
         base, extra = divmod(n, self.total_workers)
         for i, worker in enumerate(self.workers):
-            worker.set_max_in_flight(max(1, base + (1 if i < extra else 0)))
+            worker.set_max_in_flight(base + (1 if i < extra else 0))
 
     # -- resource & power accounting (Table 4, §5.8) -------------------------------
     def resource_ledger(self) -> ResourceLedger:
@@ -630,6 +607,8 @@ class BionicDB:
             comm_vec = costs["communication"] * max(1, -(-cfg.n_workers // 4))
         else:
             comm_vec = costs["communication"]
+        has_bptree = any(schema.index_kind == IndexKind.BPTREE
+                         for schema in self.schemas)
         for w in range(cfg.n_workers):
             inst = f"w{w}"
             worker = self.workers[w]
@@ -641,11 +620,10 @@ class BionicDB:
                       + costs["skiplist.stage"] * skiplist.n_stages
                       + costs["skiplist.scanner"] * skiplist.n_scanners)
             ledger.add("Skiplist", sl_vec, inst)
-            if worker._bptree_pipe is not None:
-                # only synthesized when a BPTREE table exists (the
-                # pipeline is instantiated lazily, like the hardware)
+            if has_bptree:
+                # only synthesized when a BPTREE table exists
                 bp_vec = (costs["bptree.base"] + costs["bptree.stage"]
-                          * worker._bptree_pipe.n_stages)
+                          * worker.bptree_pipe.n_stages)
                 ledger.add("BPTree", bp_vec, inst)
             ledger.add("Softcore", costs["softcore"], inst)
             ledger.add("Catalogue", costs["catalogue"], inst)

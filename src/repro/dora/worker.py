@@ -1,9 +1,11 @@
 """DORA-style partition workers (§3.1, §4.2, §4.6).
 
 A partition worker owns one database partition exclusively: its
-softcore, its index coprocessor (a hash pipeline and a skiplist
-pipeline sharing the in-flight budget semantics of §5.5) and a request
-and a response channel on the fabric.  A worker never touches a remote
+softcore, its index coprocessor (a hash, a skiplist and a B+ tree
+pipeline, each holding the in-flight budget of §5.5) and a request and
+a response channel on the fabric.  The worker is wiring only: it hands
+the softcore its router and dispatcher at construction and records
+which pipeline serves each table.  A worker never touches a remote
 partition's data structures directly — a DB instruction bound for a
 remote partition travels over the on-chip channels, is executed there
 as a *background* request by that partition's coprocessor, and its
@@ -21,7 +23,7 @@ from ..index.bptree.pipeline import BPTreePipeline
 from ..index.common import DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
 from ..index.skiplist.pipeline import SkiplistPipeline
-from ..mem.schema import Catalog, IndexKind, TableSchema
+from ..mem.schema import IndexKind, SchemaError, TableSchema
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
 from ..sim.memory import DramModel
@@ -60,55 +62,40 @@ class PartitionWorker:
         self.stats = stats or StatsRegistry()
 
         self.softcore = Softcore(engine, clock, dram, worker_id, catalogue,
-                                 hw_clock, config=softcore_config,
-                                 stats=self.stats, on_txn_done=on_txn_done,
-                                 tracer=tracer)
+                                 hw_clock, self._route, self.dispatch,
+                                 config=softcore_config, stats=self.stats,
+                                 on_txn_done=on_txn_done, tracer=tracer)
         self.hash_pipe = HashIndexPipeline(
             engine, clock, dram, f"w{worker_id}.hash", n_buckets=0,
             stats=self.stats, tracer=tracer)
         self.skiplist_pipe = SkiplistPipeline(
             engine, clock, dram, f"w{worker_id}.skiplist",
             create_default_table=False, stats=self.stats, tracer=tracer)
-        # the B+ tree pipeline is built lazily on first use: a worker
-        # with no BPTREE tables spawns no extra processes or memory
-        # ports, keeping non-B+-tree runs cycle-identical
-        self._bptree_pipe: Optional[BPTreePipeline] = None
-        self._bptree_ctor = (engine, clock, dram, tracer)
-        #: the in-flight budget the B+ tree pipeline is built with
-        self._bptree_in_flight = self.hash_pipe.tokens.capacity
-
-        self.softcore.route = self._route
-        self.softcore.dispatch = self.dispatch
+        self.bptree_pipe = BPTreePipeline(
+            engine, clock, dram, f"w{worker_id}.bptree",
+            create_default_table=False, stats=self.stats, tracer=tracer)
+        #: table_id -> the pipeline that serves it
+        self._pipes: dict = {}
 
         self._bg_served = self.stats.counter(f"worker{worker_id}.background_requests")
         crossbar.attach(worker_id, self._serve_request, self._serve_response)
 
-    @property
-    def bptree_pipe(self) -> BPTreePipeline:
-        if self._bptree_pipe is None:
-            engine, clock, dram, tracer = self._bptree_ctor
-            self._bptree_pipe = BPTreePipeline(
-                engine, clock, dram, f"w{self.worker_id}.bptree",
-                max_in_flight=self._bptree_in_flight,
-                create_default_table=False, stats=self.stats, tracer=tracer)
-        return self._bptree_pipe
-
     # -- schema ------------------------------------------------------------
     def add_table(self, schema: TableSchema) -> None:
         if schema.index_kind == IndexKind.HASH:
-            self.hash_pipe.add_table(schema.table_id, schema.hash_buckets)
-        elif schema.index_kind == IndexKind.BPTREE:
-            self.bptree_pipe.add_table(schema.table_id)
+            pipe = self.hash_pipe
+            pipe.add_table(schema.table_id, schema.hash_buckets)
         else:
-            self.skiplist_pipe.add_table(schema.table_id)
+            pipe = (self.bptree_pipe if schema.index_kind == IndexKind.BPTREE
+                    else self.skiplist_pipe)
+            pipe.add_table(schema.table_id)
+        self._pipes[schema.table_id] = pipe
 
     def pipeline_for(self, table_id: int):
-        schema = self.catalogue.schemas.table(table_id)
-        if schema.index_kind == IndexKind.HASH:
-            return self.hash_pipe
-        if schema.index_kind == IndexKind.BPTREE:
-            return self.bptree_pipe
-        return self.skiplist_pipe
+        try:
+            return self._pipes[table_id]
+        except KeyError:
+            raise SchemaError(f"unknown table id {table_id}") from None
 
     # -- routing & dispatch ---------------------------------------------------
     def _route(self, table_id: int, key: Any) -> Optional[int]:
@@ -150,6 +137,4 @@ class PartitionWorker:
     def set_max_in_flight(self, n: int) -> None:
         self.hash_pipe.set_max_in_flight(n)
         self.skiplist_pipe.set_max_in_flight(n)
-        self._bptree_in_flight = n
-        if self._bptree_pipe is not None:
-            self._bptree_pipe.set_max_in_flight(n)
+        self.bptree_pipe.set_max_in_flight(n)

@@ -95,7 +95,6 @@ class FrontEnd:
         self.sessions: List[ClientSession] = []
         self._by_txn = {}              # txn_id -> Request (in the chip)
         self._start_ns = self.engine.now
-        self._attached = True
         db.attach_frontend(self)
 
     # -- sessions -----------------------------------------------------------
@@ -109,7 +108,7 @@ class FrontEnd:
         replaces the session's private RNG so several sessions — and
         their retry-backoff jitter — reproduce from one workload seed.
         """
-        if not self._attached:
+        if self.db.frontend is not self:
             raise FrontendError("front-end is detached from its system")
         if config is None:
             config = SessionConfig(**kwargs)
@@ -219,7 +218,7 @@ class FrontEnd:
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> FrontendReport:
         """Advance the whole machine, then summarise the serving path."""
-        if not self._attached:
+        if self.db.frontend is not self:
             raise FrontendError("front-end is detached from its system")
         self.db.run(until=until, max_events=max_events)
         drained = self.engine.idle
@@ -254,6 +253,5 @@ class FrontEnd:
     # -- lifecycle -----------------------------------------------------------
     def detach(self) -> None:
         """Release the attach point so another front-end can take over."""
-        if self._attached:
+        if self.db.frontend is self:
             self.db.detach_frontend(self)
-            self._attached = False

@@ -11,7 +11,7 @@ record needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -107,16 +107,9 @@ class CommandLog:
             pos = self._index[block.txn_id]
         except KeyError:
             raise ValueError(f"txn {block.txn_id} was never logged") from None
-        old = self._records[pos]
-        record = LogRecord(
-            txn_id=old.txn_id, proc_id=old.proc_id, inputs=old.inputs,
-            home_worker=old.home_worker,
-            layout_inputs=old.layout_inputs, layout_outputs=old.layout_outputs,
-            layout_scratch=old.layout_scratch, layout_undo=old.layout_undo,
-            layout_scan=old.layout_scan,
-            status=block.header.status.value,
-            commit_ts=block.header.commit_ts,
-        )
+        record = replace(self._records[pos],
+                         status=block.header.status.value,
+                         commit_ts=block.header.commit_ts)
         self._records[pos] = record
         if self._appender is not None:
             self._appender.append(record)

@@ -12,7 +12,7 @@ partition and always routed locally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, KeysView, List, Optional
 from zlib import crc32
 
 from ..errors import BionicError
@@ -93,6 +93,10 @@ class Catalog:
             return self._tables[table_id]
         except KeyError:
             raise SchemaError(f"unknown table id {table_id}") from None
+
+    def ids(self) -> KeysView[int]:
+        """The defined table ids, a live view."""
+        return self._tables.keys()
 
     def __iter__(self):
         return iter(self._tables.values())

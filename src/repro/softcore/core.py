@@ -156,6 +156,8 @@ class Softcore:
         worker_id: int,
         catalogue: Catalogue,
         hw_clock: HardwareClock,
+        route: Callable[[int, Any], Optional[int]],
+        dispatch: Callable[[DbRequest, Optional[int]], None],
         config: Optional[SoftcoreConfig] = None,
         stats: Optional[StatsRegistry] = None,
         on_txn_done: Optional[Callable[[TransactionBlock], None]] = None,
@@ -168,6 +170,10 @@ class Softcore:
         self.worker_id = worker_id
         self.catalogue = catalogue
         self.hw_clock = hw_clock
+        #: route(table_id, key) -> destination partition (None = local)
+        self.route = route
+        #: dispatch(req, dst_partition): the worker's Dispatch step
+        self.dispatch = dispatch
         self.config = config or SoftcoreConfig()
         self.stats = stats or StatsRegistry()
         self.on_txn_done = on_txn_done
@@ -190,13 +196,6 @@ class Softcore:
         self.port = dram.new_port(f"w{worker_id}.core", max_outstanding=8,
                                   issue_interval_cycles=1.0)
 
-        # Set by the partition worker that owns this softcore:
-        #   route(table_id, key) -> destination partition (None = local)
-        #   dispatch(req, dst_partition)
-        self.route: Callable[[int, Any], Optional[int]] = lambda _t, _k: None
-        self.dispatch: Callable[[DbRequest, Optional[int]], None] = \
-            self._reject_dispatch
-
         self._pending_block: Optional[TransactionBlock] = None
 
         pre = f"worker{worker_id}"
@@ -214,10 +213,6 @@ class Softcore:
         self._code = CompiledTier(self)
 
         engine.start(self._run())
-
-    @staticmethod
-    def _reject_dispatch(_req, _dst):  # pragma: no cover - must be wired
-        raise ExecutionError("softcore has no dispatcher wired")
 
     # -- client interface --------------------------------------------------
     def submit(self, block: TransactionBlock) -> None:

@@ -1,10 +1,14 @@
 """Cluster HA: membership, failover, epoch fencing, live migration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import MembershipService, MembershipView, MigrationState
 from repro.cluster.membership import HEARTBEAT_TIMEOUT_NS
-from repro.cluster.ha import MIGRATION_BUDGET_NS, HACluster
+from repro.cluster.ha import (
+    MIGRATION_BUDGET_NS, HACluster, ReplicationStream,
+)
 from repro.cluster.interconnect import NodeLinks
 from repro.core import BionicConfig
 from repro.core.system import BionicDB
@@ -12,6 +16,7 @@ from repro.errors import (
     MigrationError, PartitionUnavailableError, StaleEpochError,
 )
 from repro.faults import FaultPlan, HEARTBEAT_LOSS, STALE_EPOCH_SUBMIT
+from repro.host.command_log import LogRecord
 from repro.workloads.ycsb import YcsbConfig, YcsbWorkload
 
 N_PARTS = 4
@@ -104,6 +109,18 @@ class TestHAClusterBasics:
         res = c.submit_spec(specs[0], wl.layout_for(specs[0]), tag=0)
         st = c.parts[specs[0].home]
         assert st.stream.has_final(res.txn_id)
+
+    def test_has_final_waits_for_the_finalize_frame(self):
+        links = NodeLinks(2)
+        stream = ReplicationStream(0, 0, 1, links, MembershipService(2, links))
+        pending = LogRecord(txn_id=7, proc_id=1, inputs=(3,), home_worker=0,
+                            layout_inputs=1, layout_outputs=0,
+                            layout_scratch=0, layout_undo=0, layout_scan=0)
+        assert stream.ship(pending, 0.0) is not None
+        assert not stream.has_final(7)
+        assert stream.ship(replace(pending, status="committed", commit_ts=5),
+                           0.0) is not None
+        assert stream.has_final(7)
 
     def test_ownership_map_shape(self):
         wl, _ = make_workload()

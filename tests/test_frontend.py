@@ -111,7 +111,7 @@ class TestConservation:
             name="t", arrival="open", rate_tps=1_000_000.0, n_requests=3))
         # sever the completion path: the chip finishes the txns but the
         # front-end never hears about it
-        db.remove_done_callback(fe._note_done)
+        fe._note_done = lambda block: None
         with pytest.raises(StuckTransactionError):
             fe.run()
         fe.detach()
@@ -316,6 +316,20 @@ class TestAttachment:
             FrontEnd(db, FrontendConfig.passthrough())
         fe.detach()
         fe2 = FrontEnd(db, FrontendConfig.passthrough())   # now allowed
+        fe2.detach()
+
+    def test_only_the_attached_frontend_hears_completions(self, monkeypatch):
+        heard = []
+        monkeypatch.setattr(FrontEnd, "_note_done",
+                            lambda fe, block: heard.append((fe, block)))
+        db = make_db()
+        fe = FrontEnd(db, FrontendConfig.passthrough())
+        fe.detach()
+        fe2 = FrontEnd(db, FrontendConfig.passthrough())
+        block, home = make_factory(db)(0)
+        db.submit(block, home)
+        db.run()
+        assert heard == [(fe2, block)]
         fe2.detach()
 
     def test_detached_frontend_refuses_sessions(self):

@@ -424,15 +424,10 @@ def test_checkpoint_restore_image_equals_the_row_by_row_restore(index_kind):
     for row_by_row in (False, True):
         db = make_db(index_kind=index_kind, row_by_row=row_by_row)
         assert RecoveryManager(db).restore_checkpoint(checkpoint) == 607
+        assert counter(db, "core.load.route_calls") == 0
         restored.append(heap_image(db.heap))
         # (a hash chain restores in reverse: compare each list as a set)
         assert {home: sorted(items)
                 for home, items in take_checkpoint(db).rows.items()} == {
             home: sorted(items) for home, items in checkpoint.rows.items()}
     assert restored[0] == restored[1]
-    # a partial restore (the failover path) homes only what it was asked
-    db = make_db(index_kind=index_kind)
-    wanted = len(checkpoint.rows[0, 2]) + 7
-    assert RecoveryManager(db).restore_checkpoint(
-        checkpoint, partitions={2}) == wanted
-    assert counter(db, "core.load.route_calls") == 0

@@ -230,6 +230,39 @@ class TestAdmissionGuards:
         db.run()
         assert block.header.status is TxnStatus.COMMITTED
 
+    def test_admission_follows_definitions_and_reregistration(self):
+        def reads(*tables):
+            b = ProcedureBuilder("reads")
+            for cp, table in enumerate(tables):
+                b.search(cp=cp, table=table, key=b.at(0))
+            b.commit_handler()
+            for cp in range(len(tables)):
+                b.ret(cp, cp)
+            b.commit()
+            return b.build()
+
+        def define(db, table_id):
+            db.define_table(TableSchema(table_id, f"t{table_id}",
+                                        hash_buckets=64,
+                                        partition_fn=lambda k, n: 0))
+            db.load(table_id, 7, ["v"])
+
+        db = BionicDB(BionicConfig(n_workers=1))
+        db.register_procedure(1, reads(0, 1))
+        define(db, 0)
+        with pytest.raises(SubmissionError) as ei:
+            db.submit(db.new_block(1, [7], worker=0), 0)
+        assert ei.value.details["missing_tables"] == [1]
+        define(db, 1)
+        block = db.new_block(1, [7], worker=0)
+        db.submit(block, 0)
+        db.run()
+        assert block.header.status is TxnStatus.COMMITTED
+        db.register_procedure(1, reads(0, 2))
+        with pytest.raises(SubmissionError) as ei:
+            db.submit(db.new_block(1, [7], worker=0), 0)
+        assert ei.value.details["missing_tables"] == [2]
+
     def test_load_partition_out_of_range(self):
         db = make_db()
         with pytest.raises(SubmissionError):

@@ -341,3 +341,11 @@ class TestReports:
         assert sum(caps) == 6
         with pytest.raises(ValueError):
             db.set_total_in_flight(0)
+
+    def test_in_flight_budget_below_the_worker_count_raises(self):
+        db = make_db(n_workers=4)
+        with pytest.raises(ValueError, match="3 .* 4"):
+            db.set_total_in_flight(3)
+        db.set_total_in_flight(4)
+        assert {pipe.tokens.capacity for w in db.workers
+                for pipe in (w.hash_pipe, w.skiplist_pipe, w.bptree_pipe)} == {1}
