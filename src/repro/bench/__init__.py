@@ -35,8 +35,8 @@ __all__ += [
     "run_traverse_stage_sweep", "run_full_tpcc_mix",
 ]
 
-from .fig_index3 import (  # noqa: E402
-    index_kv_throughput, run_index3_point, run_index3_scan,
-)
+from .fig_index3 import run_index3_point, run_index3_scan  # noqa: E402
+from .report import index_kv_throughput, machine_tput  # noqa: E402
 
-__all__ += ["index_kv_throughput", "run_index3_point", "run_index3_scan"]
+__all__ += ["index_kv_throughput", "machine_tput", "run_index3_point",
+            "run_index3_scan"]

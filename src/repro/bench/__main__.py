@@ -29,39 +29,35 @@ from . import (
     scanner_count_sweep,
 )
 
+#: id -> (runner, its --quick sizes); a full run uses the runner's defaults
 EXPERIMENTS = {
-    "fig9a": (run_fig9a, {"n_txns": 240}, {"n_txns": 120}),
-    "fig9b": (run_fig9b, {"n_txns": 200}, {"n_txns": 100}),
-    "fig10a": (run_fig10a, {"n_ops": 2000}, {"n_ops": 800}),
-    "fig10b": (run_fig10b, {"n_txns": 200}, {"n_txns": 100}),
-    "fig10c": (run_fig10c, {"n_txns": 160}, {"n_txns": 80}),
-    "fig10d": (run_fig10d, {"n_txns": 240}, {"n_txns": 120}),
-    "fig11a": (run_fig11a, {"n_ops": 600}, {"n_ops": 300}),
-    "fig11b": (run_fig11b, {"n_ops": 600}, {"n_ops": 300}),
-    "fig11c": (run_fig11c, {"n_ops": 240}, {"n_ops": 120}),
-    "fig11d": (run_fig11d, {"n_txns": 160}, {"n_txns": 80}),
-    "fig11-scanners": (scanner_count_sweep, {"n_ops": 240}, {"n_ops": 120}),
-    "fig12a": (run_fig12a, {"n_txns": 200}, {"n_txns": 100}),
-    "fig12b": (run_fig12b, {"n_txns": 200}, {"n_txns": 100}),
-    "fig13": (run_fig13, {"n_txns": 200}, {"n_txns": 100}),
-    "table3": (run_table3, {}, {}),
-    "table4": (run_table4, {}, {}),
-    "power": (run_power, {}, {}),
-    "ablation-traverse": (run_traverse_stage_sweep, {"n_ops": 800},
-                          {"n_ops": 400}),
-    "ablation-hazard": (run_hazard_prevention_cost, {"n_ops": 800},
-                        {"n_ops": 400}),
-    "ablation-linebuf": (run_line_buffer_ablation, {"n_txns": 200},
-                         {"n_txns": 100}),
-    "ext-dynamic": (run_dynamic_scheduling, {"n_txns": 120}, {"n_txns": 80}),
-    "ext-scaleup": (run_scale_up, {"txns_per_worker": 30},
-                    {"txns_per_worker": 15}),
-    "ext-cluster": (run_cluster_scale_out, {"n_txns_per_part": 40},
-                    {"n_txns_per_part": 20}),
-    "ext-frontend": (run_latency_load, {"n_txns": 1500}, {"n_txns": 500}),
-    "ext-fullmix": (run_full_tpcc_mix, {"n_txns": 200}, {"n_txns": 100}),
-    "ext-index3": (run_index3_point, {"n_ops": 600}, {"n_ops": 200}),
-    "ext-index3-scan": (run_index3_scan, {"n_ops": 120}, {"n_ops": 40}),
+    "fig9a": (run_fig9a, {"n_txns": 120}),
+    "fig9b": (run_fig9b, {"n_txns": 100}),
+    "fig10a": (run_fig10a, {"n_ops": 800}),
+    "fig10b": (run_fig10b, {"n_txns": 100}),
+    "fig10c": (run_fig10c, {"n_txns": 80}),
+    "fig10d": (run_fig10d, {"n_txns": 120}),
+    "fig11a": (run_fig11a, {"n_ops": 300}),
+    "fig11b": (run_fig11b, {"n_ops": 300}),
+    "fig11c": (run_fig11c, {"n_ops": 120}),
+    "fig11d": (run_fig11d, {"n_txns": 80}),
+    "fig11-scanners": (scanner_count_sweep, {"n_ops": 120}),
+    "fig12a": (run_fig12a, {"n_txns": 100}),
+    "fig12b": (run_fig12b, {"n_txns": 100}),
+    "fig13": (run_fig13, {"n_txns": 100}),
+    "table3": (run_table3, {}),
+    "table4": (run_table4, {}),
+    "power": (run_power, {}),
+    "ablation-traverse": (run_traverse_stage_sweep, {"n_ops": 400}),
+    "ablation-hazard": (run_hazard_prevention_cost, {"n_ops": 400}),
+    "ablation-linebuf": (run_line_buffer_ablation, {"n_txns": 100}),
+    "ext-dynamic": (run_dynamic_scheduling, {"n_txns": 80}),
+    "ext-scaleup": (run_scale_up, {"txns_per_worker": 15}),
+    "ext-cluster": (run_cluster_scale_out, {"n_txns_per_part": 20}),
+    "ext-frontend": (run_latency_load, {"n_txns": 500}),
+    "ext-fullmix": (run_full_tpcc_mix, {"n_txns": 100}),
+    "ext-index3": (run_index3_point, {"n_ops": 200}),
+    "ext-index3-scan": (run_index3_scan, {"n_ops": 40}),
 }
 
 
@@ -93,10 +89,9 @@ def main(argv=None) -> int:
     rendered = []
     t_total = time.time()  # det: allow(wall-clock) — host-side progress display only
     for name in chosen:
-        fn, full_kw, quick_kw = EXPERIMENTS[name]
-        kwargs = quick_kw if args.quick else full_kw
+        fn, quick_kw = EXPERIMENTS[name]
         t0 = time.time()  # det: allow(wall-clock) — host-side progress display only
-        report = fn(**kwargs)
+        report = fn(**(quick_kw if args.quick else {}))
         report.show()
         print(f"[{name} finished in {time.time() - t0:.1f}s]")  # det: allow(wall-clock)
         rendered.append(report.render())

@@ -12,17 +12,14 @@ These exercise the design choices DESIGN.md calls out:
 
 from __future__ import annotations
 
-import random
-from typing import List, Sequence
+from typing import Sequence
 
 from ..core import BionicConfig, BionicDB
-from ..index.common import DbRequest
-from ..index.hash.pipeline import HashIndexPipeline
-from ..isa import Gp, Opcode, ProcedureBuilder
+from ..isa import Gp, ProcedureBuilder
 from ..mem import IndexKind, TableSchema
 from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .report import FigureReport, bare_dram, drive_closed_loop
+from .report import FigureReport, index_kv_throughput, machine_tput
 
 __all__ = [
     "run_traverse_stage_sweep", "run_hazard_prevention_cost",
@@ -36,19 +33,9 @@ __all__ = [
 def _conflicted_search_tput(n_traverse: int, n_buckets: int = 256,
                             n_keys: int = 4096, n_ops: int = 800) -> float:
     """Search throughput at load factor 16 (long conflict chains)."""
-    engine, clock, dram = bare_dram()
-    pipe = HashIndexPipeline(engine, clock, dram, "h", n_buckets=n_buckets,
-                             n_traverse_stages=n_traverse, max_in_flight=16)
-    pipe.bulk_load_many(range(n_keys), [(k,) for k in range(n_keys)])
-    rng = random.Random(3)
-
-    def submit_one(i, on_complete):
-        pipe.submit(DbRequest(op=Opcode.SEARCH, table_id=0, ts=1, txn_id=i,
-                              key_value=rng.randrange(n_keys),
-                              on_complete=on_complete))
-
-    drive_closed_loop(engine, n_ops, 16, submit_one)
-    return n_ops / (engine.now * 1e-9)
+    return index_kv_throughput("hash", "search", 16, n_ops, n_workers=1,
+                               n_keys=n_keys, seed=3, n_buckets=n_buckets,
+                               n_traverse_stages=n_traverse)
 
 
 def run_traverse_stage_sweep(stages: Sequence[int] = (1, 2, 4),
@@ -80,25 +67,12 @@ def run_hazard_prevention_cost(n_ops: int = 800) -> FigureReport:
                     "stall cost prevention pays for correctness",
         })
 
-    def insert_tput(prevention: bool) -> float:
-        engine, clock, dram = bare_dram()
-        pipe = HashIndexPipeline(engine, clock, dram, "h", n_buckets=64,
-                                 hazard_prevention=prevention,
-                                 max_in_flight=16)
-
-        def submit_one(i, on_complete):
-            req = DbRequest(op=Opcode.INSERT, table_id=0, ts=1, txn_id=i,
-                            key_value=i, on_complete=on_complete)
-            req.insert_payload = [i]
-            pipe.submit(req)
-
-        drive_closed_loop(engine, n_ops, 16, submit_one)
-        return n_ops / (engine.now * 1e-9)
-
     report.xs = ["prevention on", "prevention off (UNSAFE)"]
     series = report.new_series("Insert")
-    series.add(insert_tput(True))
-    series.add(insert_tput(False))
+    for prevention in (True, False):
+        series.add(index_kv_throughput("hash", "insert", 16, n_ops,
+                                       n_workers=1, n_keys=0, n_buckets=64,
+                                       hazard_prevention=prevention))
     return report
 
 
@@ -113,20 +87,13 @@ def run_line_buffer_ablation(n_txns: int = 200) -> FigureReport:
                     "full DRAM read even within one 64-byte header line",
         })
 
-    def tput(enabled: bool) -> float:
-        db = BionicDB(BionicConfig(softcore=SoftcoreConfig(
-            line_buffer=enabled)))
-        workload = TpccWorkload(TpccConfig(items=2000,
-                                           customers_per_district=100))
-        workload.install(db)
-        rep, _ = workload.submit_all(
-            db, workload.make_mix(n_txns, neworder_fraction=0.0))
-        return rep.throughput_tps
-
     report.xs = ["line buffer on", "line buffer off"]
     series = report.new_series("Payment")
-    series.add(tput(True))
-    series.add(tput(False))
+    for enabled in (True, False):
+        series.add(machine_tput(
+            TpccWorkload(TpccConfig(items=2000, customers_per_district=100)),
+            lambda w: w.make_mix(n_txns, neworder_fraction=0.0),
+            BionicConfig(softcore=SoftcoreConfig(line_buffer=enabled))))
     return report
 
 

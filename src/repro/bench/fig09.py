@@ -10,27 +10,14 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..baseline import SiloTpcc, SiloYcsb
-from ..core import BionicConfig, BionicDB
+from ..core import BionicConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .report import FigureReport
+from .report import FigureReport, machine_tput
 
-__all__ = ["run_fig9a", "run_fig9b",
-           "bionicdb_ycsb_tput", "silo_ycsb_tput",
-           "bionicdb_tpcc_tput", "silo_tpcc_tput"]
-
-
-def bionicdb_ycsb_tput(n_workers: int, n_txns: int = 240,
-                       records_per_partition: int = 5000) -> float:
-    cfg = YcsbConfig(records_per_partition=records_per_partition,
-                     n_partitions=n_workers)
-    db = BionicDB(BionicConfig(n_workers=n_workers))
-    workload = YcsbWorkload(cfg)
-    workload.install(db)
-    report, _blocks = workload.submit_all(db, workload.make_read_txns(n_txns))
-    return report.throughput_tps
+__all__ = ["run_fig9a", "run_fig9b", "silo_ycsb_tput", "silo_tpcc_tput"]
 
 
 def silo_ycsb_tput(n_cores: int, n_txns: int = 240,
@@ -60,25 +47,14 @@ def run_fig9a(bionic_workers: Sequence[int] = (1, 2, 4),
     bionic = report.new_series("BionicDB")
     silo = report.new_series("Silo/Xeon")
     for x in xs:
-        bionic.add(bionicdb_ycsb_tput(x, n_txns) if x in bionic_workers
-                   else float("nan"))
+        bionic.add(machine_tput(
+            YcsbWorkload(YcsbConfig(records_per_partition=5000,
+                                    n_partitions=x)),
+            lambda w: w.make_read_txns(n_txns), BionicConfig(n_workers=x))
+            if x in bionic_workers else float("nan"))
         silo.add(silo_ycsb_tput(x, n_txns) if x in silo_cores
                  else float("nan"))
     return report
-
-
-def bionicdb_tpcc_tput(n_workers: int, n_txns: int = 240,
-                       items: int = 2000,
-                       customers_per_district: int = 100) -> float:
-    cfg = TpccConfig(n_partitions=n_workers, items=items,
-                     customers_per_district=customers_per_district)
-    # TPC-C executes almost in serial on BionicDB (§5.4): the batch
-    # former closes a batch at the warehouse and district hot rows.
-    db = BionicDB(BionicConfig(n_workers=n_workers))
-    workload = TpccWorkload(cfg)
-    workload.install(db)
-    report, _ = workload.submit_all(db, workload.make_mix(n_txns))
-    return report.throughput_tps
 
 
 def silo_tpcc_tput(n_cores: int, n_txns: int = 240, items: int = 2000,
@@ -108,8 +84,13 @@ def run_fig9b(bionic_workers: Sequence[int] = (1, 2, 4),
     bionic = report.new_series("BionicDB")
     silo = report.new_series("Silo/Xeon")
     for x in xs:
-        bionic.add(bionicdb_tpcc_tput(x, n_txns) if x in bionic_workers
-                   else float("nan"))
+        # TPC-C executes almost in serial on BionicDB (§5.4): the batch
+        # former closes a batch at the warehouse and district hot rows.
+        bionic.add(machine_tput(
+            TpccWorkload(TpccConfig(n_partitions=x, items=2000,
+                                    customers_per_district=100)),
+            lambda w: w.make_mix(n_txns), BionicConfig(n_workers=x))
+            if x in bionic_workers else float("nan"))
         silo.add(silo_tpcc_tput(x, n_txns) if x in silo_cores
                  else float("nan"))
     return report

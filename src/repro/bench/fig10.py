@@ -11,53 +11,27 @@
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
-from ..core import BionicConfig, BionicDB
-from ..index.common import DbRequest
-from ..isa import Opcode
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .report import FigureReport, bare_pipelines, drive_closed_loop
+from .report import (
+    DEFAULT_INFLIGHT_AXIS, FigureReport, index_kv_throughput, machine_tput,
+)
 
 __all__ = ["run_fig10a", "run_fig10b", "run_fig10c", "run_fig10d",
-           "kv_throughput", "DEFAULT_INFLIGHT_AXIS", "MACHINE_INFLIGHT_AXIS"]
+           "kv_throughput", "MACHINE_INFLIGHT_AXIS"]
 
-DEFAULT_INFLIGHT_AXIS = (1, 4, 8, 12, 16, 20, 24)
 #: the machine's axis (10b–d) starts at its 4 workers, one slot each:
 #: a smaller budget would leave a coprocessor with none
 MACHINE_INFLIGHT_AXIS = DEFAULT_INFLIGHT_AXIS[1:]
 
 
-def kv_throughput(op: str, total_in_flight: int, n_ops: int = 2000,
-                  n_workers: int = 4, n_keys: int = 8192) -> float:
-    """Aggregate ops/sec of the hash pipelines under a client-side cap
-    on total in-flight requests (the §5.5 KV microbenchmark: a single
-    transaction bulk-issuing inserts/searches)."""
-    engine, dram, pipes = bare_pipelines("hash", n_workers, total_in_flight,
-                                         n_buckets=2 * n_keys)
-    rng = random.Random(11)
-    if op == "search":
-        for pipe in pipes:
-            pipe.bulk_load_many(range(n_keys), [("v",)] * n_keys)
-    # pre-populate input cells (the bulk transaction block)
-    cells = []
-    for i in range(n_ops):
-        addr = dram.heap.alloc()
-        if op == "insert":
-            dram.direct_write(addr, (n_keys + i, ["v"]))
-        else:
-            dram.direct_write(addr, rng.randrange(n_keys))
-        cells.append(addr)
-
-    def submit_one(i, on_complete):
-        req = DbRequest(op=Opcode.INSERT if op == "insert" else Opcode.SEARCH,
-                        table_id=0, ts=1, txn_id=i, key_addr=cells[i],
-                        on_complete=on_complete)
-        pipes[i % n_workers].submit(req)
-
-    drive_closed_loop(engine, n_ops, total_in_flight, submit_one)
-    return n_ops / (engine.now * 1e-9)
+def kv_throughput(op: str, total_in_flight: int, n_ops: int = 2000) -> float:
+    """The §5.5 KV microbenchmark: a single transaction bulk-issuing
+    inserts/searches whose keys sit in its block's cells."""
+    return index_kv_throughput("hash", op, total_in_flight, n_ops,
+                               n_keys=8192, seed=11, key_cells=True,
+                               n_buckets=2 * 8192)
 
 
 def run_fig10a(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
@@ -78,16 +52,6 @@ def run_fig10a(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
     return report
 
 
-def _ycsb_tput_at(total_in_flight: int, n_txns: int) -> float:
-    cfg = YcsbConfig(records_per_partition=5000)
-    db = BionicDB(BionicConfig())
-    workload = YcsbWorkload(cfg)
-    workload.install(db)
-    db.set_total_in_flight(total_in_flight)
-    report, _ = workload.submit_all(db, workload.make_read_txns(n_txns))
-    return report.throughput_tps
-
-
 def run_fig10b(axis: Sequence[int] = MACHINE_INFLIGHT_AXIS,
                n_txns: int = 200) -> FigureReport:
     report = FigureReport(
@@ -100,20 +64,18 @@ def run_fig10b(axis: Sequence[int] = MACHINE_INFLIGHT_AXIS,
     report.xs = list(axis)
     series = report.new_series("YCSB-C")
     for n in axis:
-        series.add(_ycsb_tput_at(n, n_txns))
+        series.add(machine_tput(
+            YcsbWorkload(YcsbConfig(records_per_partition=5000)),
+            lambda w: w.make_read_txns(n_txns), in_flight=n))
     return report
 
 
 def _tpcc_tput_at(total_in_flight: int, n_txns: int,
                   neworder_fraction: float) -> float:
-    cfg = TpccConfig(items=2000, customers_per_district=100)
-    db = BionicDB(BionicConfig())
-    workload = TpccWorkload(cfg)
-    workload.install(db)
-    db.set_total_in_flight(total_in_flight)
-    specs = workload.make_mix(n_txns, neworder_fraction=neworder_fraction)
-    report, _ = workload.submit_all(db, specs)
-    return report.throughput_tps
+    return machine_tput(
+        TpccWorkload(TpccConfig(items=2000, customers_per_district=100)),
+        lambda w: w.make_mix(n_txns, neworder_fraction=neworder_fraction),
+        in_flight=total_in_flight)
 
 
 def run_fig10c(axis: Sequence[int] = MACHINE_INFLIGHT_AXIS,

@@ -13,57 +13,16 @@
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from ..baseline import IndexStructure, SiloYcsb
 from ..core import BionicConfig, BionicDB
-from ..index.common import DbRequest
-from ..isa import Opcode
 from ..mem import IndexKind
 from ..workloads import YcsbConfig, YcsbWorkload
-from .report import FigureReport, bare_pipelines, drive_closed_loop
+from .report import DEFAULT_INFLIGHT_AXIS, FigureReport, index_kv_throughput
 
 __all__ = ["run_fig11a", "run_fig11b", "run_fig11c", "run_fig11d",
-           "skiplist_kv_throughput", "scanner_count_sweep",
-           "DEFAULT_INFLIGHT_AXIS"]
-
-DEFAULT_INFLIGHT_AXIS = (1, 4, 8, 12, 16, 20, 24)
-
-
-def skiplist_kv_throughput(op: str, total_in_flight: int, n_ops: int = 600,
-                           n_workers: int = 4, n_keys: int = 4000,
-                           n_scanners: int = 1, scan_len: int = 50) -> float:
-    """Drive the skiplist pipelines directly (as §5.5 does for hash)."""
-    engine, dram, pipes = bare_pipelines("skiplist", n_workers,
-                                         total_in_flight,
-                                         n_scanners=n_scanners)
-    rng = random.Random(13)
-    if op != "insert":
-        for pipe in pipes:
-            pipe.bulk_load_many(range(n_keys), [("v",)] * n_keys)
-
-    def submit_one(i, on_complete):
-        if op == "insert":
-            # sequential loading, round-robin across partitions
-            req = DbRequest(op=Opcode.INSERT, table_id=0, ts=1, txn_id=i,
-                            key_value=n_keys + i, on_complete=on_complete)
-            req.insert_payload = ["v"]
-        elif op == "search":
-            req = DbRequest(op=Opcode.SEARCH, table_id=0, ts=1, txn_id=i,
-                            key_value=rng.randrange(n_keys),
-                            on_complete=on_complete)
-        else:  # scan
-            start = rng.randrange(max(1, n_keys - scan_len))
-            req = DbRequest(op=Opcode.SCAN, table_id=0, ts=1, txn_id=i,
-                            key_value=start, on_complete=on_complete)
-            req.scan_count = scan_len
-            req.scan_limit = scan_len + 8
-            req.scan_out_addr = dram.heap.alloc(scan_len + 8)
-        pipes[i % n_workers].submit(req)
-
-    drive_closed_loop(engine, n_ops, total_in_flight, submit_one)
-    return n_ops / (engine.now * 1e-9)
+           "scanner_count_sweep"]
 
 
 def run_fig11a(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
@@ -79,7 +38,7 @@ def run_fig11a(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
     report.xs = list(axis)
     series = report.new_series("Insert")
     for n in axis:
-        series.add(skiplist_kv_throughput("insert", n, n_ops))
+        series.add(index_kv_throughput("skiplist", "insert", n, n_ops))
     return report
 
 
@@ -96,7 +55,7 @@ def run_fig11b(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
     report.xs = list(axis)
     series = report.new_series("Point query")
     for n in axis:
-        series.add(skiplist_kv_throughput("search", n, n_ops))
+        series.add(index_kv_throughput("skiplist", "search", n, n_ops))
     return report
 
 
@@ -113,7 +72,7 @@ def run_fig11c(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
     report.xs = list(axis)
     series = report.new_series("Scan(50)")
     for n in axis:
-        series.add(skiplist_kv_throughput("scan", n, n_ops))
+        series.add(index_kv_throughput("skiplist", "scan", n, n_ops))
     return report
 
 
@@ -161,5 +120,6 @@ def scanner_count_sweep(counts: Sequence[int] = (1, 2, 3, 5, 8),
     report.xs = list(counts)
     series = report.new_series("Scan(50)")
     for n in counts:
-        series.add(skiplist_kv_throughput("scan", 24, n_ops, n_scanners=n))
+        series.add(index_kv_throughput("skiplist", "scan", 24, n_ops,
+                                       n_scanners=n))
     return report

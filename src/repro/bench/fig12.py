@@ -13,28 +13,18 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import BionicConfig, BionicDB
+from ..core import BionicConfig
 from ..softcore import SoftcoreConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .report import FigureReport
+from .report import FigureReport, machine_tput
 
-__all__ = ["run_fig12a", "run_fig12b", "ycsb_footprint_tput"]
+__all__ = ["run_fig12a", "run_fig12b"]
 
 DEFAULT_FOOTPRINTS = (1, 4, 8, 16, 32, 64)
 
 
-def ycsb_footprint_tput(n_accesses: int, interleaving: bool,
-                        n_txns: int = 200,
-                        records_per_partition: int = 5000) -> float:
-    cfg = YcsbConfig(records_per_partition=records_per_partition,
-                     reads_per_txn=n_accesses)
-    db = BionicDB(BionicConfig(
-        softcore=SoftcoreConfig(interleaving=interleaving)))
-    workload = YcsbWorkload(cfg)
-    workload.install(db, procedures={n_accesses})
-    report, _ = workload.submit_all(
-        db, workload.make_read_txns(n_txns, reads_per_txn=n_accesses))
-    return report.throughput_tps
+def _mode(interleaving: bool) -> BionicConfig:
+    return BionicConfig(softcore=SoftcoreConfig(interleaving=interleaving))
 
 
 def run_fig12a(footprints: Sequence[int] = DEFAULT_FOOTPRINTS,
@@ -50,21 +40,13 @@ def run_fig12a(footprints: Sequence[int] = DEFAULT_FOOTPRINTS,
     inter = report.new_series("Interleaving")
     serial = report.new_series("Serial")
     for n in footprints:
-        inter.add(ycsb_footprint_tput(n, True, n_txns))
-        serial.add(ycsb_footprint_tput(n, False, n_txns))
+        for series, interleaving in ((inter, True), (serial, False)):
+            series.add(machine_tput(
+                YcsbWorkload(YcsbConfig(records_per_partition=5000,
+                                        reads_per_txn=n)),
+                lambda w: w.make_read_txns(n_txns, reads_per_txn=n),
+                _mode(interleaving), procedures={n}))
     return report
-
-
-def tpcc_mode_tput(kind: str, interleaving: bool, n_txns: int = 200) -> float:
-    cfg = TpccConfig(items=2000, customers_per_district=100)
-    db = BionicDB(BionicConfig(
-        softcore=SoftcoreConfig(interleaving=interleaving)))
-    workload = TpccWorkload(cfg)
-    workload.install(db)
-    frac = 1.0 if kind == "neworder" else 0.0
-    specs = workload.make_mix(n_txns, neworder_fraction=frac)
-    report, _ = workload.submit_all(db, specs)
-    return report.throughput_tps
 
 
 def run_fig12b(n_txns: int = 200) -> FigureReport:
@@ -79,9 +61,14 @@ def run_fig12b(n_txns: int = 200) -> FigureReport:
     report.xs = ["NewOrder", "Payment"]
     inter = report.new_series("Interleaving")
     serial = report.new_series("Serial")
-    for kind in ("neworder", "payment"):
-        inter.add(tpcc_mode_tput(kind, True, n_txns))
-        serial.add(tpcc_mode_tput(kind, False, n_txns))
+    for neworder_fraction in (1.0, 0.0):
+        for series, interleaving in ((inter, True), (serial, False)):
+            series.add(machine_tput(
+                TpccWorkload(TpccConfig(items=2000,
+                                        customers_per_district=100)),
+                lambda w: w.make_mix(n_txns,
+                                     neworder_fraction=neworder_fraction),
+                _mode(interleaving)))
     report.note("the batch former closes a batch at the first transaction "
                 "whose key cells meet a written warehouse/district row, so "
                 "TPC-C batches are one or two transactions long — "

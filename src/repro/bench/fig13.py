@@ -8,22 +8,10 @@ is almost the same as the single-site (100% local) ideal.
 
 from __future__ import annotations
 
-from ..core import BionicConfig, BionicDB
 from ..workloads import YcsbConfig, YcsbWorkload
-from .report import FigureReport
+from .report import FigureReport, machine_tput
 
-__all__ = ["run_fig13", "multisite_tput"]
-
-
-def multisite_tput(remote_fraction: float, n_txns: int = 200,
-                   records_per_partition: int = 5000) -> float:
-    cfg = YcsbConfig(records_per_partition=records_per_partition,
-                     remote_fraction=remote_fraction)
-    db = BionicDB(BionicConfig())
-    workload = YcsbWorkload(cfg)
-    workload.install(db)
-    report, _ = workload.submit_all(db, workload.make_read_txns(n_txns))
-    return report.throughput_tps
+__all__ = ["run_fig13"]
 
 
 def run_fig13(n_txns: int = 200) -> FigureReport:
@@ -37,6 +25,9 @@ def run_fig13(n_txns: int = 200) -> FigureReport:
         })
     report.xs = ["Single-site", "Multisite (75% remote)"]
     series = report.new_series("YCSB-C")
-    series.add(multisite_tput(0.0, n_txns))
-    series.add(multisite_tput(0.75, n_txns))
+    for remote_fraction in (0.0, 0.75):
+        series.add(machine_tput(
+            YcsbWorkload(YcsbConfig(records_per_partition=5000,
+                                    remote_fraction=remote_fraction)),
+            lambda w: w.make_read_txns(n_txns)))
     return report

@@ -23,43 +23,15 @@ from typing import Sequence
 from ..baseline.bptree import BPlusTree
 from ..index.common import DbRequest
 from ..isa import Opcode
-from .report import FigureReport, bare_pipelines, drive_closed_loop
+from .report import (
+    DEFAULT_INFLIGHT_AXIS, FigureReport, bare_pipelines, drive_closed_loop,
+    index_kv_throughput,
+)
 
-__all__ = ["run_index3_point", "run_index3_scan", "index_kv_throughput",
-           "range_scan_sweep_point", "DEFAULT_INFLIGHT_AXIS",
+__all__ = ["run_index3_point", "run_index3_scan", "range_scan_sweep_point",
            "DEFAULT_SPAN_AXIS"]
 
-DEFAULT_INFLIGHT_AXIS = (1, 4, 8, 12, 16, 20, 24)
 DEFAULT_SPAN_AXIS = (10, 25, 50, 100, 200)
-
-
-def index_kv_throughput(kind: str, op: str, total_in_flight: int,
-                        n_ops: int = 600, n_workers: int = 4,
-                        n_keys: int = 4000, wave_size: int = None) -> float:
-    """Drive one index kind's pipelines directly (the §5.5 method)."""
-    shape = {"n_buckets": 1 << 13} if kind == "hash" else {}
-    if wave_size is not None:
-        shape["wave_size"] = wave_size
-    engine, _dram, pipes = bare_pipelines(kind, n_workers, total_in_flight,
-                                          **shape)
-    rng = random.Random(13)
-    if op != "insert":
-        for pipe in pipes:
-            pipe.bulk_load_many(range(n_keys), [("v",)] * n_keys)
-
-    def submit_one(i, on_complete):
-        if op == "insert":
-            req = DbRequest(op=Opcode.INSERT, table_id=0, ts=1, txn_id=i,
-                            key_value=n_keys + i, on_complete=on_complete)
-            req.insert_payload = ["v"]
-        else:
-            req = DbRequest(op=Opcode.SEARCH, table_id=0, ts=1, txn_id=i,
-                            key_value=rng.randrange(n_keys),
-                            on_complete=on_complete)
-        pipes[i % n_workers].submit(req)
-
-    drive_closed_loop(engine, n_ops, total_in_flight, submit_one)
-    return n_ops / (engine.now * 1e-9)
 
 
 def run_index3_point(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
@@ -75,14 +47,14 @@ def run_index3_point(axis: Sequence[int] = DEFAULT_INFLIGHT_AXIS,
             "wave off": "wave_size=1 pays one root fetch per probe",
         })
     report.xs = list(axis)
-    for label, kind, wave in (("Hash", "hash", None),
-                              ("Skiplist", "skiplist", None),
-                              ("B+ tree", "bptree", None),
-                              ("B+ tree (wave=1)", "bptree", 1)):
+    for label, kind, shape in (("Hash", "hash", {"n_buckets": 1 << 13}),
+                               ("Skiplist", "skiplist", {}),
+                               ("B+ tree", "bptree", {}),
+                               ("B+ tree (wave=1)", "bptree",
+                                {"wave_size": 1})):
         series = report.new_series(label)
         for n in axis:
-            series.add(index_kv_throughput(kind, "search", n, n_ops,
-                                           wave_size=wave))
+            series.add(index_kv_throughput(kind, "search", n, n_ops, **shape))
     return report
 
 

@@ -27,7 +27,7 @@ from ..frontend import (
     AdmissionConfig, FrontEnd, FrontendConfig, SchedulerConfig, SessionConfig,
 )
 from ..workloads import YcsbConfig, YcsbWorkload
-from .report import FigureReport
+from .report import FigureReport, machine_tput
 
 __all__ = ["measure_latency_load", "run_latency_load"]
 
@@ -37,13 +37,6 @@ def _fresh():
     workload = YcsbWorkload(YcsbConfig(records_per_partition=2000))
     workload.install(db)
     return db, workload
-
-
-def _saturated_tps(n_txns: int) -> float:
-    """Peak throughput from a closed-loop burst (paper methodology)."""
-    db, workload = _fresh()
-    sat_report, _ = workload.submit_all(db, workload.make_read_txns(n_txns))
-    return sat_report.throughput_tps
 
 
 def _frontend_config(admission: bool, saturated: float) -> FrontendConfig:
@@ -92,7 +85,10 @@ def measure_latency_load(loads: Sequence[float] = (0.25, 0.5, 0.75,
     Returns ``{"saturated_tps": ..., "on": [row...], "off": [row...]}``
     where each row is the dict produced by one open-loop run.
     """
-    saturated = _saturated_tps(min(n_txns, 400))
+    # peak throughput from a closed-loop burst (paper methodology)
+    saturated = machine_tput(
+        YcsbWorkload(YcsbConfig(records_per_partition=2000)),
+        lambda w: w.make_read_txns(min(n_txns, 400)))
     rows_on: List[Dict[str, float]] = []
     rows_off: List[Dict[str, float]] = []
     for load in loads:

@@ -4,20 +4,33 @@ Every experiment returns a :class:`FigureReport` with one or more
 series; printing it emits the same rows/axes the paper's figure or
 table reports, alongside the paper's approximate values where the text
 states them, so EXPERIMENTS.md can be regenerated from bench output.
+
+The paper measures at two layers (§5), and each has one point runner
+here: :func:`index_kv_throughput` drives bare index pipelines under a
+client-side in-flight cap (Figs 10a, 11a–c), :func:`machine_tput` runs
+a YCSB or TPC-C stream on a whole machine (Figs 9, 10b–d, 12, 13).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core import BionicConfig, BionicDB
 from ..index.bptree.pipeline import BPTreePipeline
+from ..index.common import DbRequest
 from ..index.hash.pipeline import HashIndexPipeline
 from ..index.skiplist.pipeline import SkiplistPipeline
+from ..isa import Opcode
 from ..sim import FPGA_MHZ, ClockDomain, DramModel, Engine, Event, Heap
 
 __all__ = ["Series", "FigureReport", "format_quantity", "drive_closed_loop",
-           "bare_dram", "bare_pipelines"]
+           "bare_dram", "bare_pipelines", "index_kv_throughput",
+           "machine_tput", "DEFAULT_INFLIGHT_AXIS"]
+
+#: the client-side in-flight caps the index figures (10a, 11a-c) sweep
+DEFAULT_INFLIGHT_AXIS = (1, 4, 8, 12, 16, 20, 24)
 
 
 def bare_dram() -> Tuple[Engine, ClockDomain, DramModel]:
@@ -82,6 +95,73 @@ def drive_closed_loop(engine: Engine, n_ops: int, total_in_flight: int,
     engine.run()
     assert len(done) == n_ops
     return done
+
+
+def index_kv_throughput(kind: str, op: str, total_in_flight: int, n_ops: int,
+                        n_workers: int = 4, n_keys: int = 4000,
+                        seed: int = 13, key_cells: bool = False,
+                        scan_len: int = 50, **shape) -> float:
+    """Aggregate ops/sec of :func:`bare_pipelines` under the
+    :func:`drive_closed_loop` client (the §5.5 KV method), requests
+    round-robin over the pipelines; ``shape`` goes to each.
+
+    ``op`` is "insert" (keys ``n_keys``, ``n_keys + 1``, ... in order),
+    "search" or "scan" (``scan_len`` rows from a random start) over
+    ``n_keys`` preloaded rows.  Keys are drawn from ``Random(seed)`` at
+    issue, or, with ``key_cells``, all written to heap cells before the
+    run (the bulk transaction block) and fetched by the pipeline."""
+    engine, dram, pipes = bare_pipelines(kind, n_workers, total_in_flight,
+                                         **shape)
+    heap = dram.heap
+    rng = random.Random(seed)
+    if op != "insert":
+        for pipe in pipes:
+            pipe.bulk_load_many(range(n_keys), [("v",)] * n_keys)
+
+    def key(i):
+        if op == "insert":
+            return n_keys + i
+        return rng.randrange(n_keys if op == "search"
+                             else max(1, n_keys - scan_len))
+
+    cells = []
+    for i in range(n_ops if key_cells else 0):
+        cells.append(heap.alloc())
+        dram.direct_write(cells[-1],
+                          (key(i), ["v"]) if op == "insert" else key(i))
+
+    def submit_one(i, on_complete):
+        req = DbRequest(op=Opcode[op.upper()], table_id=0, ts=1, txn_id=i,
+                        on_complete=on_complete)
+        if key_cells:
+            req.key_addr = cells[i]
+        else:
+            req.key_value = key(i)
+            if op == "insert":
+                req.insert_payload = ["v"]
+        if op == "scan":
+            req.scan_count = scan_len
+            req.scan_limit = scan_len + 8
+            req.scan_out_addr = heap.alloc(scan_len + 8)
+        pipes[i % n_workers].submit(req)
+
+    drive_closed_loop(engine, n_ops, total_in_flight, submit_one)
+    return n_ops / (engine.now * 1e-9)
+
+
+def machine_tput(workload, make_specs: Callable,
+                 config: Optional[BionicConfig] = None,
+                 in_flight: Optional[int] = None, **install) -> float:
+    """Throughput of one stream on a whole machine: ``workload`` is
+    installed on a new ``BionicDB(config)`` (``install`` goes to its
+    ``install``), the total in-flight budget set when ``in_flight`` is
+    given, and ``make_specs(workload)`` submitted at once and run dry."""
+    db = BionicDB(config)
+    workload.install(db, **install)
+    if in_flight is not None:
+        db.set_total_in_flight(in_flight)
+    report, _ = workload.submit_all(db, make_specs(workload))
+    return report.throughput_tps
 
 
 def format_quantity(value: float, unit: str) -> str:

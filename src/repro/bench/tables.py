@@ -8,7 +8,7 @@ from ..comm.channels import Crossbar, RequestPacket, ResponsePacket
 from ..comm.software_mp import software_mp_table
 from ..core import BionicConfig, BionicDB
 from ..sim import FPGA_MHZ, ClockDomain, Engine
-from ..sim.power import CpuPowerModel, FpgaPowerModel
+from ..sim.power import CpuPowerModel
 from .report import FigureReport
 
 __all__ = ["run_table3", "run_table4", "run_power",
