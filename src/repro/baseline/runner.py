@@ -10,7 +10,7 @@ bodies also reproduce its final rows (``tests/oracle.py``).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..workloads.tpcc import schema as T
 from ..workloads.tpcc.schema import TpccConfig
@@ -144,7 +144,6 @@ class SiloTpcc:
         tables = self.tables
 
         def body(txn: SiloTxn) -> None:
-            from .silo import SiloAbort
             wrow = txn.read(tables[T.WAREHOUSE], T.warehouse_key(w),
                             copy_payload=False)
             txn.write(tables[T.WAREHOUSE], T.warehouse_key(w),

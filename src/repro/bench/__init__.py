@@ -36,7 +36,7 @@ __all__ += [
 ]
 
 from .fig_index3 import run_index3_point, run_index3_scan  # noqa: E402
-from .report import index_kv_throughput, machine_tput  # noqa: E402
+from .report import index_kv_throughput, machine_tput, silo_tput  # noqa: E402
 
-__all__ += ["index_kv_throughput", "machine_tput", "run_index3_point",
-            "run_index3_scan"]
+__all__ += ["index_kv_throughput", "machine_tput", "silo_tput",
+            "run_index3_point", "run_index3_scan"]

@@ -15,20 +15,9 @@ from typing import Sequence
 from ..baseline import SiloTpcc, SiloYcsb
 from ..core import BionicConfig
 from ..workloads import TpccConfig, TpccWorkload, YcsbConfig, YcsbWorkload
-from .report import FigureReport, machine_tput
+from .report import FigureReport, machine_tput, silo_tput
 
-__all__ = ["run_fig9a", "run_fig9b", "silo_ycsb_tput", "silo_tpcc_tput"]
-
-
-def silo_ycsb_tput(n_cores: int, n_txns: int = 240,
-                   records_per_partition: int = 5000,
-                   n_partitions: int = 4) -> float:
-    cfg = YcsbConfig(records_per_partition=records_per_partition,
-                     n_partitions=n_partitions)
-    workload = YcsbWorkload(cfg)
-    silo = SiloYcsb(cfg, n_cores=n_cores)
-    silo.install()
-    return silo.run(workload.make_read_txns(n_txns)).throughput_tps
+__all__ = ["run_fig9a", "run_fig9b"]
 
 
 def run_fig9a(bionic_workers: Sequence[int] = (1, 2, 4),
@@ -52,21 +41,12 @@ def run_fig9a(bionic_workers: Sequence[int] = (1, 2, 4),
                                     n_partitions=x)),
             lambda w: w.make_read_txns(n_txns), BionicConfig(n_workers=x))
             if x in bionic_workers else float("nan"))
-        silo.add(silo_ycsb_tput(x, n_txns) if x in silo_cores
-                 else float("nan"))
+        # one table of 4 x 5 000 rows, however many cores run on it
+        ycsb = YcsbConfig(records_per_partition=5000, n_partitions=4)
+        silo.add(silo_tput(SiloYcsb(ycsb, n_cores=x),
+                           YcsbWorkload(ycsb).make_read_txns(n_txns))
+                 if x in silo_cores else float("nan"))
     return report
-
-
-def silo_tpcc_tput(n_cores: int, n_txns: int = 240, items: int = 2000,
-                   customers_per_district: int = 100) -> float:
-    # Silo is shared-everything: warehouses scale with threads as in
-    # standard TPC-C setups.
-    cfg = TpccConfig(n_partitions=max(1, n_cores), items=items,
-                     customers_per_district=customers_per_district)
-    workload = TpccWorkload(cfg)
-    silo = SiloTpcc(cfg, n_cores=n_cores)
-    silo.install()
-    return silo.run(workload.make_mix(n_txns)).throughput_tps
 
 
 def run_fig9b(bionic_workers: Sequence[int] = (1, 2, 4),
@@ -91,6 +71,11 @@ def run_fig9b(bionic_workers: Sequence[int] = (1, 2, 4),
                                     customers_per_district=100)),
             lambda w: w.make_mix(n_txns), BionicConfig(n_workers=x))
             if x in bionic_workers else float("nan"))
-        silo.add(silo_tpcc_tput(x, n_txns) if x in silo_cores
-                 else float("nan"))
+        # Silo is shared-everything: warehouses scale with threads as in
+        # standard TPC-C setups
+        tpcc = TpccConfig(n_partitions=max(1, x), items=2000,
+                          customers_per_district=100)
+        silo.add(silo_tput(SiloTpcc(tpcc, n_cores=x),
+                           TpccWorkload(tpcc).make_mix(n_txns))
+                 if x in silo_cores else float("nan"))
     return report

@@ -19,7 +19,9 @@ from ..baseline import IndexStructure, SiloYcsb
 from ..core import BionicConfig, BionicDB
 from ..mem import IndexKind
 from ..workloads import YcsbConfig, YcsbWorkload
-from .report import DEFAULT_INFLIGHT_AXIS, FigureReport, index_kv_throughput
+from .report import (
+    DEFAULT_INFLIGHT_AXIS, FigureReport, index_kv_throughput, silo_tput,
+)
 
 __all__ = ["run_fig11a", "run_fig11b", "run_fig11c", "run_fig11d",
            "scanner_count_sweep"]
@@ -93,16 +95,12 @@ def run_fig11d(n_txns: int = 160) -> FigureReport:
     workload.install(db)
     bionic_report, _ = workload.submit_all(db, specs)
 
-    def silo_scan(structure: str) -> float:
-        runner = SiloYcsb(cfg, n_cores=4, structure=structure)
-        runner.install()
-        return runner.run(specs).throughput_tps
-
     report.xs = ["BionicDB", "Masstree", "SW skiplist"]
     series = report.new_series("Scan(50)")
     series.add(bionic_report.throughput_tps)
-    series.add(silo_scan(IndexStructure.MASSTREE))
-    series.add(silo_scan(IndexStructure.SKIPLIST))
+    for structure in (IndexStructure.MASSTREE, IndexStructure.SKIPLIST):
+        series.add(silo_tput(SiloYcsb(cfg, n_cores=4, structure=structure),
+                             specs))
     return report
 
 

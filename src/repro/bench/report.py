@@ -8,7 +8,8 @@ states them, so EXPERIMENTS.md can be regenerated from bench output.
 The paper measures at two layers (§5), and each has one point runner
 here: :func:`index_kv_throughput` drives bare index pipelines under a
 client-side in-flight cap (Figs 10a, 11a–c), :func:`machine_tput` runs
-a YCSB or TPC-C stream on a whole machine (Figs 9, 10b–d, 12, 13).
+a YCSB or TPC-C stream on a whole machine (Figs 9, 10b–d, 12, 13).  The
+Silo baseline it is compared with has one too, :func:`silo_tput`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..sim import FPGA_MHZ, ClockDomain, DramModel, Engine, Event, Heap
 
 __all__ = ["Series", "FigureReport", "format_quantity", "drive_closed_loop",
            "bare_dram", "bare_pipelines", "index_kv_throughput",
-           "machine_tput", "DEFAULT_INFLIGHT_AXIS"]
+           "machine_tput", "silo_tput", "DEFAULT_INFLIGHT_AXIS"]
 
 #: the client-side in-flight caps the index figures (10a, 11a-c) sweep
 DEFAULT_INFLIGHT_AXIS = (1, 4, 8, 12, 16, 20, 24)
@@ -162,6 +163,13 @@ def machine_tput(workload, make_specs: Callable,
         db.set_total_in_flight(in_flight)
     report, _ = workload.submit_all(db, make_specs(workload))
     return report.throughput_tps
+
+
+def silo_tput(runner, specs) -> float:
+    """Throughput of one stream on the Silo baseline: ``runner`` (a
+    ``SiloYcsb`` or ``SiloTpcc``) is installed and runs ``specs``."""
+    runner.install()
+    return runner.run(specs).throughput_tps
 
 
 def format_quantity(value: float, unit: str) -> str:

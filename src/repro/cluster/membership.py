@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from .interconnect import NodeLinks

@@ -38,7 +38,7 @@ recorded as a :class:`~repro.errors.MigrationError` on the record
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import MigrationError

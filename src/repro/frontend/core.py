@@ -30,7 +30,7 @@ rather than letting the loss masquerade as a quiet run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import FrontendError, StuckTransactionError
 from ..mem.txnblock import TxnStatus

@@ -36,7 +36,7 @@ import struct
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from ..errors import CorruptionError, FaultError
 

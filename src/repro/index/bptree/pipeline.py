@@ -17,7 +17,9 @@ structure (insert with split-upward, a purge of committed tombstones
 before a split); a probe that raced a split moves right along the leaf
 chain.  Range scans descend by their low key, then walk the leaf chain.
 REMOVE only plants a tombstone, as an aborted REMOVE must be able to
-resurrect the record.
+resurrect the record.  Point reads and scans read a leaf entry's record
+cell as stored: a cold row is granted and scanned from its batch's
+columns and stays cold (see :class:`~repro.sim.memory.ColdRows`).
 
 Stages are :class:`~repro.index.common.PipelineBase`'s, scheduled per
 wave *level*: a level issues all its distinct node fetches at once, and
@@ -357,8 +359,9 @@ class BPTreePipeline(PipelineBase):
             # SEARCH / UPDATE / REMOVE against the leaf entry's record
             i = bisect_left(leaf.keys, req.key)
             if i < len(leaf.keys) and leaf.keys[i] == req.key:
-                self.read_port.read_cb(leaf.children[i], self._record_landed,
-                                       (wave, leaf.children[i]))
+                self.read_port.read_raw_cb(leaf.children[i],
+                                           self._record_landed,
+                                           (wave, leaf.children[i]))
             else:
                 self._finish_point(req, NULL_ADDR, None)
                 self._served(wave)
@@ -429,7 +432,7 @@ class BPTreePipeline(PipelineBase):
             self._scan_end(scan)
         else:
             scan.addr = leaf.children[scan.i]
-            self.read_port.read_cb(scan.addr, self._row_landed_cb, scan)
+            self.read_port.read_raw_cb(scan.addr, self._row_landed_cb, scan)
 
     def _leaf_landed(self, landed: tuple) -> None:
         scan, leaf = landed
@@ -578,7 +581,7 @@ class BPTreePipeline(PipelineBase):
         descent, and allocations and splits follow per-row order, so the
         heap image does not depend on the batching."""
         heap = self.dram.heap
-        batch = ColdRows(TupleRecord.from_bptree_batch, NULL_ADDR, ts)
+        batch = ColdRows(TupleRecord.from_batch, NULL_ADDR, ts)
         batch.keys = key_column(keys)
         ranks = batch.ranks = array("I")
         add_fields = batch.fields.append

@@ -14,7 +14,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..isa.instructions import Opcode
 from ..sim.clock import ClockDomain
 from ..sim.engine import Engine
-from ..sim.memory import DramModel, MemoryPort
+from ..sim.memory import ColdRows, DramModel, MemoryPort
 from ..sim.stats import StatsRegistry
 from ..sim.sync import TokenPool
 from ..sim.trace import NULL_TRACER
@@ -338,7 +338,15 @@ class PipelineBase:
     def _finish_point(self, req: DbRequest, addr: int, record: Any) -> None:
         """Complete a SEARCH / UPDATE / REMOVE on the record the index
         found for its key (``None``: no record): the visibility check,
-        the masked line write it grants, and the result."""
+        the masked line write it grants, and the result.  A cold row
+        (``record`` is its batch) is never dirty nor a tombstone: a
+        SEARCH is granted on its columns, an UPDATE or REMOVE builds its
+        record."""
+        if record.__class__ is ColdRows:
+            if req.op is Opcode.SEARCH:
+                self._grant_cold_read(req, addr, record)
+                return
+            record = self.dram.heap.load(addr)
         if record is None or (record.tombstone and not record.dirty):
             # no record, or a committed delete
             self._done(req, DbResult(ResultCode.NOT_FOUND))
@@ -354,25 +362,58 @@ class PipelineBase:
                                      and record.fields) else None
         self._done(req, DbResult(code, tuple_addr=addr, value=value))
 
+    def _grant_cold_read(self, req: DbRequest, addr: int,
+                         rows: ColdRows) -> None:
+        """:meth:`_finish_point` of a SEARCH on the cold row of ``rows``
+        at ``addr``: ``check_read`` on its columns.  A grant raises the
+        row's read time in the batch's ``read_ts`` column; its line
+        write-back stores nothing, so the cell stays cold."""
+        if rows.ts > req.ts:
+            self._done(req, DbResult(ResultCode.CC_REJECT, tuple_addr=addr))
+            return
+        i = rows.row(addr)
+        rows.raise_read(i, req.ts)
+        self.write_port.post_write_back(addr)
+        fields = rows.fields[i]
+        self._done(req, DbResult(ResultCode.OK, tuple_addr=addr,
+                                 value=fields[0] if fields else None))
+
     def _emit(self, scan: Scan) -> bool:
         """The row ``scan.row`` at ``scan.addr``: a visible one is copied
         into the scan buffer and has its read timestamp raised.  False
-        when the buffer is full (the scan ends with SCAN_OVERFLOW)."""
-        req, record = scan.req, scan.row
+        when the buffer is full (the scan ends with SCAN_OVERFLOW).
+
+        A row that was cold when its read landed is read again (untimed)
+        first, so a record built since is seen as it is now; a row still
+        cold is emitted from its batch's columns and stays cold."""
+        req, row = scan.req, scan.row
+        if row.__class__ is ColdRows:
+            row = scan.row = self.dram.heap.load_raw(scan.addr)
+        cold = row.__class__ is ColdRows
         # TupleRecord.visible_at, inlined for towers and records alike:
         # one test per scanned row
-        if (record is None or record.dirty or record.tombstone
-                or record.write_ts > req.ts):
+        if cold:
+            if row.ts > req.ts:
+                return True
+            i = row.row(scan.addr)
+            key, fields = row.keys[i], row.fields[i]
+        elif (row is None or row.dirty or row.tombstone
+                or row.write_ts > req.ts):
             return True
+        else:
+            key, fields = row.key, row.fields
         if req.scan_limit and scan.n >= req.scan_limit:
             scan.code = ResultCode.SCAN_OVERFLOW
             return False
         if req.scan_out_addr:
             self.write_port.post_write(req.scan_out_addr + scan.n,
-                                       (record.key, list(record.fields)))
-        if req.ts > record.read_ts:
-            record.read_ts = req.ts
-            self.write_port.post_write(scan.addr, record)
+                                       (key, list(fields)))
+        if cold:
+            if row.raise_read(i, req.ts):
+                self.write_port.post_write_back(scan.addr)
+        elif req.ts > row.read_ts:
+            row.read_ts = req.ts
+            self.write_port.post_write(scan.addr, row)
         scan.n += 1
         return True
 

@@ -106,7 +106,7 @@ def _lay_out_replicas(pipes, column, rows: List[tuple], ts: int,
             if n_buckets not in offsets:
                 offsets[n_buckets] = array(
                     "q", _bucket_offsets(column, n_buckets))
-            cold = ColdRows(TupleRecord.from_hash_batch, base + w, ts, stride)
+            cold = ColdRows(TupleRecord.from_batch, base + w, ts, stride)
             cold.keys, cold.fields = column, rows
             pipe._link(cold, table, offsets[n_buckets])
 
@@ -117,7 +117,7 @@ def _next_of(addr: int, cell: Any) -> int:
     if cell is None:
         return NULL_ADDR
     if cell.__class__ is ColdRows:
-        return cell.nexts[(addr - cell.base) // cell.stride]
+        return cell.nexts[cell.row(addr)]
     return cell.next_addr
 
 
@@ -287,42 +287,15 @@ class HashIndexPipeline(PipelineBase):
     # -- terminal behaviour ---------------------------------------------------
     def _finish_at(self, req: DbRequest, addr: int, cell: Any) -> bool:
         """Finish ``req`` on the row in ``cell`` at ``addr`` if it holds
-        ``req``'s key; False to follow the chain.  A cold row is never
-        dirty nor a tombstone: a SEARCH is granted on its columns, an
-        UPDATE or REMOVE builds its record."""
-        if cell.__class__ is not ColdRows:
-            if not self._matches(req, cell):
+        ``req``'s key; False to follow the chain.  A cold row is matched
+        on its batch's key column and finished from the batch."""
+        if cell.__class__ is ColdRows:
+            if not cell.keys[cell.row(addr)] == req.key:
                 return False
-            self._finish_point(req, addr, cell)
-        else:
-            i = (addr - cell.base) // cell.stride
-            if not cell.keys[i] == req.key:
-                return False
-            if req.op is Opcode.SEARCH:
-                self._grant_cold_read(req, addr, cell, i)
-            else:
-                self._finish_point(req, addr, self.dram.heap.load(addr))
+        elif not self._matches(req, cell):
+            return False
+        self._finish_point(req, addr, cell)
         return True
-
-    def _grant_cold_read(self, req: DbRequest, addr: int, rows: ColdRows,
-                         i: int) -> None:
-        """:meth:`_finish_point` of a SEARCH on cold row ``i`` of
-        ``rows``: ``check_read`` on its columns.  A grant raises the
-        row's read time in the batch's ``read_ts`` column; its line
-        write-back stores nothing, so the cell stays cold."""
-        ts = req.ts
-        if rows.ts > ts:
-            self._done(req, DbResult(ResultCode.CC_REJECT, tuple_addr=addr))
-            return
-        read_ts = rows.read_ts
-        if read_ts is None:
-            read_ts = rows.read_ts = array("Q", [rows.ts]) * len(rows)
-        if ts > read_ts[i]:
-            read_ts[i] = ts
-        self.write_port.post_write_back(addr)
-        fields = rows.fields[i]
-        self._done(req, DbResult(ResultCode.OK, tuple_addr=addr,
-                                 value=fields[0] if fields else None))
 
     @staticmethod
     def _matches(req: DbRequest, record: Optional[TupleRecord]) -> bool:
@@ -356,7 +329,7 @@ class HashIndexPipeline(PipelineBase):
         n_rows = len(keys)
         if not n_rows:
             return 0, NULL_ADDR
-        cold = ColdRows(TupleRecord.from_hash_batch,
+        cold = ColdRows(TupleRecord.from_batch,
                         self.dram.heap.alloc(n_rows), ts)
         try:
             # a snapshot per row; a tuple offered for many rows is kept once

@@ -18,6 +18,11 @@ instruction across its stalls: a hop (a look at the successor on the
 current level) is one body plus one DRAM completion.  A stage takes an
 instruction in a same-instant arrival body, as the process pipeline it
 replaced woke on its queue, so every same-instant DRAM tie stays put.
+
+Walks, point reads and scans read each tower's cell as stored: a cold
+row is compared, followed and granted from its run's columns and stays
+cold (see :class:`~repro.sim.memory.ColdRows`).  Only a write builds
+a tower: an UPDATE or REMOVE the one it writes, a splice those it links.
 """
 
 from __future__ import annotations
@@ -38,6 +43,21 @@ __all__ = ["SkiplistPipeline", "compute_level_ranges"]
 
 #: seed of the tower-height draws (one stream per pipeline)
 _HEIGHT_SEED = 0xB10
+
+
+def _key_of(addr: int, cell: Any) -> Any:
+    """The key of the tower in ``cell`` at ``addr``, cold or built."""
+    if cell.__class__ is ColdRows:
+        return cell.keys[addr - cell.base]
+    return cell.key
+
+
+def _next_of(addr: int, cell: Any, level: int) -> int:
+    """The level-``level`` successor of the tower in ``cell`` at
+    ``addr``, cold or built."""
+    if cell.__class__ is ColdRows:
+        return cell.next_at(addr - cell.base, level)
+    return cell.nexts[level] if level < cell.height else NULL_ADDR
 
 
 def compute_level_ranges(max_height: int, n_stages: int) -> List[Tuple[int, int]]:
@@ -170,21 +190,29 @@ class SkiplistPipeline(PipelineBase):
     def _hop(self, req: DbRequest) -> None:
         """Look at the current tower's successor on the current level; a
         traversal probes the lock table only while something is locked."""
-        cur, level = req._cur, req._level
-        next_addr = cur.nexts[level] if level < cur.height else NULL_ADDR
+        level = req._level
+        next_addr = self._succ(req, level)
         if not next_addr:
             self._level_end(req)
         elif not req._locking or not self.locks._held or self.locks.wait_clear(
                 (next_addr, level), self._read_next, (req, next_addr)):
-            self.read_port.read_cb(next_addr, self._next_landed_cb,
-                                   (req, next_addr))
+            self.read_port.read_raw_cb(next_addr, self._next_landed_cb,
+                                       (req, next_addr))
+
+    def _succ(self, req: DbRequest, level: int) -> int:
+        """The level-``level`` successor of the request's tower.  One
+        that was cold when its read landed is read again (untimed), so
+        a tower linked since is seen as it is now."""
+        if req._cur.__class__ is ColdRows:
+            req._cur = self.dram.heap.load_raw(req._cur_addr)
+        return _next_of(req._cur_addr, req._cur, level)
 
     def _read_next(self, hop: tuple) -> None:
-        self.read_port.read_cb(hop[1], self._next_landed_cb, hop)
+        self.read_port.read_raw_cb(hop[1], self._next_landed_cb, hop)
 
     def _next_landed(self, landed: tuple) -> None:
         (req, addr), nxt = landed
-        if nxt is not None and nxt.key < req.key:
+        if nxt is not None and _key_of(addr, nxt) < req.key:
             req._cur_addr, req._cur = addr, nxt
             self._sched(self.engine.now + self._hop_ns, self._hop_cb, req)
         else:
@@ -224,34 +252,39 @@ class SkiplistPipeline(PipelineBase):
 
     # -- bottom-stage terminal handling ---------------------------------------
     def _terminal(self, req: DbRequest) -> None:
-        pred = req._cur
         if req.op in (Opcode.SCAN, Opcode.RANGE_SCAN):
             # hand off to a scanner: first tower with key >= start key
             scan = Scan(req, next(self._scan_rr))
-            scan.addr = pred.nexts[0]
+            scan.addr = self._succ(req, 0)
             self._put(scan.owner, scan)
             self._next(self._bottom)
         elif req.op is Opcode.INSERT:
-            self.engine.follow((self._install(req, req._cur_addr, pred),
-                                self._next, self._bottom))
+            # the splice builds the predecessor it links
+            self.engine.follow((
+                self._install(req, req._cur_addr,
+                              self.dram.heap.load(req._cur_addr)),
+                self._next, self._bottom))
         else:
             # point SEARCH / UPDATE / REMOVE: walk level 0 to the key
-            self._walk(req, pred.nexts[0])
+            self._walk(req, self._succ(req, 0))
 
     def _walk(self, req: DbRequest, addr: int) -> None:
         if addr:
-            self.read_port.read_cb(addr, self._walk_landed, (req, addr))
+            self.read_port.read_raw_cb(addr, self._walk_landed, (req, addr))
         else:
             self._finish_point(req, NULL_ADDR, None)
             self._next(self._bottom)
 
     def _walk_landed(self, landed: tuple) -> None:
         (req, addr), tower = landed
-        if tower is not None and tower.key < req.key:
-            self._walk(req, tower.nexts[0])
-            return
-        self._finish_point(req, addr, tower if tower is not None
-                           and tower.key == req.key else None)
+        if tower is not None:
+            key = _key_of(addr, tower)
+            if key < req.key:
+                self._walk(req, _next_of(addr, tower, 0))
+                return
+            if not key == req.key:
+                tower = None
+        self._finish_point(req, addr, tower)
         self._next(self._bottom)
 
     def _install(self, req: DbRequest, pred_addr: int, pred: Tower):
@@ -310,14 +343,15 @@ class SkiplistPipeline(PipelineBase):
     def _scan_read(self, scan: Scan) -> None:
         """A scanner reads the next tower, or ends the scan."""
         if scan.addr and scan.n < scan.req.scan_count:
-            self.read_port.read_cb(scan.addr, self._scan_landed_cb, scan)
+            self.read_port.read_raw_cb(scan.addr, self._scan_landed_cb, scan)
         else:
             self._scan_end(scan)
 
     def _scan_landed(self, landed: tuple) -> None:
         scan, tower = landed
         hi = scan.req.scan_hi
-        if tower is None or (hi is not None and tower.key > hi):
+        if tower is None or (hi is not None
+                             and _key_of(scan.addr, tower) > hi):
             self._scan_end(scan)    # the end, or RANGE_SCAN past its key
         else:
             scan.row = tower
@@ -326,7 +360,7 @@ class SkiplistPipeline(PipelineBase):
 
     def _scan_emit(self, scan: Scan) -> None:
         if self._emit(scan):
-            scan.addr = scan.row.nexts[0]
+            scan.addr = _next_of(scan.addr, scan.row, 0)
             self._scan_read(scan)
         else:
             self._scan_end(scan)
@@ -399,7 +433,7 @@ class SkiplistPipeline(PipelineBase):
 
     def _splice_run(self, run: ColdRows, keys, finger: List[Tower]) -> int:
         """Place a run in one ``heap.alloc`` and link it after ``finger``
-        (the rest :meth:`Tower.from_run` finds from the height column);
+        (the rest :meth:`ColdRows.next_at` finds from the height column);
         returns the address of its last row."""
         heap = self.dram.heap
         n = len(keys)

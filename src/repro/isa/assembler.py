@@ -28,7 +28,7 @@ Comments run from ``;`` to end of line.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional
 
 from .instructions import (
     BlockRef, Cp, FieldRef, Gp, Imm, Instruction, IsaError, Label, Opcode,

@@ -10,16 +10,14 @@ object for the cyclic collector to walk — than the record itself.  A
 bulk-loaded row is not even that until it is read: the loaders lay
 rows out as the columns of a :class:`~repro.sim.memory.ColdRows`, and
 the ``from_*`` constructors below are what the heap calls to build a
-row's record from them on first touch (for a hash row, the first touch
-that is not a chain walk or a granted SEARCH).
+row's record from them on first touch (the first that is not an index
+walk, a granted SEARCH or a scan, which read the columns).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Callable, List, Optional
+from typing import Any, List
 
 __all__ = ["TupleRecord", "Tower", "BPTreeNode", "NULL_ADDR"]
 
@@ -45,27 +43,18 @@ class TupleRecord:
         return not self.dirty and not self.tombstone and self.write_ts <= ts
 
     @classmethod
-    def from_hash_batch(cls, rows, addr: int) -> "TupleRecord":
-        """The record of ``addr`` in a cold hash batch: row
-        ``(addr - base) / stride``, chained to ``rows.nexts`` of that
-        row and read at ``rows.read_ts`` of it once a SEARCH granted on
-        the cold row raised that.  The heap calls this when an UPDATE or
-        REMOVE is granted on the row, or the host or the softcore reads
-        it; the hash pipeline's chain walk and SEARCH grant do not."""
-        i = (addr - rows.base) // rows.stride
-        ts = rows.ts
-        read_ts = rows.read_ts
-        return cls(rows.keys[i], list(rows.fields[i]), addr, rows.nexts[i],
-                   ts if read_ts is None else read_ts[i], ts)
-
-    @classmethod
-    def from_bptree_batch(cls, rows, addr: int) -> "TupleRecord":
-        """The record of ``addr`` in a cold B+ tree batch, whose rows sit
-        between split nodes: row ``rows.ranks[addr - base]``."""
-        i = rows.ranks[addr - rows.base]
-        ts = rows.ts
-        return cls(rows.keys[i], list(rows.fields[i]), addr, NULL_ADDR,
-                   ts, ts)
+    def from_batch(cls, rows, addr: int) -> "TupleRecord":
+        """The record of ``addr`` in a cold hash or B+ tree batch: row
+        ``rows.row(addr)``, chained to that row of ``rows.nexts`` (a
+        hash batch's) and read at its ``rows.read_at``, which a read
+        granted on the cold row may have raised.  The heap calls this
+        when an UPDATE, REMOVE or INSERT is granted on the row, or the
+        host or the softcore reads it."""
+        i = rows.row(addr)
+        nexts = rows.nexts
+        return cls(rows.keys[i], list(rows.fields[i]), addr,
+                   NULL_ADDR if nexts is None else nexts[i], rows.read_at(i),
+                   rows.ts)
 
 
 @dataclass(slots=True)
@@ -97,29 +86,12 @@ class Tower:
     @classmethod
     def from_run(cls, rows, addr: int) -> "Tower":
         """The tower of ``addr`` in a cold skiplist run (row ``addr -
-        base``): its level-``l`` successor is the next row of the run
-        taller than ``l`` or, past the last one, ``rows.tails[l]``."""
-        base = rows.base
-        i = addr - base
-        heights = rows.heights
-        height = heights[i]
-        j = i + 1
-        if j == len(heights):
-            nexts = rows.tails[:height]
-        else:
-            # the next row is every tower's level-0 successor
-            nexts = [base + j]
-            for level in range(1, height):
-                if heights[j] <= level:
-                    taller = _next_taller(level)(heights, j)
-                    if taller is None:
-                        nexts += rows.tails[level:height]
-                        break
-                    j = taller.start()
-                nexts.append(base + j)
-        ts = rows.ts
-        return cls(rows.keys[i], list(rows.fields[i]), height, nexts, addr,
-                   ts, ts)
+        base``), linked as :meth:`ColdRows.next_at` follows it."""
+        i = addr - rows.base
+        height = rows.heights[i]
+        return cls(rows.keys[i], list(rows.fields[i]), height,
+                   [rows.next_at(i, level) for level in range(height)], addr,
+                   rows.read_at(i), rows.ts)
 
 
 @dataclass(slots=True)
@@ -146,14 +118,6 @@ class BPTreeNode:
                 raise ValueError("leaf needs one record address per key")
         elif self.children and len(self.children) != len(self.keys) + 1:
             raise ValueError("inner node needs len(keys)+1 children")
-
-
-@lru_cache(maxsize=256)    # one per level; heights are bytes
-def _next_taller(level: int) -> Callable:
-    """``search(heights, pos)`` for the first tower height above
-    ``level`` at or after ``pos``: a scan in C, because the successor of
-    a tall tower can be most of a 300 K-row run away."""
-    return re.compile(b"[" + re.escape(bytes([level + 1])) + b"-\xff]").search
 
 
 def head_tower(height: int) -> Tower:

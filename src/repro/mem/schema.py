@@ -11,7 +11,7 @@ partition and always routed locally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, KeysView, List, Optional
 from zlib import crc32
 

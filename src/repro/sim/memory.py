@@ -63,36 +63,38 @@ class ColdRows:
     snapshot, so a caller may reuse or mutate its list afterwards, and
     the very tuple when a tuple was offered, so a loader that offers one
     tuple for every row (YCSB's one payload) stores it once.  Every row
-    was loaded at ``ts``.  The other columns belong to one index kind:
+    was loaded at ``ts``.  The other columns belong to one index kind,
+    and so does the rule by which :meth:`row` finds the row of a cell:
 
-    * hash — row ``i`` at ``base + i * stride``; ``nexts``, its chain
+    * hash — row ``(addr - base) // stride``; ``nexts``, its chain
       pointer, an ``array('I')`` of words like a bucket array.  A
       replicated table's batches are strided: one per partition, all
       sharing one ``keys`` and one ``fields`` column, so that a row's
       replicas sit in consecutive cells;
-    * skiplist — one ascending run, row ``i`` at ``base + i``;
-      ``heights``, a ``bytearray`` of tower heights, and ``tails``, the
-      level-``l`` successor of the run's last row that reaches ``l``;
+    * skiplist — one ascending run, row ``addr - base``; ``heights``, a
+      ``bytearray`` of tower heights, and ``tails``, the level-``l``
+      successor of the run's last row that reaches ``l``.
+      :meth:`next_at` follows a row's tower from them;
     * B+ tree — the loader allocates row cells from ``base`` on, between
-      the nodes its splits add; ``ranks[addr - base]`` is the row at
-      ``addr`` (a node's entry is unused).
+      the nodes its splits add; row ``ranks[addr - base]`` (a node's
+      entry is unused).
 
     ``inflate(rows, addr)`` builds the record at ``addr`` from those
     columns: each kind hands in its constructor, because record layouts
     live in :mod:`repro.mem`, which imports this module.
 
-    A hash row is built when an UPDATE or REMOVE is granted on it, or
-    when the host or the softcore reads it.  The hash pipeline's chain
-    walk and its SEARCH grant read the cell through
-    :meth:`Heap.load_raw`, work from the columns and leave the row
-    cold: a granted read raises the row's entry of ``read_ts``, an
-    ``array('Q')`` of read times allocated (every entry ``ts``) at the
-    batch's first such grant; while it is ``None``, every row of the
-    batch was read at ``ts``.
+    A row is built when an UPDATE, REMOVE or INSERT is granted on it or
+    next to it, or when the host or the softcore reads it.  Every index
+    pipeline's walk, its SEARCH grant and its scans read a cell through
+    :meth:`Heap.load_raw`, work from the columns and leave the row cold:
+    a granted read raises the row's entry of ``read_ts``
+    (:meth:`raise_read`), an ``array('Q')`` of read times allocated
+    (every entry ``ts``) at the batch's first raise; while it is
+    ``None``, every row of the batch was read at ``ts``.
     """
 
     __slots__ = ("inflate", "base", "stride", "ts", "keys", "fields",
-                 "nexts", "heights", "tails", "ranks", "read_ts")
+                 "nexts", "heights", "tails", "ranks", "read_ts", "levels")
 
     def __init__(self, inflate: Callable, base: int, ts: int,
                  stride: int = 1):
@@ -104,9 +106,62 @@ class ColdRows:
         self.fields: List[tuple] = []
         self.nexts = self.heights = self.tails = self.ranks = None
         self.read_ts: Optional[array] = None
+        #: skiplist: ``levels[l]`` (``l >= 1``) lists the rows taller
+        #: than ``l`` in order, built at the first successor asked above
+        #: level 0
+        self.levels: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.fields)
+
+    def row(self, addr: int) -> int:
+        """The row of the batch held in the cell at ``addr``."""
+        if self.ranks is not None:
+            return self.ranks[addr - self.base]
+        return (addr - self.base) // self.stride
+
+    def read_at(self, i: int) -> int:
+        """Row ``i``'s read time."""
+        return self.ts if self.read_ts is None else self.read_ts[i]
+
+    def raise_read(self, i: int, ts: int) -> bool:
+        """Raise row ``i``'s read time to ``ts``; False when it already
+        was as late, and nothing changed."""
+        read_ts = self.read_ts
+        if read_ts is None:
+            if ts <= self.ts:
+                return False
+            read_ts = self.read_ts = array("Q", [self.ts]) * len(self)
+        elif ts <= read_ts[i]:
+            return False
+        read_ts[i] = ts
+        return True
+
+    def next_at(self, i: int, level: int) -> int:
+        """Skiplist: the level-``level`` successor of row ``i``'s tower,
+        the next row of the run taller than ``level`` or, past the last
+        one, ``tails[level]``.  (A tower linked to since is no longer
+        cold: the link built it.)"""
+        if level:
+            levels = self.levels
+            if levels is None:
+                # each level's rows, and their heights, filtered from the
+                # level below's in C
+                levels = self.levels = [None]
+                column, heights = range(len(self.heights)), self.heights
+                for taller in range(1, len(self.tails)):
+                    mask = heights.translate(
+                        bytes(h > taller for h in range(256)))
+                    column = array("I", compress(column, mask))
+                    heights = bytes(compress(heights, mask))
+                    levels.append(column)
+            column = levels[level]
+            k = bisect_right(column, i)
+            if k < len(column):
+                return self.base + column[k]
+        elif i + 1 < len(self.heights):
+            return self.base + i + 1
+        return self.tails[level]
 
 
 class Heap:
@@ -141,9 +196,9 @@ class Heap:
     An object cell may also be *cold*: one row of a :class:`ColdRows`
     batch whose record has not been built yet.  :meth:`load` builds it
     on first touch and keeps it, so a reader gets an ordinary record.
-    Only :meth:`load_raw` (the hash pipeline's chain walk) and
-    :meth:`raw_items` hand a cold cell out, as stored, and leave it
-    cold.  The counters ``rows_cold`` and ``rows_inflated``
+    Only :meth:`load_raw` (the index pipelines' walks, grants and
+    scans) and :meth:`raw_items` hand a cold cell out, as stored, and
+    leave it cold.  The counters ``rows_cold`` and ``rows_inflated``
     (``heap.rows_cold`` / ``heap.rows_inflated`` in the stats registry)
     count the rows placed and the rows built; since a cell is built
     once, the second never exceeds the first.
@@ -245,6 +300,10 @@ class Heap:
     def load_raw(self, addr: int) -> Any:
         """The cell at ``addr`` as stored, like :meth:`load` but a cold
         cell yields its :class:`ColdRows` batch and stays cold."""
+        i = addr - self._tail_start
+        if i >= 0:
+            cells = self._tail
+            return cells[i] if i < len(cells) else None
         cells, i = self._find(addr)
         if cells is None:
             return None
@@ -597,7 +656,10 @@ class MemoryPort:
     def _read_raw_done(self, req: tuple) -> None:
         _counter, _done, addr, fn, arg = req
         value = self.dram.heap.load_raw(addr)
-        self._retire()
+        # _retire, inlined
+        self._outstanding -= 1
+        if self._pending:
+            self._issue(self._pending.popleft())
         fn((arg, value))
 
     def _post_write_back_done(self, _req: tuple) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["ResultCode", "DbResult", "check_read", "check_write", "CcError"]
 

@@ -8,7 +8,6 @@ remote customer; both fractions are knobs (Figure 13 style sweeps).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ...core.system import BionicDB

@@ -7,9 +7,7 @@ popular keys are spread across the key space.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Optional
 
 from ..errors import WorkloadError
 
