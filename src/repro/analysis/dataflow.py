@@ -71,8 +71,7 @@ class Node:
 class FlowGraph:
     """The stitched instruction-level flow graph of a whole program."""
 
-    def __init__(self, program: Program, cfgs: Dict[Section, Cfg],
-                 traps: bool = True):
+    def __init__(self, program: Program, cfgs: Dict[Section, Cfg]):
         self.program = program
         self.cfgs = cfgs
         # a node's id is its section's first id plus its index: plain
@@ -90,13 +89,13 @@ class FlowGraph:
         n = len(self.nodes)
         self.succs: List[List[int]] = [[] for _ in range(n)]
         self.preds: List[List[int]] = [[] for _ in range(n)]
-        self._build_edges(traps)
+        self._build_edges()
 
     # -- construction ----------------------------------------------------
     def _entry_of(self, section: Section) -> Optional[int]:
         return self._first[section] if self.program.section(section) else None
 
-    def _build_edges(self, traps: bool) -> None:
+    def _build_edges(self) -> None:
         commit_entry = self._entry_of(Section.COMMIT)
         abort_entry = self._entry_of(Section.ABORT)
         edge = self._edge
@@ -121,7 +120,7 @@ class FlowGraph:
                     else:
                         edge(last, first + cfg.blocks[s].start)
             # trap edges: logic may bail to the abort handler mid-stream
-            if traps and section is Section.LOGIC and abort_entry is not None:
+            if section is Section.LOGIC and abort_entry is not None:
                 for i, inst in enumerate(cfg.insts):
                     if inst.opcode in TRAP_OPCODES:
                         edge(first + i, abort_entry)
@@ -154,9 +153,9 @@ class FlowGraph:
                             self._entry_of(Section.ABORT)) if e is not None]
 
 
-def program_flow(program: Program, traps: bool = True) -> FlowGraph:
+def program_flow(program: Program) -> FlowGraph:
     """Build the stitched flow graph (finalizes ``program`` if needed)."""
-    return FlowGraph(program, build_all_cfgs(program), traps=traps)
+    return FlowGraph(program, build_all_cfgs(program))
 
 
 # ---------------------------------------------------------------------------

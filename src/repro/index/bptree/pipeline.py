@@ -359,9 +359,9 @@ class BPTreePipeline(PipelineBase):
             # SEARCH / UPDATE / REMOVE against the leaf entry's record
             i = bisect_left(leaf.keys, req.key)
             if i < len(leaf.keys) and leaf.keys[i] == req.key:
-                self.read_port.read_raw_cb(leaf.children[i],
-                                           self._record_landed,
-                                           (wave, leaf.children[i]))
+                self.read_port.read_cb(leaf.children[i],
+                                       self._record_landed,
+                                       (wave, leaf.children[i]))
             else:
                 self._finish_point(req, NULL_ADDR, None)
                 self._served(wave)
@@ -432,7 +432,7 @@ class BPTreePipeline(PipelineBase):
             self._scan_end(scan)
         else:
             scan.addr = leaf.children[scan.i]
-            self.read_port.read_raw_cb(scan.addr, self._row_landed_cb, scan)
+            self.read_port.read_cb(scan.addr, self._row_landed_cb, scan)
 
     def _leaf_landed(self, landed: tuple) -> None:
         scan, leaf = landed

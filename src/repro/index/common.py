@@ -390,8 +390,8 @@ class PipelineBase:
         if row.__class__ is ColdRows:
             row = scan.row = self.dram.heap.load_raw(scan.addr)
         cold = row.__class__ is ColdRows
-        # TupleRecord.visible_at, inlined for towers and records alike:
-        # one test per scanned row
+        # visible: committed, not deleted and written no later than the
+        # scan, for towers and records alike
         if cold:
             if row.ts > req.ts:
                 return True

@@ -245,8 +245,8 @@ class HashIndexPipeline(PipelineBase):
         if not head_addr:
             self._done(req, DbResult(ResultCode.NOT_FOUND))
         else:
-            self.read_port.read_raw_cb(head_addr, self._head_read_done,
-                                       (req, head_addr))
+            self.read_port.read_cb(head_addr, self._head_read_done,
+                                   (req, head_addr))
         self._next(_HEADFETCH)
 
     def _head_read_done(self, arg: tuple) -> None:
@@ -272,8 +272,8 @@ class HashIndexPipeline(PipelineBase):
             self._done(req, DbResult(ResultCode.NOT_FOUND))
             self._next(stage)
         else:
-            self.read_port.read_raw_cb(next_addr, self._traverse_read,
-                                       (stage, req, next_addr))
+            self.read_port.read_cb(next_addr, self._traverse_read,
+                                   (stage, req, next_addr))
 
     def _traverse_read(self, arg: tuple) -> None:
         (stage, req, addr), cell = arg

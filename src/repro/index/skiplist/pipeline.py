@@ -196,8 +196,8 @@ class SkiplistPipeline(PipelineBase):
             self._level_end(req)
         elif not req._locking or not self.locks._held or self.locks.wait_clear(
                 (next_addr, level), self._read_next, (req, next_addr)):
-            self.read_port.read_raw_cb(next_addr, self._next_landed_cb,
-                                       (req, next_addr))
+            self.read_port.read_cb(next_addr, self._next_landed_cb,
+                                   (req, next_addr))
 
     def _succ(self, req: DbRequest, level: int) -> int:
         """The level-``level`` successor of the request's tower.  One
@@ -208,7 +208,7 @@ class SkiplistPipeline(PipelineBase):
         return _next_of(req._cur_addr, req._cur, level)
 
     def _read_next(self, hop: tuple) -> None:
-        self.read_port.read_raw_cb(hop[1], self._next_landed_cb, hop)
+        self.read_port.read_cb(hop[1], self._next_landed_cb, hop)
 
     def _next_landed(self, landed: tuple) -> None:
         (req, addr), nxt = landed
@@ -270,7 +270,7 @@ class SkiplistPipeline(PipelineBase):
 
     def _walk(self, req: DbRequest, addr: int) -> None:
         if addr:
-            self.read_port.read_raw_cb(addr, self._walk_landed, (req, addr))
+            self.read_port.read_cb(addr, self._walk_landed, (req, addr))
         else:
             self._finish_point(req, NULL_ADDR, None)
             self._next(self._bottom)
@@ -343,7 +343,7 @@ class SkiplistPipeline(PipelineBase):
     def _scan_read(self, scan: Scan) -> None:
         """A scanner reads the next tower, or ends the scan."""
         if scan.addr and scan.n < scan.req.scan_count:
-            self.read_port.read_raw_cb(scan.addr, self._scan_landed_cb, scan)
+            self.read_port.read_cb(scan.addr, self._scan_landed_cb, scan)
         else:
             self._scan_end(scan)
 

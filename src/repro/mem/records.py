@@ -38,10 +38,6 @@ class TupleRecord:
     dirty: bool = False
     tombstone: bool = False
 
-    def visible_at(self, ts: int) -> bool:
-        """Committed and in the past of ``ts`` (scan/read visibility)."""
-        return not self.dirty and not self.tombstone and self.write_ts <= ts
-
     @classmethod
     def from_batch(cls, rows, addr: int) -> "TupleRecord":
         """The record of ``addr`` in a cold hash or B+ tree batch: row

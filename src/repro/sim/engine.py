@@ -39,8 +39,10 @@ it to that order on random schedules):
   timestamp always predate (in sequence order) anything on the deque —
   they were pushed before the clock reached that instant, and same-time
   scheduling never touches the heap — so an instant is "every heap
-  entry stamped T in sequence order, then the deque until it is empty",
-  which is how :meth:`Engine.run` walks it.
+  entry stamped T in sequence order, then the deque until it is empty".
+  :meth:`Engine.run` walks it with one loop, which takes the lower
+  sequence number of the two heads and checks ``until``, the watchdog
+  and a crash point at every firing.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import heapq
 from collections import deque
 from contextlib import contextmanager
 from functools import partial
-from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Iterator, Optional
 
 from ..errors import BionicError, SimulatedCrash
@@ -200,16 +201,9 @@ class Engine:
         if isinstance(wait, Event):
             wait.callbacks.append(partial(self._follow_event, job))
             return
-        # inlined _schedule_fn: a delay is the single hottest wait
         if wait < 0:
             raise SimulationError(f"negative delay: {wait}")
-        now = self.now
-        when = now + wait
-        seq = self._seq = self._seq + 1
-        if when == now:
-            self._ready.append((seq, self._follow_cb, job))
-        else:
-            _heappush(self._heap, (when, seq, self._follow_cb, job))
+        self._schedule_fn(self.now + wait, self._follow_cb, job)
 
     def _follow_event(self, job: tuple, event: Event) -> None:
         self.follow(job, event._value)
@@ -241,7 +235,9 @@ class Engine:
         progress on every iteration and so never trips ``until``).
 
         An armed ``crash_at_fired`` raises :class:`SimulatedCrash` once
-        that many events have fired (the machine-dies hook).
+        that many events have fired (the machine-dies hook); a callback
+        may arm it mid-run.  One loop serves every combination of the
+        three, none of them included.
 
         The cyclic collector is off while the loop runs
         (:func:`collector_quiesced`) and back in its prior state on
@@ -261,27 +257,6 @@ class Engine:
         # synced value, and the finally republishes it on every exit.
         base = self.events_fired
         try:
-            if (until is None and max_events is None
-                    and self.crash_at_fired is None):
-                # Run to idle with nothing to watch for: an instant is
-                # every heap entry stamped T in sequence order, then the
-                # deque until it is empty (nothing ever pushes a heap
-                # entry stamped ``now``).  A crash point must be armed
-                # before run(), not from a callback.
-                popleft = ready.popleft
-                now = self.now
-                while True:
-                    while heap and heap[0][0] <= now:
-                        _when, _seq, fn, arg = heappop(heap)
-                        fired += 1
-                        fn(arg)
-                    while ready:
-                        _seq, fn, arg = popleft()
-                        fired += 1
-                        fn(arg)
-                    if not heap:
-                        return now
-                    now = self.now = heap[0][0]
             unbounded = until is None
             unwatched = max_events is None
             while True:

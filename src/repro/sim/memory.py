@@ -23,7 +23,9 @@ hazard prevention is disabled.
 Every access is modelled, so the request path is the simulator's
 hottest: a :class:`MemoryPort` request is no object but the argument
 tuple of the work item that serves it, and its kind's completion
-handler is that item's function.
+handler is that item's function.  Every entry point goes through one
+issue rule (:meth:`MemoryPort._issue`, :meth:`MemoryPort._launch`) and
+every completion through one release (:meth:`MemoryPort._retire`).
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class ColdRows:
     A row is built when an UPDATE, REMOVE or INSERT is granted on it or
     next to it, or when the host or the softcore reads it.  Every index
     pipeline's walk, its SEARCH grant and its scans read a cell through
-    :meth:`Heap.load_raw`, work from the columns and leave the row cold:
+    :meth:`MemoryPort.read_cb`, which serves it by :meth:`Heap.load_raw`;
+    they work from the columns and leave the row cold:
     a granted read raises the row's entry of ``read_ts``
     (:meth:`raise_read`), an ``array('Q')`` of read times allocated
     (every entry ``ts``) at the batch's first raise; while it is
@@ -182,9 +185,10 @@ class Heap:
     allocated line, occupied or not); a word segment is an
     ``array('I')`` (4 bytes per line, 0 for nothing), so a bucket head
     is neither a boxed int nor a slot the cyclic collector walks.  The
-    last segment is always an object list (rows, blocks), read and
-    written on a fast path; the rest are found by bisection.  The first
-    ``base`` addresses are never handed out.
+    last segment is always an object list (rows, blocks), which
+    :meth:`load_raw` and :meth:`store` test first; the rest are found by
+    bisection (:meth:`_find`).  The first ``base`` addresses are never
+    handed out.
 
     A cell holding ``None`` (a word holding 0) is unoccupied: reading
     it, or any address outside the allocated range, yields ``None`` — a
@@ -194,14 +198,16 @@ class Heap:
     :class:`~repro.errors.HeapAddressError`.
 
     An object cell may also be *cold*: one row of a :class:`ColdRows`
-    batch whose record has not been built yet.  :meth:`load` builds it
-    on first touch and keeps it, so a reader gets an ordinary record.
-    Only :meth:`load_raw` (the index pipelines' walks, grants and
-    scans) and :meth:`raw_items` hand a cold cell out, as stored, and
-    leave it cold.  The counters ``rows_cold`` and ``rows_inflated``
-    (``heap.rows_cold`` / ``heap.rows_inflated`` in the stats registry)
-    count the rows placed and the rows built; since a cell is built
-    once, the second never exceeds the first.
+    batch whose record has not been built yet.  :meth:`load` is
+    :meth:`load_raw` plus the build: it builds a cold row on first touch
+    and keeps it, so a reader gets an ordinary record.  Only
+    :meth:`load_raw` (every :meth:`MemoryPort.read_cb`: the index
+    pipelines' walks, grants and scans) and :meth:`raw_items` hand a
+    cold cell out, as stored, and leave it cold.  The counters
+    ``rows_cold`` and ``rows_inflated`` (``heap.rows_cold`` /
+    ``heap.rows_inflated`` in the stats registry) count the rows placed
+    and the rows built; since a cell is built once, the second never
+    exceeds the first.
     """
 
     def __init__(self, base: int = 0x1000,
@@ -275,31 +281,9 @@ class Heap:
         k = bisect_right(self._starts, addr) - 1
         return self._segments[k], addr - self._starts[k]
 
-    def load(self, addr: int) -> Any:
-        i = addr - self._tail_start
-        if i >= 0:
-            cells = self._tail
-            if i >= len(cells):
-                return None
-        else:
-            # _find, inlined: every hash operation reads a bucket word
-            starts = self._starts
-            k = bisect_right(starts, addr) - 1
-            if k < 0:
-                return None
-            cells = self._segments[k]
-            i = addr - starts[k]
-            if cells.__class__ is array:
-                return cells[i] or None
-        cell = cells[i]
-        if cell.__class__ is ColdRows:
-            cell = cells[i] = cell.inflate(cell, addr)
-            self.rows_inflated.value += 1
-        return cell
-
     def load_raw(self, addr: int) -> Any:
-        """The cell at ``addr`` as stored, like :meth:`load` but a cold
-        cell yields its :class:`ColdRows` batch and stays cold."""
+        """The cell at ``addr`` as stored: a cold cell yields its
+        :class:`ColdRows` batch and stays cold."""
         i = addr - self._tail_start
         if i >= 0:
             cells = self._tail
@@ -310,6 +294,16 @@ class Heap:
         if cells.__class__ is array:
             return cells[i] or None
         return cells[i]
+
+    def load(self, addr: int) -> Any:
+        """:meth:`load_raw`, but a cold cell's record is built on this
+        first touch and kept in the cell."""
+        cell = self.load_raw(addr)
+        if cell.__class__ is ColdRows:
+            cells, i = self._find(addr)
+            cell = cells[i] = cell.inflate(cell, addr)
+            self.rows_inflated.value += 1
+        return cell
 
     def place_cold(self, rows: ColdRows) -> None:
         """Point the cells of ``rows`` (allocated by the caller with one
@@ -440,11 +434,14 @@ class MemoryPort:
     addr, ...)``: the DRAM counter its access bumps, its kind's
     completion handler (chosen when it is issued), then the arguments
     its entry point received.  The same tuple is the argument of every
-    work item the request becomes.  One that issues at once arbitrates
-    its channel inside the caller and pushes ``handler`` at the instant
-    DRAM serves it; one that waits for the port's issue slot is first a
-    :meth:`_launch` item at that slot; one that finds the port full
-    waits in ``_pending`` until a completion frees a place.
+    work item the request becomes.  Every entry point hands its tuple to
+    :meth:`_issue`: one that issues at once arbitrates its channel
+    inside the caller (:meth:`_launch`) and pushes ``handler`` at the
+    instant DRAM serves it; one that waits for the port's issue slot is
+    first a :meth:`_launch` item at that slot; one that finds the port
+    full waits in ``_pending`` until a completion's :meth:`_retire`
+    frees a place.  The hot kinds' handlers are bound once, in
+    ``__init__``, so a request allocates its tuple and nothing else.
     """
 
     def __init__(self, dram: DramModel, name: str = "", max_outstanding: int = 4,
@@ -480,70 +477,20 @@ class MemoryPort:
 
     def post_write(self, addr: int, value: Any) -> None:
         """Posted (fire-and-forget) write; still occupies an issue slot."""
-        # _issue and _launch, inlined: the hottest write
-        dram = self.dram
-        req = (dram._writes, self._post_write_done_cb, addr, value)
-        if self._outstanding >= self.max_outstanding:
-            self._pending.append(req)
-            return
-        self._outstanding += 1
-        engine = self.engine
-        now = engine.now
-        nxt = self._next_issue
-        seq = engine._seq = engine._seq + 1
-        if nxt <= now:
-            self._next_issue = now + self.issue_interval_ns
-            channel_free = dram._channel_free
-            ch = addr % dram.channels
-            free = channel_free[ch]
-            if free < now:
-                free = now
-            channel_free[ch] = free + dram.channel_interval_ns
-            dram._writes.value += 1
-            heappush(engine._heap, (free + dram.latency_ns, seq,
-                                    self._post_write_done_cb, req))
-        else:
-            self._next_issue = nxt + self.issue_interval_ns
-            heappush(engine._heap, (nxt, seq, self._launch_cb, req))
+        self._issue((self.dram._writes, self._post_write_done_cb, addr,
+                     value))
 
     def read_cb(self, addr: int, fn: Callable, arg: Any) -> None:
-        """Read with a closure-free completion callback.
+        """Read the cell as stored (:meth:`Heap.load_raw`: a cold row
+        lands as its batch and stays cold), with a closure-free
+        completion callback.
 
         ``fn((arg, value))`` is called inside the completion firing, at
-        the instant the event of :meth:`read` would fire — the only
-        difference is that no :class:`Event` is allocated.  This is the
-        completion path of the index pipelines.
+        the instant the event of :meth:`read` would fire — no
+        :class:`Event` is allocated.  This is the completion path of the
+        index pipelines.
         """
-        # _issue and _launch, inlined: the hottest read
-        dram = self.dram
-        req = (dram._reads, self._read_cb_done_cb, addr, fn, arg)
-        if self._outstanding >= self.max_outstanding:
-            self._pending.append(req)
-            return
-        self._outstanding += 1
-        engine = self.engine
-        now = engine.now
-        nxt = self._next_issue
-        seq = engine._seq = engine._seq + 1
-        if nxt <= now:
-            self._next_issue = now + self.issue_interval_ns
-            channel_free = dram._channel_free
-            ch = addr % dram.channels
-            free = channel_free[ch]
-            if free < now:
-                free = now
-            channel_free[ch] = free + dram.channel_interval_ns
-            dram._reads.value += 1
-            heappush(engine._heap, (free + dram.latency_ns, seq,
-                                    self._read_cb_done_cb, req))
-        else:
-            self._next_issue = nxt + self.issue_interval_ns
-            heappush(engine._heap, (nxt, seq, self._launch_cb, req))
-
-    def read_raw_cb(self, addr: int, fn: Callable, arg: Any) -> None:
-        """:meth:`read_cb` of the cell as stored (:meth:`Heap.load_raw`):
-        a cold row lands as its batch and stays cold."""
-        self._issue((self.dram._reads, self._read_raw_done, addr, fn, arg))
+        self._issue((self.dram._reads, self._read_cb_done_cb, addr, fn, arg))
 
     def write_cb(self, addr: int, value: Any, fn: Callable, arg: Any) -> None:
         """Write with a closure-free completion callback (see read_cb)."""
@@ -639,27 +586,12 @@ class MemoryPort:
 
     def _post_write_done(self, req: tuple) -> None:
         self.dram.heap.store(req[2], req[3])
-        # _retire, inlined
-        self._outstanding -= 1
-        if self._pending:
-            self._issue(self._pending.popleft())
+        self._retire()
 
     def _read_cb_done(self, req: tuple) -> None:
         _counter, _done, addr, fn, arg = req
-        value = self.dram.heap.load(addr)
-        # _retire, inlined
-        self._outstanding -= 1
-        if self._pending:
-            self._issue(self._pending.popleft())
-        fn((arg, value))
-
-    def _read_raw_done(self, req: tuple) -> None:
-        _counter, _done, addr, fn, arg = req
         value = self.dram.heap.load_raw(addr)
-        # _retire, inlined
-        self._outstanding -= 1
-        if self._pending:
-            self._issue(self._pending.popleft())
+        self._retire()
         fn((arg, value))
 
     def _post_write_back_done(self, _req: tuple) -> None:

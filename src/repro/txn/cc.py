@@ -51,7 +51,7 @@ class DbResult:
         return self.code is ResultCode.OK
 
 
-def check_read(record, ts: int, update_read_ts: bool = True) -> ResultCode:
+def check_read(record, ts: int) -> ResultCode:
     """Grant a read of ``record`` to a transaction with timestamp ``ts``.
 
     Read permission is granted on a tuple having a lower write time.
@@ -64,7 +64,7 @@ def check_read(record, ts: int, update_read_ts: bool = True) -> ResultCode:
         return ResultCode.NOT_FOUND
     if record.write_ts > ts:
         return ResultCode.CC_REJECT
-    if update_read_ts and ts > record.read_ts:
+    if ts > record.read_ts:
         record.read_ts = ts
     return ResultCode.OK
 

@@ -2,6 +2,10 @@
 
 import pytest
 
+from conftest import collect_results
+from repro.index.common import DbRequest
+from repro.index.skiplist.pipeline import SkiplistPipeline
+from repro.isa import Opcode
 from repro.mem import (
     BlockLayout, Catalog, IndexKind, SchemaError, TableSchema,
     TransactionBlock, TxnStatus,
@@ -15,6 +19,7 @@ from repro.sim import (
     per_worker_costs,
 )
 from repro.sim.resources import ULTRASCALE_PLUS
+from repro.txn import ResultCode
 
 
 class TestClockDomain:
@@ -58,12 +63,23 @@ class TestStats:
 
 
 class TestRecords:
-    def test_tuple_visibility(self):
-        rec = TupleRecord(key=1, fields=["v"], write_ts=5)
-        assert rec.visible_at(5)
-        assert not rec.visible_at(4)
-        rec.dirty = True
-        assert not rec.visible_at(10)
+    def test_scan_emits_a_row_written_at_its_own_time(self, env):
+        # a later write is skipped in test_skiplist_pipeline.py::
+        # TestScan::test_scan_skips_invisible_tuples, a dirty row in
+        # test_cold_rows.py::test_a_row_built_and_dirtied_before_its_emit_is_skipped
+        pipe = SkiplistPipeline(env.engine, env.clock, env.dram, "sl0",
+                                stats=env.stats)
+        pipe.bulk_load(1, ["v"])
+        pipe.lookup_direct(1).write_ts = 5
+        out = env.heap.alloc(1)
+        scan = DbRequest(op=Opcode.SCAN, table_id=0, ts=5, txn_id=1,
+                         key_value=1, scan_count=1, scan_out_addr=out,
+                         scan_limit=1)
+        results = collect_results([scan])
+        pipe.submit(scan)
+        env.run()
+        assert (results[0][1].code, results[0][1].value) == (ResultCode.OK, 1)
+        assert env.heap.load(out) == (1, ["v"])
 
     def test_tower_validation(self):
         with pytest.raises(ValueError):

@@ -114,7 +114,7 @@ class TestVisibilityProperties:
     def test_read_write_permission_rules(self, ts, read_ts, write_ts):
         rec = TupleRecord(key=1, fields=["x"], read_ts=read_ts,
                           write_ts=write_ts)
-        read_code = check_read(rec, ts, update_read_ts=False)
+        read_code = check_read(rec, ts)
         assert (read_code is ResultCode.OK) == (write_ts <= ts)
         rec2 = TupleRecord(key=1, fields=["x"], read_ts=read_ts,
                            write_ts=write_ts)

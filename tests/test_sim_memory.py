@@ -229,10 +229,11 @@ class TestDram:
         eng.run()
         assert heap.load(addr) == "v1"
 
-    def test_raw_read_and_write_back_keep_the_port_schedule(self):
-        # each pair of kinds takes the same slots, channels and DRAM
-        # counts; the raw kinds only leave a cold cell as stored
-        def run(raw):
+    def test_callback_read_and_write_back_keep_cold_cells_on_the_read_schedule(self):
+        # read_cb + post_write_back take the slots, channels and DRAM
+        # counts of read + post_write; the first pair serves the cell as
+        # stored and leaves it cold, the second builds the row
+        def run(as_stored):
             eng, clock, heap, dram = make_dram(latency_cycles=10, channels=2)
             rows = ColdRows(lambda batch, addr: ("built", addr), 0, ts=1)
             rows.fields.extend([(1,)] * 4)
@@ -248,24 +249,26 @@ class TestDram:
 
             for i in range(4):
                 addr = rows.base + i
-                if raw:
-                    port.read_raw_cb(addr, on_cb, i)
+                if as_stored:
+                    port.read_cb(addr, on_cb, i)
                     port.post_write_back(addr)
                 else:
-                    port.read_cb(addr, on_cb, i)
-                    port.post_write(addr, heap.load(addr))
+                    port.read(addr).callbacks.append(
+                        lambda ev, i=i: on_cb((i, ev._value)))
+                    port.post_write(addr, ("stored", addr))
             eng.run()
             cells = [cell.__class__.__name__ for _a, cell in heap.raw_items()]
             return (landed, dram.stats.counter("dram.reads").value,
                     dram.stats.counter("dram.writes").value,
                     eng.events_fired, heap.rows_inflated.value, cells)
 
-        built, raw = run(False), run(True)
-        assert [(t, i) for t, i, _kind in raw[0]] == [
+        stored, built = run(True), run(False)
+        assert [(t, i) for t, i, _kind in stored[0]] == [
             (t, i) for t, i, _kind in built[0]]
-        assert raw[1:4] == built[1:4] == (4, 4, raw[3])
-        assert {kind for _t, _i, kind in raw[0]} == {"ColdRows"}
-        assert raw[4:] == (0, ["ColdRows"] * 4)
+        assert stored[1:4] == built[1:4] == (4, 4, stored[3])
+        assert {kind for _t, _i, kind in stored[0]} == {"ColdRows"}
+        assert stored[4:] == (0, ["ColdRows"] * 4)
+        assert {kind for _t, _i, kind in built[0]} == {"tuple"}
         assert built[4:] == (4, ["tuple"] * 4)
 
     def test_outstanding_limit_serialises_excess(self):
