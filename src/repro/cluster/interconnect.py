@@ -56,11 +56,11 @@ class NodeLinks:
     Engine-free: :meth:`delivery` is pure time arithmetic — given a send
     instant it returns the arrival instant, or ``None`` when the message
     is lost (an armed ``interconnect.drop``, a fired or standing
-    ``interconnect.partition``, a muted heartbeat source).  Callers that
-    live on the discrete-event engine (the data-plane interconnect)
-    schedule the delivery themselves; callers that advance virtual time
-    by hand (the membership layer, replication shipping, drills) use the
-    returned instants directly.
+    ``interconnect.partition``, a muted heartbeat source).  Its callers
+    schedule the delivery on their own engine: the data-plane
+    interconnect on the machine's, the membership layer's heartbeats on
+    the control plane's.  Replication shipping and migration transfers
+    keep the returned instants as timestamps instead.
 
     Fault sites consulted per send, in order: ``interconnect.drop``,
     ``interconnect.stall``, then ``interconnect.partition`` (which cuts

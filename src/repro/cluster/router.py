@@ -1,7 +1,9 @@
 """The cluster-aware retry router: planning behind typed retry signals.
 
-:class:`ClusterRetryRouter` is a control-plane planner over
-:class:`repro.cluster.ha.HACluster`'s hand-advanced clock.  It caches
+:class:`ClusterRetryRouter` is a control-plane planner that reads
+:class:`repro.cluster.ha.HACluster`'s clock, the control-plane engine
+the membership service owns, and steps it only through
+:meth:`~repro.cluster.ha.HACluster.advance`.  It caches
 ``ownership_map()``, refreshes it on ``StaleEpochError`` (re-homing
 submits to the current owner, at most :data:`MAX_EPOCH_REFRESHES`
 times per attempt), reconciles against the authoritative log before
