@@ -371,6 +371,17 @@ def test_run_sweep_serial_keeps_registry_order(monkeypatch):
     assert results["tiny_ycsb"]["point"] == "tiny_ycsb"
 
 
+def test_run_sweep_records_each_points_own_peak(monkeypatch):
+    # a fat point then a tiny one through one job: the tiny point's
+    # peak must be its own, not the high-water mark the fat one left
+    _install_tiny_points(monkeypatch)
+    monkeypatch.setitem(POINTS, "fat_ycsb", dict(
+        TINY_POINTS["tiny_ycsb"], records_per_partition=50_000))
+    results = run_sweep(["fat_ycsb", "tiny_ycsb"], jobs=1)
+    assert results["tiny_ycsb"]["peak_rss_mb"] \
+        < results["fat_ycsb"]["peak_rss_mb"]
+
+
 def test_merge_into_preserves_other_sections(tmp_path):
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"notes": {"x": 1}}))

@@ -18,8 +18,9 @@ The hook is a generated ``sitecustomize`` module that installs
 ``sys.setprofile`` and ``threading.setprofile`` and appends each
 ``src/repro`` code object's ``co_filename`` and ``co_firstlineno``,
 once per process, to a line-buffered file named after the pid.  A
-forked child (a ``ProcessPoolExecutor`` worker, which leaves through
-``os._exit``) opens its own file, so what it runs is recorded too.
+forked child (a sweep point's pool worker, forked from
+``multiprocessing``'s fork server, which leaves through ``os._exit``)
+opens its own file, so what it runs is recorded too.
 A process that replaces the hook with its own profiler (the repo
 benchmark's ``--trace 1`` child, under ``cProfile``) records nothing
 while that profiler is on.
