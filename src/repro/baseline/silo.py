@@ -79,8 +79,6 @@ class SiloTable:
 
     # -- functional operations -------------------------------------------
     def get_record(self, key) -> Optional[SiloRecord]:
-        if self.structure == IndexStructure.HASH:
-            return self._index.get(key)
         return self._index.get(key)
 
     def install(self, key, record: SiloRecord) -> bool:
