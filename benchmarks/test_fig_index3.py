@@ -1,7 +1,7 @@
 """Three-way index comparison + range-scan selectivity sweep.
 
-The smoke test asserts the extension's acceptance criteria, not just
-that the curves render:
+These tests assert the extension's acceptance criteria, not just that
+the curves render:
 
 * point queries order hash > B+ tree > skiplist at saturation;
 * range-scan throughput falls monotonically with span, and every scan
@@ -10,21 +10,16 @@ that the curves render:
   fetches than one-key-at-a-time traversal at batch >= 8.
 """
 
-import pytest
-
-from repro.bench import run_index3_point, run_index3_scan
-
-from conftest import run_once
+from repro.bench.experiments import EXPERIMENTS, run
 
 
-@pytest.mark.smoke
 def test_index3_acceptance():
-    point = run_index3_point(axis=(4, 16), n_ops=240)
+    point = run(EXPERIMENTS["ext-index3"], 240, (4, 16))
     by_label = {s.name: s.ys for s in point.series}
     sat = {label: ys[-1] for label, ys in by_label.items()}
     assert sat["Hash"] > sat["B+ tree"] > sat["Skiplist"]
 
-    scan = run_index3_scan(spans=(10, 50, 200), n_ops=30)
+    scan = run(EXPERIMENTS["ext-index3-scan"], 30, (10, 50, 200))
     by_label = {s.name: s.ys for s in scan.series}
     for kind in ("Skiplist RANGE_SCAN", "B+ tree RANGE_SCAN"):
         ys = by_label[kind]
@@ -33,7 +28,6 @@ def test_index3_acceptance():
         "hardware scans diverged from the software B+ tree golden model")
 
 
-@pytest.mark.smoke
 def test_wave_batching_reduces_dram_fetches():
     import random
 
@@ -58,13 +52,3 @@ def test_wave_batching_reduces_dram_fetches():
         return pipe.node_fetches.value
 
     assert fetches(8) < fetches(1)
-
-
-def test_index3_point_report(benchmark):
-    report = run_once(benchmark, run_index3_point, n_ops=600)
-    assert len(report.series) == 4
-
-
-def test_index3_scan_report(benchmark):
-    report = run_once(benchmark, run_index3_scan, n_ops=120)
-    assert all(v == 0 for v in report.series[-1].ys)

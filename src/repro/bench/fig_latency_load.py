@@ -13,9 +13,9 @@ can sweep offered load through saturation and past it:
   small backlog bound sheds the excess at the door; p99 stays pinned
   near its at-capacity value and goodput holds at the bucket rate.
 
-``measure_latency_load`` returns the raw numbers (the smoke benchmark
-asserts the acceptance criteria on them); ``run_latency_load`` wraps
-them in the usual :class:`FigureReport`.
+``measure_latency_load`` returns the raw numbers (the hockey-stick
+benchmark asserts the acceptance criteria on them); ``latency_load``
+fills the ``ext-frontend`` row's :class:`FigureReport` with them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..frontend import (
 from ..workloads import YcsbConfig, YcsbWorkload
 from .report import FigureReport, machine_tput
 
-__all__ = ["measure_latency_load", "run_latency_load"]
+__all__ = ["measure_latency_load", "latency_load"]
 
 
 def _fresh():
@@ -97,28 +97,14 @@ def measure_latency_load(loads: Sequence[float] = (0.25, 0.5, 0.75,
     return {"saturated_tps": saturated, "on": rows_on, "off": rows_off}
 
 
-def run_latency_load(loads: Sequence[float] = (0.25, 0.5, 0.75,
-                                               1.0, 1.25, 1.5),
-                     n_txns: int = 1500) -> FigureReport:
-    """Extension: YCSB-C p99 latency vs offered load, with and without
-    front-end admission control (the hockey-stick experiment)."""
-    data = measure_latency_load(loads, n_txns)
+def latency_load(report: FigureReport, n: int) -> None:
+    """Extension: YCSB-C p99 latency vs offered load (``report.xs``,
+    ``n`` requests per run), with and without front-end admission
+    control (the hockey-stick experiment)."""
+    loads = report.xs
+    data = measure_latency_load(loads, n)
     saturated = data["saturated_tps"]
-    report = FigureReport(
-        "Extension: latency under load (front-end)",
-        "YCSB-C p99 latency vs offered load through the network "
-        "front-end, admission control on vs off",
-        x_label="load (x saturation)", unit="us",
-        paper_expectations={
-            "§5.1": "ideally, remote clients should submit transaction "
-                    "blocks through network cards — this sweep runs that "
-                    "serving path",
-            "queueing": "open loop past the knee: latency unbounded "
-                        "without admission; pinned near capacity with it",
-        })
-    report.xs = list(loads)
-    on = report.new_series("p99 (admission)")
-    off = report.new_series("p99 (no admission)")
+    on, off = report.series
     for row_on, row_off in zip(data["on"], data["off"]):
         on.add(row_on["p99_us"])
         off.add(row_off["p99_us"])
@@ -132,4 +118,3 @@ def run_latency_load(loads: Sequence[float] = (0.25, 0.5, 0.75,
                 f"({last_on['rejected']} shed), admission-off p99 "
                 f"{last_off['p99_us']:.0f} us vs {last_on['p99_us']:.0f} us "
                 f"with admission (peak goodput {peak / 1e3:.1f} kTps)")
-    return report

@@ -1,8 +1,7 @@
-"""Table 3 (message-passing latency), Table 4 (resources), §5.8 (power)."""
+"""Table 3 (message-passing latency), Table 4 (resources), §5.8 (power):
+the fills of their rows in :mod:`.experiments`, which have no size."""
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..comm.channels import Crossbar, RequestPacket, ResponsePacket
 from ..comm.software_mp import software_mp_table
@@ -11,8 +10,7 @@ from ..sim import FPGA_MHZ, ClockDomain, Engine
 from ..sim.power import CpuPowerModel
 from .report import FigureReport
 
-__all__ = ["run_table3", "run_table4", "run_power",
-           "measure_onchip_roundtrip_ns"]
+__all__ = ["table3", "table4", "power", "measure_onchip_roundtrip_ns"]
 
 #: Table 4's published per-module rows (4 workers on a Virtex-5 LX330).
 PAPER_TABLE4 = {
@@ -47,43 +45,20 @@ def measure_onchip_roundtrip_ns() -> float:
     return times["rt"]
 
 
-def run_table3() -> FigureReport:
-    report = FigureReport(
-        "Table 3", "Latencies of message-passing methods",
-        x_label="primitive", unit="ns",
-        paper_expectations={
-            "On-chip MP": "24 ns primitive / 48 ns per pair",
-            "L3 cache": "20 ns / 40 ns",
-            "DDR3": "80 ns / 320 ns",
-        })
+def table3(report: FigureReport, _n: None) -> None:
     measured_rt = measure_onchip_roundtrip_ns()
-    report.xs = []
-    prim = report.new_series("primitive")
-    total = report.new_series("total roundtrip")
+    prim, total = report.series
     for row in software_mp_table():
         report.xs.append(row.name)
         prim.add(row.primitive_latency_ns)
         total.add(row.roundtrip_latency_ns)
     report.note(f"measured on-chip roundtrip in the simulator: "
                 f"{measured_rt:.1f} ns")
-    return report
 
 
-def run_table4(config: Optional[BionicConfig] = None) -> FigureReport:
-    report = FigureReport(
-        "Table 4", "Resource utilization of BionicDB with 4 workers",
-        x_label="module", unit="count",
-        paper_expectations={
-            "utilization": "~70% of the Virtex-5 LX330 (FF/LUT/BRAM)",
-            "skiplist share": "~50% of BionicDB's own logic",
-            "BionicDB total": "~53k FFs / ~70k LUTs over 4 workers",
-        })
-    db = BionicDB(config or BionicConfig(n_workers=4))
-    ledger = db.resource_ledger()
-    report.xs = []
-    ff = report.new_series("FF")
-    lut = report.new_series("LUT")
-    bram = report.new_series("BRAM")
+def table4(report: FigureReport, _n: None) -> None:
+    ledger = BionicDB(BionicConfig(n_workers=4)).resource_ledger()
+    ff, lut, bram = report.series
     for row in ledger.table():
         report.xs.append(row["module"])
         ff.add(float(row["ff"]))
@@ -91,24 +66,15 @@ def run_table4(config: Optional[BionicConfig] = None) -> FigureReport:
         bram.add(float(row["bram"]))
     for module, (pff, plut, pbram) in PAPER_TABLE4.items():
         report.note(f"paper {module}: FF {pff} LUT {plut} BRAM {pbram}")
-    return report
 
 
-def run_power(config: Optional[BionicConfig] = None,
-              cpu_cores: int = 24) -> FigureReport:
-    report = FigureReport(
-        "Power (§5.8)", "Estimated power: BionicDB vs Xeon baseline",
-        x_label="system", unit="W",
-        paper_expectations={
-            "BionicDB (XPE estimate)": "~11.5 W",
-            "4x Xeon E7 4807 TDP": "380 W",
-            "headline": "an order of magnitude power saving",
-        })
-    db = BionicDB(config or BionicConfig(n_workers=4))
-    fpga = db.power_report()
+def power(report: FigureReport, _n: None) -> None:
+    """BionicDB's 4 workers against the Xeon chips of Silo's 24 cores."""
+    cpu_cores = 24
+    fpga = BionicDB(BionicConfig(n_workers=4)).power_report()
     cpu = CpuPowerModel()
     report.xs = ["BionicDB (FPGA)", f"Xeon x{cpu.chips_for(cpu_cores)} chips"]
-    series = report.new_series("power")
+    series, = report.series
     series.add(fpga.total_w)
     series.add(cpu.estimate_w(cpu_cores))
     report.note(f"FPGA breakdown: static {fpga.static_w:.2f} W, logic "
@@ -116,4 +82,3 @@ def run_power(config: Optional[BionicConfig] = None,
                 f"I/O+memory {fpga.io_and_memory_w:.2f} W")
     ratio = cpu.estimate_w(cpu_cores) / fpga.total_w
     report.note(f"power ratio: {ratio:.1f}x in BionicDB's favour")
-    return report

@@ -121,7 +121,7 @@ class MembershipService:
     def advance_to(self, t: float) -> None:
         """Run heartbeat emission and delivery up to virtual time ``t``
         (a past ``t`` moves nothing), declaring deaths along the way."""
-        self.engine.run(until=max(t, self.now_ns))
+        self.engine.run(until=t)
         self._declare()
 
     def _beat(self, src: int) -> None:

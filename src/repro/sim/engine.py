@@ -226,7 +226,9 @@ class Engine:
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
-        """Run until the queues drain or simulated time reaches ``until``.
+        """Run until the queues drain or simulated time reaches ``until``,
+        and return ``now``.  With ``until`` the clock ends at
+        ``max(now, until)``: a past ``until`` never moves it back.
 
         ``max_events`` is a watchdog: if more than that many events fire
         in this call, raise :class:`SimulationError` instead of spinning
@@ -274,8 +276,7 @@ class Engine:
                 else:
                     break
                 if not unbounded and when > until:
-                    self.now = until
-                    return self.now
+                    break
                 if not unwatched and fired >= max_events:
                     raise SimulationError(
                         f"watchdog: {fired} events fired without the heap "

@@ -213,9 +213,8 @@ class TestSiloEngine:
     def test_fig9b_silo_point_is_the_same_in_every_process(self):
         """Fig 9b's Silo@16 point, computed under two hash seeds: record
         addresses differ between processes, and nothing may follow them."""
-        code = ("from repro.bench.fig09 import run_fig9b\n"
-                "print(run_fig9b(bionic_workers=(1,), silo_cores=(16,),"
-                " n_txns=100).series[1].ys[1])\n")
+        code = ("from repro.bench.experiments import EXPERIMENTS\n"
+                "print(EXPERIMENTS['fig9b'].point('Silo/Xeon', 16, 100))\n")
         src = str(Path(repro.__file__).resolve().parents[1])
         points = {
             subprocess.run(

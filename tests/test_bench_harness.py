@@ -60,16 +60,13 @@ class TestCli:
             main(["not-an-experiment"])
 
     def test_quick_sizes_shrink_the_runners_defaults(self):
-        """A full run uses each runner's defaults, so the registry holds
-        only the smaller ``--quick`` sizes."""
-        import inspect
-        from repro.bench.__main__ import EXPERIMENTS
-        for name, entry in EXPERIMENTS.items():
-            fn, quick_kw = entry
-            params = inspect.signature(fn).parameters
-            for arg, value in quick_kw.items():
-                assert arg in params, (name, arg)
-                assert value < params[arg].default, (name, arg)
+        """Each row's ``--quick`` size is below its full size; the
+        tables have neither."""
+        from repro.bench.experiments import EXPERIMENTS
+        for name, row in EXPERIMENTS.items():
+            assert (row.quick is None) == (row.full is None), name
+            if row.full is not None:
+                assert row.quick < row.full, name
 
     def test_runs_one_and_writes_output(self, tmp_path, capsys):
         from repro.bench.__main__ import main
@@ -106,15 +103,13 @@ class TestClosedLoopDriver:
         assert [t for _req, t in done] == [10, 20, 30, 30]
 
     def test_figure_points_are_bit_equal(self):
-        from repro.bench.ablations import (
-            _conflicted_search_tput, run_hazard_prevention_cost,
+        from repro.bench.experiments import (
+            EXPERIMENTS, range_scan_sweep_point, run,
         )
-        from repro.bench.fig10 import kv_throughput
-        from repro.bench.fig_index3 import (
-            index_kv_throughput, range_scan_sweep_point,
-        )
-        assert kv_throughput("search", 16, 400) == 5535872.453498671
-        assert kv_throughput("insert", 8, 400) == 3213780.6916056043
+        from repro.bench.report import index_kv_throughput
+        kv_throughput = EXPERIMENTS["fig10a"].point
+        assert kv_throughput("Search", 16, 400) == 5535872.453498671
+        assert kv_throughput("Insert", 8, 400) == 3213780.6916056043
         assert index_kv_throughput("skiplist", "scan", 8, 120) == \
             43090.32306251543
         assert index_kv_throughput("skiplist", "insert", 4, 120) == \
@@ -123,8 +118,9 @@ class TestClosedLoopDriver:
             2615883.6454954483
         assert range_scan_sweep_point("bptree", 20, n_ops=60) == \
             (101153.14586283633, 0)
-        assert _conflicted_search_tput(2, n_ops=200) == 313185.0923896023
-        assert run_hazard_prevention_cost(200).series[0].ys == \
+        assert EXPERIMENTS["ablation-traverse"].point("Search", 2, 200) == \
+            313185.0923896023
+        assert run(EXPERIMENTS["ablation-hazard"], 200).series[0].ys == \
             [2032189.8878231181, 2199542.495161006]
 
 
@@ -180,7 +176,7 @@ class TestMachinePoints:
     the values their hand-built runners returned."""
 
     def test_machine_points_are_bit_equal(self):
-        from repro.bench.ablations import run_line_buffer_ablation
+        from repro.bench.experiments import EXPERIMENTS, run
         from repro.bench.report import machine_tput
         from repro.core import BionicConfig
         from repro.softcore import SoftcoreConfig
@@ -222,5 +218,5 @@ class TestMachinePoints:
         assert machine_tput(ycsb(remote_fraction=0.75), reads(40)) == \
             368459.8378776713
         assert machine_tput(ycsb(2000), reads(40)) == 374055.5098376599
-        assert run_line_buffer_ablation(40).series[0].ys == \
+        assert run(EXPERIMENTS["ablation-linebuf"], 40).series[0].ys == \
             [412507.2188763303, 299958.0058791769]

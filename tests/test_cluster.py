@@ -221,8 +221,8 @@ class TestOneMachinePins:
         assert got == digest
 
     def test_scale_out_series(self):
-        from repro.bench import run_cluster_scale_out
-        assert run_cluster_scale_out().series[0].ys == [
+        from repro.bench.experiments import EXPERIMENTS, run
+        assert run(EXPERIMENTS["ext-cluster"]).series[0].ys == [
             3867723.8445175015, 7735447.689035003]
 
 

@@ -201,5 +201,5 @@ class TestPublicApi:
         from repro.workloads import TpccWorkload, YcsbWorkload  # noqa
         from repro.isa import ProcedureBuilder, assemble, disassemble  # noqa
         from repro.sim import Engine, Tracer  # noqa
-        import repro.bench as bench
-        assert len([n for n in bench.__all__ if n.startswith("run_")]) >= 20
+        from repro.bench.experiments import EXPERIMENTS
+        assert len(EXPERIMENTS) == 27

@@ -406,7 +406,8 @@ def test_sweep_main_list_exits_clean(capsys):
 def test_sweep_main_merges_points(monkeypatch, tmp_path, capsys):
     _install_tiny_points(monkeypatch)
     out = tmp_path / "bench.json"
-    # jobs=1: the monkeypatched registry does not exist in pool workers
+    # jobs=1: one pool child at a time; the pool's initializer hands
+    # each the monkeypatched registry
     rc = main(["--points", "tiny_ycsb,tiny_ycsb_b",
                "--jobs", "1", "--out", str(out)])
     assert rc == 0

@@ -3,7 +3,7 @@
 import heapq
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.isa import (
@@ -56,10 +56,15 @@ class TestEngineOrderProperties:
     """``Engine`` fires work in ``(when, seq)`` order whichever of its
     loops runs — the property the reference engine used to witness."""
 
-    @pytest.mark.parametrize("mode", ["to_idle", "watched", "until_steps"])
-    @given(schedule=schedules)
+    @pytest.mark.parametrize("mode", ["to_idle", "watched", "until_steps",
+                                      "until_any"])
+    @given(schedule=schedules,
+           untils=st.lists(st.integers(min_value=0, max_value=8),
+                           max_size=20))
+    # an event due at 5 keeps the clock at 3 until a run to 1
+    @example(schedule=[(None, 5)], untils=[3, 1])
     @relaxed
-    def test_firing_order_is_when_seq_order(self, mode, schedule):
+    def test_firing_order_is_when_seq_order(self, mode, schedule, untils):
         eng = Engine()
         kids = _children(schedule)
         fired = []
@@ -77,6 +82,12 @@ class TestEngineOrderProperties:
         elif mode == "until_steps":
             for until in range(0, 400, 3):
                 eng.run(until=until)
+        elif mode == "until_any":
+            # untils in any order, some below the clock: it never falls
+            for until in untils:
+                before = eng.now
+                eng.run(until=until)
+                assert eng.now >= before
         eng.run()
         assert eng.idle
         assert fired == _when_seq_order(schedule)
