@@ -10,10 +10,6 @@ import pytest
 from repro.bench.experiments import EXPERIMENTS, run
 from repro.bench.tables import PAPER_TABLE4, measure_onchip_roundtrip_ns
 
-AXIS = (1, 4, 8, 12, 16, 20, 24)
-#: 10b–d set a machine-wide budget, which needs a slot per worker (4)
-MACHINE_AXIS = AXIS[1:]
-
 
 # -- Figure 9: overall performance of BionicDB vs Silo ----------------------
 def fig9a(report):
@@ -214,16 +210,16 @@ def ext_index3_scan(report):
 SHAPES = [
     ("fig9a", 200, None, fig9a),
     ("fig9b", 160, None, fig9b),
-    ("fig10a", 1600, AXIS, fig10a),
-    ("fig10b", 160, MACHINE_AXIS, fig10b),
-    ("fig10c", 120, MACHINE_AXIS, fig10c),
-    ("fig10d", 160, MACHINE_AXIS, fig10d),
-    ("fig11a", 400, AXIS, fig11a),
-    ("fig11b", 400, AXIS, fig11b),
-    ("fig11c", 160, AXIS, fig11c),
+    ("fig10a", 1600, None, fig10a),
+    ("fig10b", 160, None, fig10b),
+    ("fig10c", 120, None, fig10c),
+    ("fig10d", 160, None, fig10d),
+    ("fig11a", 400, None, fig11a),
+    ("fig11b", 400, None, fig11b),
+    ("fig11c", 160, None, fig11c),
     ("fig11d", 120, None, fig11d),
-    ("fig11-scanners", 160, (1, 2, 3, 5, 8), fig11_scanners),
-    ("fig12a", 150, (1, 4, 8, 16, 32, 64), fig12a),
+    ("fig11-scanners", 160, None, fig11_scanners),
+    ("fig12a", 150, None, fig12a),
     ("fig12b", 150, None, fig12b),
     ("fig13", 160, None, fig13),
     ("table3", None, None, table3),

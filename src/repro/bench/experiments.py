@@ -59,8 +59,6 @@ class Experiment:
     notes: Sequence[str] = ()
     point: Optional[Callable[[str, object, int], float]] = None
     fill: Optional[Callable[[FigureReport, Optional[int]], None]] = None
-    #: a grid row's points run series by series (else x by x)
-    series_outer: bool = False
 
 
 def run(row: Experiment, n: Optional[int] = None,
@@ -74,10 +72,6 @@ def run(row: Experiment, n: Optional[int] = None,
     n = row.full if n is None else n
     if row.fill is not None:
         row.fill(report, n)
-    elif row.series_outer:
-        for s in series:
-            for x in report.xs:
-                s.add(row.point(s.name, x, n))
     else:
         for x in report.xs:
             for s in series:
@@ -677,8 +671,7 @@ EXPERIMENTS: Dict[str, Experiment] = {row.id: row for row in (
             "wave off": "wave_size=1 pays one root fetch per probe",
         },
         point=lambda s, x, n: index_kv_throughput(
-            INDEX3[s][0], "search", x, n, **INDEX3[s][1]),
-        series_outer=True),
+            INDEX3[s][0], "search", x, n, **INDEX3[s][1])),
     Experiment(
         "ext-index3-scan", "Extension: range-scan selectivity",
         "RANGE_SCAN throughput vs span (YCSB-E style), skiplist vs B+ tree",

@@ -6,11 +6,11 @@
 Runs the program's surface with a profile hook in every interpreter it
 starts, then lists each top-level function and method of
 ``src/repro`` whose code never ran.  The surface (``SURFACE``) is the
-eight examples, ``repro.bench --quick``, the figure-shape checks of
-``benchmarks/`` (on pytest), the 25-seed drill of every suite, the
-analysis CLI (``gate``, ``lint``, ``report`` in text and JSON,
-``list``), the four paper-scale sweep points of CI's perf-smoke job
-and the repo benchmark at half a second.  Commands run from the
+eight examples, ``repro.bench --quick``, the figure-shape checks
+(``benchmarks/test_shapes.py``, on pytest), the 25-seed drill of
+every suite, the analysis CLI (``gate``, ``lint``, ``report`` in text
+and JSON, ``list``), the four paper-scale sweep points of CI's
+perf-smoke job and the repo benchmark at half a second.  Commands run from the
 repository root with ``src`` on ``PYTHONPATH``; ``{tmp}`` in a command
 names a temporary directory.  The whole surface takes about five
 minutes on a two-core machine, the figure-shape checks close to two of
@@ -61,7 +61,7 @@ SURFACE = (
         "ycsb_comparison", "scale_out_demo", "frontend_demo",
         "trace_demo")),
     "python -m repro.bench --quick",
-    "python -m pytest benchmarks/ -q -p no:cacheprovider",
+    "python -m pytest benchmarks/test_shapes.py -q -p no:cacheprovider",
     "python -m repro.faults.drill --seeds 25 --suite all -v",
     "python -m repro.analysis gate --json {tmp}/analysis-report.json",
     "python -m repro.analysis lint --json src/repro",
